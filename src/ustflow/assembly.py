@@ -25,7 +25,8 @@ import scipy.sparse as sp
 
 from .errors import (ConfigurationError, MissingPreviousState,
                      NonFiniteResidual)
-from .mesh import SimplexMesh, SpaceTimeMesh, basis_eval, reference_gradients
+from .mesh import (SimplexMesh, SpaceTimeMesh, basis_eval, reference_gradients,
+                   time_levels)
 from .quadrature import interval_gauss, prism_quadrature, simplex_quadrature
 from .stabilization import (StabilizationContext, prism_geometry,
                             regular_simplex_map, stabilization_for_mesh)
@@ -346,6 +347,9 @@ class SpaceTimeProblem(_ProblemBase):
         nen = mesh.dim + 1
         self.edof = (mesh.elements[:, :, None] * nc
                      + np.arange(nc)[None, None, :]).reshape(-1, nen * nc)
+        # node-time level of every dof, the partition of the block
+        # Gauss-Seidel preconditioner
+        self.dof_levels = np.repeat(time_levels(mesh.times)[0], nc)
 
         rule = simplex_quadrature(mesh.dim, 2)
         self.qpts, self.qwts = rule.points, rule.weights

@@ -13,6 +13,7 @@ element has positive orientation afterwards.
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import cached_property
 
@@ -288,6 +289,29 @@ def map_local_to_global(mesh: SimplexMesh, e: int, xi) -> np.ndarray:
     """Affine map from reference coordinates to global coordinates."""
     N = basis_eval(xi, mesh.dim)
     return N @ mesh.element_coords[e]
+
+
+def time_levels(times):
+    """Group node times into distinct time levels.
+
+    Times are visited in stable sorted order; a time within 1e-12 * span
+    (span = max(t_max - t_min, 1)) of the first time of the current level
+    joins it, any other opens the next level.  Returns (level index of
+    every node, the node that opens each level).
+    """
+    times = np.asarray(times, dtype=float)
+    tol = 1e-12 * max(times.max() - times.min(), 1.0)
+    order = np.argsort(times, kind="stable")
+    ts = times[order].tolist()
+    starts = [0]
+    while starts[-1] < len(ts):
+        t0 = ts[starts[-1]]
+        starts.append(bisect.bisect_right(ts, tol, lo=starts[-1],
+                                          key=lambda t: t - t0))
+    starts = np.asarray(starts)
+    levels = np.empty(len(ts), dtype=np.int64)
+    levels[order] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    return levels, order[starts[:-1]]
 
 
 def classify_boundary(mesh: SimplexMesh, t0: float, tN: float, tol=None):

@@ -2,16 +2,20 @@
 
 ``newton_solve`` drives any problem object exposing
 ``system(values, want_matrix=...) -> (LinearSystem|None, rhs, norm)``.
-The linear solve is restarted GMRES (scipy) with a block-Jacobi or ILU
-preconditioner, or a direct sparse LU; GMRES failures fall back to the
-direct solver for systems of up to 20000 unknowns.  Iteration traces are
-emitted as ``newton iter=<k> res=<value>`` log lines.
+The linear solve is restarted GMRES (scipy) preconditioned by a forward
+block Gauss-Seidel sweep over the node-time levels, or a direct sparse LU,
+which is also the oracle.  A GMRES failure raises ``LinearSolveFailure``;
+there is no fallback.  Each linear solve logs one ``linear solve`` line
+with its method, iterations, true relative residual and timings, and
+Newton traces are emitted as ``newton iter=<k> res=<value>`` log lines.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,11 @@ class LinearSolverConfig:
     restart: int = 60
     max_krylov_iter: int = 2000
     lin_rel_tol: float = 1e-8
-    preconditioner: str = "ilu0"     # "jacobi_block", "ilu0" or "none"
+    preconditioner: str = "time_levels"  # or "none"
+    # node-time level of every unknown; newton_solve fills it in from the
+    # problem's ``dof_levels``, it is not a setting
+    dof_levels: np.ndarray = dataclasses.field(default=None, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         if self.restart < 1:
@@ -59,56 +67,55 @@ class NewtonResult:
     status: str  # "converged" or "max_iterations"
 
 
-def block_jacobi_preconditioner(A: sp.csr_matrix, block_size: int):
-    """Inverse of the per-node diagonal blocks as a LinearOperator."""
+def time_level_preconditioner(A: sp.spmatrix, dof_levels) -> spla.LinearOperator:
+    """One forward block Gauss-Seidel sweep over the node-time levels.
+
+    Level k's unknowns are solved with an exact sparse LU of their diagonal
+    block, after subtracting the coupling to all earlier levels (the whole
+    strictly block-lower part), so any dof order works.  On a matrix that
+    is block-lower-triangular in the levels the sweep is an exact inverse.
+    Raises ``LinearSolveFailure`` naming a level whose block is singular.
+    """
     n = A.shape[0]
-    if n % block_size:
-        raise ValueError("matrix size not divisible by block size")
-    nb = n // block_size
-    Ab = A.tobsr(blocksize=(block_size, block_size))
-    blocks = np.zeros((nb, block_size, block_size))
-    indptr, indices = Ab.indptr, Ab.indices
-    for r in range(nb):
-        cols = indices[indptr[r]: indptr[r + 1]]
-        hit = np.nonzero(cols == r)[0]
-        if len(hit):
-            blocks[r] = Ab.data[indptr[r] + hit[0]]
-        else:
-            blocks[r] = np.eye(block_size)
-    # guard singular blocks with the identity
-    dets = np.abs(np.linalg.det(blocks))
-    bad = (dets < 1e-300) | ~np.isfinite(dets)
-    if bad.any():
-        blocks[bad] = np.eye(block_size)
-    inv = np.linalg.inv(blocks)
+    dof_levels = np.asarray(dof_levels)
+    if dof_levels.shape != (n,):
+        raise ValueError(f"{dof_levels.shape} dof levels for {n} unknowns")
+    order = np.argsort(dof_levels, kind="stable")
+    sorted_levels = dof_levels[order]
+    bounds = np.flatnonzero(np.diff(sorted_levels)) + 1
+    starts = np.concatenate([[0], bounds])
+    ends = np.concatenate([bounds, [n]])
+    Ap = sp.csr_matrix(A)[order][:, order]
+    blocks = []
+    for s, e in zip(starts, ends):
+        try:
+            lu = spla.splu(Ap[s:e, s:e].tocsc())
+        except RuntimeError as exc:
+            raise LinearSolveFailure(
+                f"diagonal block of time level {sorted_levels[s]} "
+                f"is singular: {exc}") from exc
+        blocks.append((s, e, lu, Ap[s:e, :s]))
 
-    def apply(x):
-        return np.einsum("nij,nj->ni", inv, x.reshape(nb, block_size)).ravel()
+    def sweep(r):
+        rp = np.ravel(r)[order]
+        y = np.empty(n)
+        for s, e, lu, lower in blocks:
+            y[s:e] = lu.solve(rp[s:e] - lower @ y[:s])
+        x = np.empty(n)
+        x[order] = y
+        return x
 
-    return spla.LinearOperator(A.shape, matvec=apply)
+    return spla.LinearOperator(A.shape, matvec=sweep, dtype=float)
 
 
-def _make_preconditioner(A: sp.csr_matrix, cfg: LinearSolverConfig,
-                         block_size: int):
-    if cfg.preconditioner == "none":
-        return None
-    if cfg.preconditioner == "jacobi_block":
-        return block_jacobi_preconditioner(A, block_size)
-    if cfg.preconditioner == "ilu0":
-        for drop, fill in ((1e-5, 10.0), (1e-8, 20.0)):
-            try:
-                ilu = spla.spilu(A.tocsc(), drop_tol=drop, fill_factor=fill)
-                return spla.LinearOperator(A.shape, matvec=ilu.solve)
-            except RuntimeError:
-                continue
-        logger.warning("ILU factorization singular, "
-                       "falling back to block-Jacobi")
-        return block_jacobi_preconditioner(A, block_size)
-    raise ValueError(f"unknown preconditioner {cfg.preconditioner!r}")
+def _relres(A, x, b) -> float:
+    """True relative residual ||b - Ax|| / ||b|| (0 for b = 0)."""
+    bnorm = float(np.linalg.norm(b))
+    return float(np.linalg.norm(b - A @ x)) / bnorm if bnorm else 0.0
 
 
 def direct_lu(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse LU solve; the oracle and fallback path."""
+    """Sparse LU solve; the oracle."""
     try:
         lu = spla.splu(sp.csc_matrix(A))
         x = lu.solve(b)
@@ -119,21 +126,23 @@ def direct_lu(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None,
-                block_size: int = 1):
+def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     """Restarted GMRES with the configured preconditioner.
 
     The system is symmetrically equilibrated by 1/sqrt(|diag|) first, which
     evens out the wildly different row scales of the stabilized space-time
-    systems.  Returns (x, stats).  Raises Stagnation/Breakdown when the
-    relative residual target is missed; callers may fall back to
-    ``direct_lu``.
+    systems; the preconditioner is built from the equilibrated matrix.
+    Returns (x, stats) with the Krylov iterations, the true relative
+    residual ||b - Ax|| / ||b||, the number of levels and the seconds spent
+    building the preconditioner and in GMRES.  Raises Stagnation/Breakdown,
+    with the iterations and relres reached, when the target is missed.
     """
     cfg = cfg or LinearSolverConfig()
     A = sp.csr_matrix(A)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), {"iterations": 0, "relres": 0.0}
+    stats = {"iterations": 0, "relres": 0.0, "levels": None,
+             "factor_s": 0.0, "krylov_s": 0.0}
+    if not np.any(b):
+        return np.zeros_like(b), stats
 
     d = np.abs(A.diagonal())
     d[d < 1e-300] = 1.0
@@ -142,43 +151,63 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None,
     As = (D @ A @ D).tocsr()
     bs = scale * b
 
-    M = _make_preconditioner(As, cfg, block_size)
-    count = {"iterations": 0}
+    t0 = time.perf_counter()
+    if cfg.preconditioner == "none":
+        M = None
+    elif cfg.preconditioner == "time_levels":
+        if cfg.dof_levels is None:
+            raise ValueError("the time_levels preconditioner needs "
+                             "cfg.dof_levels; newton_solve takes them from "
+                             "the problem's dof_levels")
+        M = time_level_preconditioner(As, cfg.dof_levels)
+        stats["levels"] = len(np.unique(cfg.dof_levels))
+    else:
+        raise ValueError(f"unknown preconditioner {cfg.preconditioner!r}")
+    t1 = time.perf_counter()
 
     def cb(_):
-        count["iterations"] += 1
+        stats["iterations"] += 1
 
     maxouter = max(1, math.ceil(cfg.max_krylov_iter / cfg.restart))
     y, info = spla.gmres(As, bs, rtol=cfg.lin_rel_tol, atol=0.0,
                          restart=cfg.restart, maxiter=maxouter, M=M,
                          callback=cb, callback_type="pr_norm")
     x = scale * y
-    relres = float(np.linalg.norm(b - A @ x)) / bnorm
-    stats = {"iterations": count["iterations"], "relres": relres}
+    stats["factor_s"], stats["krylov_s"] = t1 - t0, time.perf_counter() - t1
+    stats["relres"] = relres = _relres(A, x, b)
+    reached = f"relres={relres:.3e} after {stats['iterations']} iterations"
     if info < 0:
-        raise Breakdown(f"gmres breakdown (info={info})")
+        raise Breakdown(f"gmres breakdown (info={info}) at {reached}")
     if info > 0 and relres > cfg.lin_rel_tol * 10.0:
-        raise Stagnation(
-            f"gmres stagnated at relres={relres:.3e} "
-            f"after {count['iterations']} iterations")
+        raise Stagnation(f"gmres stagnated at {reached}")
     return x, stats
 
 
 def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
                         cfg: LinearSolverConfig = None,
                         block_size: int = 1) -> np.ndarray:
+    """Solve A x = b with the configured method and log one line about it.
+
+    ``block_size`` (unknowns per node) is part of the call signature only;
+    neither method needs it.  Failures raise ``LinearSolveFailure``.
+    """
     cfg = cfg or LinearSolverConfig()
     if cfg.method == "direct_lu":
-        return direct_lu(A, b)
-    if cfg.method != "gmres_restarted":
+        t0 = time.perf_counter()
+        x = direct_lu(A, b)
+        stats = {"factor_s": time.perf_counter() - t0, "krylov_s": 0.0,
+                 "iterations": 0, "levels": None, "relres": _relres(A, x, b)}
+        precond = "none"
+    elif cfg.method == "gmres_restarted":
+        x, stats = gmres_solve(A, b, cfg)
+        precond = cfg.preconditioner
+    else:
         raise ValueError(f"unknown linear solver {cfg.method!r}")
-    try:
-        x, _ = gmres_solve(A, b, cfg, block_size)
-        return x
-    except LinearSolveFailure:
-        if A.shape[0] <= 20000:
-            return direct_lu(A, b)
-        raise
+    logger.info("linear solve method=%s precond=%s levels=%s iters=%d "
+                "relres=%.3e factor_s=%.3f krylov_s=%.3f", cfg.method,
+                precond, stats["levels"], stats["iterations"],
+                stats["relres"], stats["factor_s"], stats["krylov_s"])
+    return x
 
 
 def newton_solve(problem, initial_values: np.ndarray,
@@ -192,6 +221,9 @@ def newton_solve(problem, initial_values: np.ndarray,
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
+    if lin_cfg.dof_levels is None:
+        lin_cfg = dataclasses.replace(
+            lin_cfg, dof_levels=getattr(problem, "dof_levels", None))
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
     block_size = shape[1] if U.ndim == 2 else 1

@@ -7,7 +7,7 @@ from ustflow.geometry import box2d
 from ustflow.mesh import (SimplexMesh, basis_eval, basis_gradients,
                           classify_boundary, element_jacobian,
                           element_measure, in_reference, map_local_to_global,
-                          validate_mesh)
+                          time_levels, validate_mesh)
 
 from conftest import random_simplex
 
@@ -205,6 +205,19 @@ class TestClassifyBoundary:
                            fix_orientation=False)
         with pytest.raises(MeshTopologyError):
             classify_boundary(mesh, 0.0, 1.0)
+
+
+class TestTimeLevels:
+    def test_groups_within_tolerance_in_any_order(self):
+        times = np.array([0.5, 0.0, 1.0, 0.5 + 1e-14, 1e-13, 0.5])
+        levels, heads = time_levels(times)
+        assert levels.tolist() == [1, 0, 2, 1, 0, 1]
+        assert heads.tolist() == [1, 0, 2]  # first of each level by time
+
+    def test_tolerance_measured_from_first_time_of_level(self):
+        # 1.2e-12 is within 1e-12 of its neighbour but not of 0.0
+        levels, _ = time_levels(np.array([0.0, 0.6e-12, 1.2e-12]))
+        assert levels.tolist() == [0, 0, 1]
 
 
 class TestValidateMesh:

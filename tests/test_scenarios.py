@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ustflow.assembly import BCSpec, MaterialParams
-from ustflow.extrude import rotation_matrix
+import ustflow.scenarios as scenarios
+from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
+from ustflow.extrude import ExtrusionSpec, extrude_simplex_st, rotation_matrix
 from ustflow.geometry import box2d
 from ustflow.mesh import SimplexMesh
 from ustflow.postproc import probe, slice_at_time
-from ustflow.scenarios import (ScenarioSpec, builtin_cases, make_channel2d,
+from ustflow.scenarios import (ScenarioSpec, builtin_cases,
+                               default_linear_config, make_channel2d,
                                make_couette2d, make_manufactured,
                                make_stirrer2d, manufactured_exact_factory,
                                run_slab, run_ust)
-from ustflow.solver import NewtonConfig
+from ustflow.solver import LinearSolverConfig, NewtonConfig
 
 
 def constant_scenario(c, n=3, t_end=0.3, levels=3):
@@ -195,3 +197,47 @@ class TestRegistry:
         assert spec.axis == (0.0, 0.0, 1.0)
         coarse = builtin_cases()["stirrer3d"](coarse=True)
         assert coarse.mesh.n_elements < spec.mesh.n_elements
+
+
+class TestLinearSolverChoice:
+    def test_default_is_time_level_gmres_at_every_size(self):
+        for n_dofs in (12, 23598, 128682, 10 ** 7):
+            cfg = default_linear_config(n_dofs)
+            assert cfg.method == "gmres_restarted"
+            assert cfg.preconditioner == "time_levels"
+
+    def test_run_slab_uses_direct_lu(self, monkeypatch):
+        methods = []
+        newton = scenarios.newton_solve
+
+        def spy(problem, values, cfg, lin_cfg):
+            methods.append(lin_cfg.method)
+            return newton(problem, values, cfg, lin_cfg)
+
+        monkeypatch.setattr(scenarios, "newton_solve", spy)
+        res = run_slab(make_manufactured(n=3, levels=2))
+        assert res.diagnostics["converged"]
+        assert methods == ["direct_lu", "direct_lu"]
+
+    def test_dof_levels_follow_node_times(self):
+        spec = make_stirrer2d(levels=3)
+        st = extrude_simplex_st(spec.mesh, ExtrusionSpec(
+            0.0, spec.t_end, 3, spec.trajectory))
+        problem = SpaceTimeProblem(st, spec.material, spec.bcs,
+                                   gauge=spec.gauge_for(st.nodes))
+        times = np.repeat(st.times, problem.ncomp)
+        levels = problem.dof_levels
+        assert sorted(set(levels)) == [0, 1, 2, 3]
+        for k in range(4):
+            assert np.allclose(times[levels == k], k * spec.t_end / 3,
+                               rtol=1e-12, atol=0.0)
+
+    def test_twisted_stirrer_matches_direct_lu_oracle(self):
+        # the shipped 2D stirrer mesh, twisted over 6 of its 17 levels
+        spec = make_stirrer2d(levels=6)
+        gs = run_ust(spec)
+        lu = run_ust(spec, lin_cfg=LinearSolverConfig(method="direct_lu"))
+        assert gs.newton.converged and lu.newton.converged
+        assert gs.newton.iterations == lu.newton.iterations
+        U, U_ref = gs.field.values, lu.field.values
+        assert np.abs(U - U_ref).max() <= 1e-8 * np.abs(U_ref).max()

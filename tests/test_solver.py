@@ -1,12 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
-from ustflow.errors import LinearSolveFailure
-from ustflow.solver import (LinearSolverConfig, NewtonConfig,
-                            block_jacobi_preconditioner, direct_lu,
-                            gmres_solve, newton_solve, solve_linear_system)
+from ustflow.errors import LinearSolveFailure, Stagnation
+from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
+from ustflow.scenarios import make_couette2d, make_manufactured
+from ustflow.solver import (LinearSolverConfig, NewtonConfig, direct_lu,
+                            gmres_solve, newton_solve, solve_linear_system,
+                            time_level_preconditioner)
 
 
 class ToyProblem:
@@ -53,10 +57,10 @@ class TestGmres:
         A = rng.uniform(-1, 1, size=(n, n)) + n * np.eye(n)
         b = rng.uniform(-1, 1, size=n)
         x_oracle = np.linalg.solve(A, b)
-        for precond in ("none", "jacobi_block", "ilu0"):
-            x, _ = gmres_solve(sp.csr_matrix(A), b,
-                               LinearSolverConfig(preconditioner=precond),
-                               block_size=1)
+        for precond in ("none", "time_levels"):
+            cfg = LinearSolverConfig(preconditioner=precond,
+                                     dof_levels=np.arange(n) // 10)
+            x, _ = gmres_solve(sp.csr_matrix(A), b, cfg)
             rel = np.linalg.norm(x - x_oracle) / np.linalg.norm(x_oracle)
             assert rel < 1e-8, precond
 
@@ -66,10 +70,11 @@ class TestGmres:
             + 5.0 * sp.eye(n, format="csr")
         b = rng.uniform(-1, 1, size=n)
         x1 = direct_lu(A, b)
-        x2, _ = gmres_solve(A, b, LinearSolverConfig(preconditioner="ilu0"))
+        x2, _ = gmres_solve(A, b, LinearSolverConfig(
+            dof_levels=rng.integers(0, 4, size=n)))
         assert np.linalg.norm(x1 - x2) / np.linalg.norm(x1) < 1e-8
 
-    def test_stagnation_falls_back_to_direct(self, rng):
+    def test_stagnation_raises_and_direct_solves(self, rng):
         # one restart cycle of 2 Krylov vectors cannot solve this system
         n = 50
         A = sp.random(n, n, density=0.3, random_state=3).tocsr() \
@@ -77,20 +82,102 @@ class TestGmres:
         b = rng.uniform(-1, 1, size=n)
         cfg = LinearSolverConfig(restart=2, max_krylov_iter=2,
                                  preconditioner="none")
-        x = solve_linear_system(A, b, cfg)
+        with pytest.raises(Stagnation, match=r"relres=.* after 2 iterations"):
+            solve_linear_system(A, b, cfg)
+        x = solve_linear_system(A, b, LinearSolverConfig(method="direct_lu"))
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
 
-    def test_block_jacobi_blocks(self):
-        A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0, 0.0],
-                                    [1.0, 3.0, 0.0, 0.0],
-                                    [0.0, 0.0, 4.0, 0.0],
-                                    [0.0, 0.0, 0.0, 5.0]]))
-        M = block_jacobi_preconditioner(A, 2)
-        x = M.matvec(np.array([1.0, 0.0, 4.0, 5.0]))
-        expected = np.concatenate([
-            np.linalg.solve([[2, 1], [1, 3]], [1, 0]),
-            np.linalg.solve([[4, 0], [0, 5]], [4, 5])])
-        assert np.allclose(x, expected)
+    def test_logs_one_line_per_solve(self, rng, caplog):
+        n = 30
+        A = sp.random(n, n, density=0.2, random_state=5).tocsr() \
+            + 4.0 * sp.eye(n, format="csr")
+        b = rng.uniform(-1, 1, size=n)
+        cfg = LinearSolverConfig(dof_levels=np.arange(n) // 10)
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            solve_linear_system(A, b, cfg)
+            solve_linear_system(A, b, LinearSolverConfig(method="direct_lu"))
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        for line, method in zip(lines, ("gmres_restarted", "direct_lu")):
+            assert line.startswith(f"linear solve method={method} ")
+            for key in ("precond=", "levels=", "iters=", "relres=",
+                        "factor_s=", "krylov_s="):
+                assert key in line
+        assert "precond=time_levels levels=3 " in lines[0]
+
+
+def _block_tridiagonal_system(rng, n_levels=5, per_level=8):
+    """Random diagonally dominant system coupling adjacent levels only."""
+    levels = np.repeat(np.arange(n_levels), per_level)
+    n = len(levels)
+    A = rng.uniform(-1, 1, size=(n, n))
+    A[np.abs(levels[:, None] - levels[None, :]) > 1] = 0.0
+    A += 2.0 * per_level * np.eye(n)
+    return sp.csr_matrix(A), rng.uniform(-1, 1, size=n), levels
+
+
+def _twisted_couette():
+    spec = make_couette2d(n_r=3, n_theta=12, levels=4, t_end=0.5)
+    spec.omega = 1.0  # the mesh turns with the inner wall
+    return spec
+
+
+class TestTimeLevelPreconditioner:
+    def test_exact_on_block_lower_triangular(self, rng):
+        # every level couples to all earlier ones, not only the previous
+        levels = np.repeat(np.arange(5), 8)
+        n = len(levels)
+        A = rng.uniform(-1, 1, size=(n, n)) + 16.0 * np.eye(n)
+        A = sp.csr_matrix(A * (levels[:, None] >= levels[None, :]))
+        b = rng.uniform(-1, 1, size=n)
+        x, stats = gmres_solve(A, b, LinearSolverConfig(dof_levels=levels))
+        assert stats["iterations"] == 1
+        assert stats["levels"] == 5
+        assert np.allclose(x, direct_lu(A, b), rtol=1e-10, atol=1e-12)
+        # the sweep itself inverts a block-lower-triangular matrix
+        M = time_level_preconditioner(A, levels)
+        assert np.allclose(M.matvec(b), direct_lu(A, b), atol=1e-12)
+
+    def test_permuted_dofs_same_solution(self, rng):
+        A, b, levels = _block_tridiagonal_system(rng)
+        x_ref = direct_lu(A, b)
+        x, _ = gmres_solve(A, b, LinearSolverConfig(dof_levels=levels))
+        perm = rng.permutation(len(b))
+        xp, _ = gmres_solve(A[perm][:, perm], b[perm],
+                            LinearSolverConfig(dof_levels=levels[perm]))
+        assert np.abs(levels[perm][1:] - levels[perm][:-1]).max() > 1
+        assert np.allclose(xp, x[perm], rtol=1e-8, atol=1e-10)
+        assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
+
+    def test_singular_level_block_raises(self, rng):
+        A, b, levels = _block_tridiagonal_system(rng)
+        A = A.tolil()
+        A[8:16, 8:16] = 0.0
+        with pytest.raises(LinearSolveFailure, match="time level 1 "):
+            gmres_solve(A.tocsr(), b, LinearSolverConfig(dof_levels=levels))
+
+    def test_missing_partition_rejected(self, rng):
+        A, b, _ = _block_tridiagonal_system(rng)
+        with pytest.raises(ValueError, match="dof_levels"):
+            gmres_solve(A, b, LinearSolverConfig())
+
+    @pytest.mark.parametrize("make", [lambda: make_manufactured(n=4),
+                                      _twisted_couette],
+                             ids=["manufactured", "twisted_couette"])
+    def test_newton_matrix_matches_direct_lu(self, make):
+        spec = make()
+        mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
+            0.0, spec.t_end, spec.levels, spec.trajectory))
+        problem = SpaceTimeProblem(mesh, spec.material, spec.bcs,
+                                   body_force=spec.body_force,
+                                   convective=spec.convective,
+                                   gauge=spec.gauge_for(mesh.nodes))
+        system, rhs, _ = problem.system(problem.initial_guess())
+        x_ref = direct_lu(system.matrix, rhs)
+        x, stats = gmres_solve(system.matrix, rhs, LinearSolverConfig(
+            dof_levels=problem.dof_levels))
+        assert stats["levels"] == spec.levels + 1
+        assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-7
 
 
 class TestDirectLu:
