@@ -10,15 +10,26 @@ Neumann mantle facets.  Dirichlet conditions are imposed by identity rows;
 tau is frozen at the current iterate (Picard treatment), everything else is
 linearized exactly.
 
-Two element families share the kernels: space-time simplices (constant
-gradients, the strong viscous operator vanishes for P1) and tensor-product
-prisms between two time levels (pointwise geometry; the viscous operator is
-retained where nonzero).
+One driver, ``_ProblemBase``, assembles both element families: the chunked
+volume loop, the jump term, the stabilization parameters, the scatter into
+COO triplets and the Dirichlet rows.  A family supplies its geometry only:
+
+- ``_volume_geometry(sl)``: (Nq, wdet, D, B, VV, x_q) of a chunk of elements;
+- ``_bottom_cap()``: node ids and spatial coordinates of the bottom-cap
+  simplices that carry the jump term;
+- ``_metric``: the per-element metric (Ginv, g, Ginv:Ginv, g.g) of tau;
+- ``_add_traction(R)``: the Neumann term on its mantle faces.
+
+Space-time simplices have constant gradients, and the strong viscous
+operator vanishes for P1 (VV is None).  Tensor-product prisms between two
+time levels carry pointwise geometry, and the viscous operator is retained
+where nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,8 +39,13 @@ from .errors import (ConfigurationError, MissingPreviousState,
 from .mesh import (SimplexMesh, SpaceTimeMesh, basis_eval, reference_gradients,
                    time_levels)
 from .quadrature import interval_gauss, prism_quadrature, simplex_quadrature
-from .stabilization import (StabilizationContext, prism_geometry,
-                            regular_simplex_map, stabilization_for_mesh)
+from .stabilization import (StabilizationContext, mesh_metric, metric_terms,
+                            prism_geometry, prism_shape_functions,
+                            regular_simplex_map, tau_parameters)
+
+# local-matrix entries per assembly chunk: bounds the memory of the element
+# kernel's temporaries (15,000 pentatopes or 18,518 2D prisms per chunk)
+_CHUNK_ENTRIES = 6.0e6
 
 
 @dataclass
@@ -246,8 +262,66 @@ def _embedded_measure_factor(coords):
     return np.sqrt(np.abs(np.linalg.det(gram)))
 
 
+def _scatter(R, coo, dofs, Re, Ke=None):
+    """Add local residuals ``Re`` at ``dofs`` (n, L) into ``R``; when ``Ke``
+    is given, append its (n, L, L) local matrices to ``coo`` as int32
+    (rows, cols, data) triplets."""
+    np.add.at(R, dofs.ravel(), Re.reshape(-1))
+    if Ke is None:
+        return
+    shape = (len(dofs), dofs.shape[1], dofs.shape[1])
+    rows = np.broadcast_to(dofs[:, :, None], shape).ravel().astype(np.int32)
+    cols = np.broadcast_to(dofs[:, None, :], shape).ravel().astype(np.int32)
+    coo.append((rows, cols, Ke.reshape(-1)))
+
+
+def _mantle_dirichlet_nodes(bcs: BCSpec, mesh: SpaceTimeMesh) -> dict:
+    """{tag: nodes} of each Dirichlet tag's facets on the space-time mantle."""
+    nodes = {}
+    for tag in bcs.dirichlet:
+        fidx = mesh.facets_with_tag(tag)
+        fidx = fidx[np.isin(fidx, mesh.mantle_facets)]
+        nodes[tag] = np.unique(mesh.boundary_facets[fidx])
+    return nodes
+
+
+def _constraints(bcs: BCSpec, nodes_by_tag: dict, node_coords, gauge):
+    """Dirichlet mask and values over all dofs.
+
+    The velocity of ``nodes_by_tag[tag]`` takes the tag's data at the
+    space-time ``node_coords`` (time last); tags go in sorted order, so a
+    node on two tags keeps the later one.  ``gauge`` is a (node, value)
+    pair, or a list of them, pinning the pressure.
+    """
+    n_nodes, nc = node_coords.shape
+    n_sd = nc - 1
+    mask = np.zeros(n_nodes * nc, dtype=bool)
+    values = np.zeros(n_nodes * nc)
+    for tag in sorted(nodes_by_tag):
+        nodes = nodes_by_tag[tag]
+        x = node_coords[nodes]
+        velocity = np.asarray(bcs.dirichlet[tag](x[:, :n_sd], x[:, n_sd]))
+        for c in range(n_sd):
+            dofs = nodes * nc + c
+            mask[dofs] = True
+            values[dofs] = velocity[:, c]
+    if gauge is not None:
+        if isinstance(gauge, tuple):
+            gauge = [gauge]
+        for node, value in gauge:
+            dof = node * nc + n_sd
+            mask[dof] = True
+            values[dof] = value
+    return mask, values
+
+
 class _ProblemBase:
-    """Shared Dirichlet/gauge handling and global scatter."""
+    """The assembly driver of both element families.
+
+    A family's constructor sets ``n_sd`` and ``n_nodes`` and calls
+    ``_init_common`` and ``_init_constraints``; it supplies the geometry
+    named in the module docstring.
+    """
 
     n_sd: int
     n_nodes: int
@@ -260,23 +334,25 @@ class _ProblemBase:
     def n_dofs(self) -> int:
         return self.n_nodes * self.ncomp
 
-    def _init_constraints(self, dirichlet_nodes_by_tag, gauge):
+    def _init_common(self, material, bcs, body_force, convective, jump_data,
+                     C_I, elements, tag_names):
+        for tag in list(bcs.dirichlet) + list(bcs.neumann):
+            if tag not in tag_names:
+                raise ConfigurationError(f"unknown boundary tag {tag!r}")
+        self.material = material
+        self.bcs = bcs
+        self.body_force = body_force
+        self.convective = convective
+        self.jump_data = jump_data  # previous nodal trace, or None -> IC
+        self.C_I = C_I
+        self.elements = elements
         nc = self.ncomp
-        self.dir_mask = np.zeros(self.n_dofs, dtype=bool)
-        self.dir_values = np.zeros(self.n_dofs)
-        for tag in sorted(dirichlet_nodes_by_tag):
-            nodes, values = dirichlet_nodes_by_tag[tag]
-            for c in range(self.n_sd):
-                dofs = nodes * nc + c
-                self.dir_mask[dofs] = True
-                self.dir_values[dofs] = values[:, c]
-        if gauge is not None:
-            if isinstance(gauge, tuple):
-                gauge = [gauge]
-            for node, value in gauge:
-                dof = node * nc + self.n_sd
-                self.dir_mask[dof] = True
-                self.dir_values[dof] = value
+        self.edof = (elements[:, :, None] * nc
+                     + np.arange(nc)[None, None, :]).reshape(len(elements), -1)
+
+    def _init_constraints(self, nodes_by_tag, node_coords, gauge):
+        self.dir_mask, self.dir_values = _constraints(self.bcs, nodes_by_tag,
+                                                      node_coords, gauge)
         self.dir_dofs = np.flatnonzero(self.dir_mask)
 
     def impose_dirichlet(self, values: np.ndarray) -> np.ndarray:
@@ -292,8 +368,51 @@ class _ProblemBase:
             vals[:, : self.n_sd] = u0
         return self.impose_dirichlet(vals)
 
-    def _finish_system(self, R, coo_rows, coo_cols, coo_data, values,
-                       want_matrix):
+    def stabilization(self, values: np.ndarray) -> StabilizationContext:
+        """tau_MOM and tau_CONT per element at the barycentric velocity."""
+        n_sd = self.n_sd
+        values = np.asarray(values, dtype=float).reshape(self.n_nodes,
+                                                         self.ncomp)
+        if self.convective:
+            u_bary = values[self.elements, :n_sd].mean(axis=1)
+        else:
+            # Stokes limit: tau must not depend on the iterate so the
+            # system stays exactly linear
+            u_bary = np.zeros((len(self.elements), n_sd))
+        Ginv, g, GG, gg = self._metric
+        tau_m, tau_c = tau_parameters(u_bary, self.material.nu, Ginv, GG,
+                                      self.C_I, gg)
+        return StabilizationContext(Ginv, g, tau_m, tau_c, self.C_I)
+
+    # interface used by the Newton solver
+    def system(self, values, tau_override=None, want_matrix=True):
+        """(LinearSystem or None, rhs, |rhs|) of the Newton step at ``values``.
+
+        ``tau_override`` supplies frozen stabilization parameters; without it
+        they are evaluated at ``values``.
+        """
+        nc = self.ncomp
+        rho, mu = self.material.rho, self.material.mu
+        values = np.asarray(values, dtype=float).reshape(self.n_nodes, nc)
+
+        stab = tau_override or self.stabilization(values)
+        tau_m, tau_c = stab.tau_mom, stab.tau_cont
+
+        R = np.zeros(self.n_dofs)
+        coo = []
+        n_el, nloc = self.edof.shape
+        chunk = max(1, int(_CHUNK_ENTRIES / (nloc * nloc)))
+        for lo in range(0, n_el, chunk):
+            sl = slice(lo, min(lo + chunk, n_el))
+            Re, Ke = _element_terms(*self._volume_geometry(sl),
+                                    values[self.elements[sl]], rho, mu,
+                                    tau_m[sl], tau_c[sl], self.body_force,
+                                    self.convective, want_matrix)
+            _scatter(R, coo, self.edof[sl], Re, Ke)
+
+        self._add_jump(values, R, coo, want_matrix)
+        self._add_traction(R)
+
         if not np.isfinite(R).all():
             raise NonFiniteResidual("residual contains non-finite entries")
         rhs = -R
@@ -302,165 +421,36 @@ class _ProblemBase:
         norm = float(np.linalg.norm(rhs))
         if not want_matrix:
             return None, rhs, norm
-        rows = np.concatenate(coo_rows)
-        cols = np.concatenate(coo_cols)
-        data = np.concatenate(coo_data)
+        rows, cols, data = (np.concatenate(part) for part in zip(*coo))
         data[self.dir_mask[rows]] = 0.0
         rows = np.concatenate([rows, self.dir_dofs.astype(rows.dtype)])
         cols = np.concatenate([cols, self.dir_dofs.astype(cols.dtype)])
         data = np.concatenate([data, np.ones(len(self.dir_dofs))])
         A = sp.coo_matrix((data, (rows, cols)),
                           shape=(self.n_dofs, self.n_dofs)).tocsr()
-        return A, rhs, norm
-
-    # interface used by the Newton solver
-    def system(self, values, tau_override=None, want_matrix=True):
-        raise NotImplementedError
+        return LinearSystem(A, rhs, self.n_sd), rhs, norm
 
     def residual_norm(self, values, tau_override=None) -> float:
         return self.system(values, tau_override=tau_override,
                            want_matrix=False)[2]
 
-
-class SpaceTimeProblem(_ProblemBase):
-    """Stabilized weak form on a simplex space-time mesh (UST mode)."""
-
-    def __init__(self, mesh: SpaceTimeMesh, material: MaterialParams,
-                 bcs: BCSpec, body_force=None, convective=True,
-                 gauge=None, jump_data=None, C_I: float = 1.0):
-        self.mesh = mesh
-        self.material = material
-        self.bcs = bcs
-        self.body_force = body_force
-        self.convective = convective
-        self.C_I = C_I
-        self.n_sd = mesh.n_sd
-        self.n_nodes = mesh.n_nodes
-        self.jump_data = jump_data  # None -> bcs.initial; or nodal array
-
-        known = set(mesh.tag_names)
-        for tag in list(bcs.dirichlet) + list(bcs.neumann):
-            if tag not in known:
-                raise ConfigurationError(f"unknown boundary tag {tag!r}")
-
-        nc = self.ncomp
-        nen = mesh.dim + 1
-        self.edof = (mesh.elements[:, :, None] * nc
-                     + np.arange(nc)[None, None, :]).reshape(-1, nen * nc)
-        # node-time level of every dof, the partition of the block
-        # Gauss-Seidel preconditioner
-        self.dof_levels = np.repeat(time_levels(mesh.times)[0], nc)
-
-        rule = simplex_quadrature(mesh.dim, 2)
-        self.qpts, self.qwts = rule.points, rule.weights
-        self.Nq = basis_eval(self.qpts, mesh.dim)
-
-        dir_nodes = {}
-        for tag, fn in bcs.dirichlet.items():
-            fidx = mesh.facets_with_tag(tag)
-            fidx = fidx[np.isin(fidx, mesh.mantle_facets)]
-            nodes = np.unique(mesh.boundary_facets[fidx])
-            x = mesh.nodes[nodes]
-            dir_nodes[tag] = (nodes, np.asarray(fn(x[:, : self.n_sd],
-                                                   x[:, self.n_sd])))
-        self._init_constraints(dir_nodes, gauge)
-
-        self._stab_cache = None
-
-    def _initial_velocity_at_nodes(self):
-        if self.bcs.initial is None:
-            return None
-        return np.asarray(self.bcs.initial(self.mesh.spatial_coords))
-
-    def stabilization(self, values: np.ndarray) -> StabilizationContext:
-        if self.convective:
-            u_bary = values[self.mesh.elements, : self.n_sd].mean(axis=1)
-        else:
-            # Stokes limit: tau must not depend on the iterate so the
-            # system stays exactly linear
-            u_bary = np.zeros((self.mesh.n_elements, self.n_sd))
-        if not hasattr(self, "_metric"):
-            from .stabilization import mesh_metric
-            self._metric = mesh_metric(self.mesh)
-        return stabilization_for_mesh(self.mesh, u_bary, self.material.nu,
-                                      self.C_I, metric=self._metric)
-
-    def system(self, values, tau_override=None, want_matrix=True):
-        mesh = self.mesh
-        n_sd, nc = self.n_sd, self.ncomp
-        nen = mesh.dim + 1
-        nloc = nen * nc
-        rho, mu = self.material.rho, self.material.mu
-        values = np.asarray(values, dtype=float).reshape(self.n_nodes, nc)
-
-        stab = tau_override or self.stabilization(values)
-        tau_m, tau_c = stab.tau_mom, stab.tau_cont
-
-        R = np.zeros(self.n_dofs)
-        rows_list, cols_list, data_list = [], [], []
-
-        grads = mesh.gradients
-        D_all = grads[:, :, :n_sd]
-        B_all = grads[:, :, n_sd]
-        detJ = np.abs(mesh.jacobian_dets)
-        Xe = mesh.element_coords
-        x_q_all = np.einsum("qa,ead->eqd", self.Nq, Xe)
-        nq = len(self.qwts)
-
-        chunk = max(1, int(6.0e6 / (nloc * nloc)))
-        for lo in range(0, mesh.n_elements, chunk):
-            hi = min(lo + chunk, mesh.n_elements)
-            sl = slice(lo, hi)
-            E = hi - lo
-            wdet = self.qwts[None, :] * detJ[sl, None]
-            D = np.broadcast_to(D_all[sl, None], (E, nq, nen, n_sd))
-            B = np.broadcast_to(B_all[sl, None], (E, nq, nen))
-            Ue = values[mesh.elements[sl]]
-            Re, Ke = _element_terms(self.Nq, wdet, D, B, None, x_q_all[sl],
-                                    Ue, rho, mu, tau_m[sl], tau_c[sl],
-                                    self.body_force, self.convective,
-                                    want_matrix)
-            edof = self.edof[sl]
-            np.add.at(R, edof.ravel(), Re.reshape(-1))
-            if want_matrix:
-                rows_list.append(np.broadcast_to(
-                    edof[:, :, None], (E, nloc, nloc)).ravel().astype(np.int32))
-                cols_list.append(np.broadcast_to(
-                    edof[:, None, :], (E, nloc, nloc)).ravel().astype(np.int32))
-                data_list.append(Ke.reshape(E, nloc, nloc).ravel())
-
-        self._add_jump(values, R, rows_list, cols_list, data_list, want_matrix)
-        self._add_traction(R)
-
-        A, rhs, norm = self._finish_system(R, rows_list, cols_list, data_list,
-                                           values, want_matrix)
-        if not want_matrix:
-            return None, rhs, norm
-        return LinearSystem(A, rhs, n_sd), rhs, norm
-
-    def _bottom_facet_data(self):
-        mesh = self.mesh
-        ids = mesh.boundary_facets[mesh.bottom_facets]
-        coords = mesh.nodes[ids][:, :, : self.n_sd]
-        J = np.swapaxes(coords[:, 1:, :] - coords[:, :1, :], 1, 2)
-        det = np.abs(np.linalg.det(J))
-        return ids, coords, det
-
-    def _add_jump(self, values, R, rows_list, cols_list, data_list,
-                  want_matrix):
-        mesh = self.mesh
+    def _add_jump(self, values, R, coo, want_matrix):
+        """rho (u+ - u-) . w on the bottom cap, u- the previous nodal trace
+        ``jump_data`` or else the initial condition at the quadrature points."""
         n_sd, nc = self.n_sd, self.ncomp
         if self.jump_data is None and self.bcs.initial is None:
             raise MissingPreviousState(
                 "jump term needs an initial condition or previous trace")
-        ids, coords, det = self._bottom_facet_data()
-        nf, m = ids.shape  # m = n_sd + 1 nodes per bottom facet
+        ids, coords = self._bottom_cap()
+        nf = len(ids)
+        J = np.swapaxes(coords[:, 1:, :] - coords[:, :1, :], 1, 2)
+        det = np.abs(np.linalg.det(J))
         rule = simplex_quadrature(n_sd, 2)
-        Nf = basis_eval(rule.points, n_sd)               # (nq, m)
+        Nf = basis_eval(rule.points, n_sd)               # (nq, n_sd+1)
         wdet = rule.weights[None, :] * det[:, None]      # (nf, nq)
         rho = self.material.rho
 
-        u_plus = values[ids, :n_sd]                      # (nf, m, n_sd)
+        u_plus = values[ids, :n_sd]                      # (nf, n_sd+1, n_sd)
         # facet mass matrix via the degree-2 rule
         Mq = np.einsum("fq,qa,qb->fab", wdet, Nf, Nf)
         Rloc = rho * np.einsum("fab,fbi->fai", Mq, u_plus)
@@ -474,16 +464,64 @@ class SpaceTimeProblem(_ProblemBase):
             Rloc -= rho * np.einsum("fq,qa,fqi->fai", wdet, Nf, u0)
 
         vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-        np.add.at(R, vdofs.ravel(), Rloc.reshape(-1))
-        if want_matrix:
-            Kf = rho * np.einsum("fab,ij->faibj", Mq, np.eye(n_sd))
-            rows = np.broadcast_to(vdofs[:, :, :, None, None],
-                                   Kf.shape).ravel().astype(np.int32)
-            cols = np.broadcast_to(vdofs[:, None, None, :, :],
-                                   Kf.shape).ravel().astype(np.int32)
-            rows_list.append(rows)
-            cols_list.append(cols)
-            data_list.append(Kf.ravel())
+        Kf = (rho * np.einsum("fab,ij->faibj", Mq, np.eye(n_sd))
+              if want_matrix else None)
+        _scatter(R, coo, vdofs.reshape(nf, -1), Rloc, Kf)
+
+
+def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl):
+    """(Nq, wdet, D, B, None, x_q) of the space-time simplices ``sl``.
+
+    The gradients of a P1 simplex are constant, so D and B are broadcast
+    views over the quadrature points, never materialized.
+    """
+    n_sd = mesh.n_sd
+    grads = mesh.gradients[sl]
+    E, nen = grads.shape[:2]
+    nq = len(weights)
+    wdet = weights[None, :] * np.abs(mesh.jacobian_dets[sl])[:, None]
+    D = np.broadcast_to(grads[:, None, :, :n_sd], (E, nq, nen, n_sd))
+    B = np.broadcast_to(grads[:, None, :, n_sd], (E, nq, nen))
+    x_q = np.einsum("qa,ead->eqd", Nq, mesh.element_coords[sl])
+    return Nq, wdet, D, B, None, x_q
+
+
+class SpaceTimeProblem(_ProblemBase):
+    """Stabilized weak form on a simplex space-time mesh (UST mode)."""
+
+    def __init__(self, mesh: SpaceTimeMesh, material: MaterialParams,
+                 bcs: BCSpec, body_force=None, convective=True,
+                 gauge=None, jump_data=None, C_I: float = 1.0):
+        self.mesh = mesh
+        self.n_sd = mesh.n_sd
+        self.n_nodes = mesh.n_nodes
+        self._init_common(material, bcs, body_force, convective, jump_data,
+                          C_I, mesh.elements, mesh.tag_names)
+        # node-time level of every dof, the partition of the block
+        # Gauss-Seidel preconditioner
+        self.dof_levels = np.repeat(time_levels(mesh.times)[0], self.ncomp)
+
+        self.rule = simplex_quadrature(mesh.dim, 2)
+        self.Nq = basis_eval(self.rule.points, mesh.dim)
+        self._init_constraints(_mantle_dirichlet_nodes(bcs, mesh), mesh.nodes,
+                               gauge)
+
+    def _initial_velocity_at_nodes(self):
+        if self.bcs.initial is None:
+            return None
+        return np.asarray(self.bcs.initial(self.mesh.spatial_coords))
+
+    def _volume_geometry(self, sl):
+        return _simplex_geometry(self.mesh, self.Nq, self.rule.weights, sl)
+
+    def _bottom_cap(self):
+        mesh = self.mesh
+        ids = mesh.boundary_facets[mesh.bottom_facets]
+        return ids, mesh.nodes[ids][:, :, : self.n_sd]
+
+    @cached_property
+    def _metric(self):
+        return mesh_metric(self.mesh)
 
     def _add_traction(self, R):
         mesh = self.mesh
@@ -506,7 +544,7 @@ class SpaceTimeProblem(_ProblemBase):
             h = h.reshape(len(ids), -1, n_sd)
             Rloc = -np.einsum("fq,qa,fqi->fai", wdet, Nf, h)
             vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-            np.add.at(R, vdofs.ravel(), Rloc.reshape(-1))
+            _scatter(R, None, vdofs.reshape(len(ids), -1), Rloc)
 
 
 @dataclass
@@ -544,39 +582,24 @@ class PrismSlabProblem(_ProblemBase):
                  body_force=None, convective=True, gauge=None,
                  jump_data=None, C_I: float = 1.0):
         self.slab = slab
-        self.material = material
-        self.bcs = bcs
-        self.body_force = body_force
-        self.convective = convective
-        self.C_I = C_I
         self.n_sd = slab.n_sd
         self.n_nodes = slab.n_nodes
-        self.jump_data = jump_data  # (n_sp, n_sd) nodal trace, or None -> IC
-
         spatial = slab.spatial
-        known = set(spatial.tag_names)
-        for tag in list(bcs.dirichlet) + list(bcs.neumann):
-            if tag not in known:
-                raise ConfigurationError(f"unknown boundary tag {tag!r}")
-
         n_sp = spatial.n_nodes
-        nc = self.ncomp
-        self.elements = np.hstack([spatial.elements, spatial.elements + n_sp])
-        nen = self.elements.shape[1]
-        self.edof = (self.elements[:, :, None] * nc
-                     + np.arange(nc)[None, None, :]).reshape(-1, nen * nc)
+        self._init_common(material, bcs, body_force, convective, jump_data,
+                          C_I, np.hstack([spatial.elements,
+                                          spatial.elements + n_sp]),
+                          spatial.tag_names)
 
         self.rule = prism_quadrature(self.n_sd, 2)
+        self.Nq = prism_shape_functions(self.rule.points[:, :self.n_sd],
+                                        self.rule.points[:, self.n_sd])
 
-        node_xt = slab.node_coords()
-        dir_nodes = {}
-        for tag, fn in bcs.dirichlet.items():
+        nodes = {}
+        for tag in bcs.dirichlet:
             snodes = np.unique(spatial.boundary_facets[spatial.facets_with_tag(tag)])
-            nodes = np.concatenate([snodes, snodes + n_sp])
-            x = node_xt[nodes]
-            dir_nodes[tag] = (nodes, np.asarray(fn(x[:, : self.n_sd],
-                                                   x[:, self.n_sd])))
-        self._init_constraints(dir_nodes, gauge)
+            nodes[tag] = np.concatenate([snodes, snodes + n_sp])
+        self._init_constraints(nodes, slab.node_coords(), gauge)
 
     def _initial_velocity_at_nodes(self):
         if self.jump_data is not None:
@@ -628,7 +651,19 @@ class PrismSlabProblem(_ProblemBase):
         self._geom = (x_q, detJ, grads, VV)
         return self._geom
 
-    def stabilization(self, values: np.ndarray) -> StabilizationContext:
+    def _volume_geometry(self, sl):
+        x_q, detJ, grads, VV = self._geometry()
+        n_sd = self.n_sd
+        wdet = self.rule.weights[None, :] * detJ[sl]
+        return (self.Nq, wdet, grads[sl, :, :, :n_sd], grads[sl, :, :, n_sd],
+                VV[sl], x_q[sl])
+
+    def _bottom_cap(self):
+        ids = self.slab.spatial.elements  # bottom-level node ids == spatial ids
+        return ids, self.slab.coords_bottom[ids]
+
+    @cached_property
+    def _metric(self):
         """Metric at the element center; spatial block composed with the
         regular-simplex map, temporal coordinate kept as theta."""
         slab = self.slab
@@ -641,114 +676,7 @@ class PrismSlabProblem(_ProblemBase):
         Bmat = np.zeros((n_sd + 1, n_sd + 1))
         Bmat[:n_sd, :n_sd] = regular_simplex_map(n_sd)
         Bmat[n_sd, n_sd] = 1.0
-        A = np.einsum("ij,njk->nik", Bmat, np.linalg.inv(J))
-        Ginv = np.einsum("nki,nkj->nij", A, A)
-        g = A.sum(axis=1)[:, :n_sd]
-        GG = np.einsum("nij,nij->n", Ginv, Ginv)
-        gg = (g * g).sum(axis=1)
-
-        values = values.reshape(self.n_nodes, self.ncomp)
-        uhat = np.ones((len(els), n_sd + 1))
-        if self.convective:
-            uhat[:, :n_sd] = values[self.elements, :n_sd].mean(axis=1)
-        else:
-            uhat[:, :n_sd] = 0.0
-        nu = self.material.nu
-        val = np.einsum("ni,nij,nj->n", uhat, Ginv, uhat) + self.C_I * nu * nu * GG
-        tau_m = val ** -0.5
-        tau_c = 1.0 / (tau_m * gg)
-        return StabilizationContext(Ginv, g, tau_m, tau_c, self.C_I)
-
-    def system(self, values, tau_override=None, want_matrix=True):
-        slab = self.slab
-        n_sd, nc = self.n_sd, self.ncomp
-        nen = 2 * (n_sd + 1)
-        nloc = nen * nc
-        rho, mu = self.material.rho, self.material.mu
-        values = np.asarray(values, dtype=float).reshape(self.n_nodes, nc)
-
-        stab = tau_override or self.stabilization(values)
-        tau_m, tau_c = stab.tau_mom, stab.tau_cont
-
-        x_q, detJ, grads, VV = self._geometry()
-        nq = len(self.rule.weights)
-        Nq = np.column_stack([basis_eval(self.rule.points[:, :n_sd], n_sd)
-                              * (1.0 - self.rule.points[:, n_sd:]),
-                              basis_eval(self.rule.points[:, :n_sd], n_sd)
-                              * self.rule.points[:, n_sd:]])
-
-        R = np.zeros(self.n_dofs)
-        rows_list, cols_list, data_list = [], [], []
-        n_el = len(self.elements)
-        chunk = max(1, int(4.0e6 / (nloc * nloc)))
-        for lo in range(0, n_el, chunk):
-            hi = min(lo + chunk, n_el)
-            sl = slice(lo, hi)
-            wdet = self.rule.weights[None, :] * detJ[sl]
-            Ue = values[self.elements[sl]]
-            Re, Ke = _element_terms(Nq, wdet, grads[sl, :, :, :n_sd],
-                                    grads[sl, :, :, n_sd], VV[sl], x_q[sl],
-                                    Ue, rho, mu, tau_m[sl], tau_c[sl],
-                                    self.body_force, self.convective,
-                                    want_matrix)
-            edof = self.edof[sl]
-            np.add.at(R, edof.ravel(), Re.reshape(-1))
-            if want_matrix:
-                E = hi - lo
-                rows_list.append(np.broadcast_to(
-                    edof[:, :, None], (E, nloc, nloc)).ravel().astype(np.int32))
-                cols_list.append(np.broadcast_to(
-                    edof[:, None, :], (E, nloc, nloc)).ravel().astype(np.int32))
-                data_list.append(Ke.reshape(E, nloc, nloc).ravel())
-
-        self._add_jump(values, R, rows_list, cols_list, data_list, want_matrix)
-        self._add_traction(R)
-
-        A, rhs, norm = self._finish_system(R, rows_list, cols_list, data_list,
-                                           values, want_matrix)
-        if not want_matrix:
-            return None, rhs, norm
-        return LinearSystem(A, rhs, n_sd), rhs, norm
-
-    def _add_jump(self, values, R, rows_list, cols_list, data_list,
-                  want_matrix):
-        slab = self.slab
-        n_sd, nc = self.n_sd, self.ncomp
-        ids = slab.spatial.elements  # bottom-level node ids == spatial ids
-        coords = slab.coords_bottom[ids]
-        J = np.swapaxes(coords[:, 1:, :] - coords[:, :1, :], 1, 2)
-        det = np.abs(np.linalg.det(J))
-        rule = simplex_quadrature(n_sd, 2)
-        Nf = basis_eval(rule.points, n_sd)
-        wdet = rule.weights[None, :] * det[:, None]
-        rho = self.material.rho
-
-        u_plus = values[ids, :n_sd]
-        Mq = np.einsum("fq,qa,qb->fab", wdet, Nf, Nf)
-        Rloc = rho * np.einsum("fab,fbi->fai", Mq, u_plus)
-        if self.jump_data is not None:
-            u_minus = np.asarray(self.jump_data)[ids]
-            Rloc -= rho * np.einsum("fab,fbi->fai", Mq, u_minus)
-        elif self.bcs.initial is not None:
-            x_q = np.einsum("qa,fad->fqd", Nf, coords)
-            u0 = np.asarray(self.bcs.initial(x_q.reshape(-1, n_sd)))
-            u0 = u0.reshape(len(ids), len(rule.weights), n_sd)
-            Rloc -= rho * np.einsum("fq,qa,fqi->fai", wdet, Nf, u0)
-        else:
-            raise MissingPreviousState(
-                "slab jump term needs an initial condition or previous trace")
-
-        vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-        np.add.at(R, vdofs.ravel(), Rloc.reshape(-1))
-        if want_matrix:
-            Kf = rho * np.einsum("fab,ij->faibj", Mq, np.eye(n_sd))
-            rows = np.broadcast_to(vdofs[:, :, :, None, None],
-                                   Kf.shape).ravel().astype(np.int32)
-            cols = np.broadcast_to(vdofs[:, None, None, :, :],
-                                   Kf.shape).ravel().astype(np.int32)
-            rows_list.append(rows)
-            cols_list.append(cols)
-            data_list.append(Kf.ravel())
+        return metric_terms(np.einsum("ij,njk->nik", Bmat, np.linalg.inv(J)))
 
     def _add_traction(self, R):
         slab = self.slab
@@ -787,31 +715,30 @@ class PrismSlabProblem(_ProblemBase):
                     Nface = np.concatenate([Ns * (1.0 - pt), Ns * pt])
                     Rloc -= (ws * wt) * np.einsum("f,a,fi->fai", area, Nface, h)
             vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-            np.add.at(R, vdofs.ravel(), Rloc.reshape(-1))
+            _scatter(R, None, vdofs.reshape(len(ids), -1), Rloc)
 
 
 # -- standalone operation wrappers -------------------------------------------
+
+def _one_element(mesh: SpaceTimeMesh, e: int, field: SolutionField,
+                 material: MaterialParams, body_force,
+                 stab: StabilizationContext, convective, want_matrix):
+    rule = simplex_quadrature(mesh.dim, 2)
+    Nq = basis_eval(rule.points, mesh.dim)
+    sl = slice(e, e + 1)
+    return _element_terms(*_simplex_geometry(mesh, Nq, rule.weights, sl),
+                          field.values[mesh.elements[sl]], material.rho,
+                          material.mu, stab.tau_mom[sl], stab.tau_cont[sl],
+                          body_force, convective, want_matrix)
+
 
 def element_residual(mesh: SpaceTimeMesh, e: int, field: SolutionField,
                      material: MaterialParams, body_force,
                      stab: StabilizationContext, convective=True) -> np.ndarray:
     """Interior residual vector of one simplex element, local dof order
     (node-major, components within node)."""
-    n_sd = mesh.n_sd
-    nen = mesh.dim + 1
-    rule = simplex_quadrature(mesh.dim, 2)
-    Nq = basis_eval(rule.points, mesh.dim)
-    nq = len(rule.weights)
-    grads = mesh.gradients[e: e + 1]
-    D = np.broadcast_to(grads[:, None, :, :n_sd], (1, nq, nen, n_sd))
-    B = np.broadcast_to(grads[:, None, :, n_sd], (1, nq, nen))
-    wdet = rule.weights[None, :] * abs(mesh.jacobian_dets[e])
-    x_q = np.einsum("qa,ad->qd", Nq, mesh.element_coords[e])[None]
-    Ue = field.values[mesh.elements[e]][None]
-    Re, _ = _element_terms(Nq, wdet, D, B, None, x_q, Ue, material.rho,
-                           material.mu, stab.tau_mom[e: e + 1],
-                           stab.tau_cont[e: e + 1], body_force, convective,
-                           want_matrix=False)
+    Re, _ = _one_element(mesh, e, field, material, body_force, stab,
+                         convective, want_matrix=False)
     return Re.reshape(-1)
 
 
@@ -821,34 +748,22 @@ def element_jacobian_matrix(mesh: SpaceTimeMesh, e: int, field: SolutionField,
                             convective=True) -> np.ndarray:
     """Exact linearization of the interior residual of one element, with tau
     frozen at the supplied values."""
-    n_sd = mesh.n_sd
-    nen = mesh.dim + 1
-    nc = n_sd + 1
-    rule = simplex_quadrature(mesh.dim, 2)
-    Nq = basis_eval(rule.points, mesh.dim)
-    nq = len(rule.weights)
-    grads = mesh.gradients[e: e + 1]
-    D = np.broadcast_to(grads[:, None, :, :n_sd], (1, nq, nen, n_sd))
-    B = np.broadcast_to(grads[:, None, :, n_sd], (1, nq, nen))
-    wdet = rule.weights[None, :] * abs(mesh.jacobian_dets[e])
-    x_q = np.einsum("qa,ad->qd", Nq, mesh.element_coords[e])[None]
-    Ue = field.values[mesh.elements[e]][None]
-    _, Ke = _element_terms(Nq, wdet, D, B, None, x_q, Ue, material.rho,
-                           material.mu, stab.tau_mom[e: e + 1],
-                           stab.tau_cont[e: e + 1], body_force, convective,
-                           want_matrix=True)
-    return Ke.reshape(nen * nc, nen * nc)
+    _, Ke = _one_element(mesh, e, field, material, body_force, stab,
+                         convective, want_matrix=True)
+    nloc = (mesh.dim + 1) * (mesh.n_sd + 1)
+    return Ke.reshape(nloc, nloc)
 
 
-def jump_term(problem: SpaceTimeProblem, field: SolutionField):
+def jump_term(problem, field: SolutionField):
     """Global jump residual vector and Jacobian of the bottom-cap term."""
     R = np.zeros(problem.n_dofs)
-    rows, cols, data = [], [], []
-    problem._add_jump(field.values, R, rows, cols, data, want_matrix=True)
-    A = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
+    coo = []
+    problem._add_jump(field.values, R, coo, want_matrix=True)
+    rows, cols, data = coo[0]
+    A = sp.coo_matrix((data, (rows, cols)),
                       shape=(problem.n_dofs, problem.n_dofs)).tocsr()
     return R, A
+
 
 def traction_term(problem) -> np.ndarray:
     """Global residual contribution of the Neumann traction term."""
@@ -859,19 +774,10 @@ def traction_term(problem) -> np.ndarray:
 
 def dirichlet_values(bcs: BCSpec, mesh: SpaceTimeMesh):
     """(dofs, values) of the strong velocity constraints on the mantle."""
-    problem = SpaceTimeProblem.__new__(SpaceTimeProblem)
-    problem.n_sd = mesh.n_sd
-    problem.n_nodes = mesh.n_nodes
-    dir_nodes = {}
-    for tag, fn in bcs.dirichlet.items():
-        fidx = mesh.facets_with_tag(tag)
-        fidx = fidx[np.isin(fidx, mesh.mantle_facets)]
-        nodes = np.unique(mesh.boundary_facets[fidx])
-        x = mesh.nodes[nodes]
-        dir_nodes[tag] = (nodes, np.asarray(fn(x[:, : mesh.n_sd],
-                                               x[:, mesh.n_sd])))
-    problem._init_constraints(dir_nodes, None)
-    return problem.dir_dofs, problem.dir_values[problem.dir_dofs]
+    mask, values = _constraints(bcs, _mantle_dirichlet_nodes(bcs, mesh),
+                                mesh.nodes, None)
+    dofs = np.flatnonzero(mask)
+    return dofs, values[dofs]
 
 
 def assemble(mesh, field: SolutionField, scenario, mode: str,

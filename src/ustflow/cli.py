@@ -132,7 +132,10 @@ def _cmd_run(args, parser) -> int:
             for it, r in enumerate(trace):
                 f.write(f"solve={k} newton iter={it} res={r:.6e}\n")
     if not res.diagnostics["converged"]:
-        print("warning: Newton did not reach tolerance", file=sys.stderr)
+        failed = res.diagnostics.get("failed_slab")
+        where = "" if failed is None else f" in slab {failed}"
+        print(f"warning: Newton did not reach tolerance{where}",
+              file=sys.stderr)
         return 1
     return 0
 

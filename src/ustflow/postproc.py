@@ -189,6 +189,45 @@ def _triangulate_polyhedron(keys, verts, member, nen):
     return tets
 
 
+def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
+    """Owning element of each point, -1 for points outside the mesh.
+
+    The elements with the 32 nearest barycenters (kd-tree) are tested
+    first, then all elements; the lowest-index containing element owns the
+    point.
+    """
+    Jinv = mesh.jacobian_invs
+    X0 = mesh.element_coords[:, 0, :]
+    k = min(32, mesh.n_elements)
+    _, cand = cKDTree(mesh.barycenters).query(points, k=k)
+    owner = np.array([_locate_in(p, c, Jinv, X0, tol)
+                      for p, c in zip(points, cand.reshape(len(points), k))],
+                     dtype=int)
+    for p in np.flatnonzero(owner < 0):
+        owner[p] = _locate_in(points[p], np.arange(mesh.n_elements), Jinv, X0,
+                              tol)
+    return owner
+
+
+def _locate_in(point, element_ids, Jinv, X0, tol) -> int:
+    xi = np.einsum("edk,ek->ed", Jinv[element_ids], point - X0[element_ids])
+    lam0 = 1.0 - xi.sum(axis=1)
+    inside = (xi >= -tol).all(axis=1) & (lam0 >= -tol)
+    return int(element_ids[inside].min()) if inside.any() else -1
+
+
+def _interpolate(mesh: SimplexMesh, values, points, owner):
+    """(P1 values at ``points`` from their owners, NaN outside; found mask)."""
+    values = _field_values(values)
+    found = owner >= 0
+    out = np.full((len(points), values.shape[1]), np.nan)
+    for p in np.flatnonzero(found):
+        e = owner[p]
+        xi = mesh.jacobian_invs[e] @ (points[p] - mesh.element_coords[e, 0])
+        out[p] = basis_eval(xi, mesh.dim) @ values[mesh.elements[e]]
+    return out, found
+
+
 def probe(mesh: SimplexMesh, values, points, tol: float = 1e-10):
     """P1 interpolation at arbitrary points.
 
@@ -196,62 +235,19 @@ def probe(mesh: SimplexMesh, values, points, tol: float = 1e-10):
     barycentric containment test; points outside the mesh are flagged.
     Returns (values (m, ncomp), found (m,) bool).
     """
-    values = _field_values(values)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = len(pts)
-    nc = values.shape[1]
-    out = np.full((m, nc), np.nan)
-    found = np.zeros(m, dtype=bool)
-
-    tree = cKDTree(mesh.barycenters)
-    Jinv = mesh.jacobian_invs
-    X0 = mesh.element_coords[:, 0, :]
-    k = min(32, mesh.n_elements)
-    _, cand = tree.query(pts, k=k)
-    cand = np.atleast_2d(cand)
-    scale = np.maximum(mesh.max_edge_lengths, 1e-300)
-
-    for p in range(m):
-        hit = _locate_in(pts[p], cand[p], Jinv, X0, tol)
-        if hit is None:
-            # fall back to an exhaustive scan
-            hit = _locate_in(pts[p], np.arange(mesh.n_elements), Jinv, X0, tol)
-        if hit is None:
-            continue
-        e = hit
-        xi = Jinv[e] @ (pts[p] - X0[e])
-        N = basis_eval(xi, mesh.dim)
-        out[p] = N @ values[mesh.elements[e]]
-        found[p] = True
-    return out, found
-
-
-def _locate_in(point, element_ids, Jinv, X0, tol):
-    xi = np.einsum("edk,ek->ed", Jinv[element_ids], point - X0[element_ids])
-    lam0 = 1.0 - xi.sum(axis=1)
-    inside = (xi >= -tol).all(axis=1) & (lam0 >= -tol)
-    idx = np.flatnonzero(inside)
-    if len(idx) == 0:
-        return None
-    return int(element_ids[idx[0]])
+    return _interpolate(mesh, values, pts, _locate(mesh, pts, tol))
 
 
 def probe_exhaustive(mesh: SimplexMesh, values: np.ndarray, points,
                      tol: float = 1e-10):
     """Brute-force point location over all elements (test oracle)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.full((len(pts), values.shape[1]), np.nan)
-    found = np.zeros(len(pts), dtype=bool)
     Jinv = mesh.jacobian_invs
     X0 = mesh.element_coords[:, 0, :]
-    for p in range(len(pts)):
-        e = _locate_in(pts[p], np.arange(mesh.n_elements), Jinv, X0, tol)
-        if e is None:
-            continue
-        xi = Jinv[e] @ (pts[p] - X0[e])
-        out[p] = basis_eval(xi, mesh.dim) @ values[mesh.elements[e]]
-        found[p] = True
-    return out, found
+    owner = np.array([_locate_in(p, np.arange(mesh.n_elements), Jinv, X0, tol)
+                      for p in pts], dtype=int)
+    return _interpolate(mesh, values, pts, owner)
 
 
 def l2_error(mesh: SimplexMesh, values: np.ndarray, exact_fn,
@@ -340,16 +336,9 @@ def probe_vorticity(mesh: SimplexMesh, values: np.ndarray, points,
     """Vorticity of the owning element at each probe point (2D)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vort = element_vorticity(mesh, values)
-    Jinv = mesh.jacobian_invs
-    X0 = mesh.element_coords[:, 0, :]
-    out = np.full(len(pts), np.nan)
-    found = np.zeros(len(pts), dtype=bool)
-    for p in range(len(pts)):
-        e = _locate_in(pts[p], np.arange(mesh.n_elements), Jinv, X0, tol)
-        if e is not None:
-            out[p] = vort[e]
-            found[p] = True
-    return out, found
+    owner = _locate(mesh, pts, tol)
+    found = owner >= 0
+    return np.where(found, vort[owner], np.nan), found
 
 
 def export_vtk(mesh: SimplexMesh, velocity: np.ndarray, pressure: np.ndarray,

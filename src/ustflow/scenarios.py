@@ -160,7 +160,12 @@ def run_ust(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
 def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
              lin_cfg: LinearSolverConfig = None, n_slabs: int = None,
              dt: float = None) -> SlabRunResult:
-    """March time slabs with rigid mesh rotation (ALE-equivalent mode)."""
+    """March time slabs with rigid mesh rotation (ALE-equivalent mode).
+
+    Marching stops after the first slab whose Newton solve does not
+    converge, as every later slab would start from its trace; its index is
+    ``diagnostics["failed_slab"]`` (None when all converged).
+    """
     dt = dt or spec.dt
     if n_slabs is None:
         n_slabs = int(round(spec.t_end / dt))
@@ -175,6 +180,7 @@ def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
     lin_cfg = lin_cfg or LinearSolverConfig(method="direct_lu")
 
     prev_trace = None
+    failed = None
     slabs, fields, newtons = [], [], []
     for n in range(n_slabs):
         t_b = n * dt
@@ -193,13 +199,19 @@ def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
         slabs.append(slab)
         fields.append(result.values)
         newtons.append(result)
+        if not result.converged:
+            failed = n
+            logger.warning("run_slab: slab %d did not converge (res=%.3e); "
+                           "stopping", n, result.trace[-1])
+            break
         prev_trace = result.values[n_sp:, : spatial.dim]
 
     final_values = fields[-1][n_sp:]
     diagnostics = {
         "n_slabs": n_slabs,
         "newton_iterations": [r.iterations for r in newtons],
-        "converged": all(r.converged for r in newtons),
+        "converged": failed is None,
+        "failed_slab": failed,
         "newton_traces": [r.trace for r in newtons],
     }
     return SlabRunResult(spatial, slabs, fields, newtons,

@@ -144,6 +144,32 @@ def g_vector(J: np.ndarray, n_sd=None) -> np.ndarray:
     return g[0] if single else g
 
 
+def tau_parameters(u, nu: float, Ginv: np.ndarray, GG: np.ndarray,
+                   C_I: float = 1.0, gg: np.ndarray = None):
+    """tau_MOM and, when ``gg`` is given, tau_CONT per element.
+
+    The one evaluation of the formulas in the module docstring, with their
+    checks.  ``u`` (n, dim-1) is the velocity at the element barycenter,
+    ``Ginv`` (n, dim, dim) the metric, ``GG`` = Ginv:Ginv and ``gg`` = g.g.
+    Returns (tau_mom, tau_cont), tau_cont None without ``gg``.
+    """
+    n, dim = len(Ginv), Ginv.shape[-1]
+    uhat = np.ones((n, dim))
+    uhat[:, : dim - 1] = u
+    val = np.einsum("ni,nij,nj->n", uhat, Ginv, uhat) + C_I * nu * nu * GG
+    if (val <= 0.0).any() or not np.isfinite(val).all():
+        raise NonFiniteTau("tau_MOM argument vanished or is non-finite")
+    tau_mom = val ** -0.5
+    return tau_mom, None if gg is None else _tau_cont(tau_mom, gg)
+
+
+def _tau_cont(tau_mom, gg):
+    denom = tau_mom * gg
+    if (denom == 0.0).any() or not np.isfinite(denom).all():
+        raise ZeroDenominator("tau_MOM * (g.g) vanished")
+    return 1.0 / denom
+
+
 def tau_momentum(u_elem, nu: float, Ginv: np.ndarray, C_I: float = 1.0):
     """Momentum stabilization parameter from the space-time metric.
 
@@ -156,16 +182,8 @@ def tau_momentum(u_elem, nu: float, Ginv: np.ndarray, C_I: float = 1.0):
     single = G.ndim == 2
     if single:
         G = G[None]
-    n = len(G)
-    dim = G.shape[-1]
-    uhat = np.ones((n, dim))
-    uhat[:, : dim - 1] = u
-    adv = np.einsum("ni,nij,nj->n", uhat, G, uhat)
-    gg = np.einsum("nij,nij->n", G, G)
-    val = adv + C_I * nu * nu * gg
-    if (val <= 0.0).any() or not np.isfinite(val).all():
-        raise NonFiniteTau("tau_MOM argument vanished or is non-finite")
-    tau = val ** -0.5
+    GG = np.einsum("nij,nij->n", G, G)
+    tau, _ = tau_parameters(u, nu, G, GG, C_I)
     return float(tau[0]) if single else tau
 
 
@@ -173,22 +191,23 @@ def tau_continuity(tau_mom, g):
     """Continuity stabilization parameter 1 / (tau_MOM * g.g)."""
     g = np.atleast_2d(np.asarray(g, dtype=float))
     tau = np.atleast_1d(np.asarray(tau_mom, dtype=float))
-    gg = (g * g).sum(axis=1)
-    denom = tau * gg
-    if (denom == 0.0).any() or not np.isfinite(denom).all():
-        raise ZeroDenominator("tau_MOM * (g.g) vanished")
-    out = 1.0 / denom
+    out = _tau_cont(tau, (g * g).sum(axis=1))
     return float(out[0]) if out.shape == (1,) else out
+
+
+def metric_terms(A: np.ndarray):
+    """(Ginv, g, Ginv:Ginv, g.g) from reference derivatives A (n, dim, dim),
+    time the last of the dim coordinates."""
+    Ginv = np.einsum("nki,nkj->nij", A, A)
+    g = A.sum(axis=1)[:, : A.shape[-1] - 1]
+    GG = np.einsum("nij,nij->n", Ginv, Ginv)
+    gg = (g * g).sum(axis=1)
+    return Ginv, g, GG, gg
 
 
 def mesh_metric(mesh: SimplexMesh):
     """(Ginv, g, Ginv:Ginv, g.g) for all elements, canonical node order."""
-    A = reference_derivative(mesh.jacobians)
-    Ginv = np.einsum("nki,nkj->nij", A, A)
-    g = A.sum(axis=1)[:, : mesh.dim - 1]
-    GG = np.einsum("nij,nij->n", Ginv, Ginv)
-    gg = (g * g).sum(axis=1)
-    return Ginv, g, GG, gg
+    return metric_terms(reference_derivative(mesh.jacobians))
 
 
 def stabilization_for_mesh(mesh: SimplexMesh, u_bary: np.ndarray, nu: float,
@@ -200,19 +219,7 @@ def stabilization_for_mesh(mesh: SimplexMesh, u_bary: np.ndarray, nu: float,
     metric is geometry-only, so callers solving repeatedly cache it).
     """
     Ginv, g, GG, gg = metric if metric is not None else mesh_metric(mesh)
-    n = mesh.n_elements
-    dim = mesh.dim
-    uhat = np.ones((n, dim))
-    uhat[:, : dim - 1] = u_bary
-    adv = np.einsum("ni,nij,nj->n", uhat, Ginv, uhat)
-    val = adv + C_I * nu * nu * GG
-    if (val <= 0.0).any() or not np.isfinite(val).all():
-        raise NonFiniteTau("tau_MOM argument vanished or is non-finite")
-    tau_mom = val ** -0.5
-    denom = tau_mom * gg
-    if (denom == 0.0).any():
-        raise ZeroDenominator("tau_MOM * (g.g) vanished")
-    tau_cont = 1.0 / denom
+    tau_mom, tau_cont = tau_parameters(u_bary, nu, Ginv, GG, C_I, gg)
     return StabilizationContext(Ginv, g, tau_mom, tau_cont, C_I)
 
 

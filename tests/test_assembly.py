@@ -39,6 +39,15 @@ def make_problem(st_mesh, mu=0.1, dirichlet=None, neumann=None, ic=None,
                             gauge=gauge)
 
 
+def flat_slab_problem(ic=None):
+    """Untwisted prism slab over box2d(2, 2): its bottom cap is the spatial
+    mesh itself."""
+    spatial = box2d(2, 2)
+    slab = PrismSlab(spatial, spatial.nodes, spatial.nodes, 0.0, 0.1)
+    return PrismSlabProblem(slab, MaterialParams(rho=1.0, mu=0.1),
+                            BCSpec(initial=ic or zero_ic))
+
+
 def perturbed_box_st(nx, ny, levels, rng, amp=0.06):
     spatial = box2d(nx, ny)
     nodes = spatial.nodes.copy()
@@ -71,13 +80,16 @@ class TestResidualBasics:
 
     def test_nonfinite_field_raises(self, small_st_mesh_2d):
         # a NaN iterate is caught either by the tau evaluation or by the
-        # final residual check
+        # final residual check; tau alone rejects a NaN velocity in both
+        # element families
         from ustflow.errors import NonFiniteResidual, NonFiniteTau
-        problem = make_problem(small_st_mesh_2d)
-        U = np.zeros((problem.n_nodes, 3))
-        U[0, 0] = np.nan
-        with pytest.raises((NonFiniteResidual, NonFiniteTau)):
-            problem.system(U, want_matrix=False)
+        for problem in (make_problem(small_st_mesh_2d), flat_slab_problem()):
+            U = np.zeros((problem.n_nodes, 3))
+            U[0, 0] = np.nan
+            with pytest.raises(NonFiniteTau):
+                problem.stabilization(U)
+            with pytest.raises((NonFiniteResidual, NonFiniteTau)):
+                problem.system(U, want_matrix=False)
 
 
 class TestHandIntegratedElement:
@@ -187,25 +199,31 @@ class TestJumpTerm:
         assert np.abs(R).max() < 1e-14
 
     def test_constant_mismatch_hand_value(self, small_st_mesh_2d):
-        # u- = 0, u+ = c: row a integral is rho * c * int N_a = rho c |F|/3
+        # u- = 0, u+ = c: row a integral is rho * c * int N_a = rho c |F|/3,
+        # over the bottom facets of the simplex mesh and over the spatial
+        # triangles of an untwisted prism slab
         mesh = small_st_mesh_2d
+        slab_problem = flat_slab_problem()
+        spatial = slab_problem.slab.spatial
+        caps = [(make_problem(mesh, ic=zero_ic),
+                 mesh.boundary_facets[mesh.bottom_facets], mesh.nodes[:, :2]),
+                (slab_problem, spatial.elements, spatial.nodes)]
         c = np.array([2.0, -1.0])
-        problem = make_problem(mesh, ic=zero_ic)
-        vals = np.zeros((mesh.n_nodes, 3))
-        vals[:, :2] = c
-        field = SolutionField(vals, 2)
-        R, _ = jump_term(problem, field)
-        R = R.reshape(-1, 3)
+        for problem, facets, xy in caps:
+            vals = np.zeros((problem.n_nodes, 3))
+            vals[:, :2] = c
+            field = SolutionField(vals, 2)
+            R, _ = jump_term(problem, field)
+            R = R.reshape(-1, 3)
 
-        expected = np.zeros((mesh.n_nodes, 2))
-        for fidx in mesh.bottom_facets:
-            ids = mesh.boundary_facets[fidx]
-            coords = mesh.nodes[ids][:, :2]
-            area = abs(np.linalg.det((coords[1:] - coords[0]).T)) / 2.0
-            for a, node in enumerate(ids):
-                expected[node] += c * area / 3.0
-        assert np.allclose(R[:, :2], expected, atol=1e-14)
-        assert np.abs(R[:, 2]).max() == 0.0
+            expected = np.zeros((problem.n_nodes, 2))
+            for ids in facets:
+                coords = xy[ids]
+                area = abs(np.linalg.det((coords[1:] - coords[0]).T)) / 2.0
+                for a, node in enumerate(ids):
+                    expected[node] += c * area / 3.0
+            assert np.allclose(R[:, :2], expected, atol=1e-14)
+            assert np.abs(R[:, 2]).max() == 0.0
 
     def test_missing_previous_state_raises(self, small_st_mesh_2d):
         from ustflow.errors import MissingPreviousState

@@ -241,6 +241,15 @@ class TestCli:
         assert values.shape[1] == 3
         assert mesh.dim == 2
 
+    def test_run_slab_names_failed_slab(self, tmp_path, capsys):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("[case]\nbase = manufactured\nt_end = 0.1\n"
+                       "dt = 0.05\n")
+        code = cli.main(["run", "--config", str(cfg), "--mode", "slab",
+                         "--max-iter", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "did not reach tolerance in slab 0" in capsys.readouterr().err
+
     def test_convergence_csv(self, tmp_path):
         out = tmp_path / "conv.csv"
         code = cli.main(["convergence", "--case", "manufactured",

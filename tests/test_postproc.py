@@ -9,7 +9,8 @@ from ustflow.geometry import box2d, box3d, disk2d
 from ustflow.mesh import SpaceTimeMesh
 from ustflow.postproc import (element_vorticity, export_vtk,
                               global_divergence, l2_error, probe,
-                              probe_exhaustive, slice_at_time)
+                              probe_exhaustive, probe_vorticity,
+                              slice_at_time)
 
 
 def st_mesh_from(nodes, elements, t0, tN):
@@ -271,6 +272,26 @@ class TestNormsAndVtk:
         vals[:, 1] = omega * mesh.nodes[:, 0]
         vort = element_vorticity(mesh, vals)
         assert np.allclose(vort, 2.0 * omega, atol=1e-12)
+
+    def test_probe_vorticity_owner_matches_exhaustive_scan(self, rng):
+        # random interior points, plus nodes and edge midpoints, which
+        # several elements contain: the lowest-index one owns the point
+        mesh = box2d(5, 4)
+        vals = rng.uniform(-1, 1, size=(mesh.n_nodes, 3))
+        edges = mesh.elements[:, :2]
+        pts = np.vstack([rng.uniform(0.01, 0.99, size=(40, 2)),
+                         mesh.nodes,
+                         mesh.nodes[edges].mean(axis=1)])
+        w, found = probe_vorticity(mesh, vals, pts)
+        assert found.all()
+        X0 = mesh.element_coords[:, 0, :]
+        owner = []
+        for p in pts:
+            xi = np.einsum("edk,ek->ed", mesh.jacobian_invs, p - X0)
+            inside = ((xi >= -1e-10).all(axis=1)
+                      & (1.0 - xi.sum(axis=1) >= -1e-10))
+            owner.append(np.flatnonzero(inside)[0])
+        assert np.array_equal(w, element_vorticity(mesh, vals)[owner])
 
     def test_vtk_export_roundtrip_structure(self, tmp_path, small_st_mesh_2d):
         st = small_st_mesh_2d

@@ -84,6 +84,16 @@ class TestSlabMarching:
         spec.dt = 0.01
         res = run_slab(spec)
         assert res.diagnostics["n_slabs"] == 17
+        assert len(res.slabs) == 17
+        assert res.diagnostics["failed_slab"] is None
+
+    def test_stops_at_first_unconverged_slab(self):
+        spec = make_manufactured(n=3)
+        res = run_slab(spec, newton_cfg=NewtonConfig(max_iter=1, rel_tol=1e-14,
+                                                     abs_tol=1e-14))
+        assert len(res.slabs) == len(res.fields) == len(res.newtons) == 1
+        assert res.diagnostics["failed_slab"] == 0
+        assert res.diagnostics["converged"] is False
 
     def test_poiseuille_stationary_across_slabs(self):
         # starting from the exact-profile interpolant, the march relaxes
