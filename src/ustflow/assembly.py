@@ -11,8 +11,13 @@ tau is frozen at the current iterate (Picard treatment), everything else is
 linearized exactly.
 
 One driver, ``_ProblemBase``, assembles both element families: the chunked
-volume loop, the jump term, the stabilization parameters, the scatter into
-COO triplets and the Dirichlet rows.  A family supplies its geometry only:
+volume loop, the jump term, the stabilization parameters, the sparse matrix
+and the Dirichlet rows.  The matrix is filled by slot into a CSR pattern
+that ``_CsrPlan`` builds once per problem, on the first matrix request, from
+the element connectivity: every element node pair becomes a dense
+ncomp x ncomp block, and each Newton step adds its local matrices into the
+preallocated ``data`` with ``np.bincount``, with no sort.  A family supplies
+its geometry only:
 
 - ``_volume_geometry(sl)``: (Nq, wdet, D, B, VV, x_q) of a chunk of elements;
 - ``_bottom_cap()``: node ids and spatial coordinates of the bottom-cap
@@ -262,17 +267,80 @@ def _embedded_measure_factor(coords):
     return np.sqrt(np.abs(np.linalg.det(gram)))
 
 
-def _scatter(R, coo, dofs, Re, Ke=None):
-    """Add local residuals ``Re`` at ``dofs`` (n, L) into ``R``; when ``Ke``
-    is given, append its (n, L, L) local matrices to ``coo`` as int32
-    (rows, cols, data) triplets."""
-    np.add.at(R, dofs.ravel(), Re.reshape(-1))
-    if Ke is None:
-        return
-    shape = (len(dofs), dofs.shape[1], dofs.shape[1])
-    rows = np.broadcast_to(dofs[:, :, None], shape).ravel().astype(np.int32)
-    cols = np.broadcast_to(dofs[:, None, :], shape).ravel().astype(np.int32)
-    coo.append((rows, cols, Ke.reshape(-1)))
+def _add_local(R, dofs, Re):
+    """Add local residuals ``Re`` at ``dofs`` (n, L) into ``R``."""
+    R += np.bincount(dofs.ravel(), Re.ravel(), minlength=len(R))
+
+
+class _CsrPlan:
+    """CSR pattern of a problem's matrix and the slot of every local entry.
+
+    The pattern holds every node pair that shares an element, plus each
+    node's diagonal pair, as a dense ncomp x ncomp block; rows are sorted,
+    so it is the canonical CSR form of the summed element matrices.  Entry
+    (i, j) of pair ``p`` lives at ``data[base[p] + i*stride[p] + j]``.
+    ``dir_slots`` are the entries of the Dirichlet rows, ``diag_slots``
+    their diagonal entries.
+    """
+
+    def __init__(self, elements, n_nodes, nc, dir_mask):
+        self.n_nodes, self.nc = n_nodes, nc
+        keys = self._keys(elements)
+        self.keys, inverse = np.unique(
+            np.concatenate([keys.ravel(),
+                            self._keys(np.arange(n_nodes)[:, None]).ravel()]),
+            return_inverse=True)
+        self.pairs = inverse[:keys.size].astype(np.int32).reshape(keys.shape)
+        diag_pairs = inverse[keys.size:]
+        row, col = np.divmod(self.keys, n_nodes)
+        bptr = np.searchsorted(row, np.arange(n_nodes + 1))
+        deg = np.diff(bptr)
+        self.stride = nc * deg[row]
+        self.base = nc * nc * bptr[row] + nc * (np.arange(len(row)) - bptr[row])
+        self.nnz = nc * nc * len(row)
+
+        comp = np.arange(nc)
+        index = np.int32 if self.nnz < 2 ** 31 else np.int64
+        self.indptr = np.append(
+            nc * nc * bptr[:-1, None] + nc * deg[:, None] * comp,
+            self.nnz).astype(index)
+        self.indices = np.empty(self.nnz, dtype=index)
+        self.indices[self.slots(np.arange(len(row))[:, None, None], nc)] = (
+            col[:, None, None, None, None] * nc + comp)
+        self.dir_slots = np.flatnonzero(np.repeat(dir_mask,
+                                                  np.diff(self.indptr)))
+        dir_dofs = np.flatnonzero(dir_mask)
+        p, i = diag_pairs[dir_dofs // nc], dir_dofs % nc
+        self.diag_slots = self.base[p] + i * self.stride[p] + i
+
+    def _keys(self, ids):
+        """(n, m, m) keys row * n_nodes + col of the node pairs of ``ids``."""
+        ids = ids.astype(np.int64)
+        return ids[:, :, None] * self.n_nodes + ids[:, None, :]
+
+    def pair_ids(self, ids):
+        """(n, m, m) pair ids of the node pairs of ``ids`` (n, m), which must
+        share an element or be diagonal."""
+        return np.searchsorted(self.keys, self._keys(ids))
+
+    def slots(self, pairs, nc):
+        """(n, m, nc, m, nc) slots of components < ``nc`` of ``pairs``."""
+        i = np.arange(nc)
+        return (self.base[pairs][:, :, None, :, None]
+                + i[:, None, None] * self.stride[pairs][:, :, None, :, None]
+                + i)
+
+    def add(self, data, pairs, K):
+        """Add local matrices ``K`` (n, m, c, m, c) at ``pairs`` into ``data``."""
+        slots = self.slots(pairs, K.shape[2])
+        data += np.bincount(slots.ravel(), K.ravel(), minlength=self.nnz)
+
+    def matrix(self, data):
+        # the index arrays are copied, so that an in-place change of the
+        # returned matrix's structure (eliminate_zeros) cannot reach the plan
+        n = self.n_nodes * self.nc
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=(n, n))
 
 
 def _mantle_dirichlet_nodes(bcs: BCSpec, mesh: SpaceTimeMesh) -> dict:
@@ -399,7 +467,8 @@ class _ProblemBase:
         tau_m, tau_c = stab.tau_mom, stab.tau_cont
 
         R = np.zeros(self.n_dofs)
-        coo = []
+        plan = self._csr_plan if want_matrix else None
+        data = np.zeros(plan.nnz) if want_matrix else None
         n_el, nloc = self.edof.shape
         chunk = max(1, int(_CHUNK_ENTRIES / (nloc * nloc)))
         for lo in range(0, n_el, chunk):
@@ -408,9 +477,11 @@ class _ProblemBase:
                                     values[self.elements[sl]], rho, mu,
                                     tau_m[sl], tau_c[sl], self.body_force,
                                     self.convective, want_matrix)
-            _scatter(R, coo, self.edof[sl], Re, Ke)
+            _add_local(R, self.edof[sl], Re)
+            if want_matrix:
+                plan.add(data, plan.pairs[sl], Ke)
 
-        self._add_jump(values, R, coo, want_matrix)
+        self._add_jump(values, R, data)
         self._add_traction(R)
 
         if not np.isfinite(R).all():
@@ -421,22 +492,24 @@ class _ProblemBase:
         norm = float(np.linalg.norm(rhs))
         if not want_matrix:
             return None, rhs, norm
-        rows, cols, data = (np.concatenate(part) for part in zip(*coo))
-        data[self.dir_mask[rows]] = 0.0
-        rows = np.concatenate([rows, self.dir_dofs.astype(rows.dtype)])
-        cols = np.concatenate([cols, self.dir_dofs.astype(cols.dtype)])
-        data = np.concatenate([data, np.ones(len(self.dir_dofs))])
-        A = sp.coo_matrix((data, (rows, cols)),
-                          shape=(self.n_dofs, self.n_dofs)).tocsr()
-        return LinearSystem(A, rhs, self.n_sd), rhs, norm
+        data[plan.dir_slots] = 0.0
+        data[plan.diag_slots] = 1.0
+        return LinearSystem(plan.matrix(data), rhs, self.n_sd), rhs, norm
 
     def residual_norm(self, values, tau_override=None) -> float:
         return self.system(values, tau_override=tau_override,
                            want_matrix=False)[2]
 
-    def _add_jump(self, values, R, coo, want_matrix):
+    @cached_property
+    def _csr_plan(self) -> _CsrPlan:
+        """Built on the first matrix request, never by the constructor or a
+        residual-only call."""
+        return _CsrPlan(self.elements, self.n_nodes, self.ncomp, self.dir_mask)
+
+    def _add_jump(self, values, R, data):
         """rho (u+ - u-) . w on the bottom cap, u- the previous nodal trace
-        ``jump_data`` or else the initial condition at the quadrature points."""
+        ``jump_data`` or else the initial condition at the quadrature points.
+        Its matrix goes into the plan's ``data`` unless that is None."""
         n_sd, nc = self.n_sd, self.ncomp
         if self.jump_data is None and self.bcs.initial is None:
             raise MissingPreviousState(
@@ -464,9 +537,12 @@ class _ProblemBase:
             Rloc -= rho * np.einsum("fq,qa,fqi->fai", wdet, Nf, u0)
 
         vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-        Kf = (rho * np.einsum("fab,ij->faibj", Mq, np.eye(n_sd))
-              if want_matrix else None)
-        _scatter(R, coo, vdofs.reshape(nf, -1), Rloc, Kf)
+        _add_local(R, vdofs.reshape(nf, -1), Rloc)
+        if data is not None:
+            # bottom-cap node pairs are element node pairs in both families
+            plan = self._csr_plan
+            plan.add(data, plan.pair_ids(ids),
+                     rho * np.einsum("fab,ij->faibj", Mq, np.eye(n_sd)))
 
 
 def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl):
@@ -544,7 +620,7 @@ class SpaceTimeProblem(_ProblemBase):
             h = h.reshape(len(ids), -1, n_sd)
             Rloc = -np.einsum("fq,qa,fqi->fai", wdet, Nf, h)
             vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-            _scatter(R, None, vdofs.reshape(len(ids), -1), Rloc)
+            _add_local(R, vdofs.reshape(len(ids), -1), Rloc)
 
 
 @dataclass
@@ -715,7 +791,7 @@ class PrismSlabProblem(_ProblemBase):
                     Nface = np.concatenate([Ns * (1.0 - pt), Ns * pt])
                     Rloc -= (ws * wt) * np.einsum("f,a,fi->fai", area, Nface, h)
             vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-            _scatter(R, None, vdofs.reshape(len(ids), -1), Rloc)
+            _add_local(R, vdofs.reshape(len(ids), -1), Rloc)
 
 
 # -- standalone operation wrappers -------------------------------------------
@@ -755,14 +831,13 @@ def element_jacobian_matrix(mesh: SpaceTimeMesh, e: int, field: SolutionField,
 
 
 def jump_term(problem, field: SolutionField):
-    """Global jump residual vector and Jacobian of the bottom-cap term."""
+    """Global jump residual vector and Jacobian of the bottom-cap term; the
+    Jacobian is stored in the problem's full matrix pattern."""
+    plan = problem._csr_plan
     R = np.zeros(problem.n_dofs)
-    coo = []
-    problem._add_jump(field.values, R, coo, want_matrix=True)
-    rows, cols, data = coo[0]
-    A = sp.coo_matrix((data, (rows, cols)),
-                      shape=(problem.n_dofs, problem.n_dofs)).tocsr()
-    return R, A
+    data = np.zeros(plan.nnz)
+    problem._add_jump(field.values, R, data)
+    return R, plan.matrix(data)
 
 
 def traction_term(problem) -> np.ndarray:

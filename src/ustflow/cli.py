@@ -112,7 +112,7 @@ def _cmd_run(args, parser) -> int:
     if mode == "ust":
         res = run_ust(spec, newton_cfg=cfg)
         stio.write_result(res.mesh, res.field.values, out / "result.dat")
-        traces = [res.newton.trace]
+        newtons = [res.newton]
         if args.slice_time is not None:
             sl = slice_at_time(res.mesh, res.field.values, args.slice_time)
             export_vtk(sl.mesh, sl.values[:, : res.mesh.n_sd],
@@ -126,11 +126,12 @@ def _cmd_run(args, parser) -> int:
             res.final_positions, final.elements, final.boundary_facets,
             final.boundary_tags, final.tag_names, fix_orientation=False)
         stio.write_result(moved, res.final_values, out / "result.dat")
-        traces = [n.trace for n in res.newtons]
+        newtons = res.newtons
     with open(out / "newton_trace.log", "w") as f:
-        for k, trace in enumerate(traces):
-            for it, r in enumerate(trace):
-                f.write(f"solve={k} newton iter={it} res={r:.6e}\n")
+        for k, newton in enumerate(newtons):
+            for it, (r, t) in enumerate(zip(newton.trace, newton.assemble_s)):
+                f.write(f"solve={k} newton iter={it} res={r:.6e} "
+                        f"assemble_s={t:.3f}\n")
     if not res.diagnostics["converged"]:
         failed = res.diagnostics.get("failed_slab")
         where = "" if failed is None else f" in slab {failed}"

@@ -46,6 +46,10 @@ class ConfigurationError(UstflowError):
     """Scenario definition violates a contract (e.g. overlapping BC tags)."""
 
 
+class NotConverged(UstflowError):
+    """Newton stopped short of its tolerance where a converged run is needed."""
+
+
 class LinearSolveFailure(UstflowError):
     """Linear solver did not produce a usable solution."""
 

@@ -290,8 +290,7 @@ def l2_error_slab(slab, values: np.ndarray, exact_fn):
     n_sp = slab.spatial.n_nodes
     conn = np.hstack([els, els + n_sp])
     Uv = values[conn]
-    err2 = None
-    ref2 = None
+    err2 = ref2 = 0.0
     for pt, w in zip(rule.points, rule.weights):
         xi, th = pt[:n_sd], pt[n_sd]
         x, _, dJ, _ = prism_geometry(cb, ct, slab.t_bottom, slab.dt, xi, th)
@@ -302,12 +301,8 @@ def l2_error_slab(slab, values: np.ndarray, exact_fn):
         k = exact.shape[1]
         d2 = (u[:, :k] - exact) ** 2
         wdet = w * np.abs(dJ)
-        if err2 is None:
-            err2 = np.einsum("e,ec->c", wdet, d2)
-            ref2 = np.einsum("e,ec->c", wdet, exact ** 2)
-        else:
-            err2 += np.einsum("e,ec->c", wdet, d2)
-            ref2 += np.einsum("e,ec->c", wdet, exact ** 2)
+        err2 += np.einsum("e,ec->c", wdet, d2)
+        ref2 += np.einsum("e,ec->c", wdet, exact ** 2)
     return {"components": np.sqrt(err2), "total": float(np.sqrt(err2.sum())),
             "exact_components": np.sqrt(ref2),
             "exact_total": float(np.sqrt(ref2.sum()))}

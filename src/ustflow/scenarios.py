@@ -20,6 +20,7 @@ import numpy as np
 from .assembly import (BCSpec, MaterialParams, PrismSlab, PrismSlabProblem,
                        SolutionField, SpaceTimeProblem,
                        rigid_surface_velocity, zero_velocity)
+from .errors import ConfigurationError, NotConverged
 from .extrude import (ExtrusionSpec, NodeTrajectory, extrude_simplex_st,
                       rigid_rotation_positions)
 from .geometry import annulus2d, box2d
@@ -172,6 +173,10 @@ def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
         if abs(n_slabs * dt - spec.t_end) > 1e-9 * max(spec.t_end, dt):
             logger.warning("run_slab: %d slabs of dt=%g end at %g, not t_end=%g",
                            n_slabs, dt, n_slabs * dt, spec.t_end)
+    if n_slabs < 1:
+        raise ConfigurationError(
+            f"run_slab: t_end={spec.t_end:g} and dt={dt:g} give {n_slabs} "
+            "slabs; need at least one")
     spatial = spec.mesh
     n_sp = spatial.n_nodes
     traj = spec.trajectory
@@ -417,7 +422,7 @@ def convergence_study(case: str, sizes, mode: str = "ust",
             h = 1.0 / nsize
         else:
             raise ValueError(f"no convergence setup for case {case!r}")
-        err_u, err_p = _case_errors(spec, mode, newton_cfg)
+        err_u, err_p = _case_errors(spec, nsize, mode, newton_cfg)
         rows.append({"size": nsize, "h": h, "err_u": err_u, "err_p": err_p})
     for k in range(1, len(rows)):
         ratio_h = rows[k - 1]["h"] / rows[k]["h"]
@@ -428,46 +433,48 @@ def convergence_study(case: str, sizes, mode: str = "ust",
     return rows
 
 
-def _case_errors(spec: ScenarioSpec, mode: str, newton_cfg=None):
+def _case_errors(spec: ScenarioSpec, size, mode: str, newton_cfg=None):
     """Relative L2 errors (velocity total, pressure) for a study case.
 
     The manufactured case compares over the whole space-time domain; the
     Couette case compares the steady end state on the final-time slice
     (the closed form is the steady profile, so the startup transient must
-    not enter the norm).
+    not enter the norm).  A run that did not converge raises
+    ``NotConverged``: its errors would measure the solver, not the
+    discretization.
     """
     exact = spec.exact_solution
     steady_slice = spec.name == "couette2d"
     if mode == "ust":
         res = run_ust(spec, newton_cfg=newton_cfg)
+    elif mode == "slab":
+        res = run_slab(spec, newton_cfg=newton_cfg)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not res.diagnostics["converged"]:
+        failed = res.diagnostics.get("failed_slab")
+        where = "" if failed is None else f" in slab {failed}"
+        raise NotConverged(f"convergence study case={spec.name} size={size} "
+                           f"mode={mode}: Newton did not converge{where}")
+    if mode == "ust":
         if steady_slice:
             from .postproc import slice_at_time
             sl = slice_at_time(res.mesh, res.field.values, spec.t_end)
             err = l2_error(sl.mesh, sl.values, lambda x: exact(x))
         else:
             err = l2_error(res.mesh, res.field.values, exact)
-    elif mode == "slab":
-        res = run_slab(spec, newton_cfg=newton_cfg)
-        if steady_slice:
-            final = SimplexMesh(res.final_positions, res.spatial.elements,
-                                res.spatial.boundary_facets,
-                                res.spatial.boundary_tags,
-                                res.spatial.tag_names, fix_orientation=False)
-            err = l2_error(final, res.final_values, lambda x: exact(x),
-                           time_is_last_coord=False)
-        else:
-            err2 = None
-            ref2 = None
-            for slab, vals in zip(res.slabs, res.fields):
-                part = l2_error_slab(slab, vals, exact)
-                c2 = part["components"] ** 2
-                r2 = part["exact_components"] ** 2
-                err2 = c2 if err2 is None else err2 + c2
-                ref2 = r2 if ref2 is None else ref2 + r2
-            err = {"components": np.sqrt(err2),
-                   "exact_components": np.sqrt(ref2)}
+    elif steady_slice:
+        final = SimplexMesh(res.final_positions, res.spatial.elements,
+                            res.spatial.boundary_facets,
+                            res.spatial.boundary_tags,
+                            res.spatial.tag_names, fix_orientation=False)
+        err = l2_error(final, res.final_values, lambda x: exact(x),
+                       time_is_last_coord=False)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        parts = [l2_error_slab(slab, vals, exact)
+                 for slab, vals in zip(res.slabs, res.fields)]
+        err = {key: np.sqrt(sum(part[key] ** 2 for part in parts))
+               for key in ("components", "exact_components")}
     comps = err["components"]
     refs = err["exact_components"]
     n_sd = spec.space_dim

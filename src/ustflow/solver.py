@@ -7,7 +7,8 @@ block Gauss-Seidel sweep over the node-time levels, or a direct sparse LU,
 which is also the oracle.  A GMRES failure raises ``LinearSolveFailure``;
 there is no fallback.  Each linear solve logs one ``linear solve`` line
 with its method, iterations, true relative residual and timings, and
-Newton traces are emitted as ``newton iter=<k> res=<value>`` log lines.
+Newton traces are emitted as ``newton iter=<k> res=<value> assemble_s=<s>``
+log lines, the last the wall time of the assembly that gave the residual.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class NewtonResult:
     iterations: int
     converged: bool
     status: str  # "converged" or "max_iterations"
+    # wall seconds of the problem.system call behind each trace entry
+    assemble_s: list = dataclasses.field(default_factory=list)
 
 
 def time_level_preconditioner(A: sp.spmatrix, dof_levels) -> spla.LinearOperator:
@@ -228,12 +231,21 @@ def newton_solve(problem, initial_values: np.ndarray,
     shape = U.shape
     block_size = shape[1] if U.ndim == 2 else 1
 
-    system, rhs, rnorm = problem.system(U)
-    trace = [rnorm]
-    logger.info("newton iter=0 res=%.6e", rnorm)
+    trace, assemble_s = [], []
+
+    def assemble(k, values):
+        t0 = time.perf_counter()
+        out = problem.system(values)
+        assemble_s.append(time.perf_counter() - t0)
+        trace.append(out[2])
+        logger.info("newton iter=%d res=%.6e assemble_s=%.3f", k, out[2],
+                    assemble_s[-1])
+        return out
+
+    system, rhs, rnorm = assemble(0, U)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
     if rnorm <= tol:
-        return NewtonResult(U, trace, 0, True, "converged")
+        return NewtonResult(U, trace, 0, True, "converged", assemble_s)
 
     best_U, best_r = U.copy(), rnorm
     for k in range(1, cfg.max_iter + 1):
@@ -254,12 +266,11 @@ def newton_solve(problem, initial_values: np.ndarray,
         else:
             U = U + delta.reshape(shape)
 
-        system, rhs, rnorm = problem.system(U)
-        trace.append(rnorm)
-        logger.info("newton iter=%d res=%.6e", k, rnorm)
+        system, rhs, rnorm = assemble(k, U)
         if rnorm < best_r:
             best_U, best_r = U.copy(), rnorm
         if rnorm <= tol:
-            return NewtonResult(U, trace, k, True, "converged")
+            return NewtonResult(U, trace, k, True, "converged", assemble_s)
 
-    return NewtonResult(best_U, trace, cfg.max_iter, False, "max_iterations")
+    return NewtonResult(best_U, trace, cfg.max_iter, False, "max_iterations",
+                        assemble_s)

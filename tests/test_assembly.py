@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
                               PrismSlabProblem, SolutionField,
                               SpaceTimeProblem, dirichlet_values,
                               element_jacobian_matrix, element_residual,
                               jump_term, rigid_surface_velocity,
-                              traction_term, zero_velocity)
+                              _element_terms, traction_term, zero_velocity)
 from ustflow.errors import ConfigurationError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
                              extrude_simplex_st, rigid_rotation_positions)
@@ -537,3 +538,121 @@ class TestDeterminism:
         assert n1 == n2
         assert np.array_equal(s1.matrix.data, s2.matrix.data)
         assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
+
+
+def coo_reference(problem, U):
+    """The Newton matrix summed by scipy from triplets: every element block,
+    the jump-term blocks and the Dirichlet identity rows."""
+    nc = problem.ncomp
+    stab = problem.stabilization(U)
+    values = U.reshape(problem.n_nodes, nc)
+    _, Ke = _element_terms(*problem._volume_geometry(slice(None)),
+                           values[problem.elements], problem.material.rho,
+                           problem.material.mu, stab.tau_mom, stab.tau_cont,
+                           problem.body_force, problem.convective, True)
+    nloc = problem.edof.shape[1]
+    jump = jump_term(problem, SolutionField(values, problem.n_sd))[1].tocoo()
+    rows = np.concatenate([np.repeat(problem.edof, nloc, axis=1).ravel(),
+                           jump.row])
+    cols = np.concatenate([np.tile(problem.edof, (1, nloc)).ravel(), jump.col])
+    data = np.concatenate([Ke.ravel(), jump.data])
+    data[np.isin(rows, problem.dir_dofs)] = 0.0
+    dirs = problem.dir_dofs
+    n = problem.n_dofs
+    return sp.coo_matrix((np.concatenate([data, np.ones(len(dirs))]),
+                          (np.concatenate([rows, dirs]),
+                           np.concatenate([cols, dirs]))),
+                         shape=(n, n)).tocsr()
+
+
+def twisted_simplex_problem():
+    """Twisted 2D simplex problem with Dirichlet, Neumann, a two-node gauge
+    and a body force."""
+    traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=0.5)
+    st = extrude_simplex_st(box2d(3, 3), ExtrusionSpec(0.0, 0.3, 3, traj))
+    return make_problem(
+        st, mu=0.2,
+        dirichlet={"x0": lambda x, t: np.column_stack([np.sin(x[:, 1] + t),
+                                                       x[:, 0]]),
+                   "y0": zero_velocity},
+        neumann={"x1": lambda x, t: np.column_stack([np.cos(x[:, 1]),
+                                                     t + 0 * x[:, 0]])},
+        ic=lambda x: 0.3 * x,
+        body_force=lambda x, t: np.column_stack([np.sin(x[:, 0]),
+                                                 x[:, 1] * t]),
+        gauge=[(0, 0.1), (st.n_nodes - 1, -0.2)])
+
+
+def pentatope_problem(rng):
+    st = extrude_simplex_st(box3d(1, 1, 1), ExtrusionSpec(0.0, 0.25, 2))
+    return SpaceTimeProblem(
+        st, MaterialParams(rho=1.1, mu=0.2),
+        BCSpec(dirichlet={"z0": zero_velocity}),
+        gauge=(0, 0.0), jump_data=rng.uniform(-1, 1, size=(st.n_nodes, 3)))
+
+
+def twisted_prism_problem(rng):
+    spatial = box2d(3, 2)
+    traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=0.6)
+    cb = rigid_rotation_positions(spatial.nodes, traj, 0.1)
+    ct = rigid_rotation_positions(spatial.nodes, traj, 0.25)
+    slab = PrismSlab(spatial, cb, ct, 0.1, 0.15)
+    return PrismSlabProblem(
+        slab, MaterialParams(rho=1.2, mu=0.3),
+        BCSpec(dirichlet={"x0": zero_velocity},
+               neumann={"x1": lambda x, t: np.column_stack([x[:, 1],
+                                                            0 * t + 1.0])}),
+        gauge=(0, 0.1),
+        jump_data=rng.uniform(-1, 1, size=(spatial.n_nodes, 2)))
+
+
+class TestCsrPlan:
+    """The slot-filled CSR matrix against scipy's sum of the triplets."""
+
+    def check_against_coo(self, problem, rng):
+        U = problem.impose_dirichlet(
+            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
+        A = problem.system(U)[0].matrix
+        ref = coo_reference(problem, U)
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        scale = np.abs(ref.data).max()
+        assert np.abs(A.data - ref.data).max() <= 1e-13 * scale
+        return problem, U
+
+    def test_twisted_simplex_problem(self, rng):
+        problem, _ = self.check_against_coo(twisted_simplex_problem(), rng)
+        assert len(problem.dir_dofs) > 2
+
+    def test_pentatope_problem_with_jump_data(self, rng):
+        self.check_against_coo(pentatope_problem(rng), rng)
+
+    def test_twisted_prism_problem_with_jump_data(self, rng):
+        self.check_against_coo(twisted_prism_problem(rng), rng)
+
+    def test_split_over_chunks(self, rng, monkeypatch):
+        import ustflow.assembly as assembly
+        problem = twisted_simplex_problem()
+        nloc = problem.edof.shape[1]
+        monkeypatch.setattr(assembly, "_CHUNK_ENTRIES", 7.0 * nloc * nloc)
+        assert len(problem.elements) > 3 * 7
+        self.check_against_coo(problem, rng)
+
+    def test_plan_built_once_on_first_matrix(self, rng):
+        problem = twisted_simplex_problem()
+        U = problem.initial_guess()
+        problem.residual_norm(U)
+        assert "_csr_plan" not in vars(problem)
+        problem.system(U)
+        plan = problem._csr_plan
+        problem.system(U + 0.1)
+        assert problem._csr_plan is plan
+
+    def test_jump_term_matrix_is_its_residual_derivative(self, rng):
+        problem = twisted_prism_problem(rng)
+        U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
+        dU = rng.uniform(-1, 1, size=U.shape)
+        R0, A = jump_term(problem, SolutionField(U, problem.n_sd))
+        R1, _ = jump_term(problem, SolutionField(U + dU, problem.n_sd))
+        assert A.shape == (problem.n_dofs, problem.n_dofs)
+        assert np.allclose(A @ dU.ravel(), R1 - R0, rtol=0, atol=1e-13)

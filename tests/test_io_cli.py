@@ -190,6 +190,7 @@ class TestCli:
         assert (outdir / "result.dat").exists()
         trace_text = (outdir / "newton_trace.log").read_text()
         assert "newton iter=" in trace_text and "res=" in trace_text
+        assert "assemble_s=" in trace_text
 
         vtk = tmp_path / "slice.vtk"
         code = cli.main(["slice", "--result", str(outdir / "result.dat"),

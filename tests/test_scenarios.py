@@ -5,13 +5,14 @@ import pytest
 
 import ustflow.scenarios as scenarios
 from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
+from ustflow.errors import ConfigurationError, NotConverged
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st, rotation_matrix
 from ustflow.geometry import box2d
 from ustflow.mesh import SimplexMesh
 from ustflow.postproc import probe, slice_at_time
 from ustflow.scenarios import (ScenarioSpec, builtin_cases,
-                               default_linear_config, make_channel2d,
-                               make_couette2d, make_manufactured,
+                               convergence_study, default_linear_config,
+                               make_channel2d, make_couette2d, make_manufactured,
                                make_stirrer2d, manufactured_exact_factory,
                                run_slab, run_ust)
 from ustflow.solver import LinearSolverConfig, NewtonConfig
@@ -94,6 +95,12 @@ class TestSlabMarching:
         assert len(res.slabs) == len(res.fields) == len(res.newtons) == 1
         assert res.diagnostics["failed_slab"] == 0
         assert res.diagnostics["converged"] is False
+
+    def test_zero_slabs_rejected_before_marching(self):
+        spec = make_manufactured(n=3, t_end=0.01)
+        with pytest.raises(ConfigurationError,
+                           match=r"t_end=0\.01 and dt=0\.05"):
+            run_slab(spec, dt=0.05)
 
     def test_poiseuille_stationary_across_slabs(self):
         # starting from the exact-profile interpolant, the march relaxes
@@ -251,3 +258,15 @@ class TestLinearSolverChoice:
         assert gs.newton.iterations == lu.newton.iterations
         U, U_ref = gs.field.values, lu.field.values
         assert np.abs(U - U_ref).max() <= 1e-8 * np.abs(U_ref).max()
+
+
+class TestConvergenceStudy:
+    @pytest.mark.parametrize("mode,where",
+                             [("ust", ""), ("slab", " in slab 0")])
+    def test_unconverged_run_raises(self, mode, where):
+        with pytest.raises(NotConverged) as err:
+            convergence_study("manufactured", [4], mode,
+                              NewtonConfig(max_iter=1))
+        assert str(err.value).endswith(
+            f"case=manufactured size=4 mode={mode}: Newton did not "
+            f"converge{where}")

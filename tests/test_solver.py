@@ -284,6 +284,20 @@ class TestNewton:
         assert res.converged
         assert res.iterations == 1
 
+    def test_logs_assembly_time_per_iteration(self, caplog):
+        A = np.array([[2.0, 1.0], [0.0, 3.0]])
+        toy = ToyProblem(lambda x: A @ x - np.ones(2), lambda x: A)
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            res = newton_solve(toy, np.zeros(2), NewtonConfig(),
+                               LinearSolverConfig(method="direct_lu"))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("newton iter=")]
+        assert len(lines) == len(res.trace) == len(res.assemble_s) == 2
+        for k, (line, r, t) in enumerate(zip(lines, res.trace,
+                                             res.assemble_s)):
+            assert line == f"newton iter={k} res={r:.6e} assemble_s={t:.3f}"
+            assert t >= 0.0
+
     def test_deterministic_iterates(self, small_st_mesh_2d):
         mesh = small_st_mesh_2d
 
