@@ -17,18 +17,23 @@ that ``_CsrPlan`` builds once per problem, on the first matrix request, from
 the element connectivity: every element node pair becomes a dense
 ncomp x ncomp block, and each Newton step adds its local matrices into the
 preallocated ``data`` with ``np.bincount``, with no sort.  A family supplies
-its geometry only:
+its geometry and the volume kernel that takes it:
 
-- ``_volume_geometry(sl)``: (Nq, wdet, D, B, VV, x_q) of a chunk of elements;
+- ``_kernel`` and ``_volume_geometry(sl)``: the element kernel and its
+  geometry arguments for a chunk of elements;
 - ``_bottom_cap()``: node ids and spatial coordinates of the bottom-cap
   simplices that carry the jump term;
 - ``_metric``: the per-element metric (Ginv, g, Ginv:Ginv, g.g) of tau;
 - ``_add_traction(R)``: the Neumann term on its mantle faces.
 
-Space-time simplices have constant gradients, and the strong viscous
-operator vanishes for P1 (VV is None).  Tensor-product prisms between two
-time levels carry pointwise geometry, and the viscous operator is retained
-where nonzero.
+Space-time simplices use ``_simplex_terms``: P1 gradients are constant per
+element and the strong viscous operator vanishes, so every term is a
+per-element constant times a few quadrature sums, and each local matrix is
+built once from outer products, with no per-point matrix intermediates.
+Tensor-product prisms use the quadrature-point kernel ``_element_terms``:
+their gradients vary over the element, and the viscous operator is retained
+where nonzero.  Fed the constant P1 gradients broadcast over the quadrature
+points, ``_element_terms`` is also the tests' oracle for ``_simplex_terms``.
 """
 
 from __future__ import annotations
@@ -48,8 +53,10 @@ from .stabilization import (StabilizationContext, mesh_metric, metric_terms,
                             prism_geometry, prism_shape_functions,
                             regular_simplex_map, tau_parameters)
 
-# local-matrix entries per assembly chunk: bounds the memory of the element
-# kernel's temporaries (15,000 pentatopes or 18,518 2D prisms per chunk)
+# local-matrix entries per assembly chunk (15,000 pentatopes or 18,518 2D
+# prisms).  It bounds the chunk's arrays of that size: the local matrices,
+# the simplex kernel's outer products and the CSR plan's slots; the prism
+# kernel's per-quadrature-point products are nq times larger.
 _CHUNK_ENTRIES = 6.0e6
 
 
@@ -147,7 +154,7 @@ def rigid_surface_velocity(omega: float, center, axis=(0.0, 0.0, 1.0)):
 
 def _element_terms(Nq, wdet, D, B, VV, x_q, Ue, rho, mu, tau_m, tau_c,
                    body_force, convective, want_matrix):
-    """Shared volume kernel for one chunk of elements.
+    """Quadrature-point volume kernel for one chunk of elements.
 
     Nq: (nq, nen) shape values; wdet: (E, nq) weight*|detJ|;
     D: (E, nq, nen, n_sd) spatial gradients; B: (E, nq, nen) time
@@ -249,6 +256,110 @@ def _element_terms(Nq, wdet, D, B, VV, x_q, Ue, rho, mu, tau_m, tau_c,
     Ke[:, :, :n_sd, :, :n_sd] += rho * ein("e,eq,eqai,eqbj->eaibj",
                                                  tau_c, wdet, D, D)
     return Re, Ke
+
+
+def _simplex_terms(Nq, weights, det, G, Bt, X, Ue, rho, mu, tau_m, tau_c,
+                   body_force, convective, want_matrix):
+    """Volume kernel of P1 space-time simplices for one chunk of elements.
+
+    Nq: (nq, nen) shape values and weights: (nq,) of the reference rule;
+    det: (E,) |detJ|; G: (E, nen, n_sd) spatial gradients and Bt: (E, nen)
+    time derivatives, constant on each element; X: (E, nen, dim) node
+    coordinates; Ue: (E, nen, ncomp).  Returns (Re, Ke) as
+    ``_element_terms`` does on the same rule, up to rounding.
+
+    u, p, the advective derivative adv_a = dN_a/dt + u.grad N_a and the
+    strong residual r are linear in the shape functions (r up to the body
+    force), and everything else is constant per element, so each term of
+    the weak form is a per-element constant times one of a few sums over
+    the quadrature points.
+    """
+    def swap(a):
+        return np.swapaxes(a, 1, 2)
+
+    E, nen, n_sd = G.shape
+    nc = n_sd + 1
+    Uv = Ue[:, :, :n_sd]
+    Up = Ue[:, :, n_sd]
+    w = det[:, None] * weights                           # (E, nq)
+    W = w.sum(axis=1)                                    # element measure
+    wN = weights[:, None] * Nq                           # (nq, nen)
+    M1 = det[:, None] * wN.sum(axis=0)                   # sum w N_a
+
+    gradu = np.einsum("eaj,eai->eij", G, Uv)             # du_i/dx_j
+    dudt = np.einsum("ea,eai->ei", Bt, Uv)
+    gradp = np.einsum("eaj,ea->ej", G, Up)
+    divu = np.trace(gradu, axis1=1, axis2=2)
+    u_q = Nq @ Uv                                        # (E, nq, n_sd)
+
+    acc = np.repeat(dudt[:, None, :], len(weights), axis=1)
+    if body_force is not None:
+        xt = (Nq @ X).reshape(-1, X.shape[-1])
+        acc -= np.asarray(body_force(xt[:, :n_sd], xt[:, n_sd])).reshape(
+            acc.shape)
+    if convective:
+        acc += u_q @ swap(gradu)
+        adv = Bt[:, None, :] + u_q @ swap(G)             # (E, nq, nen)
+    else:
+        adv = np.broadcast_to(Bt[:, None, :], w.shape + (nen,))
+    r_q = rho * acc + gradp[:, None, :]
+    wadv = w[:, :, None] * adv
+
+    NAcc = det[:, None, None] * (wN.T @ acc)             # sum w N_a acc_i
+    AR = swap(wadv) @ r_q                                # sum w adv_a r_i
+    R1 = np.einsum("eq,eqi->ei", w, r_q)                 # sum w r_i
+
+    Re = np.empty((E, nen, nc))
+    # Galerkin transient + convection + body force, GLS momentum, stress
+    # 2 mu eps(w):eps(u) - p div w, grad-div
+    Re[:, :, :n_sd] = (rho * NAcc + tau_m[:, None, None] * AR
+                       + (mu * W)[:, None, None] * (G @ (gradu + swap(gradu)))
+                       + G * (rho * tau_c * W * divu
+                              - np.einsum("ea,ea->e", M1, Up))[:, None, None])
+    # continuity and the PSPG-like GLS test
+    Re[:, :, n_sd] = (M1 * divu[:, None]
+                      + (tau_m / rho)[:, None] * np.einsum("eai,ei->ea", G, R1))
+    if not want_matrix:
+        return Re, None
+
+    # The matrix is built with the element axis last, so that every
+    # broadcast product runs over the elements in its inner loop.
+    def last(a):
+        return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+    NAdv = last(det[:, None, None] * (wN.T @ adv))       # sum w N_a adv_b
+    AA = last(swap(wadv) @ adv)                          # sum w adv_a adv_b
+    A1 = last(wadv.sum(axis=1))                          # sum w adv_a
+    G, M1, gradu = last(G), last(M1), last(gradu)
+    GG = np.einsum("aie,bie->abe", G, G)
+    Ke = np.empty((nen, nc, nen, nc, E))
+    Kvv = Ke[:, :n_sd, :, :n_sd]
+    # grad-div: G[a,i] G[b,j]
+    np.multiply(G[:, :, None, None], rho * tau_c * W * G, out=Kvv)
+    # stress mu G[a,j] G[b,i]; the linearization of u inside the GLS weight
+    # adds G[a,j] sum w N_b r_i
+    H = mu * W * G
+    if convective:
+        H = H + tau_m * (rho * last(NAcc) + M1[:, None] * last(gradp))
+        # Galerkin and GLS linearization of u.grad u: C[a,b] gradu[i,j]
+        NN = (wN.T @ Nq)[:, :, None] * det               # sum w N_a N_b
+        C = rho * (NN + tau_m * np.swapaxes(NAdv, 0, 1))
+        Kvv += C[:, None, :, None] * gradu[None, :, None, :]
+    Kvv += G[:, None, None, :] * np.swapaxes(H, 0, 1)[None, :, :, None]
+    # delta_ij: transient/convection (Galerkin and GLS) and stress
+    diag = rho * NAdv + mu * W * GG + rho * tau_m * AA
+    for i in range(n_sd):
+        Kvv[:, i, :, i] += diag
+    # velocity rows, pressure columns: -p div w and the GLS pressure gradient
+    Ke[:, :n_sd, :, n_sd] = (tau_m * A1[:, None, None] * np.swapaxes(G, 0, 1)
+                             - G[:, :, None] * M1)
+    # pressure rows: continuity and the PSPG-like GLS test
+    GLS_p = A1[None, :, None] * G[:, None]
+    if convective:
+        GLS_p += M1[None, :, None] * np.einsum("aje,jke->ake", G, gradu)[:, None]
+    Ke[:, n_sd, :, :n_sd] = M1[:, None, None] * G + tau_m * GLS_p
+    Ke[:, n_sd, :, n_sd] = tau_m / rho * W * GG
+    return Re, np.moveaxis(Ke, -1, 0)
 
 
 def _facet_simplex_rule(n_facet_dim: int):
@@ -473,10 +584,10 @@ class _ProblemBase:
         chunk = max(1, int(_CHUNK_ENTRIES / (nloc * nloc)))
         for lo in range(0, n_el, chunk):
             sl = slice(lo, min(lo + chunk, n_el))
-            Re, Ke = _element_terms(*self._volume_geometry(sl),
-                                    values[self.elements[sl]], rho, mu,
-                                    tau_m[sl], tau_c[sl], self.body_force,
-                                    self.convective, want_matrix)
+            Re, Ke = self._kernel(*self._volume_geometry(sl),
+                                  values[self.elements[sl]], rho, mu,
+                                  tau_m[sl], tau_c[sl], self.body_force,
+                                  self.convective, want_matrix)
             _add_local(R, self.edof[sl], Re)
             if want_matrix:
                 plan.add(data, plan.pairs[sl], Ke)
@@ -546,24 +657,18 @@ class _ProblemBase:
 
 
 def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl):
-    """(Nq, wdet, D, B, None, x_q) of the space-time simplices ``sl``.
-
-    The gradients of a P1 simplex are constant, so D and B are broadcast
-    views over the quadrature points, never materialized.
-    """
-    n_sd = mesh.n_sd
+    """(Nq, weights, |detJ|, G, Bt, X) of the space-time simplices ``sl``,
+    the geometry ``_simplex_terms`` takes."""
     grads = mesh.gradients[sl]
-    E, nen = grads.shape[:2]
-    nq = len(weights)
-    wdet = weights[None, :] * np.abs(mesh.jacobian_dets[sl])[:, None]
-    D = np.broadcast_to(grads[:, None, :, :n_sd], (E, nq, nen, n_sd))
-    B = np.broadcast_to(grads[:, None, :, n_sd], (E, nq, nen))
-    x_q = np.einsum("qa,ead->eqd", Nq, mesh.element_coords[sl])
-    return Nq, wdet, D, B, None, x_q
+    return (Nq, weights, np.abs(mesh.jacobian_dets[sl]),
+            grads[:, :, :mesh.n_sd], grads[:, :, mesh.n_sd],
+            mesh.element_coords[sl])
 
 
 class SpaceTimeProblem(_ProblemBase):
     """Stabilized weak form on a simplex space-time mesh (UST mode)."""
+
+    _kernel = staticmethod(_simplex_terms)
 
     def __init__(self, mesh: SpaceTimeMesh, material: MaterialParams,
                  bcs: BCSpec, body_force=None, convective=True,
@@ -653,6 +758,8 @@ class PrismSlab:
 
 class PrismSlabProblem(_ProblemBase):
     """Stabilized weak form on one tensor-product slab (slab/ALE mode)."""
+
+    _kernel = staticmethod(_element_terms)
 
     def __init__(self, slab: PrismSlab, material: MaterialParams, bcs: BCSpec,
                  body_force=None, convective=True, gauge=None,
@@ -802,7 +909,7 @@ def _one_element(mesh: SpaceTimeMesh, e: int, field: SolutionField,
     rule = simplex_quadrature(mesh.dim, 2)
     Nq = basis_eval(rule.points, mesh.dim)
     sl = slice(e, e + 1)
-    return _element_terms(*_simplex_geometry(mesh, Nq, rule.weights, sl),
+    return _simplex_terms(*_simplex_geometry(mesh, Nq, rule.weights, sl),
                           field.values[mesh.elements[sl]], material.rho,
                           material.mu, stab.tau_mom[sl], stab.tau_cont[sl],
                           body_force, convective, want_matrix)

@@ -9,7 +9,8 @@ from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
                               SpaceTimeProblem, dirichlet_values,
                               element_jacobian_matrix, element_residual,
                               jump_term, rigid_surface_velocity,
-                              _element_terms, traction_term, zero_velocity)
+                              _element_terms, _simplex_terms, traction_term,
+                              zero_velocity)
 from ustflow.errors import ConfigurationError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
                              extrude_simplex_st, rigid_rotation_positions)
@@ -528,28 +529,68 @@ class TestDeterminism:
         assert np.array_equal(row, expect)
 
     def test_bitwise_reproducible_assembly(self, small_st_mesh_2d, rng):
-        problem = make_problem(small_st_mesh_2d, mu=0.05,
-                               dirichlet={"x0": zero_velocity},
-                               gauge=(0, 0.0))
-        U = rng.uniform(-1, 1, size=(problem.n_nodes, 3))
-        s1, r1, n1 = problem.system(U)
-        s2, r2, n2 = problem.system(U)
-        assert np.array_equal(r1, r2)
+        for problem in (make_problem(small_st_mesh_2d, mu=0.05,
+                                     dirichlet={"x0": zero_velocity},
+                                     gauge=(0, 0.0)),
+                        pentatope_problem(rng)):
+            U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
+            s1, r1, n1 = problem.system(U)
+            s2, r2, n2 = problem.system(U)
+            assert np.array_equal(r1, r2)
+            assert n1 == n2
+            assert np.array_equal(s1.matrix.data, s2.matrix.data)
+            assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
+
+    @pytest.mark.parametrize("family", ["simplex", "pentatope", "prism"])
+    def test_residual_same_with_and_without_matrix(self, family, rng):
+        problem = {"simplex": twisted_simplex_problem,
+                   "pentatope": lambda: pentatope_problem(rng),
+                   "prism": lambda: twisted_prism_problem(rng)}[family]()
+        U = problem.impose_dirichlet(
+            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
+        _, r1, n1 = problem.system(U)
+        _, r2, n2 = problem.system(U, want_matrix=False)
+        assert r1.tobytes() == r2.tobytes()
         assert n1 == n2
-        assert np.array_equal(s1.matrix.data, s2.matrix.data)
-        assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
+
+
+def p1_oracle_geometry(problem, sl):
+    """The geometry ``_element_terms`` takes, for the P1 simplices ``sl`` of
+    a ``SpaceTimeProblem``: the constant gradients broadcast over the
+    quadrature points."""
+    mesh = problem.mesh
+    n_sd = mesh.n_sd
+    grads = mesh.gradients[sl]
+    E, nen = grads.shape[:2]
+    nq = len(problem.rule.weights)
+    wdet = problem.rule.weights * np.abs(mesh.jacobian_dets[sl])[:, None]
+    D = np.broadcast_to(grads[:, None, :, :n_sd], (E, nq, nen, n_sd))
+    B = np.broadcast_to(grads[:, None, :, n_sd], (E, nq, nen))
+    x_q = np.einsum("qa,ead->eqd", problem.Nq, mesh.element_coords[sl])
+    return problem.Nq, wdet, D, B, None, x_q
+
+
+def volume_terms(kernel, geometry, problem, U, want_matrix):
+    """(Re, Ke) of every element of ``problem`` at ``U`` from ``kernel``."""
+    stab = problem.stabilization(U)
+    return kernel(*geometry, U[problem.elements], problem.material.rho,
+                  problem.material.mu, stab.tau_mom, stab.tau_cont,
+                  problem.body_force, problem.convective, want_matrix)
+
+
+def reference_terms(problem, U, want_matrix):
+    """(Re, Ke) of every element from the quadrature-point kernel."""
+    geometry = (p1_oracle_geometry(problem, slice(None))
+                if isinstance(problem, SpaceTimeProblem)
+                else problem._volume_geometry(slice(None)))
+    return volume_terms(_element_terms, geometry, problem, U, want_matrix)
 
 
 def coo_reference(problem, U):
     """The Newton matrix summed by scipy from triplets: every element block,
     the jump-term blocks and the Dirichlet identity rows."""
-    nc = problem.ncomp
-    stab = problem.stabilization(U)
-    values = U.reshape(problem.n_nodes, nc)
-    _, Ke = _element_terms(*problem._volume_geometry(slice(None)),
-                           values[problem.elements], problem.material.rho,
-                           problem.material.mu, stab.tau_mom, stab.tau_cont,
-                           problem.body_force, problem.convective, True)
+    values = U.reshape(problem.n_nodes, problem.ncomp)
+    _, Ke = reference_terms(problem, values, True)
     nloc = problem.edof.shape[1]
     jump = jump_term(problem, SolutionField(values, problem.n_sd))[1].tocoo()
     rows = np.concatenate([np.repeat(problem.edof, nloc, axis=1).ravel(),
@@ -656,3 +697,32 @@ class TestCsrPlan:
         R1, _ = jump_term(problem, SolutionField(U + dU, problem.n_sd))
         assert A.shape == (problem.n_dofs, problem.n_dofs)
         assert np.allclose(A @ dU.ravel(), R1 - R0, rtol=0, atol=1e-13)
+
+
+class TestSimplexKernel:
+    """The per-element P1 kernel against the quadrature-point kernel fed
+    broadcast P1 geometry, at random fields that ignore the Dirichlet data."""
+
+    @pytest.mark.parametrize("case", ["twisted_body_force", "pentatope",
+                                      "stokes"])
+    def test_matches_quadrature_point_kernel(self, case, rng):
+        if case == "twisted_body_force":
+            problem = twisted_simplex_problem()
+        elif case == "pentatope":
+            problem = pentatope_problem(rng)
+        else:
+            problem = make_problem(
+                perturbed_box_st(3, 2, 3, rng), mu=0.4, convective=False,
+                body_force=lambda x, t: np.column_stack([x[:, 1] + t,
+                                                         np.cos(x[:, 0])]))
+        U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
+        Re_ref, Ke_ref = reference_terms(problem, U, True)
+        geometry = problem._volume_geometry(slice(None))
+        Re_only, Ke_none = volume_terms(_simplex_terms, geometry, problem, U,
+                                        False)
+        Re, Ke = volume_terms(_simplex_terms, geometry, problem, U, True)
+        assert Ke_none is None
+        assert np.array_equal(Re_only, Re)
+        assert np.abs(Re - Re_ref).max() <= 1e-13 * np.abs(Re_ref).max()
+        assert Ke.shape == Ke_ref.shape
+        assert np.abs(Ke - Ke_ref).max() <= 1e-13 * np.abs(Ke_ref).max()
