@@ -2,16 +2,25 @@
 
 Slicing intersects every space-time simplex with a constant-time
 hyperplane.  Cut cross-sections are convex polytopes assembled from
-cut-edge points and on-plane vertices; they are fan-triangulated from the
-vertex with the lowest deterministic key.  Nodes on the plane are owned by
-the element on their lower-time side (half-open rule), except at the very
-bottom of the domain where the upper elements own the trace.  Slice
-vertices are not welded across elements.
+on-plane vertices and cut-edge points, in that order; they are
+fan-triangulated from their first vertex, which has the lowest
+deterministic key.  Nodes on the plane are owned by the element on their
+lower-time side (half-open rule), except at the very bottom of the domain
+where the upper elements own the trace.  Slice vertices are not welded
+across elements.  Elements whose nodes share one below/on/above pattern
+are cut together, one array operation per step, and the pieces are
+written out in element order.
+
+Probing finds, for each point, every element whose barycenter lies within
+a radius that provably covers all elements containing the point (one
+kd-tree ball query), tests those pairs in barycentric coordinates, and
+gives the point to the lowest-index containing element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,6 +29,10 @@ from .errors import EmptySlice, IoFailure
 from .mesh import SimplexMesh, SpaceTimeMesh, basis_eval
 from .quadrature import simplex_quadrature
 from .stabilization import prism_geometry
+
+# Candidate (point, element) pairs tested in one batch by _locate; on
+# pentatopes a batch holds about 250 bytes per pair.
+_PAIR_BATCH = 1 << 16
 
 
 @dataclass
@@ -35,39 +48,116 @@ def _field_values(field) -> np.ndarray:
     return np.asarray(getattr(field, "values", field), dtype=float)
 
 
-def _cyclic_order(points2d: np.ndarray) -> np.ndarray:
-    c = points2d.mean(axis=0)
-    ang = np.arctan2(points2d[:, 1] - c[1], points2d[:, 0] - c[0])
-    return np.argsort(ang)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes.  A batched matmul makes one BLAS dot
+    per row, so each result equals ``np.dot`` of that row, bit for bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _order_polygon(coords: np.ndarray, keys: list) -> list:
-    """Cyclic vertex order of a planar convex polygon embedded in 2D or 3D,
-    rotated so the lowest-key vertex comes first."""
-    pts = coords
-    if coords.shape[1] == 3:
-        c = coords.mean(axis=0)
-        d = coords - c
-        # plane basis from the two most independent directions
-        nu = np.linalg.norm(d, axis=1)
-        if nu.max() < 1e-300:  # coincident vertices: order is immaterial
-            return sorted(range(len(coords)), key=lambda i: keys[i])
-        u = d[np.argmax(nu)]
-        u = u / np.linalg.norm(u)
-        w = None
-        wn = 0.0
-        for cand in d:
-            v = cand - (cand @ u) * u
-            n = np.linalg.norm(v)
-            if w is None or n > wn:
-                w, wn = v, n
-        if wn < 1e-300:        # collinear vertices: degenerate sliver
-            return sorted(range(len(coords)), key=lambda i: keys[i])
-        w = w / wn
-        pts = np.column_stack([d @ u, d @ w])
-    order = list(_cyclic_order(pts))
-    start = min(range(len(order)), key=lambda i: keys[order[i]])
-    return order[start:] + order[:start]
+def _polygon_order(P: np.ndarray) -> np.ndarray:
+    """Cyclic vertex order of planar convex polygons, one per row of
+    ``P`` (m, n, 2 or 3), rotated so that vertex 0 comes first.
+
+    A polygon in 3D is projected onto the basis spanned by its vertex
+    farthest from the centroid and the component of another vertex
+    orthogonal to it; coincident or collinear vertices keep their order.
+    The angles are sorted row by row.
+    """
+    m, n, k = P.shape
+    flat = np.zeros(m, dtype=bool)
+    if k == 3:
+        d = P - P.mean(axis=1)[:, None]
+        nu = np.linalg.norm(d, axis=2)
+        rows = np.arange(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = d[rows, nu.argmax(axis=1)]
+            u = u / np.sqrt(_row_dot(u, u))[:, None]
+            v = d - _row_dot(d, u[:, None])[..., None] * u[:, None]
+            vn = np.sqrt(_row_dot(v, v))
+            w = v[rows, vn.argmax(axis=1)] / vn.max(axis=1)[:, None]
+        flat = (nu.max(axis=1) < 1e-300) | (vn.max(axis=1) < 1e-300)
+        P = np.concatenate([d @ u[:, :, None], d @ w[:, :, None]], axis=2)
+    c = P.mean(axis=1)
+    ang = np.arctan2(P[..., 1] - c[:, 1:], P[..., 0] - c[:, :1])
+    order = np.argsort(ang, axis=1)
+    start = (order == 0).argmax(axis=1)
+    order = np.take_along_axis(order, (start[:, None] + np.arange(n)) % n,
+                               axis=1)
+    order[flat] = np.arange(n)
+    return order
+
+
+def _fan_polyhedra(V: np.ndarray, touched: list, nen: int):
+    """Fan tetrahedralization of convex cut polyhedra (3D slices), one per
+    row of ``V`` (m, nv, 3).
+
+    A polyhedron's faces are its intersections with the element's
+    tetrahedral facets (facet f omits local node f; ``touched[v]`` lists
+    the element nodes that cut vertex v is made of, so v lies on every
+    other facet).  Each face polygon is ordered cyclically and fanned from
+    its first vertex; the volume fan goes from vertex 0 over the face
+    triangles that avoid it.  Returns local tetrahedra (m, s, 4) and a
+    mask (m, s) of the non-degenerate ones.
+    """
+    m, nv = V.shape[:2]
+    tris = []
+    for f in range(nen):
+        face = [v for v in range(nv) if f not in touched[v]]
+        if len(face) < 3 or 0 in face:
+            continue
+        ring = np.asarray(face)[_polygon_order(V[:, face])]
+        tris += [ring[:, [0, k, k + 1]] for k in range(1, len(face) - 1)]
+    T = np.pad(np.stack(tris, axis=1), ((0, 0), (0, 0), (1, 0)))
+    X = V[np.arange(m)[:, None, None], T]
+    # skip slivers produced by nearly-degenerate cuts
+    return T, np.abs(np.linalg.det(X[:, :, 1:] - X[:, :, :1])) > 0.0
+
+
+def _cut_group(st_mesh: SpaceTimeMesh, values: np.ndarray, t: float,
+               elems: np.ndarray, below, on, above):
+    """Cut the elements ``elems``, whose local nodes ``below``, ``on`` and
+    ``above`` the plane are the same for all of them.
+
+    Returns the cut vertices (m, nv, n_sd), their field values
+    (m, nv, ncomp), local simplices (m, s, n_sd+1) and a mask (m, s) of
+    the simplices kept.  The vertices are the on-plane nodes, then one
+    point per (below, above) edge.
+    """
+    n_sd = st_mesh.n_sd
+    ids = st_mesh.elements[elems]
+    m, nen = ids.shape
+    X = st_mesh.nodes[ids][:, :, :n_sd]
+    tk = st_mesh.times[ids]
+    verts, wts, touched = [], [], []
+    for i in on:
+        verts.append(X[:, i])
+        w = np.zeros((m, nen))
+        w[:, i] = 1.0
+        wts.append(w)
+        touched.append({i})
+    for i in below:
+        for j in above:
+            s = (t - tk[:, i]) / (tk[:, j] - tk[:, i])
+            verts.append((1.0 - s)[:, None] * X[:, i] + s[:, None] * X[:, j])
+            w = np.zeros((m, nen))
+            w[:, i], w[:, j] = 1.0 - s, s
+            wts.append(w)
+            touched.append({i, j})
+    nv = len(verts)
+    V = np.stack(verts, axis=1)
+    # a stacked matmul makes the same BLAS call per element as a single one
+    vals = np.stack(wts, axis=1) @ values[ids]
+    if nv == n_sd + 1:
+        S = np.broadcast_to(np.arange(nv), (m, 1, nv))
+        keep = np.ones((m, 1), dtype=bool)
+    elif n_sd == 2:
+        ring = _polygon_order(V)
+        S = np.stack([ring[:, [0, k, k + 1]] for k in range(1, nv - 1)],
+                     axis=1)
+        keep = np.ones(S.shape[:2], dtype=bool)
+    else:
+        S, keep = _fan_polyhedra(V, touched, nen)
+    return V, vals, S, keep
 
 
 def slice_at_time(st_mesh: SpaceTimeMesh, values, t: float,
@@ -82,138 +172,111 @@ def slice_at_time(st_mesh: SpaceTimeMesh, values, t: float,
     at_bottom = t <= st_mesh.t0 + tol
 
     n_sd = st_mesh.n_sd
-    nc = values.shape[1]
-    times = st_mesh.times
     els = st_mesh.elements
-    el_times = times[els]
-    tmin, tmax = el_times.min(axis=1), el_times.max(axis=1)
-    candidates = np.flatnonzero((tmin <= t + tol) & (tmax >= t - tol))
-
-    out_nodes, out_values, out_simplices = [], [], []
-    n_out = 0
-    for e in candidates:
-        ids = els[e]
-        tk = times[ids]
-        below = tk < t - tol
-        above = tk > t + tol
-        onpl = ~(below | above)
-        if below.any():
-            if not (above.any() or onpl.any()):
+    nen = els.shape[1]
+    el_times = st_mesh.times[els]
+    candidates = np.flatnonzero((el_times.min(axis=1) <= t + tol)
+                                & (el_times.max(axis=1) >= t - tol))
+    # node sides: 0 below, 1 on the plane, 2 above; one base-3 code each
+    side = ((el_times[candidates] >= t - tol).astype(np.int64)
+            + (el_times[candidates] > t + tol))
+    code = side @ 3 ** np.arange(nen)
+    pieces = []
+    for c in np.unique(code):
+        sides = c // 3 ** np.arange(nen) % 3
+        below, on, above = (np.flatnonzero(sides == k) for k in range(3))
+        if below.size:
+            if not (above.size or on.size):
                 continue
-        elif not (at_bottom and onpl.any() and above.any()):
+        elif not (at_bottom and on.size and above.size):
             continue
-
-        nen = len(ids)
-        verts, wts, keys, member = [], [], [], []
-        for i in np.flatnonzero(onpl):
-            verts.append(st_mesh.nodes[ids[i], :n_sd])
-            w = np.zeros(nen)
-            w[i] = 1.0
-            wts.append(w)
-            keys.append((0, int(i)))
-            member.append(frozenset(f for f in range(nen) if f != i))
-        edge = 0
-        for i in np.flatnonzero(below):
-            for j in np.flatnonzero(above):
-                s = (t - tk[i]) / (tk[j] - tk[i])
-                verts.append((1.0 - s) * st_mesh.nodes[ids[i], :n_sd]
-                             + s * st_mesh.nodes[ids[j], :n_sd])
-                w = np.zeros(nen)
-                w[i], w[j] = 1.0 - s, s
-                wts.append(w)
-                keys.append((1, edge))
-                member.append(frozenset(f for f in range(nen)
-                                        if f != i and f != j))
-                edge += 1
-        nv = len(verts)
-        if nv < n_sd + 1:
+        if on.size + below.size * above.size < n_sd + 1:
             continue
-        verts = np.asarray(verts)
-        wts = np.asarray(wts)
-        vals = wts @ values[ids]
-
-        if nv == n_sd + 1:
-            local_simplices = [list(range(nv))]
-        elif n_sd == 2:
-            order = _order_polygon(verts, keys)
-            local_simplices = [[order[0], order[m], order[m + 1]]
-                               for m in range(1, nv - 1)]
-        else:
-            local_simplices = _triangulate_polyhedron(keys, verts, member, nen)
-            if not local_simplices:
-                continue
-
-        base = n_out
-        out_nodes.append(verts)
-        out_values.append(vals)
-        for simp in local_simplices:
-            out_simplices.append([base + v for v in simp])
-        n_out += nv
-
-    if not out_nodes:
+        elems = candidates[code == c]
+        V, vals, S, keep = _cut_group(st_mesh, values, t, elems,
+                                      below, on, above)
+        has = keep.any(axis=1)
+        if has.any():
+            pieces.append((elems[has], V[has], vals[has], S[has], keep[has]))
+    if not pieces:
         raise EmptySlice(f"no elements intersect time {t}")
-    nodes = np.vstack(out_nodes)
-    vals = np.vstack(out_values)
-    simplices = np.asarray(out_simplices, dtype=np.int64)
+
+    # each element's vertices go out as one block, in element order
+    elems = np.concatenate([p[0] for p in pieces])
+    size = np.concatenate([np.full(len(p[0]), p[1].shape[1]) for p in pieces])
+    order = np.argsort(elems)
+    start = np.empty_like(size)
+    start[order] = np.cumsum(size[order]) - size[order]
+    nodes = np.empty((size.sum(), n_sd))
+    vals = np.empty((size.sum(), values.shape[1]))
+    simplices, owner = [], []
+    first = 0
+    for _, V, W, S, keep in pieces:
+        m, nv = V.shape[:2]
+        base = start[first:first + m]
+        first += m
+        rows = base[:, None] + np.arange(nv)
+        nodes[rows] = V
+        vals[rows] = W
+        simplices.append((S + base[:, None, None])[keep])
+        owner.append(np.broadcast_to(base[:, None], keep.shape)[keep])
+    # a stable sort keeps each element's simplices in their fan order
+    simplices = np.concatenate(simplices)[
+        np.argsort(np.concatenate(owner), kind="stable")]
     mesh = SimplexMesh(nodes, simplices,
                        np.zeros((0, n_sd), dtype=np.int64),
                        np.zeros(0, dtype=np.int64), [])
     return SliceResult(mesh, vals, t)
 
 
-def _triangulate_polyhedron(keys, verts, member, nen):
-    """Fan tetrahedralization of a convex cut polyhedron (3D slices).
-
-    The polyhedron's faces are its intersections with the element's
-    tetrahedral facets (facet f omits local node f; ``member[v]`` lists the
-    facets containing vertex v).  Each face polygon is ordered cyclically
-    and fanned from its lowest-key vertex; the volume fan goes from the
-    polytope's lowest-key vertex over the face triangles avoiding it.
-    """
-    nv = len(verts)
-    apex = min(range(nv), key=lambda v: keys[v])
-    tets = []
-    for f in range(nen):
-        face = [v for v in range(nv) if f in member[v]]
-        if len(face) < 3 or apex in face:
-            continue
-        coords = verts[face]
-        order = _order_polygon(coords, [keys[v] for v in face])
-        ring = [face[o] for o in order]
-        for m in range(1, len(ring) - 1):
-            tet = [apex, ring[0], ring[m], ring[m + 1]]
-            # skip slivers produced by nearly-degenerate cuts
-            e = verts[tet[1:]] - verts[tet[0]]
-            if abs(np.linalg.det(e)) > 0.0:
-                tets.append(tet)
-    return tets
+def _inside(Jinv: np.ndarray, X0: np.ndarray, points: np.ndarray,
+            tol: float) -> np.ndarray:
+    """Whether each point lies in its element (all barycentric coordinates
+    at least -tol), for (point, element) pairs given row by row."""
+    xi = np.einsum("edk,ek->ed", Jinv, points - X0)
+    return (xi >= -tol).all(axis=1) & (1.0 - xi.sum(axis=1) >= -tol)
 
 
 def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
-    """Owning element of each point, -1 for points outside the mesh.
+    """Owning element of each point: the lowest-index element that contains
+    it, -1 for points outside the mesh or with a non-finite coordinate.
 
-    The elements with the 32 nearest barycenters (kd-tree) are tested
-    first, then all elements; the lowest-index containing element owns the
-    point.
+    A point with barycentric coordinates lam >= -tol in an element is
+    x - b = sum(lam_i (x_i - b)) away from the barycenter b, so at most
+    r (1 + 2 (dim+1) tol) in any axis scaling, r the largest
+    barycenter-to-vertex distance.  One kd-tree ball query of that radius
+    over the barycenters therefore returns every containing element.  Each
+    axis is scaled by the largest element extent along it, which keeps the
+    ball small on meshes whose elements are far thinner in time than in
+    space.  The candidate pairs are tested in batches of about _PAIR_BATCH.
     """
+    X = mesh.element_coords
+    lo = hi = X[:, 0]
+    for v in range(1, mesh.dim + 1):
+        lo, hi = np.minimum(lo, X[:, v]), np.maximum(hi, X[:, v])
+    scale = 1.0 / (hi - lo).max(axis=0)
+    offsets = X - mesh.barycenters[:, None, :]
+    offsets *= scale
+    radius = (np.sqrt(np.einsum("evk,evk->ev", offsets, offsets).max())
+              * (1.0 + 2 * (mesh.dim + 1) * tol))
+    tree = cKDTree(mesh.barycenters * scale, balanced_tree=False)
+    finite = np.flatnonzero(np.isfinite(points).all(axis=1))
+    query = points[finite] * scale
+    counts = tree.query_ball_point(query, radius, return_length=True)
+    batch = np.cumsum(counts) // _PAIR_BATCH
     Jinv = mesh.jacobian_invs
-    X0 = mesh.element_coords[:, 0, :]
-    k = min(32, mesh.n_elements)
-    _, cand = cKDTree(mesh.barycenters).query(points, k=k)
-    owner = np.array([_locate_in(p, c, Jinv, X0, tol)
-                      for p, c in zip(points, cand.reshape(len(points), k))],
-                     dtype=int)
-    for p in np.flatnonzero(owner < 0):
-        owner[p] = _locate_in(points[p], np.arange(mesh.n_elements), Jinv, X0,
-                              tol)
+    X0 = X[:, 0, :]
+    owner = np.full(len(points), mesh.n_elements, dtype=np.int64)
+    for sel in np.split(np.arange(finite.size),
+                        np.flatnonzero(np.diff(batch)) + 1):
+        lists = tree.query_ball_point(query[sel], radius)
+        cand = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                           count=counts[sel].sum())
+        pid = np.repeat(finite[sel], counts[sel])
+        inside = _inside(Jinv[cand], X0[cand], points[pid], tol)
+        np.minimum.at(owner, pid[inside], cand[inside])
+    owner[owner == mesh.n_elements] = -1
     return owner
-
-
-def _locate_in(point, element_ids, Jinv, X0, tol) -> int:
-    xi = np.einsum("edk,ek->ed", Jinv[element_ids], point - X0[element_ids])
-    lam0 = 1.0 - xi.sum(axis=1)
-    inside = (xi >= -tol).all(axis=1) & (lam0 >= -tol)
-    return int(element_ids[inside].min()) if inside.any() else -1
 
 
 def _interpolate(mesh: SimplexMesh, values, points, owner):
@@ -221,18 +284,24 @@ def _interpolate(mesh: SimplexMesh, values, points, owner):
     values = _field_values(values)
     found = owner >= 0
     out = np.full((len(points), values.shape[1]), np.nan)
-    for p in np.flatnonzero(found):
-        e = owner[p]
-        xi = mesh.jacobian_invs[e] @ (points[p] - mesh.element_coords[e, 0])
-        out[p] = basis_eval(xi, mesh.dim) @ values[mesh.elements[e]]
+    e = owner[found]
+    # stacked matmuls make the BLAS calls of a one-point evaluation, so a
+    # value does not depend on the other points probed with it
+    xi = mesh.jacobian_invs[e] @ (points[found]
+                                  - mesh.element_coords[e, 0])[:, :, None]
+    N = basis_eval(xi[:, :, 0], mesh.dim)
+    out[found] = (N[:, None, :] @ values[mesh.elements[e]])[:, 0]
     return out, found
 
 
 def probe(mesh: SimplexMesh, values, points, tol: float = 1e-10):
     """P1 interpolation at arbitrary points.
 
-    Point location uses a kd-tree over element barycenters with a
-    barycentric containment test; points outside the mesh are flagged.
+    Each point goes to the lowest-index element containing it (barycentric
+    coordinates at least -tol), found with a kd-tree ball query over
+    element barycenters whose radius covers every containing element.
+    Points outside the mesh and points with a non-finite coordinate are
+    flagged as not found and get a NaN row.
     Returns (values (m, ncomp), found (m,) bool).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -245,8 +314,11 @@ def probe_exhaustive(mesh: SimplexMesh, values: np.ndarray, points,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     Jinv = mesh.jacobian_invs
     X0 = mesh.element_coords[:, 0, :]
-    owner = np.array([_locate_in(p, np.arange(mesh.n_elements), Jinv, X0, tol)
-                      for p in pts], dtype=int)
+    owner = np.full(len(pts), -1, dtype=np.int64)
+    for p, x in enumerate(pts):
+        inside = np.flatnonzero(_inside(Jinv, X0, x, tol))
+        if inside.size:
+            owner[p] = inside[0]
     return _interpolate(mesh, values, pts, owner)
 
 
@@ -336,9 +408,18 @@ def probe_vorticity(mesh: SimplexMesh, values: np.ndarray, points,
     return np.where(found, vort[owner], np.nan), found
 
 
+def _rows(row_format: str, array) -> str:
+    """One ``row_format`` line per row of a 2D array, as a single string."""
+    array = np.asarray(array)
+    return (row_format * len(array)) % tuple(array.ravel().tolist())
+
+
 def export_vtk(mesh: SimplexMesh, velocity: np.ndarray, pressure: np.ndarray,
                path, title: str = "ustflow output"):
-    """Legacy ASCII VTK unstructured grid (triangles or tetrahedra)."""
+    """Legacy ASCII VTK unstructured grid (triangles or tetrahedra).
+
+    Reals are written with ``%.9g``, padded to three components with 0.
+    """
     if mesh.dim == 2:
         cell_type = 5
     elif mesh.dim == 3:
@@ -347,8 +428,9 @@ def export_vtk(mesh: SimplexMesh, velocity: np.ndarray, pressure: np.ndarray,
         raise IoFailure(f"cannot export meshes of dimension {mesh.dim}")
     nen = mesh.dim + 1
 
-    def fmt(x):
-        return f"{x:.9g}"
+    def padded(a):
+        a = np.asarray(a, dtype=float)
+        return np.hstack([a, np.zeros((len(a), 3 - a.shape[1]))])
 
     try:
         with open(path, "w") as f:
@@ -357,23 +439,16 @@ def export_vtk(mesh: SimplexMesh, velocity: np.ndarray, pressure: np.ndarray,
             f.write("ASCII\n")
             f.write("DATASET UNSTRUCTURED_GRID\n")
             f.write(f"POINTS {mesh.n_nodes} double\n")
-            for p in mesh.nodes:
-                row = list(p) + [0.0] * (3 - mesh.dim)
-                f.write(" ".join(fmt(v) for v in row) + "\n")
+            f.write(_rows("%.9g %.9g %.9g\n", padded(mesh.nodes)))
             f.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nen + 1)}\n")
-            for el in mesh.elements:
-                f.write(f"{nen} " + " ".join(str(int(v)) for v in el) + "\n")
+            f.write(_rows(f"{nen}" + " %d" * nen + "\n", mesh.elements))
             f.write(f"CELL_TYPES {mesh.n_elements}\n")
-            for _ in range(mesh.n_elements):
-                f.write(f"{cell_type}\n")
+            f.write(f"{cell_type}\n" * mesh.n_elements)
             f.write(f"POINT_DATA {mesh.n_nodes}\n")
             f.write("VECTORS velocity double\n")
-            for v in velocity:
-                row = list(v) + [0.0] * (3 - velocity.shape[1])
-                f.write(" ".join(fmt(x) for x in row) + "\n")
+            f.write(_rows("%.9g %.9g %.9g\n", padded(velocity)))
             f.write("SCALARS pressure double\n")
             f.write("LOOKUP_TABLE default\n")
-            for q in pressure:
-                f.write(fmt(q) + "\n")
+            f.write(_rows("%.9g\n", np.reshape(pressure, (-1, 1))))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -208,6 +208,22 @@ class TestCli:
         assert lines[0] == "x,y,t,u1,u2,p"
         assert len(lines) == 3
 
+    def test_probe_non_finite_point(self, tmp_path, small_st_mesh_2d):
+        st = small_st_mesh_2d
+        result = tmp_path / "result.dat"
+        write_result(st, np.column_stack([st.nodes[:, :2], st.times]), result)
+        pts = tmp_path / "points.txt"
+        pts.write_text("nan 0.5 0.05\n0.25 0.75 0.1\n")
+        csv = tmp_path / "probes.csv"
+        code = cli.main(["probe", "--result", str(result),
+                         "--points", str(pts), "--out", str(csv)])
+        assert code == 1
+        lines = csv.read_text().splitlines()
+        nan_row = lines[1].split(",")
+        assert nan_row[0] == "nan" and nan_row[3:] == ["", "", ""]
+        row = [float(v) for v in lines[2].split(",")]
+        assert row[3:] == pytest.approx([0.25, 0.75, 0.1], abs=1e-12)
+
     def test_run_named_case_with_levels(self, tmp_path):
         outdir = tmp_path / "case_out"
         code = cli.main(["run", "--case", "stirrer2d", "--mode", "ust",

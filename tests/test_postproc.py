@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from ustflow import postproc, scenarios
 from ustflow.errors import EmptySlice
 from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from ustflow.geometry import box2d, box3d, disk2d
-from ustflow.mesh import SpaceTimeMesh
-from ustflow.postproc import (element_vorticity, export_vtk,
+from ustflow.mesh import SimplexMesh, SpaceTimeMesh
+from ustflow.postproc import (SliceResult, _locate, _polygon_order,
+                              element_vorticity, export_vtk,
                               global_divergence, l2_error, probe,
                               probe_exhaustive, probe_vorticity,
                               slice_at_time)
@@ -58,6 +60,233 @@ def brute_slice_measure(st, t, tol=None):
             from scipy.spatial import ConvexHull
             total += ConvexHull(V, qhull_options="QJ").volume
     return total
+
+
+def _cyclic_order(points2d):
+    c = points2d.mean(axis=0)
+    ang = np.arctan2(points2d[:, 1] - c[1], points2d[:, 0] - c[0])
+    return np.argsort(ang)
+
+
+def _order_polygon(coords, keys):
+    """Cyclic vertex order of a planar convex polygon embedded in 2D or 3D,
+    rotated so the lowest-key vertex comes first."""
+    pts = coords
+    if coords.shape[1] == 3:
+        c = coords.mean(axis=0)
+        d = coords - c
+        # plane basis from the two most independent directions
+        nu = np.linalg.norm(d, axis=1)
+        if nu.max() < 1e-300:  # coincident vertices: order is immaterial
+            return sorted(range(len(coords)), key=lambda i: keys[i])
+        u = d[np.argmax(nu)]
+        u = u / np.linalg.norm(u)
+        w = None
+        wn = 0.0
+        for cand in d:
+            v = cand - (cand @ u) * u
+            n = np.linalg.norm(v)
+            if w is None or n > wn:
+                w, wn = v, n
+        if wn < 1e-300:        # collinear vertices: degenerate sliver
+            return sorted(range(len(coords)), key=lambda i: keys[i])
+        w = w / wn
+        pts = np.column_stack([d @ u, d @ w])
+    order = list(_cyclic_order(pts))
+    start = min(range(len(order)), key=lambda i: keys[order[i]])
+    return order[start:] + order[:start]
+
+
+def _triangulate_polyhedron(keys, verts, member, nen):
+    """Fan tetrahedralization of a convex cut polyhedron (3D slices).
+
+    The polyhedron's faces are its intersections with the element's
+    tetrahedral facets (facet f omits local node f; ``member[v]`` lists the
+    facets containing vertex v).  Each face polygon is ordered cyclically
+    and fanned from its lowest-key vertex; the volume fan goes from the
+    polytope's lowest-key vertex over the face triangles avoiding it.
+    """
+    nv = len(verts)
+    apex = min(range(nv), key=lambda v: keys[v])
+    tets = []
+    for f in range(nen):
+        face = [v for v in range(nv) if f in member[v]]
+        if len(face) < 3 or apex in face:
+            continue
+        coords = verts[face]
+        order = _order_polygon(coords, [keys[v] for v in face])
+        ring = [face[o] for o in order]
+        for m in range(1, len(ring) - 1):
+            tet = [apex, ring[0], ring[m], ring[m + 1]]
+            # skip slivers produced by nearly-degenerate cuts
+            e = verts[tet[1:]] - verts[tet[0]]
+            if abs(np.linalg.det(e)) > 0.0:
+                tets.append(tet)
+    return tets
+
+
+def reference_slice(st_mesh, values, t, tol=None):
+    """Element-by-element slicer: the oracle for ``slice_at_time``'s arrays."""
+    span = st_mesh.tN - st_mesh.t0
+    if tol is None:
+        tol = 1e-12 * span
+    at_bottom = t <= st_mesh.t0 + tol
+
+    n_sd = st_mesh.n_sd
+    times = st_mesh.times
+    els = st_mesh.elements
+    el_times = times[els]
+    tmin, tmax = el_times.min(axis=1), el_times.max(axis=1)
+    candidates = np.flatnonzero((tmin <= t + tol) & (tmax >= t - tol))
+
+    out_nodes, out_values, out_simplices = [], [], []
+    n_out = 0
+    for e in candidates:
+        ids = els[e]
+        tk = times[ids]
+        below = tk < t - tol
+        above = tk > t + tol
+        onpl = ~(below | above)
+        if below.any():
+            if not (above.any() or onpl.any()):
+                continue
+        elif not (at_bottom and onpl.any() and above.any()):
+            continue
+
+        nen = len(ids)
+        verts, wts, keys, member = [], [], [], []
+        for i in np.flatnonzero(onpl):
+            verts.append(st_mesh.nodes[ids[i], :n_sd])
+            w = np.zeros(nen)
+            w[i] = 1.0
+            wts.append(w)
+            keys.append((0, int(i)))
+            member.append(frozenset(f for f in range(nen) if f != i))
+        edge = 0
+        for i in np.flatnonzero(below):
+            for j in np.flatnonzero(above):
+                s = (t - tk[i]) / (tk[j] - tk[i])
+                verts.append((1.0 - s) * st_mesh.nodes[ids[i], :n_sd]
+                             + s * st_mesh.nodes[ids[j], :n_sd])
+                w = np.zeros(nen)
+                w[i], w[j] = 1.0 - s, s
+                wts.append(w)
+                keys.append((1, edge))
+                member.append(frozenset(f for f in range(nen)
+                                        if f != i and f != j))
+                edge += 1
+        nv = len(verts)
+        if nv < n_sd + 1:
+            continue
+        verts = np.asarray(verts)
+        wts = np.asarray(wts)
+        vals = wts @ values[ids]
+
+        if nv == n_sd + 1:
+            local_simplices = [list(range(nv))]
+        elif n_sd == 2:
+            order = _order_polygon(verts, keys)
+            local_simplices = [[order[0], order[m], order[m + 1]]
+                               for m in range(1, nv - 1)]
+        else:
+            local_simplices = _triangulate_polyhedron(keys, verts, member, nen)
+            if not local_simplices:
+                continue
+
+        base = n_out
+        out_nodes.append(verts)
+        out_values.append(vals)
+        for simp in local_simplices:
+            out_simplices.append([base + v for v in simp])
+        n_out += nv
+
+    mesh = SimplexMesh(np.vstack(out_nodes),
+                       np.asarray(out_simplices, dtype=np.int64),
+                       np.zeros((0, n_sd), dtype=np.int64),
+                       np.zeros(0, dtype=np.int64), [])
+    return SliceResult(mesh, np.vstack(out_values), t)
+
+
+def ust_mesh(spec):
+    return extrude_simplex_st(spec.mesh, ExtrusionSpec(
+        0.0, spec.t_end, spec.levels, spec.trajectory))
+
+
+@pytest.fixture(scope="module")
+def stirrer2d_st():
+    return ust_mesh(scenarios.make_stirrer2d())
+
+
+@pytest.fixture(scope="module")
+def stirrer3d_coarse_st():
+    return ust_mesh(scenarios.make_stirrer3d(coarse=True))
+
+
+def assert_same_slice(st, t, rng):
+    vals = rng.uniform(-1.0, 1.0, size=(st.n_nodes, st.n_sd + 1))
+    got = slice_at_time(st, vals, t)
+    ref = reference_slice(st, vals, t)
+    assert np.array_equal(got.mesh.nodes, ref.mesh.nodes)
+    assert np.array_equal(got.mesh.elements, ref.mesh.elements)
+    assert np.array_equal(got.values, ref.values)
+
+
+class TestSliceMatchesReference:
+    """The grouped slicer returns the element-by-element slicer's arrays."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.1, 0.137, 0.2])
+    def test_small_2d(self, small_st_mesh_2d, rng, t):
+        assert_same_slice(small_st_mesh_2d, t, rng)
+
+    @pytest.mark.parametrize("t", [0.0, 0.1, 0.137, 0.2])
+    def test_small_3d(self, small_st_mesh_3d, rng, t):
+        assert_same_slice(small_st_mesh_3d, t, rng)
+
+    def test_twisted_3d(self, rng):
+        spatial = box3d(2, 1, 1)
+        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5, 0.0),
+                              (0.0, 0.0, 1.0), omega=0.4)
+        st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 0.5, 2, traj))
+        for t in (0.0, 0.25, 0.31, 0.5):
+            assert_same_slice(st, t, rng)
+
+    @pytest.mark.parametrize("fixture", ["small_st_mesh_2d",
+                                         "small_st_mesh_3d"])
+    def test_mixed_patterns(self, request, rng, fixture):
+        # move half the middle-level nodes off the level, so that cuts at
+        # the level mix on-plane nodes with cut edges
+        st = request.getfixturevalue(fixture)
+        nodes = st.nodes.copy()
+        mid = np.flatnonzero(np.isclose(st.times, 0.1))
+        moved = mid[rng.random(mid.size) < 0.5]
+        nodes[moved, -1] += rng.uniform(-0.03, 0.03, size=moved.size)
+        jittered = st_mesh_from(nodes, st.elements, st.t0, st.tN)
+        for t in (0.1, 0.11, 0.09):
+            assert_same_slice(jittered, t, rng)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_polygon_order_rows(self, rng, n):
+        # convex polygons in the plane and in random planes of 3D, plus
+        # coincident and collinear vertex sets, which keep their order
+        ang = rng.uniform(0.0, 2.0 * np.pi, size=(40, n))
+        circle = np.stack([np.cos(ang), np.sin(ang)], axis=2)
+        frames = rng.standard_normal((40, 2, 3))
+        in3d = circle @ frames + rng.standard_normal((40, 1, 3))
+        line = np.zeros((1, n, 3))
+        line[0, :, 0] = rng.permutation(n)
+        same = np.full((1, n, 3), 0.25)
+        for P in (circle, np.concatenate([in3d, line, same])):
+            ref = [_order_polygon(p, list(range(n))) for p in P]
+            assert np.array_equal(_polygon_order(P), ref)
+
+    @pytest.mark.parametrize("level", [8.5, 17])
+    def test_stirrer2d(self, stirrer2d_st, rng, level):
+        assert_same_slice(stirrer2d_st, level * scenarios.STIRRER_DT, rng)
+
+    @pytest.mark.parametrize("level", [8.5, 17])
+    def test_stirrer3d_coarse(self, stirrer3d_coarse_st, rng, level):
+        assert_same_slice(stirrer3d_coarse_st, level * scenarios.STIRRER_DT,
+                          rng)
 
 
 class TestSliceGeometryOracles:
@@ -194,7 +423,88 @@ class TestSliceMeasure:
                 (small_st_mesh_2d.n_nodes, 3)), 5.0)
 
 
+def exhaustive_owner(mesh, points, tol=1e-10):
+    """Lowest-index element containing each point, by a scan of all."""
+    X0 = mesh.element_coords[:, 0, :]
+    owner = []
+    for p in points:
+        xi = np.einsum("edk,ek->ed", mesh.jacobian_invs, p - X0)
+        inside = np.flatnonzero((xi >= -tol).all(axis=1)
+                                & (1.0 - xi.sum(axis=1) >= -tol))
+        owner.append(inside[0] if inside.size else -1)
+    return np.array(owner)
+
+
+class TestLocatorOnPentatopes:
+    """Points that several thin pentatopes share, and points outside."""
+
+    def test_owner_is_lowest_containing_element(self, stirrer3d_coarse_st,
+                                                rng):
+        st = stirrer3d_coarse_st
+        dt, t_end = scenarios.STIRRER_DT, st.tN
+        els = st.elements[rng.choice(st.n_elements, 60, replace=False)]
+        facets = np.delete(els, rng.integers(0, 5, size=60)[:, None]
+                           + 5 * np.arange(60)[:, None]).reshape(60, 4)
+        ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        ring = np.array([(r * np.cos(a + 0.1 * k), r * np.sin(a + 0.1 * k),
+                          z, t_end * (j + 0.5) / 16)
+                         for k, (r, z) in enumerate(((2.7, 0.03), (2.7, 0.07),
+                                                     (2.85, 0.03),
+                                                     (2.85, 0.07)))
+                         for j, a in enumerate(ang)])
+        on_level = ring[:18].copy()
+        on_level[:, 3] = np.arange(18) * dt
+        inside = np.vstack([
+            st.nodes[rng.choice(st.n_nodes, 60, replace=False)],
+            st.nodes[facets].mean(axis=1),
+            st.nodes[els[:, :2]].mean(axis=1),
+            ring, on_level])
+        outside = np.array([[10.0, 0.0, 0.05, 0.001],
+                            [0.0, 2.7, 0.5, 0.001],
+                            [2.7, 0.0, 0.05, -dt],
+                            [2.7, 0.0, 0.05, t_end + dt],
+                            [2.7, 0.0, 0.05, t_end * (1.0 + 1e-6)]])
+        pts = np.vstack([inside, outside])
+
+        owner = _locate(st, pts, 1e-10)
+        assert np.array_equal(owner, exhaustive_owner(st, pts))
+        assert (owner[:len(inside)] >= 0).all()
+        assert (owner[len(inside):] == -1).all()
+
+        vals = rng.uniform(-1.0, 1.0, size=(st.n_nodes, 4))
+        out, found = probe(st, vals, pts)
+        ref, ref_found = probe_exhaustive(st, vals, pts)
+        assert np.array_equal(found, owner >= 0)
+        assert np.array_equal(found, ref_found)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.isnan(out[~found]).all()
+
+
+    def test_small_batches(self, small_st_mesh_3d, rng, monkeypatch):
+        # candidate pairs split into many batches, some points alone in one
+        st = small_st_mesh_3d
+        monkeypatch.setattr(postproc, "_PAIR_BATCH", 5)
+        pts = np.vstack([st.nodes, rng.uniform(0.0, 0.2, size=(30, 4)),
+                         [[np.nan, 0.5, 0.5, 0.1]]])
+        owner = _locate(st, pts, 1e-10)
+        assert np.array_equal(owner, exhaustive_owner(st, pts))
+        assert (owner[:st.n_nodes] >= 0).all() and owner[-1] == -1
+
+
 class TestProbe:
+    def test_non_finite_points_not_found(self, rng):
+        mesh = box2d(3, 3)
+        vals = rng.uniform(-1, 1, size=(mesh.n_nodes, 3))
+        pts = [[np.nan, 0.5], [0.5, 0.5], [np.inf, 0.2], [0.3, -np.inf]]
+        out, found = probe(mesh, vals, pts)
+        assert found.tolist() == [False, True, False, False]
+        assert np.isnan(out[~found]).all() and np.isfinite(out[1]).all()
+        w, wfound = probe_vorticity(mesh, vals, pts)
+        assert wfound.tolist() == [False, True, False, False]
+        assert np.isnan(w[~wfound]).all()
+        out, found = probe(mesh, vals, [[np.nan, np.nan]])
+        assert not found.any() and np.isnan(out).all()
+
     def test_nodal_values_exact(self, small_st_mesh_2d, rng):
         st = small_st_mesh_2d
         vals = rng.uniform(-1, 1, size=(st.n_nodes, 3))
@@ -239,6 +549,40 @@ class TestProbe:
         v_sl, f2 = probe(sl.mesh, sl.values, pts_sp)
         assert f1.all() and f2.all()
         assert np.abs(v_st - v_sl).max() < 1e-12
+
+
+def reference_vtk(mesh, velocity, pressure, path, title):
+    """Row-by-row legacy VTK writer: the oracle for ``export_vtk``'s bytes."""
+    cell_type = {2: 5, 3: 10}[mesh.dim]
+    nen = mesh.dim + 1
+
+    def fmt(x):
+        return f"{x:.9g}"
+
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write(title + "\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_nodes} double\n")
+        for p in mesh.nodes:
+            row = list(p) + [0.0] * (3 - mesh.dim)
+            f.write(" ".join(fmt(v) for v in row) + "\n")
+        f.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nen + 1)}\n")
+        for el in mesh.elements:
+            f.write(f"{nen} " + " ".join(str(int(v)) for v in el) + "\n")
+        f.write(f"CELL_TYPES {mesh.n_elements}\n")
+        for _ in range(mesh.n_elements):
+            f.write(f"{cell_type}\n")
+        f.write(f"POINT_DATA {mesh.n_nodes}\n")
+        f.write("VECTORS velocity double\n")
+        for v in velocity:
+            row = list(v) + [0.0] * (3 - velocity.shape[1])
+            f.write(" ".join(fmt(x) for x in row) + "\n")
+        f.write("SCALARS pressure double\n")
+        f.write("LOOKUP_TABLE default\n")
+        for q in pressure:
+            f.write(fmt(q) + "\n")
 
 
 class TestNormsAndVtk:
@@ -292,6 +636,23 @@ class TestNormsAndVtk:
                       & (1.0 - xi.sum(axis=1) >= -1e-10))
             owner.append(np.flatnonzero(inside)[0])
         assert np.array_equal(w, element_vorticity(mesh, vals)[owner])
+
+    @pytest.mark.parametrize("fixture", ["small_st_mesh_2d",
+                                         "small_st_mesh_3d"])
+    def test_vtk_bytes_match_row_by_row_writer(self, request, tmp_path, rng,
+                                               fixture):
+        st = request.getfixturevalue(fixture)
+        n_sd = st.n_sd
+        vals = rng.uniform(-1, 1, size=(st.n_nodes, n_sd + 1))
+        vals *= 10.0 ** rng.integers(-300, 300, size=vals.shape)
+        vals[::7, 0] = -0.0
+        vals[::11, -1] = 1.0 / 3.0
+        sl = slice_at_time(st, vals, 0.137)
+        args = (sl.mesh, sl.values[:, :n_sd], sl.values[:, n_sd])
+        export_vtk(*args, tmp_path / "new.vtk", title="t=0.137")
+        reference_vtk(*args, tmp_path / "ref.vtk", title="t=0.137")
+        assert (tmp_path / "new.vtk").read_bytes() == \
+            (tmp_path / "ref.vtk").read_bytes()
 
     def test_vtk_export_roundtrip_structure(self, tmp_path, small_st_mesh_2d):
         st = small_st_mesh_2d
