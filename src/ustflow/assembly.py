@@ -12,12 +12,20 @@ linearized exactly.
 
 One driver, ``_ProblemBase``, assembles both element families: the chunked
 volume loop, the jump term, the stabilization parameters, the sparse matrix
-and the Dirichlet rows.  The matrix is filled by slot into a CSR pattern
-that ``_CsrPlan`` builds once per problem, on the first matrix request, from
-the element connectivity: every element node pair becomes a dense
-ncomp x ncomp block, and each Newton step adds its local matrices into the
-preallocated ``data`` with ``np.bincount``, with no sort.  A family supplies
-its geometry and the volume kernel that takes it:
+and the Dirichlet rows.  ``_CsrPlan`` builds the matrix pattern once per
+problem, on the first matrix request, from the element connectivity: every
+element node pair becomes a dense ncomp x ncomp block.  Each Newton step
+adds its local matrices into the blocks with one ``np.bincount`` per
+component pair, with no sort, and hands the solver the blocks' CSR form.
+
+The volume loop runs in ``_LANES`` fixed, contiguous element lanes once a
+system has that many chunks.  Each lane sums its chunks into its own
+residual and blocks, on a small module-level thread pool, and the lanes'
+sums are added in lane order, so the result has the same bytes on any core
+count.  A one-chunk system runs its one lane inline and starts no thread.
+On the first matrix of a two-lane problem the plan is built on a lane
+thread while the calling thread computes tau and the geometry.  A family
+supplies its geometry and the volume kernel that takes it:
 
 - ``_kernel`` and ``_volume_geometry(sl)``: the element kernel and its
   geometry arguments for a chunk of elements;
@@ -38,6 +46,10 @@ points, ``_element_terms`` is also the tests' oracle for ``_simplex_terms``.
 
 from __future__ import annotations
 
+import logging
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -53,11 +65,37 @@ from .stabilization import (StabilizationContext, mesh_metric, metric_terms,
                             prism_geometry, prism_shape_functions,
                             regular_simplex_map, tau_parameters)
 
-# local-matrix entries per assembly chunk (15,000 pentatopes or 18,518 2D
-# prisms).  It bounds the chunk's arrays of that size: the local matrices,
-# the simplex kernel's outer products and the CSR plan's slots; the prism
+logger = logging.getLogger("ustflow")
+
+# local-matrix entries per assembly chunk (7,500 pentatopes or 9,259 2D
+# prisms).  It bounds the chunk's arrays of that size, on each lane: the
+# local matrices and the simplex kernel's outer products; the prism
 # kernel's per-quadrature-point products are nq times larger.
-_CHUNK_ENTRIES = 6.0e6
+_CHUNK_ENTRIES = 3.0e6
+
+# element lanes of a system with two or more chunks.  The lanes are a fixed
+# partition of the elements whatever the core count, so the sums, and the
+# bytes of the result, are the same on any machine.
+_LANES = 2
+_pool = None
+
+
+def _lane_pool() -> ThreadPoolExecutor:
+    """The threads that run the lanes, started on the first two-lane system."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(min(_LANES, os.cpu_count() or 1),
+                                   thread_name_prefix="ustflow-lane")
+    return _pool
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+# a forked child has none of its parent's threads, so it starts its own pool
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -384,45 +422,46 @@ def _add_local(R, dofs, Re):
 
 
 class _CsrPlan:
-    """CSR pattern of a problem's matrix and the slot of every local entry.
+    """Block pattern of a problem's matrix, built once from the elements.
 
     The pattern holds every node pair that shares an element, plus each
-    node's diagonal pair, as a dense ncomp x ncomp block; rows are sorted,
-    so it is the canonical CSR form of the summed element matrices.  Entry
-    (i, j) of pair ``p`` lives at ``data[base[p] + i*stride[p] + j]``.
-    ``dir_slots`` are the entries of the Dirichlet rows, ``diag_slots``
-    their diagonal entries.
+    node's diagonal pair, as a dense ncomp x ncomp block.  ``keys`` are the
+    pairs' row * n_nodes + col, sorted, so the blocks in pair order form a
+    block-row (BSR) matrix with sorted block columns, whose CSR form is the
+    canonical CSR form of the summed element matrices.  ``pairs`` (n, m, m)
+    are the int32 pair ids of the element node pairs.  ``dir_slots`` are the
+    CSR entries of the Dirichlet rows, ``diag_slots`` their diagonal
+    entries.
     """
 
     def __init__(self, elements, n_nodes, nc, dir_mask):
+        start = time.perf_counter()
         self.n_nodes, self.nc = n_nodes, nc
-        keys = self._keys(elements)
-        self.keys, inverse = np.unique(
-            np.concatenate([keys.ravel(),
-                            self._keys(np.arange(n_nodes)[:, None]).ravel()]),
-            return_inverse=True)
-        self.pairs = inverse[:keys.size].astype(np.int32).reshape(keys.shape)
-        diag_pairs = inverse[keys.size:]
+        diag = np.arange(n_nodes)[:, None]
+        self.keys = np.unique(np.concatenate([self._keys(elements).ravel(),
+                                              self._keys(diag).ravel()]))
+        # looked up in slices, so no int64 array of all element pairs is kept
+        self.pairs = np.empty(elements.shape + elements.shape[1:], np.int32)
+        for lo in range(0, len(elements), 1 << 16):
+            sl = slice(lo, lo + (1 << 16))
+            self.pairs[sl] = self.pair_ids(elements[sl])
+        diag_pairs = self.pair_ids(diag).ravel()
         row, col = np.divmod(self.keys, n_nodes)
         bptr = np.searchsorted(row, np.arange(n_nodes + 1))
-        deg = np.diff(bptr)
-        self.stride = nc * deg[row]
-        self.base = nc * nc * bptr[row] + nc * (np.arange(len(row)) - bptr[row])
         self.nnz = nc * nc * len(row)
-
-        comp = np.arange(nc)
         index = np.int32 if self.nnz < 2 ** 31 else np.int64
-        self.indptr = np.append(
-            nc * nc * bptr[:-1, None] + nc * deg[:, None] * comp,
-            self.nnz).astype(index)
-        self.indices = np.empty(self.nnz, dtype=index)
-        self.indices[self.slots(np.arange(len(row))[:, None, None], nc)] = (
-            col[:, None, None, None, None] * nc + comp)
-        self.dir_slots = np.flatnonzero(np.repeat(dir_mask,
-                                                  np.diff(self.indptr)))
+        self.col, self.bptr = col.astype(index), bptr.astype(index)
+
+        # CSR row node*nc + i holds nc entries of each block of its node
+        deg = np.diff(bptr)
+        indptr = np.append(nc * nc * bptr[:-1, None]
+                           + nc * deg[:, None] * np.arange(nc), self.nnz)
+        self.dir_slots = np.flatnonzero(np.repeat(dir_mask, np.diff(indptr)))
         dir_dofs = np.flatnonzero(dir_mask)
-        p, i = diag_pairs[dir_dofs // nc], dir_dofs % nc
-        self.diag_slots = self.base[p] + i * self.stride[p] + i
+        node, i = np.divmod(dir_dofs, nc)
+        self.diag_slots = (indptr[dir_dofs]
+                           + nc * (diag_pairs[node] - bptr[node]) + i)
+        self.build_s = time.perf_counter() - start
 
     def _keys(self, ids):
         """(n, m, m) keys row * n_nodes + col of the node pairs of ``ids``."""
@@ -434,24 +473,35 @@ class _CsrPlan:
         share an element or be diagonal."""
         return np.searchsorted(self.keys, self._keys(ids))
 
-    def slots(self, pairs, nc):
-        """(n, m, nc, m, nc) slots of components < ``nc`` of ``pairs``."""
-        i = np.arange(nc)
-        return (self.base[pairs][:, :, None, :, None]
-                + i[:, None, None] * self.stride[pairs][:, :, None, :, None]
-                + i)
+    def blocks(self, lo=0, hi=None):
+        """Zero blocks of pairs ``lo`` to ``hi`` (default: the last)."""
+        hi = len(self.keys) if hi is None else hi
+        return np.zeros((hi - lo, self.nc, self.nc))
 
-    def add(self, data, pairs, K):
-        """Add local matrices ``K`` (n, m, c, m, c) at ``pairs`` into ``data``."""
-        slots = self.slots(pairs, K.shape[2])
-        data += np.bincount(slots.ravel(), K.ravel(), minlength=self.nnz)
+    def add(self, blocks, lo, pairs, K):
+        """Add local matrices ``K`` (n, m, c, m, c) at ``pairs`` (n, m, m)
+        into components < c of ``blocks``, whose first block is pair ``lo``.
 
-    def matrix(self, data):
-        # the index arrays are copied, so that an in-place change of the
-        # returned matrix's structure (eliminate_zeros) cannot reach the plan
+        One ``np.bincount`` per component pair sums over (a, b, element) in
+        that order, whatever the memory order of ``K``; its range is the
+        pairs' own [min, max].
+        """
+        idx = pairs.transpose(1, 2, 0).astype(np.intp, order="C").ravel()
+        first = int(idx.min())
+        idx -= first
+        n = int(idx.max()) + 1
+        out = blocks[first - lo:first - lo + n]
+        for i in range(K.shape[2]):
+            for j in range(K.shape[4]):
+                out[:, i, j] += np.bincount(
+                    idx, K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
+                    minlength=n)
+
+    def matrix(self, blocks):
+        """The CSR matrix of ``blocks`` (all pairs); its arrays are new."""
         n = self.n_nodes * self.nc
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                             shape=(n, n))
+        return sp.bsr_matrix((blocks, self.col, self.bptr),
+                             shape=(n, n)).tocsr()
 
 
 def _mantle_dirichlet_nodes(bcs: BCSpec, mesh: SpaceTimeMesh) -> dict:
@@ -570,29 +620,33 @@ class _ProblemBase:
         ``tau_override`` supplies frozen stabilization parameters; without it
         they are evaluated at ``values``.
         """
-        nc = self.ncomp
-        rho, mu = self.material.rho, self.material.mu
-        values = np.asarray(values, dtype=float).reshape(self.n_nodes, nc)
-
-        stab = tau_override or self.stabilization(values)
-        tau_m, tau_c = stab.tau_mom, stab.tau_cont
-
-        R = np.zeros(self.n_dofs)
-        plan = self._csr_plan if want_matrix else None
-        data = np.zeros(plan.nnz) if want_matrix else None
+        values = np.asarray(values, dtype=float).reshape(self.n_nodes,
+                                                         self.ncomp)
         n_el, nloc = self.edof.shape
         chunk = max(1, int(_CHUNK_ENTRIES / (nloc * nloc)))
-        for lo in range(0, n_el, chunk):
-            sl = slice(lo, min(lo + chunk, n_el))
-            Re, Ke = self._kernel(*self._volume_geometry(sl),
-                                  values[self.elements[sl]], rho, mu,
-                                  tau_m[sl], tau_c[sl], self.body_force,
-                                  self.convective, want_matrix)
-            _add_local(R, self.edof[sl], Re)
-            if want_matrix:
-                plan.add(data, plan.pairs[sl], Ke)
+        n_chunks = -(-n_el // chunk)
+        n_lanes = min(_LANES, n_chunks)
+        new_plan = want_matrix and "_csr_plan" not in vars(self)
+        # a first plan of two lanes is built on a lane thread while this one
+        # computes tau and the geometry
+        future = (_lane_pool().submit(lambda: self._csr_plan)
+                  if new_plan and n_lanes > 1 else None)
+        stab = tau_override or self.stabilization(values)
+        # cached geometry is filled here, before the lanes read it
+        self._volume_geometry(slice(0, 0))
+        plan = None
+        if future is not None:
+            plan = future.result()
+        elif want_matrix:
+            plan = self._csr_plan
+        if new_plan:
+            logger.info("assembly plan pairs=%d nnz=%d lanes=%d threads=%d "
+                        "chunks=%d plan_s=%.3f", len(plan.keys), plan.nnz,
+                        n_lanes, _pool._max_workers if n_lanes > 1 else 0,
+                        n_chunks, plan.build_s)
 
-        self._add_jump(values, R, data)
+        R, blocks = self._volume(values, stab, plan, chunk, n_lanes)
+        self._add_jump(values, R, blocks)
         self._add_traction(R)
 
         if not np.isfinite(R).all():
@@ -603,9 +657,54 @@ class _ProblemBase:
         norm = float(np.linalg.norm(rhs))
         if not want_matrix:
             return None, rhs, norm
-        data[plan.dir_slots] = 0.0
-        data[plan.diag_slots] = 1.0
-        return LinearSystem(plan.matrix(data), rhs, self.n_sd), rhs, norm
+        A = plan.matrix(blocks)
+        A.data[plan.dir_slots] = 0.0
+        A.data[plan.diag_slots] = 1.0
+        return LinearSystem(A, rhs, self.n_sd), rhs, norm
+
+    def _volume(self, values, stab, plan, chunk, n_lanes):
+        """(R, blocks) of the volume terms: the lanes' sums, added in lane
+        order; ``blocks`` is None without a ``plan``."""
+        n_el = len(self.elements)
+
+        def lane(k):
+            return self._lane(values, stab, plan, chunk, k == 0,
+                              n_el * k // n_lanes, n_el * (k + 1) // n_lanes)
+
+        lanes = (map(lane, range(n_lanes)) if n_lanes == 1
+                 else _lane_pool().map(lane, range(n_lanes)))
+        R, _, blocks = next(lanes)
+        for R_k, lo, blocks_k in lanes:
+            R += R_k
+            if plan is not None:
+                blocks[lo:lo + len(blocks_k)] += blocks_k
+        return R, blocks
+
+    def _lane(self, values, stab, plan, chunk, full, start, stop):
+        """(R, lo, blocks) of elements ``start`` to ``stop``, in chunks.
+
+        ``blocks`` covers all pairs if ``full``, else only this lane's, from
+        pair ``lo``; it is None without a ``plan``.
+        """
+        rho, mu = self.material.rho, self.material.mu
+        R = np.zeros(self.n_dofs)
+        lo, blocks = 0, None
+        if plan is not None:
+            pairs = plan.pairs[start:stop]
+            lo, hi = ((0, None) if full
+                      else (int(pairs.min()), int(pairs.max()) + 1))
+            blocks = plan.blocks(lo, hi)
+        for first in range(start, stop, chunk):
+            sl = slice(first, min(first + chunk, stop))
+            Re, Ke = self._kernel(*self._volume_geometry(sl),
+                                  values[self.elements[sl]], rho, mu,
+                                  stab.tau_mom[sl], stab.tau_cont[sl],
+                                  self.body_force, self.convective,
+                                  plan is not None)
+            _add_local(R, self.edof[sl], Re)
+            if plan is not None:
+                plan.add(blocks, lo, plan.pairs[sl], Ke)
+        return R, lo, blocks
 
     def residual_norm(self, values, tau_override=None) -> float:
         return self.system(values, tau_override=tau_override,
@@ -617,10 +716,10 @@ class _ProblemBase:
         residual-only call."""
         return _CsrPlan(self.elements, self.n_nodes, self.ncomp, self.dir_mask)
 
-    def _add_jump(self, values, R, data):
+    def _add_jump(self, values, R, blocks):
         """rho (u+ - u-) . w on the bottom cap, u- the previous nodal trace
         ``jump_data`` or else the initial condition at the quadrature points.
-        Its matrix goes into the plan's ``data`` unless that is None."""
+        Its matrix goes into the plan's ``blocks`` unless that is None."""
         n_sd, nc = self.n_sd, self.ncomp
         if self.jump_data is None and self.bcs.initial is None:
             raise MissingPreviousState(
@@ -649,10 +748,10 @@ class _ProblemBase:
 
         vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
         _add_local(R, vdofs.reshape(nf, -1), Rloc)
-        if data is not None:
+        if blocks is not None:
             # bottom-cap node pairs are element node pairs in both families
             plan = self._csr_plan
-            plan.add(data, plan.pair_ids(ids),
+            plan.add(blocks, 0, plan.pair_ids(ids),
                      rho * np.einsum("fab,ij->faibj", Mq, np.eye(n_sd)))
 
 
@@ -942,9 +1041,9 @@ def jump_term(problem, field: SolutionField):
     Jacobian is stored in the problem's full matrix pattern."""
     plan = problem._csr_plan
     R = np.zeros(problem.n_dofs)
-    data = np.zeros(plan.nnz)
-    problem._add_jump(field.values, R, data)
-    return R, plan.matrix(data)
+    blocks = plan.blocks()
+    problem._add_jump(field.values, R, blocks)
+    return R, plan.matrix(blocks)
 
 
 def traction_term(problem) -> np.ndarray:

@@ -203,12 +203,13 @@ class SimplexMesh:
 
     @cached_property
     def max_edge_lengths(self) -> np.ndarray:
-        X = self.element_coords
+        # (nen, dim, E): each node's coordinates are contiguous rows
+        X = np.ascontiguousarray(self.element_coords.transpose(1, 2, 0))
         nen = self.dim + 1
         h = np.zeros(self.n_elements)
         for i in range(nen):
             for j in range(i + 1, nen):
-                d = np.linalg.norm(X[:, i, :] - X[:, j, :], axis=1)
+                d = np.linalg.norm(X[i] - X[j], axis=0)
                 np.maximum(h, d, out=h)
         return h
 

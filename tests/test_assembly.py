@@ -1,4 +1,12 @@
+import logging
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +19,14 @@ from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
                               jump_term, rigid_surface_velocity,
                               _element_terms, _simplex_terms, traction_term,
                               zero_velocity)
+import ustflow.assembly as assembly
 from ustflow.errors import ConfigurationError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
                              extrude_simplex_st, rigid_rotation_positions)
 from ustflow.geometry import box2d, box3d
 from ustflow.stabilization import StabilizationContext
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def const_ic(c):
@@ -726,3 +737,186 @@ class TestSimplexKernel:
         assert np.abs(Re - Re_ref).max() <= 1e-13 * np.abs(Re_ref).max()
         assert Ke.shape == Ke_ref.shape
         assert np.abs(Ke - Ke_ref).max() <= 1e-13 * np.abs(Ke_ref).max()
+
+
+def split_into_chunks(monkeypatch, problem, n_chunks=4):
+    """Shrink the assembly chunk so that ``problem`` has ``n_chunks`` or
+    ``n_chunks + 1`` chunks, hence two lanes."""
+    nloc = problem.edof.shape[1]
+    chunk = len(problem.elements) // n_chunks
+    monkeypatch.setattr(assembly, "_CHUNK_ENTRIES", float(chunk * nloc * nloc))
+    return problem
+
+
+def plan_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("assembly plan ")]
+
+
+class TestLanes:
+    """Two element lanes over four or five chunks: the same matrix as the
+    triplet sum, an exact Jacobian, and the same bytes on any thread
+    count."""
+
+    @staticmethod
+    def problem(family, rng):
+        return (twisted_simplex_problem() if family == "simplex"
+                else pentatope_problem(rng))
+
+    @pytest.fixture(params=["simplex", "pentatope"])
+    def family(self, request):
+        return request.param
+
+    def test_against_coo(self, family, rng, monkeypatch, caplog):
+        problem = split_into_chunks(monkeypatch, self.problem(family, rng))
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            TestCsrPlan().check_against_coo(problem, rng)
+        [line] = plan_lines(caplog)
+        assert " lanes=2 " in line
+        assert int(line.split("chunks=")[1].split()[0]) >= 3
+
+    def test_fd_jacobian(self, family, rng, monkeypatch):
+        problem = split_into_chunks(monkeypatch, self.problem(family, rng))
+        U = problem.impose_dirichlet(
+            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
+        assert TestJacobianFD().fd_check(problem, U, rng) < 1e-5
+
+    def test_residual_same_with_and_without_matrix(self, family, rng,
+                                                   monkeypatch):
+        problem = split_into_chunks(monkeypatch, self.problem(family, rng))
+        U = problem.impose_dirichlet(
+            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
+        _, r1, n1 = problem.system(U)
+        _, r2, n2 = problem.system(U, want_matrix=False)
+        assert r1.tobytes() == r2.tobytes()
+        assert n1 == n2
+
+    def test_logs_plan_once(self, family, rng, monkeypatch, caplog):
+        problem = split_into_chunks(monkeypatch, self.problem(family, rng))
+        U = problem.initial_guess()
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(assembly, "_pool", pool)
+            with caplog.at_level(logging.INFO, logger="ustflow"):
+                problem.residual_norm(U)
+                assert plan_lines(caplog) == []
+                problem.system(U)
+                problem.system(U)
+        [line] = plan_lines(caplog)
+        plan = problem._csr_plan
+        n_chunks = int(line.split("chunks=")[1].split()[0])
+        assert n_chunks in (4, 5)
+        assert line.startswith(f"assembly plan pairs={len(plan.keys)} "
+                               f"nnz={plan.nnz} lanes=2 threads=2 "
+                               f"chunks={n_chunks} plan_s=")
+        assert float(line.split("plan_s=")[1]) >= 0.0
+
+    def test_same_bytes_on_any_thread_count(self, family, rng, monkeypatch):
+        """One, two and four workers (more than this machine's cores), with
+        threads switched every microsecond: a lost update in the lanes or
+        the concurrent plan build would change the bytes."""
+        U = None
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                # a new problem each time, so the plan is built on each pool
+                problem = split_into_chunks(
+                    monkeypatch,
+                    self.problem(family, np.random.default_rng(3)))
+                if U is None:
+                    U = problem.impose_dirichlet(0.5 * rng.uniform(
+                        -1, 1, size=(problem.n_nodes, problem.ncomp)))
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(assembly, "_pool", pool)
+                    system, rhs, _ = problem.system(U)
+                A = system.matrix
+                out.append([a.tobytes() for a in (A.data, A.indices,
+                                                  A.indptr, rhs)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert out[0] == out[1] == out[2]
+
+    def test_forked_child_starts_its_own_pool(self, rng, monkeypatch):
+        problem = split_into_chunks(monkeypatch, pentatope_problem(rng))
+        U = problem.initial_guess()
+        rhs = problem.system(U)[1]       # the parent's pool now runs
+
+        def child():
+            os._exit(0 if problem.system(U)[1].tobytes() == rhs.tobytes()
+                     else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.exitcode is None:
+            proc.kill()
+        assert proc.exitcode == 0
+
+
+class TestBlockFill:
+    def test_same_blocks_for_either_memory_order(self, rng):
+        """The simplex kernel's element-last local matrices and an
+        element-first copy (the prism kernel's and the jump term's order)
+        fill the same blocks, also into a block range of their own."""
+        problem = pentatope_problem(rng)
+        U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
+        _, Ke = volume_terms(_simplex_terms,
+                             problem._volume_geometry(slice(None)), problem,
+                             U, True)
+        assert not Ke.flags.c_contiguous
+        plan = problem._csr_plan
+        filled = []
+        for K in (Ke, np.ascontiguousarray(Ke)):
+            blocks = plan.blocks()
+            plan.add(blocks, 0, plan.pairs, K)
+            filled.append(blocks)
+        assert np.array_equal(filled[0], filled[1])
+
+        sl = slice(10, 30)
+        lo, hi = plan.pairs[sl].min(), plan.pairs[sl].max() + 1
+        part, full = plan.blocks(lo, hi), plan.blocks()
+        plan.add(part, lo, plan.pairs[sl], Ke[sl])
+        plan.add(full, 0, plan.pairs[sl], np.ascontiguousarray(Ke[sl]))
+        assert np.array_equal(full[lo:hi], part)
+        assert not full[:lo].any() and not full[hi:].any()
+
+
+class TestNoThreads:
+    def test_import_starts_no_thread(self):
+        code = ("import threading, ustflow, ustflow.assembly, ustflow.cli, "
+                "ustflow.scenarios; print(threading.active_count())")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "1"
+
+    def test_one_chunk_problems_start_no_pool(self, small_st_mesh_2d, rng,
+                                              monkeypatch, caplog):
+        from ustflow.scenarios import make_stirrer2d, make_stirrer3d
+        monkeypatch.setattr(assembly, "_pool", None)
+        before = threading.active_count()
+        problems = [make_problem(small_st_mesh_2d), pentatope_problem(rng),
+                    twisted_simplex_problem(), twisted_prism_problem(rng)]
+        for spec in (make_stirrer2d(), make_stirrer3d(coarse=True)):
+            # the first slab of run_slab
+            slab = PrismSlab(spec.mesh, spec.mesh.nodes, spec.mesh.nodes,
+                             0.0, spec.dt)
+            problems.append(PrismSlabProblem(
+                slab, spec.material, spec.bcs, gauge=spec.gauge_for(
+                    slab.node_coords())))
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            for problem in problems:
+                U = problem.initial_guess()
+                problem.residual_norm(U)
+                problem.system(U)
+                problem.system(U)
+        assert assembly._pool is None
+        assert threading.active_count() == before
+        lines = plan_lines(caplog)
+        assert len(lines) == len(problems)
+        for line, problem in zip(lines, problems):
+            plan = problem._csr_plan
+            assert line.startswith(f"assembly plan pairs={len(plan.keys)} "
+                                   f"nnz={plan.nnz} lanes=1 threads=0 "
+                                   "chunks=1 plan_s=")

@@ -147,6 +147,36 @@ class TestGradients:
         assert np.abs(vals - exact).max() < 1e-12
 
 
+def max_edge_lengths_by_node_pair(X):
+    """The longest edge of each simplex, one strided (E, dim) node pair at a
+    time: the loop ``SimplexMesh.max_edge_lengths`` replaces."""
+    h = np.zeros(len(X))
+    for i in range(X.shape[1]):
+        for j in range(i + 1, X.shape[1]):
+            np.maximum(h, np.linalg.norm(X[:, i, :] - X[:, j, :], axis=1),
+                       out=h)
+    return h
+
+
+class TestMaxEdgeLengths:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_equals_node_pair_loop(self, dim, rng):
+        n = 500
+        X = rng.uniform(-1, 1, size=(n, dim + 1, dim)) * np.exp(
+            rng.uniform(-20, 20, size=(n, 1, 1)))
+        elements = np.arange(n * (dim + 1)).reshape(n, dim + 1)
+        mesh = SimplexMesh(X.reshape(-1, dim), elements,
+                           np.zeros((0, dim), dtype=int),
+                           np.zeros(0, dtype=int), [], fix_orientation=False)
+        assert np.array_equal(mesh.max_edge_lengths,
+                              max_edge_lengths_by_node_pair(X))
+
+    def test_equals_node_pair_loop_on_space_time_mesh(self, small_st_mesh_3d):
+        assert np.array_equal(
+            small_st_mesh_3d.max_edge_lengths,
+            max_edge_lengths_by_node_pair(small_st_mesh_3d.element_coords))
+
+
 class TestLocalToGlobal:
     def test_vertices_and_barycenter(self, rng):
         X = random_simplex(rng, 3)
