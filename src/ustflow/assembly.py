@@ -24,7 +24,9 @@ residual and blocks, on a small module-level thread pool, and the lanes'
 sums are added in lane order, so the result has the same bytes on any core
 count.  A one-chunk system runs its one lane inline and starts no thread.
 On the first matrix of a two-lane problem the plan is built on a lane
-thread while the calling thread computes tau and the geometry.  A family
+thread while the calling thread fills the geometry and then computes the
+metric and tau; the problem's one ``assembly plan`` log line gives the
+seconds of each and the calling thread's wait for the plan.  A family
 supplies its geometry and the volume kernel that takes it:
 
 - ``_kernel`` and ``_volume_geometry(sl)``: the element kernel and its
@@ -421,6 +423,16 @@ def _add_local(R, dofs, Re):
     R += np.bincount(dofs.ravel(), Re.ravel(), minlength=len(R))
 
 
+def _unique(a):
+    """``np.unique(a)``, sorting ``a`` in place: each value where it first
+    differs from its sorted predecessor."""
+    a.sort()
+    first = np.empty(len(a), bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 class _CsrPlan:
     """Block pattern of a problem's matrix, built once from the elements.
 
@@ -431,15 +443,16 @@ class _CsrPlan:
     canonical CSR form of the summed element matrices.  ``pairs`` (n, m, m)
     are the int32 pair ids of the element node pairs.  ``dir_slots`` are the
     CSR entries of the Dirichlet rows, ``diag_slots`` their diagonal
-    entries.
+    entries; ``dir_slots``, ``col`` and ``bptr`` take the CSR index dtype
+    (int32 while nnz < 2**31).
     """
 
     def __init__(self, elements, n_nodes, nc, dir_mask):
         start = time.perf_counter()
         self.n_nodes, self.nc = n_nodes, nc
         diag = np.arange(n_nodes)[:, None]
-        self.keys = np.unique(np.concatenate([self._keys(elements).ravel(),
-                                              self._keys(diag).ravel()]))
+        self.keys = _unique(np.concatenate([self._keys(elements).ravel(),
+                                            self._keys(diag).ravel()]))
         # looked up in slices, so no int64 array of all element pairs is kept
         self.pairs = np.empty(elements.shape + elements.shape[1:], np.int32)
         for lo in range(0, len(elements), 1 << 16):
@@ -456,7 +469,8 @@ class _CsrPlan:
         deg = np.diff(bptr)
         indptr = np.append(nc * nc * bptr[:-1, None]
                            + nc * deg[:, None] * np.arange(nc), self.nnz)
-        self.dir_slots = np.flatnonzero(np.repeat(dir_mask, np.diff(indptr)))
+        self.dir_slots = np.flatnonzero(
+            np.repeat(dir_mask, np.diff(indptr))).astype(index)
         dir_dofs = np.flatnonzero(dir_mask)
         node, i = np.divmod(dir_dofs, nc)
         self.diag_slots = (indptr[dir_dofs]
@@ -628,12 +642,16 @@ class _ProblemBase:
         n_lanes = min(_LANES, n_chunks)
         new_plan = want_matrix and "_csr_plan" not in vars(self)
         # a first plan of two lanes is built on a lane thread while this one
-        # computes tau and the geometry
+        # computes the geometry and tau
         future = (_lane_pool().submit(lambda: self._csr_plan)
                   if new_plan and n_lanes > 1 else None)
-        stab = tau_override or self.stabilization(values)
-        # cached geometry is filled here, before the lanes read it
+        t0 = time.perf_counter()
+        # cached geometry is filled here, before the metric and the lanes
+        # read it
         self._volume_geometry(slice(0, 0))
+        t1 = time.perf_counter()
+        stab = tau_override or self.stabilization(values)
+        t2 = time.perf_counter()
         plan = None
         if future is not None:
             plan = future.result()
@@ -641,9 +659,11 @@ class _ProblemBase:
             plan = self._csr_plan
         if new_plan:
             logger.info("assembly plan pairs=%d nnz=%d lanes=%d threads=%d "
-                        "chunks=%d plan_s=%.3f", len(plan.keys), plan.nnz,
-                        n_lanes, _pool._max_workers if n_lanes > 1 else 0,
-                        n_chunks, plan.build_s)
+                        "chunks=%d plan_s=%.3f geometry_s=%.3f metric_s=%.3f "
+                        "wait_s=%.3f", len(plan.keys), plan.nnz, n_lanes,
+                        _pool._max_workers if n_lanes > 1 else 0, n_chunks,
+                        plan.build_s, t1 - t0, t2 - t1,
+                        time.perf_counter() - t2)
 
         R, blocks = self._volume(values, stab, plan, chunk, n_lanes)
         self._add_jump(values, R, blocks)

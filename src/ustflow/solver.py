@@ -88,7 +88,10 @@ def time_level_preconditioner(A: sp.spmatrix, dof_levels) -> spla.LinearOperator
     bounds = np.flatnonzero(np.diff(sorted_levels)) + 1
     starts = np.concatenate([[0], bounds])
     ends = np.concatenate([bounds, [n]])
-    Ap = sp.csr_matrix(A)[order][:, order]
+    Ap = sp.csr_matrix(A)
+    # a level-major numbering, which every extruded mesh has, needs none
+    if (np.diff(dof_levels) < 0).any():
+        Ap = Ap[order][:, order]
     blocks = []
     for s, e in zip(starts, ends):
         try:
@@ -129,6 +132,26 @@ def direct_lu(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _equilibrate(A: sp.csr_matrix):
+    """(D A D, diag(D)) with D = 1/sqrt(|diag A|) (1 where that vanishes).
+
+    Each entry a of the canonical CSR matrix A is scaled as
+    (d_row * a) * d_col and the zeros are dropped: the bytes of
+    ``(D @ A @ D).tocsr()``, without its intermediate product.
+    """
+    d = np.abs(A.diagonal())
+    d[d < 1e-300] = 1.0
+    scale = 1.0 / np.sqrt(d)
+    data = np.repeat(scale, np.diff(A.indptr))
+    data *= A.data
+    data *= scale[A.indices]
+    keep = data != 0.0
+    kept = np.zeros(len(keep) + 1, A.indptr.dtype)  # kept before each entry
+    np.cumsum(keep, out=kept[1:])
+    return sp.csr_matrix((data[keep], A.indices[keep], kept[A.indptr]),
+                         shape=A.shape), scale
+
+
 def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     """Restarted GMRES with the configured preconditioner.
 
@@ -147,11 +170,7 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     if not np.any(b):
         return np.zeros_like(b), stats
 
-    d = np.abs(A.diagonal())
-    d[d < 1e-300] = 1.0
-    scale = 1.0 / np.sqrt(d)
-    D = sp.diags(scale)
-    As = (D @ A @ D).tocsr()
+    As, scale = _equilibrate(A)
     bs = scale * b
 
     t0 = time.perf_counter()

@@ -7,12 +7,24 @@ measure.  With A = d(xi_regular)/d(x), the metric is
 
     Ginv = A^T A,
 
-which is exactly invariant under node renumbering (a renumbering composes A
-with an orthogonal symmetry of the regular simplex, which cancels in A^T A).
-The g vector collects column sums of A over all reference coordinates,
+which is invariant under node renumbering: a renumbering composes A with
+an orthogonal symmetry of the regular simplex, which cancels in A^T A.  The
+g vector collects column sums of A over all reference coordinates,
 restricted to the spatial physical components; since no column-sum
 expression is renumbering-invariant by itself, the metric pipeline always
-evaluates A with the element nodes in canonical (ascending id) order.
+evaluates A with the element nodes in canonical order.  Both hold up to
+rounding, not bit for bit: the canonical order is found from coordinates
+relative to the element's vertex 0, and A from P1 gradients inverted in
+the mesh's node order, both of which a renumbering changes in the last
+bits.  ``test_node_permutation_invariance_pentatope`` and criterion 2 of
+the acceptance suite hold Ginv, g and tau to 1e-12 of their maxima under
+every renumbering.
+
+With the vertices in canonical order sigma, the inverse of the canonical
+Jacobian has as its rows the P1 gradients of vertices sigma(1..d), so A is
+the regular-simplex map times those rows of ``SimplexMesh.gradients``.  The
+mesh metric is evaluated in slices of ``_METRIC_SLICE`` elements in an
+element-last layout, where every reduction runs over whole slices.
 
 Stabilization parameters:
 
@@ -65,39 +77,39 @@ def canonical_vertex_order(V: np.ndarray) -> np.ndarray:
     translation stable for elements without symmetry ties); tie-break:
     coordinates relative to the componentwise minimum, lexicographically.
     All keys are evaluated from a pre-sorted vertex sequence, so they are
-    bitwise identical under any renumbering of the same vertex set and
-    the resulting metric quantities are exactly permutation-invariant.
+    bitwise identical under any renumbering of the same vertex set.
     """
-    rel = V - V.min(axis=1, keepdims=True)
-    coord_keys = np.moveaxis(rel, 2, 0)[::-1]  # last key = first coordinate
-    pre = np.lexsort(coord_keys, axis=1)
-    rel_sorted = np.take_along_axis(rel, pre[:, :, None], axis=1)
-    bary = rel_sorted.mean(axis=1, keepdims=True)
-    d2_sorted = ((rel_sorted - bary) ** 2).sum(axis=2)
-    keys = np.concatenate([np.moveaxis(rel_sorted, 2, 0)[::-1],
-                           d2_sorted[None]], axis=0)
-    sub = np.lexsort(keys, axis=1)
-    return np.take_along_axis(pre, sub, axis=1)
+    return _canonical_order(_last(V)).T
 
 
-def _canonicalize_jacobian(J: np.ndarray) -> np.ndarray:
-    """Rebuild Jacobian(s) with vertices in canonical order.
+def _last(a: np.ndarray) -> np.ndarray:
+    """Element-last copy (..., n) of an array (n, ...)."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
-    The vertex set {0, col_1, ..., col_d} is recovered from the columns,
-    reordered canonically, and differenced again.  This makes the metric
-    pipeline (in particular g, the column sums of A) invariant under node
-    renumbering.
+
+def _canonical_order(V: np.ndarray) -> np.ndarray:
+    """:func:`canonical_vertex_order` of element-last vertices V
+    (n_vert, dim, n), element-last (n_vert, n)."""
+    rel = V - V.min(axis=0)
+    pre = np.lexsort(rel[:, ::-1].transpose(1, 0, 2), axis=0)
+    rel_sorted = np.take_along_axis(rel, pre[:, None, :], axis=0)
+    d2_sorted = ((rel_sorted - rel_sorted.mean(axis=0)) ** 2).sum(axis=1)
+    # ties in d2 keep the pre-sort's coordinate order, the tie-break
+    sub = np.argsort(d2_sorted, axis=0, kind="stable")
+    return np.take_along_axis(pre, sub, axis=0)
+
+
+def _reference_derivative(V: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """A of simplices with element-last vertices V (dim+1, dim, n), relative
+    to vertex 0, and P1 gradients ``grads`` (dim+1, dim, n); element-last
+    (dim, dim, n).
+
+    With the vertices in canonical order sigma, the inverse canonical
+    Jacobian is rows sigma(1..dim) of the gradients.
     """
-    J = np.asarray(J, dtype=float)
-    single = J.ndim == 2
-    if single:
-        J = J[None]
-    n, dim, _ = J.shape
-    V = np.concatenate([np.zeros((n, 1, dim)), np.swapaxes(J, 1, 2)], axis=1)
-    order = canonical_vertex_order(V)
-    Vc = np.take_along_axis(V, order[:, :, None], axis=1)
-    Jc = np.swapaxes(Vc[:, 1:, :] - Vc[:, :1, :], 1, 2)
-    return Jc[0] if single else Jc
+    order = _canonical_order(V)
+    inv_jc = np.take_along_axis(grads, order[1:, None, :], axis=0)
+    return np.tensordot(regular_simplex_map(V.shape[1]), inv_jc, 1)
 
 
 def reference_derivative(J: np.ndarray) -> np.ndarray:
@@ -106,16 +118,19 @@ def reference_derivative(J: np.ndarray) -> np.ndarray:
     The element vertices are brought into canonical order first, so every
     quantity derived from A is invariant under node renumbering.
     """
-    J = _canonicalize_jacobian(J)
+    J = np.asarray(J, dtype=float)
     single = J.ndim == 2
     if single:
         J = J[None]
-    dim = J.shape[-1]
+    n, dim, _ = J.shape
     det = np.linalg.det(J)
     h = np.abs(J).sum(axis=(-2, -1)) / dim + 1e-300  # crude scale
     if (np.abs(det) < 1e-14 * h ** dim).any():
         raise DegenerateElement("singular Jacobian in metric evaluation")
-    A = np.einsum("ij,njk->nik", regular_simplex_map(dim), np.linalg.inv(J))
+    inv = np.linalg.inv(J)
+    grads = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+    V = np.concatenate([np.zeros((n, 1, dim)), np.swapaxes(J, 1, 2)], axis=1)
+    A = np.moveaxis(_reference_derivative(_last(V), _last(grads)), -1, 0)
     return A[0] if single else A
 
 
@@ -198,16 +213,40 @@ def tau_continuity(tau_mom, g):
 def metric_terms(A: np.ndarray):
     """(Ginv, g, Ginv:Ginv, g.g) from reference derivatives A (n, dim, dim),
     time the last of the dim coordinates."""
-    Ginv = np.einsum("nki,nkj->nij", A, A)
-    g = A.sum(axis=1)[:, : A.shape[-1] - 1]
-    GG = np.einsum("nij,nij->n", Ginv, Ginv)
-    gg = (g * g).sum(axis=1)
-    return Ginv, g, GG, gg
+    Ginv, g = (np.ascontiguousarray(np.moveaxis(t, -1, 0))
+               for t in _metric_and_g(_last(A)))
+    return _with_norms(Ginv, g)
+
+
+def _metric_and_g(A: np.ndarray):
+    """(Ginv, g) of element-last A (dim, dim, n), element-last."""
+    return np.einsum("kin,kjn->ijn", A, A), A.sum(axis=0)[:-1]
+
+
+def _with_norms(Ginv: np.ndarray, g: np.ndarray):
+    """(Ginv, g, Ginv:Ginv, g.g) of Ginv (n, dim, dim) and g (n, dim-1)."""
+    return Ginv, g, np.einsum("nij,nij->n", Ginv, Ginv), (g * g).sum(axis=1)
+
+
+# elements per slice of mesh_metric; bounds its transients
+_METRIC_SLICE = 1 << 16
 
 
 def mesh_metric(mesh: SimplexMesh):
-    """(Ginv, g, Ginv:Ginv, g.g) for all elements, canonical node order."""
-    return metric_terms(reference_derivative(mesh.jacobians))
+    """(Ginv, g, Ginv:Ginv, g.g) for all elements, canonical node order.
+
+    A comes from the cached ``mesh.gradients`` (see the module docstring),
+    which raise ``DegenerateElement`` on a degenerate mesh.
+    """
+    X, grads = mesh.element_coords, mesh.gradients
+    n, dim = X.shape[0], mesh.dim
+    Ginv, g = np.empty((n, dim, dim)), np.empty((n, dim - 1))
+    for lo in range(0, n, _METRIC_SLICE):
+        sl = slice(lo, lo + _METRIC_SLICE)
+        A = _reference_derivative(_last(X[sl] - X[sl, :1]), _last(grads[sl]))
+        Ginv_s, g_s = _metric_and_g(A)
+        Ginv[sl], g[sl] = np.moveaxis(Ginv_s, -1, 0), g_s.T
+    return _with_norms(Ginv, g)
 
 
 def stabilization_for_mesh(mesh: SimplexMesh, u_bary: np.ndarray, nu: float,

@@ -670,6 +670,14 @@ class TestCsrPlan:
         assert np.array_equal(A.indices, ref.indices)
         scale = np.abs(ref.data).max()
         assert np.abs(A.data - ref.data).max() <= 1e-13 * scale
+        # the sorted keys are np.unique's; slots take the index dtype
+        plan = problem._csr_plan
+        ids = problem.elements.astype(np.int64)
+        n = problem.n_nodes
+        keys = np.concatenate([(ids[:, :, None] * n + ids[:, None, :]).ravel(),
+                               np.arange(n) * (n + 1)])
+        assert np.array_equal(plan.keys, np.unique(keys))
+        assert plan.dir_slots.dtype == A.indices.dtype == np.int32
         return problem, U
 
     def test_twisted_simplex_problem(self, rng):
@@ -808,7 +816,9 @@ class TestLanes:
         assert line.startswith(f"assembly plan pairs={len(plan.keys)} "
                                f"nnz={plan.nnz} lanes=2 threads=2 "
                                f"chunks={n_chunks} plan_s=")
-        assert float(line.split("plan_s=")[1]) >= 0.0
+        seconds = dict(field.split("=") for field in line.split()[7:])
+        assert list(seconds) == ["plan_s", "geometry_s", "metric_s", "wait_s"]
+        assert all(float(v) >= 0.0 for v in seconds.values())
 
     def test_same_bytes_on_any_thread_count(self, family, rng, monkeypatch):
         """One, two and four workers (more than this machine's cores), with

@@ -8,9 +8,9 @@ from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
 from ustflow.errors import LinearSolveFailure, Stagnation
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
 from ustflow.scenarios import make_couette2d, make_manufactured
-from ustflow.solver import (LinearSolverConfig, NewtonConfig, direct_lu,
-                            gmres_solve, newton_solve, solve_linear_system,
-                            time_level_preconditioner)
+from ustflow.solver import (LinearSolverConfig, NewtonConfig, _equilibrate,
+                            direct_lu, gmres_solve, newton_solve,
+                            solve_linear_system, time_level_preconditioner)
 
 
 class ToyProblem:
@@ -120,6 +120,42 @@ def _twisted_couette():
     spec = make_couette2d(n_r=3, n_theta=12, levels=4, t_end=0.5)
     spec.omega = 1.0  # the mesh turns with the inner wall
     return spec
+
+
+class TestEquilibrate:
+    """The scaled copy against the product of the diagonal matrices."""
+
+    @staticmethod
+    def assert_same_bytes(A):
+        As, scale = _equilibrate(A)
+        D = sp.diags(scale)
+        ref = (D @ A @ D).tocsr()
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(As, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        return As
+
+    def test_newton_matrix(self):
+        spec = make_manufactured(n=4)
+        mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
+            0.0, spec.t_end, spec.levels, spec.trajectory))
+        problem = SpaceTimeProblem(mesh, spec.material, spec.bcs,
+                                   body_force=spec.body_force,
+                                   gauge=spec.gauge_for(mesh.nodes))
+        A = problem.system(problem.initial_guess())[0].matrix
+        before = A.copy()
+        assert (A.data == 0.0).any()  # zeroed Dirichlet rows
+        As = self.assert_same_bytes(A)
+        assert As.nnz < A.nnz
+        assert (A != before).nnz == 0
+
+    def test_random_with_zero_diagonal(self, rng):
+        A = sp.random(60, 60, density=0.2, random_state=7, format="csr")
+        A.setdiag(rng.uniform(-3.0, 3.0, size=60))
+        A.data[::5] = 0.0
+        A[3, 3] = 0.0
+        self.assert_same_bytes(A)
 
 
 class TestTimeLevelPreconditioner:

@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import ustflow.stabilization as stabilization
+from ustflow import scenarios
 from ustflow.errors import ZeroDenominator
+from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
 from ustflow.mesh import SimplexMesh
-from ustflow.stabilization import (g_vector, mesh_metric, metric_contravariant,
-                                   prism_shape_functions, prism_geometry,
-                                   reference_derivative, regular_simplex_map,
-                                   stabilization_for_mesh, tau_continuity,
-                                   tau_momentum)
+from ustflow.stabilization import (canonical_vertex_order, g_vector,
+                                   mesh_metric, metric_contravariant,
+                                   metric_terms, prism_shape_functions,
+                                   prism_geometry, reference_derivative,
+                                   regular_simplex_map, stabilization_for_mesh,
+                                   tau_continuity, tau_momentum)
 
 from conftest import random_simplex
 
@@ -19,6 +23,116 @@ def mesh_of(X):
     dim = X.shape[1]
     return SimplexMesh(X, [list(range(dim + 1))], np.zeros((0, dim), dtype=int),
                        np.zeros(0, dtype=int), [], fix_orientation=False)
+
+
+def lexsort_vertex_order(V):
+    """The canonical order by two lexsorts: coordinates, then d2 with the
+    sorted coordinates as tie-breaks (the oracle)."""
+    rel = V - V.min(axis=1, keepdims=True)
+    pre = np.lexsort(np.moveaxis(rel, 2, 0)[::-1], axis=1)
+    rel_sorted = np.take_along_axis(rel, pre[:, :, None], axis=1)
+    bary = rel_sorted.mean(axis=1, keepdims=True)
+    d2_sorted = ((rel_sorted - bary) ** 2).sum(axis=2)
+    keys = np.concatenate([np.moveaxis(rel_sorted, 2, 0)[::-1],
+                           d2_sorted[None]], axis=0)
+    return np.take_along_axis(pre, np.lexsort(keys, axis=1), axis=1)
+
+
+def inverse_jacobian_reference_derivative(J):
+    """A = M inv(Jc), Jc the Jacobian differenced again from the vertices
+    {0, columns of J} in canonical order (the oracle)."""
+    n, dim, _ = J.shape
+    V = np.concatenate([np.zeros((n, 1, dim)), np.swapaxes(J, 1, 2)], axis=1)
+    Vc = np.take_along_axis(V, lexsort_vertex_order(V)[:, :, None], axis=1)
+    Jc = np.swapaxes(Vc[:, 1:, :] - Vc[:, :1, :], 1, 2)
+    return np.einsum("ij,njk->nik", regular_simplex_map(dim),
+                     np.linalg.inv(Jc))
+
+
+def mirror_simplices(rng, dim, n):
+    """Simplices symmetric about x_0 = 0 on a grid of eighths, so that
+    squared distances to the barycenter tie exactly; vertex order shuffled."""
+    out = []
+    for _ in range(n):
+        p = rng.integers(1, 8, size=dim) / 8.0
+        plane = rng.integers(-8, 8, size=(dim - 1, dim)) / 8.0
+        plane[:, 0] = 0.0
+        X = np.vstack([p, p * np.r_[-1.0, np.ones(dim - 1)], plane])
+        out.append(X[rng.permutation(dim + 1)])
+    return np.array(out)
+
+
+def ust_mesh(spec):
+    return extrude_simplex_st(spec.mesh, ExtrusionSpec(
+        0.0, spec.t_end, spec.levels, spec.trajectory))
+
+
+@pytest.fixture(scope="module")
+def stirrer_meshes():
+    return {"stirrer2d": ust_mesh(scenarios.make_stirrer2d()),
+            "stirrer3d_coarse": ust_mesh(
+                scenarios.make_stirrer3d(coarse=True))}
+
+
+class TestCanonicalOrder:
+    """The stable argsort on d2 against the two-lexsort oracle."""
+
+    def test_random_tets_and_pentatopes(self, rng):
+        for dim in (3, 4):
+            V = rng.uniform(-1.0, 1.0, size=(2000, dim + 1, dim))
+            assert np.array_equal(canonical_vertex_order(V),
+                                  lexsort_vertex_order(V))
+
+    def test_ties_in_d2(self, rng):
+        for dim in (3, 4):
+            right = np.vstack([np.zeros(dim), np.eye(dim)])
+            regular = np.vstack([np.zeros(dim), regular_simplex_map(dim).T])
+            perms = [list(p) for p in itertools.permutations(range(dim + 1))]
+            V = np.concatenate([right[perms], regular[perms],
+                                mirror_simplices(rng, dim, 500)])
+            order = canonical_vertex_order(V)
+            assert np.array_equal(order, lexsort_vertex_order(V))
+            # every ordering of the right simplex gives one vertex sequence
+            canon = np.take_along_axis(V[:len(perms)], order[:len(perms), :,
+                                                             None], axis=1)
+            assert (canon == canon[0]).all()
+
+    def test_stirrer3d_coarse(self, stirrer_meshes):
+        X = stirrer_meshes["stirrer3d_coarse"].element_coords
+        V = X - X[:, :1]
+        assert np.array_equal(canonical_vertex_order(V),
+                              lexsort_vertex_order(V))
+
+
+class TestMeshMetricFromGradients:
+    """A from the cached P1 gradients against A from the inverse of the
+    canonical Jacobian."""
+
+    @pytest.mark.parametrize("name", ["stirrer2d", "stirrer3d_coarse"])
+    def test_matches_inverse_jacobian(self, name, stirrer_meshes):
+        mesh = stirrer_meshes[name]
+        ref = metric_terms(inverse_jacobian_reference_derivative(
+            mesh.jacobians))
+        for got, want in zip(mesh_metric(mesh), ref):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_reference_derivative_matches_inverse_jacobian(self, rng):
+        for dim in (3, 4):
+            X = np.array([random_simplex(rng, dim) for _ in range(200)])
+            J = np.swapaxes(X[:, 1:, :] - X[:, :1, :], 1, 2)
+            want = inverse_jacobian_reference_derivative(J)
+            got = reference_derivative(J)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(reference_derivative(J[3]), got[3])
+
+    def test_slices(self, small_st_mesh_3d, monkeypatch):
+        mesh = small_st_mesh_3d
+        whole = mesh_metric(mesh)
+        monkeypatch.setattr(stabilization, "_METRIC_SLICE", 7)
+        assert mesh.n_elements % 7 != 0
+        for got, want in zip(mesh_metric(mesh), whole):
+            assert np.array_equal(got, want)
 
 
 class TestRegularSimplexMap:
