@@ -3,12 +3,13 @@
 Unknowns are node-major: node k carries (u_1..u_{n_sd}, p) at dofs
 k*(n_sd+1) .. k*(n_sd+1)+n_sd.  The weak form combines the Galerkin
 transient/convection term, the stress and continuity terms, the jump term
-on the bottom cap, a GLS momentum term (with the full operator including
-pressure gradient and, on tensor-product elements, second spatial
-derivatives), a grad-div continuity stabilization and a traction term on
-Neumann mantle facets.  Dirichlet conditions are imposed by identity rows;
-tau is frozen at the current iterate (Picard treatment), everything else is
-linearized exactly.
+on the bottom cap, a GLS momentum term (its strong operator has no viscous
+part, which is exactly zero on both element families: P1 simplices have no
+second derivatives, and on a prism t depends on theta alone, so
+d(theta)/dx = 0 and at fixed t the map is affine), a grad-div continuity
+stabilization and a traction term on Neumann mantle facets.  Dirichlet
+conditions are imposed by identity rows; tau is frozen at the current
+iterate (Picard treatment), everything else is linearized exactly.
 
 One driver, ``_ProblemBase``, assembles both element families: the chunked
 volume loop, the jump term, the stabilization parameters, the sparse matrix
@@ -40,10 +41,11 @@ Space-time simplices use ``_simplex_terms``: P1 gradients are constant per
 element and the strong viscous operator vanishes, so every term is a
 per-element constant times a few quadrature sums, and each local matrix is
 built once from outer products, with no per-point matrix intermediates.
-Tensor-product prisms use the quadrature-point kernel ``_element_terms``:
-their gradients vary over the element, and the viscous operator is retained
-where nonzero.  Fed the constant P1 gradients broadcast over the quadrature
-points, ``_element_terms`` is also the tests' oracle for ``_simplex_terms``.
+Tensor-product prisms use the quadrature-point kernel ``_element_terms``,
+as their gradients vary over the element; ``prism_geometry`` gives them at
+all quadrature points of a slab in one call.  Fed the constant P1 gradients
+broadcast over the quadrature points, ``_element_terms`` is also the tests'
+oracle for ``_simplex_terms``.
 """
 
 from __future__ import annotations
@@ -192,15 +194,14 @@ def rigid_surface_velocity(omega: float, center, axis=(0.0, 0.0, 1.0)):
 
 # -- element kernels ---------------------------------------------------------
 
-def _element_terms(Nq, wdet, D, B, VV, x_q, Ue, rho, mu, tau_m, tau_c,
+def _element_terms(Nq, wdet, D, B, x_q, Ue, rho, mu, tau_m, tau_c,
                    body_force, convective, want_matrix):
     """Quadrature-point volume kernel for one chunk of elements.
 
     Nq: (nq, nen) shape values; wdet: (E, nq) weight*|detJ|;
     D: (E, nq, nen, n_sd) spatial gradients; B: (E, nq, nen) time
-    derivatives; VV: None or (E, nq, nen, n_sd, n_sd) strong viscous
-    operator mu*(lap N delta_ij + d2N/dxidxj); x_q: (E, nq, dim);
-    Ue: (E, nen, ncomp).  Returns (Re, Ke) with Ke None when not requested.
+    derivatives; x_q: (E, nq, dim); Ue: (E, nen, ncomp).  Returns (Re, Ke)
+    with Ke None when not requested.
     """
     def ein(*args):
         return np.einsum(*args, optimize=True)
@@ -217,13 +218,11 @@ def _element_terms(Nq, wdet, D, B, VV, x_q, Ue, rho, mu, tau_m, tau_c,
     gradp = ein("eqaj,ea->eqj", D, Up)
     divu = ein("eqii->eq", gradu)
 
-    if body_force is None:
-        f_q = 0.0
-        acc = dudt.copy()
-    else:
+    acc = dudt
+    if body_force is not None:
         xt = x_q.reshape(-1, x_q.shape[-1])
-        f_q = np.asarray(body_force(xt[:, :n_sd], xt[:, n_sd])).reshape(E, nq, n_sd)
-        acc = dudt - f_q
+        acc = dudt - np.asarray(body_force(xt[:, :n_sd], xt[:, n_sd])).reshape(
+            E, nq, n_sd)
     if convective:
         acc = acc + ein("eqj,eqij->eqi", u_q, gradu)
         adv = B + ein("eqj,eqaj->eqa", u_q, D)
@@ -231,8 +230,6 @@ def _element_terms(Nq, wdet, D, B, VV, x_q, Ue, rho, mu, tau_m, tau_c,
         adv = np.broadcast_to(B, (E, nq, nen))
 
     r_q = rho * acc + gradp
-    if VV is not None:
-        r_q = r_q - ein("eqaij,eaj->eqi", VV, Uv)
 
     Re = np.zeros((E, nen, nc))
     # Galerkin transient + convection + body force
@@ -245,9 +242,6 @@ def _element_terms(Nq, wdet, D, B, VV, x_q, Ue, rho, mu, tau_m, tau_c,
     Re[:, :, n_sd] += ein("eq,qa,eq->ea", wdet, Nq, divu)
     # GLS momentum: weight rho(dw/dt + u.grad w) part
     Re[:, :, :n_sd] += ein("e,eq,eqa,eqi->eai", tau_m, wdet, adv, r_q)
-    if VV is not None:
-        Re[:, :, :n_sd] -= ein("e,eq,eqami,eqm->eai",
-                                     tau_m / rho, wdet, VV, r_q)
     # GLS momentum: pressure-test part (PSPG-like)
     Re[:, :, n_sd] += ein("e,eq,eqai,eqi->ea", tau_m / rho, wdet, D, r_q)
     # grad-div
@@ -258,15 +252,12 @@ def _element_terms(Nq, wdet, D, B, VV, x_q, Ue, rho, mu, tau_m, tau_c,
 
     eye = np.eye(n_sd)
     Ke = np.zeros((E, nen, nc, nen, nc))
-    # d(strong residual)/dU (velocity block), without viscous part
-    drdu_rho = rho * (ein("eqb,ij->eqibj", adv, eye)
-                      + (ein("qb,eqij->eqibj", Nq, gradu)
-                         if convective else 0.0))
-    drdu = drdu_rho if VV is None else drdu_rho - ein("eqbmj->eqmbj", VV)
+    # d(strong residual)/dU (velocity block)
+    drdu = rho * (ein("eqb,ij->eqibj", adv, eye)
+                  + (ein("qb,eqij->eqibj", Nq, gradu) if convective else 0.0))
 
     # Galerkin
-    Ke[:, :, :n_sd, :, :n_sd] += ein("eq,qa,eqibj->eaibj",
-                                           wdet, Nq, drdu_rho)
+    Ke[:, :, :n_sd, :, :n_sd] += ein("eq,qa,eqibj->eaibj", wdet, Nq, drdu)
     # stress
     Ke[:, :, :n_sd, :, :n_sd] += mu * (
         ein("eq,eqak,eqbk,ij->eaibj", wdet, D, D, eye)
@@ -279,11 +270,6 @@ def _element_terms(Nq, wdet, D, B, VV, x_q, Ue, rho, mu, tau_m, tau_c,
                                            tau_m, wdet, adv, drdu)
     Ke[:, :, :n_sd, :, n_sd] += ein("e,eq,eqa,eqbi->eaib",
                                           tau_m, wdet, adv, D)
-    if VV is not None:
-        Ke[:, :, :n_sd, :, :n_sd] -= ein("e,eq,eqami,eqmbj->eaibj",
-                                               tau_m / rho, wdet, VV, drdu)
-        Ke[:, :, :n_sd, :, n_sd] -= ein("e,eq,eqami,eqbm->eaib",
-                                              tau_m / rho, wdet, VV, D)
     if convective:  # linearization of u inside the GLS weight
         Ke[:, :, :n_sd, :, :n_sd] += ein("e,eq,qb,eqaj,eqi->eaibj",
                                                tau_m, wdet, Nq, D, r_q)
@@ -864,6 +850,11 @@ class PrismSlab:
     def n_nodes(self) -> int:
         return 2 * self.spatial.n_nodes
 
+    def corners(self):
+        """(n_el, n_sd+1, n_sd) bottom and top node positions of the prisms."""
+        els = self.spatial.elements
+        return self.coords_bottom[els], self.coords_top[els]
+
     def node_coords(self) -> np.ndarray:
         """(2*n_sp, n_sd+1) space-time coordinates, bottom block first."""
         n_sp, n_sd = self.coords_bottom.shape
@@ -912,53 +903,18 @@ class PrismSlabProblem(_ProblemBase):
         xt = self.slab.node_coords()
         return np.asarray(self.bcs.initial(xt[:, : self.n_sd]))
 
+    @cached_property
     def _geometry(self):
-        """Per-qpoint geometry arrays for all prisms (cached)."""
-        if hasattr(self, "_geom"):
-            return self._geom
-        slab = self.slab
-        n_sd = self.n_sd
-        els = slab.spatial.elements
-        cb = slab.coords_bottom[els]
-        ct = slab.coords_top[els]
-        nq = len(self.rule.weights)
-        E = len(els)
-        nen = 2 * (n_sd + 1)
-
-        x_q = np.empty((E, nq, n_sd + 1))
-        detJ = np.empty((E, nq))
-        grads = np.empty((E, nq, nen, n_sd + 1))
-        VV = np.empty((E, nq, nen, n_sd, n_sd))
-        Gs = reference_gradients(n_sd)
-        # map curvature: d2x_m / dxi_d dtheta, constant per element
-        T = np.einsum("ad,nam->nmd", Gs, ct - cb)
-        mu = self.material.mu
-
-        for q, (pt, w) in enumerate(zip(self.rule.points, self.rule.weights)):
-            xi, th = pt[:n_sd], pt[n_sd]
-            x, J, dJ, g = prism_geometry(cb, ct, slab.t_bottom, slab.dt, xi, th)
-            x_q[:, q] = x
-            detJ[:, q] = np.abs(dJ)
-            grads[:, q] = g
-            Jinv = np.linalg.inv(J)
-            # reference Hessian entries (d, theta) of the shape functions
-            Ha = np.concatenate([-Gs, Gs], axis=0)            # (nen, n_sd)
-            inner = Ha[None] - np.einsum("nam,nmd->nad", g[:, :, :n_sd], T)
-            Ji_sp = Jinv[:, :n_sd, :n_sd]   # dxi_d / dx_i (spatial cols)
-            Ji_th = Jinv[:, n_sd, :n_sd]    # dtheta / dx_i
-            S = (np.einsum("nad,ndi,nj->naij", inner, Ji_sp, Ji_th)
-                 + np.einsum("nad,ndj,ni->naij", inner, Ji_sp, Ji_th))
-            lap = np.einsum("naii->na", S)
-            VV[:, q] = mu * (np.einsum("na,ij->naij", lap, np.eye(n_sd)) + S)
-        self._geom = (x_q, detJ, grads, VV)
-        return self._geom
+        """(wdet, D, B, x_q) of all prisms at the quadrature points."""
+        slab, n_sd = self.slab, self.n_sd
+        x_q, _, detJ, grads = prism_geometry(
+            *slab.corners(), slab.t_bottom, slab.dt,
+            self.rule.points[:, :n_sd], self.rule.points[:, n_sd])
+        return (self.rule.weights * np.abs(detJ), grads[..., :n_sd],
+                grads[..., n_sd], x_q)
 
     def _volume_geometry(self, sl):
-        x_q, detJ, grads, VV = self._geometry()
-        n_sd = self.n_sd
-        wdet = self.rule.weights[None, :] * detJ[sl]
-        return (self.Nq, wdet, grads[sl, :, :, :n_sd], grads[sl, :, :, n_sd],
-                VV[sl], x_q[sl])
+        return (self.Nq,) + tuple(a[sl] for a in self._geometry)
 
     def _bottom_cap(self):
         ids = self.slab.spatial.elements  # bottom-level node ids == spatial ids
@@ -970,15 +926,13 @@ class PrismSlabProblem(_ProblemBase):
         regular-simplex map, temporal coordinate kept as theta."""
         slab = self.slab
         n_sd = self.n_sd
-        els = slab.spatial.elements
-        cb = slab.coords_bottom[els]
-        ct = slab.coords_top[els]
         center = np.full(n_sd, 1.0 / (n_sd + 1))
-        _, J, _, _ = prism_geometry(cb, ct, slab.t_bottom, slab.dt, center, 0.5)
+        _, Jinv, _, _ = prism_geometry(*slab.corners(), slab.t_bottom,
+                                       slab.dt, center, 0.5)
         Bmat = np.zeros((n_sd + 1, n_sd + 1))
         Bmat[:n_sd, :n_sd] = regular_simplex_map(n_sd)
         Bmat[n_sd, n_sd] = 1.0
-        return metric_terms(np.einsum("ij,njk->nik", Bmat, np.linalg.inv(J)))
+        return metric_terms(np.einsum("ij,njk->nik", Bmat, Jinv))
 
     def _add_traction(self, R):
         slab = self.slab
@@ -1014,7 +968,7 @@ class PrismSlabProblem(_ProblemBase):
                     gram = np.einsum("fid,fjd->fij", tang, tang)
                     area = np.sqrt(np.abs(np.linalg.det(gram)))
                     h = np.asarray(fn(x, np.full(len(ids), t)))
-                    Nface = np.concatenate([Ns * (1.0 - pt), Ns * pt])
+                    Nface = prism_shape_functions(ps, pt)
                     Rloc -= (ws * wt) * np.einsum("f,a,fi->fai", area, Nface, h)
             vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
             _add_local(R, vdofs.reshape(len(ids), -1), Rloc)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as stio
-from .errors import UstflowError
+from .errors import ConfigurationError, UstflowError
 from .extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from .mesh import validate_mesh
 from .postproc import export_vtk, probe, slice_at_time
@@ -76,7 +76,10 @@ def _cmd_mesh_gen(args) -> int:
     center = tuple(float(v) for v in args.center.split())
     axis = tuple(float(v) for v in args.axis.split())
     kind = "rigid_rotation" if args.omega != 0.0 else "static"
-    traj = NodeTrajectory(kind, center, axis, args.omega)
+    try:
+        traj = NodeTrajectory(kind, center, axis, args.omega)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     st = extrude_simplex_st(mesh, ExtrusionSpec(0.0, args.t_end, args.levels,
                                                 traj))
     stio.write_stmesh(st, args.out)

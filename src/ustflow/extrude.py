@@ -42,7 +42,10 @@ class NodeTrajectory:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.kind == "rigid_rotation" and len(self.axis) == 3:
             n = math.sqrt(sum(a * a for a in self.axis))
-            if abs(n - 1.0) > 1e-12 and n > 0:
+            if not 0.0 < n < math.inf:
+                raise ValueError(f"rotation axis {self.axis!r} is zero or "
+                                 "not finite")
+            if abs(n - 1.0) > 1e-12:
                 object.__setattr__(self, "axis",
                                    tuple(a / n for a in self.axis))
 

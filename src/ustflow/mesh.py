@@ -186,16 +186,17 @@ class SimplexMesh:
         """Element measures |det J| / dim!."""
         return np.abs(self.jacobian_dets) / math.factorial(self.dim)
 
-    @cached_property
+    @property
     def jacobian_invs(self) -> np.ndarray:
-        self._check_degenerate()
-        return np.linalg.inv(self.jacobians)
+        """(n_el, dim, dim) inverse Jacobians: a view of ``gradients``."""
+        return self.gradients[:, 1:]
 
     @cached_property
     def gradients(self) -> np.ndarray:
         """(n_el, dim+1, dim) physical gradients of the P1 basis (constant per element)."""
-        ref = reference_gradients(self.dim)
-        return np.einsum("nd,edk->enk", ref, self.jacobian_invs)
+        self._check_degenerate()
+        inv = np.linalg.inv(self.jacobians)
+        return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
 
     @cached_property
     def barycenters(self) -> np.ndarray:

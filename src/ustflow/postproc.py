@@ -27,8 +27,8 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptySlice, IoFailure
 from .mesh import SimplexMesh, SpaceTimeMesh, basis_eval
-from .quadrature import simplex_quadrature
-from .stabilization import prism_geometry
+from .quadrature import prism_quadrature, simplex_quadrature
+from .stabilization import prism_geometry, prism_shape_functions
 
 # Candidate (point, element) pairs tested in one batch by _locate; on
 # pentatopes a batch holds about 250 bytes per pair.
@@ -336,8 +336,15 @@ def l2_error(mesh: SimplexMesh, values: np.ndarray, exact_fn,
     x_q = np.einsum("qa,ead->eqd", N, mesh.element_coords)
     u_q = np.einsum("qa,eac->eqc", N, values[mesh.elements])
     wdet = rule.weights[None, :] * np.abs(mesh.jacobian_dets)[:, None]
-    flat = x_q.reshape(-1, mesh.dim)
-    if time_is_last_coord and isinstance(mesh, SpaceTimeMesh):
+    return _l2_sums(x_q, u_q, wdet, exact_fn,
+                    time_is_last_coord and isinstance(mesh, SpaceTimeMesh))
+
+
+def _l2_sums(x_q, u_q, wdet, exact_fn, space_time):
+    """The norms of :func:`l2_error` from the points ``x_q`` (E, nq, dim),
+    values ``u_q`` and weights ``wdet`` of a quadrature rule on E elements."""
+    flat = x_q.reshape(-1, x_q.shape[-1])
+    if space_time:
         exact = np.asarray(exact_fn(flat[:, :-1], flat[:, -1]))
     else:
         exact = np.asarray(exact_fn(flat))
@@ -353,31 +360,17 @@ def l2_error(mesh: SimplexMesh, values: np.ndarray, exact_fn,
 
 def l2_error_slab(slab, values: np.ndarray, exact_fn):
     """Slab-mode analogue of :func:`l2_error` on tensor-product elements."""
-    from .quadrature import prism_quadrature
     n_sd = slab.n_sd
     rule = prism_quadrature(n_sd, 2)
+    xi, th = rule.points[:, :n_sd], rule.points[:, n_sd]
+    x_q, _, detJ, _ = prism_geometry(*slab.corners(), slab.t_bottom, slab.dt,
+                                     xi, th)
     els = slab.spatial.elements
-    cb = slab.coords_bottom[els]
-    ct = slab.coords_top[els]
-    n_sp = slab.spatial.n_nodes
-    conn = np.hstack([els, els + n_sp])
-    Uv = values[conn]
-    err2 = ref2 = 0.0
-    for pt, w in zip(rule.points, rule.weights):
-        xi, th = pt[:n_sd], pt[n_sd]
-        x, _, dJ, _ = prism_geometry(cb, ct, slab.t_bottom, slab.dt, xi, th)
-        Ns = basis_eval(xi, n_sd)
-        Nface = np.concatenate([Ns * (1.0 - th), Ns * th])
-        u = np.einsum("a,eac->ec", Nface, Uv)
-        exact = np.asarray(exact_fn(x[:, :n_sd], x[:, n_sd]))
-        k = exact.shape[1]
-        d2 = (u[:, :k] - exact) ** 2
-        wdet = w * np.abs(dJ)
-        err2 += np.einsum("e,ec->c", wdet, d2)
-        ref2 += np.einsum("e,ec->c", wdet, exact ** 2)
-    return {"components": np.sqrt(err2), "total": float(np.sqrt(err2.sum())),
-            "exact_components": np.sqrt(ref2),
-            "exact_total": float(np.sqrt(ref2.sum()))}
+    conn = np.hstack([els, els + slab.spatial.n_nodes])
+    u_q = np.einsum("qa,eac->eqc", prism_shape_functions(xi, th),
+                    values[conn])
+    wdet = rule.weights[None, :] * np.abs(detJ)
+    return _l2_sums(x_q, u_q, wdet, exact_fn, True)
 
 
 def global_divergence(mesh: SpaceTimeMesh, values: np.ndarray) -> float:

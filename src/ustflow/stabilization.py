@@ -280,55 +280,48 @@ def prism_shape_functions(xi_spatial, theta):
     return out
 
 
-def prism_reference_gradients(xi_spatial, theta):
-    """Reference-space gradients of the prism shape functions.
-
-    Returns (..., 2*(n_sd+1), n_sd+1): derivatives with respect to
-    (xi_1..xi_{n_sd}, theta).
-    """
-    xi = np.asarray(xi_spatial, dtype=float)
-    th = np.asarray(theta, dtype=float)
-    n_sd = xi.shape[-1]
-    Ns = basis_eval(xi, n_sd)
-    Gs = reference_gradients(n_sd)  # (n_sd+1, n_sd)
-    shape = np.broadcast(Ns[..., 0], th).shape
-    out = np.zeros(shape + (2 * (n_sd + 1), n_sd + 1))
-    out[..., : n_sd + 1, :n_sd] = Gs * (1.0 - th)[..., None, None]
-    out[..., n_sd + 1:, :n_sd] = Gs * th[..., None, None]
-    out[..., : n_sd + 1, n_sd] = -Ns
-    out[..., n_sd + 1:, n_sd] = Ns
-    return out
-
-
 def prism_geometry(coords_bottom, coords_top, t_bottom, dt, xi_spatial, theta):
-    """Pointwise isoparametric data for twisted prisms.
+    """Isoparametric data of twisted prisms at reference points.
 
     Parameters are (n_el, n_sd+1, n_sd) bottom/top node positions, the
-    bottom time level, the temporal thickness, and a single reference
-    point.  Returns (x, J, detJ, grads) with ``x`` space-time coordinates,
-    J the (n_sd+1) square space-time Jacobian and ``grads`` the space-time
-    gradients of the 2(n_sd+1) shape functions.
+    bottom time level, the temporal thickness, and reference points
+    ``xi_spatial`` (..., n_sd) and ``theta`` (...).  Returns (x, Jinv,
+    detJ, grads), each with the point axes after the element axis: ``x``
+    (n_el, ..., n_sd+1) space-time coordinates, ``Jinv`` the inverse of the
+    square space-time Jacobian J, ``detJ`` its determinant and ``grads``
+    (n_el, ..., 2(n_sd+1), n_sd+1) the space-time gradients of the shape
+    functions.  As t = t_bottom + theta*dt, the spatial part of Jinv's last
+    row, d(theta)/dx, is exactly zero.
     """
     cb = np.asarray(coords_bottom, dtype=float)
     ct = np.asarray(coords_top, dtype=float)
     n_el, _, n_sd = cb.shape
     xi = np.asarray(xi_spatial, dtype=float)
-    th = float(theta)
-    Ns = basis_eval(xi, n_sd)                       # (n_sd+1,)
+    th = np.asarray(theta, dtype=float)
+    Ns = basis_eval(xi, n_sd)                       # (..., n_sd+1)
     Gs = reference_gradients(n_sd)                  # (n_sd+1, n_sd)
 
-    blend = (1.0 - th) * cb + th * ct               # (n_el, n_sd+1, n_sd)
-    x = np.empty((n_el, n_sd + 1))
-    x[:, :n_sd] = np.einsum("a,nad->nd", Ns, blend)
-    x[:, n_sd] = t_bottom + th * dt
+    cb, ct = (c.reshape((n_el,) + (1,) * th.ndim + c.shape[1:])
+              for c in (cb, ct))
+    # (n_el, ..., n_sd+1, n_sd)
+    blend = (1.0 - th)[..., None, None] * cb + th[..., None, None] * ct
+    pts = blend.shape[:-2]                          # (n_el, ...)
+    x = np.empty(pts + (n_sd + 1,))
+    x[..., :n_sd] = np.einsum("...a,n...ad->n...d", Ns, blend)
+    x[..., n_sd] = t_bottom + th * dt
 
-    J = np.zeros((n_el, n_sd + 1, n_sd + 1))
-    J[:, :n_sd, :n_sd] = np.einsum("ae,nad->nde", Gs, blend)
-    J[:, :n_sd, n_sd] = np.einsum("a,nad->nd", Ns, ct - cb)
-    J[:, n_sd, n_sd] = dt
+    J = np.zeros(pts + (n_sd + 1, n_sd + 1))
+    J[..., :n_sd, :n_sd] = np.einsum("ae,n...ad->n...de", Gs, blend)
+    J[..., :n_sd, n_sd] = np.einsum("...a,n...ad->n...d", Ns, ct - cb)
+    J[..., n_sd, n_sd] = dt
     detJ = np.linalg.det(J)
     Jinv = np.linalg.inv(J)
 
-    ref_grads = prism_reference_gradients(xi, th)   # (2(n_sd+1), n_sd+1)
-    grads = np.einsum("ak,nkd->nad", ref_grads, Jinv)
-    return x, J, detJ, grads
+    # reference gradients (..., 2(n_sd+1), n_sd+1), by (xi, theta)
+    ref = np.zeros(th.shape + (2 * (n_sd + 1), n_sd + 1))
+    ref[..., : n_sd + 1, :n_sd] = Gs * (1.0 - th)[..., None, None]
+    ref[..., n_sd + 1:, :n_sd] = Gs * th[..., None, None]
+    ref[..., : n_sd + 1, n_sd] = -Ns
+    ref[..., n_sd + 1:, n_sd] = Ns
+    grads = np.einsum("...ak,n...kd->n...ad", ref, Jinv)
+    return x, Jinv, detJ, grads

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
+from ustflow.assembly import PrismSlab
+from ustflow.extrude import (ExtrusionSpec, NodeTrajectory, extrude_simplex_st,
+                             rigid_rotation_positions)
 from ustflow.geometry import box2d, box3d
 from ustflow.mesh import SimplexMesh
 
@@ -28,6 +30,22 @@ def random_simplex(rng, dim, min_det=1e-3):
                 for j in range(i))
         if abs(np.linalg.det(J)) > min_det * h ** dim:
             return X
+
+
+def twisted_slab(n_sd, omega=0.6, t0=0.1, dt=0.15):
+    """Rigidly rotating prism slab: 2D about (0.5, 0.5), 3D about a tilted
+    axis."""
+    if n_sd == 2:
+        spatial = box2d(2, 2)
+        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=omega)
+    else:
+        spatial = box3d(1, 1, 1)
+        traj = NodeTrajectory("rigid_rotation", (0.5, 0.4, 0.5),
+                              axis=(1.0, 2.0, 3.0), omega=omega)
+    return PrismSlab(spatial,
+                     rigid_rotation_positions(spatial.nodes, traj, t0),
+                     rigid_rotation_positions(spatial.nodes, traj, t0 + dt),
+                     t0, dt)
 
 
 @pytest.fixture

@@ -24,7 +24,11 @@ from ustflow.errors import ConfigurationError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
                              extrude_simplex_st, rigid_rotation_positions)
 from ustflow.geometry import box2d, box3d
-from ustflow.stabilization import StabilizationContext
+from ustflow.mesh import reference_gradients
+from ustflow.quadrature import prism_quadrature
+from ustflow.stabilization import StabilizationContext, prism_geometry
+
+from conftest import twisted_slab
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -371,28 +375,28 @@ class TestJacobianFD:
         assert self.fd_check(problem, U, rng) < 1e-5
 
     def test_fd_consistency_twisted_prism_slab(self, rng):
-        spatial = box2d(2, 2)
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=0.6)
-        dt = 0.15
-        cb = rigid_rotation_positions(spatial.nodes, traj, 0.1)
-        ct = rigid_rotation_positions(spatial.nodes, traj, 0.1 + dt)
-        slab = PrismSlab(spatial, cb, ct, 0.1, dt)
+        # a 2D slab, and a 3D one about a tilted axis
+        for n_sd in (2, 3):
+            slab = twisted_slab(n_sd)
 
-        def hfn(x, t):
-            return np.column_stack([np.cos(x[:, 1] + t), np.sin(x[:, 0])])
+            def fields(*fns, n_sd=n_sd):
+                # the third component of a 3D field is z * t
+                fns = fns + ((lambda x, t: x[:, 2] * t),) * (n_sd - 2)
+                return lambda x, t: np.column_stack([fn(x, t) for fn in fns])
 
-        problem = PrismSlabProblem(
-            slab, MaterialParams(rho=1.2, mu=0.3),
-            BCSpec(dirichlet={"x0": lambda x, tt: np.column_stack(
-                       [np.sin(x[:, 1]), np.cos(tt)])},
-                   neumann={"x1": hfn},
-                   initial=lambda x: 0.3 * x),
-            body_force=lambda x, t: np.column_stack([x[:, 1] * 0 + np.sin(t),
-                                                     x[:, 0]]),
-            gauge=(0, 0.1))
-        U = problem.impose_dirichlet(
-            0.4 * rng.uniform(-1, 1, size=(problem.n_nodes, 3)))
-        assert self.fd_check(problem, U, rng) < 1e-5
+            problem = PrismSlabProblem(
+                slab, MaterialParams(rho=1.2, mu=0.3),
+                BCSpec(dirichlet={"x0": fields(lambda x, t: np.sin(x[:, 1]),
+                                               lambda x, t: np.cos(t))},
+                       neumann={"x1": fields(lambda x, t: np.cos(x[:, 1] + t),
+                                             lambda x, t: np.sin(x[:, 0]))},
+                       initial=lambda x: 0.3 * x),
+                body_force=fields(lambda x, t: x[:, 1] * 0 + np.sin(t),
+                                  lambda x, t: x[:, 0]),
+                gauge=(0, 0.1))
+            U = problem.impose_dirichlet(
+                0.4 * rng.uniform(-1, 1, size=(problem.n_nodes, n_sd + 1)))
+            assert self.fd_check(problem, U, rng) < 1e-5
 
     def test_stokes_jacobian_iterate_independent(self, small_st_mesh_2d, rng):
         problem = make_problem(small_st_mesh_2d, convective=False,
@@ -452,19 +456,58 @@ class TestElementJacobianMatrix:
         assert np.abs(K - fd).max() < 1e-8 * max(1.0, np.abs(K).max())
 
 
+def strong_viscous_operator(slab, mu, point):
+    """mu*(lap N delta_ij + d2N/dxi dxj) of the prism shape functions at one
+    reference point, (n_el, nen, n_sd, n_sd), from the Hessian of the
+    isoparametric map."""
+    n_sd = slab.n_sd
+    cb, ct = slab.corners()
+    _, Jinv, _, g = prism_geometry(cb, ct, slab.t_bottom, slab.dt,
+                                   point[:n_sd], point[n_sd])
+    Gs = reference_gradients(n_sd)
+    # map curvature: d2x_m / dxi_d dtheta, constant per element
+    T = np.einsum("ad,nam->nmd", Gs, ct - cb)
+    # reference Hessian entries (d, theta) of the shape functions
+    Ha = np.concatenate([-Gs, Gs], axis=0)
+    inner = Ha[None] - np.einsum("nam,nmd->nad", g[:, :, :n_sd], T)
+    Ji_sp = Jinv[:, :n_sd, :n_sd]   # dxi_d / dx_i
+    Ji_th = Jinv[:, n_sd, :n_sd]    # dtheta / dx_i
+    S = (np.einsum("nad,ndi,nj->naij", inner, Ji_sp, Ji_th)
+         + np.einsum("nad,ndj,ni->naij", inner, Ji_sp, Ji_th))
+    lap = np.einsum("naii->na", S)
+    return mu * (np.einsum("na,ij->naij", lap, np.eye(n_sd)) + S)
+
+
 class TestPrismViscousOperator:
     def test_spatial_second_derivatives_vanish(self, rng):
-        # at fixed t the prism map is an affine blend of affine maps, so the
-        # strong viscous operator is identically zero even when twisted
-        spatial = box2d(2, 2)
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=0.9)
-        cb = rigid_rotation_positions(spatial.nodes, traj, 0.0)
-        ct = rigid_rotation_positions(spatial.nodes, traj, 0.2)
-        slab = PrismSlab(spatial, cb, ct, 0.0, 0.2)
-        problem = PrismSlabProblem(slab, MaterialParams(1.0, 0.8),
-                                   BCSpec(initial=lambda x: 0 * x))
-        _, _, _, VV = problem._geometry()
-        assert np.abs(VV).max() == 0.0
+        # time depends on theta only, so d(theta)/dx is exactly zero and at
+        # fixed t the prism map is an affine blend of affine maps: the strong
+        # viscous operator, which the prism kernel leaves out, is exactly
+        # zero even when twisted, in 2D and about a tilted 3D axis
+        for slab in (twisted_slab(2, omega=0.9, t0=0.0, dt=0.2),
+                     twisted_slab(3)):
+            n_sd = slab.n_sd
+            points = prism_quadrature(n_sd, 2).points
+            _, Jinv, _, _ = prism_geometry(*slab.corners(), slab.t_bottom,
+                                           slab.dt, points[:, :n_sd],
+                                           points[:, n_sd])
+            assert np.abs(Jinv[..., n_sd, :n_sd]).max() == 0.0
+            for point in points:
+                VV = strong_viscous_operator(slab, 0.8, point)
+                assert np.abs(VV).max() == 0.0
+
+    def test_geometry_at_all_points_is_per_point_geometry(self):
+        for n_sd in (2, 3):
+            slab = twisted_slab(n_sd)
+            points = prism_quadrature(n_sd, 2).points
+            args = (*slab.corners(), slab.t_bottom, slab.dt)
+            batch = prism_geometry(*args, points[:, :n_sd], points[:, n_sd])
+            single = [prism_geometry(*args, p[:n_sd], p[n_sd])
+                      for p in points]
+            for k, got in enumerate(batch):
+                want = np.stack([s[k] for s in single], axis=1)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_affine_field_reproduced_on_twisted_prism(self, rng):
         # interpolating an affine space-time field on a twisted prism is
@@ -578,7 +621,7 @@ def p1_oracle_geometry(problem, sl):
     D = np.broadcast_to(grads[:, None, :, :n_sd], (E, nq, nen, n_sd))
     B = np.broadcast_to(grads[:, None, :, n_sd], (E, nq, nen))
     x_q = np.einsum("qa,ead->eqd", problem.Nq, mesh.element_coords[sl])
-    return problem.Nq, wdet, D, B, None, x_q
+    return problem.Nq, wdet, D, B, x_q
 
 
 def volume_terms(kernel, geometry, problem, U, want_matrix):

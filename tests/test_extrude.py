@@ -163,6 +163,13 @@ class TestRigidRotation:
         d1 = np.linalg.norm(out[:, None] - out[None, :], axis=2)
         assert np.abs(d0 - d1).max() < 1e-12
 
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0),
+                                      (float("nan"), 0.0, 1.0),
+                                      (float("inf"), 0.0, 0.0)])
+    def test_zero_or_non_finite_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="rotation axis"):
+            NodeTrajectory("rigid_rotation", (0.0, 0.0, 0.0), axis, omega=1.0)
+
     def test_rotation_matrix_3d_axis(self):
         R = rotation_matrix(3, (0.0, 0.0, 1.0), math.pi / 2)
         assert np.allclose(R @ [1, 0, 0], [0, 1, 0], atol=1e-15)

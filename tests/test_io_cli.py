@@ -5,7 +5,7 @@ import pytest
 
 from ustflow import cli
 from ustflow.errors import ParseError, UnknownKey
-from ustflow.geometry import annulus2d, box2d
+from ustflow.geometry import annulus2d, box2d, box3d
 from ustflow.io import (read_config, read_result, read_stmesh, write_result,
                         write_stmesh)
 from ustflow.mesh import SpaceTimeMesh, validate_mesh
@@ -178,6 +178,16 @@ class TestCli:
         assert st.n_elements == spatial.n_elements * 3 * 3
         assert validate_mesh(st) == []
         assert cli.main(["validate", "--mesh", str(out)]) == 0
+
+    def test_mesh_gen_zero_axis_is_an_error(self, tmp_path, capsys):
+        src = tmp_path / "box.stmesh"
+        write_stmesh(box3d(1, 1, 1), src)
+        code = cli.main(["mesh-gen", "--input", str(src), "--levels", "1",
+                         "--omega", "1.0", "--center", "0 0 0",
+                         "--axis", "0 0 0", "--t-end", "0.1",
+                         "--out", str(tmp_path / "st.stmesh")])
+        assert code == 1
+        assert "rotation axis" in capsys.readouterr().err
 
     def test_run_slice_probe_pipeline(self, tmp_path):
         cfg = tmp_path / "case.cfg"

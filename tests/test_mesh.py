@@ -138,6 +138,13 @@ class TestGradients:
             g = basis_gradients(mesh, 0)
             assert np.abs(g.sum(axis=0)).max() < 1e-12
 
+    def test_jacobian_invs_are_inverse_jacobians(self, small_st_mesh_3d):
+        mesh = small_st_mesh_3d
+        assert np.array_equal(mesh.jacobian_invs,
+                              np.linalg.inv(mesh.jacobians))
+        assert np.array_equal(mesh.gradients[:, 0],
+                              -mesh.jacobian_invs.sum(axis=1))
+
     def test_linear_reproduction_at_barycenters(self, rng):
         mesh = box2d(3, 3)
         a = np.array([0.7, -1.3])

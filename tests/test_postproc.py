@@ -8,9 +8,12 @@ from ustflow.errors import EmptySlice
 from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from ustflow.geometry import box2d, box3d, disk2d
 from ustflow.mesh import SimplexMesh, SpaceTimeMesh
+
+from conftest import twisted_slab
 from ustflow.postproc import (SliceResult, _locate, _polygon_order,
                               element_vorticity, export_vtk,
-                              global_divergence, l2_error, probe,
+                              global_divergence, l2_error, l2_error_slab,
+                              probe,
                               probe_exhaustive, probe_vorticity,
                               slice_at_time)
 
@@ -597,6 +600,41 @@ class TestNormsAndVtk:
         assert err["total"] < 1e-14
         assert err["exact_total"] == pytest.approx(
             math.sqrt(14.0 * st.total_measure), rel=1e-12)
+
+    def test_l2_error_slab_affine_and_constant_fields(self, rng):
+        for n_sd in (2, 3):
+            slab = twisted_slab(n_sd)
+            xt = slab.node_coords()
+            # an affine field in (x, t) is interpolated exactly
+            A, b = rng.uniform(-1, 1, size=(n_sd + 1, n_sd + 1)), 0.3
+
+            def affine(x, t):
+                return np.column_stack([x, t]) @ A.T + b
+
+            err = l2_error_slab(slab, affine(xt[:, :n_sd], xt[:, n_sd]),
+                                affine)
+            assert err["total"] <= 1e-13 * err["exact_total"]
+
+            # a constant field: exact_total = |c| sqrt(slab volume), the
+            # volume by Simpson's rule in theta (the element measures at
+            # fixed theta are polynomials of degree n_sd in theta)
+            c = np.arange(1.0, n_sd + 2)
+            els = slab.spatial.elements
+            volume = 0.0
+            for th, w in ((0.0, 1.0), (0.5, 4.0), (1.0, 1.0)):
+                X = ((1.0 - th) * slab.coords_bottom
+                     + th * slab.coords_top)[els]
+                det = np.linalg.det(X[:, 1:] - X[:, :1])
+                volume += w / 6.0 * np.abs(det).sum() / math.factorial(n_sd)
+            volume *= slab.dt
+
+            def const(x, t):
+                return np.tile(c, (len(x), 1))
+
+            err = l2_error_slab(slab, const(xt, xt[:, 0]), const)
+            assert err["total"] < 1e-14
+            assert err["exact_total"] == pytest.approx(
+                np.linalg.norm(c) * math.sqrt(volume), rel=1e-13)
 
     def test_global_divergence_linear_field(self, small_st_mesh_2d):
         st = small_st_mesh_2d
