@@ -55,7 +55,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,6 +194,18 @@ def rigid_surface_velocity(omega: float, center, axis=(0.0, 0.0, 1.0)):
 
 # -- element kernels ---------------------------------------------------------
 
+@lru_cache(maxsize=1024)
+def _einsum_path(subscripts, *shapes):
+    """The contraction path ``np.einsum(..., optimize=True)`` searches for.
+
+    It depends on the subscripts and operand shapes only, which are fixed
+    per element family and chunk size, so ``_element_terms`` finds each of
+    its paths once instead of on every call.
+    """
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
+
+
 def _element_terms(Nq, wdet, D, B, x_q, Ue, rho, mu, tau_m, tau_c,
                    body_force, convective, want_matrix):
     """Quadrature-point volume kernel for one chunk of elements.
@@ -203,8 +215,9 @@ def _element_terms(Nq, wdet, D, B, x_q, Ue, rho, mu, tau_m, tau_c,
     derivatives; x_q: (E, nq, dim); Ue: (E, nen, ncomp).  Returns (Re, Ke)
     with Ke None when not requested.
     """
-    def ein(*args):
-        return np.einsum(*args, optimize=True)
+    def ein(subscripts, *operands):
+        path = _einsum_path(subscripts, *(a.shape for a in operands))
+        return np.einsum(subscripts, *operands, optimize=path)
 
     E, nq, nen, n_sd = D.shape
     nc = n_sd + 1

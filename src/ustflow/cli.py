@@ -132,9 +132,11 @@ def _cmd_run(args, parser) -> int:
         newtons = res.newtons
     with open(out / "newton_trace.log", "w") as f:
         for k, newton in enumerate(newtons):
-            for it, (r, t) in enumerate(zip(newton.trace, newton.assemble_s)):
+            etas = ["-"] + [f"{eta:.3e}" for eta in newton.eta]
+            for it, (r, t, eta) in enumerate(zip(newton.trace,
+                                                 newton.assemble_s, etas)):
                 f.write(f"solve={k} newton iter={it} res={r:.6e} "
-                        f"assemble_s={t:.3f}\n")
+                        f"assemble_s={t:.3f} eta={eta}\n")
     if not res.diagnostics["converged"]:
         failed = res.diagnostics.get("failed_slab")
         where = "" if failed is None else f" in slab {failed}"

@@ -5,10 +5,22 @@
 The linear solve is restarted GMRES (scipy) preconditioned by a forward
 block Gauss-Seidel sweep over the node-time levels, or a direct sparse LU,
 which is also the oracle.  A GMRES failure raises ``LinearSolveFailure``;
-there is no fallback.  Each linear solve logs one ``linear solve`` line
-with its method, iterations, true relative residual and timings, and
-Newton traces are emitted as ``newton iter=<k> res=<value> assemble_s=<s>``
-log lines, the last the wall time of the assembly that gave the residual.
+there is no fallback.
+
+Newton solves each step inexactly: the linear solve of step k must reach
+a true relative residual ||b - Ax|| / ||b|| <= eta_k, the forcing term of
+Eisenstat & Walker (SIAM J. Sci. Comput. 17:16-32, 1996, choice 2) with
+Kelley's safeguard against oversolving (Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, section 6.3); see
+``forcing_term``.  A number in ``LinearSolverConfig.lin_rel_tol`` pins
+every step to it instead.  ``direct_lu`` ignores the tolerance.
+
+Each linear solve logs one ``linear solve`` line with its method,
+iterations, true relative residual and timings, and Newton traces are
+emitted as ``newton iter=<k> res=<value> assemble_s=<s> eta=<eta>`` log
+lines: the wall time of the assembly that gave the residual, and the
+forcing term of the linear solve whose step gave iterate k (``-`` at
+k = 0).
 """
 
 from __future__ import annotations
@@ -26,6 +38,12 @@ import scipy.sparse.linalg as spla
 from .errors import Breakdown, LinearSolveFailure, Stagnation, UstflowError
 
 logger = logging.getLogger("ustflow")
+
+# forcing term of the first Newton step, and the Eisenstat-Walker constants
+# (choice 2: gamma (||R_k|| / ||R_k-1||)^alpha, alpha = 2) with the cap
+ETA_FIRST = 1e-3
+EW_GAMMA = 0.9
+ETA_MAX = 0.1
 
 
 @dataclass
@@ -47,7 +65,9 @@ class LinearSolverConfig:
     method: str = "gmres_restarted"  # or "direct_lu"
     restart: int = 60
     max_krylov_iter: int = 2000
-    lin_rel_tol: float = 1e-8
+    # true relative residual each GMRES solve must reach; None lets
+    # newton_solve set it per step from the forcing term
+    lin_rel_tol: float | None = None
     preconditioner: str = "time_levels"  # or "none"
     # node-time level of every unknown; newton_solve fills it in from the
     # problem's ``dof_levels``, it is not a setting
@@ -68,6 +88,8 @@ class NewtonResult:
     status: str  # "converged" or "max_iterations"
     # wall seconds of the problem.system call behind each trace entry
     assemble_s: list = dataclasses.field(default_factory=list)
+    # eta[k]: forcing term of the linear solve from trace entry k to k + 1
+    eta: list = dataclasses.field(default_factory=list)
 
 
 def time_level_preconditioner(A: sp.spmatrix, dof_levels) -> spla.LinearOperator:
@@ -158,12 +180,20 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     The system is symmetrically equilibrated by 1/sqrt(|diag|) first, which
     evens out the wildly different row scales of the stabilized space-time
     systems; the preconditioner is built from the equilibrated matrix.
-    Returns (x, stats) with the Krylov iterations, the true relative
-    residual ||b - Ax|| / ||b||, the number of levels and the seconds spent
-    building the preconditioner and in GMRES.  Raises Stagnation/Breakdown,
-    with the iterations and relres reached, when the target is missed.
+    The solve must reach ``cfg.lin_rel_tol`` in the true relative residual
+    ||b - Ax|| / ||b|| of the system as given.  When GMRES stops on the
+    equilibrated residual while the true one is still above it, GMRES
+    resumes from its iterate with the inner tolerance tightened by the
+    miss, within the same ``max_krylov_iter`` budget.  Returns (x, stats)
+    with the Krylov iterations, the true relative residual, the number of
+    levels and the seconds spent building the preconditioner and in GMRES.
+    Raises Stagnation/Breakdown, with the iterations and relres reached,
+    when the target is missed.
     """
     cfg = cfg or LinearSolverConfig()
+    if cfg.lin_rel_tol is None:
+        raise ValueError("gmres_solve needs cfg.lin_rel_tol; newton_solve "
+                         "sets it per step from the forcing term")
     A = sp.csr_matrix(A)
     stats = {"iterations": 0, "relres": 0.0, "levels": None,
              "factor_s": 0.0, "krylov_s": 0.0}
@@ -190,18 +220,28 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     def cb(_):
         stats["iterations"] += 1
 
-    maxouter = max(1, math.ceil(cfg.max_krylov_iter / cfg.restart))
-    y, info = spla.gmres(As, bs, rtol=cfg.lin_rel_tol, atol=0.0,
-                         restart=cfg.restart, maxiter=maxouter, M=M,
-                         callback=cb, callback_type="pr_norm")
-    x = scale * y
+    target = inner = cfg.lin_rel_tol
+    y = None
+    while True:
+        left = cfg.max_krylov_iter - stats["iterations"]
+        y, info = spla.gmres(As, bs, x0=y, rtol=inner, atol=0.0,
+                             restart=cfg.restart,
+                             maxiter=max(1, math.ceil(left / cfg.restart)),
+                             M=M, callback=cb, callback_type="pr_norm")
+        x = scale * y
+        stats["relres"] = relres = _relres(A, x, b)
+        reached = f"relres={relres:.3e} after {stats['iterations']} iterations"
+        if info < 0:
+            raise Breakdown(f"gmres breakdown (info={info}) at {reached}")
+        if relres <= target:
+            break
+        if stats["iterations"] >= cfg.max_krylov_iter:
+            raise Stagnation(f"gmres stagnated at {reached} "
+                             f"(target {target:.3e})")
+        # the equilibrated residual is off the true one by about the same
+        # factor on the next iterate: aim below the target by that factor
+        inner = 0.5 * target / relres * _relres(As, y, bs)
     stats["factor_s"], stats["krylov_s"] = t1 - t0, time.perf_counter() - t1
-    stats["relres"] = relres = _relres(A, x, b)
-    reached = f"relres={relres:.3e} after {stats['iterations']} iterations"
-    if info < 0:
-        raise Breakdown(f"gmres breakdown (info={info}) at {reached}")
-    if info > 0 and relres > cfg.lin_rel_tol * 10.0:
-        raise Stagnation(f"gmres stagnated at {reached}")
     return x, stats
 
 
@@ -211,7 +251,8 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
     """Solve A x = b with the configured method and log one line about it.
 
     ``block_size`` (unknowns per node) is part of the call signature only;
-    neither method needs it.  Failures raise ``LinearSolveFailure``.
+    neither method needs it.  GMRES needs ``cfg.lin_rel_tol`` set, which
+    ``newton_solve`` does.  Failures raise ``LinearSolveFailure``.
     """
     cfg = cfg or LinearSolverConfig()
     if cfg.method == "direct_lu":
@@ -232,14 +273,35 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
     return x
 
 
+def forcing_term(rnorm: float, prev_rnorm: float | None,
+                 prev_eta: float | None, tol: float) -> float:
+    """The relative linear tolerance of the Newton step from ||R_k|| = rnorm.
+
+    ``ETA_FIRST`` for the first step (``prev_eta`` None), then Eisenstat &
+    Walker's choice 2, 0.9 (||R_k|| / ||R_k-1||)^2, raised to
+    0.9 eta_k-1^2 when that exceeds 0.1 (their safeguard against a term
+    made small by one lucky drop).  Capped at ``ETA_MAX``, then floored at
+    Kelley's 0.5 tol / ||R_k||: a step to a residual of half the Newton
+    tolerance needs no more accuracy than that.
+    """
+    if prev_eta is None:
+        eta = ETA_FIRST
+    else:
+        eta = EW_GAMMA * (rnorm / prev_rnorm) ** 2
+        if EW_GAMMA * prev_eta ** 2 > 0.1:
+            eta = max(eta, EW_GAMMA * prev_eta ** 2)
+    return max(min(eta, ETA_MAX), 0.5 * tol / rnorm)
+
+
 def newton_solve(problem, initial_values: np.ndarray,
                  cfg: NewtonConfig = None,
                  lin_cfg: LinearSolverConfig = None) -> NewtonResult:
     """Newton iteration with frozen-tau linearization supplied by ``problem``.
 
-    Convergence when ||R|| <= max(abs_tol, rel_tol * ||R0||).  On reaching
-    max_iter the best iterate seen and the full trace are returned with
-    status "max_iterations".
+    Convergence when ||R|| <= max(abs_tol, rel_tol * ||R0||).  Step k's
+    linear solve gets ``forcing_term`` as its tolerance unless
+    ``lin_cfg.lin_rel_tol`` pins it.  On reaching max_iter the best iterate
+    seen and the full trace are returned with status "max_iterations".
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
@@ -250,25 +312,37 @@ def newton_solve(problem, initial_values: np.ndarray,
     shape = U.shape
     block_size = shape[1] if U.ndim == 2 else 1
 
-    trace, assemble_s = [], []
+    trace, assemble_s, etas = [], [], []
 
     def assemble(k, values):
         t0 = time.perf_counter()
         out = problem.system(values)
         assemble_s.append(time.perf_counter() - t0)
         trace.append(out[2])
-        logger.info("newton iter=%d res=%.6e assemble_s=%.3f", k, out[2],
-                    assemble_s[-1])
+        logger.info("newton iter=%d res=%.6e assemble_s=%.3f eta=%s", k,
+                    out[2], assemble_s[-1],
+                    f"{etas[-1]:.3e}" if etas else "-")
         return out
+
+    def result(values, iterations, status):
+        return NewtonResult(values, trace, iterations, status == "converged",
+                            status, assemble_s, etas)
 
     system, rhs, rnorm = assemble(0, U)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
     if rnorm <= tol:
-        return NewtonResult(U, trace, 0, True, "converged", assemble_s)
+        return result(U, 0, "converged")
 
     best_U, best_r = U.copy(), rnorm
     for k in range(1, cfg.max_iter + 1):
-        delta = solve_linear_system(system.matrix, rhs, lin_cfg, block_size)
+        eta = lin_cfg.lin_rel_tol
+        if eta is None:
+            eta = forcing_term(rnorm, trace[-2] if k > 1 else None,
+                               etas[-1] if etas else None, tol)
+        etas.append(eta)
+        delta = solve_linear_system(
+            system.matrix, rhs, dataclasses.replace(lin_cfg, lin_rel_tol=eta),
+            block_size)
         if cfg.linesearch == "backtracking":
             lam = 1.0
             prev = trace[-1]
@@ -289,7 +363,6 @@ def newton_solve(problem, initial_values: np.ndarray,
         if rnorm < best_r:
             best_U, best_r = U.copy(), rnorm
         if rnorm <= tol:
-            return NewtonResult(U, trace, k, True, "converged", assemble_s)
+            return result(U, k, "converged")
 
-    return NewtonResult(best_U, trace, cfg.max_iter, False, "max_iterations",
-                        assemble_s)
+    return result(best_U, cfg.max_iter, "max_iterations")

@@ -608,6 +608,31 @@ class TestDeterminism:
         assert n1 == n2
 
 
+    @pytest.mark.parametrize("convective", [True, False])
+    def test_prism_kernel_cached_paths_same_bytes(self, convective, rng,
+                                                  monkeypatch):
+        # the cached contraction paths against a fresh search on every
+        # call, which is what np.einsum(optimize=True) does
+        problem = twisted_prism_problem(rng)
+        U = problem.impose_dirichlet(
+            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
+        stab = problem.stabilization(U)
+        sl = slice(0, len(problem.elements))
+
+        def terms(want_matrix):
+            return _element_terms(
+                *problem._volume_geometry(sl), U[problem.elements], 1.2, 0.3,
+                stab.tau_mom, stab.tau_cont, None, convective, want_matrix)
+
+        cached = terms(True) + terms(False)
+        monkeypatch.setattr(assembly, "_einsum_path", lambda *args: True)
+        searched = terms(True) + terms(False)
+        for got, want in zip(cached, searched):
+            if want is None:
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+
 def p1_oracle_geometry(problem, sl):
     """The geometry ``_element_terms`` takes, for the P1 simplices ``sl`` of
     a ``SpaceTimeProblem``: the constant gradients broadcast over the

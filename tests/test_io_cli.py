@@ -189,6 +189,28 @@ class TestCli:
         assert code == 1
         assert "rotation axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["ust", "slab"])
+    def test_run_trace_records_forcing_term(self, tmp_path, mode):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("[case]\nbase = manufactured\nlevels = 2\n"
+                       "t_end = 0.1\ndt = 0.05\n")
+        outdir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode,
+                         "--out", str(outdir)]) == 0
+        lines = (outdir / "newton_trace.log").read_text().splitlines()
+        etas = {}
+        for line in lines:
+            fields = dict(f.split("=") for f in line.split() if "=" in f)
+            etas[fields["solve"], int(fields["iter"])] = fields["eta"]
+        assert len(etas) == len(lines) > len({s for s, _ in etas})
+        for (solve, it), eta in etas.items():
+            # the forcing term of the solve that gave iterate it
+            if it == 0:
+                assert eta == "-"
+            else:
+                assert 0.0 < float(eta) <= 0.5
+        assert etas["0", 1] == "1.000e-03"
+
     def test_run_slice_probe_pipeline(self, tmp_path):
         cfg = tmp_path / "case.cfg"
         cfg.write_text("[case]\nbase = manufactured\nlevels = 2\n"

@@ -3,14 +3,20 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
 from ustflow.errors import LinearSolveFailure, Stagnation
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
 from ustflow.scenarios import make_couette2d, make_manufactured
-from ustflow.solver import (LinearSolverConfig, NewtonConfig, _equilibrate,
-                            direct_lu, gmres_solve, newton_solve,
+from ustflow.solver import (ETA_FIRST, ETA_MAX, LinearSolverConfig,
+                            NewtonConfig, _equilibrate, _relres, direct_lu,
+                            forcing_term, gmres_solve, newton_solve,
                             solve_linear_system, time_level_preconditioner)
+
+# the accuracy every direct gmres_solve call asks for; newton_solve sets
+# the tolerance per step instead
+TIGHT = 1e-8
 
 
 class ToyProblem:
@@ -39,7 +45,8 @@ class TestGmres:
         n = 40
         b = rng.uniform(-1, 1, size=n)
         x, stats = gmres_solve(sp.eye(n, format="csr"), b,
-                               LinearSolverConfig(preconditioner="none"))
+                               LinearSolverConfig(preconditioner="none",
+                                                  lin_rel_tol=TIGHT))
         assert np.allclose(x, b, atol=1e-12)
         assert stats["iterations"] <= 1
 
@@ -48,7 +55,8 @@ class TestGmres:
         b = rng.uniform(-1, 1, size=30)
         A = sp.diags(d).tocsr()
         x, stats = gmres_solve(A, b,
-                               LinearSolverConfig(preconditioner="none"))
+                               LinearSolverConfig(preconditioner="none",
+                                                  lin_rel_tol=TIGHT))
         assert stats["relres"] < 1e-8
         assert np.allclose(x, b / d, rtol=1e-6, atol=1e-9)
 
@@ -59,6 +67,7 @@ class TestGmres:
         x_oracle = np.linalg.solve(A, b)
         for precond in ("none", "time_levels"):
             cfg = LinearSolverConfig(preconditioner=precond,
+                                     lin_rel_tol=TIGHT,
                                      dof_levels=np.arange(n) // 10)
             x, _ = gmres_solve(sp.csr_matrix(A), b, cfg)
             rel = np.linalg.norm(x - x_oracle) / np.linalg.norm(x_oracle)
@@ -71,7 +80,7 @@ class TestGmres:
         b = rng.uniform(-1, 1, size=n)
         x1 = direct_lu(A, b)
         x2, _ = gmres_solve(A, b, LinearSolverConfig(
-            dof_levels=rng.integers(0, 4, size=n)))
+            lin_rel_tol=TIGHT, dof_levels=rng.integers(0, 4, size=n)))
         assert np.linalg.norm(x1 - x2) / np.linalg.norm(x1) < 1e-8
 
     def test_stagnation_raises_and_direct_solves(self, rng):
@@ -81,18 +90,52 @@ class TestGmres:
             + 2.0 * sp.eye(n, format="csr")
         b = rng.uniform(-1, 1, size=n)
         cfg = LinearSolverConfig(restart=2, max_krylov_iter=2,
-                                 preconditioner="none")
+                                 preconditioner="none", lin_rel_tol=TIGHT)
         with pytest.raises(Stagnation, match=r"relres=.* after 2 iterations"):
             solve_linear_system(A, b, cfg)
         x = solve_linear_system(A, b, LinearSolverConfig(method="direct_lu"))
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
+
+    def test_missing_tolerance_names_newton_solve(self, rng):
+        A, b, levels = _block_tridiagonal_system(rng)
+        with pytest.raises(ValueError, match="lin_rel_tol.*newton_solve"):
+            gmres_solve(A, b, LinearSolverConfig(dof_levels=levels))
+
+    def test_resumes_until_true_relres_meets_target(self, rng, monkeypatch):
+        # rows scaled over six decades: the equilibration weights the
+        # heavy rows down, so GMRES meets the tolerance on the equilibrated
+        # system while the true relative residual is still above it
+        n, target = 60, 1e-4
+        rows = 10.0 ** rng.uniform(0.0, 6.0, size=n)
+        A = (sp.diags(rows) @ (sp.random(n, n, density=0.2, random_state=0)
+                               + 3.0 * sp.eye(n))).tocsr()
+        b = rng.uniform(-1, 1, size=n)
+        As, scale = _equilibrate(A)
+        runs = []
+        gmres = spla.gmres
+
+        def spy(*args, **kwargs):
+            y, info = gmres(*args, **kwargs)
+            runs.append((kwargs["rtol"], info, y.copy()))
+            return y, info
+
+        monkeypatch.setattr(spla, "gmres", spy)
+        x, stats = gmres_solve(A, b, LinearSolverConfig(
+            preconditioner="none", lin_rel_tol=target))
+        (rtol, info, y), *resumed = runs
+        assert rtol == target and info == 0
+        assert _relres(As, y, scale * b) <= target  # equilibrated: met
+        assert _relres(A, scale * y, b) > target    # true: missed
+        assert resumed and all(r[0] < target for r in resumed)
+        assert stats["relres"] == _relres(A, x, b) <= target
 
     def test_logs_one_line_per_solve(self, rng, caplog):
         n = 30
         A = sp.random(n, n, density=0.2, random_state=5).tocsr() \
             + 4.0 * sp.eye(n, format="csr")
         b = rng.uniform(-1, 1, size=n)
-        cfg = LinearSolverConfig(dof_levels=np.arange(n) // 10)
+        cfg = LinearSolverConfig(lin_rel_tol=TIGHT,
+                                 dof_levels=np.arange(n) // 10)
         with caplog.at_level(logging.INFO, logger="ustflow"):
             solve_linear_system(A, b, cfg)
             solve_linear_system(A, b, LinearSolverConfig(method="direct_lu"))
@@ -166,7 +209,8 @@ class TestTimeLevelPreconditioner:
         A = rng.uniform(-1, 1, size=(n, n)) + 16.0 * np.eye(n)
         A = sp.csr_matrix(A * (levels[:, None] >= levels[None, :]))
         b = rng.uniform(-1, 1, size=n)
-        x, stats = gmres_solve(A, b, LinearSolverConfig(dof_levels=levels))
+        x, stats = gmres_solve(A, b, LinearSolverConfig(lin_rel_tol=TIGHT,
+                                                        dof_levels=levels))
         assert stats["iterations"] == 1
         assert stats["levels"] == 5
         assert np.allclose(x, direct_lu(A, b), rtol=1e-10, atol=1e-12)
@@ -177,10 +221,12 @@ class TestTimeLevelPreconditioner:
     def test_permuted_dofs_same_solution(self, rng):
         A, b, levels = _block_tridiagonal_system(rng)
         x_ref = direct_lu(A, b)
-        x, _ = gmres_solve(A, b, LinearSolverConfig(dof_levels=levels))
+        x, _ = gmres_solve(A, b, LinearSolverConfig(lin_rel_tol=TIGHT,
+                                                    dof_levels=levels))
         perm = rng.permutation(len(b))
         xp, _ = gmres_solve(A[perm][:, perm], b[perm],
-                            LinearSolverConfig(dof_levels=levels[perm]))
+                            LinearSolverConfig(lin_rel_tol=TIGHT,
+                                               dof_levels=levels[perm]))
         assert np.abs(levels[perm][1:] - levels[perm][:-1]).max() > 1
         assert np.allclose(xp, x[perm], rtol=1e-8, atol=1e-10)
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
@@ -190,12 +236,13 @@ class TestTimeLevelPreconditioner:
         A = A.tolil()
         A[8:16, 8:16] = 0.0
         with pytest.raises(LinearSolveFailure, match="time level 1 "):
-            gmres_solve(A.tocsr(), b, LinearSolverConfig(dof_levels=levels))
+            gmres_solve(A.tocsr(), b, LinearSolverConfig(lin_rel_tol=TIGHT,
+                                                         dof_levels=levels))
 
     def test_missing_partition_rejected(self, rng):
         A, b, _ = _block_tridiagonal_system(rng)
         with pytest.raises(ValueError, match="dof_levels"):
-            gmres_solve(A, b, LinearSolverConfig())
+            gmres_solve(A, b, LinearSolverConfig(lin_rel_tol=TIGHT))
 
     @pytest.mark.parametrize("make", [lambda: make_manufactured(n=4),
                                       _twisted_couette],
@@ -211,7 +258,7 @@ class TestTimeLevelPreconditioner:
         system, rhs, _ = problem.system(problem.initial_guess())
         x_ref = direct_lu(system.matrix, rhs)
         x, stats = gmres_solve(system.matrix, rhs, LinearSolverConfig(
-            dof_levels=problem.dof_levels))
+            lin_rel_tol=TIGHT, dof_levels=problem.dof_levels))
         assert stats["levels"] == spec.levels + 1
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-7
 
@@ -331,7 +378,9 @@ class TestNewton:
         assert len(lines) == len(res.trace) == len(res.assemble_s) == 2
         for k, (line, r, t) in enumerate(zip(lines, res.trace,
                                              res.assemble_s)):
-            assert line == f"newton iter={k} res={r:.6e} assemble_s={t:.3f}"
+            eta = f"{res.eta[k - 1]:.3e}" if k else "-"
+            assert line == (f"newton iter={k} res={r:.6e} assemble_s={t:.3f} "
+                            f"eta={eta}")
             assert t >= 0.0
 
     def test_deterministic_iterates(self, small_st_mesh_2d):
@@ -354,3 +403,99 @@ class TestNewton:
         r1, r2 = run(), run()
         assert np.array_equal(r1.values, r2.values)
         assert r1.trace == r2.trace
+
+
+def _logged_relres(caplog):
+    """The true relative residual of each logged linear solve."""
+    return [float(r.getMessage().split("relres=")[1].split()[0])
+            for r in caplog.records
+            if r.getMessage().startswith("linear solve")]
+
+
+def _forcing_reference(trace, tol):
+    """The forcing terms of a Newton run, recomputed from its residuals."""
+    etas = []
+    for k in range(1, len(trace)):
+        r = trace[k - 1]
+        if k == 1:
+            eta = 1e-3
+        else:
+            eta = 0.9 * (r / trace[k - 2]) ** 2
+            if 0.9 * etas[-1] ** 2 > 0.1:
+                eta = max(eta, 0.9 * etas[-1] ** 2)
+        etas.append(max(min(eta, 0.1), 0.5 * tol / r))
+    return etas
+
+
+class TestForcingTerm:
+    GMRES = LinearSolverConfig(preconditioner="none")
+
+    def test_branches(self):
+        tol = 1e-6
+        assert forcing_term(1.0, None, None, tol) == ETA_FIRST == 1e-3
+        # Eisenstat-Walker choice 2
+        assert forcing_term(0.2, 1.0, 1e-3, tol) == pytest.approx(0.9 * 0.04)
+        # a slow drop: capped
+        assert forcing_term(0.9, 1.0, 1e-3, tol) == ETA_MAX == 0.1
+        # a previous term with 0.9 eta^2 > 0.1 keeps the next one at the cap
+        # however fast the residual fell; below that, the fall decides
+        assert forcing_term(1e-3, 1.0, 0.35, tol) == ETA_MAX
+        assert forcing_term(1e-3, 1.0, 0.3, tol) == pytest.approx(5e-4)
+        # near the Newton tolerance: no more accuracy than it needs
+        assert forcing_term(4e-6, 1.0, 1e-3, tol) == pytest.approx(0.125)
+        assert forcing_term(1.0, None, None, 0.1) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("case", ["cubic", "atan_backtracking"])
+    def test_sequence_follows_formula_cap_and_floor(self, case):
+        if case == "cubic":
+            b = np.array([0.7, -1.2, 2.0])
+            toy = ToyProblem(lambda x: x + x ** 3 - b,
+                             lambda x: np.diag(1.0 + 3.0 * x ** 2))
+            x0, cfg = np.full(3, 5.0), NewtonConfig(max_iter=50)
+        else:
+            b = np.array([1.0])
+            toy = ToyProblem(lambda x: np.arctan(x) - np.arctan(b),
+                             lambda x: np.diag(1.0 / (1.0 + x ** 2)))
+            x0 = np.array([20.0])
+            cfg = NewtonConfig(max_iter=60, linesearch="backtracking")
+        out = newton_solve(toy, x0, cfg, self.GMRES)
+        assert out.converged
+        tol = max(cfg.abs_tol, cfg.rel_tol * out.trace[0])
+        assert len(out.eta) == out.iterations == len(out.trace) - 1
+        assert out.eta == pytest.approx(_forcing_reference(out.trace, tol),
+                                        rel=1e-12)
+        floor = [0.5 * tol / r for r in out.trace[:-1]]
+        assert out.eta[-1] == floor[-1]  # the last step stops at the floor
+        assert all(floor[k] <= eta <= max(ETA_MAX, floor[k])
+                   for k, eta in enumerate(out.eta))
+        if case == "atan_backtracking":
+            assert ETA_MAX in out.eta  # a damped step drops slowly
+
+    def test_linear_system_at_most_two_steps(self, rng, caplog):
+        n = 40
+        A = rng.uniform(-1, 1, size=(n, n)) + 4.0 * np.eye(n)
+        b = rng.uniform(-1, 1, size=n)
+        toy = ToyProblem(lambda x: A @ x - b, lambda x: A)
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            out = newton_solve(toy, np.zeros(n), NewtonConfig(), self.GMRES)
+        assert out.converged and out.iterations <= 2
+        assert out.eta[0] == ETA_FIRST
+        assert np.allclose(out.values, np.linalg.solve(A, b), rtol=1e-5)
+        # each GMRES solve stops once it meets its forcing term, a few
+        # Krylov iterations (each gains well under 100x here) below it
+        relres = _logged_relres(caplog)
+        assert len(relres) == out.iterations
+        for r, eta in zip(relres, out.eta):
+            assert eta / 100 < r <= eta
+
+    def test_pinned_tolerance_every_step(self, caplog):
+        b = np.array([0.7, -1.2, 2.0])
+        toy = ToyProblem(lambda x: x + x ** 3 - b,
+                         lambda x: np.diag(1.0 + 3.0 * x ** 2))
+        cfg = LinearSolverConfig(preconditioner="none", lin_rel_tol=TIGHT)
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            out = newton_solve(toy, np.full(3, 5.0), NewtonConfig(), cfg)
+        assert out.converged and out.eta == [TIGHT] * out.iterations
+        relres = _logged_relres(caplog)
+        assert len(relres) == out.iterations
+        assert max(relres) <= TIGHT
