@@ -41,11 +41,15 @@ Space-time simplices use ``_simplex_terms``: P1 gradients are constant per
 element and the strong viscous operator vanishes, so every term is a
 per-element constant times a few quadrature sums, and each local matrix is
 built once from outer products, with no per-point matrix intermediates.
-Tensor-product prisms use the quadrature-point kernel ``_element_terms``,
-as their gradients vary over the element; ``prism_geometry`` gives them at
-all quadrature points of a slab in one call.  Fed the constant P1 gradients
-broadcast over the quadrature points, ``_element_terms`` is also the tests'
-oracle for ``_simplex_terms``.
+Tensor-product prisms use ``_prism_terms``.  At fixed theta the prism map
+is affine in xi, so |detJ| and the spatial gradients take one value per
+theta point of the tensor-product rule; every term with two gradients is
+a weighted outer product per theta point, and only the time derivatives,
+u, the advective derivative and the strong residual vary with xi.
+``prism_geometry`` gives a slab's geometry at all quadrature points in one
+call.  Both kernels compute with the element axis last, so that every
+broadcast product runs over the elements in its inner loop, and return
+element-first views.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,10 +75,9 @@ from .stabilization import (StabilizationContext, mesh_metric, metric_terms,
 
 logger = logging.getLogger("ustflow")
 
-# local-matrix entries per assembly chunk (7,500 pentatopes or 9,259 2D
-# prisms).  It bounds the chunk's arrays of that size, on each lane: the
-# local matrices and the simplex kernel's outer products; the prism
-# kernel's per-quadrature-point products are nq times larger.
+# local-matrix entries per assembly chunk (7,500 pentatopes, 9,259 2D or
+# 2,929 3D prisms).  It bounds the chunk's arrays of that size, on each
+# lane: the local matrices and the kernels' outer products.
 _CHUNK_ENTRIES = 3.0e6
 
 # element lanes of a system with two or more chunks.  The lanes are a fixed
@@ -194,107 +197,106 @@ def rigid_surface_velocity(omega: float, center, axis=(0.0, 0.0, 1.0)):
 
 # -- element kernels ---------------------------------------------------------
 
-@lru_cache(maxsize=1024)
-def _einsum_path(subscripts, *shapes):
-    """The contraction path ``np.einsum(..., optimize=True)`` searches for.
+def _prism_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
+                 body_force, convective, want_matrix):
+    """Volume kernel of tensor-product prisms for one chunk of E elements,
+    computed with the element axis last.
 
-    It depends on the subscripts and operand shapes only, which are fixed
-    per element family and chunk size, so ``_element_terms`` finds each of
-    its paths once instead of on every call.
+    The rule is the product of ns spatial and nt theta points.  N (ns, nt,
+    nen) and w (ns, nt) are the reference shape values and weights; B
+    (ns, nt, nen, E) the time derivatives and x (ns, nt, dim, E) the points.
+    |detJ| det (nt, E) and the spatial gradients D (nt, nen, n_sd, E)
+    depend on theta alone: t depends on theta only, so at fixed theta the
+    prism map is affine in xi.  Ue: (E, nen, ncomp).  Returns (Re, Ke)
+    element-first, Ke None when not requested.
+
+    grad u, grad p and div u are therefore constant at each theta, and each
+    term of the weak form with two gradients is a sum over theta of
+    weighted outer products; only u, du/dt, the advective derivative
+    adv_a = dN_a/dt + u.grad N_a and the strong residual r vary with xi,
+    and their quadrature sums are contractions with the weights.
     """
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
-
-
-def _element_terms(Nq, wdet, D, B, x_q, Ue, rho, mu, tau_m, tau_c,
-                   body_force, convective, want_matrix):
-    """Quadrature-point volume kernel for one chunk of elements.
-
-    Nq: (nq, nen) shape values; wdet: (E, nq) weight*|detJ|;
-    D: (E, nq, nen, n_sd) spatial gradients; B: (E, nq, nen) time
-    derivatives; x_q: (E, nq, dim); Ue: (E, nen, ncomp).  Returns (Re, Ke)
-    with Ke None when not requested.
-    """
-    def ein(subscripts, *operands):
-        path = _einsum_path(subscripts, *(a.shape for a in operands))
-        return np.einsum(subscripts, *operands, optimize=path)
-
-    E, nq, nen, n_sd = D.shape
+    ns, nt, nen = N.shape
+    n_sd = D.shape[2]
     nc = n_sd + 1
-    Uv = Ue[:, :, :n_sd]
-    Up = Ue[:, :, n_sd]
+    E = det.shape[-1]
+    U = np.ascontiguousarray(Ue.transpose(1, 2, 0))      # (nen, nc, E)
+    Uv, Up = U[:, :n_sd], U[:, n_sd]
+    wq = w[:, :, None] * det                             # (ns, nt, E)
+    om = wq.sum(axis=0)                                  # measure per theta
 
-    u_q = ein("qa,eai->eqi", Nq, Uv)
-    p_q = ein("qa,ea->eq", Nq, Up)
-    gradu = ein("eqaj,eai->eqij", D, Uv)
-    dudt = ein("eqa,eai->eqi", B, Uv)
-    gradp = ein("eqaj,ea->eqj", D, Up)
-    divu = ein("eqii->eq", gradu)
+    u = np.tensordot(N, Uv, 1)                           # (ns, nt, n_sd, E)
+    gradu = np.einsum("aie,taje->tije", Uv, D)           # du_i/dx_j
+    gradp = np.einsum("ae,taje->tje", Up, D)
+    divu = np.einsum("tiie->te", gradu)
+    P = (wq * np.tensordot(N, Up, 1)).sum(axis=0)        # sum_xi w p
 
-    acc = dudt
+    acc = np.einsum("stae,aie->stie", B, Uv)             # du/dt
     if body_force is not None:
-        xt = x_q.reshape(-1, x_q.shape[-1])
-        acc = dudt - np.asarray(body_force(xt[:, :n_sd], xt[:, n_sd])).reshape(
-            E, nq, n_sd)
+        xt = np.moveaxis(x, 2, -1).reshape(-1, x.shape[2])
+        f = np.asarray(body_force(xt[:, :n_sd], xt[:, n_sd]))
+        acc -= np.moveaxis(f.reshape(ns, nt, E, n_sd), -1, 2)
     if convective:
-        acc = acc + ein("eqj,eqij->eqi", u_q, gradu)
-        adv = B + ein("eqj,eqaj->eqa", u_q, D)
+        acc += np.einsum("stje,tije->stie", u, gradu)
+        adv = B + np.einsum("stje,taje->stae", u, D)     # (ns, nt, nen, E)
     else:
-        adv = np.broadcast_to(B, (E, nq, nen))
+        adv = B
+    r = rho * acc + gradp                                # strong residual
+    wadv = wq[:, :, None] * adv
+    wr = wq[:, :, None] * r
+    # sums over xi per theta: sum w adv_a and sum w N_a
+    A1 = wadv.sum(axis=0)
+    N1 = (w[:, :, None] * N).sum(axis=0)[..., None] * det[:, None]
+    # rho times the momentum test function: Galerkin N_a plus GLS tau adv_a
+    Z = rho * (N[..., None] + tau_m * adv)
 
-    r_q = rho * acc + gradp
-
-    Re = np.zeros((E, nen, nc))
-    # Galerkin transient + convection + body force
-    Re[:, :, :n_sd] += rho * ein("eq,qa,eqi->eai", wdet, Nq, acc)
-    # stress: 2 mu eps(w):eps(u) - p div w
-    Re[:, :, :n_sd] += mu * ein("eq,eqaj,eqij->eai", wdet, D,
-                                      gradu + np.swapaxes(gradu, 2, 3))
-    Re[:, :, :n_sd] -= ein("eq,eq,eqai->eai", wdet, p_q, D)
-    # continuity
-    Re[:, :, n_sd] += ein("eq,qa,eq->ea", wdet, Nq, divu)
-    # GLS momentum: weight rho(dw/dt + u.grad w) part
-    Re[:, :, :n_sd] += ein("e,eq,eqa,eqi->eai", tau_m, wdet, adv, r_q)
-    # GLS momentum: pressure-test part (PSPG-like)
-    Re[:, :, n_sd] += ein("e,eq,eqai,eqi->ea", tau_m / rho, wdet, D, r_q)
-    # grad-div
-    Re[:, :, :n_sd] += rho * ein("e,eq,eqai,eq->eai", tau_c, wdet, D, divu)
-
+    Re = np.empty((nen, nc, E))
+    # momentum: sum w Z_a acc_i and the GLS pressure gradient, then the
+    # terms with a test gradient, D[a,j] S[i,j]: stress 2 mu eps(w):eps(u),
+    # -p div w and grad-div
+    S = mu * om[:, None, None] * (gradu + gradu.swapaxes(1, 2))
+    idx = np.arange(n_sd)
+    S[:, idx, idx] += (rho * tau_c * om * divu - P)[:, None]
+    Re[:, :n_sd] = (np.einsum("stae,stie->aie", Z, wq[:, :, None] * acc)
+                    + tau_m * np.einsum("tae,tie->aie", A1, gradp)
+                    + np.einsum("taje,tije->aie", D, S))
+    # continuity and the PSPG-like GLS test
+    Re[:, n_sd] = (np.einsum("tae,te->ae", N1, divu)
+                   + tau_m / rho * np.einsum("taie,tie->ae", D,
+                                             wr.sum(axis=0)))
     if not want_matrix:
-        return Re, None
+        return np.moveaxis(Re, -1, 0), None
 
-    eye = np.eye(n_sd)
-    Ke = np.zeros((E, nen, nc, nen, nc))
-    # d(strong residual)/dU (velocity block)
-    drdu = rho * (ein("eqb,ij->eqibj", adv, eye)
-                  + (ein("qb,eqij->eqibj", Nq, gradu) if convective else 0.0))
-
-    # Galerkin
-    Ke[:, :, :n_sd, :, :n_sd] += ein("eq,qa,eqibj->eaibj", wdet, Nq, drdu)
-    # stress
-    Ke[:, :, :n_sd, :, :n_sd] += mu * (
-        ein("eq,eqak,eqbk,ij->eaibj", wdet, D, D, eye)
-        + ein("eq,eqaj,eqbi->eaibj", wdet, D, D))
-    Ke[:, :, :n_sd, :, n_sd] -= ein("eq,qb,eqai->eaib", wdet, Nq, D)
-    # continuity
-    Ke[:, :, n_sd, :, :n_sd] += ein("eq,qa,eqbj->eabj", wdet, Nq, D)
-    # GLS, velocity test rows
-    Ke[:, :, :n_sd, :, :n_sd] += ein("e,eq,eqa,eqibj->eaibj",
-                                           tau_m, wdet, adv, drdu)
-    Ke[:, :, :n_sd, :, n_sd] += ein("e,eq,eqa,eqbi->eaib",
-                                          tau_m, wdet, adv, D)
-    if convective:  # linearization of u inside the GLS weight
-        Ke[:, :, :n_sd, :, :n_sd] += ein("e,eq,qb,eqaj,eqi->eaibj",
-                                               tau_m, wdet, Nq, D, r_q)
-    # GLS, pressure test rows
-    Ke[:, :, n_sd, :, :n_sd] += ein("e,eq,eqam,eqmbj->eabj",
-                                          tau_m / rho, wdet, D, drdu)
-    Ke[:, :, n_sd, :, n_sd] += ein("e,eq,eqam,eqbm->eab",
-                                         tau_m / rho, wdet, D, D)
-    # grad-div
-    Ke[:, :, :n_sd, :, :n_sd] += rho * ein("e,eq,eqai,eqbj->eaibj",
-                                                 tau_c, wdet, D, D)
-    return Re, Ke
+    omD = om[:, None, None] * D
+    DD = np.einsum("tame,tbme->abe", D, omD)             # sum w D_a.D_b
+    Ke = np.empty((nen, nc, nen, nc, E))
+    Kvv = Ke[:, :n_sd, :, :n_sd]
+    # grad-div: D[a,i] D[b,j]
+    np.einsum("taie,tbje->aibje", D, rho * tau_c * omD, out=Kvv)
+    # stress mu D[a,j] D[b,i]; the linearization of u inside the GLS weight
+    # adds D[a,j] sum_xi w N_b r_i
+    H = mu * omD
+    if convective:
+        H = H + tau_m * np.einsum("stb,stie->tbie", N, wr)
+        # Galerkin and GLS linearization of u.grad u: C[a,b] gradu[i,j]
+        C = np.einsum("stae,stb->tabe", wq[:, :, None] * Z, N)
+        Kvv += np.einsum("tabe,tije->aibje", C, gradu)
+    Kvv += np.einsum("taje,tbie->aibje", D, H)
+    # delta_ij: transient/convection (Galerkin and GLS) and stress
+    diag = np.einsum("stae,stbe->abe", Z, wadv) + mu * DD
+    for i in range(n_sd):
+        Kvv[:, i, :, i] += diag
+    # velocity rows, pressure columns: -p div w and the GLS pressure gradient
+    Ke[:, :n_sd, :, n_sd] = (np.einsum("tae,tbie->aibe", tau_m * A1, D)
+                             - np.einsum("taie,tbe->aibe", D, N1))
+    # pressure rows: continuity and the PSPG-like GLS test
+    GLS_p = np.einsum("taje,tbe->abje", D, A1)
+    if convective:
+        GLS_p += np.einsum("taje,tbe->abje",
+                           np.einsum("tame,tmje->taje", D, gradu), N1)
+    Ke[:, n_sd, :, :n_sd] = np.einsum("tae,tbje->abje", N1, D) + tau_m * GLS_p
+    Ke[:, n_sd, :, n_sd] = tau_m / rho * DD
+    return np.moveaxis(Re, -1, 0), np.moveaxis(Ke, -1, 0)
 
 
 def _simplex_terms(Nq, weights, det, G, Bt, X, Ue, rho, mu, tau_m, tau_c,
@@ -882,7 +884,7 @@ class PrismSlab:
 class PrismSlabProblem(_ProblemBase):
     """Stabilized weak form on one tensor-product slab (slab/ALE mode)."""
 
-    _kernel = staticmethod(_element_terms)
+    _kernel = staticmethod(_prism_terms)
 
     def __init__(self, slab: PrismSlab, material: MaterialParams, bcs: BCSpec,
                  body_force=None, convective=True, gauge=None,
@@ -897,9 +899,17 @@ class PrismSlabProblem(_ProblemBase):
                                           spatial.elements + n_sp]),
                           spatial.tag_names)
 
+        # bottom nodes are time level 0 and top nodes level 1, numbered
+        # level by level, the partition of the block Gauss-Seidel sweep
+        self.dof_levels = np.repeat(np.arange(2), n_sp * self.ncomp)
+
         self.rule = prism_quadrature(self.n_sd, 2)
-        self.Nq = prism_shape_functions(self.rule.points[:, :self.n_sd],
-                                        self.rule.points[:, self.n_sd])
+        # the rule's ns spatial times 2 theta points, theta fastest
+        shape = (len(self.rule.weights) // 2, 2)
+        self.weights = self.rule.weights.reshape(shape)
+        self.Nq = prism_shape_functions(
+            self.rule.points[:, :self.n_sd],
+            self.rule.points[:, self.n_sd]).reshape(shape + (-1,))
 
         nodes = {}
         for tag in bcs.dirichlet:
@@ -918,16 +928,30 @@ class PrismSlabProblem(_ProblemBase):
 
     @cached_property
     def _geometry(self):
-        """(wdet, D, B, x_q) of all prisms at the quadrature points."""
+        """(det, D, B, x) of all prisms, the element axis last, as
+        ``_prism_terms`` takes them.
+
+        |detJ| and the spatial gradients D are taken at the first spatial
+        point, the rule's first nt points; at fixed theta the map is affine
+        in xi, so they are the same at the others, up to rounding.
+        """
         slab, n_sd = self.slab, self.n_sd
         x_q, _, detJ, grads = prism_geometry(
             *slab.corners(), slab.t_bottom, slab.dt,
             self.rule.points[:, :n_sd], self.rule.points[:, n_sd])
-        return (self.rule.weights * np.abs(detJ), grads[..., :n_sd],
-                grads[..., n_sd], x_q)
+        E = len(x_q)
+        ns, nt = self.weights.shape
+
+        def last(a):
+            return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+        B, x = (last(a.reshape((E, ns, nt) + a.shape[2:]))
+                for a in (grads[..., n_sd], x_q))
+        return last(np.abs(detJ[:, :nt])), last(grads[:, :nt, :, :n_sd]), B, x
 
     def _volume_geometry(self, sl):
-        return (self.Nq,) + tuple(a[sl] for a in self._geometry)
+        return (self.Nq, self.weights) + tuple(a[..., sl]
+                                               for a in self._geometry)
 
     def _bottom_cap(self):
         ids = self.slab.spatial.elements  # bottom-level node ids == spatial ids

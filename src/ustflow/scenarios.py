@@ -122,10 +122,11 @@ class SlabRunResult:
 def default_linear_config(n_dofs: int) -> LinearSolverConfig:
     """Restarted GMRES with the time-level block Gauss-Seidel preconditioner.
 
-    The same choice at every size ``n_dofs``: each UST simplex spans two
-    adjacent node-time levels, so one forward sweep over the levels with an
-    exact LU of each level's block leaves GMRES little to do, for a
-    fraction of the time and memory of a full factorization.
+    The same choice at every size ``n_dofs`` and in both modes: each UST
+    simplex spans two adjacent node-time levels and a slab has only two, so
+    one forward sweep over the levels with an exact LU of each level's
+    block leaves GMRES little to do, for a fraction of the time and memory
+    of a full factorization.
     """
     return LinearSolverConfig(method="gmres_restarted",
                               preconditioner="time_levels")
@@ -181,8 +182,8 @@ def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
     n_sp = spatial.n_nodes
     traj = spec.trajectory
     newton_cfg = newton_cfg or NewtonConfig()
-    # a slab has 2 node-time levels and a few thousand dofs: one exact LU
-    lin_cfg = lin_cfg or LinearSolverConfig(method="direct_lu")
+    # UST's solver: the level sweep runs over a slab's bottom and top nodes
+    lin_cfg = lin_cfg or default_linear_config(2 * n_sp * (spatial.dim + 1))
 
     prev_trace = None
     failed = None

@@ -16,11 +16,11 @@ Linear and Nonlinear Equations, SIAM 1995, section 6.3); see
 every step to it instead.  ``direct_lu`` ignores the tolerance.
 
 Each linear solve logs one ``linear solve`` line with its method,
-iterations, true relative residual and timings, and Newton traces are
-emitted as ``newton iter=<k> res=<value> assemble_s=<s> eta=<eta>`` log
-lines: the wall time of the assembly that gave the residual, and the
-forcing term of the linear solve whose step gave iterate k (``-`` at
-k = 0).
+iterations, true relative residual, timings and GMRES resumes, and Newton
+traces are emitted as ``newton iter=<k> res=<value> assemble_s=<s>
+eta=<eta>`` log lines: the wall time of the assembly that gave the
+residual, and the forcing term of the linear solve whose step gave
+iterate k (``-`` at k = 0).
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     resumes from its iterate with the inner tolerance tightened by the
     miss, within the same ``max_krylov_iter`` budget.  Returns (x, stats)
     with the Krylov iterations, the true relative residual, the number of
-    levels and the seconds spent building the preconditioner and in GMRES.
+    levels, the number of such resumes and the seconds spent building the
+    preconditioner and in GMRES.
     Raises Stagnation/Breakdown, with the iterations and relres reached,
     when the target is missed.
     """
@@ -195,7 +196,7 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
         raise ValueError("gmres_solve needs cfg.lin_rel_tol; newton_solve "
                          "sets it per step from the forcing term")
     A = sp.csr_matrix(A)
-    stats = {"iterations": 0, "relres": 0.0, "levels": None,
+    stats = {"iterations": 0, "relres": 0.0, "levels": None, "resumes": 0,
              "factor_s": 0.0, "krylov_s": 0.0}
     if not np.any(b):
         return np.zeros_like(b), stats
@@ -241,6 +242,7 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
         # the equilibrated residual is off the true one by about the same
         # factor on the next iterate: aim below the target by that factor
         inner = 0.5 * target / relres * _relres(As, y, bs)
+        stats["resumes"] += 1
     stats["factor_s"], stats["krylov_s"] = t1 - t0, time.perf_counter() - t1
     return x, stats
 
@@ -259,7 +261,8 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
         t0 = time.perf_counter()
         x = direct_lu(A, b)
         stats = {"factor_s": time.perf_counter() - t0, "krylov_s": 0.0,
-                 "iterations": 0, "levels": None, "relres": _relres(A, x, b)}
+                 "iterations": 0, "levels": None, "resumes": 0,
+                 "relres": _relres(A, x, b)}
         precond = "none"
     elif cfg.method == "gmres_restarted":
         x, stats = gmres_solve(A, b, cfg)
@@ -267,9 +270,10 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
     else:
         raise ValueError(f"unknown linear solver {cfg.method!r}")
     logger.info("linear solve method=%s precond=%s levels=%s iters=%d "
-                "relres=%.3e factor_s=%.3f krylov_s=%.3f", cfg.method,
-                precond, stats["levels"], stats["iterations"],
-                stats["relres"], stats["factor_s"], stats["krylov_s"])
+                "relres=%.3e factor_s=%.3f krylov_s=%.3f resumes=%d",
+                cfg.method, precond, stats["levels"], stats["iterations"],
+                stats["relres"], stats["factor_s"], stats["krylov_s"],
+                stats["resumes"])
     return x
 
 

@@ -17,7 +17,7 @@ from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
                               SpaceTimeProblem, dirichlet_values,
                               element_jacobian_matrix, element_residual,
                               jump_term, rigid_surface_velocity,
-                              _element_terms, _simplex_terms, traction_term,
+                              _prism_terms, _simplex_terms, traction_term,
                               zero_velocity)
 import ustflow.assembly as assembly
 from ustflow.errors import ConfigurationError
@@ -26,7 +26,8 @@ from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
 from ustflow.geometry import box2d, box3d
 from ustflow.mesh import reference_gradients
 from ustflow.quadrature import prism_quadrature
-from ustflow.stabilization import StabilizationContext, prism_geometry
+from ustflow.stabilization import (StabilizationContext, prism_geometry,
+                                   prism_shape_functions)
 
 from conftest import twisted_slab
 
@@ -608,35 +609,102 @@ class TestDeterminism:
         assert n1 == n2
 
 
-    @pytest.mark.parametrize("convective", [True, False])
-    def test_prism_kernel_cached_paths_same_bytes(self, convective, rng,
-                                                  monkeypatch):
-        # the cached contraction paths against a fresh search on every
-        # call, which is what np.einsum(optimize=True) does
-        problem = twisted_prism_problem(rng)
-        U = problem.impose_dirichlet(
-            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
-        stab = problem.stabilization(U)
-        sl = slice(0, len(problem.elements))
+def quadrature_point_terms(Nq, wdet, D, B, x_q, Ue, rho, mu, tau_m, tau_c,
+                           body_force, convective, want_matrix):
+    """The oracle of both element kernels: every term of the weak form
+    summed over the quadrature points of each element, one ``np.einsum``
+    per term.
 
-        def terms(want_matrix):
-            return _element_terms(
-                *problem._volume_geometry(sl), U[problem.elements], 1.2, 0.3,
-                stab.tau_mom, stab.tau_cont, None, convective, want_matrix)
+    Nq: (nq, nen) shape values; wdet: (E, nq) weight*|detJ|;
+    D: (E, nq, nen, n_sd) spatial gradients; B: (E, nq, nen) time
+    derivatives; x_q: (E, nq, dim); Ue: (E, nen, ncomp).  Returns (Re, Ke)
+    with Ke None when not requested.
+    """
+    def ein(subscripts, *operands):
+        return np.einsum(subscripts, *operands, optimize=True)
 
-        cached = terms(True) + terms(False)
-        monkeypatch.setattr(assembly, "_einsum_path", lambda *args: True)
-        searched = terms(True) + terms(False)
-        for got, want in zip(cached, searched):
-            if want is None:
-                assert got is None
-            else:
-                assert got.tobytes() == want.tobytes()
+    E, nq, nen, n_sd = D.shape
+    nc = n_sd + 1
+    Uv = Ue[:, :, :n_sd]
+    Up = Ue[:, :, n_sd]
+
+    u_q = ein("qa,eai->eqi", Nq, Uv)
+    p_q = ein("qa,ea->eq", Nq, Up)
+    gradu = ein("eqaj,eai->eqij", D, Uv)
+    dudt = ein("eqa,eai->eqi", B, Uv)
+    gradp = ein("eqaj,ea->eqj", D, Up)
+    divu = ein("eqii->eq", gradu)
+
+    acc = dudt
+    if body_force is not None:
+        xt = x_q.reshape(-1, x_q.shape[-1])
+        acc = dudt - np.asarray(body_force(xt[:, :n_sd], xt[:, n_sd])).reshape(
+            E, nq, n_sd)
+    if convective:
+        acc = acc + ein("eqj,eqij->eqi", u_q, gradu)
+        adv = B + ein("eqj,eqaj->eqa", u_q, D)
+    else:
+        adv = np.broadcast_to(B, (E, nq, nen))
+
+    r_q = rho * acc + gradp
+
+    Re = np.zeros((E, nen, nc))
+    # Galerkin transient + convection + body force
+    Re[:, :, :n_sd] += rho * ein("eq,qa,eqi->eai", wdet, Nq, acc)
+    # stress: 2 mu eps(w):eps(u) - p div w
+    Re[:, :, :n_sd] += mu * ein("eq,eqaj,eqij->eai", wdet, D,
+                                gradu + np.swapaxes(gradu, 2, 3))
+    Re[:, :, :n_sd] -= ein("eq,eq,eqai->eai", wdet, p_q, D)
+    # continuity
+    Re[:, :, n_sd] += ein("eq,qa,eq->ea", wdet, Nq, divu)
+    # GLS momentum: weight rho(dw/dt + u.grad w) part
+    Re[:, :, :n_sd] += ein("e,eq,eqa,eqi->eai", tau_m, wdet, adv, r_q)
+    # GLS momentum: pressure-test part (PSPG-like)
+    Re[:, :, n_sd] += ein("e,eq,eqai,eqi->ea", tau_m / rho, wdet, D, r_q)
+    # grad-div
+    Re[:, :, :n_sd] += rho * ein("e,eq,eqai,eq->eai", tau_c, wdet, D, divu)
+
+    if not want_matrix:
+        return Re, None
+
+    eye = np.eye(n_sd)
+    Ke = np.zeros((E, nen, nc, nen, nc))
+    # d(strong residual)/dU (velocity block)
+    drdu = rho * (ein("eqb,ij->eqibj", adv, eye)
+                  + (ein("qb,eqij->eqibj", Nq, gradu) if convective else 0.0))
+
+    # Galerkin
+    Ke[:, :, :n_sd, :, :n_sd] += ein("eq,qa,eqibj->eaibj", wdet, Nq, drdu)
+    # stress
+    Ke[:, :, :n_sd, :, :n_sd] += mu * (
+        ein("eq,eqak,eqbk,ij->eaibj", wdet, D, D, eye)
+        + ein("eq,eqaj,eqbi->eaibj", wdet, D, D))
+    Ke[:, :, :n_sd, :, n_sd] -= ein("eq,qb,eqai->eaib", wdet, Nq, D)
+    # continuity
+    Ke[:, :, n_sd, :, :n_sd] += ein("eq,qa,eqbj->eabj", wdet, Nq, D)
+    # GLS, velocity test rows
+    Ke[:, :, :n_sd, :, :n_sd] += ein("e,eq,eqa,eqibj->eaibj",
+                                     tau_m, wdet, adv, drdu)
+    Ke[:, :, :n_sd, :, n_sd] += ein("e,eq,eqa,eqbi->eaib",
+                                    tau_m, wdet, adv, D)
+    if convective:  # linearization of u inside the GLS weight
+        Ke[:, :, :n_sd, :, :n_sd] += ein("e,eq,qb,eqaj,eqi->eaibj",
+                                         tau_m, wdet, Nq, D, r_q)
+    # GLS, pressure test rows
+    Ke[:, :, n_sd, :, :n_sd] += ein("e,eq,eqam,eqmbj->eabj",
+                                    tau_m / rho, wdet, D, drdu)
+    Ke[:, :, n_sd, :, n_sd] += ein("e,eq,eqam,eqbm->eab",
+                                   tau_m / rho, wdet, D, D)
+    # grad-div
+    Ke[:, :, :n_sd, :, :n_sd] += rho * ein("e,eq,eqai,eqbj->eaibj",
+                                           tau_c, wdet, D, D)
+    return Re, Ke
+
 
 def p1_oracle_geometry(problem, sl):
-    """The geometry ``_element_terms`` takes, for the P1 simplices ``sl`` of
-    a ``SpaceTimeProblem``: the constant gradients broadcast over the
-    quadrature points."""
+    """The geometry ``quadrature_point_terms`` takes, for the P1 simplices
+    ``sl`` of a ``SpaceTimeProblem``: the constant gradients broadcast over
+    the quadrature points."""
     mesh = problem.mesh
     n_sd = mesh.n_sd
     grads = mesh.gradients[sl]
@@ -649,6 +717,18 @@ def p1_oracle_geometry(problem, sl):
     return problem.Nq, wdet, D, B, x_q
 
 
+def prism_oracle_geometry(problem):
+    """The geometry ``quadrature_point_terms`` takes, for all prisms of a
+    ``PrismSlabProblem``: ``prism_geometry`` at every quadrature point."""
+    slab, n_sd = problem.slab, problem.n_sd
+    xi, theta = problem.rule.points[:, :n_sd], problem.rule.points[:, n_sd]
+    x_q, _, detJ, grads = prism_geometry(*slab.corners(), slab.t_bottom,
+                                         slab.dt, xi, theta)
+    return (prism_shape_functions(xi, theta),
+            problem.rule.weights * np.abs(detJ), grads[..., :n_sd],
+            grads[..., n_sd], x_q)
+
+
 def volume_terms(kernel, geometry, problem, U, want_matrix):
     """(Re, Ke) of every element of ``problem`` at ``U`` from ``kernel``."""
     stab = problem.stabilization(U)
@@ -658,11 +738,12 @@ def volume_terms(kernel, geometry, problem, U, want_matrix):
 
 
 def reference_terms(problem, U, want_matrix):
-    """(Re, Ke) of every element from the quadrature-point kernel."""
+    """(Re, Ke) of every element from the quadrature-point oracle."""
     geometry = (p1_oracle_geometry(problem, slice(None))
                 if isinstance(problem, SpaceTimeProblem)
-                else problem._volume_geometry(slice(None)))
-    return volume_terms(_element_terms, geometry, problem, U, want_matrix)
+                else prism_oracle_geometry(problem))
+    return volume_terms(quadrature_point_terms, geometry, problem, U,
+                        want_matrix)
 
 
 def coo_reference(problem, U):
@@ -815,6 +896,42 @@ class TestSimplexKernel:
         assert np.abs(Ke - Ke_ref).max() <= 1e-13 * np.abs(Ke_ref).max()
 
 
+class TestPrismKernel:
+    """The element-last prism kernel against the quadrature-point kernel fed
+    ``prism_geometry`` at every point, on twisted slabs, at random fields
+    that ignore the Dirichlet data."""
+
+    @pytest.mark.parametrize("n_sd", [2, 3])
+    @pytest.mark.parametrize("convective", [True, False])
+    @pytest.mark.parametrize("with_force", [True, False])
+    def test_matches_quadrature_point_kernel(self, n_sd, convective,
+                                             with_force, rng):
+        def force(x, t):
+            return np.column_stack([np.sin(x[:, 0]) * t]
+                                   + [x[:, 1] + t] * (n_sd - 1))
+
+        slab = twisted_slab(n_sd)
+        problem = PrismSlabProblem(
+            slab, MaterialParams(rho=1.2, mu=0.3),
+            BCSpec(dirichlet={"x0": zero_velocity}),
+            body_force=force if with_force else None, convective=convective,
+            gauge=(0, 0.1),
+            jump_data=rng.uniform(-1, 1, size=(slab.spatial.n_nodes, n_sd)))
+        U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
+        geometry = problem._volume_geometry(slice(None))
+        for want_matrix in (False, True):
+            Re_ref, Ke_ref = reference_terms(problem, U, want_matrix)
+            Re, Ke = volume_terms(_prism_terms, geometry, problem, U,
+                                  want_matrix)
+            assert Re.shape == Re_ref.shape
+            assert np.abs(Re - Re_ref).max() <= 1e-13 * np.abs(Re_ref).max()
+            if not want_matrix:
+                assert Ke is None
+                continue
+            assert Ke.shape == Ke_ref.shape
+            assert np.abs(Ke - Ke_ref).max() <= 1e-13 * np.abs(Ke_ref).max()
+
+
 def split_into_chunks(monkeypatch, problem, n_chunks=4):
     """Shrink the assembly chunk so that ``problem`` has ``n_chunks`` or
     ``n_chunks + 1`` chunks, hence two lanes."""
@@ -836,10 +953,11 @@ class TestLanes:
 
     @staticmethod
     def problem(family, rng):
-        return (twisted_simplex_problem() if family == "simplex"
-                else pentatope_problem(rng))
+        return {"simplex": twisted_simplex_problem,
+                "pentatope": lambda: pentatope_problem(rng),
+                "prism": lambda: twisted_prism_problem(rng)}[family]()
 
-    @pytest.fixture(params=["simplex", "pentatope"])
+    @pytest.fixture(params=["simplex", "pentatope", "prism"])
     def family(self, request):
         return request.param
 
@@ -935,8 +1053,8 @@ class TestLanes:
 class TestBlockFill:
     def test_same_blocks_for_either_memory_order(self, rng):
         """The simplex kernel's element-last local matrices and an
-        element-first copy (the prism kernel's and the jump term's order)
-        fill the same blocks, also into a block range of their own."""
+        element-first copy (the jump term's order) fill the same blocks,
+        also into a block range of their own."""
         problem = pentatope_problem(rng)
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
         _, Ke = volume_terms(_simplex_terms,

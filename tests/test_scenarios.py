@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ustflow.scenarios as scenarios
-from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
+from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
+                              PrismSlabProblem, SpaceTimeProblem)
 from ustflow.errors import ConfigurationError, NotConverged
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st, rotation_matrix
 from ustflow.geometry import box2d
@@ -223,18 +224,22 @@ class TestLinearSolverChoice:
             assert cfg.method == "gmres_restarted"
             assert cfg.preconditioner == "time_levels"
 
-    def test_run_slab_uses_direct_lu(self, monkeypatch):
-        methods = []
+    def test_run_slab_uses_time_level_gmres(self, monkeypatch):
+        calls = []
         newton = scenarios.newton_solve
 
         def spy(problem, values, cfg, lin_cfg):
-            methods.append(lin_cfg.method)
+            calls.append((lin_cfg.method, lin_cfg.preconditioner,
+                          problem.dof_levels, problem.n_dofs // 2))
             return newton(problem, values, cfg, lin_cfg)
 
         monkeypatch.setattr(scenarios, "newton_solve", spy)
         res = run_slab(make_manufactured(n=3, levels=2))
         assert res.diagnostics["converged"]
-        assert methods == ["direct_lu", "direct_lu"]
+        assert len(calls) == 2
+        for method, precond, levels, per_level in calls:
+            assert (method, precond) == ("gmres_restarted", "time_levels")
+            assert np.array_equal(levels, np.repeat([0, 1], per_level))
 
     def test_dof_levels_follow_node_times(self):
         spec = make_stirrer2d(levels=3)
@@ -248,6 +253,39 @@ class TestLinearSolverChoice:
         for k in range(4):
             assert np.allclose(times[levels == k], k * spec.t_end / 3,
                                rtol=1e-12, atol=0.0)
+
+    def test_slab_dof_levels_are_bottom_and_top(self):
+        spec = make_stirrer2d()
+        slab = PrismSlab(spec.mesh, spec.mesh.nodes, spec.mesh.nodes, 0.0,
+                         spec.dt)
+        problem = PrismSlabProblem(slab, spec.material, spec.bcs,
+                                   gauge=spec.gauge_for(slab.node_coords()))
+        times = np.repeat(slab.node_coords()[:, 2], problem.ncomp)
+        levels = problem.dof_levels
+        assert levels.shape == (problem.n_dofs,)
+        assert (np.diff(levels) >= 0).all()   # numbered level by level
+        assert np.array_equal(times[levels == 0], np.zeros(
+            problem.n_dofs // 2))
+        assert np.array_equal(times[levels == 1], np.full(
+            problem.n_dofs // 2, spec.dt))
+
+    def test_run_slab_matches_direct_lu_oracle(self):
+        # four slabs of the shipped 2D stirrer mesh.  Each GMRES step is only
+        # as accurate as its forcing term, and Newton stops each slab at
+        # rel_tol = 1e-6 of its first residual, so the final traces agree to
+        # that order, not to rounding (measured: 5e-8 of each component's
+        # maximum, for the velocity and the pressure)
+        spec = make_stirrer2d()
+        gs = run_slab(spec, n_slabs=4)
+        lu = run_slab(spec, n_slabs=4,
+                      lin_cfg=LinearSolverConfig(method="direct_lu"))
+        assert gs.diagnostics["converged"] and lu.diagnostics["converged"]
+        assert (gs.diagnostics["newton_iterations"]
+                == lu.diagnostics["newton_iterations"])
+        U, U_ref = gs.final_values, lu.final_values
+        for c in range(U.shape[1]):
+            assert (np.abs(U[:, c] - U_ref[:, c]).max()
+                    <= 1e-6 * np.abs(U_ref[:, c]).max()), c
 
     @pytest.fixture(scope="class")
     def stirrer_oracle(self):

@@ -127,6 +127,7 @@ class TestGmres:
         assert _relres(As, y, scale * b) <= target  # equilibrated: met
         assert _relres(A, scale * y, b) > target    # true: missed
         assert resumed and all(r[0] < target for r in resumed)
+        assert stats["resumes"] == len(resumed)
         assert stats["relres"] == _relres(A, x, b) <= target
 
     def test_logs_one_line_per_solve(self, rng, caplog):
@@ -146,6 +147,7 @@ class TestGmres:
             for key in ("precond=", "levels=", "iters=", "relres=",
                         "factor_s=", "krylov_s="):
                 assert key in line
+            assert line.endswith(" resumes=0")
         assert "precond=time_levels levels=3 " in lines[0]
 
 
