@@ -28,27 +28,26 @@ On the first matrix of a two-lane problem the plan is built on a lane
 thread while the calling thread fills the geometry and then computes the
 metric and tau; the problem's one ``assembly plan`` log line gives the
 seconds of each and the calling thread's wait for the plan.  A family
-supplies its geometry and the volume kernel that takes it:
+supplies the geometry of its elements:
 
-- ``_kernel`` and ``_volume_geometry(sl)``: the element kernel and its
-  geometry arguments for a chunk of elements;
+- ``_volume_geometry(sl)``: the arguments of the element kernel
+  ``_element_terms`` for a chunk of elements;
 - ``_bottom_cap()``: node ids and spatial coordinates of the bottom-cap
   simplices that carry the jump term;
 - ``_metric``: the per-element metric (Ginv, g, Ginv:Ginv, g.g) of tau;
 - ``_add_traction(R)``: the Neumann term on its mantle faces.
 
-Space-time simplices use ``_simplex_terms``: P1 gradients are constant per
-element and the strong viscous operator vanishes, so every term is a
-per-element constant times a few quadrature sums, and each local matrix is
-built once from outer products, with no per-point matrix intermediates.
-Tensor-product prisms use ``_prism_terms``.  At fixed theta the prism map
-is affine in xi, so |detJ| and the spatial gradients take one value per
-theta point of the tensor-product rule; every term with two gradients is
-a weighted outer product per theta point, and only the time derivatives,
-u, the advective derivative and the strong residual vary with xi.
+One element kernel, ``_element_terms``, serves both families.  It assumes
+only that |detJ| and the spatial gradients are constant on each of nt
+groups of quadrature points.  On a tensor-product prism the groups are the
+theta points of the rule: t depends on theta alone, so at fixed theta the
+prism map is affine in xi.  A P1 simplex is the case nt = 1, since its
+gradients are constant on the element.  Every term with two gradients is
+then a weighted outer product per group, and only the time derivatives,
+u, the advective derivative and the strong residual vary within a group.
 ``prism_geometry`` gives a slab's geometry at all quadrature points in one
-call.  Both kernels compute with the element axis last, so that every
-broadcast product runs over the elements in its inner loop, and return
+call.  The kernel computes with the element axis last, so that every
+broadcast product runs over the elements in its inner loop, and returns
 element-first views.
 """
 
@@ -77,7 +76,7 @@ logger = logging.getLogger("ustflow")
 
 # local-matrix entries per assembly chunk (7,500 pentatopes, 9,259 2D or
 # 2,929 3D prisms).  It bounds the chunk's arrays of that size, on each
-# lane: the local matrices and the kernels' outer products.
+# lane: the local matrices and the kernel's outer products.
 _CHUNK_ENTRIES = 3.0e6
 
 # element lanes of a system with two or more chunks.  The lanes are a fixed
@@ -195,26 +194,26 @@ def rigid_surface_velocity(omega: float, center, axis=(0.0, 0.0, 1.0)):
     return fn
 
 
-# -- element kernels ---------------------------------------------------------
+# -- element kernel ----------------------------------------------------------
 
-def _prism_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
-                 body_force, convective, want_matrix):
-    """Volume kernel of tensor-product prisms for one chunk of E elements,
-    computed with the element axis last.
+def _element_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
+                   body_force, convective, want_matrix):
+    """Volume terms of one chunk of E elements, computed with the element
+    axis last.
 
-    The rule is the product of ns spatial and nt theta points.  N (ns, nt,
-    nen) and w (ns, nt) are the reference shape values and weights; B
-    (ns, nt, nen, E) the time derivatives and x (ns, nt, dim, E) the points.
-    |detJ| det (nt, E) and the spatial gradients D (nt, nen, n_sd, E)
-    depend on theta alone: t depends on theta only, so at fixed theta the
-    prism map is affine in xi.  Ue: (E, nen, ncomp).  Returns (Re, Ke)
-    element-first, Ke None when not requested.
+    The rule has ns points in each of nt groups, and |detJ| and the spatial
+    gradients are constant on each group.  N (ns, nt, nen) and w (ns, nt)
+    are the reference shape values and weights; B (ns, nt, nen, E) the time
+    derivatives and x (ns, nt, dim, E) the points, which only a body force
+    reads (None without one).  det (nt, E) is |detJ| and D (nt, nen, n_sd,
+    E) the spatial gradients of each group.  Ue: (E, nen, ncomp).  Returns
+    (Re, Ke) element-first, Ke None when not requested.
 
-    grad u, grad p and div u are therefore constant at each theta, and each
-    term of the weak form with two gradients is a sum over theta of
+    grad u, grad p and div u are therefore constant on each group, and each
+    term of the weak form with two gradients is a sum over the groups of
     weighted outer products; only u, du/dt, the advective derivative
-    adv_a = dN_a/dt + u.grad N_a and the strong residual r vary with xi,
-    and their quadrature sums are contractions with the weights.
+    adv_a = dN_a/dt + u.grad N_a and the strong residual r vary within a
+    group, and their quadrature sums are contractions with the weights.
     """
     ns, nt, nen = N.shape
     n_sd = D.shape[2]
@@ -223,7 +222,7 @@ def _prism_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
     U = np.ascontiguousarray(Ue.transpose(1, 2, 0))      # (nen, nc, E)
     Uv, Up = U[:, :n_sd], U[:, n_sd]
     wq = w[:, :, None] * det                             # (ns, nt, E)
-    om = wq.sum(axis=0)                                  # measure per theta
+    om = wq.sum(axis=0)                                  # measure per group
 
     u = np.tensordot(N, Uv, 1)                           # (ns, nt, n_sd, E)
     gradu = np.einsum("aie,taje->tije", Uv, D)           # du_i/dx_j
@@ -244,7 +243,7 @@ def _prism_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
     r = rho * acc + gradp                                # strong residual
     wadv = wq[:, :, None] * adv
     wr = wq[:, :, None] * r
-    # sums over xi per theta: sum w adv_a and sum w N_a
+    # sums over each group: sum w adv_a and sum w N_a
     A1 = wadv.sum(axis=0)
     N1 = (w[:, :, None] * N).sum(axis=0)[..., None] * det[:, None]
     # rho times the momentum test function: Galerkin N_a plus GLS tau adv_a
@@ -297,110 +296,6 @@ def _prism_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
     Ke[:, n_sd, :, :n_sd] = np.einsum("tae,tbje->abje", N1, D) + tau_m * GLS_p
     Ke[:, n_sd, :, n_sd] = tau_m / rho * DD
     return np.moveaxis(Re, -1, 0), np.moveaxis(Ke, -1, 0)
-
-
-def _simplex_terms(Nq, weights, det, G, Bt, X, Ue, rho, mu, tau_m, tau_c,
-                   body_force, convective, want_matrix):
-    """Volume kernel of P1 space-time simplices for one chunk of elements.
-
-    Nq: (nq, nen) shape values and weights: (nq,) of the reference rule;
-    det: (E,) |detJ|; G: (E, nen, n_sd) spatial gradients and Bt: (E, nen)
-    time derivatives, constant on each element; X: (E, nen, dim) node
-    coordinates; Ue: (E, nen, ncomp).  Returns (Re, Ke) as
-    ``_element_terms`` does on the same rule, up to rounding.
-
-    u, p, the advective derivative adv_a = dN_a/dt + u.grad N_a and the
-    strong residual r are linear in the shape functions (r up to the body
-    force), and everything else is constant per element, so each term of
-    the weak form is a per-element constant times one of a few sums over
-    the quadrature points.
-    """
-    def swap(a):
-        return np.swapaxes(a, 1, 2)
-
-    E, nen, n_sd = G.shape
-    nc = n_sd + 1
-    Uv = Ue[:, :, :n_sd]
-    Up = Ue[:, :, n_sd]
-    w = det[:, None] * weights                           # (E, nq)
-    W = w.sum(axis=1)                                    # element measure
-    wN = weights[:, None] * Nq                           # (nq, nen)
-    M1 = det[:, None] * wN.sum(axis=0)                   # sum w N_a
-
-    gradu = np.einsum("eaj,eai->eij", G, Uv)             # du_i/dx_j
-    dudt = np.einsum("ea,eai->ei", Bt, Uv)
-    gradp = np.einsum("eaj,ea->ej", G, Up)
-    divu = np.trace(gradu, axis1=1, axis2=2)
-    u_q = Nq @ Uv                                        # (E, nq, n_sd)
-
-    acc = np.repeat(dudt[:, None, :], len(weights), axis=1)
-    if body_force is not None:
-        xt = (Nq @ X).reshape(-1, X.shape[-1])
-        acc -= np.asarray(body_force(xt[:, :n_sd], xt[:, n_sd])).reshape(
-            acc.shape)
-    if convective:
-        acc += u_q @ swap(gradu)
-        adv = Bt[:, None, :] + u_q @ swap(G)             # (E, nq, nen)
-    else:
-        adv = np.broadcast_to(Bt[:, None, :], w.shape + (nen,))
-    r_q = rho * acc + gradp[:, None, :]
-    wadv = w[:, :, None] * adv
-
-    NAcc = det[:, None, None] * (wN.T @ acc)             # sum w N_a acc_i
-    AR = swap(wadv) @ r_q                                # sum w adv_a r_i
-    R1 = np.einsum("eq,eqi->ei", w, r_q)                 # sum w r_i
-
-    Re = np.empty((E, nen, nc))
-    # Galerkin transient + convection + body force, GLS momentum, stress
-    # 2 mu eps(w):eps(u) - p div w, grad-div
-    Re[:, :, :n_sd] = (rho * NAcc + tau_m[:, None, None] * AR
-                       + (mu * W)[:, None, None] * (G @ (gradu + swap(gradu)))
-                       + G * (rho * tau_c * W * divu
-                              - np.einsum("ea,ea->e", M1, Up))[:, None, None])
-    # continuity and the PSPG-like GLS test
-    Re[:, :, n_sd] = (M1 * divu[:, None]
-                      + (tau_m / rho)[:, None] * np.einsum("eai,ei->ea", G, R1))
-    if not want_matrix:
-        return Re, None
-
-    # The matrix is built with the element axis last, so that every
-    # broadcast product runs over the elements in its inner loop.
-    def last(a):
-        return np.ascontiguousarray(np.moveaxis(a, 0, -1))
-
-    NAdv = last(det[:, None, None] * (wN.T @ adv))       # sum w N_a adv_b
-    AA = last(swap(wadv) @ adv)                          # sum w adv_a adv_b
-    A1 = last(wadv.sum(axis=1))                          # sum w adv_a
-    G, M1, gradu = last(G), last(M1), last(gradu)
-    GG = np.einsum("aie,bie->abe", G, G)
-    Ke = np.empty((nen, nc, nen, nc, E))
-    Kvv = Ke[:, :n_sd, :, :n_sd]
-    # grad-div: G[a,i] G[b,j]
-    np.multiply(G[:, :, None, None], rho * tau_c * W * G, out=Kvv)
-    # stress mu G[a,j] G[b,i]; the linearization of u inside the GLS weight
-    # adds G[a,j] sum w N_b r_i
-    H = mu * W * G
-    if convective:
-        H = H + tau_m * (rho * last(NAcc) + M1[:, None] * last(gradp))
-        # Galerkin and GLS linearization of u.grad u: C[a,b] gradu[i,j]
-        NN = (wN.T @ Nq)[:, :, None] * det               # sum w N_a N_b
-        C = rho * (NN + tau_m * np.swapaxes(NAdv, 0, 1))
-        Kvv += C[:, None, :, None] * gradu[None, :, None, :]
-    Kvv += G[:, None, None, :] * np.swapaxes(H, 0, 1)[None, :, :, None]
-    # delta_ij: transient/convection (Galerkin and GLS) and stress
-    diag = rho * NAdv + mu * W * GG + rho * tau_m * AA
-    for i in range(n_sd):
-        Kvv[:, i, :, i] += diag
-    # velocity rows, pressure columns: -p div w and the GLS pressure gradient
-    Ke[:, :n_sd, :, n_sd] = (tau_m * A1[:, None, None] * np.swapaxes(G, 0, 1)
-                             - G[:, :, None] * M1)
-    # pressure rows: continuity and the PSPG-like GLS test
-    GLS_p = A1[None, :, None] * G[:, None]
-    if convective:
-        GLS_p += M1[None, :, None] * np.einsum("aje,jke->ake", G, gradu)[:, None]
-    Ke[:, n_sd, :, :n_sd] = M1[:, None, None] * G + tau_m * GLS_p
-    Ke[:, n_sd, :, n_sd] = tau_m / rho * W * GG
-    return Re, np.moveaxis(Ke, -1, 0)
 
 
 def _facet_simplex_rule(n_facet_dim: int):
@@ -493,6 +388,16 @@ class _CsrPlan:
         hi = len(self.keys) if hi is None else hi
         return np.zeros((hi - lo, self.nc, self.nc))
 
+    @staticmethod
+    def slots(pairs):
+        """(first, idx, n) of the pair ids ``pairs`` (n, m, m): ``idx`` are
+        the ids in (a, b, element) order less their least, ``first``, and
+        range over n blocks."""
+        idx = pairs.transpose(1, 2, 0).astype(np.intp, order="C").ravel()
+        first = int(idx.min())
+        idx -= first
+        return first, idx, int(idx.max()) + 1
+
     def add(self, blocks, lo, pairs, K):
         """Add local matrices ``K`` (n, m, c, m, c) at ``pairs`` (n, m, m)
         into components < c of ``blocks``, whose first block is pair ``lo``.
@@ -501,10 +406,7 @@ class _CsrPlan:
         that order, whatever the memory order of ``K``; its range is the
         pairs' own [min, max].
         """
-        idx = pairs.transpose(1, 2, 0).astype(np.intp, order="C").ravel()
-        first = int(idx.min())
-        idx -= first
-        n = int(idx.max()) + 1
+        first, idx, n = self.slots(pairs)
         out = blocks[first - lo:first - lo + n]
         for i in range(K.shape[2]):
             for j in range(K.shape[4]):
@@ -717,11 +619,11 @@ class _ProblemBase:
             blocks = plan.blocks(lo, hi)
         for first in range(start, stop, chunk):
             sl = slice(first, min(first + chunk, stop))
-            Re, Ke = self._kernel(*self._volume_geometry(sl),
-                                  values[self.elements[sl]], rho, mu,
-                                  stab.tau_mom[sl], stab.tau_cont[sl],
-                                  self.body_force, self.convective,
-                                  plan is not None)
+            Re, Ke = _element_terms(*self._volume_geometry(sl),
+                                    values[self.elements[sl]], rho, mu,
+                                    stab.tau_mom[sl], stab.tau_cont[sl],
+                                    self.body_force, self.convective,
+                                    plan is not None)
             _add_local(R, self.edof[sl], Re)
             if plan is not None:
                 plan.add(blocks, lo, plan.pairs[sl], Ke)
@@ -737,58 +639,75 @@ class _ProblemBase:
         residual-only call."""
         return _CsrPlan(self.elements, self.n_nodes, self.ncomp, self.dir_mask)
 
-    def _add_jump(self, values, R, blocks):
-        """rho (u+ - u-) . w on the bottom cap, u- the previous nodal trace
-        ``jump_data`` or else the initial condition at the quadrature points.
-        Its matrix goes into the plan's ``blocks`` unless that is None."""
-        n_sd, nc = self.n_sd, self.ncomp
+    @cached_property
+    def _cap(self):
+        """(ids, Mq, R_minus) of the jump term, computed once per problem:
+        the bottom cap's node ids, its facet mass matrices and the residual
+        of u-, the previous nodal trace ``jump_data`` or else the initial
+        condition at the quadrature points."""
+        n_sd = self.n_sd
         if self.jump_data is None and self.bcs.initial is None:
             raise MissingPreviousState(
                 "jump term needs an initial condition or previous trace")
         ids, coords = self._bottom_cap()
-        nf = len(ids)
         J = np.swapaxes(coords[:, 1:, :] - coords[:, :1, :], 1, 2)
         det = np.abs(np.linalg.det(J))
         rule = simplex_quadrature(n_sd, 2)
         Nf = basis_eval(rule.points, n_sd)               # (nq, n_sd+1)
         wdet = rule.weights[None, :] * det[:, None]      # (nf, nq)
         rho = self.material.rho
-
-        u_plus = values[ids, :n_sd]                      # (nf, n_sd+1, n_sd)
         # facet mass matrix via the degree-2 rule
         Mq = np.einsum("fq,qa,qb->fab", wdet, Nf, Nf)
-        Rloc = rho * np.einsum("fab,fbi->fai", Mq, u_plus)
         if self.jump_data is not None:
             u_minus = np.asarray(self.jump_data)[ids]
-            Rloc -= rho * np.einsum("fab,fbi->fai", Mq, u_minus)
-        else:
-            x_q = np.einsum("qa,fad->fqd", Nf, coords)
-            u0 = np.asarray(self.bcs.initial(x_q.reshape(-1, n_sd)))
-            u0 = u0.reshape(nf, len(rule.weights), n_sd)
-            Rloc -= rho * np.einsum("fq,qa,fqi->fai", wdet, Nf, u0)
+            return ids, Mq, rho * np.einsum("fab,fbi->fai", Mq, u_minus)
+        x_q = np.einsum("qa,fad->fqd", Nf, coords)
+        u0 = np.asarray(self.bcs.initial(x_q.reshape(-1, n_sd)))
+        u0 = u0.reshape(len(ids), len(rule.weights), n_sd)
+        return ids, Mq, rho * np.einsum("fq,qa,fqi->fai", wdet, Nf, u0)
 
+    @cached_property
+    def _cap_slots(self):
+        """The plan's slots of the bottom-cap node pairs, which are element
+        node pairs in both families."""
+        plan = self._csr_plan
+        return plan.slots(plan.pair_ids(self._cap[0]))
+
+    def _add_jump(self, values, R, blocks):
+        """rho (u+ - u-) . w on the bottom cap.  Its matrix, rho times the
+        facet mass matrix in each velocity component, goes into the plan's
+        ``blocks`` unless that is None."""
+        n_sd, nc = self.n_sd, self.ncomp
+        ids, Mq, R_minus = self._cap
+        rho = self.material.rho
+        Rloc = rho * np.einsum("fab,fbi->fai", Mq, values[ids, :n_sd])
+        Rloc -= R_minus
         vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-        _add_local(R, vdofs.reshape(nf, -1), Rloc)
+        _add_local(R, vdofs.reshape(len(ids), -1), Rloc)
         if blocks is not None:
-            # bottom-cap node pairs are element node pairs in both families
-            plan = self._csr_plan
-            plan.add(blocks, 0, plan.pair_ids(ids),
-                     rho * np.einsum("fab,ij->faibj", Mq, np.eye(n_sd)))
+            first, idx, n = self._cap_slots
+            M = np.bincount(idx, (rho * Mq).transpose(1, 2, 0).ravel(),
+                            minlength=n)
+            for i in range(n_sd):
+                blocks[first:first + n, i, i] += M
 
 
-def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl):
-    """(Nq, weights, |detJ|, G, Bt, X) of the space-time simplices ``sl``,
-    the geometry ``_simplex_terms`` takes."""
-    grads = mesh.gradients[sl]
-    return (Nq, weights, np.abs(mesh.jacobian_dets[sl]),
-            grads[:, :, :mesh.n_sd], grads[:, :, mesh.n_sd],
-            mesh.element_coords[sl])
+def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl, with_points):
+    """The geometry ``_element_terms`` takes for the space-time simplices
+    ``sl``: their nq points form one group, on which the P1 gradients are
+    constant.  The points are computed only ``with_points``, else None."""
+    nq, nen = Nq.shape
+    grads = np.ascontiguousarray(np.moveaxis(mesh.gradients[sl], 0, -1))
+    x = (np.moveaxis(Nq @ mesh.element_coords[sl], 0, -1)[:, None]
+         if with_points else None)
+    return (Nq[:, None, :], weights[:, None],
+            np.abs(mesh.jacobian_dets[sl])[None], grads[None, :, :mesh.n_sd],
+            np.broadcast_to(grads[:, mesh.n_sd], (nq, 1, nen, grads.shape[2])),
+            x)
 
 
 class SpaceTimeProblem(_ProblemBase):
     """Stabilized weak form on a simplex space-time mesh (UST mode)."""
-
-    _kernel = staticmethod(_simplex_terms)
 
     def __init__(self, mesh: SpaceTimeMesh, material: MaterialParams,
                  bcs: BCSpec, body_force=None, convective=True,
@@ -813,7 +732,8 @@ class SpaceTimeProblem(_ProblemBase):
         return np.asarray(self.bcs.initial(self.mesh.spatial_coords))
 
     def _volume_geometry(self, sl):
-        return _simplex_geometry(self.mesh, self.Nq, self.rule.weights, sl)
+        return _simplex_geometry(self.mesh, self.Nq, self.rule.weights, sl,
+                                 self.body_force is not None)
 
     def _bottom_cap(self):
         mesh = self.mesh
@@ -884,8 +804,6 @@ class PrismSlab:
 class PrismSlabProblem(_ProblemBase):
     """Stabilized weak form on one tensor-product slab (slab/ALE mode)."""
 
-    _kernel = staticmethod(_prism_terms)
-
     def __init__(self, slab: PrismSlab, material: MaterialParams, bcs: BCSpec,
                  body_force=None, convective=True, gauge=None,
                  jump_data=None, C_I: float = 1.0):
@@ -929,7 +847,7 @@ class PrismSlabProblem(_ProblemBase):
     @cached_property
     def _geometry(self):
         """(det, D, B, x) of all prisms, the element axis last, as
-        ``_prism_terms`` takes them.
+        ``_element_terms`` takes them.
 
         |detJ| and the spatial gradients D are taken at the first spatial
         point, the rule's first nt points; at fixed theta the map is affine
@@ -1019,7 +937,8 @@ def _one_element(mesh: SpaceTimeMesh, e: int, field: SolutionField,
     rule = simplex_quadrature(mesh.dim, 2)
     Nq = basis_eval(rule.points, mesh.dim)
     sl = slice(e, e + 1)
-    return _simplex_terms(*_simplex_geometry(mesh, Nq, rule.weights, sl),
+    return _element_terms(*_simplex_geometry(mesh, Nq, rule.weights, sl,
+                                             body_force is not None),
                           field.values[mesh.elements[sl]], material.rho,
                           material.mu, stab.tau_mom[sl], stab.tau_cont[sl],
                           body_force, convective, want_matrix)

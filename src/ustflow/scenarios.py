@@ -53,7 +53,6 @@ class ScenarioSpec:
     levels: int = STIRRER_LEVELS
     dt: float = None
     mode: str = "ust"
-    pressure_gauge: str = "auto"   # "auto" | "none"
     gauge_value_fn: object = None  # exact pressure fn(x, t) for pinning
     exact_solution: object = None  # fn(x, t) -> (n, k) reference components
 
@@ -71,8 +70,6 @@ class ScenarioSpec:
                               tuple(self.axis), self.omega)
 
     def needs_gauge(self) -> bool:
-        if self.pressure_gauge == "none":
-            return False
         return len(self.bcs.neumann) == 0
 
     def gauge_for(self, node_xt) -> list:
@@ -128,8 +125,7 @@ def default_linear_config(n_dofs: int) -> LinearSolverConfig:
     block leaves GMRES little to do, for a fraction of the time and memory
     of a full factorization.
     """
-    return LinearSolverConfig(method="gmres_restarted",
-                              preconditioner="time_levels")
+    return LinearSolverConfig()
 
 
 def run_ust(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,

@@ -17,8 +17,7 @@ from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
                               SpaceTimeProblem, dirichlet_values,
                               element_jacobian_matrix, element_residual,
                               jump_term, rigid_surface_velocity,
-                              _prism_terms, _simplex_terms, traction_term,
-                              zero_velocity)
+                              _element_terms, traction_term, zero_velocity)
 import ustflow.assembly as assembly
 from ustflow.errors import ConfigurationError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
@@ -262,6 +261,29 @@ class TestJumpTerm:
         field = SolutionField(vals, 2)
         R, _ = jump_term(problem, field)
         assert np.abs(R).max() < 1e-14
+
+    @pytest.mark.parametrize("family", ["simplex", "prism"])
+    def test_cap_computed_once_and_matrix_per_component(self, family, rng,
+                                                        monkeypatch):
+        problem = (twisted_simplex_problem() if family == "simplex"
+                   else twisted_prism_problem(rng))
+        calls = []
+        bottom_cap = problem._bottom_cap
+        monkeypatch.setattr(problem, "_bottom_cap",
+                            lambda: calls.append("cap") or bottom_cap())
+        U = problem.initial_guess()
+        problem.system(U)
+        plan = problem._csr_plan
+        pair_ids = plan.pair_ids
+        monkeypatch.setattr(plan, "pair_ids",
+                            lambda ids: calls.append("pairs") or pair_ids(ids))
+        problem.system(U + 0.1)
+        assert calls == ["cap"]
+
+        A = jump_term(problem, SolutionField(U, problem.n_sd))[1].tocoo()
+        off = A.row % problem.ncomp != A.col % problem.ncomp
+        assert off.any() and not A.data[off].any()
+        assert A.data[~off].any()
 
 
 class TestTractionTerm:
@@ -868,8 +890,9 @@ class TestCsrPlan:
 
 
 class TestSimplexKernel:
-    """The per-element P1 kernel against the quadrature-point kernel fed
-    broadcast P1 geometry, at random fields that ignore the Dirichlet data."""
+    """The element kernel on P1 simplices, one group of quadrature points,
+    against the quadrature-point kernel fed broadcast P1 geometry, at
+    random fields that ignore the Dirichlet data."""
 
     @pytest.mark.parametrize("case", ["twisted_body_force", "pentatope",
                                       "stokes"])
@@ -886,9 +909,9 @@ class TestSimplexKernel:
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
         Re_ref, Ke_ref = reference_terms(problem, U, True)
         geometry = problem._volume_geometry(slice(None))
-        Re_only, Ke_none = volume_terms(_simplex_terms, geometry, problem, U,
+        Re_only, Ke_none = volume_terms(_element_terms, geometry, problem, U,
                                         False)
-        Re, Ke = volume_terms(_simplex_terms, geometry, problem, U, True)
+        Re, Ke = volume_terms(_element_terms, geometry, problem, U, True)
         assert Ke_none is None
         assert np.array_equal(Re_only, Re)
         assert np.abs(Re - Re_ref).max() <= 1e-13 * np.abs(Re_ref).max()
@@ -897,9 +920,9 @@ class TestSimplexKernel:
 
 
 class TestPrismKernel:
-    """The element-last prism kernel against the quadrature-point kernel fed
-    ``prism_geometry`` at every point, on twisted slabs, at random fields
-    that ignore the Dirichlet data."""
+    """The element kernel on prisms, one group per theta point, against the
+    quadrature-point kernel fed ``prism_geometry`` at every point, on
+    twisted slabs, at random fields that ignore the Dirichlet data."""
 
     @pytest.mark.parametrize("n_sd", [2, 3])
     @pytest.mark.parametrize("convective", [True, False])
@@ -921,7 +944,7 @@ class TestPrismKernel:
         geometry = problem._volume_geometry(slice(None))
         for want_matrix in (False, True):
             Re_ref, Ke_ref = reference_terms(problem, U, want_matrix)
-            Re, Ke = volume_terms(_prism_terms, geometry, problem, U,
+            Re, Ke = volume_terms(_element_terms, geometry, problem, U,
                                   want_matrix)
             assert Re.shape == Re_ref.shape
             assert np.abs(Re - Re_ref).max() <= 1e-13 * np.abs(Re_ref).max()
@@ -1052,12 +1075,12 @@ class TestLanes:
 
 class TestBlockFill:
     def test_same_blocks_for_either_memory_order(self, rng):
-        """The simplex kernel's element-last local matrices and an
-        element-first copy (the jump term's order) fill the same blocks,
-        also into a block range of their own."""
+        """The element kernel's element-last local matrices and an
+        element-first copy fill the same blocks, also into a block range of
+        their own."""
         problem = pentatope_problem(rng)
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
-        _, Ke = volume_terms(_simplex_terms,
+        _, Ke = volume_terms(_element_terms,
                              problem._volume_geometry(slice(None)), problem,
                              U, True)
         assert not Ke.flags.c_contiguous
