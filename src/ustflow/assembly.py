@@ -45,10 +45,12 @@ prism map is affine in xi.  A P1 simplex is the case nt = 1, since its
 gradients are constant on the element.  Every term with two gradients is
 then a weighted outer product per group, and only the time derivatives,
 u, the advective derivative and the strong residual vary within a group.
-``prism_geometry`` gives a slab's geometry at all quadrature points in one
-call.  The kernel computes with the element axis last, so that every
-broadcast product runs over the elements in its inner loop, and returns
-element-first views.
+A slab's geometry is one ``prism_geometry`` call at its nt theta points
+and the element centre, which the metric of tau reads; the time
+derivatives at the other quadrature points follow from the gradients at
+the theta points (see ``PrismSlabProblem._geometry``).  The kernel
+computes with the element axis last, so that every broadcast product runs
+over the elements in its inner loop, and returns element-first views.
 """
 
 from __future__ import annotations
@@ -846,48 +848,59 @@ class PrismSlabProblem(_ProblemBase):
 
     @cached_property
     def _geometry(self):
-        """(det, D, B, x) of all prisms, the element axis last, as
-        ``_element_terms`` takes them.
+        """((det, D, B, x), metric) of all prisms from one ``prism_geometry``
+        call at 1 + nt points: the rule's nt theta points at its first
+        spatial point, and the element centre.
 
-        |detJ| and the spatial gradients D are taken at the first spatial
-        point, the rule's first nt points; at fixed theta the map is affine
-        in xi, so they are the same at the others, up to rounding.
+        det, D, B and x have the element axis last, as ``_element_terms``
+        takes them; x is None without a body force.  At fixed theta the map
+        is affine in xi, so |detJ| and the spatial gradients D at the theta
+        points hold at every spatial point, up to rounding.  The time
+        derivatives at each point are B = (dN/dtheta - D.dx/dtheta) / dt,
+        with dx/dtheta = Ns(xi).(x_top - x_bottom).  The metric of tau is
+        taken at the centre (xi = 1/(n_sd+1), theta = 1/2): the spatial
+        block composed with the regular-simplex map, the temporal
+        coordinate kept as theta.
         """
         slab, n_sd = self.slab, self.n_sd
-        x_q, _, detJ, grads = prism_geometry(
-            *slab.corners(), slab.t_bottom, slab.dt,
-            self.rule.points[:, :n_sd], self.rule.points[:, n_sd])
-        E = len(x_q)
         ns, nt = self.weights.shape
+        points = self.rule.points
+        theta = points[:nt, n_sd]
+        cb, ct = slab.corners()
+        _, Jinv, detJ, grads = prism_geometry(
+            cb, ct, slab.t_bottom, slab.dt,
+            np.vstack([points[:nt, :n_sd], np.full(n_sd, 1.0 / (n_sd + 1))]),
+            np.append(theta, 0.5))
 
-        def last(a):
-            return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+        D = np.ascontiguousarray(np.moveaxis(grads[:, :nt, :, :n_sd], 0, -1))
+        Ns = basis_eval(points[::nt, :n_sd], n_sd)        # (ns, n_sd+1)
+        xb, xt = (np.einsum("sc,ecd->sde", Ns, c) for c in (cb, ct))
+        dN = np.hstack([-Ns, Ns])[:, None, :, None]       # dN/dtheta
+        B = (dN - np.einsum("tade,sde->stae", D, xt - xb)) / slab.dt
+        x = None
+        if self.body_force is not None:
+            th = theta[:, None, None]
+            x = np.empty((ns, nt, n_sd + 1, len(cb)))
+            x[:, :, :n_sd] = (1.0 - th) * xb[:, None] + th * xt[:, None]
+            x[:, :, n_sd] = (slab.t_bottom + theta * slab.dt)[:, None]
 
-        B, x = (last(a.reshape((E, ns, nt) + a.shape[2:]))
-                for a in (grads[..., n_sd], x_q))
-        return last(np.abs(detJ[:, :nt])), last(grads[:, :nt, :, :n_sd]), B, x
+        Bmat = np.zeros((n_sd + 1, n_sd + 1))
+        Bmat[:n_sd, :n_sd] = regular_simplex_map(n_sd)
+        Bmat[n_sd, n_sd] = 1.0
+        metric = metric_terms(np.einsum("ij,njk->nik", Bmat, Jinv[:, nt]))
+        return (np.abs(detJ[:, :nt]).T.copy(), D, B, x), metric
 
     def _volume_geometry(self, sl):
-        return (self.Nq, self.weights) + tuple(a[..., sl]
-                                               for a in self._geometry)
+        return (self.Nq, self.weights) + tuple(
+            None if a is None else a[..., sl] for a in self._geometry[0])
 
     def _bottom_cap(self):
         ids = self.slab.spatial.elements  # bottom-level node ids == spatial ids
         return ids, self.slab.coords_bottom[ids]
 
-    @cached_property
+    @property
     def _metric(self):
-        """Metric at the element center; spatial block composed with the
-        regular-simplex map, temporal coordinate kept as theta."""
-        slab = self.slab
-        n_sd = self.n_sd
-        center = np.full(n_sd, 1.0 / (n_sd + 1))
-        _, Jinv, _, _ = prism_geometry(*slab.corners(), slab.t_bottom,
-                                       slab.dt, center, 0.5)
-        Bmat = np.zeros((n_sd + 1, n_sd + 1))
-        Bmat[:n_sd, :n_sd] = regular_simplex_map(n_sd)
-        Bmat[n_sd, n_sd] = 1.0
-        return metric_terms(np.einsum("ij,njk->nik", Bmat, Jinv))
+        return self._geometry[1]
 
     def _add_traction(self, R):
         slab = self.slab

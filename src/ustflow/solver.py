@@ -7,6 +7,16 @@ block Gauss-Seidel sweep over the node-time levels, or a direct sparse LU,
 which is also the oracle.  A GMRES failure raises ``LinearSolveFailure``;
 there is no fallback.
 
+The preconditioner is factored once per ``newton_solve``: the first step
+equilibrates its matrix and factors each time level's diagonal block, and
+every later step of the same solve reuses that scale and those level LUs,
+with the strictly lower blocks of its own matrix.  This is a lagged
+preconditioner (Knoll & Keyes, J. Comput. Phys. 193:357-397, 2004); the
+Newton matrix changes little between steps, and GMRES still has to meet
+the step's tolerance in the true residual, or raise ``Stagnation``.  The
+factors live for one ``newton_solve``; a direct ``gmres_solve`` or
+``solve_linear_system`` call factors afresh.
+
 Newton solves each step inexactly: the linear solve of step k must reach
 a true relative residual ||b - Ax|| / ||b|| <= eta_k, the forcing term of
 Eisenstat & Walker (SIAM J. Sci. Comput. 17:16-32, 1996, choice 2) with
@@ -16,11 +26,11 @@ Linear and Nonlinear Equations, SIAM 1995, section 6.3); see
 every step to it instead.  ``direct_lu`` ignores the tolerance.
 
 Each linear solve logs one ``linear solve`` line with its method,
-iterations, true relative residual, timings and GMRES resumes, and Newton
-traces are emitted as ``newton iter=<k> res=<value> assemble_s=<s>
-eta=<eta>`` log lines: the wall time of the assembly that gave the
-residual, and the forcing term of the linear solve whose step gave
-iterate k (``-`` at k = 0).
+iterations, true relative residual, timings, whether it reused lagged
+factors and its GMRES resumes, and Newton traces are emitted as
+``newton iter=<k> res=<value> assemble_s=<s> eta=<eta>`` log lines: the
+wall time of the assembly that gave the residual, and the forcing term of
+the linear solve whose step gave iterate k (``-`` at k = 0).
 """
 
 from __future__ import annotations
@@ -73,6 +83,10 @@ class LinearSolverConfig:
     # problem's ``dof_levels``, it is not a setting
     dof_levels: np.ndarray = dataclasses.field(default=None, repr=False,
                                                compare=False)
+    # the first step's equilibration scale and level LUs, which the later
+    # steps reuse; newton_solve gives each solve an empty dict, it is not a
+    # setting.  None factors every solve afresh.
+    lagged: dict = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.restart < 1:
@@ -92,13 +106,17 @@ class NewtonResult:
     eta: list = dataclasses.field(default_factory=list)
 
 
-def time_level_preconditioner(A: sp.spmatrix, dof_levels) -> spla.LinearOperator:
+def time_level_preconditioner(A: sp.spmatrix, dof_levels, lus=None):
     """One forward block Gauss-Seidel sweep over the node-time levels.
 
     Level k's unknowns are solved with an exact sparse LU of their diagonal
     block, after subtracting the coupling to all earlier levels (the whole
     strictly block-lower part), so any dof order works.  On a matrix that
     is block-lower-triangular in the levels the sweep is an exact inverse.
+    Returns (M, lus): the sweep and the level LUs.  Given ``lus``, those of
+    an earlier matrix with the same levels, it factors nothing and sweeps
+    with them, a lagged preconditioner (Knoll & Keyes 2004); the strictly
+    lower blocks always come from A.
     Raises ``LinearSolveFailure`` naming a level whose block is singular.
     """
     n = A.shape[0]
@@ -114,15 +132,16 @@ def time_level_preconditioner(A: sp.spmatrix, dof_levels) -> spla.LinearOperator
     # a level-major numbering, which every extruded mesh has, needs none
     if (np.diff(dof_levels) < 0).any():
         Ap = Ap[order][:, order]
-    blocks = []
-    for s, e in zip(starts, ends):
-        try:
-            lu = spla.splu(Ap[s:e, s:e].tocsc())
-        except RuntimeError as exc:
-            raise LinearSolveFailure(
-                f"diagonal block of time level {sorted_levels[s]} "
-                f"is singular: {exc}") from exc
-        blocks.append((s, e, lu, Ap[s:e, :s]))
+    if lus is None:
+        lus = []
+        for s, e in zip(starts, ends):
+            try:
+                lus.append(spla.splu(Ap[s:e, s:e].tocsc()))
+            except RuntimeError as exc:
+                raise LinearSolveFailure(
+                    f"diagonal block of time level {sorted_levels[s]} "
+                    f"is singular: {exc}") from exc
+    blocks = [(s, e, lu, Ap[s:e, :s]) for s, e, lu in zip(starts, ends, lus)]
 
     def sweep(r):
         rp = np.ravel(r)[order]
@@ -133,7 +152,7 @@ def time_level_preconditioner(A: sp.spmatrix, dof_levels) -> spla.LinearOperator
         x[order] = y
         return x
 
-    return spla.LinearOperator(A.shape, matvec=sweep, dtype=float)
+    return spla.LinearOperator(A.shape, matvec=sweep, dtype=float), lus
 
 
 def _relres(A, x, b) -> float:
@@ -154,23 +173,43 @@ def direct_lu(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _equilibrate(A: sp.csr_matrix):
-    """(D A D, diag(D)) with D = 1/sqrt(|diag A|) (1 where that vanishes).
+# rows per slice of _equilibrate; bounds its transients
+_EQUILIBRATE_ROWS = 1 << 15
+
+
+def _equilibrate(A: sp.csr_matrix, scale=None):
+    """(D A D, diag(D)) with D = 1/sqrt(|diag A|) (1 where that vanishes),
+    or D = diag(``scale``) when given.
 
     Each entry a of the canonical CSR matrix A is scaled as
     (d_row * a) * d_col and the zeros are dropped: the bytes of
-    ``(D @ A @ D).tocsr()``, without its intermediate product.
+    ``(D @ A @ D).tocsr()``, without its intermediate product.  It runs in
+    slices of rows, so the result is its only array of A's size.
     """
-    d = np.abs(A.diagonal())
-    d[d < 1e-300] = 1.0
-    scale = 1.0 / np.sqrt(d)
-    data = np.repeat(scale, np.diff(A.indptr))
-    data *= A.data
-    data *= scale[A.indices]
-    keep = data != 0.0
-    kept = np.zeros(len(keep) + 1, A.indptr.dtype)  # kept before each entry
-    np.cumsum(keep, out=kept[1:])
-    return sp.csr_matrix((data[keep], A.indices[keep], kept[A.indptr]),
+    if scale is None:
+        d = np.abs(A.diagonal())
+        d[d < 1e-300] = 1.0
+        scale = 1.0 / np.sqrt(d)
+    ptr = A.indptr
+    # the tail that zeros leave unwritten is never touched, so not resident
+    data, indices = np.empty_like(A.data), np.empty_like(A.indices)
+    indptr = np.zeros_like(ptr)
+    m = 0
+    for lo in range(0, A.shape[0], _EQUILIBRATE_ROWS):
+        hi = min(lo + _EQUILIBRATE_ROWS, A.shape[0])
+        p0, p1 = ptr[lo], ptr[hi]
+        sd = np.repeat(scale[lo:hi], np.diff(ptr[lo:hi + 1]))
+        sd *= A.data[p0:p1]
+        sd *= scale[A.indices[p0:p1]]
+        keep = sd != 0.0
+        kept = np.zeros(len(keep) + 1, ptr.dtype)  # kept before each entry
+        np.cumsum(keep, out=kept[1:])
+        k = int(kept[-1])
+        data[m:m + k] = sd[keep]
+        indices[m:m + k] = A.indices[p0:p1][keep]
+        indptr[lo + 1:hi + 1] = m + kept[ptr[lo + 1:hi + 1] - p0]
+        m += k
+    return sp.csr_matrix((data[:m], indices[:m], indptr),
                          shape=A.shape), scale
 
 
@@ -180,14 +219,17 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     The system is symmetrically equilibrated by 1/sqrt(|diag|) first, which
     evens out the wildly different row scales of the stabilized space-time
     systems; the preconditioner is built from the equilibrated matrix.
+    With a non-empty ``cfg.lagged`` the scale and the level LUs are those
+    stored there by an earlier solve, and only the strictly lower blocks
+    are taken from A; an empty one is filled with this solve's.
     The solve must reach ``cfg.lin_rel_tol`` in the true relative residual
     ||b - Ax|| / ||b|| of the system as given.  When GMRES stops on the
     equilibrated residual while the true one is still above it, GMRES
     resumes from its iterate with the inner tolerance tightened by the
     miss, within the same ``max_krylov_iter`` budget.  Returns (x, stats)
     with the Krylov iterations, the true relative residual, the number of
-    levels, the number of such resumes and the seconds spent building the
-    preconditioner and in GMRES.
+    levels, whether the factors were lagged, the number of such resumes
+    and the seconds spent building the preconditioner and in GMRES.
     Raises Stagnation/Breakdown, with the iterations and relres reached,
     when the target is missed.
     """
@@ -196,12 +238,13 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
         raise ValueError("gmres_solve needs cfg.lin_rel_tol; newton_solve "
                          "sets it per step from the forcing term")
     A = sp.csr_matrix(A)
-    stats = {"iterations": 0, "relres": 0.0, "levels": None, "resumes": 0,
-             "factor_s": 0.0, "krylov_s": 0.0}
+    stats = {"iterations": 0, "relres": 0.0, "levels": None, "lagged": 0,
+             "resumes": 0, "factor_s": 0.0, "krylov_s": 0.0}
     if not np.any(b):
         return np.zeros_like(b), stats
 
-    As, scale = _equilibrate(A)
+    lagged = {} if cfg.lagged is None else cfg.lagged
+    As, scale = _equilibrate(A, lagged.get("scale"))
     bs = scale * b
 
     t0 = time.perf_counter()
@@ -212,8 +255,11 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
             raise ValueError("the time_levels preconditioner needs "
                              "cfg.dof_levels; newton_solve takes them from "
                              "the problem's dof_levels")
-        M = time_level_preconditioner(As, cfg.dof_levels)
-        stats["levels"] = len(np.unique(cfg.dof_levels))
+        stats["lagged"] = int(bool(lagged))
+        M, lus = time_level_preconditioner(As, cfg.dof_levels,
+                                           lagged.get("lus"))
+        lagged.update(scale=scale, lus=lus)
+        stats["levels"] = len(lus)
     else:
         raise ValueError(f"unknown preconditioner {cfg.preconditioner!r}")
     t1 = time.perf_counter()
@@ -261,7 +307,7 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
         t0 = time.perf_counter()
         x = direct_lu(A, b)
         stats = {"factor_s": time.perf_counter() - t0, "krylov_s": 0.0,
-                 "iterations": 0, "levels": None, "resumes": 0,
+                 "iterations": 0, "levels": None, "lagged": 0, "resumes": 0,
                  "relres": _relres(A, x, b)}
         precond = "none"
     elif cfg.method == "gmres_restarted":
@@ -270,10 +316,10 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
     else:
         raise ValueError(f"unknown linear solver {cfg.method!r}")
     logger.info("linear solve method=%s precond=%s levels=%s iters=%d "
-                "relres=%.3e factor_s=%.3f krylov_s=%.3f resumes=%d",
-                cfg.method, precond, stats["levels"], stats["iterations"],
-                stats["relres"], stats["factor_s"], stats["krylov_s"],
-                stats["resumes"])
+                "relres=%.3e factor_s=%.3f krylov_s=%.3f lagged=%d "
+                "resumes=%d", cfg.method, precond, stats["levels"],
+                stats["iterations"], stats["relres"], stats["factor_s"],
+                stats["krylov_s"], stats["lagged"], stats["resumes"])
     return x
 
 
@@ -304,14 +350,17 @@ def newton_solve(problem, initial_values: np.ndarray,
 
     Convergence when ||R|| <= max(abs_tol, rel_tol * ||R0||).  Step k's
     linear solve gets ``forcing_term`` as its tolerance unless
-    ``lin_cfg.lin_rel_tol`` pins it.  On reaching max_iter the best iterate
-    seen and the full trace are returned with status "max_iterations".
+    ``lin_cfg.lin_rel_tol`` pins it, and reuses the first step's
+    preconditioner factors (see the module docstring).  On reaching
+    max_iter the best iterate seen and the full trace are returned with
+    status "max_iterations".
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
-    if lin_cfg.dof_levels is None:
-        lin_cfg = dataclasses.replace(
-            lin_cfg, dof_levels=getattr(problem, "dof_levels", None))
+    lin_cfg = dataclasses.replace(
+        lin_cfg, lagged={},
+        dof_levels=(getattr(problem, "dof_levels", None)
+                    if lin_cfg.dof_levels is None else lin_cfg.dof_levels))
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
     block_size = shape[1] if U.ndim == 2 else 1
@@ -347,6 +396,8 @@ def newton_solve(problem, initial_values: np.ndarray,
         delta = solve_linear_system(
             system.matrix, rhs, dataclasses.replace(lin_cfg, lin_rel_tol=eta),
             block_size)
+        # the matrix is not kept alive through the next one's assembly
+        del system, rhs
         if cfg.linesearch == "backtracking":
             lam = 1.0
             prev = trace[-1]

@@ -25,8 +25,9 @@ from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
 from ustflow.geometry import box2d, box3d
 from ustflow.mesh import reference_gradients
 from ustflow.quadrature import prism_quadrature
-from ustflow.stabilization import (StabilizationContext, prism_geometry,
-                                   prism_shape_functions)
+from ustflow.stabilization import (StabilizationContext, metric_terms,
+                                   prism_geometry, prism_shape_functions,
+                                   regular_simplex_map)
 
 from conftest import twisted_slab
 
@@ -953,6 +954,66 @@ class TestPrismKernel:
                 continue
             assert Ke.shape == Ke_ref.shape
             assert np.abs(Ke - Ke_ref).max() <= 1e-13 * np.abs(Ke_ref).max()
+
+
+class TestPrismGeometry:
+    """A slab's geometry, from one ``prism_geometry`` call at the theta
+    points and the centre, against that function at every quadrature point
+    and the metric it gave at the centre alone, on twisted slabs."""
+
+    @pytest.mark.parametrize("n_sd", [2, 3])
+    def test_matches_geometry_at_every_point(self, n_sd, monkeypatch, rng):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return prism_geometry(*args)
+
+        monkeypatch.setattr(assembly, "prism_geometry", counting)
+        slab = twisted_slab(n_sd)
+        problem = PrismSlabProblem(
+            slab, MaterialParams(rho=1.2, mu=0.3),
+            BCSpec(dirichlet={"x0": zero_velocity}),
+            body_force=lambda x, t: np.zeros((len(x), n_sd)), gauge=(0, 0.1),
+            jump_data=rng.uniform(-1, 1, size=(slab.spatial.n_nodes, n_sd)))
+        problem.system(problem.initial_guess())
+        problem.system(problem.initial_guess(), want_matrix=False)
+        _, w, det, D, B, x = problem._volume_geometry(slice(None))
+        assert len(calls) == 1
+
+        ns, nt = w.shape
+        points = problem.rule.points
+        args = (*slab.corners(), slab.t_bottom, slab.dt)
+        x_q, _, detJ, grads = prism_geometry(*args, points[:, :n_sd],
+                                             points[:, n_sd])
+        E = len(x_q)
+
+        def grouped(a):
+            """(E, ns*nt, ...) -> (ns, nt, ..., E)"""
+            return np.moveaxis(a.reshape((E, ns, nt) + a.shape[2:]), 0, -1)
+
+        pairs = [(det, np.abs(detJ)), (D, grads[..., :n_sd]),
+                 (B, grads[..., n_sd]), (x, x_q)]
+        for got, want in pairs:
+            want = grouped(want)
+            got = np.broadcast_to(got, want.shape)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert B.shape == (ns, nt, 2 * (n_sd + 1), E)
+        assert x.shape == (ns, nt, n_sd + 1, E)
+
+        # the metric at the element centre, as one call there gives it
+        _, Jinv, _, _ = prism_geometry(*args, np.full(n_sd, 1 / (n_sd + 1)),
+                                       0.5)
+        Bmat = np.eye(n_sd + 1)
+        Bmat[:n_sd, :n_sd] = regular_simplex_map(n_sd)
+        for got, want in zip(problem._metric, metric_terms(Bmat @ Jinv)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_points_only_with_body_force(self):
+        problem = PrismSlabProblem(twisted_slab(2), MaterialParams(1.0, 0.1),
+                                   BCSpec(dirichlet={"x0": zero_velocity}),
+                                   gauge=(0, 0.0))
+        assert problem._volume_geometry(slice(None))[-1] is None
 
 
 def split_into_chunks(monkeypatch, problem, n_chunks=4):

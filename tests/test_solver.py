@@ -1,4 +1,6 @@
 import logging
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -202,6 +204,17 @@ class TestEquilibrate:
         A[3, 3] = 0.0
         self.assert_same_bytes(A)
 
+    def test_row_slices(self, rng, monkeypatch):
+        # slices of 7 rows, one of them with no entries, and explicit zeros
+        monkeypatch.setattr("ustflow.solver._EQUILIBRATE_ROWS", 7)
+        A = sp.random(60, 60, density=0.2, random_state=3, format="lil")
+        A.setdiag(rng.uniform(-3.0, 3.0, size=60))
+        A[14:21] = 0.0
+        A = A.tocsr()
+        A.data[::4] = 0.0
+        assert np.diff(A.indptr)[14:21].max() == 0
+        self.assert_same_bytes(A)
+
 
 class TestTimeLevelPreconditioner:
     def test_exact_on_block_lower_triangular(self, rng):
@@ -217,7 +230,7 @@ class TestTimeLevelPreconditioner:
         assert stats["levels"] == 5
         assert np.allclose(x, direct_lu(A, b), rtol=1e-10, atol=1e-12)
         # the sweep itself inverts a block-lower-triangular matrix
-        M = time_level_preconditioner(A, levels)
+        M, _ = time_level_preconditioner(A, levels)
         assert np.allclose(M.matvec(b), direct_lu(A, b), atol=1e-12)
 
     def test_permuted_dofs_same_solution(self, rng):
@@ -263,6 +276,88 @@ class TestTimeLevelPreconditioner:
             lin_rel_tol=TIGHT, dof_levels=problem.dof_levels))
         assert stats["levels"] == spec.levels + 1
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+
+
+def _couette_problem():
+    spec = _twisted_couette()
+    mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
+        0.0, spec.t_end, spec.levels, spec.trajectory))
+    return spec, SpaceTimeProblem(mesh, spec.material, spec.bcs,
+                                  convective=spec.convective,
+                                  gauge=spec.gauge_for(mesh.nodes))
+
+
+class TestLaggedFactors:
+    """newton_solve factors the time levels once; its later steps sweep with
+    those LUs and the strictly lower blocks of their own matrix."""
+
+    def test_one_factorization_per_newton_solve(self, monkeypatch, caplog):
+        spec, problem = _couette_problem()
+        calls = []
+        splu = spla.splu
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        n_levels = spec.levels + 1
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            out = newton_solve(problem, problem.initial_guess())
+        assert out.converged and out.iterations >= 2
+        assert len(calls) == n_levels
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("linear solve")]
+        assert [line.split("lagged=")[1].split()[0] for line in lines] == (
+            ["0"] + ["1"] * (out.iterations - 1))
+        relres = _logged_relres(caplog)
+        assert len(relres) == len(out.eta) == out.iterations
+        assert all(r <= eta for r, eta in zip(relres, out.eta))
+
+        # a second solve factors afresh, and takes the same steps
+        calls.clear()
+        again = newton_solve(problem, problem.initial_guess())
+        assert len(calls) == n_levels
+        assert again.trace == out.trace
+        # so does every direct call, with the same config
+        calls.clear()
+        system, rhs, _ = problem.system(problem.initial_guess())
+        cfg = LinearSolverConfig(lin_rel_tol=TIGHT,
+                                 dof_levels=problem.dof_levels)
+        for _ in range(2):
+            solve_linear_system(system.matrix, rhs, cfg)
+        assert len(calls) == 2 * n_levels
+
+    def test_lagged_sweep_takes_lower_blocks_of_its_matrix(self, rng):
+        # the same diagonal blocks, other couplings to earlier levels: the
+        # first matrix's LUs invert the second block-lower-triangular one
+        levels = np.repeat(np.arange(4), 6)
+        n = len(levels)
+        lower = levels[:, None] > levels[None, :]
+        A1 = rng.uniform(-1, 1, size=(n, n)) + 12.0 * np.eye(n)
+        A1 *= levels[:, None] >= levels[None, :]
+        A2 = A1 + lower * rng.uniform(-1, 1, size=(n, n))
+        _, lus = time_level_preconditioner(sp.csr_matrix(A1), levels)
+        M2, lus2 = time_level_preconditioner(sp.csr_matrix(A2), levels, lus)
+        assert lus2 is lus
+        b = rng.uniform(-1, 1, size=n)
+        assert np.allclose(M2.matvec(b), np.linalg.solve(A2, b), atol=1e-12)
+
+    def test_previous_matrix_freed_before_next_assembly(self):
+        b = np.array([0.7, -1.2, 2.0, 0.3])
+        matrices = []
+
+        def system(U, tau_override=None, want_matrix=True):
+            assert all(m() is None for m in matrices)
+            A = sp.csr_matrix(np.diag(1.0 + 3.0 * U ** 2))
+            matrices.append(weakref.ref(A))
+            R = U + U ** 3 - b
+            return types.SimpleNamespace(matrix=A), -R, np.linalg.norm(R)
+
+        toy = types.SimpleNamespace(system=system,
+                                    dof_levels=np.array([0, 0, 1, 1]))
+        out = newton_solve(toy, np.full(4, 2.0))
+        assert out.converged and len(matrices) == out.iterations + 1 >= 3
 
 
 class TestDirectLu:
