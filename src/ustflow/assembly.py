@@ -483,7 +483,7 @@ class _ProblemBase:
         return self.n_nodes * self.ncomp
 
     def _init_common(self, material, bcs, body_force, convective, jump_data,
-                     C_I, elements, tag_names):
+                     elements, tag_names):
         for tag in list(bcs.dirichlet) + list(bcs.neumann):
             if tag not in tag_names:
                 raise ConfigurationError(f"unknown boundary tag {tag!r}")
@@ -492,7 +492,6 @@ class _ProblemBase:
         self.body_force = body_force
         self.convective = convective
         self.jump_data = jump_data  # previous nodal trace, or None -> IC
-        self.C_I = C_I
         self.elements = elements
         nc = self.ncomp
         self.edof = (elements[:, :, None] * nc
@@ -529,8 +528,8 @@ class _ProblemBase:
             u_bary = np.zeros((len(self.elements), n_sd))
         Ginv, g, GG, gg = self._metric
         tau_m, tau_c = tau_parameters(u_bary, self.material.nu, Ginv, GG,
-                                      self.C_I, gg)
-        return StabilizationContext(Ginv, g, tau_m, tau_c, self.C_I)
+                                      gg=gg)
+        return StabilizationContext(Ginv, g, tau_m, tau_c)
 
     # interface used by the Newton solver
     def system(self, values, tau_override=None, want_matrix=True):
@@ -713,12 +712,12 @@ class SpaceTimeProblem(_ProblemBase):
 
     def __init__(self, mesh: SpaceTimeMesh, material: MaterialParams,
                  bcs: BCSpec, body_force=None, convective=True,
-                 gauge=None, jump_data=None, C_I: float = 1.0):
+                 gauge=None, jump_data=None):
         self.mesh = mesh
         self.n_sd = mesh.n_sd
         self.n_nodes = mesh.n_nodes
         self._init_common(material, bcs, body_force, convective, jump_data,
-                          C_I, mesh.elements, mesh.tag_names)
+                          mesh.elements, mesh.tag_names)
         # node-time level of every dof, the partition of the block
         # Gauss-Seidel preconditioner
         self.dof_levels = np.repeat(time_levels(mesh.times)[0], self.ncomp)
@@ -808,15 +807,15 @@ class PrismSlabProblem(_ProblemBase):
 
     def __init__(self, slab: PrismSlab, material: MaterialParams, bcs: BCSpec,
                  body_force=None, convective=True, gauge=None,
-                 jump_data=None, C_I: float = 1.0):
+                 jump_data=None):
         self.slab = slab
         self.n_sd = slab.n_sd
         self.n_nodes = slab.n_nodes
         spatial = slab.spatial
         n_sp = spatial.n_nodes
         self._init_common(material, bcs, body_force, convective, jump_data,
-                          C_I, np.hstack([spatial.elements,
-                                          spatial.elements + n_sp]),
+                          np.hstack([spatial.elements,
+                                     spatial.elements + n_sp]),
                           spatial.tag_names)
 
         # bottom nodes are time level 0 and top nodes level 1, numbered

@@ -65,9 +65,11 @@ class _LineReader:
         self.pos += 1
         return no, body
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.lines)
+    def end(self, after: str):
+        """Raise ParseError at the first line after the ``after``, if any."""
+        if self.pos < len(self.lines):
+            raise ParseError(f"unexpected line after the {after}",
+                             line=self.lines[self.pos][0])
 
 
 def _read_mesh_block(reader: _LineReader) -> SimplexMesh:
@@ -123,7 +125,10 @@ def _read_mesh_block(reader: _LineReader) -> SimplexMesh:
 
 
 def read_stmesh(path) -> SimplexMesh:
-    return _read_mesh_block(_LineReader(path))
+    reader = _LineReader(path)
+    mesh = _read_mesh_block(reader)
+    reader.end("mesh block")
+    return mesh
 
 
 def write_result(mesh: SimplexMesh, values: np.ndarray, path) -> None:
@@ -149,7 +154,8 @@ def read_result(path):
     mesh = _read_mesh_block(reader)
     no, header = reader.next("field header")
     parts = header.split()
-    if len(parts) != 3 or parts[0] != "field":
+    if len(parts) != 3 or parts[0] != "field" or not (
+            parts[1].isdigit() and parts[2].isdigit()):
         raise ParseError("expected 'field <n_nodes> <n_components>'", line=no)
     n_rows, n_comp = int(parts[1]), int(parts[2])
     if n_rows != mesh.n_nodes:
@@ -160,7 +166,11 @@ def read_result(path):
         vals = body.split()
         if len(vals) != n_comp:
             raise ParseError(f"expected {n_comp} components", line=no)
-        values[k] = [float(v) for v in vals]
+        try:
+            values[k] = [float(v) for v in vals]
+        except ValueError:
+            raise ParseError("bad float in field row", line=no)
+    reader.end("field block")
 
     if n_comp == mesh.dim:  # space-time mesh: n_sd velocities + pressure
         times = mesh.nodes[:, -1]
@@ -184,8 +194,9 @@ def read_config(path):
     """Parse a ``key = value`` scenario file into a ScenarioSpec.
 
     The file must name a builtin base case; remaining keys override its
-    scalar parameters.  Unknown sections or keys raise UnknownKey with the
-    offending line number.
+    scalar parameters.  A file that sets ``t_end`` or ``levels`` but not
+    ``dt`` gets dt = t_end / levels.  Unknown sections or keys raise
+    UnknownKey with the offending line number.
     """
     from .scenarios import builtin_cases
 
@@ -268,6 +279,9 @@ def read_config(path):
             spec.center = tuple(as_float(no, v) for v in value.split())
         elif (section, key) == ("rotation", "axis"):
             spec.axis = tuple(as_float(no, v) for v in value.split())
+    case_keys = {key for section, key in entries if section == "case"}
+    if "dt" not in case_keys and case_keys & {"t_end", "levels"}:
+        spec.dt = spec.t_end / spec.levels
     return spec
 
 

@@ -131,13 +131,10 @@ def default_linear_config(n_dofs: int) -> LinearSolverConfig:
 
 
 def run_ust(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
-            lin_cfg: LinearSolverConfig = None, levels: int = None,
-            st_mesh: SpaceTimeMesh = None) -> UstRunResult:
+            lin_cfg: LinearSolverConfig = None) -> UstRunResult:
     """Single nonlinear solve over the full twisted space-time domain."""
-    levels = levels or spec.levels
-    if st_mesh is None:
-        ext = ExtrusionSpec(0.0, spec.t_end, levels, spec.trajectory)
-        st_mesh = extrude_simplex_st(spec.mesh, ext)
+    st_mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
+        0.0, spec.t_end, spec.levels, spec.trajectory))
     problem = SpaceTimeProblem(st_mesh, spec.material, spec.bcs,
                                body_force=spec.body_force,
                                convective=spec.convective,

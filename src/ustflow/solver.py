@@ -1,10 +1,10 @@
 """Newton-Raphson outer loop and sparse linear solvers.
 
-``newton_solve`` drives any problem object exposing
+``newton_solve`` drives any problem object exposing ``dof_levels`` and
 ``system(values, want_matrix=...) -> (LinearSystem|None, rhs, norm)``.
-The linear solve is restarted GMRES (scipy) preconditioned by a forward
-block Gauss-Seidel sweep over the node-time levels, or a direct sparse LU,
-which is also the oracle.  A GMRES failure raises ``LinearSolveFailure``;
+The linear solve is restarted GMRES (scipy) always preconditioned by a
+forward block Gauss-Seidel sweep over those node-time levels, or a direct
+sparse LU, the oracle.  A GMRES failure raises ``LinearSolveFailure``;
 there is no fallback.
 
 The preconditioner is factored once per ``newton_solve``: the first step
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
 import time
 from dataclasses import dataclass
 
@@ -54,6 +53,9 @@ logger = logging.getLogger("ustflow")
 ETA_FIRST = 1e-3
 EW_GAMMA = 0.9
 ETA_MAX = 0.1
+# GMRES Krylov vectors per restart cycle, and iterations per solve
+RESTART = 60
+MAX_KRYLOV_ITER = 2000
 
 
 @dataclass
@@ -73,24 +75,18 @@ class NewtonConfig:
 @dataclass
 class LinearSolverConfig:
     method: str = "gmres_restarted"  # or "direct_lu"
-    restart: int = 60
-    max_krylov_iter: int = 2000
     # true relative residual each GMRES solve must reach; None lets
     # newton_solve set it per step from the forcing term
     lin_rel_tol: float | None = None
-    preconditioner: str = "time_levels"  # or "none"
-    # node-time level of every unknown; newton_solve fills it in from the
-    # problem's ``dof_levels``, it is not a setting
+    # node-time level of every unknown, the partition of the GMRES
+    # preconditioner; newton_solve takes it from the problem's
+    # ``dof_levels``, it is not a setting
     dof_levels: np.ndarray = dataclasses.field(default=None, repr=False,
                                                compare=False)
     # the first step's equilibration scale and level LUs, which the later
     # steps reuse; newton_solve gives each solve an empty dict, it is not a
     # setting.  None factors every solve afresh.
     lagged: dict = dataclasses.field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.restart < 1:
-            raise ValueError("restart must be >= 1")
 
 
 @dataclass
@@ -214,11 +210,12 @@ def _equilibrate(A: sp.csr_matrix, scale=None):
 
 
 def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
-    """Restarted GMRES with the configured preconditioner.
+    """Restarted GMRES preconditioned by the time-level sweep.
 
     The system is symmetrically equilibrated by 1/sqrt(|diag|) first, which
     evens out the wildly different row scales of the stabilized space-time
-    systems; the preconditioner is built from the equilibrated matrix.
+    systems; the preconditioner is built from the equilibrated matrix with
+    the levels in ``cfg.dof_levels``.
     With a non-empty ``cfg.lagged`` the scale and the level LUs are those
     stored there by an earlier solve, and only the strictly lower blocks
     are taken from A; an empty one is filled with this solve's.
@@ -226,10 +223,10 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     ||b - Ax|| / ||b|| of the system as given.  When GMRES stops on the
     equilibrated residual while the true one is still above it, GMRES
     resumes from its iterate with the inner tolerance tightened by the
-    miss, within the same ``max_krylov_iter`` budget.  Returns (x, stats)
-    with the Krylov iterations, the true relative residual, the number of
-    levels, whether the factors were lagged, the number of such resumes
-    and the seconds spent building the preconditioner and in GMRES.
+    miss, in whole cycles within the ``MAX_KRYLOV_ITER`` budget.  Returns
+    (x, stats) with the Krylov iterations, the true relative residual, the
+    number of levels, whether the factors were lagged, the number of such
+    resumes and the seconds spent building the preconditioner and in GMRES.
     Raises Stagnation/Breakdown, with the iterations and relres reached,
     when the target is missed.
     """
@@ -237,6 +234,9 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     if cfg.lin_rel_tol is None:
         raise ValueError("gmres_solve needs cfg.lin_rel_tol; newton_solve "
                          "sets it per step from the forcing term")
+    if cfg.dof_levels is None:
+        raise ValueError("gmres_solve needs cfg.dof_levels; newton_solve "
+                         "takes them from the problem's dof_levels")
     A = sp.csr_matrix(A)
     stats = {"iterations": 0, "relres": 0.0, "levels": None, "lagged": 0,
              "resumes": 0, "factor_s": 0.0, "krylov_s": 0.0}
@@ -248,20 +248,10 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     bs = scale * b
 
     t0 = time.perf_counter()
-    if cfg.preconditioner == "none":
-        M = None
-    elif cfg.preconditioner == "time_levels":
-        if cfg.dof_levels is None:
-            raise ValueError("the time_levels preconditioner needs "
-                             "cfg.dof_levels; newton_solve takes them from "
-                             "the problem's dof_levels")
-        stats["lagged"] = int(bool(lagged))
-        M, lus = time_level_preconditioner(As, cfg.dof_levels,
-                                           lagged.get("lus"))
-        lagged.update(scale=scale, lus=lus)
-        stats["levels"] = len(lus)
-    else:
-        raise ValueError(f"unknown preconditioner {cfg.preconditioner!r}")
+    stats["lagged"] = int(bool(lagged))
+    M, lus = time_level_preconditioner(As, cfg.dof_levels, lagged.get("lus"))
+    lagged.update(scale=scale, lus=lus)
+    stats["levels"] = len(lus)
     t1 = time.perf_counter()
 
     def cb(_):
@@ -270,10 +260,9 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     target = inner = cfg.lin_rel_tol
     y = None
     while True:
-        left = cfg.max_krylov_iter - stats["iterations"]
+        left = MAX_KRYLOV_ITER - stats["iterations"]
         y, info = spla.gmres(As, bs, x0=y, rtol=inner, atol=0.0,
-                             restart=cfg.restart,
-                             maxiter=max(1, math.ceil(left / cfg.restart)),
+                             restart=RESTART, maxiter=left // RESTART,
                              M=M, callback=cb, callback_type="pr_norm")
         x = scale * y
         stats["relres"] = relres = _relres(A, x, b)
@@ -282,7 +271,7 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
             raise Breakdown(f"gmres breakdown (info={info}) at {reached}")
         if relres <= target:
             break
-        if stats["iterations"] >= cfg.max_krylov_iter:
+        if MAX_KRYLOV_ITER - stats["iterations"] < RESTART:
             raise Stagnation(f"gmres stagnated at {reached} "
                              f"(target {target:.3e})")
         # the equilibrated residual is off the true one by about the same
@@ -312,7 +301,7 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
         precond = "none"
     elif cfg.method == "gmres_restarted":
         x, stats = gmres_solve(A, b, cfg)
-        precond = cfg.preconditioner
+        precond = "time_levels"
     else:
         raise ValueError(f"unknown linear solver {cfg.method!r}")
     logger.info("linear solve method=%s precond=%s levels=%s iters=%d "
@@ -358,9 +347,7 @@ def newton_solve(problem, initial_values: np.ndarray,
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
     lin_cfg = dataclasses.replace(
-        lin_cfg, lagged={},
-        dof_levels=(getattr(problem, "dof_levels", None)
-                    if lin_cfg.dof_levels is None else lin_cfg.dof_levels))
+        lin_cfg, lagged={}, dof_levels=getattr(problem, "dof_levels", None))
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
     block_size = shape[1] if U.ndim == 2 else 1

@@ -1,3 +1,5 @@
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,16 @@ class TestStmeshRoundTrip:
             read_stmesh(bad2)
         assert err.value.line == 2
 
+    def test_trailing_lines_rejected(self, tmp_path):
+        path = tmp_path / "m.stmesh"
+        write_stmesh(box2d(1, 1), path)
+        n_lines = len(path.read_text().splitlines())
+        with open(path, "a") as f:
+            f.write("# a comment is no line\n0 1 w\n0 1 w\n")
+        with pytest.raises(ParseError, match="after the mesh block") as err:
+            read_stmesh(path)
+        assert err.value.line == n_lines + 2
+
     def test_17_digit_floats_survive(self, tmp_path, rng):
         mesh = box2d(2, 2)
         nodes = mesh.nodes + rng.uniform(0, 1e-7, mesh.nodes.shape)
@@ -73,6 +85,30 @@ class TestResultRoundTrip:
         mesh2, values2 = read_result(path)
         assert not isinstance(mesh2, SpaceTimeMesh)
         assert np.array_equal(values, values2)
+
+    @pytest.mark.parametrize("offset, text, message", [
+        (0, "field nine 3", "expected 'field <n_nodes>"),
+        (2, "1.0 zz 1.0", "bad float"),
+        (10, "1.0 1.0 1.0", "after the field block"),
+    ], ids=["header", "value", "trailing"])
+    def test_malformed_field_reports_line(self, tmp_path, capsys, offset,
+                                          text, message):
+        mesh = box2d(2, 2)  # 9 nodes: field rows at offsets 1 to 9
+        path = tmp_path / "run.dat"
+        write_result(mesh, np.ones((mesh.n_nodes, 3)), path)
+        lines = path.read_text().splitlines()
+        no = (2 + mesh.n_nodes + mesh.n_elements + len(mesh.boundary_facets)
+              + offset)
+        lines[no - 1:no] = [text]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message) as err:
+            read_result(path)
+        assert err.value.line == no
+        for argv in (["slice", "--time", "0.0"],
+                     ["probe", "--points", str(path)]):
+            assert cli.main(argv + ["--result", str(path), "--out",
+                                    str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err.startswith(f"error: line {no}: ")
 
 
 class TestConfig:
@@ -128,6 +164,46 @@ class TestConfig:
         path.write_text(f"[case]\nbase = couette2d\nmesh = {mpath}\n")
         spec = read_config(path)
         assert spec.mesh.n_elements == 32
+
+    @pytest.mark.parametrize("lines, levels, dt", [
+        ("base = couette2d\nt_end = 1.0\n", 6, 1.0 / 6),
+        ("base = manufactured\nlevels = 12\n", 12, 0.5 / 12),
+        ("base = couette2d\nt_end = 1.0\ndt = 0.25\n", 6, 0.25),
+    ], ids=["t_end", "levels", "dt"])
+    def test_dt_defaults_to_t_end_over_levels(self, tmp_path, lines, levels,
+                                              dt):
+        path = tmp_path / "case.cfg"
+        path.write_text("[case]\n" + lines)
+        spec = read_config(path)
+        assert spec.levels == levels
+        assert spec.dt == dt
+
+
+class TestReadme:
+    """The README's command lines and config file match the code."""
+
+    @staticmethod
+    def block(lang):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after = text.split("## Command line", 1)[1]
+        return re.search(rf"```{lang}\n(.*?)```", after, re.S).group(1)
+
+    def test_command_lines_parse(self):
+        commands = [shlex.split(line) for line in
+                    self.block("sh").replace("\\\n", " ").splitlines()
+                    if line.startswith("ustflow ")]
+        assert {argv[1] for argv in commands} == {
+            "run", "mesh-gen", "slice", "probe", "validate", "convergence"}
+        parser = cli._build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
+
+    def test_config_loads(self, tmp_path):
+        path = tmp_path / "case.cfg"
+        path.write_text(self.block("ini"))
+        spec = read_config(path)
+        assert (spec.name, spec.mode, spec.dt) == ("stirrer2d", "slab",
+                                                   0.00012)
 
 
 class TestCli:

@@ -222,23 +222,22 @@ class TestLinearSolverChoice:
         for n_dofs in (12, 23598, 128682, 10 ** 7):
             cfg = default_linear_config(n_dofs)
             assert cfg.method == "gmres_restarted"
-            assert cfg.preconditioner == "time_levels"
 
     def test_run_slab_uses_time_level_gmres(self, monkeypatch):
         calls = []
         newton = scenarios.newton_solve
 
         def spy(problem, values, cfg, lin_cfg):
-            calls.append((lin_cfg.method, lin_cfg.preconditioner,
-                          problem.dof_levels, problem.n_dofs // 2))
+            calls.append((lin_cfg.method, problem.dof_levels,
+                          problem.n_dofs // 2))
             return newton(problem, values, cfg, lin_cfg)
 
         monkeypatch.setattr(scenarios, "newton_solve", spy)
         res = run_slab(make_manufactured(n=3, levels=2))
         assert res.diagnostics["converged"]
         assert len(calls) == 2
-        for method, precond, levels, per_level in calls:
-            assert (method, precond) == ("gmres_restarted", "time_levels")
+        for method, levels, per_level in calls:
+            assert method == "gmres_restarted"
             assert np.array_equal(levels, np.repeat([0, 1], per_level))
 
     def test_dof_levels_follow_node_times(self):

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ustflow import solver
 from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
 from ustflow.errors import LinearSolveFailure, Stagnation
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
@@ -22,11 +23,13 @@ TIGHT = 1e-8
 
 
 class ToyProblem:
-    """Adapter exposing the assembler interface for a smooth vector map."""
+    """Adapter exposing the assembler interface for a smooth map of R^n;
+    each unknown is a level of its own, so GMRES sweeps point by point."""
 
-    def __init__(self, residual, jacobian):
+    def __init__(self, residual, jacobian, n):
         self._res = residual
         self._jac = jacobian
+        self.dof_levels = np.arange(n)
 
     def system(self, U, tau_override=None, want_matrix=True):
         U = np.asarray(U, dtype=float).ravel()
@@ -47,8 +50,8 @@ class TestGmres:
         n = 40
         b = rng.uniform(-1, 1, size=n)
         x, stats = gmres_solve(sp.eye(n, format="csr"), b,
-                               LinearSolverConfig(preconditioner="none",
-                                                  lin_rel_tol=TIGHT))
+                               LinearSolverConfig(lin_rel_tol=TIGHT,
+                                                  dof_levels=np.arange(n)))
         assert np.allclose(x, b, atol=1e-12)
         assert stats["iterations"] <= 1
 
@@ -57,8 +60,8 @@ class TestGmres:
         b = rng.uniform(-1, 1, size=30)
         A = sp.diags(d).tocsr()
         x, stats = gmres_solve(A, b,
-                               LinearSolverConfig(preconditioner="none",
-                                                  lin_rel_tol=TIGHT))
+                               LinearSolverConfig(lin_rel_tol=TIGHT,
+                                                  dof_levels=np.arange(30)))
         assert stats["relres"] < 1e-8
         assert np.allclose(x, b / d, rtol=1e-6, atol=1e-9)
 
@@ -67,13 +70,12 @@ class TestGmres:
         A = rng.uniform(-1, 1, size=(n, n)) + n * np.eye(n)
         b = rng.uniform(-1, 1, size=n)
         x_oracle = np.linalg.solve(A, b)
-        for precond in ("none", "time_levels"):
-            cfg = LinearSolverConfig(preconditioner=precond,
-                                     lin_rel_tol=TIGHT,
-                                     dof_levels=np.arange(n) // 10)
+        for per_level in (1, 10):
+            cfg = LinearSolverConfig(lin_rel_tol=TIGHT,
+                                     dof_levels=np.arange(n) // per_level)
             x, _ = gmres_solve(sp.csr_matrix(A), b, cfg)
             rel = np.linalg.norm(x - x_oracle) / np.linalg.norm(x_oracle)
-            assert rel < 1e-8, precond
+            assert rel < 1e-8, per_level
 
     def test_agreement_gmres_direct(self, rng):
         n = 60
@@ -85,18 +87,30 @@ class TestGmres:
             lin_rel_tol=TIGHT, dof_levels=rng.integers(0, 4, size=n)))
         assert np.linalg.norm(x1 - x2) / np.linalg.norm(x1) < 1e-8
 
-    def test_stagnation_raises_and_direct_solves(self, rng):
-        # one restart cycle of 2 Krylov vectors cannot solve this system
-        n = 50
+    @staticmethod
+    def _stagnating_system(rng, n=50):
         A = sp.random(n, n, density=0.3, random_state=3).tocsr() \
             + 2.0 * sp.eye(n, format="csr")
-        b = rng.uniform(-1, 1, size=n)
-        cfg = LinearSolverConfig(restart=2, max_krylov_iter=2,
-                                 preconditioner="none", lin_rel_tol=TIGHT)
+        cfg = LinearSolverConfig(lin_rel_tol=TIGHT, dof_levels=np.arange(n))
+        return A, rng.uniform(-1, 1, size=n), cfg
+
+    def test_stagnation_raises_and_direct_solves(self, rng, monkeypatch):
+        # one restart cycle of 2 Krylov vectors cannot solve this system
+        monkeypatch.setattr(solver, "RESTART", 2)
+        monkeypatch.setattr(solver, "MAX_KRYLOV_ITER", 2)
+        A, b, cfg = self._stagnating_system(rng)
         with pytest.raises(Stagnation, match=r"relres=.* after 2 iterations"):
             solve_linear_system(A, b, cfg)
         x = solve_linear_system(A, b, LinearSolverConfig(method="direct_lu"))
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
+
+    def test_budget_is_whole_cycles_within_max(self, rng, monkeypatch):
+        # 5 iterations hold two whole cycles of 2; a third would make 6
+        monkeypatch.setattr(solver, "RESTART", 2)
+        monkeypatch.setattr(solver, "MAX_KRYLOV_ITER", 5)
+        A, b, cfg = self._stagnating_system(rng)
+        with pytest.raises(Stagnation, match=r"relres=.* after 4 iterations"):
+            gmres_solve(A, b, cfg)
 
     def test_missing_tolerance_names_newton_solve(self, rng):
         A, b, levels = _block_tridiagonal_system(rng)
@@ -123,7 +137,7 @@ class TestGmres:
 
         monkeypatch.setattr(spla, "gmres", spy)
         x, stats = gmres_solve(A, b, LinearSolverConfig(
-            preconditioner="none", lin_rel_tol=target))
+            lin_rel_tol=target, dof_levels=np.arange(n)))
         (rtol, info, y), *resumed = runs
         assert rtol == target and info == 0
         assert _relres(As, y, scale * b) <= target  # equilibrated: met
@@ -379,7 +393,7 @@ class TestNewton:
     def test_linear_problem_one_iteration(self):
         A = np.array([[2.0, 1.0], [0.0, 3.0]])
         b = np.array([1.0, -2.0])
-        toy = ToyProblem(lambda x: A @ x - b, lambda x: A)
+        toy = ToyProblem(lambda x: A @ x - b, lambda x: A, 2)
         res = newton_solve(toy, np.zeros(2),
                            NewtonConfig(),
                            LinearSolverConfig(method="direct_lu"))
@@ -388,7 +402,7 @@ class TestNewton:
         assert np.allclose(res.values, np.linalg.solve(A, b), atol=1e-12)
 
     def test_zero_problem_converges_immediately(self):
-        toy = ToyProblem(lambda x: x * 0.0, lambda x: np.eye(3))
+        toy = ToyProblem(lambda x: x * 0.0, lambda x: np.eye(3), 3)
         res = newton_solve(toy, np.zeros(3))
         assert res.converged
         assert res.iterations <= 1
@@ -403,7 +417,7 @@ class TestNewton:
         def jac(x):
             return np.diag(1.0 + 3.0 * x ** 2)
 
-        toy = ToyProblem(res, jac)
+        toy = ToyProblem(res, jac, 3)
         out = newton_solve(toy, np.array([5.0, 5.0, 5.0]),
                            NewtonConfig(abs_tol=1e-14, rel_tol=1e-15,
                                         max_iter=50),
@@ -417,7 +431,7 @@ class TestNewton:
     def test_max_iterations_returns_best_iterate(self):
         b = np.array([2.0])
         toy = ToyProblem(lambda x: x + x ** 3 - b,
-                         lambda x: np.diag(1.0 + 3.0 * x ** 2))
+                         lambda x: np.diag(1.0 + 3.0 * x ** 2), 1)
         out = newton_solve(toy, np.array([100.0]),
                            NewtonConfig(max_iter=2, abs_tol=1e-14,
                                         rel_tol=1e-16),
@@ -431,7 +445,7 @@ class TestNewton:
         # backtracking line search keeps the iteration inside the basin
         b = np.array([1.0])
         toy = ToyProblem(lambda x: np.arctan(x) - np.arctan(b),
-                         lambda x: np.diag(1.0 / (1.0 + x ** 2)))
+                         lambda x: np.diag(1.0 / (1.0 + x ** 2)), 1)
         damped = newton_solve(toy, np.array([20.0]),
                               NewtonConfig(max_iter=60,
                                            linesearch="backtracking"),
@@ -466,7 +480,7 @@ class TestNewton:
 
     def test_logs_assembly_time_per_iteration(self, caplog):
         A = np.array([[2.0, 1.0], [0.0, 3.0]])
-        toy = ToyProblem(lambda x: A @ x - np.ones(2), lambda x: A)
+        toy = ToyProblem(lambda x: A @ x - np.ones(2), lambda x: A, 2)
         with caplog.at_level(logging.INFO, logger="ustflow"):
             res = newton_solve(toy, np.zeros(2), NewtonConfig(),
                                LinearSolverConfig(method="direct_lu"))
@@ -525,7 +539,7 @@ def _forcing_reference(trace, tol):
 
 
 class TestForcingTerm:
-    GMRES = LinearSolverConfig(preconditioner="none")
+    GMRES = LinearSolverConfig()
 
     def test_branches(self):
         tol = 1e-6
@@ -547,12 +561,12 @@ class TestForcingTerm:
         if case == "cubic":
             b = np.array([0.7, -1.2, 2.0])
             toy = ToyProblem(lambda x: x + x ** 3 - b,
-                             lambda x: np.diag(1.0 + 3.0 * x ** 2))
+                             lambda x: np.diag(1.0 + 3.0 * x ** 2), 3)
             x0, cfg = np.full(3, 5.0), NewtonConfig(max_iter=50)
         else:
             b = np.array([1.0])
             toy = ToyProblem(lambda x: np.arctan(x) - np.arctan(b),
-                             lambda x: np.diag(1.0 / (1.0 + x ** 2)))
+                             lambda x: np.diag(1.0 / (1.0 + x ** 2)), 1)
             x0 = np.array([20.0])
             cfg = NewtonConfig(max_iter=60, linesearch="backtracking")
         out = newton_solve(toy, x0, cfg, self.GMRES)
@@ -572,7 +586,7 @@ class TestForcingTerm:
         n = 40
         A = rng.uniform(-1, 1, size=(n, n)) + 4.0 * np.eye(n)
         b = rng.uniform(-1, 1, size=n)
-        toy = ToyProblem(lambda x: A @ x - b, lambda x: A)
+        toy = ToyProblem(lambda x: A @ x - b, lambda x: A, n)
         with caplog.at_level(logging.INFO, logger="ustflow"):
             out = newton_solve(toy, np.zeros(n), NewtonConfig(), self.GMRES)
         assert out.converged and out.iterations <= 2
@@ -588,8 +602,8 @@ class TestForcingTerm:
     def test_pinned_tolerance_every_step(self, caplog):
         b = np.array([0.7, -1.2, 2.0])
         toy = ToyProblem(lambda x: x + x ** 3 - b,
-                         lambda x: np.diag(1.0 + 3.0 * x ** 2))
-        cfg = LinearSolverConfig(preconditioner="none", lin_rel_tol=TIGHT)
+                         lambda x: np.diag(1.0 + 3.0 * x ** 2), 3)
+        cfg = LinearSolverConfig(lin_rel_tol=TIGHT)
         with caplog.at_level(logging.INFO, logger="ustflow"):
             out = newton_solve(toy, np.full(3, 5.0), NewtonConfig(), cfg)
         assert out.converged and out.eta == [TIGHT] * out.iterations
