@@ -15,20 +15,24 @@ One driver, ``_ProblemBase``, assembles both element families: the chunked
 volume loop, the jump term, the stabilization parameters, the sparse matrix
 and the Dirichlet rows.  ``_CsrPlan`` builds the matrix pattern once per
 problem, on the first matrix request, from the element connectivity: every
-element node pair becomes a dense ncomp x ncomp block.  Each Newton step
-adds its local matrices into the blocks with one ``np.bincount`` per
-component pair, with no sort, and hands the solver the blocks' CSR form.
+element node pair becomes a dense ncomp x ncomp block.  It numbers each
+chunk's pairs locally, by one ``np.unique`` per chunk, and keeps the
+chunk's sorted global pair ids beside them.  Each Newton step sums a
+chunk's local matrices over the local ids with one ``np.bincount`` per
+component pair, with no sort, adds those sums at the global ids, and hands
+the solver the blocks' CSR form.
 
 The volume loop runs in ``_LANES`` fixed, contiguous element lanes once a
-system has that many chunks.  Each lane sums its chunks into its own
-residual and blocks, on a small module-level thread pool, and the lanes'
-sums are added in lane order, so the result has the same bytes on any core
-count.  A one-chunk system runs its one lane inline and starts no thread.
-On the first matrix of a two-lane problem the plan is built on a lane
-thread while the calling thread fills the geometry and then computes the
-metric and tau; the problem's one ``assembly plan`` log line gives the
-seconds of each and the calling thread's wait for the plan.  A family
-supplies the geometry of its elements:
+system has that many chunks; ``_partition`` cuts the elements into lanes
+and chunks, once per problem, for the plan and the lanes alike.  Each lane
+sums its chunks into its own residual and blocks, on a small module-level
+thread pool, and the lanes' sums are added in lane order, so the result has
+the same bytes on any core count.  A one-chunk system runs its one lane
+inline and starts no thread.  On the first matrix of a two-lane problem the
+plan is built on a lane thread while the calling thread fills the geometry
+and then computes the metric and tau; the problem's one ``assembly plan``
+log line gives the seconds of each and the calling thread's wait for the
+plan.  A family supplies the geometry of its elements:
 
 - ``_volume_geometry(sl)``: the arguments of the element kernel
   ``_element_terms`` for a chunk of elements;
@@ -67,8 +71,8 @@ import scipy.sparse as sp
 
 from .errors import (ConfigurationError, MissingPreviousState,
                      NonFiniteResidual)
-from .mesh import (SimplexMesh, SpaceTimeMesh, basis_eval, reference_gradients,
-                   time_levels)
+from .mesh import (SimplexMesh, SpaceTimeMesh, basis_eval, cofactor_det,
+                   jacobians_last, reference_gradients, time_levels)
 from .quadrature import interval_gauss, prism_quadrature, simplex_quadrature
 from .stabilization import (StabilizationContext, mesh_metric, metric_terms,
                             prism_geometry, prism_shape_functions,
@@ -331,6 +335,28 @@ def _unique(a):
     return a[first]
 
 
+def _partition(n_el, nloc):
+    """(size, chunks, lanes) of a system of ``n_el`` elements with ``nloc``
+    dofs each: ``chunks`` are element slices of at most ``size`` elements
+    (``_CHUNK_ENTRIES`` local-matrix entries), ``lanes`` the ranges of the
+    chunk indices of each lane.
+
+    The lanes split the elements evenly, and each lane cuts its share into
+    chunks from its first element.  The plan and the lanes both take this
+    partition, so a chunk's pair ids are the plan's ids for that chunk.
+    """
+    chunk = max(1, int(_CHUNK_ENTRIES / (nloc * nloc)))
+    n_lanes = min(_LANES, -(-n_el // chunk))
+    chunks, lanes = [], []
+    for k in range(n_lanes):
+        start, stop = n_el * k // n_lanes, n_el * (k + 1) // n_lanes
+        first = len(chunks)
+        chunks += [slice(lo, min(lo + chunk, stop))
+                   for lo in range(start, stop, chunk)]
+        lanes.append(range(first, len(chunks)))
+    return chunk, chunks, lanes
+
+
 class _CsrPlan:
     """Block pattern of a problem's matrix, built once from the elements.
 
@@ -338,30 +364,31 @@ class _CsrPlan:
     node's diagonal pair, as a dense ncomp x ncomp block.  ``keys`` are the
     pairs' row * n_nodes + col, sorted, so the blocks in pair order form a
     block-row (BSR) matrix with sorted block columns, whose CSR form is the
-    canonical CSR form of the summed element matrices.  ``pairs`` (n, m, m)
-    are the int32 pair ids of the element node pairs.  ``dir_slots`` are the
-    CSR entries of the Dirichlet rows, ``diag_slots`` their diagonal
-    entries; ``dir_slots``, ``col`` and ``bptr`` take the CSR index dtype
-    (int32 while nnz < 2**31).
+    canonical CSR form of the summed element matrices.  ``chunks`` holds,
+    for each element chunk of the partition, its pairs as ``pair_ids``
+    gives them: the chunk's sorted global pair ids and int32 chunk-local
+    ids, so a chunk's fill spans only the pairs it touches.  ``dir_slots``
+    are the CSR entries of the Dirichlet rows, ``diag_slots`` their diagonal
+    entries; ``dir_slots``, ``col``, ``bptr`` and the chunks' global ids take
+    the CSR index dtype (int32 while nnz < 2**31).
     """
 
-    def __init__(self, elements, n_nodes, nc, dir_mask):
+    def __init__(self, elements, n_nodes, nc, dir_mask, chunks):
         start = time.perf_counter()
         self.n_nodes, self.nc = n_nodes, nc
-        diag = np.arange(n_nodes)[:, None]
-        self.keys = _unique(np.concatenate([self._keys(elements).ravel(),
-                                            self._keys(diag).ravel()]))
-        # looked up in slices, so no int64 array of all element pairs is kept
-        self.pairs = np.empty(elements.shape + elements.shape[1:], np.int32)
-        for lo in range(0, len(elements), 1 << 16):
-            sl = slice(lo, lo + (1 << 16))
-            self.pairs[sl] = self.pair_ids(elements[sl])
-        diag_pairs = self.pair_ids(diag).ravel()
+        # the global keys are the union of the chunks' distinct keys and the
+        # diagonal, so no array of every element pair's key is formed
+        local = [self._local_ids(elements[sl]) for sl in chunks]
+        diag = np.arange(n_nodes, dtype=np.int64) * (n_nodes + 1)
+        self.keys = _unique(np.concatenate([k for k, _ in local] + [diag]))
+        diag_pairs = np.searchsorted(self.keys, diag)
         row, col = np.divmod(self.keys, n_nodes)
         bptr = np.searchsorted(row, np.arange(n_nodes + 1))
         self.nnz = nc * nc * len(row)
         index = np.int32 if self.nnz < 2 ** 31 else np.int64
         self.col, self.bptr = col.astype(index), bptr.astype(index)
+        self.chunks = [(np.searchsorted(self.keys, k).astype(index), ids)
+                       for k, ids in local]
 
         # CSR row node*nc + i holds nc entries of each block of its node
         deg = np.diff(bptr)
@@ -375,46 +402,47 @@ class _CsrPlan:
                            + nc * (diag_pairs[node] - bptr[node]) + i)
         self.build_s = time.perf_counter() - start
 
-    def _keys(self, ids):
-        """(n, m, m) keys row * n_nodes + col of the node pairs of ``ids``."""
-        ids = ids.astype(np.int64)
-        return ids[:, :, None] * self.n_nodes + ids[:, None, :]
+    def _local_ids(self, ids):
+        """(keys, local) of the node pairs of ``ids`` (n, m): their distinct
+        keys row * n_nodes + col, sorted, and each pair's int32 index into
+        them, in (a, b, element) order."""
+        ids = ids.T.astype(np.int64)
+        keys, local = np.unique(
+            (ids[:, None, :] * self.n_nodes + ids[None, :, :]).ravel(),
+            return_inverse=True)
+        return keys, local.astype(np.int32)
 
     def pair_ids(self, ids):
-        """(n, m, m) pair ids of the node pairs of ``ids`` (n, m), which must
-        share an element or be diagonal."""
-        return np.searchsorted(self.keys, self._keys(ids))
+        """(glob, local) of the node pairs of ``ids`` (n, m), which must
+        share an element or be diagonal: the pairs' sorted global ids and
+        each pair's int32 index into ``glob``, in (a, b, element) order."""
+        keys, local = self._local_ids(ids)
+        return np.searchsorted(self.keys, keys), local
 
     def blocks(self, lo=0, hi=None):
         """Zero blocks of pairs ``lo`` to ``hi`` (default: the last)."""
         hi = len(self.keys) if hi is None else hi
         return np.zeros((hi - lo, self.nc, self.nc))
 
-    @staticmethod
-    def slots(pairs):
-        """(first, idx, n) of the pair ids ``pairs`` (n, m, m): ``idx`` are
-        the ids in (a, b, element) order less their least, ``first``, and
-        range over n blocks."""
-        idx = pairs.transpose(1, 2, 0).astype(np.intp, order="C").ravel()
-        first = int(idx.min())
-        idx -= first
-        return first, idx, int(idx.max()) + 1
-
     def add(self, blocks, lo, pairs, K):
-        """Add local matrices ``K`` (n, m, c, m, c) at ``pairs`` (n, m, m)
-        into components < c of ``blocks``, whose first block is pair ``lo``.
+        """Add local matrices ``K`` (n, m, nc, m, nc) at ``pairs``, a
+        (glob, local) pair of ``pair_ids`` of their elements, into
+        ``blocks``, whose first block is pair ``lo``.
 
         One ``np.bincount`` per component pair sums over (a, b, element) in
-        that order, whatever the memory order of ``K``; its range is the
-        pairs' own [min, max].
+        that order, whatever the memory order of ``K``, into the len(glob)
+        pairs the elements touch, a contiguous row of ``part`` per component
+        pair; those sums are then added at ``glob``.
         """
-        first, idx, n = self.slots(pairs)
-        out = blocks[first - lo:first - lo + n]
-        for i in range(K.shape[2]):
-            for j in range(K.shape[4]):
-                out[:, i, j] += np.bincount(
-                    idx, K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
-                    minlength=n)
+        glob, local = pairs
+        local = local.astype(np.intp)
+        part = np.empty((self.nc, self.nc, len(glob)))
+        for i in range(self.nc):
+            for j in range(self.nc):
+                part[i, j] = np.bincount(
+                    local, K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
+                    minlength=len(glob))
+        blocks[glob - lo] += part.transpose(2, 0, 1)
 
     def matrix(self, blocks):
         """The CSR matrix of ``blocks`` (all pairs); its arrays are new."""
@@ -521,7 +549,12 @@ class _ProblemBase:
         values = np.asarray(values, dtype=float).reshape(self.n_nodes,
                                                          self.ncomp)
         if self.convective:
-            u_bary = values[self.elements, :n_sd].mean(axis=1)
+            # the mean of the nodal velocities, one node column at a time
+            vel = values[:, :n_sd]
+            u_bary = vel[self.elements[:, 0]]
+            for k in range(1, self.elements.shape[1]):
+                u_bary += vel[self.elements[:, k]]
+            u_bary /= self.elements.shape[1]
         else:
             # Stokes limit: tau must not depend on the iterate so the
             # system stays exactly linear
@@ -540,10 +573,8 @@ class _ProblemBase:
         """
         values = np.asarray(values, dtype=float).reshape(self.n_nodes,
                                                          self.ncomp)
-        n_el, nloc = self.edof.shape
-        chunk = max(1, int(_CHUNK_ENTRIES / (nloc * nloc)))
-        n_chunks = -(-n_el // chunk)
-        n_lanes = min(_LANES, n_chunks)
+        size, chunks, lanes = self._chunks
+        n_lanes = len(lanes)
         new_plan = want_matrix and "_csr_plan" not in vars(self)
         # a first plan of two lanes is built on a lane thread while this one
         # computes the geometry and tau
@@ -565,11 +596,12 @@ class _ProblemBase:
             logger.info("assembly plan pairs=%d nnz=%d lanes=%d threads=%d "
                         "chunks=%d plan_s=%.3f geometry_s=%.3f metric_s=%.3f "
                         "wait_s=%.3f", len(plan.keys), plan.nnz, n_lanes,
-                        _pool._max_workers if n_lanes > 1 else 0, n_chunks,
+                        _pool._max_workers if n_lanes > 1 else 0,
+                        -(-len(self.elements) // size),
                         plan.build_s, t1 - t0, t2 - t1,
                         time.perf_counter() - t2)
 
-        R, blocks = self._volume(values, stab, plan, chunk, n_lanes)
+        R, blocks = self._volume(values, stab, plan, chunks, lanes)
         self._add_jump(values, R, blocks)
         self._add_traction(R)
 
@@ -586,26 +618,23 @@ class _ProblemBase:
         A.data[plan.diag_slots] = 1.0
         return LinearSystem(A, rhs, self.n_sd), rhs, norm
 
-    def _volume(self, values, stab, plan, chunk, n_lanes):
+    def _volume(self, values, stab, plan, chunks, lanes):
         """(R, blocks) of the volume terms: the lanes' sums, added in lane
         order; ``blocks`` is None without a ``plan``."""
-        n_el = len(self.elements)
-
         def lane(k):
-            return self._lane(values, stab, plan, chunk, k == 0,
-                              n_el * k // n_lanes, n_el * (k + 1) // n_lanes)
+            return self._lane(values, stab, plan, chunks, lanes[k], k == 0)
 
-        lanes = (map(lane, range(n_lanes)) if n_lanes == 1
-                 else _lane_pool().map(lane, range(n_lanes)))
-        R, _, blocks = next(lanes)
-        for R_k, lo, blocks_k in lanes:
+        sums = (map(lane, range(len(lanes))) if len(lanes) == 1
+                else _lane_pool().map(lane, range(len(lanes))))
+        R, _, blocks = next(sums)
+        for R_k, lo, blocks_k in sums:
             R += R_k
             if plan is not None:
                 blocks[lo:lo + len(blocks_k)] += blocks_k
         return R, blocks
 
-    def _lane(self, values, stab, plan, chunk, full, start, stop):
-        """(R, lo, blocks) of elements ``start`` to ``stop``, in chunks.
+    def _lane(self, values, stab, plan, chunks, ids, full):
+        """(R, lo, blocks) of the chunks ``ids``.
 
         ``blocks`` covers all pairs if ``full``, else only this lane's, from
         pair ``lo``; it is None without a ``plan``.
@@ -614,12 +643,13 @@ class _ProblemBase:
         R = np.zeros(self.n_dofs)
         lo, blocks = 0, None
         if plan is not None:
-            pairs = plan.pairs[start:stop]
+            glob = [plan.chunks[c][0] for c in ids]
             lo, hi = ((0, None) if full
-                      else (int(pairs.min()), int(pairs.max()) + 1))
+                      else (int(min(g[0] for g in glob)),
+                            int(max(g[-1] for g in glob)) + 1))
             blocks = plan.blocks(lo, hi)
-        for first in range(start, stop, chunk):
-            sl = slice(first, min(first + chunk, stop))
+        for c in ids:
+            sl = chunks[c]
             Re, Ke = _element_terms(*self._volume_geometry(sl),
                                     values[self.elements[sl]], rho, mu,
                                     stab.tau_mom[sl], stab.tau_cont[sl],
@@ -627,7 +657,7 @@ class _ProblemBase:
                                     plan is not None)
             _add_local(R, self.edof[sl], Re)
             if plan is not None:
-                plan.add(blocks, lo, plan.pairs[sl], Ke)
+                plan.add(blocks, lo, plan.chunks[c], Ke)
         return R, lo, blocks
 
     def residual_norm(self, values, tau_override=None) -> float:
@@ -635,10 +665,17 @@ class _ProblemBase:
                            want_matrix=False)[2]
 
     @cached_property
+    def _chunks(self):
+        """The (size, chunks, lanes) of ``_partition``, fixed at the first
+        system so that the plan and the lanes keep sharing it."""
+        return _partition(*self.edof.shape)
+
+    @cached_property
     def _csr_plan(self) -> _CsrPlan:
         """Built on the first matrix request, never by the constructor or a
         residual-only call."""
-        return _CsrPlan(self.elements, self.n_nodes, self.ncomp, self.dir_mask)
+        return _CsrPlan(self.elements, self.n_nodes, self.ncomp, self.dir_mask,
+                        self._chunks[1])
 
     @cached_property
     def _cap(self):
@@ -651,8 +688,7 @@ class _ProblemBase:
             raise MissingPreviousState(
                 "jump term needs an initial condition or previous trace")
         ids, coords = self._bottom_cap()
-        J = np.swapaxes(coords[:, 1:, :] - coords[:, :1, :], 1, 2)
-        det = np.abs(np.linalg.det(J))
+        det = np.abs(cofactor_det(jacobians_last(coords)))
         rule = simplex_quadrature(n_sd, 2)
         Nf = basis_eval(rule.points, n_sd)               # (nq, n_sd+1)
         wdet = rule.weights[None, :] * det[:, None]      # (nf, nq)
@@ -668,11 +704,10 @@ class _ProblemBase:
         return ids, Mq, rho * np.einsum("fq,qa,fqi->fai", wdet, Nf, u0)
 
     @cached_property
-    def _cap_slots(self):
-        """The plan's slots of the bottom-cap node pairs, which are element
-        node pairs in both families."""
-        plan = self._csr_plan
-        return plan.slots(plan.pair_ids(self._cap[0]))
+    def _cap_pairs(self):
+        """The plan's (glob, local) of the bottom-cap node pairs, which are
+        element node pairs in both families."""
+        return self._csr_plan.pair_ids(self._cap[0])
 
     def _add_jump(self, values, R, blocks):
         """rho (u+ - u-) . w on the bottom cap.  Its matrix, rho times the
@@ -686,11 +721,11 @@ class _ProblemBase:
         vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
         _add_local(R, vdofs.reshape(len(ids), -1), Rloc)
         if blocks is not None:
-            first, idx, n = self._cap_slots
-            M = np.bincount(idx, (rho * Mq).transpose(1, 2, 0).ravel(),
-                            minlength=n)
+            glob, local = self._cap_pairs
+            M = np.bincount(local, (rho * Mq).transpose(1, 2, 0).ravel(),
+                            minlength=len(glob))
             for i in range(n_sd):
-                blocks[first:first + n, i, i] += M
+                blocks[glob, i, i] += M
 
 
 def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl, with_points):

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as stio
-from .errors import ConfigurationError, UstflowError
+from .errors import (ConfigurationError, IoFailure, ParseError,
+                     UstflowError)
 from .extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from .mesh import validate_mesh
 from .postproc import export_vtk, probe, slice_at_time
@@ -71,10 +72,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _floats(name: str, text: str) -> tuple:
+    try:
+        return tuple(float(v) for v in text.split())
+    except ValueError:
+        raise ConfigurationError(
+            f"{name} must be space-separated floats, got {text!r}") from None
+
+
 def _cmd_mesh_gen(args) -> int:
+    center = _floats("--center", args.center)
+    axis = _floats("--axis", args.axis)
     mesh = stio.read_stmesh(args.input)
-    center = tuple(float(v) for v in args.center.split())
-    axis = tuple(float(v) for v in args.axis.split())
     kind = "rigid_rotation" if args.omega != 0.0 else "static"
     try:
         traj = NodeTrajectory(kind, center, axis, args.omega)
@@ -159,7 +168,13 @@ def _cmd_slice(args) -> int:
 
 def _cmd_probe(args) -> int:
     mesh, values = stio.read_result(args.result)
-    pts = np.loadtxt(args.points, ndmin=2)
+    try:
+        pts = np.loadtxt(args.points, ndmin=2)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {args.points}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{args.points}: probe points must be rows of "
+                         f"floats ({exc})") from exc
     if pts.shape[1] != mesh.dim:
         print(f"probe points need {mesh.dim} columns", file=sys.stderr)
         return 1

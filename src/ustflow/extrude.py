@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvertedElement, MeshTopologyError
-from .mesh import SimplexMesh, SpaceTimeMesh
+from .mesh import (SimplexMesh, SpaceTimeMesh, cofactor_det,
+                   element_slices, jacobians_last)
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,14 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     # In the flat limit, path simplex j of a prism has det sign
     # (-1)^(n_sd + j) relative to the sorted spatial element; a twist inverts
     # an element exactly when its det crosses zero away from that sign.
-    X = nodes[elements]
-    J = np.swapaxes(X[:, 1:, :] - X[:, :1, :], 1, 2)
-    det = np.linalg.det(J)
-    h = np.linalg.norm(X[:, 1:, :] - X[:, :1, :], axis=2).max(axis=1)
-    Xs = spatial.nodes[sorted_spatial]
-    det_sp = np.linalg.det(np.swapaxes(Xs[:, 1:, :] - Xs[:, :1, :], 1, 2))
+    # h is the longest edge from vertex 0, the longest column of J.
+    det, h = np.empty(len(elements)), np.empty(len(elements))
+    for sl in element_slices(len(elements)):
+        J = jacobians_last(nodes[elements[sl]])
+        det[sl] = cofactor_det(J)
+        J *= J
+        h[sl] = np.sqrt(J.sum(axis=0).max(axis=0))
+    det_sp = cofactor_det(jacobians_last(spatial.nodes[sorted_spatial]))
     sign_j = (-1.0) ** (n_sd + np.arange(n_sd + 1))
     expected = np.tile((np.sign(det_sp)[:, None] * sign_j).ravel(), L)
     bad = det * expected <= 1e-14 * h ** (n_sd + 1)

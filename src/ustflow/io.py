@@ -253,6 +253,14 @@ def read_config(path):
         except ValueError:
             raise ParseError(f"bad integer {v!r}", line=no)
 
+    def as_bool(no, key, v):
+        if v.lower() in ("1", "true", "yes", "on"):
+            return True
+        if v.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ParseError(f"{key} must be 1/true/yes/on or 0/false/no/off, "
+                         f"got {v!r}", line=no)
+
     for (section, key), (no, value) in entries.items():
         if (section, key) == ("case", "name"):
             spec.name = value
@@ -272,7 +280,7 @@ def read_config(path):
         elif (section, key) == ("material", "mu"):
             spec.material.mu = as_float(no, value)
         elif (section, key) == ("material", "convective"):
-            spec.convective = value.lower() in ("1", "true", "yes", "on")
+            spec.convective = as_bool(no, key, value)
         elif (section, key) == ("rotation", "omega"):
             spec.omega = as_float(no, value)
         elif (section, key) == ("rotation", "center"):

@@ -9,6 +9,13 @@ inherits the spatial tags).
 Node ordering inside an element is kept as given except for a single swap of
 the last two nodes applied at construction whenever det J < 0, so that every
 element has positive orientation afterwards.
+
+Element geometry is computed element-last (the element axis last, so each
+arithmetic step runs over a slice of elements) in slices of ``_SLICE``
+elements.  Determinants and inverses of the d x d Jacobians, d <= 4, come
+from the cofactor expansion in ``cofactor_det``, not from a batched LAPACK
+call per element.  The only cached copy of the inverse Jacobians is the P1
+``gradients`` array; ``jacobians`` is built on each access.
 """
 
 from __future__ import annotations
@@ -171,15 +178,15 @@ class SimplexMesh:
         """(n_el, dim+1, dim) coordinates of element nodes."""
         return self.nodes[self.elements]
 
-    @cached_property
+    @property
     def jacobians(self) -> np.ndarray:
-        """(n_el, dim, dim); column d is x_{d+1} - x_1."""
-        X = self.element_coords
-        return np.swapaxes(X[:, 1:, :] - X[:, :1, :], 1, 2)
+        """(n_el, dim, dim); column d is x_{d+1} - x_1.  Built on each
+        access: the cached geometry below needs no copy of it."""
+        return np.moveaxis(jacobians_last(self.element_coords), -1, 0)
 
     @cached_property
     def jacobian_dets(self) -> np.ndarray:
-        return np.linalg.det(self.jacobians)
+        return _det_of(self.nodes, self.elements)
 
     @cached_property
     def measures(self) -> np.ndarray:
@@ -193,10 +200,27 @@ class SimplexMesh:
 
     @cached_property
     def gradients(self) -> np.ndarray:
-        """(n_el, dim+1, dim) physical gradients of the P1 basis (constant per element)."""
+        """(n_el, dim+1, dim) physical gradients of the P1 basis (constant per
+        element).
+
+        The determinants come first, so a degenerate mesh raises before any
+        inverse is formed; then each slice's inverse Jacobians, adj J / det J,
+        are built element-last and copied into rows 1..dim, with row 0 their
+        negated column sums.
+        """
+        det = self.jacobian_dets
         self._check_degenerate()
-        inv = np.linalg.inv(self.jacobians)
-        return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+        X, dim = self.element_coords, self.dim
+        grads = np.empty((len(X), dim + 1, dim))
+        for sl in element_slices(len(X)):
+            inv = np.empty((dim + 1, dim, len(det[sl])))
+            cofactor_det(jacobians_last(X[sl]), inv[1:])
+            np.divide(inv[1:], det[sl], out=inv[1:])
+            np.negative(inv[1], out=inv[0])
+            for k in range(2, dim + 1):
+                inv[0] -= inv[k]
+            grads[sl] = inv.transpose(2, 0, 1)
+        return grads
 
     @cached_property
     def barycenters(self) -> np.ndarray:
@@ -204,15 +228,20 @@ class SimplexMesh:
 
     @cached_property
     def max_edge_lengths(self) -> np.ndarray:
-        # (nen, dim, E): each node's coordinates are contiguous rows
-        X = np.ascontiguousarray(self.element_coords.transpose(1, 2, 0))
-        nen = self.dim + 1
-        h = np.zeros(self.n_elements)
-        for i in range(nen):
-            for j in range(i + 1, nen):
-                d = np.linalg.norm(X[i] - X[j], axis=0)
-                np.maximum(h, d, out=h)
-        return h
+        # per slice, (nen, dim, E): each node's coordinates are contiguous
+        # rows; the squared lengths add the coordinates in order, as a norm
+        # does, and one sqrt of their maximum follows
+        X, nen = self.element_coords, self.dim + 1
+        h2 = np.zeros(len(X))
+        for sl in element_slices(len(X)):
+            Xl = np.ascontiguousarray(X[sl].transpose(1, 2, 0))
+            h = h2[sl]
+            for i in range(nen):
+                for j in range(i + 1, nen):
+                    d = Xl[i] - Xl[j]
+                    d *= d
+                    np.maximum(h, d.sum(axis=0), out=h)
+        return np.sqrt(h2)
 
     def _check_degenerate(self):
         bad = np.abs(self.jacobian_dets) < DEGENERACY_FACTOR * self.max_edge_lengths ** self.dim
@@ -268,7 +297,7 @@ def element_jacobian(mesh: SimplexMesh, e: int):
     Raises DegenerateElement when |det| falls below the scale-invariant
     degeneracy threshold.
     """
-    J = mesh.jacobians[e]
+    J = jacobians_last(mesh.element_coords[e][None])[..., 0]
     det = mesh.jacobian_dets[e]
     h = mesh.max_edge_lengths[e]
     if abs(det) < DEGENERACY_FACTOR * h ** mesh.dim:
@@ -450,6 +479,74 @@ def _find_rows(haystack_sorted: np.ndarray, needles: np.ndarray) -> np.ndarray:
 
 
 def _det_of(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    X = nodes[elements]
-    J = np.swapaxes(X[:, 1:, :] - X[:, :1, :], 1, 2)
-    return np.linalg.det(J)
+    return np.concatenate([cofactor_det(jacobians_last(nodes[elements[sl]]))
+                           for sl in element_slices(len(elements))])
+
+
+# elements per slice of the element-last geometry; bounds its transients
+_SLICE = 1 << 15
+
+
+def element_slices(n: int) -> list:
+    """Slices of at most ``_SLICE`` of n elements, in order; one when n = 0."""
+    return [slice(lo, lo + _SLICE) for lo in range(0, max(n, 1), _SLICE)]
+
+
+def jacobians_last(X: np.ndarray) -> np.ndarray:
+    """Element-last Jacobians (dim, dim, n) of simplices with vertex
+    coordinates X (n, dim+1, dim): column d is x_{d+1} - x_1."""
+    Xl = np.moveaxis(X, 0, -1)
+    J = np.empty((X.shape[2], X.shape[2], len(X)))
+    np.subtract(Xl[1:].swapaxes(0, 1), Xl[0][:, None], out=J)
+    return J
+
+
+def cofactor_det(J: np.ndarray, adj: np.ndarray = None) -> np.ndarray:
+    """Determinants of element-last square matrices J (d, d, n), d = 2, 3
+    or 4, by cofactor expansion along the first row.
+
+    With ``adj`` (d, d, n) it also writes there the adjugate, the transposed
+    cofactors, so that J^-1 = adj / det.  A 4x4 cofactor is expanded along
+    the row that pairs with the 2x2 minors of rows (2, 3), or of rows (0, 1)
+    for the cofactors of rows 2 and 3, so each minor is formed once.  The
+    result is within a few ulps times cond(J) of LAPACK's ``det`` and
+    ``inv``, at a fraction of their cost for small matrices.
+    """
+    d = J.shape[0]
+    if d == 2:
+        def cofactor(i, j):
+            c = J[1 - i, 1 - j]
+            return c if i == j else -c
+    elif d == 3:
+        def cofactor(i, j):
+            i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+            return J[i1, j1] * J[i2, j2] - J[i1, j2] * J[i2, j1]
+    elif d == 4:
+        minors = {}
+
+        def minor(rows, a, b):
+            key = (rows, a, b)
+            if key not in minors:
+                r0, r1 = rows
+                minors[key] = J[r0, a] * J[r1, b] - J[r0, b] * J[r1, a]
+            return minors[key]
+
+        def cofactor(i, j):
+            rows, r = ((2, 3), 1 - i) if i < 2 else ((0, 1), 5 - i)
+            k0, k1, k2 = (k for k in range(4) if k != j)
+            t0 = J[r, k0] * minor(rows, k1, k2)
+            t1 = J[r, k1] * minor(rows, k0, k2)
+            t2 = J[r, k2] * minor(rows, k0, k1)
+            return t0 - t1 + t2 if (i + j) % 2 == 0 else t1 - t0 - t2
+    else:
+        raise ValueError(f"cofactor_det takes d = 2, 3 or 4, not {d}")
+    first = [cofactor(0, k) for k in range(d)]
+    det = J[0, 0] * first[0]
+    for k in range(1, d):
+        det += J[0, k] * first[k]
+    if adj is not None:
+        for j in range(d):
+            adj[j, 0] = first[j]
+            for i in range(1, d):
+                adj[j, i] = cofactor(i, j)
+    return det

@@ -23,8 +23,8 @@ every renumbering.
 With the vertices in canonical order sigma, the inverse of the canonical
 Jacobian has as its rows the P1 gradients of vertices sigma(1..d), so A is
 the regular-simplex map times those rows of ``SimplexMesh.gradients``.  The
-mesh metric is evaluated in slices of ``_METRIC_SLICE`` elements in an
-element-last layout, where every reduction runs over whole slices.
+mesh metric is evaluated in the element slices of ``mesh.element_slices``
+in an element-last layout, where every reduction runs over whole slices.
 
 Stabilization parameters:
 
@@ -42,7 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateElement, NonFiniteTau, ZeroDenominator
-from .mesh import SimplexMesh, basis_eval, reference_gradients
+from .mesh import (SimplexMesh, basis_eval, cofactor_det, element_slices,
+                   reference_gradients)
 
 
 @lru_cache(maxsize=None)
@@ -228,10 +229,6 @@ def _with_norms(Ginv: np.ndarray, g: np.ndarray):
     return Ginv, g, np.einsum("nij,nij->n", Ginv, Ginv), (g * g).sum(axis=1)
 
 
-# elements per slice of mesh_metric; bounds its transients
-_METRIC_SLICE = 1 << 16
-
-
 def mesh_metric(mesh: SimplexMesh):
     """(Ginv, g, Ginv:Ginv, g.g) for all elements, canonical node order.
 
@@ -241,8 +238,7 @@ def mesh_metric(mesh: SimplexMesh):
     X, grads = mesh.element_coords, mesh.gradients
     n, dim = X.shape[0], mesh.dim
     Ginv, g = np.empty((n, dim, dim)), np.empty((n, dim - 1))
-    for lo in range(0, n, _METRIC_SLICE):
-        sl = slice(lo, lo + _METRIC_SLICE)
+    for sl in element_slices(n):
         A = _reference_derivative(_last(X[sl] - X[sl, :1]), _last(grads[sl]))
         Ginv_s, g_s = _metric_and_g(A)
         Ginv[sl], g[sl] = np.moveaxis(Ginv_s, -1, 0), g_s.T
@@ -314,8 +310,13 @@ def prism_geometry(coords_bottom, coords_top, t_bottom, dt, xi_spatial, theta):
     J[..., :n_sd, :n_sd] = np.einsum("ae,n...ad->n...de", Gs, blend)
     J[..., :n_sd, n_sd] = np.einsum("...a,n...ad->n...d", Ns, ct - cb)
     J[..., n_sd, n_sd] = dt
-    detJ = np.linalg.det(J)
-    Jinv = np.linalg.inv(J)
+    # closed-form inverses, element-last, then back in J's layout
+    d = n_sd + 1
+    adj = np.empty((d, d, math.prod(pts)))
+    detJ = cofactor_det(np.moveaxis(J.reshape(-1, d, d), 0, -1), adj)
+    adj /= detJ
+    Jinv = np.ascontiguousarray(np.moveaxis(adj, -1, 0)).reshape(J.shape)
+    detJ = detJ.reshape(pts)
 
     # reference gradients (..., 2(n_sd+1), n_sd+1), by (xi, theta)
     ref = np.zeros(th.shape + (2 * (n_sd + 1), n_sd + 1))
@@ -323,5 +324,5 @@ def prism_geometry(coords_bottom, coords_top, t_bottom, dt, xi_spatial, theta):
     ref[..., n_sd + 1:, :n_sd] = Gs * th[..., None, None]
     ref[..., : n_sd + 1, n_sd] = -Ns
     ref[..., n_sd + 1:, n_sd] = Ns
-    grads = np.einsum("...ak,n...kd->n...ad", ref, Jinv)
+    grads = ref @ Jinv
     return x, Jinv, detJ, grads

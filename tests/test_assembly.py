@@ -1146,20 +1146,82 @@ class TestBlockFill:
                              U, True)
         assert not Ke.flags.c_contiguous
         plan = problem._csr_plan
+        pairs = plan.pair_ids(problem.elements)
         filled = []
         for K in (Ke, np.ascontiguousarray(Ke)):
             blocks = plan.blocks()
-            plan.add(blocks, 0, plan.pairs, K)
+            plan.add(blocks, 0, pairs, K)
             filled.append(blocks)
         assert np.array_equal(filled[0], filled[1])
 
         sl = slice(10, 30)
-        lo, hi = plan.pairs[sl].min(), plan.pairs[sl].max() + 1
+        pairs = plan.pair_ids(problem.elements[sl])
+        lo, hi = pairs[0][0], pairs[0][-1] + 1
         part, full = plan.blocks(lo, hi), plan.blocks()
-        plan.add(part, lo, plan.pairs[sl], Ke[sl])
-        plan.add(full, 0, plan.pairs[sl], np.ascontiguousarray(Ke[sl]))
+        plan.add(part, lo, pairs, Ke[sl])
+        plan.add(full, 0, pairs, np.ascontiguousarray(Ke[sl]))
         assert np.array_equal(full[lo:hi], part)
         assert not full[:lo].any() and not full[hi:].any()
+
+
+def global_pair_ids(plan, ids):
+    """(a, b, element)-ordered global pair ids of the node pairs of ``ids``,
+    by one ``searchsorted`` of every pair's key in all keys."""
+    ids = ids.T.astype(np.int64)
+    keys = ids[:, None, :] * plan.n_nodes + ids[None, :, :]
+    return np.searchsorted(plan.keys, keys.ravel())
+
+
+class TestChunkLocalPairs:
+    """Each chunk's (glob, local) pair ids against a global ``searchsorted``
+    of its element pairs, and its block fill against one ``bincount`` per
+    component pair over the global ids, on problems split into two lanes."""
+
+    @pytest.fixture(params=["simplex", "pentatope", "prism"])
+    def problem(self, request, rng, monkeypatch):
+        return split_into_chunks(monkeypatch,
+                                 TestLanes.problem(request.param, rng))
+
+    def test_local_ids_match_global_lookup(self, problem):
+        problem.system(problem.initial_guess())
+        size, chunks, lanes = problem._chunks
+        assert len(lanes) == 2
+        assert [c for lane in lanes for c in lane] == list(range(len(chunks)))
+        assert chunks[0].start == 0 and chunks[-1].stop == len(
+            problem.elements)
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        assert all(0 < c.stop - c.start <= size for c in chunks)
+        plan = problem._csr_plan
+        assert len(plan.chunks) == len(chunks)
+        for sl, (glob, local) in zip(chunks, plan.chunks):
+            assert local.dtype == np.int32
+            assert (np.diff(glob) > 0).all()
+            assert np.array_equal(glob[local],
+                                  global_pair_ids(plan, problem.elements[sl]))
+            assert len(glob) == len(np.unique(local)) == local.max() + 1
+
+    def test_fill_matches_global_bincount(self, problem, rng):
+        U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
+        problem.system(U)
+        plan = problem._csr_plan
+        _, Ke = volume_terms(_element_terms,
+                             problem._volume_geometry(slice(None)), problem,
+                             U, True)
+        nc = problem.ncomp
+        got, want = plan.blocks(), plan.blocks()
+        for sl, pairs in zip(problem._chunks[1], plan.chunks):
+            K = Ke[sl]
+            plan.add(got, 0, pairs, K)
+            idx = global_pair_ids(plan, problem.elements[sl])
+            first = idx.min()
+            n = idx.max() + 1 - first
+            for i in range(nc):
+                for j in range(nc):
+                    want[first:first + n, i, j] += np.bincount(
+                        idx - first,
+                        K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
+                        minlength=n)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNoThreads:

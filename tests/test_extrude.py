@@ -132,6 +132,14 @@ class TestExtrusion:
         with pytest.raises(InvertedElement):
             extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 1, traj))
 
+    def test_inverted_pentatope_raises(self):
+        spatial = box3d(2, 2, 1, lx=2.0, ly=2.0)
+        traj = NodeTrajectory("rigid_rotation", (1.0, 1.0, 0.0),
+                              (0.0, 0.0, 1.0), omega=5.0)
+        with pytest.raises(InvertedElement) as err:
+            extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2, traj))
+        assert err.value.level == 0
+
     def test_twist_continuity_linear_in_omega(self):
         spatial = disk2d(1.0, 2, 8)
         flat = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2))

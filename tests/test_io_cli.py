@@ -150,6 +150,24 @@ class TestConfig:
         with pytest.raises(ParseError):
             read_config(path)
 
+    @pytest.mark.parametrize("value, convective", [
+        ("1", True), ("True", True), ("yes", True), ("ON", True),
+        ("0", False), ("false", False), ("No", False), ("off", False)])
+    def test_convective_flag(self, tmp_path, value, convective):
+        path = tmp_path / "case.cfg"
+        path.write_text("[case]\nbase = manufactured\n[material]\n"
+                        f"convective = {value}\n")
+        assert read_config(path).convective is convective
+
+    @pytest.mark.parametrize("value", ["ture", "2", "y", ""])
+    def test_bad_convective_flag_reports_key_and_line(self, tmp_path, value):
+        path = tmp_path / "case.cfg"
+        path.write_text("[case]\nbase = manufactured\n[material]\n"
+                        f"convective = {value}\n")
+        with pytest.raises(ParseError, match="convective") as err:
+            read_config(path)
+        assert err.value.line == 4
+
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "case.cfg"
         path.write_text("[case]\nbase = manufactured\nlevels = abc\n")
@@ -264,6 +282,36 @@ class TestCli:
                          "--out", str(tmp_path / "st.stmesh")])
         assert code == 1
         assert "rotation axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--center", "0 x"),
+                                             ("--axis", "0 0 z")])
+    def test_mesh_gen_malformed_floats_are_an_error(self, tmp_path, capsys,
+                                                    flag, value):
+        src = tmp_path / "box.stmesh"
+        write_stmesh(box3d(1, 1, 1), src)
+        code = cli.main(["mesh-gen", "--input", str(src), "--levels", "1",
+                         "--omega", "1.0", flag, value, "--t-end", "0.1",
+                         "--out", str(tmp_path / "st.stmesh")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be space-separated floats")
+        assert not (tmp_path / "st.stmesh").exists()
+
+    @pytest.mark.parametrize("text", ["0.5 abc 0.05\n", "0.5 0.5\n0.1\n"])
+    def test_probe_malformed_points_file_is_an_error(
+            self, tmp_path, capsys, small_st_mesh_2d, text):
+        st = small_st_mesh_2d
+        result = tmp_path / "result.dat"
+        write_result(st, np.column_stack([st.nodes[:, :2], st.times]), result)
+        pts = tmp_path / "points.txt"
+        pts.write_text(text)
+        argv = ["probe", "--result", str(result), "--out",
+                str(tmp_path / "probes.csv")]
+        assert cli.main(argv + ["--points", str(pts)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {pts}: probe points must be rows of floats")
+        assert cli.main(argv + ["--points", str(tmp_path / "none.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read ")
 
     @pytest.mark.parametrize("mode", ["ust", "slab"])
     def test_run_trace_records_forcing_term(self, tmp_path, mode):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,28 @@ from ustflow.errors import DegenerateElement
 from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from ustflow.geometry import box2d
 from ustflow.mesh import (SimplexMesh, basis_eval, basis_gradients,
-                          classify_boundary, element_jacobian,
-                          element_measure, in_reference, map_local_to_global,
-                          time_levels, validate_mesh)
+                          classify_boundary, cofactor_det, element_jacobian,
+                          element_measure, in_reference, jacobians_last,
+                          map_local_to_global, time_levels, validate_mesh)
 
 from conftest import random_simplex
+
+
+def exact_inverse(J):
+    """The inverse of the float matrix J in exact rational arithmetic,
+    by Gauss-Jordan elimination with the first nonzero pivot."""
+    d = len(J)
+    M = [[Fraction(float(v)) for v in row] + [Fraction(int(i == k))
+                                              for k in range(d)]
+         for i, row in enumerate(J)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if M[r][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for r in range(d):
+            if r != c:
+                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+    return [row[d:] for row in M]
 
 
 def reference_simplex_mesh(dim):
@@ -140,10 +159,38 @@ class TestGradients:
 
     def test_jacobian_invs_are_inverse_jacobians(self, small_st_mesh_3d):
         mesh = small_st_mesh_3d
+        J = mesh.jacobians
+        adj = np.empty(J.shape[1:] + J.shape[:1])
+        det = cofactor_det(np.moveaxis(J, 0, -1), adj)
+        assert np.array_equal(mesh.jacobian_dets, det)
         assert np.array_equal(mesh.jacobian_invs,
-                              np.linalg.inv(mesh.jacobians))
+                              np.moveaxis(adj / det, -1, 0))
+        ref = np.linalg.inv(J)
+        scale = np.abs(ref).max(axis=(1, 2))
+        err = np.abs(mesh.jacobian_invs - ref).max(axis=(1, 2))
+        assert (err <= 4 * np.finfo(float).eps * np.linalg.cond(J)
+                * scale).all()
+        # an oracle independent of both: the exact inverse of each float J,
+        # which every entry matches within 2 ulps of the element's largest
+        for inv, Je in zip(mesh.jacobian_invs, J):
+            exact = exact_inverse(Je)
+            top = max(abs(v) for row in exact for v in row)
+            for got, want in zip(inv.ravel(), sum(exact, [])):
+                assert abs(Fraction(float(got)) - want) <= (
+                    2 * Fraction(np.finfo(float).eps) * top)
         assert np.array_equal(mesh.gradients[:, 0],
                               -mesh.jacobian_invs.sum(axis=1))
+
+    def test_degenerate_mesh_raises_before_any_inverse(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1e-17]])
+        mesh = SimplexMesh(nodes, [[0, 1, 2], [0, 1, 3]],
+                           np.zeros((0, 2), dtype=int),
+                           np.zeros(0, dtype=int), [], fix_orientation=False)
+        with pytest.raises(DegenerateElement, match=r"\[1\]"):
+            mesh.gradients
+        assert "gradients" not in vars(mesh)
+        assert mesh.jacobian_dets[0] == 1.0
+        assert any("degenerate" in p for p in validate_mesh(mesh))
 
     def test_linear_reproduction_at_barycenters(self, rng):
         mesh = box2d(3, 3)
@@ -152,6 +199,48 @@ class TestGradients:
         vals = f[mesh.elements].mean(axis=1)
         exact = mesh.barycenters @ a + 0.25
         assert np.abs(vals - exact).max() < 1e-12
+
+
+class TestCofactorDet:
+    """The closed-form determinant and inverse against LAPACK's, on random
+    Jacobians over forty decades of scale, in both orientations."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_against_lapack(self, dim, flip, rng):
+        n = 2000
+        J = rng.uniform(-1, 1, size=(n, dim, dim)) * np.exp(
+            rng.uniform(-20, 20, size=(n, 1, 1)))
+        if flip:      # swap the last two columns: det changes sign
+            J = J[:, :, list(range(dim - 2)) + [dim - 1, dim - 2]]
+        Jl = np.ascontiguousarray(np.moveaxis(J, 0, -1))
+        adj = np.empty_like(Jl)
+        det = cofactor_det(Jl, adj)
+        assert np.array_equal(cofactor_det(Jl), det)
+        inv = np.moveaxis(adj / det, -1, 0)
+        eps = np.finfo(float).eps
+        cond = np.linalg.cond(J)
+        ref_det = np.linalg.det(J)
+        assert (np.abs(det - ref_det)
+                <= 16 * dim * eps * cond * np.abs(ref_det)).all()
+        ref = np.linalg.inv(J)
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert (np.abs(inv - ref).max(axis=(1, 2))
+                <= 4 * eps * cond * scale).all()
+
+    def test_signs_follow_orientation(self, rng):
+        for dim in (2, 3, 4):
+            X = rng.uniform(-1, 1, size=(50, dim + 1, dim))
+            det = cofactor_det(jacobians_last(X))
+            swapped = cofactor_det(jacobians_last(X[:, [0] + list(
+                range(dim, 0, -1))]))
+            flips = dim // 2      # transpositions reversing dim vertices
+            assert np.allclose(swapped, (-1) ** flips * det, rtol=1e-12,
+                               atol=0)
+
+    def test_other_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            cofactor_det(np.ones((5, 5, 3)))
 
 
 def max_edge_lengths_by_node_pair(X):

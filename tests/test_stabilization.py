@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import ustflow.stabilization as stabilization
+import ustflow.mesh as mesh_module
 from ustflow import scenarios
 from ustflow.errors import ZeroDenominator
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
@@ -129,7 +129,7 @@ class TestMeshMetricFromGradients:
     def test_slices(self, small_st_mesh_3d, monkeypatch):
         mesh = small_st_mesh_3d
         whole = mesh_metric(mesh)
-        monkeypatch.setattr(stabilization, "_METRIC_SLICE", 7)
+        monkeypatch.setattr(mesh_module, "_SLICE", 7)
         assert mesh.n_elements % 7 != 0
         for got, want in zip(mesh_metric(mesh), whole):
             assert np.array_equal(got, want)

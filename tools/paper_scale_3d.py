@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Solve the 3D stirrer at paper size and record its stages and peak RSS.
+
+    python3 tools/paper_scale_3d.py
+
+The spatial mesh is ``build_stirrer_mesh(H_FINE, H_COARSE, seed=SEED)``
+extruded through the tank's thickness 0.1 in ``LAYERS`` layers, which gives
+1,785,000 pentatopes and 514,728 dofs, the nearest generated mesh to the
+paper's 1,673,344.  ``run_ust`` then solves the stirrer3d scenario on it
+with its default Newton and linear-solver settings.
+
+Memory is watched from inside the process: a thread polls VmRSS every 0.1 s
+and ends the process with exit code 3 once it passes ``RSS_LIMIT_GB``.
+An address-space cap (``ulimit -v``) is no substitute: it counts mapped
+but untouched memory, so it fails allocations far below the RSS the run
+reaches.  Every log line of the run is printed to stderr with the seconds
+since the start and the RSS at that moment; the last line of stdout is a
+JSON summary with the time of each stage and the peak RSS (VmHWM).
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import os
+import sys
+import threading
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
+
+from make_stirrer_meshes import build_stirrer_mesh  # noqa: E402
+from ustflow.extrude import extrude_spatial  # noqa: E402
+from ustflow.scenarios import make_stirrer3d, run_ust  # noqa: E402
+
+H_FINE = 0.07
+H_COARSE = 0.16
+LAYERS = 2
+SEED = 7
+RSS_LIMIT_GB = 6.0
+
+
+def status_mb(field: str) -> float:
+    """A memory field of /proc/self/status (VmRSS, VmHWM), in MiB."""
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError(f"{field} missing from /proc/self/status")
+
+
+def start_watchdog(limit_mb: float, period_s: float = 0.1) -> None:
+    """Exit with code 3 as soon as VmRSS passes ``limit_mb``."""
+    def watch():
+        while True:
+            rss = status_mb("VmRSS")
+            if rss > limit_mb:
+                print(f"watchdog: VmRSS {rss:.0f} MB above {limit_mb:.0f} MB",
+                      file=sys.stderr, flush=True)
+                os._exit(3)
+            time.sleep(period_s)
+
+    threading.Thread(target=watch, name="rss-watchdog", daemon=True).start()
+
+
+class StampedFormatter(logging.Formatter):
+    """Prefix each record with the seconds since ``t0`` and the RSS."""
+
+    def __init__(self, t0: float):
+        super().__init__("%(message)s")
+        self.t0 = t0
+
+    def format(self, record):
+        return (f"[{time.perf_counter() - self.t0:8.2f} s "
+                f"{status_mb('VmRSS'):6.0f} MB] {super().format(record)}")
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(StampedFormatter(t0))
+    log = logging.getLogger("ustflow")
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    start_watchdog(1024.0 * RSS_LIMIT_GB)
+
+    base = build_stirrer_mesh(H_FINE, H_COARSE, seed=SEED)
+    mesh = extrude_spatial(base, 0.0, 0.1, LAYERS, lo_tag="bottom",
+                           hi_tag="top")
+    spec = make_stirrer3d(mesh=mesh)
+    t_mesh = time.perf_counter()
+    res = run_ust(spec)
+    t_run = time.perf_counter()
+    newton = res.newton
+    print(json.dumps({
+        "elements": res.mesh.n_elements,
+        "dofs": res.field.values.size,
+        "mesh_s": round(t_mesh - t0, 2),
+        "run_ust_s": round(t_run - t_mesh, 2),
+        "total_s": round(t_run - t0, 2),
+        "assemble_s": [round(s, 2) for s in newton.assemble_s],
+        "newton_trace": newton.trace,
+        "converged": bool(newton.converged),
+        "peak_rss_mb": round(status_mb("VmHWM")),
+    }))
+    return 0 if newton.converged else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
