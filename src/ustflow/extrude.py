@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvertedElement, MeshTopologyError
-from .mesh import (SimplexMesh, SpaceTimeMesh, cofactor_det,
-                   element_slices, jacobians_last)
+from .mesh import SimplexMesh, SpaceTimeMesh, degenerate
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,10 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     spatial element, one top facet, and n_sd mantle facets per spatial
     boundary facet per level (inheriting the spatial tag).
 
-    Raises InvertedElement when the twist per level makes any decomposed
-    simplex non-positive.
+    Simplices are oriented by the sign rule below, so the mesh is built
+    without the constructor's orientation fix.  Raises InvertedElement when
+    the twist per level makes any simplex non-positive or degenerate by the
+    mesh's own bound (``mesh.degenerate``).
     """
     n_sd = spatial.dim
     n_sp = spatial.n_nodes
@@ -158,36 +159,21 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
         nodes[lev * n_sp: (lev + 1) * n_sp, :n_sd] = pos
         nodes[lev * n_sp: (lev + 1) * n_sp, n_sd] = t
 
-    # elements: sorted-path decomposition per level
+    # elements: sorted-path decomposition, the same at every level.  In the
+    # flat limit, path simplex j of a prism has det sign (-1)^(n_sd + j)
+    # relative to the sorted spatial element, whose sign is the spatial
+    # det's times the parity of the sort.  Each simplex is oriented by that
+    # sign rather than by its own det: the constructor's fix would turn an
+    # inverted simplex positive and hide it.
     sorted_spatial = np.sort(spatial.elements, axis=1)
-    per_level = []
-    for lev in range(L):
-        bottom = sorted_spatial + lev * n_sp
-        top = sorted_spatial + (lev + 1) * n_sp
-        per_level.append(_path_simplices(bottom, top).reshape(-1, n_sd + 2))
-    elements = np.concatenate(per_level, axis=0)
-
-    # Fail fast on inverted simplices, before the orientation fix hides them.
-    # In the flat limit, path simplex j of a prism has det sign
-    # (-1)^(n_sd + j) relative to the sorted spatial element; a twist inverts
-    # an element exactly when its det crosses zero away from that sign.
-    # h is the longest edge from vertex 0, the longest column of J.
-    det, h = np.empty(len(elements)), np.empty(len(elements))
-    for sl in element_slices(len(elements)):
-        J = jacobians_last(nodes[elements[sl]])
-        det[sl] = cofactor_det(J)
-        J *= J
-        h[sl] = np.sqrt(J.sum(axis=0).max(axis=0))
-    det_sp = cofactor_det(jacobians_last(spatial.nodes[sorted_spatial]))
-    sign_j = (-1.0) ** (n_sd + np.arange(n_sd + 1))
-    expected = np.tile((np.sign(det_sp)[:, None] * sign_j).ravel(), L)
-    bad = det * expected <= 1e-14 * h ** (n_sd + 1)
-    if bad.any():
-        first = int(np.flatnonzero(bad)[0])
-        n_per_level = spatial.n_elements * (n_sd + 1)
-        raise InvertedElement(
-            f"twist per level too large: element {first} inverted",
-            element=first, level=first // n_per_level)
+    path = _path_simplices(sorted_spatial, sorted_spatial + n_sp)
+    swaps = sum(spatial.elements[:, i] > spatial.elements[:, k]
+                for i in range(n_sd + 1) for k in range(i + 1, n_sd + 1))
+    sign_sp = np.sign(spatial.jacobian_dets) * (-1) ** swaps
+    sign = sign_sp[:, None] * (-1) ** (n_sd + np.arange(n_sd + 1))
+    path[sign < 0, -2:] = path[sign < 0, -1:-3:-1]
+    path = path.reshape(-1, n_sd + 2)
+    elements = np.concatenate([path + lev * n_sp for lev in range(L)])
 
     # boundary: bottom and top caps, then the mantle level by level
     n_path = n_sd + 1  # simplices per prism
@@ -237,9 +223,17 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
               np.arange(nb, 2 * nb, dtype=np.int64),
               np.arange(2 * nb, len(boundary), dtype=np.int64))
 
-    return SpaceTimeMesh(nodes, elements, boundary, tags, tag_names,
+    mesh = SpaceTimeMesh(nodes, elements, boundary, tags, tag_names,
                          spec.t0, spec.tN, boundary_owners=owners,
-                         facet_groups=groups)
+                         facet_groups=groups, fix_orientation=False)
+    bad = degenerate(mesh.jacobian_dets, mesh.max_edge_lengths, mesh.dim)
+    bad |= np.tile(sign.ravel() == 0, L)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise InvertedElement(
+            f"twist per level too large: element {first} inverted",
+            element=first, level=first // len(path))
+    return mesh
 
 
 def max_admissible_twist(spatial: SimplexMesh, trajectory: NodeTrajectory,

@@ -72,7 +72,8 @@ class _LineReader:
                              line=self.lines[self.pos][0])
 
 
-def _read_mesh_block(reader: _LineReader) -> SimplexMesh:
+def _read_mesh_block(reader: _LineReader) -> tuple:
+    """(nodes, elements, facets, tags, tag_names) of a mesh block."""
     no, header = reader.next("stmesh header")
     parts = header.split()
     if len(parts) != 5 or parts[0] != "stmesh":
@@ -121,14 +122,14 @@ def _read_mesh_block(reader: _LineReader) -> SimplexMesh:
         if name not in tag_names:
             tag_names.append(name)
         tags[k] = tag_names.index(name)
-    return SimplexMesh(nodes, elements, facets, tags, tag_names)
+    return nodes, elements, facets, tags, tag_names
 
 
 def read_stmesh(path) -> SimplexMesh:
     reader = _LineReader(path)
-    mesh = _read_mesh_block(reader)
+    block = _read_mesh_block(reader)
     reader.end("mesh block")
-    return mesh
+    return SimplexMesh(*block)
 
 
 def write_result(mesh: SimplexMesh, values: np.ndarray, path) -> None:
@@ -151,14 +152,15 @@ def read_result(path):
     many components as the mesh dimension (velocity + pressure), i.e. the
     mesh block stores a space-time grid."""
     reader = _LineReader(path)
-    mesh = _read_mesh_block(reader)
+    block = _read_mesh_block(reader)
+    nodes = block[0]
     no, header = reader.next("field header")
     parts = header.split()
     if len(parts) != 3 or parts[0] != "field" or not (
             parts[1].isdigit() and parts[2].isdigit()):
         raise ParseError("expected 'field <n_nodes> <n_components>'", line=no)
     n_rows, n_comp = int(parts[1]), int(parts[2])
-    if n_rows != mesh.n_nodes:
+    if n_rows != len(nodes):
         raise ParseError("field node count does not match mesh", line=no)
     values = np.empty((n_rows, n_comp))
     for k in range(n_rows):
@@ -172,13 +174,10 @@ def read_result(path):
             raise ParseError("bad float in field row", line=no)
     reader.end("field block")
 
-    if n_comp == mesh.dim:  # space-time mesh: n_sd velocities + pressure
-        times = mesh.nodes[:, -1]
-        mesh = SpaceTimeMesh(mesh.nodes, mesh.elements, mesh.boundary_facets,
-                             mesh.boundary_tags, mesh.tag_names,
-                             float(times.min()), float(times.max()),
-                             fix_orientation=False)
-    return mesh, values
+    if n_comp == nodes.shape[1]:  # space-time mesh: n_sd velocities + pressure
+        times = nodes[:, -1]
+        return SpaceTimeMesh(*block, times.min(), times.max()), values
+    return SimplexMesh(*block), values
 
 
 # -- scenario configuration ---------------------------------------------------

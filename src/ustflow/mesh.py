@@ -6,16 +6,17 @@ coordinate and additionally classify their boundary facets into the bottom
 cap (t = t0), the top cap (t = tN) and the mantle (everything else, which
 inherits the spatial tags).
 
-Node ordering inside an element is kept as given except for a single swap of
-the last two nodes applied at construction whenever det J < 0, so that every
-element has positive orientation afterwards.
+The constructor computes ``jacobian_dets``, the mesh's one determinant
+pass.  With ``fix_orientation`` it swaps the last two nodes of each element
+with det J < 0, so that every element is positively oriented, and
+recomputes only those determinants.
 
 Element geometry is computed element-last (the element axis last, so each
 arithmetic step runs over a slice of elements) in slices of ``_SLICE``
 elements.  Determinants and inverses of the d x d Jacobians, d <= 4, come
 from the cofactor expansion in ``cofactor_det``, not from a batched LAPACK
 call per element.  The only cached copy of the inverse Jacobians is the P1
-``gradients`` array; ``jacobians`` is built on each access.
+``gradients`` array.
 """
 
 from __future__ import annotations
@@ -28,9 +29,14 @@ import numpy as np
 
 from .errors import DegenerateElement, MeshTopologyError
 
-# Degeneracy threshold: |det J| < DEGENERACY_FACTOR * h^dim with h the
-# longest edge of the element.
 DEGENERACY_FACTOR = 1e-14
+
+
+def degenerate(det, h, dim: int):
+    """det <= DEGENERACY_FACTOR * h^dim, h the longest edge: the one
+    degeneracy bound.  Pass |det J| to flag flat elements, det J to flag
+    inverted ones too; ``<=`` flags coincident vertices (det = h = 0)."""
+    return det <= DEGENERACY_FACTOR * h ** dim
 
 
 def reference_gradients(dim: int) -> np.ndarray:
@@ -89,6 +95,7 @@ class SimplexMesh:
     boundary_tags : (n_bf,) int array of indices into ``tag_names``
     tag_names : list of str
     boundary_owners : optional (n_bf,) int array; derived when omitted
+    fix_orientation : swap the last two nodes of each element with det J < 0
     """
 
     def __init__(self, nodes, elements, boundary_facets, boundary_tags,
@@ -112,15 +119,14 @@ class SimplexMesh:
                                    or self.elements.max() >= len(self.nodes)):
             raise MeshTopologyError("element node id out of range")
 
-        if fix_orientation and len(self.elements):
-            det = _det_of(self.nodes, self.elements)
-            neg = det < 0.0
-            if neg.any():
-                els = self.elements.copy()
-                tmp = els[neg, -2].copy()
-                els[neg, -2] = els[neg, -1]
-                els[neg, -1] = tmp
-                self.elements = els
+        det = _det_of(self.nodes, self.elements)
+        neg = np.flatnonzero(det < 0.0) if fix_orientation else []
+        if len(neg):
+            els = self.elements.copy()
+            els[neg, -2:] = els[neg, -1:-3:-1]
+            self.elements = els
+            det[neg] = _det_of(self.nodes, els[neg])
+        self.jacobian_dets = det
 
         if boundary_owners is None:
             self._boundary_owners = None
@@ -129,7 +135,7 @@ class SimplexMesh:
                                                          dtype=np.int64)
 
         for arr in (self.nodes, self.elements, self.boundary_facets,
-                    self.boundary_tags):
+                    self.boundary_tags, self.jacobian_dets):
             arr.setflags(write=False)
 
     # -- basic queries ----------------------------------------------------
@@ -178,16 +184,6 @@ class SimplexMesh:
         """(n_el, dim+1, dim) coordinates of element nodes."""
         return self.nodes[self.elements]
 
-    @property
-    def jacobians(self) -> np.ndarray:
-        """(n_el, dim, dim); column d is x_{d+1} - x_1.  Built on each
-        access: the cached geometry below needs no copy of it."""
-        return np.moveaxis(jacobians_last(self.element_coords), -1, 0)
-
-    @cached_property
-    def jacobian_dets(self) -> np.ndarray:
-        return _det_of(self.nodes, self.elements)
-
     @cached_property
     def measures(self) -> np.ndarray:
         """Element measures |det J| / dim!."""
@@ -203,13 +199,15 @@ class SimplexMesh:
         """(n_el, dim+1, dim) physical gradients of the P1 basis (constant per
         element).
 
-        The determinants come first, so a degenerate mesh raises before any
-        inverse is formed; then each slice's inverse Jacobians, adj J / det J,
-        are built element-last and copied into rows 1..dim, with row 0 their
-        negated column sums.
+        A degenerate mesh raises before any inverse is formed; then each
+        slice's inverse Jacobians, adj J / det J, are built element-last and
+        copied into rows 1..dim, with row 0 their negated column sums.
         """
         det = self.jacobian_dets
-        self._check_degenerate()
+        bad = degenerate(np.abs(det), self.max_edge_lengths, self.dim)
+        if bad.any():
+            raise DegenerateElement(
+                f"degenerate elements: {np.flatnonzero(bad)[:10].tolist()}")
         X, dim = self.element_coords, self.dim
         grads = np.empty((len(X), dim + 1, dim))
         for sl in element_slices(len(X)):
@@ -242,12 +240,6 @@ class SimplexMesh:
                     d *= d
                     np.maximum(h, d.sum(axis=0), out=h)
         return np.sqrt(h2)
-
-    def _check_degenerate(self):
-        bad = np.abs(self.jacobian_dets) < DEGENERACY_FACTOR * self.max_edge_lengths ** self.dim
-        if bad.any():
-            raise DegenerateElement(
-                f"degenerate elements: {np.flatnonzero(bad)[:10].tolist()}")
 
     @cached_property
     def total_measure(self) -> float:
@@ -299,8 +291,7 @@ def element_jacobian(mesh: SimplexMesh, e: int):
     """
     J = jacobians_last(mesh.element_coords[e][None])[..., 0]
     det = mesh.jacobian_dets[e]
-    h = mesh.max_edge_lengths[e]
-    if abs(det) < DEGENERACY_FACTOR * h ** mesh.dim:
+    if degenerate(abs(det), mesh.max_edge_lengths[e], mesh.dim):
         raise DegenerateElement(f"element {e} is degenerate (det={det:g})")
     return J, det
 
@@ -391,8 +382,8 @@ def validate_mesh(mesh: SimplexMesh) -> list:
     if (np.diff(sorted_ids, axis=1) == 0).any():
         problems.append("element with repeated node ids")
 
-    h = mesh.max_edge_lengths
-    small = np.abs(mesh.jacobian_dets) < DEGENERACY_FACTOR * np.maximum(h, 1e-300) ** mesh.dim
+    small = degenerate(np.abs(mesh.jacobian_dets), mesh.max_edge_lengths,
+                       mesh.dim)
     if small.any():
         problems.append(
             f"{int(small.sum())} element(s) with non-positive/degenerate measure")

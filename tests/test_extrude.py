@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import ustflow.mesh as mesh_module
+from ustflow.assembly import SpaceTimeProblem
 from ustflow.errors import InvertedElement
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory, decompose_prism,
                              extrude_simplex_st, max_admissible_twist,
                              rigid_rotation_positions, rotation_matrix)
 from ustflow.geometry import box2d, box3d, disk2d
-from ustflow.mesh import validate_mesh
+from ustflow.mesh import SimplexMesh, validate_mesh
+from ustflow.scenarios import make_stirrer2d
 
 from conftest import single_triangle_mesh
 
@@ -125,6 +128,49 @@ class TestExtrusion:
                               (0.0, 0.0, 1.0), omega=0.3)
         st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 0.4, 2, traj))
         assert validate_mesh(st) == []
+
+    @pytest.mark.parametrize("n_sd", [2, 3])
+    def test_orientation_equals_constructor_fix(self, n_sd):
+        # the sign rule orients each path simplex as the constructor's fix
+        # would, also over spatial elements of either orientation
+        if n_sd == 2:
+            spatial = disk2d(1.0, 3, 12)
+            traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.4)
+        else:
+            spatial = box3d(2, 2, 1, lx=0.5, ly=0.5)
+            traj = NodeTrajectory("rigid_rotation", (0.25, 0.25, 0.0),
+                                  (0.0, 0.0, 1.0), omega=0.3)
+        els = spatial.elements.copy()
+        els[::2, :2] = els[::2, 1::-1]
+        spatial = SimplexMesh(spatial.nodes, els, spatial.boundary_facets,
+                              spatial.boundary_tags, spatial.tag_names,
+                              fix_orientation=False)
+        assert (spatial.jacobian_dets[::2] < 0).all()
+        st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 0.4, 3, traj))
+        n = spatial.n_nodes
+        path = [s for lev in range(3) for el in spatial.elements
+                for s in decompose_prism(el + lev * n, el + (lev + 1) * n)]
+        fixed = SimplexMesh(st.nodes, path, st.boundary_facets,
+                            st.boundary_tags, st.tag_names)
+        assert not np.array_equal(np.asarray(path), fixed.elements)
+        assert np.array_equal(st.elements, fixed.elements)
+        assert np.array_equal(st.jacobian_dets, fixed.jacobian_dets)
+
+    def test_one_determinant_pass_through_first_system(self, monkeypatch):
+        spec = make_stirrer2d(levels=2)
+        det_of, calls = mesh_module._det_of, []
+
+        def counted(nodes, elements):
+            calls.append(len(elements))
+            return det_of(nodes, elements)
+
+        monkeypatch.setattr(mesh_module, "_det_of", counted)
+        st = extrude_simplex_st(spec.mesh, ExtrusionSpec(
+            0.0, spec.t_end, spec.levels, spec.trajectory))
+        problem = SpaceTimeProblem(st, spec.material, spec.bcs,
+                                   gauge=spec.gauge_for(st.nodes))
+        problem.system(problem.initial_guess())
+        assert calls == [st.n_elements]
 
     def test_inverted_element_raises(self):
         spatial = disk2d(1.0, 2, 8)

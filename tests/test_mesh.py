@@ -6,7 +6,7 @@ import pytest
 from ustflow.errors import DegenerateElement
 from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from ustflow.geometry import box2d
-from ustflow.mesh import (SimplexMesh, basis_eval, basis_gradients,
+from ustflow.mesh import (SimplexMesh, _det_of, basis_eval, basis_gradients,
                           classify_boundary, cofactor_det, element_jacobian,
                           element_measure, in_reference, jacobians_last,
                           map_local_to_global, time_levels, validate_mesh)
@@ -79,6 +79,20 @@ class TestElementJacobian:
                            np.zeros(0, dtype=int), [], fix_orientation=False)
         with pytest.raises(DegenerateElement):
             element_jacobian(mesh, 0)
+
+    def test_coincident_vertices_are_degenerate(self):
+        # three node ids at one point: det = h = 0 meets the bound exactly
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]] + [[0.5, 0.5]] * 3)
+        mesh = SimplexMesh(nodes, [[0, 1, 2], [3, 4, 5]],
+                           np.zeros((0, 2), dtype=int),
+                           np.zeros(0, dtype=int), [])
+        with pytest.raises(DegenerateElement, match=r"\[1\]"):
+            mesh.gradients
+        with pytest.raises(DegenerateElement):
+            element_jacobian(mesh, 1)
+        assert element_jacobian(mesh, 0)[1] == 1.0
+        assert any("1 element(s)" in p and "degenerate" in p
+                   for p in validate_mesh(mesh))
 
 
 class TestMeasures:
@@ -159,9 +173,10 @@ class TestGradients:
 
     def test_jacobian_invs_are_inverse_jacobians(self, small_st_mesh_3d):
         mesh = small_st_mesh_3d
-        J = mesh.jacobians
-        adj = np.empty(J.shape[1:] + J.shape[:1])
-        det = cofactor_det(np.moveaxis(J, 0, -1), adj)
+        Jl = jacobians_last(mesh.element_coords)
+        J = np.moveaxis(Jl, -1, 0)
+        adj = np.empty_like(Jl)
+        det = cofactor_det(Jl, adj)
         assert np.array_equal(mesh.jacobian_dets, det)
         assert np.array_equal(mesh.jacobian_invs,
                               np.moveaxis(adj / det, -1, 0))
@@ -376,3 +391,17 @@ class TestValidateMesh:
         mesh = SimplexMesh(nodes, [[0, 2, 1]], np.zeros((0, 2), dtype=int),
                            np.zeros(0, dtype=int), [])
         assert mesh.jacobian_dets[0] > 0
+
+    @pytest.mark.parametrize("mesh_name", ["small_st_mesh_2d",
+                                           "small_st_mesh_3d"])
+    def test_fix_keeps_dets_of_fixed_elements(self, mesh_name, request):
+        mesh = request.getfixturevalue(mesh_name)
+        els = mesh.elements.copy()
+        els[::2, :2] = els[::2, 1::-1]  # flip every other element
+        fixed = SimplexMesh(mesh.nodes, els, mesh.boundary_facets,
+                            mesh.boundary_tags, mesh.tag_names)
+        assert np.array_equal(fixed.elements[1::2], mesh.elements[1::2])
+        assert not np.array_equal(fixed.elements[::2], mesh.elements[::2])
+        assert np.array_equal(fixed.jacobian_dets,
+                              _det_of(fixed.nodes, fixed.elements))
+        assert (fixed.jacobian_dets > 0).all()
