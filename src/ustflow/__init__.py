@@ -29,7 +29,8 @@ from .quadrature import QuadratureRule, prism_quadrature, simplex_quadrature
 from .scenarios import (ScenarioSpec, builtin_cases, convergence_study,
                         run_slab, run_ust)
 from .solver import (LinearSolverConfig, NewtonConfig, NewtonResult,
-                     direct_lu, gmres_solve, newton_solve)
+                     TimeLevelPreconditioner, direct_lu, gmres_solve,
+                     newton_solve)
 from .stabilization import (StabilizationContext, g_vector,
                             metric_contravariant, prism_shape_functions,
                             tau_continuity, tau_momentum)

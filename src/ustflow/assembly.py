@@ -117,7 +117,7 @@ class MaterialParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if self.rho <= 0.0 or self.mu < 0.0:
+        if not (self.rho > 0.0 and self.mu >= 0.0):
             raise ConfigurationError("need rho > 0 and mu >= 0")
 
     @property

@@ -113,6 +113,10 @@ def _cmd_run(args, parser) -> int:
         parser.error("--dt applies to slab mode only")
     if mode == "slab" and args.levels is not None:
         parser.error("--levels applies to ust mode only")
+    if args.levels is not None and args.levels < 1:
+        parser.error(f"--levels must be at least 1, got {args.levels}")
+    if args.dt is not None and not args.dt > 0:
+        parser.error(f"--dt must be positive, got {args.dt:g}")
     if args.levels is not None:
         spec.levels = args.levels
     if args.dt is not None:

@@ -14,9 +14,11 @@ round-trips are bitwise stable.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .errors import IoFailure, ParseError, UnknownKey
+from .errors import ConfigurationError, IoFailure, ParseError, UnknownKey
 from .mesh import SimplexMesh, SpaceTimeMesh
 
 
@@ -195,7 +197,9 @@ def read_config(path):
     The file must name a builtin base case; remaining keys override its
     scalar parameters.  A file that sets ``t_end`` or ``levels`` but not
     ``dt`` gets dt = t_end / levels.  Unknown sections or keys raise
-    UnknownKey with the offending line number.
+    UnknownKey with the offending line number, and values out of range
+    (levels, t_end or dt not positive, or a material ``MaterialParams``
+    rejects) raise ParseError naming the key and the line.
     """
     from .scenarios import builtin_cases
 
@@ -232,25 +236,17 @@ def read_config(path):
         raise ParseError(f"unknown base case {base!r} "
                          f"(known: {sorted(registry)})", line=no)
 
-    mesh_override = None
+    overrides = {}
     if ("case", "mesh") in entries:
-        no, mesh_path = entries.pop(("case", "mesh"))
-        mesh_override = read_stmesh(mesh_path)
+        overrides["mesh"] = read_stmesh(entries.pop(("case", "mesh"))[1])
+    spec = registry[base](**overrides)
 
-    spec = registry[base]() if mesh_override is None else \
-        registry[base](mesh=mesh_override)
-
-    def as_float(no, v):
+    def as_number(no, v, kind=float):
         try:
-            return float(v)
+            return kind(v)
         except ValueError:
-            raise ParseError(f"bad float {v!r}", line=no)
-
-    def as_int(no, v):
-        try:
-            return int(v)
-        except ValueError:
-            raise ParseError(f"bad integer {v!r}", line=no)
+            raise ParseError(f"bad {'integer' if kind is int else 'float'} "
+                             f"{v!r}", line=no)
 
     def as_bool(no, key, v):
         if v.lower() in ("1", "true", "yes", "on"):
@@ -260,32 +256,33 @@ def read_config(path):
         raise ParseError(f"{key} must be 1/true/yes/on or 0/false/no/off, "
                          f"got {v!r}", line=no)
 
-    for (section, key), (no, value) in entries.items():
-        if (section, key) == ("case", "name"):
-            spec.name = value
-        elif (section, key) == ("case", "mode"):
+    # no key is in two sections
+    for (_, key), (no, value) in entries.items():
+        if key in ("levels", "dt", "t_end"):
+            x = as_number(no, value, int if key == "levels" else float)
+            if not x > 0:
+                raise ParseError(f"{key} must be positive, got {value!r}",
+                                 line=no)
+            setattr(spec, key, x)
+        elif key in ("rho", "mu"):
+            try:
+                spec.material = dataclasses.replace(
+                    spec.material, **{key: as_number(no, value)})
+            except ConfigurationError as exc:
+                raise ParseError(f"{key} = {value}: {exc}", line=no) from None
+        elif key in ("center", "axis"):
+            setattr(spec, key, tuple(as_number(no, v) for v in value.split()))
+        elif key == "omega":
+            spec.omega = as_number(no, value)
+        elif key == "convective":
+            spec.convective = as_bool(no, key, value)
+        elif key == "mode":
             if value not in ("ust", "slab"):
                 raise ParseError(f"mode must be ust or slab, got {value!r}",
                                  line=no)
             spec.mode = value
-        elif (section, key) == ("case", "levels"):
-            spec.levels = as_int(no, value)
-        elif (section, key) == ("case", "dt"):
-            spec.dt = as_float(no, value)
-        elif (section, key) == ("case", "t_end"):
-            spec.t_end = as_float(no, value)
-        elif (section, key) == ("material", "rho"):
-            spec.material.rho = as_float(no, value)
-        elif (section, key) == ("material", "mu"):
-            spec.material.mu = as_float(no, value)
-        elif (section, key) == ("material", "convective"):
-            spec.convective = as_bool(no, key, value)
-        elif (section, key) == ("rotation", "omega"):
-            spec.omega = as_float(no, value)
-        elif (section, key) == ("rotation", "center"):
-            spec.center = tuple(as_float(no, v) for v in value.split())
-        elif (section, key) == ("rotation", "axis"):
-            spec.axis = tuple(as_float(no, v) for v in value.split())
+        else:  # name; base and mesh are taken above
+            spec.name = value
     case_keys = {key for section, key in entries if section == "case"}
     if "dt" not in case_keys and case_keys & {"t_end", "levels"}:
         spec.dt = spec.t_end / spec.levels

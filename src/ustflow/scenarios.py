@@ -123,9 +123,8 @@ def default_linear_config(n_dofs: int) -> LinearSolverConfig:
     simplex spans two adjacent node-time levels and a slab has only two, so
     one forward sweep over the levels with an exact LU of each level's
     block leaves GMRES little to do, for a fraction of the time and memory
-    of a full factorization.  ``newton_solve`` factors the levels on its
-    first step only and reuses those LUs on the later ones, a lagged
-    preconditioner (Knoll & Keyes, J. Comput. Phys. 193, 2004).
+    of a full factorization, lagged across Newton steps
+    (``TimeLevelPreconditioner``).
     """
     return LinearSolverConfig()
 

@@ -7,15 +7,15 @@ forward block Gauss-Seidel sweep over those node-time levels, or a direct
 sparse LU, the oracle.  A GMRES failure raises ``LinearSolveFailure``;
 there is no fallback.
 
-The preconditioner is factored once per ``newton_solve``: the first step
-equilibrates its matrix and factors each time level's diagonal block, and
-every later step of the same solve reuses that scale and those level LUs,
-with the strictly lower blocks of its own matrix.  This is a lagged
-preconditioner (Knoll & Keyes, J. Comput. Phys. 193:357-397, 2004); the
-Newton matrix changes little between steps, and GMRES still has to meet
-the step's tolerance in the true residual, or raise ``Stagnation``.  The
-factors live for one ``newton_solve``; a direct ``gmres_solve`` or
-``solve_linear_system`` call factors afresh.
+Each ``newton_solve`` owns one ``TimeLevelPreconditioner``, built from the
+problem's ``dof_levels``: the first step equilibrates its matrix and
+factors each time level's diagonal block, and every later step of the
+same solve reuses that scale and those level LUs, with the strictly lower
+blocks of its own matrix.  This is a lagged preconditioner (Knoll & Keyes,
+J. Comput. Phys. 193:357-397, 2004); the Newton matrix changes little
+between steps, and GMRES still has to meet the step's tolerance in the
+true residual, or raise ``Stagnation``.  A direct ``gmres_solve`` call
+factors afresh with a fresh preconditioner and lags with a reused one.
 
 Newton solves each step inexactly: the linear solve of step k must reach
 a true relative residual ||b - Ax|| / ||b|| <= eta_k, the forcing term of
@@ -78,15 +78,12 @@ class LinearSolverConfig:
     # true relative residual each GMRES solve must reach; None lets
     # newton_solve set it per step from the forcing term
     lin_rel_tol: float | None = None
-    # node-time level of every unknown, the partition of the GMRES
-    # preconditioner; newton_solve takes it from the problem's
-    # ``dof_levels``, it is not a setting
-    dof_levels: np.ndarray = dataclasses.field(default=None, repr=False,
-                                               compare=False)
-    # the first step's equilibration scale and level LUs, which the later
-    # steps reuse; newton_solve gives each solve an empty dict, it is not a
-    # setting.  None factors every solve afresh.
-    lagged: dict = dataclasses.field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.method not in ("gmres_restarted", "direct_lu"):
+            raise ValueError(f"unknown linear solver {self.method!r}")
+        if self.lin_rel_tol is not None and not 0.0 < self.lin_rel_tol < 1.0:
+            raise ValueError(f"lin_rel_tol {self.lin_rel_tol!r} not in (0, 1)")
 
 
 @dataclass
@@ -102,53 +99,69 @@ class NewtonResult:
     eta: list = dataclasses.field(default_factory=list)
 
 
-def time_level_preconditioner(A: sp.spmatrix, dof_levels, lus=None):
+class TimeLevelPreconditioner:
     """One forward block Gauss-Seidel sweep over the node-time levels.
 
     Level k's unknowns are solved with an exact sparse LU of their diagonal
     block, after subtracting the coupling to all earlier levels (the whole
     strictly block-lower part), so any dof order works.  On a matrix that
     is block-lower-triangular in the levels the sweep is an exact inverse.
-    Returns (M, lus): the sweep and the level LUs.  Given ``lus``, those of
-    an earlier matrix with the same levels, it factors nothing and sweeps
-    with them, a lagged preconditioner (Knoll & Keyes 2004); the strictly
-    lower blocks always come from A.
-    Raises ``LinearSolveFailure`` naming a level whose block is singular.
+    The partition is computed once; the first matrix sets the equilibration
+    scale and the level LUs, which every later one reuses with its own
+    strictly lower blocks (lagged; see the module docstring).
     """
-    n = A.shape[0]
-    dof_levels = np.asarray(dof_levels)
-    if dof_levels.shape != (n,):
-        raise ValueError(f"{dof_levels.shape} dof levels for {n} unknowns")
-    order = np.argsort(dof_levels, kind="stable")
-    sorted_levels = dof_levels[order]
-    bounds = np.flatnonzero(np.diff(sorted_levels)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [n]])
-    Ap = sp.csr_matrix(A)
-    # a level-major numbering, which every extruded mesh has, needs none
-    if (np.diff(dof_levels) < 0).any():
-        Ap = Ap[order][:, order]
-    if lus is None:
-        lus = []
-        for s, e in zip(starts, ends):
-            try:
-                lus.append(spla.splu(Ap[s:e, s:e].tocsc()))
-            except RuntimeError as exc:
-                raise LinearSolveFailure(
-                    f"diagonal block of time level {sorted_levels[s]} "
-                    f"is singular: {exc}") from exc
-    blocks = [(s, e, lu, Ap[s:e, :s]) for s, e, lu in zip(starts, ends, lus)]
 
-    def sweep(r):
-        rp = np.ravel(r)[order]
-        y = np.empty(n)
-        for s, e, lu, lower in blocks:
-            y[s:e] = lu.solve(rp[s:e] - lower @ y[:s])
-        x = np.empty(n)
-        x[order] = y
-        return x
+    def __init__(self, dof_levels):
+        dof_levels = np.asarray(dof_levels)
+        self.n = len(dof_levels)
+        self.order = np.argsort(dof_levels, kind="stable")
+        self.sorted_levels = dof_levels[self.order]
+        bounds = np.flatnonzero(np.diff(self.sorted_levels)) + 1
+        self.starts = np.concatenate([[0], bounds])
+        self.ends = np.concatenate([bounds, [self.n]])
+        # a level-major numbering, which every extruded mesh has, needs none
+        self.permute = bool((np.diff(dof_levels) < 0).any())
+        self.scale = None  # the first matrix's equilibration scale
+        self.lus = None    # and its level LUs
 
-    return spla.LinearOperator(A.shape, matvec=sweep, dtype=float), lus
+    def equilibrate(self, A: sp.csr_matrix):
+        """``_equilibrate`` of A by the first matrix's scale: (D A D, diag D)."""
+        As, self.scale = _equilibrate(A, self.scale)
+        return As, self.scale
+
+    def operator(self, A: sp.spmatrix) -> spla.LinearOperator:
+        """The sweep for A, factoring its level blocks unless LUs are kept.
+
+        Raises ``LinearSolveFailure`` naming a level whose block is singular.
+        """
+        if A.shape != (self.n, self.n):
+            raise ValueError(f"{self.n} dof levels for {A.shape[0]} unknowns")
+        Ap = sp.csr_matrix(A)
+        if self.permute:
+            Ap = Ap[self.order][:, self.order]
+        if self.lus is None:
+            lus = []
+            for s, e in zip(self.starts, self.ends):
+                try:
+                    lus.append(spla.splu(Ap[s:e, s:e].tocsc()))
+                except RuntimeError as exc:
+                    raise LinearSolveFailure(
+                        f"diagonal block of time level "
+                        f"{self.sorted_levels[s]} is singular: {exc}") from exc
+            self.lus = lus
+        blocks = [(s, e, lu, Ap[s:e, :s])
+                  for s, e, lu in zip(self.starts, self.ends, self.lus)]
+
+        def sweep(r):
+            rp = np.ravel(r)[self.order]
+            y = np.empty(self.n)
+            for s, e, lu, lower in blocks:
+                y[s:e] = lu.solve(rp[s:e] - lower @ y[:s])
+            x = np.empty(self.n)
+            x[self.order] = y
+            return x
+
+        return spla.LinearOperator(A.shape, matvec=sweep, dtype=float)
 
 
 def _relres(A, x, b) -> float:
@@ -209,17 +222,16 @@ def _equilibrate(A: sp.csr_matrix, scale=None):
                          shape=A.shape), scale
 
 
-def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
-    """Restarted GMRES preconditioned by the time-level sweep.
+def gmres_solve(A: sp.spmatrix, b: np.ndarray,
+                precond: TimeLevelPreconditioner, tol: float):
+    """Restarted GMRES preconditioned by the time-level sweep ``precond``.
 
     The system is symmetrically equilibrated by 1/sqrt(|diag|) first, which
     evens out the wildly different row scales of the stabilized space-time
-    systems; the preconditioner is built from the equilibrated matrix with
-    the levels in ``cfg.dof_levels``.
-    With a non-empty ``cfg.lagged`` the scale and the level LUs are those
-    stored there by an earlier solve, and only the strictly lower blocks
-    are taken from A; an empty one is filled with this solve's.
-    The solve must reach ``cfg.lin_rel_tol`` in the true relative residual
+    systems, and the sweep is built from the equilibrated matrix.  A fresh
+    ``precond`` takes this matrix's scale and factors its levels; one that
+    has seen an earlier matrix reuses that scale and those LUs (lagged).
+    The solve must reach ``tol`` in the true relative residual
     ||b - Ax|| / ||b|| of the system as given.  When GMRES stops on the
     equilibrated residual while the true one is still above it, GMRES
     resumes from its iterate with the inner tolerance tightened by the
@@ -230,34 +242,28 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     Raises Stagnation/Breakdown, with the iterations and relres reached,
     when the target is missed.
     """
-    cfg = cfg or LinearSolverConfig()
-    if cfg.lin_rel_tol is None:
-        raise ValueError("gmres_solve needs cfg.lin_rel_tol; newton_solve "
-                         "sets it per step from the forcing term")
-    if cfg.dof_levels is None:
-        raise ValueError("gmres_solve needs cfg.dof_levels; newton_solve "
-                         "takes them from the problem's dof_levels")
+    if tol is None:
+        raise ValueError("gmres_solve needs a tolerance (lin_rel_tol); "
+                         "newton_solve sets it per step from the forcing term")
     A = sp.csr_matrix(A)
     stats = {"iterations": 0, "relres": 0.0, "levels": None, "lagged": 0,
              "resumes": 0, "factor_s": 0.0, "krylov_s": 0.0}
     if not np.any(b):
         return np.zeros_like(b), stats
 
-    lagged = {} if cfg.lagged is None else cfg.lagged
-    As, scale = _equilibrate(A, lagged.get("scale"))
+    As, scale = precond.equilibrate(A)
     bs = scale * b
 
     t0 = time.perf_counter()
-    stats["lagged"] = int(bool(lagged))
-    M, lus = time_level_preconditioner(As, cfg.dof_levels, lagged.get("lus"))
-    lagged.update(scale=scale, lus=lus)
-    stats["levels"] = len(lus)
+    stats["lagged"] = int(precond.lus is not None)
+    M = precond.operator(As)
+    stats["levels"] = len(precond.lus)
     t1 = time.perf_counter()
 
     def cb(_):
         stats["iterations"] += 1
 
-    target = inner = cfg.lin_rel_tol
+    target = inner = tol
     y = None
     while True:
         left = MAX_KRYLOV_ITER - stats["iterations"]
@@ -282,33 +288,29 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig = None):
     return x, stats
 
 
-def solve_linear_system(A: sp.spmatrix, b: np.ndarray,
-                        cfg: LinearSolverConfig = None,
-                        block_size: int = 1) -> np.ndarray:
+def solve_linear_system(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig,
+                        precond: TimeLevelPreconditioner = None) -> np.ndarray:
     """Solve A x = b with the configured method and log one line about it.
 
-    ``block_size`` (unknowns per node) is part of the call signature only;
-    neither method needs it.  GMRES needs ``cfg.lin_rel_tol`` set, which
-    ``newton_solve`` does.  Failures raise ``LinearSolveFailure``.
+    GMRES needs ``cfg.lin_rel_tol`` set and the time-level ``precond``,
+    which ``newton_solve`` gives; ``direct_lu`` uses neither.  Failures
+    raise ``LinearSolveFailure``.
     """
-    cfg = cfg or LinearSolverConfig()
     if cfg.method == "direct_lu":
         t0 = time.perf_counter()
         x = direct_lu(A, b)
         stats = {"factor_s": time.perf_counter() - t0, "krylov_s": 0.0,
                  "iterations": 0, "levels": None, "lagged": 0, "resumes": 0,
                  "relres": _relres(A, x, b)}
-        precond = "none"
-    elif cfg.method == "gmres_restarted":
-        x, stats = gmres_solve(A, b, cfg)
-        precond = "time_levels"
     else:
-        raise ValueError(f"unknown linear solver {cfg.method!r}")
+        x, stats = gmres_solve(A, b, precond, cfg.lin_rel_tol)
     logger.info("linear solve method=%s precond=%s levels=%s iters=%d "
                 "relres=%.3e factor_s=%.3f krylov_s=%.3f lagged=%d "
-                "resumes=%d", cfg.method, precond, stats["levels"],
-                stats["iterations"], stats["relres"], stats["factor_s"],
-                stats["krylov_s"], stats["lagged"], stats["resumes"])
+                "resumes=%d", cfg.method,
+                "none" if cfg.method == "direct_lu" else "time_levels",
+                stats["levels"], stats["iterations"], stats["relres"],
+                stats["factor_s"], stats["krylov_s"], stats["lagged"],
+                stats["resumes"])
     return x
 
 
@@ -340,17 +342,15 @@ def newton_solve(problem, initial_values: np.ndarray,
     Convergence when ||R|| <= max(abs_tol, rel_tol * ||R0||).  Step k's
     linear solve gets ``forcing_term`` as its tolerance unless
     ``lin_cfg.lin_rel_tol`` pins it, and reuses the first step's
-    preconditioner factors (see the module docstring).  On reaching
+    preconditioner (see the module docstring).  On reaching
     max_iter the best iterate seen and the full trace are returned with
     status "max_iterations".
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
-    lin_cfg = dataclasses.replace(
-        lin_cfg, lagged={}, dof_levels=getattr(problem, "dof_levels", None))
+    precond = TimeLevelPreconditioner(problem.dof_levels)
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
-    block_size = shape[1] if U.ndim == 2 else 1
 
     trace, assemble_s, etas = [], [], []
 
@@ -382,11 +382,11 @@ def newton_solve(problem, initial_values: np.ndarray,
         etas.append(eta)
         delta = solve_linear_system(
             system.matrix, rhs, dataclasses.replace(lin_cfg, lin_rel_tol=eta),
-            block_size)
+            precond)
         # the matrix is not kept alive through the next one's assembly
         del system, rhs
+        lam = 1.0
         if cfg.linesearch == "backtracking":
-            lam = 1.0
             prev = trace[-1]
             for _ in range(8):
                 try:
@@ -397,9 +397,7 @@ def newton_solve(problem, initial_values: np.ndarray,
                 if np.isfinite(r_trial) and r_trial <= (1.0 - 1e-4 * lam) * prev:
                     break
                 lam *= 0.5
-            U = U + lam * delta.reshape(shape)
-        else:
-            U = U + delta.reshape(shape)
+        U = U + lam * delta.reshape(shape)
 
         system, rhs, rnorm = assemble(k, U)
         if rnorm < best_r:

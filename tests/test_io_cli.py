@@ -423,6 +423,45 @@ class TestCli:
         assert code == 1
         assert "did not reach tolerance in slab 0" in capsys.readouterr().err
 
+    @staticmethod
+    def only_error_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        return errors[0]
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("material", "mu = -0.5", "mu = -0.5: need rho > 0 and mu >= 0"),
+        ("material", "rho = 0", "rho = 0: need rho > 0 and mu >= 0"),
+        ("case", "levels = 0", "levels must be positive, got '0'"),
+        ("case", "levels = -2", "levels must be positive, got '-2'"),
+        ("case", "t_end = -1", "t_end must be positive, got '-1'"),
+        ("case", "dt = 0", "dt must be positive, got '0'"),
+    ], ids=["mu", "rho", "levels_0", "levels_neg", "t_end", "dt"])
+    def test_run_config_out_of_range_names_key_and_line(
+            self, tmp_path, capsys, section, line, message):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"[case]\nbase = couette2d\n[{section}]\n{line}\n")
+        code = cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")])
+        assert code == 1
+        assert self.only_error_line(capsys) == f"error: line 4: {message}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--mode", "ust", "--levels", "0"], "--levels must be at least 1"),
+        (["--mode", "slab", "--dt", "0"], "--dt must be positive"),
+    ], ids=["levels", "dt"])
+    def test_run_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys,
+                                                     argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--case", "couette2d", *argv, "--out",
+                      str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert message in self.only_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_convergence_csv(self, tmp_path):
         out = tmp_path / "conv.csv"
         code = cli.main(["convergence", "--case", "manufactured",

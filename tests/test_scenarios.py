@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ustflow.scenarios import (ScenarioSpec, builtin_cases,
                                make_channel2d, make_couette2d, make_manufactured,
                                make_stirrer2d, manufactured_exact_factory,
                                run_slab, run_ust)
+import ustflow.solver as solver
 from ustflow.solver import LinearSolverConfig, NewtonConfig, direct_lu
 
 
@@ -342,3 +345,36 @@ class TestConvergenceStudy:
         assert str(err.value).endswith(
             f"case=manufactured size=4 mode={mode}: Newton did not "
             f"converge{where}")
+
+
+class TestBenchmarkHook:
+    """perfbench/tracing.py wraps the solver from outside the package; a
+    change to the signature it forwards breaks the traced benchmark."""
+
+    @staticmethod
+    def tracing():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_one_solver_span_per_newton_step(self):
+        tracing = self.tracing()
+        tr = tracing.Tracer("hook")
+        solve, newton = solver.solve_linear_system, scenarios.newton_solve
+        tracing.install_layer_wrappers(tr)
+        try:
+            res = run_ust(make_couette2d(n_r=3, n_theta=12, levels=3,
+                                         t_end=0.5))
+        finally:
+            tr.restore()
+        assert solver.solve_linear_system is solve
+        assert scenarios.newton_solve is newton
+        assert res.newton.converged and res.newton.iterations >= 2
+        solves = [s for s in tr.spans if s["name"] == "solver.solve"]
+        assert len(solves) == res.newton.iterations
+        n_dofs = res.mesh.n_nodes * 3
+        for s in solves:
+            assert s["n_dofs"] == n_dofs and s["nnz"] > n_dofs
+            assert s["end"] >= s["start"]

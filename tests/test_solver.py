@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import types
 import weakref
@@ -13,9 +14,9 @@ from ustflow.errors import LinearSolveFailure, Stagnation
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
 from ustflow.scenarios import make_couette2d, make_manufactured
 from ustflow.solver import (ETA_FIRST, ETA_MAX, LinearSolverConfig,
-                            NewtonConfig, _equilibrate, _relres, direct_lu,
-                            forcing_term, gmres_solve, newton_solve,
-                            solve_linear_system, time_level_preconditioner)
+                            NewtonConfig, TimeLevelPreconditioner,
+                            _equilibrate, _relres, direct_lu, forcing_term,
+                            gmres_solve, newton_solve, solve_linear_system)
 
 # the accuracy every direct gmres_solve call asks for; newton_solve sets
 # the tolerance per step instead
@@ -50,8 +51,7 @@ class TestGmres:
         n = 40
         b = rng.uniform(-1, 1, size=n)
         x, stats = gmres_solve(sp.eye(n, format="csr"), b,
-                               LinearSolverConfig(lin_rel_tol=TIGHT,
-                                                  dof_levels=np.arange(n)))
+                               TimeLevelPreconditioner(np.arange(n)), TIGHT)
         assert np.allclose(x, b, atol=1e-12)
         assert stats["iterations"] <= 1
 
@@ -59,9 +59,8 @@ class TestGmres:
         d = rng.uniform(0.5, 3.0, size=30)
         b = rng.uniform(-1, 1, size=30)
         A = sp.diags(d).tocsr()
-        x, stats = gmres_solve(A, b,
-                               LinearSolverConfig(lin_rel_tol=TIGHT,
-                                                  dof_levels=np.arange(30)))
+        x, stats = gmres_solve(A, b, TimeLevelPreconditioner(np.arange(30)),
+                               TIGHT)
         assert stats["relres"] < 1e-8
         assert np.allclose(x, b / d, rtol=1e-6, atol=1e-9)
 
@@ -71,9 +70,8 @@ class TestGmres:
         b = rng.uniform(-1, 1, size=n)
         x_oracle = np.linalg.solve(A, b)
         for per_level in (1, 10):
-            cfg = LinearSolverConfig(lin_rel_tol=TIGHT,
-                                     dof_levels=np.arange(n) // per_level)
-            x, _ = gmres_solve(sp.csr_matrix(A), b, cfg)
+            precond = TimeLevelPreconditioner(np.arange(n) // per_level)
+            x, _ = gmres_solve(sp.csr_matrix(A), b, precond, TIGHT)
             rel = np.linalg.norm(x - x_oracle) / np.linalg.norm(x_oracle)
             assert rel < 1e-8, per_level
 
@@ -83,24 +81,25 @@ class TestGmres:
             + 5.0 * sp.eye(n, format="csr")
         b = rng.uniform(-1, 1, size=n)
         x1 = direct_lu(A, b)
-        x2, _ = gmres_solve(A, b, LinearSolverConfig(
-            lin_rel_tol=TIGHT, dof_levels=rng.integers(0, 4, size=n)))
+        x2, _ = gmres_solve(A, b, TimeLevelPreconditioner(
+            rng.integers(0, 4, size=n)), TIGHT)
         assert np.linalg.norm(x1 - x2) / np.linalg.norm(x1) < 1e-8
 
     @staticmethod
     def _stagnating_system(rng, n=50):
         A = sp.random(n, n, density=0.3, random_state=3).tocsr() \
             + 2.0 * sp.eye(n, format="csr")
-        cfg = LinearSolverConfig(lin_rel_tol=TIGHT, dof_levels=np.arange(n))
-        return A, rng.uniform(-1, 1, size=n), cfg
+        return (A, rng.uniform(-1, 1, size=n),
+                TimeLevelPreconditioner(np.arange(n)))
 
     def test_stagnation_raises_and_direct_solves(self, rng, monkeypatch):
         # one restart cycle of 2 Krylov vectors cannot solve this system
         monkeypatch.setattr(solver, "RESTART", 2)
         monkeypatch.setattr(solver, "MAX_KRYLOV_ITER", 2)
-        A, b, cfg = self._stagnating_system(rng)
+        A, b, precond = self._stagnating_system(rng)
         with pytest.raises(Stagnation, match=r"relres=.* after 2 iterations"):
-            solve_linear_system(A, b, cfg)
+            solve_linear_system(A, b, LinearSolverConfig(lin_rel_tol=TIGHT),
+                                precond)
         x = solve_linear_system(A, b, LinearSolverConfig(method="direct_lu"))
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
 
@@ -108,14 +107,15 @@ class TestGmres:
         # 5 iterations hold two whole cycles of 2; a third would make 6
         monkeypatch.setattr(solver, "RESTART", 2)
         monkeypatch.setattr(solver, "MAX_KRYLOV_ITER", 5)
-        A, b, cfg = self._stagnating_system(rng)
+        A, b, precond = self._stagnating_system(rng)
         with pytest.raises(Stagnation, match=r"relres=.* after 4 iterations"):
-            gmres_solve(A, b, cfg)
+            gmres_solve(A, b, precond, TIGHT)
 
     def test_missing_tolerance_names_newton_solve(self, rng):
         A, b, levels = _block_tridiagonal_system(rng)
         with pytest.raises(ValueError, match="lin_rel_tol.*newton_solve"):
-            gmres_solve(A, b, LinearSolverConfig(dof_levels=levels))
+            solve_linear_system(A, b, LinearSolverConfig(),
+                                TimeLevelPreconditioner(levels))
 
     def test_resumes_until_true_relres_meets_target(self, rng, monkeypatch):
         # rows scaled over six decades: the equilibration weights the
@@ -136,8 +136,8 @@ class TestGmres:
             return y, info
 
         monkeypatch.setattr(spla, "gmres", spy)
-        x, stats = gmres_solve(A, b, LinearSolverConfig(
-            lin_rel_tol=target, dof_levels=np.arange(n)))
+        x, stats = gmres_solve(A, b, TimeLevelPreconditioner(np.arange(n)),
+                               target)
         (rtol, info, y), *resumed = runs
         assert rtol == target and info == 0
         assert _relres(As, y, scale * b) <= target  # equilibrated: met
@@ -151,10 +151,9 @@ class TestGmres:
         A = sp.random(n, n, density=0.2, random_state=5).tocsr() \
             + 4.0 * sp.eye(n, format="csr")
         b = rng.uniform(-1, 1, size=n)
-        cfg = LinearSolverConfig(lin_rel_tol=TIGHT,
-                                 dof_levels=np.arange(n) // 10)
         with caplog.at_level(logging.INFO, logger="ustflow"):
-            solve_linear_system(A, b, cfg)
+            solve_linear_system(A, b, LinearSolverConfig(lin_rel_tol=TIGHT),
+                                TimeLevelPreconditioner(np.arange(n) // 10))
             solve_linear_system(A, b, LinearSolverConfig(method="direct_lu"))
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 2
@@ -165,6 +164,23 @@ class TestGmres:
                 assert key in line
             assert line.endswith(" resumes=0")
         assert "precond=time_levels levels=3 " in lines[0]
+
+
+class TestLinearSolverConfig:
+    def test_fields_are_the_two_settings(self):
+        assert [f.name for f in dataclasses.fields(LinearSolverConfig)] == [
+            "method", "lin_rel_tol"]
+        LinearSolverConfig(method="direct_lu", lin_rel_tol=0.5)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"method": "gmres"}, "unknown linear solver 'gmres'"),
+        ({"lin_rel_tol": 0.0}, "lin_rel_tol"),
+        ({"lin_rel_tol": 1.0}, "lin_rel_tol"),
+        ({"lin_rel_tol": -1e-3}, "lin_rel_tol"),
+        ({"lin_rel_tol": float("nan")}, "lin_rel_tol")])
+    def test_rejects_bad_setting_at_construction(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            LinearSolverConfig(**kwargs)
 
 
 def _block_tridiagonal_system(rng, n_levels=5, per_level=8):
@@ -238,24 +254,21 @@ class TestTimeLevelPreconditioner:
         A = rng.uniform(-1, 1, size=(n, n)) + 16.0 * np.eye(n)
         A = sp.csr_matrix(A * (levels[:, None] >= levels[None, :]))
         b = rng.uniform(-1, 1, size=n)
-        x, stats = gmres_solve(A, b, LinearSolverConfig(lin_rel_tol=TIGHT,
-                                                        dof_levels=levels))
+        x, stats = gmres_solve(A, b, TimeLevelPreconditioner(levels), TIGHT)
         assert stats["iterations"] == 1
         assert stats["levels"] == 5
         assert np.allclose(x, direct_lu(A, b), rtol=1e-10, atol=1e-12)
         # the sweep itself inverts a block-lower-triangular matrix
-        M, _ = time_level_preconditioner(A, levels)
+        M = TimeLevelPreconditioner(levels).operator(A)
         assert np.allclose(M.matvec(b), direct_lu(A, b), atol=1e-12)
 
     def test_permuted_dofs_same_solution(self, rng):
         A, b, levels = _block_tridiagonal_system(rng)
         x_ref = direct_lu(A, b)
-        x, _ = gmres_solve(A, b, LinearSolverConfig(lin_rel_tol=TIGHT,
-                                                    dof_levels=levels))
+        x, _ = gmres_solve(A, b, TimeLevelPreconditioner(levels), TIGHT)
         perm = rng.permutation(len(b))
         xp, _ = gmres_solve(A[perm][:, perm], b[perm],
-                            LinearSolverConfig(lin_rel_tol=TIGHT,
-                                               dof_levels=levels[perm]))
+                            TimeLevelPreconditioner(levels[perm]), TIGHT)
         assert np.abs(levels[perm][1:] - levels[perm][:-1]).max() > 1
         assert np.allclose(xp, x[perm], rtol=1e-8, atol=1e-10)
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
@@ -265,13 +278,12 @@ class TestTimeLevelPreconditioner:
         A = A.tolil()
         A[8:16, 8:16] = 0.0
         with pytest.raises(LinearSolveFailure, match="time level 1 "):
-            gmres_solve(A.tocsr(), b, LinearSolverConfig(lin_rel_tol=TIGHT,
-                                                         dof_levels=levels))
+            gmres_solve(A.tocsr(), b, TimeLevelPreconditioner(levels), TIGHT)
 
-    def test_missing_partition_rejected(self, rng):
-        A, b, _ = _block_tridiagonal_system(rng)
-        with pytest.raises(ValueError, match="dof_levels"):
-            gmres_solve(A, b, LinearSolverConfig(lin_rel_tol=TIGHT))
+    def test_partition_of_other_size_rejected(self, rng):
+        A, b, levels = _block_tridiagonal_system(rng)
+        with pytest.raises(ValueError, match="39 dof levels for 40 unknowns"):
+            gmres_solve(A, b, TimeLevelPreconditioner(levels[1:]), TIGHT)
 
     @pytest.mark.parametrize("make", [lambda: make_manufactured(n=4),
                                       _twisted_couette],
@@ -286,8 +298,9 @@ class TestTimeLevelPreconditioner:
                                    gauge=spec.gauge_for(mesh.nodes))
         system, rhs, _ = problem.system(problem.initial_guess())
         x_ref = direct_lu(system.matrix, rhs)
-        x, stats = gmres_solve(system.matrix, rhs, LinearSolverConfig(
-            lin_rel_tol=TIGHT, dof_levels=problem.dof_levels))
+        x, stats = gmres_solve(system.matrix, rhs,
+                               TimeLevelPreconditioner(problem.dof_levels),
+                               TIGHT)
         assert stats["levels"] == spec.levels + 1
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-7
 
@@ -333,14 +346,20 @@ class TestLaggedFactors:
         again = newton_solve(problem, problem.initial_guess())
         assert len(calls) == n_levels
         assert again.trace == out.trace
-        # so does every direct call, with the same config
+        # so does every direct call given a fresh preconditioner
         calls.clear()
         system, rhs, _ = problem.system(problem.initial_guess())
-        cfg = LinearSolverConfig(lin_rel_tol=TIGHT,
-                                 dof_levels=problem.dof_levels)
+        cfg = LinearSolverConfig(lin_rel_tol=TIGHT)
         for _ in range(2):
-            solve_linear_system(system.matrix, rhs, cfg)
+            solve_linear_system(system.matrix, rhs, cfg,
+                                TimeLevelPreconditioner(problem.dof_levels))
         assert len(calls) == 2 * n_levels
+        # and one preconditioner given both matrices factors once
+        calls.clear()
+        precond = TimeLevelPreconditioner(problem.dof_levels)
+        for _ in range(2):
+            solve_linear_system(system.matrix, rhs, cfg, precond)
+        assert len(calls) == n_levels
 
     def test_lagged_sweep_takes_lower_blocks_of_its_matrix(self, rng):
         # the same diagonal blocks, other couplings to earlier levels: the
@@ -351,9 +370,11 @@ class TestLaggedFactors:
         A1 = rng.uniform(-1, 1, size=(n, n)) + 12.0 * np.eye(n)
         A1 *= levels[:, None] >= levels[None, :]
         A2 = A1 + lower * rng.uniform(-1, 1, size=(n, n))
-        _, lus = time_level_preconditioner(sp.csr_matrix(A1), levels)
-        M2, lus2 = time_level_preconditioner(sp.csr_matrix(A2), levels, lus)
-        assert lus2 is lus
+        precond = TimeLevelPreconditioner(levels)
+        precond.operator(sp.csr_matrix(A1))
+        lus = precond.lus
+        M2 = precond.operator(sp.csr_matrix(A2))
+        assert precond.lus is lus
         b = rng.uniform(-1, 1, size=n)
         assert np.allclose(M2.matvec(b), np.linalg.solve(A2, b), atol=1e-12)
 
