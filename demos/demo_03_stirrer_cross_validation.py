@@ -9,7 +9,7 @@ near the blade tips are compared between the modes.
 
 import numpy as np
 
-from ustflow import SimplexMesh, export_vtk, probe, probe_vorticity, slice_at_time
+from ustflow import export_vtk, probe, probe_vorticity, slice_at_time
 from ustflow.scenarios import STIRRER_OMEGA, make_stirrer2d, run_slab, run_ust
 from ustflow.solver import NewtonConfig
 
@@ -27,9 +27,7 @@ print(f"slab marching: {slab.diagnostics['n_slabs']} slabs, iterations "
 
 t_end = spec.t_end
 sl = slice_at_time(ust.mesh, ust.field.values, t_end)
-final_mesh = SimplexMesh(slab.final_positions, spec.mesh.elements,
-                         spec.mesh.boundary_facets, spec.mesh.boundary_tags,
-                         spec.mesh.tag_names, fix_orientation=False)
+final_mesh = slab.final_mesh
 
 ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 ring = np.column_stack([2.8 * np.cos(ang), 2.8 * np.sin(ang)])

@@ -559,10 +559,9 @@ class _ProblemBase:
             # Stokes limit: tau must not depend on the iterate so the
             # system stays exactly linear
             u_bary = np.zeros((len(self.elements), n_sd))
-        Ginv, g, GG, gg = self._metric
-        tau_m, tau_c = tau_parameters(u_bary, self.material.nu, Ginv, GG,
-                                      gg=gg)
-        return StabilizationContext(Ginv, g, tau_m, tau_c)
+        Ginv, _, GG, gg = self._metric
+        return StabilizationContext(*tau_parameters(
+            u_bary, self.material.nu, Ginv, GG, gg=gg))
 
     # interface used by the Newton solver
     def system(self, values, tau_override=None, want_matrix=True):

@@ -137,11 +137,8 @@ def _cmd_run(args, parser) -> int:
                        title=f"{spec.name} t={args.slice_time:g}")
     else:
         res = run_slab(spec, newton_cfg=cfg)
-        final = res.spatial
-        moved = type(final)(
-            res.final_positions, final.elements, final.boundary_facets,
-            final.boundary_tags, final.tag_names, fix_orientation=False)
-        stio.write_result(moved, res.final_values, out / "result.dat")
+        stio.write_result(res.final_mesh, res.final_values,
+                          out / "result.dat")
         newtons = res.newtons
     with open(out / "newton_trace.log", "w") as f:
         for k, newton in enumerate(newtons):

@@ -115,6 +115,14 @@ class SlabRunResult:
     final_values: np.ndarray     # (n_sp, ncomp) top-trace values at t_end
     diagnostics: dict
 
+    @property
+    def final_mesh(self) -> SimplexMesh:
+        """The spatial mesh at ``final_positions``, the mesh of
+        ``final_values``."""
+        s = self.spatial
+        return SimplexMesh(self.final_positions, s.elements, s.boundary_facets,
+                           s.boundary_tags, s.tag_names, fix_orientation=False)
+
 
 def default_linear_config(n_dofs: int) -> LinearSolverConfig:
     """Restarted GMRES with the time-level block Gauss-Seidel preconditioner.
@@ -459,11 +467,7 @@ def _case_errors(spec: ScenarioSpec, size, mode: str, newton_cfg=None):
         else:
             err = l2_error(res.mesh, res.field.values, exact)
     elif steady_slice:
-        final = SimplexMesh(res.final_positions, res.spatial.elements,
-                            res.spatial.boundary_facets,
-                            res.spatial.boundary_tags,
-                            res.spatial.tag_names, fix_orientation=False)
-        err = l2_error(final, res.final_values, lambda x: exact(x),
+        err = l2_error(res.final_mesh, res.final_values, lambda x: exact(x),
                        time_is_last_coord=False)
     else:
         parts = [l2_error_slab(slab, vals, exact)

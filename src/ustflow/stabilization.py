@@ -22,11 +22,14 @@ every renumbering.
 
 With the vertices in canonical order sigma, the inverse of the canonical
 Jacobian has as its rows the P1 gradients of vertices sigma(1..d), so A is
-the regular-simplex map times those rows of ``SimplexMesh.gradients``.  The
-mesh metric is evaluated in the element slices of ``mesh.element_slices``
-in an element-last layout, where every reduction runs over whole slices.
+the regular-simplex map times those rows of ``SimplexMesh.gradients``.  A
+is evaluated on one code path, in the element slices of
+``mesh.element_slices`` in an element-last layout, where every reduction
+runs over whole slices.  The per-Jacobian helpers (``reference_derivative``,
+``metric_contravariant``, ``g_vector``) build the simplices {0, columns of
+J} as a mesh and run that same path, with the mesh's degeneracy bound.
 
-Stabilization parameters:
+Stabilization parameters, with the constant C_I = 1:
 
     tau_MOM  = (uhat . Ginv uhat + C_I nu^2 Ginv:Ginv)^(-1/2),
                uhat = (u, 1) the space-time advective vector,
@@ -41,9 +44,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateElement, NonFiniteTau, ZeroDenominator
+from .errors import NonFiniteTau, ZeroDenominator
 from .mesh import (SimplexMesh, basis_eval, cofactor_det, element_slices,
                    reference_gradients)
+
+C_I = 1.0  # inverse-estimate constant of the viscous term in tau_MOM
 
 
 @lru_cache(maxsize=None)
@@ -63,12 +68,9 @@ def regular_simplex_map(dim: int) -> np.ndarray:
 
 @dataclass
 class StabilizationContext:
-    """Per-element metric data and stabilization parameters (arrays over elements)."""
-    Ginv: np.ndarray      # (n_el, dim, dim), symmetric positive definite
-    g: np.ndarray         # (n_el, n_sd)
+    """Stabilization parameters per element."""
     tau_mom: np.ndarray   # (n_el,)
     tau_cont: np.ndarray  # (n_el,)
-    C_I: float = 1.0
 
 
 def canonical_vertex_order(V: np.ndarray) -> np.ndarray:
@@ -100,68 +102,61 @@ def _canonical_order(V: np.ndarray) -> np.ndarray:
     return np.take_along_axis(pre, sub, axis=0)
 
 
-def _reference_derivative(V: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """A of simplices with element-last vertices V (dim+1, dim, n), relative
-    to vertex 0, and P1 gradients ``grads`` (dim+1, dim, n); element-last
-    (dim, dim, n).
+def _reference_derivative(mesh: SimplexMesh, sl: slice) -> np.ndarray:
+    """A of the elements ``sl`` of ``mesh``, element-last (dim, dim, n).
 
-    With the vertices in canonical order sigma, the inverse canonical
-    Jacobian is rows sigma(1..dim) of the gradients.
+    The canonical order is found from the element coordinates relative to
+    vertex 0; with the vertices in canonical order sigma, the inverse
+    canonical Jacobian is rows sigma(1..dim) of ``mesh.gradients``, which
+    raise ``DegenerateElement`` on a degenerate mesh.
     """
-    order = _canonical_order(V)
-    inv_jc = np.take_along_axis(grads, order[1:, None, :], axis=0)
-    return np.tensordot(regular_simplex_map(V.shape[1]), inv_jc, 1)
+    X = mesh.element_coords[sl]
+    order = _canonical_order(_last(X - X[:, :1]))
+    inv_jc = np.take_along_axis(_last(mesh.gradients[sl]), order[1:, None, :],
+                                axis=0)
+    return np.tensordot(regular_simplex_map(mesh.dim), inv_jc, 1)
 
 
 def reference_derivative(J: np.ndarray) -> np.ndarray:
     """A = d(xi_regular)/dx for Jacobian(s) J; accepts (d, d) or (n, d, d).
 
-    The element vertices are brought into canonical order first, so every
-    quantity derived from A is invariant under node renumbering.
+    The simplices {0, columns of J} go through the mesh path of
+    :func:`mesh_metric`, so a mesh's own Jacobians give its A bit for bit.
     """
     J = np.asarray(J, dtype=float)
     single = J.ndim == 2
     if single:
         J = J[None]
     n, dim, _ = J.shape
-    det = np.linalg.det(J)
-    h = np.abs(J).sum(axis=(-2, -1)) / dim + 1e-300  # crude scale
-    if (np.abs(det) < 1e-14 * h ** dim).any():
-        raise DegenerateElement("singular Jacobian in metric evaluation")
-    inv = np.linalg.inv(J)
-    grads = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
     V = np.concatenate([np.zeros((n, 1, dim)), np.swapaxes(J, 1, 2)], axis=1)
-    A = np.moveaxis(_reference_derivative(_last(V), _last(grads)), -1, 0)
+    elements = np.arange(n * (dim + 1)).reshape(n, dim + 1)
+    mesh = SimplexMesh(V.reshape(-1, dim), elements, np.zeros((0, dim), int),
+                       np.zeros(0, int), [], fix_orientation=False)
+    A = np.concatenate([np.moveaxis(_reference_derivative(mesh, sl), -1, 0)
+                        for sl in element_slices(n)])
     return A[0] if single else A
 
 
 def metric_contravariant(J: np.ndarray) -> np.ndarray:
     """Metric tensor Ginv = A^T A from element Jacobian(s)."""
+    return _per_jacobian(J, 0)
+
+
+def g_vector(J: np.ndarray) -> np.ndarray:
+    """Column sums of A over all reference coordinates, spatial components
+    only (time is the last coordinate)."""
+    return _per_jacobian(J, 1)
+
+
+def _per_jacobian(J, k):
+    """Term k of :func:`metric_terms` for Jacobian(s) J, (d, d) or (n, d, d)."""
     A = reference_derivative(J)
-    if A.ndim == 2:
-        return A.T @ A
-    return np.einsum("nki,nkj->nij", A, A)
-
-
-def g_vector(J: np.ndarray, n_sd=None) -> np.ndarray:
-    """Column sums of A over all reference coordinates, spatial components only.
-
-    ``n_sd`` defaults to dim - 1 (space-time convention: last coordinate is
-    time).
-    """
-    A = reference_derivative(J)
-    single = A.ndim == 2
-    if single:
-        A = A[None]
-    dim = A.shape[-1]
-    if n_sd is None:
-        n_sd = dim - 1
-    g = A.sum(axis=1)[:, :n_sd]
-    return g[0] if single else g
+    out = metric_terms(A.reshape((-1,) + A.shape[-2:]))[k]
+    return out[0] if A.ndim == 2 else out
 
 
 def tau_parameters(u, nu: float, Ginv: np.ndarray, GG: np.ndarray,
-                   C_I: float = 1.0, gg: np.ndarray = None):
+                   gg: np.ndarray = None):
     """tau_MOM and, when ``gg`` is given, tau_CONT per element.
 
     The one evaluation of the formulas in the module docstring, with their
@@ -186,7 +181,7 @@ def _tau_cont(tau_mom, gg):
     return 1.0 / denom
 
 
-def tau_momentum(u_elem, nu: float, Ginv: np.ndarray, C_I: float = 1.0):
+def tau_momentum(u_elem, nu: float, Ginv: np.ndarray):
     """Momentum stabilization parameter from the space-time metric.
 
     ``u_elem`` holds the velocity at the element barycenter; the advective
@@ -199,7 +194,7 @@ def tau_momentum(u_elem, nu: float, Ginv: np.ndarray, C_I: float = 1.0):
     if single:
         G = G[None]
     GG = np.einsum("nij,nij->n", G, G)
-    tau, _ = tau_parameters(u, nu, G, GG, C_I)
+    tau, _ = tau_parameters(u, nu, G, GG)
     return float(tau[0]) if single else tau
 
 
@@ -235,27 +230,12 @@ def mesh_metric(mesh: SimplexMesh):
     A comes from the cached ``mesh.gradients`` (see the module docstring),
     which raise ``DegenerateElement`` on a degenerate mesh.
     """
-    X, grads = mesh.element_coords, mesh.gradients
-    n, dim = X.shape[0], mesh.dim
+    n, dim = mesh.n_elements, mesh.dim
     Ginv, g = np.empty((n, dim, dim)), np.empty((n, dim - 1))
     for sl in element_slices(n):
-        A = _reference_derivative(_last(X[sl] - X[sl, :1]), _last(grads[sl]))
-        Ginv_s, g_s = _metric_and_g(A)
+        Ginv_s, g_s = _metric_and_g(_reference_derivative(mesh, sl))
         Ginv[sl], g[sl] = np.moveaxis(Ginv_s, -1, 0), g_s.T
     return _with_norms(Ginv, g)
-
-
-def stabilization_for_mesh(mesh: SimplexMesh, u_bary: np.ndarray, nu: float,
-                           C_I: float = 1.0,
-                           metric=None) -> StabilizationContext:
-    """Evaluate tau_MOM / tau_CONT per element at the barycenter velocity.
-
-    ``metric`` may carry a precomputed :func:`mesh_metric` result (the
-    metric is geometry-only, so callers solving repeatedly cache it).
-    """
-    Ginv, g, GG, gg = metric if metric is not None else mesh_metric(mesh)
-    tau_mom, tau_cont = tau_parameters(u_bary, nu, Ginv, GG, C_I, gg)
-    return StabilizationContext(Ginv, g, tau_mom, tau_cont, C_I)
 
 
 # -- tensor-product (prism) elements ----------------------------------------

@@ -136,7 +136,7 @@ class TestHandIntegratedElement:
         rho, mu = 1.0, 0.2
         tau_m = np.full(mesh.n_elements, 0.37)
         tau_c = np.full(mesh.n_elements, 1.21)
-        stab = StabilizationContext(None, None, tau_m, tau_c)
+        stab = StabilizationContext(tau_m, tau_c)
         got = element_residual(mesh, e, field, MaterialParams(rho, mu),
                                None, stab).reshape(nen, 3)
 
@@ -199,7 +199,7 @@ class TestHandIntegratedElement:
         vals[:, 1] = -0.2
         field = SolutionField(vals, 2)
         tau = np.ones(mesh.n_elements)
-        stab = StabilizationContext(None, None, tau, tau)
+        stab = StabilizationContext(tau, tau)
         r = element_residual(mesh, 3, field, MaterialParams(1.0, 0.05), None,
                              stab)
         assert np.abs(r).max() < 1e-14
@@ -315,6 +315,30 @@ class TestTractionTerm:
             area = math.sqrt(abs(np.linalg.det(edges @ edges.T))) / 2.0
             for node in ids:
                 expected[node] -= h * area / 3.0
+        assert np.allclose(R[:, :2], expected, atol=1e-14)
+
+    def test_constant_traction_hand_value_straight_prisms(self):
+        # each mantle face is a rectangle of length l and height dt with
+        # bilinear shape functions: each of its four nodes gets -h l dt / 4
+        spatial, dt = box2d(3, 2), 0.15
+        h = np.array([0.7, -0.3])
+
+        def hfn(x, t):
+            return np.broadcast_to(h, (len(np.atleast_2d(x)), 2)).copy()
+
+        slab = PrismSlab(spatial, spatial.nodes, spatial.nodes, 0.2, dt)
+        problem = PrismSlabProblem(slab, MaterialParams(rho=1.0, mu=0.1),
+                                   BCSpec(neumann={"x1": hfn},
+                                          initial=zero_ic))
+        R = traction_term(problem).reshape(-1, 3)
+
+        n_sp = spatial.n_nodes
+        expected = np.zeros((2 * n_sp, 2))
+        for a, b in spatial.boundary_facets[spatial.facets_with_tag("x1")]:
+            length = np.linalg.norm(spatial.nodes[a] - spatial.nodes[b])
+            for node in (a, b, a + n_sp, b + n_sp):
+                expected[node] -= h * length * dt / 4.0
+        assert expected.any()
         assert np.allclose(R[:, :2], expected, atol=1e-14)
 
     def test_dirichlet_neumann_overlap_rejected(self):
@@ -436,8 +460,8 @@ class TestJacobianFD:
         # pure Stokes stress block: strip GLS/grad-div by zeroing tau
         mesh = small_st_mesh_2d
         problem = make_problem(mesh, mu=0.7, convective=False)
-        zero_tau = StabilizationContext(
-            None, None, np.zeros(mesh.n_elements), np.zeros(mesh.n_elements))
+        zero_tau = StabilizationContext(np.zeros(mesh.n_elements),
+                                        np.zeros(mesh.n_elements))
         # tau_cont = 0 and tau_mom = 0 keep only Galerkin+stress+continuity
         A = problem.system(np.zeros((problem.n_nodes, 3)),
                            tau_override=zero_tau)[0].matrix.toarray()
@@ -459,7 +483,7 @@ class TestElementJacobianMatrix:
         material = MaterialParams(1.0, 0.15)
         tau = np.full(mesh.n_elements, 0.4)
         tauc = np.full(mesh.n_elements, 0.9)
-        stab = StabilizationContext(None, None, tau, tauc)
+        stab = StabilizationContext(tau, tauc)
         base = rng.uniform(-1, 1, size=(mesh.n_nodes, 3))
         K = element_jacobian_matrix(mesh, e, SolutionField(base, 2), material,
                                     None, stab)

@@ -127,6 +127,17 @@ class TestSlabMarching:
         err = np.abs(res.final_values[:, :2] - exact).max()
         assert err < 0.04 * np.abs(exact).max()
 
+    def test_final_mesh_is_spatial_mesh_at_final_positions(self):
+        spec = make_couette2d(n_r=4, n_theta=12, t_end=0.4, levels=2)
+        spec.omega = 1.0  # the mesh rotates rigidly with the inner wall
+        res = run_slab(spec, n_slabs=1)
+        final, spatial = res.final_mesh, spec.mesh
+        assert np.array_equal(final.nodes, res.slabs[-1].coords_top)
+        assert not np.array_equal(final.nodes, spatial.nodes)
+        for name in ("elements", "boundary_facets", "boundary_tags"):
+            assert np.array_equal(getattr(final, name), getattr(spatial, name))
+        assert final.tag_names == spatial.tag_names
+
     def test_warm_start_transfer_is_node_to_node(self):
         spec = make_couette2d(n_r=4, n_theta=12, t_end=0.4, levels=2)
         res = run_slab(spec, n_slabs=2)

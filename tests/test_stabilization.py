@@ -6,15 +6,15 @@ import pytest
 
 import ustflow.mesh as mesh_module
 from ustflow import scenarios
-from ustflow.errors import ZeroDenominator
+from ustflow.errors import DegenerateElement, ZeroDenominator
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
 from ustflow.mesh import SimplexMesh, jacobians_last
 from ustflow.stabilization import (canonical_vertex_order, g_vector,
                                    mesh_metric, metric_contravariant,
                                    metric_terms, prism_shape_functions,
                                    prism_geometry, reference_derivative,
-                                   regular_simplex_map, stabilization_for_mesh,
-                                   tau_continuity, tau_momentum)
+                                   regular_simplex_map, tau_continuity,
+                                   tau_momentum)
 
 from conftest import random_simplex
 
@@ -126,6 +126,18 @@ class TestMeshMetricFromGradients:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.array_equal(reference_derivative(J[3]), got[3])
 
+    def test_per_jacobian_helpers_run_the_mesh_path(self, stirrer_meshes):
+        mesh = stirrer_meshes["stirrer2d"]
+        J = np.moveaxis(jacobians_last(mesh.element_coords), -1, 0)
+        Ginv, g, _, _ = mesh_metric(mesh)
+        assert metric_contravariant(J).tobytes() == Ginv.tobytes()
+        assert g_vector(J).tobytes() == g.tobytes()
+
+    def test_degeneracy_bound_is_the_mesh_bound(self):
+        # |det| = 1e5 against DEGENERACY_FACTOR * h^4 = 1e6, h ~ 1e5
+        with pytest.raises(DegenerateElement):
+            reference_derivative(np.diag([1e5, 1.0, 1.0, 1.0]))
+
     def test_slices(self, small_st_mesh_3d, monkeypatch):
         mesh = small_st_mesh_3d
         whole = mesh_metric(mesh)
@@ -188,11 +200,11 @@ class TestMetric:
 
 class TestTauMomentum:
     def test_identity_metric_pure_advection(self):
-        tau = tau_momentum(np.array([1.0, 0.0]), 0.0, np.eye(3), C_I=1.0)
+        tau = tau_momentum(np.array([1.0, 0.0]), 0.0, np.eye(3))
         assert tau == pytest.approx(2.0 ** -0.5, rel=1e-14)
 
     def test_identity_metric_viscous_4d(self):
-        tau = tau_momentum(np.zeros(3), 1.0, np.eye(4), C_I=1.0)
+        tau = tau_momentum(np.zeros(3), 1.0, np.eye(4))
         assert tau == pytest.approx(5.0 ** -0.5, rel=1e-14)
 
     def test_scaling_homogeneity(self, rng):
@@ -287,14 +299,14 @@ class TestTauContinuity:
 
 class TestMeshStabilization:
     def test_tau_positive_on_mesh(self, rng):
-        from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
+        from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
         from ustflow.geometry import box2d
         st = extrude_simplex_st(box2d(3, 3), ExtrusionSpec(0.0, 0.1, 2))
-        u = rng.uniform(-1, 1, size=(st.n_elements, 2))
-        ctx = stabilization_for_mesh(st, u, nu=0.01)
+        problem = SpaceTimeProblem(st, MaterialParams(rho=1.0, mu=0.01),
+                                   BCSpec(initial=np.zeros_like))
+        ctx = problem.stabilization(rng.uniform(-1, 1, size=(st.n_nodes, 3)))
         assert (ctx.tau_mom > 0).all()
         assert (ctx.tau_cont > 0).all()
-        assert ctx.C_I == 1.0
 
 
 class TestPrismShapeFunctions:
