@@ -12,15 +12,15 @@ conditions are imposed by identity rows; tau is frozen at the current
 iterate (Picard treatment), everything else is linearized exactly.
 
 One driver, ``_ProblemBase``, assembles both element families: the chunked
-volume loop, the jump term, the stabilization parameters, the sparse matrix
-and the Dirichlet rows.  ``_CsrPlan`` builds the matrix pattern once per
-problem, on the first matrix request, from the element connectivity: every
-element node pair becomes a dense ncomp x ncomp block.  It numbers each
-chunk's pairs locally, by one ``np.unique`` per chunk, and keeps the
-chunk's sorted global pair ids beside them.  Each Newton step sums a
-chunk's local matrices over the local ids with one ``np.bincount`` per
-component pair, with no sort, adds those sums at the global ids, and hands
-the solver the blocks' CSR form.
+volume loop, the jump term, the traction term, the stabilization
+parameters, the sparse matrix and the Dirichlet rows.  ``_CsrPlan`` builds
+the matrix pattern once per problem, on the first matrix request, from the
+element connectivity: every element node pair becomes a dense ncomp x ncomp
+block.  It numbers each chunk's pairs locally, by one ``np.unique`` per
+chunk, and keeps the chunk's sorted global pair ids beside them.  Each
+Newton step sums a chunk's local matrices over the local ids with one
+``np.bincount`` per component pair, with no sort, adds those sums at the
+global ids, and hands the solver the blocks' CSR form.
 
 The volume loop runs in ``_LANES`` fixed, contiguous element lanes once a
 system has that many chunks; ``_partition`` cuts the elements into lanes
@@ -39,7 +39,10 @@ plan.  A family supplies the geometry of its elements:
 - ``_bottom_cap()``: node ids and spatial coordinates of the bottom-cap
   simplices that carry the jump term;
 - ``_metric``: the per-element metric (Ginv, g, Ginv:Ginv, g.g) of tau;
-- ``_add_traction(R)``: the Neumann term on its mantle faces.
+- ``_mantle_faces(tag)``: node ids of a tag's faces on the space-time
+  mantle, which carry its Dirichlet rows or its traction;
+- ``_face_quadrature(ids)``: shape values, points, tangents and weights of
+  the quadrature on those faces.
 
 One element kernel, ``_element_terms``, serves both families.  It assumes
 only that |detJ| and the spatial gradients are constant on each of nt
@@ -304,22 +307,6 @@ def _element_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
     return np.moveaxis(Re, -1, 0), np.moveaxis(Ke, -1, 0)
 
 
-def _facet_simplex_rule(n_facet_dim: int):
-    if n_facet_dim == 1:
-        return interval_gauss(2)
-    return simplex_quadrature(n_facet_dim, 2)
-
-
-def _embedded_measure_factor(coords):
-    """sqrt(det(E^T E)) for edge matrices of facets embedded in higher dim.
-
-    coords: (n_f, m, d) facet node coordinates with m-1 <= d.
-    """
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    gram = np.einsum("nid,njd->nij", edges, edges)
-    return np.sqrt(np.abs(np.linalg.det(gram)))
-
-
 def _add_local(R, dofs, Re):
     """Add local residuals ``Re`` at ``dofs`` (n, L) into ``R``."""
     R += np.bincount(dofs.ravel(), Re.ravel(), minlength=len(R))
@@ -451,67 +438,23 @@ class _CsrPlan:
                              shape=(n, n)).tocsr()
 
 
-def _mantle_dirichlet_nodes(bcs: BCSpec, mesh: SpaceTimeMesh) -> dict:
-    """{tag: nodes} of each Dirichlet tag's facets on the space-time mantle."""
-    nodes = {}
-    for tag in bcs.dirichlet:
-        fidx = mesh.facets_with_tag(tag)
-        fidx = fidx[np.isin(fidx, mesh.mantle_facets)]
-        nodes[tag] = np.unique(mesh.boundary_facets[fidx])
-    return nodes
-
-
-def _constraints(bcs: BCSpec, nodes_by_tag: dict, node_coords, gauge):
-    """Dirichlet mask and values over all dofs.
-
-    The velocity of ``nodes_by_tag[tag]`` takes the tag's data at the
-    space-time ``node_coords`` (time last); tags go in sorted order, so a
-    node on two tags keeps the later one.  ``gauge`` is a (node, value)
-    pair, or a list of them, pinning the pressure.
-    """
-    n_nodes, nc = node_coords.shape
-    n_sd = nc - 1
-    mask = np.zeros(n_nodes * nc, dtype=bool)
-    values = np.zeros(n_nodes * nc)
-    for tag in sorted(nodes_by_tag):
-        nodes = nodes_by_tag[tag]
-        x = node_coords[nodes]
-        velocity = np.asarray(bcs.dirichlet[tag](x[:, :n_sd], x[:, n_sd]))
-        for c in range(n_sd):
-            dofs = nodes * nc + c
-            mask[dofs] = True
-            values[dofs] = velocity[:, c]
-    if gauge is not None:
-        if isinstance(gauge, tuple):
-            gauge = [gauge]
-        for node, value in gauge:
-            dof = node * nc + n_sd
-            mask[dof] = True
-            values[dof] = value
-    return mask, values
-
-
 class _ProblemBase:
     """The assembly driver of both element families.
 
-    A family's constructor sets ``n_sd`` and ``n_nodes`` and calls
-    ``_init_common`` and ``_init_constraints``; it supplies the geometry
-    named in the module docstring.
+    A family sets ``mesh`` or ``slab`` and its quadrature, then calls this
+    constructor; it supplies the geometry named in the module docstring.
     """
 
-    n_sd: int
-    n_nodes: int
+    def __init__(self, node_coords, elements, tag_names, levels, material,
+                 bcs, body_force, convective, gauge, jump_data):
+        """``node_coords`` are the space-time nodes (time last), ``levels``
+        their time levels, the partition of the block Gauss-Seidel sweep.
 
-    @property
-    def ncomp(self) -> int:
-        return self.n_sd + 1
-
-    @property
-    def n_dofs(self) -> int:
-        return self.n_nodes * self.ncomp
-
-    def _init_common(self, material, bcs, body_force, convective, jump_data,
-                     elements, tag_names):
+        The velocity of a Dirichlet tag's mantle nodes takes the tag's data
+        at their coordinates; tags go in sorted order, so a node on two tags
+        keeps the later one.  ``gauge`` is a (node, value) pair, or a list of
+        them, pinning the pressure.
+        """
         for tag in list(bcs.dirichlet) + list(bcs.neumann):
             if tag not in tag_names:
                 raise ConfigurationError(f"unknown boundary tag {tag!r}")
@@ -521,14 +464,34 @@ class _ProblemBase:
         self.convective = convective
         self.jump_data = jump_data  # previous nodal trace, or None -> IC
         self.elements = elements
-        nc = self.ncomp
+        self.n_nodes, nc = node_coords.shape
+        self.n_sd = n_sd = nc - 1
         self.edof = (elements[:, :, None] * nc
                      + np.arange(nc)[None, None, :]).reshape(len(elements), -1)
+        self.dof_levels = np.repeat(levels, nc)
 
-    def _init_constraints(self, nodes_by_tag, node_coords, gauge):
-        self.dir_mask, self.dir_values = _constraints(self.bcs, nodes_by_tag,
-                                                      node_coords, gauge)
+        self.dir_mask = np.zeros(self.n_dofs, dtype=bool)
+        self.dir_values = np.zeros(self.n_dofs)
+        for tag in sorted(bcs.dirichlet):
+            nodes = np.unique(self._mantle_faces(tag))
+            x = node_coords[nodes]
+            velocity = np.asarray(bcs.dirichlet[tag](x[:, :n_sd], x[:, n_sd]))
+            for c in range(n_sd):
+                self.dir_mask[nodes * nc + c] = True
+                self.dir_values[nodes * nc + c] = velocity[:, c]
+        if gauge is not None:
+            for node, value in [gauge] if isinstance(gauge, tuple) else gauge:
+                self.dir_mask[node * nc + n_sd] = True
+                self.dir_values[node * nc + n_sd] = value
         self.dir_dofs = np.flatnonzero(self.dir_mask)
+
+    @property
+    def ncomp(self) -> int:
+        return self.n_sd + 1
+
+    @property
+    def n_dofs(self) -> int:
+        return self.n_nodes * self.ncomp
 
     def impose_dirichlet(self, values: np.ndarray) -> np.ndarray:
         out = values.reshape(-1).copy()
@@ -602,7 +565,8 @@ class _ProblemBase:
 
         R, blocks = self._volume(values, stab, plan, chunks, lanes)
         self._add_jump(values, R, blocks)
-        self._add_traction(R)
+        for dofs, Rloc in self._traction:
+            _add_local(R, dofs, Rloc)
 
         if not np.isfinite(R).all():
             raise NonFiniteResidual("residual contains non-finite entries")
@@ -726,6 +690,32 @@ class _ProblemBase:
             for i in range(n_sd):
                 blocks[glob, i, i] += M
 
+    @cached_property
+    def _traction(self):
+        """[(dofs, Rloc)] of the Neumann term -h . w of each tag, computed
+        once per problem, as its data do not depend on the iterate.
+
+        The measure of a face at each quadrature point is sqrt|det(T T^T)|
+        for its n_sd tangents T, and the tag's function is called once, with
+        all points of its faces.
+        """
+        n_sd, nc = self.n_sd, self.ncomp
+        out = []
+        for tag, fn in self.bcs.neumann.items():
+            ids = self._mantle_faces(tag)
+            if len(ids) == 0:
+                continue
+            N, x, T, w = self._face_quadrature(ids)
+            gram = np.einsum("...id,...jd->ij...", T, T)
+            wdet = w * np.sqrt(np.abs(cofactor_det(gram)))
+            h = np.asarray(fn(x[..., :n_sd].reshape(-1, n_sd),
+                              x[..., n_sd].reshape(-1)))
+            Rloc = -np.einsum("fq,qa,fqi->fai", wdet, N,
+                              h.reshape(len(ids), -1, n_sd))
+            vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
+            out.append((vdofs.reshape(len(ids), -1), Rloc))
+        return out
+
 
 def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl, with_points):
     """The geometry ``_element_terms`` takes for the space-time simplices
@@ -748,18 +738,11 @@ class SpaceTimeProblem(_ProblemBase):
                  bcs: BCSpec, body_force=None, convective=True,
                  gauge=None, jump_data=None):
         self.mesh = mesh
-        self.n_sd = mesh.n_sd
-        self.n_nodes = mesh.n_nodes
-        self._init_common(material, bcs, body_force, convective, jump_data,
-                          mesh.elements, mesh.tag_names)
-        # node-time level of every dof, the partition of the block
-        # Gauss-Seidel preconditioner
-        self.dof_levels = np.repeat(time_levels(mesh.times)[0], self.ncomp)
-
         self.rule = simplex_quadrature(mesh.dim, 2)
         self.Nq = basis_eval(self.rule.points, mesh.dim)
-        self._init_constraints(_mantle_dirichlet_nodes(bcs, mesh), mesh.nodes,
-                               gauge)
+        super().__init__(mesh.nodes, mesh.elements, mesh.tag_names,
+                         time_levels(mesh.times)[0], material, bcs,
+                         body_force, convective, gauge, jump_data)
 
     def _initial_velocity_at_nodes(self):
         if self.bcs.initial is None:
@@ -779,28 +762,19 @@ class SpaceTimeProblem(_ProblemBase):
     def _metric(self):
         return mesh_metric(self.mesh)
 
-    def _add_traction(self, R):
+    def _mantle_faces(self, tag):
         mesh = self.mesh
-        n_sd, nc = self.n_sd, self.ncomp
-        for tag, fn in self.bcs.neumann.items():
-            fidx = mesh.facets_with_tag(tag)
-            fidx = fidx[np.isin(fidx, mesh.mantle_facets)]
-            if len(fidx) == 0:
-                continue
-            ids = mesh.boundary_facets[fidx]
-            coords = mesh.nodes[ids]                     # (nf, m, dim)
-            rule = _facet_simplex_rule(mesh.dim - 1)
-            Nf = basis_eval(rule.points, mesh.dim - 1)
-            area = _embedded_measure_factor(coords)
-            # reference weights sum to 1/(dim-1)!; area factor rescales them
-            wdet = rule.weights[None, :] * area[:, None]
-            x_q = np.einsum("qa,fad->fqd", Nf, coords)
-            h = np.asarray(fn(x_q[..., :n_sd].reshape(-1, n_sd),
-                              x_q[..., n_sd].reshape(-1)))
-            h = h.reshape(len(ids), -1, n_sd)
-            Rloc = -np.einsum("fq,qa,fqi->fai", wdet, Nf, h)
-            vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-            _add_local(R, vdofs.reshape(len(ids), -1), Rloc)
+        fidx = mesh.facets_with_tag(tag)
+        return mesh.boundary_facets[fidx[np.isin(fidx, mesh.mantle_facets)]]
+
+    def _face_quadrature(self, ids):
+        """The degree-2 rule on each simplex facet, whose tangents are its
+        edges from its first node."""
+        coords = self.mesh.nodes[ids]                    # (nf, n_sd+1, dim)
+        rule = simplex_quadrature(self.n_sd, 2)
+        N = basis_eval(rule.points, self.n_sd)
+        return (N, np.einsum("qa,fad->fqd", N, coords),
+                (coords[:, 1:] - coords[:, :1])[:, None], rule.weights)
 
 
 @dataclass
@@ -843,32 +817,21 @@ class PrismSlabProblem(_ProblemBase):
                  body_force=None, convective=True, gauge=None,
                  jump_data=None):
         self.slab = slab
-        self.n_sd = slab.n_sd
-        self.n_nodes = slab.n_nodes
-        spatial = slab.spatial
-        n_sp = spatial.n_nodes
-        self._init_common(material, bcs, body_force, convective, jump_data,
-                          np.hstack([spatial.elements,
-                                     spatial.elements + n_sp]),
-                          spatial.tag_names)
-
-        # bottom nodes are time level 0 and top nodes level 1, numbered
-        # level by level, the partition of the block Gauss-Seidel sweep
-        self.dof_levels = np.repeat(np.arange(2), n_sp * self.ncomp)
-
-        self.rule = prism_quadrature(self.n_sd, 2)
+        n_sd, n_sp = slab.n_sd, slab.spatial.n_nodes
+        self.rule = prism_quadrature(n_sd, 2)
         # the rule's ns spatial times 2 theta points, theta fastest
         shape = (len(self.rule.weights) // 2, 2)
         self.weights = self.rule.weights.reshape(shape)
         self.Nq = prism_shape_functions(
-            self.rule.points[:, :self.n_sd],
-            self.rule.points[:, self.n_sd]).reshape(shape + (-1,))
-
-        nodes = {}
-        for tag in bcs.dirichlet:
-            snodes = np.unique(spatial.boundary_facets[spatial.facets_with_tag(tag)])
-            nodes[tag] = np.concatenate([snodes, snodes + n_sp])
-        self._init_constraints(nodes, slab.node_coords(), gauge)
+            self.rule.points[:, :n_sd],
+            self.rule.points[:, n_sd]).reshape(shape + (-1,))
+        # bottom nodes are time level 0 and top nodes level 1
+        super().__init__(slab.node_coords(),
+                         np.hstack([slab.spatial.elements,
+                                    slab.spatial.elements + n_sp]),
+                         slab.spatial.tag_names, np.repeat(np.arange(2), n_sp),
+                         material, bcs, body_force, convective, gauge,
+                         jump_data)
 
     def _initial_velocity_at_nodes(self):
         if self.jump_data is not None:
@@ -935,44 +898,40 @@ class PrismSlabProblem(_ProblemBase):
     def _metric(self):
         return self._geometry[1]
 
-    def _add_traction(self, R):
-        slab = self.slab
-        n_sd, nc = self.n_sd, self.ncomp
-        n_sp = slab.spatial.n_nodes
-        for tag, fn in self.bcs.neumann.items():
-            fidx = slab.spatial.facets_with_tag(tag)
-            if len(fidx) == 0:
-                continue
-            sids = slab.spatial.boundary_facets[fidx]     # (nf, n_sd)
-            ids = np.hstack([sids, sids + n_sp])          # face nodes b then t
-            cb = slab.coords_bottom[sids]
-            ct = slab.coords_top[sids]
-            m = sids.shape[1]                             # spatial facet nodes
-            srule = _facet_simplex_rule(n_sd - 1)
-            trule = interval_gauss(2)
-            Gs = reference_gradients(n_sd - 1)            # (m, n_sd-1)
-            Rloc = np.zeros((len(ids), 2 * m, n_sd))
-            for ps, ws in zip(srule.points, srule.weights):
-                Ns = basis_eval(ps, n_sd - 1)
-                for pt, wt in zip(trule.points[:, 0], trule.weights):
-                    blend = (1.0 - pt) * cb + pt * ct     # (nf, m, n_sd)
-                    x = np.einsum("a,fad->fd", Ns, blend)
-                    t = slab.t_bottom + pt * slab.dt
-                    # tangents: spatial reference directions and theta
-                    tang = np.empty((len(ids), n_sd, n_sd + 1))
-                    tang[:, : n_sd - 1, :n_sd] = np.einsum("ad,fae->fde",
-                                                           Gs, blend)
-                    tang[:, : n_sd - 1, n_sd] = 0.0
-                    tang[:, n_sd - 1, :n_sd] = np.einsum("a,fad->fd",
-                                                         Ns, ct - cb)
-                    tang[:, n_sd - 1, n_sd] = slab.dt
-                    gram = np.einsum("fid,fjd->fij", tang, tang)
-                    area = np.sqrt(np.abs(np.linalg.det(gram)))
-                    h = np.asarray(fn(x, np.full(len(ids), t)))
-                    Nface = prism_shape_functions(ps, pt)
-                    Rloc -= (ws * wt) * np.einsum("f,a,fi->fai", area, Nface, h)
-            vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-            _add_local(R, vdofs.reshape(len(ids), -1), Rloc)
+    def _mantle_faces(self, tag):
+        """The prism faces over the tag's spatial facets, bottom nodes then
+        top nodes."""
+        spatial = self.slab.spatial
+        sids = spatial.boundary_facets[spatial.facets_with_tag(tag)]
+        return np.hstack([sids, sids + spatial.n_nodes])
+
+    def _face_quadrature(self, ids):
+        """The spatial facet rule times the 2-point Gauss rule in theta,
+        theta fastest.  The tangents at each point are the spatial reference
+        directions of the facet blended at theta, and (Ns.(x_top -
+        x_bottom), dt) along theta."""
+        slab, n_sd = self.slab, self.n_sd
+        sids = ids[:, :n_sd]
+        cb, ct = slab.coords_bottom[sids], slab.coords_top[sids]
+        srule = (interval_gauss(2) if n_sd == 2
+                 else simplex_quadrature(n_sd - 1, 2))
+        trule = interval_gauss(2)
+        ps = np.repeat(srule.points, 2, axis=0)
+        th = np.tile(trule.points[:, 0], len(srule.weights))
+        w = np.outer(srule.weights, trule.weights).ravel()
+        Ns = basis_eval(ps, n_sd - 1)                     # (nq, n_sd)
+        # the facet at each point's theta: (nf, nq, n_sd, n_sd)
+        blend = ((1.0 - th)[:, None, None] * cb[:, None]
+                 + th[:, None, None] * ct[:, None])
+        x = np.empty(blend.shape[:2] + (n_sd + 1,))
+        x[..., :n_sd] = np.einsum("qa,fqad->fqd", Ns, blend)
+        x[..., n_sd] = slab.t_bottom + th * slab.dt
+        T = np.zeros(blend.shape[:2] + (n_sd, n_sd + 1))
+        T[..., :n_sd - 1, :n_sd] = np.einsum(
+            "ad,fqae->fqde", reference_gradients(n_sd - 1), blend)
+        T[..., n_sd - 1, :n_sd] = np.einsum("qa,fad->fqd", Ns, ct - cb)
+        T[..., n_sd - 1, n_sd] = slab.dt
+        return prism_shape_functions(ps, th), x, T, w
 
 
 # -- standalone operation wrappers -------------------------------------------
@@ -1025,16 +984,15 @@ def jump_term(problem, field: SolutionField):
 def traction_term(problem) -> np.ndarray:
     """Global residual contribution of the Neumann traction term."""
     R = np.zeros(problem.n_dofs)
-    problem._add_traction(R)
+    for dofs, Rloc in problem._traction:
+        _add_local(R, dofs, Rloc)
     return R
 
 
 def dirichlet_values(bcs: BCSpec, mesh: SpaceTimeMesh):
     """(dofs, values) of the strong velocity constraints on the mantle."""
-    mask, values = _constraints(bcs, _mantle_dirichlet_nodes(bcs, mesh),
-                                mesh.nodes, None)
-    dofs = np.flatnonzero(mask)
-    return dofs, values[dofs]
+    problem = SpaceTimeProblem(mesh, MaterialParams(), bcs)
+    return problem.dir_dofs, problem.dir_values[problem.dir_dofs]
 
 
 def assemble(mesh, field: SolutionField, scenario, mode: str,

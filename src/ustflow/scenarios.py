@@ -147,7 +147,6 @@ def run_ust(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
                                convective=spec.convective,
                                gauge=spec.gauge_for(st_mesh.nodes))
     newton_cfg = newton_cfg or NewtonConfig()
-    lin_cfg = lin_cfg or default_linear_config(problem.n_dofs)
     logger.info("run_ust case=%s elements=%d dofs=%d", spec.name,
                 st_mesh.n_elements, problem.n_dofs)
     result = newton_solve(problem, problem.initial_guess(), newton_cfg, lin_cfg)
@@ -184,8 +183,6 @@ def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
     n_sp = spatial.n_nodes
     traj = spec.trajectory
     newton_cfg = newton_cfg or NewtonConfig()
-    # UST's solver: the level sweep runs over a slab's bottom and top nodes
-    lin_cfg = lin_cfg or default_linear_config(2 * n_sp * (spatial.dim + 1))
 
     prev_trace = None
     failed = None

@@ -295,51 +295,81 @@ class TestTractionTerm:
         assert np.abs(R).max() == 0.0
 
     def test_constant_traction_hand_value(self, small_st_mesh_2d):
-        mesh = small_st_mesh_2d
-        h = np.array([0.7, -0.3])
+        # each x1 mantle facet is a simplex in space-time of measure
+        # sqrt|det(E E^T)| / n_sd! for its edges E; each of its n_sd + 1
+        # nodes gets -h vol / (n_sd + 1), and the tag's unit side times the
+        # time span 0.2 gets -0.2 h in total; a triangle in 3D and a
+        # tetrahedron in 4D
+        for mesh in (small_st_mesh_2d, extrude_simplex_st(
+                box3d(2, 2, 2), ExtrusionSpec(0.0, 0.2, 2))):
+            n_sd = mesh.n_sd
+            h = np.array([0.7, -0.3, 0.2])[:n_sd]
 
-        def hfn(x, t):
-            return np.broadcast_to(h, (len(np.atleast_2d(x)), 2)).copy()
+            def hfn(x, t, h=h):
+                return np.tile(h, (len(x), 1))
 
-        problem = make_problem(mesh, neumann={"x1": hfn})
-        R = traction_term(problem).reshape(-1, 3)
+            problem = make_problem(mesh, neumann={"x1": hfn})
+            R = traction_term(problem).reshape(-1, n_sd + 1)
 
-        expected = np.zeros((mesh.n_nodes, 2))
-        tag = mesh.tag_id("x1")
-        for fidx in mesh.mantle_facets:
-            if mesh.boundary_tags[fidx] != tag:
-                continue
-            ids = mesh.boundary_facets[fidx]
-            coords = mesh.nodes[ids]
-            edges = coords[1:] - coords[0]
-            area = math.sqrt(abs(np.linalg.det(edges @ edges.T))) / 2.0
-            for node in ids:
-                expected[node] -= h * area / 3.0
-        assert np.allclose(R[:, :2], expected, atol=1e-14)
+            expected = np.zeros((mesh.n_nodes, n_sd))
+            tag = mesh.tag_id("x1")
+            for fidx in mesh.mantle_facets:
+                if mesh.boundary_tags[fidx] != tag:
+                    continue
+                ids = mesh.boundary_facets[fidx]
+                coords = mesh.nodes[ids]
+                edges = coords[1:] - coords[0]
+                vol = (math.sqrt(abs(np.linalg.det(edges @ edges.T)))
+                       / math.factorial(n_sd))
+                for node in ids:
+                    expected[node] -= h * vol / (n_sd + 1)
+            assert np.allclose(R[:, :n_sd], expected, atol=1e-14)
+            assert np.allclose(R[:, :n_sd].sum(axis=0), -0.2 * h, atol=1e-14)
 
     def test_constant_traction_hand_value_straight_prisms(self):
-        # each mantle face is a rectangle of length l and height dt with
-        # bilinear shape functions: each of its four nodes gets -h l dt / 4
-        spatial, dt = box2d(3, 2), 0.15
-        h = np.array([0.7, -0.3])
+        # each mantle face is a spatial facet of measure A times dt, with
+        # the facet's shape functions times 1 - theta or theta: each of its
+        # 2 n_sd nodes gets -h A dt / (2 n_sd), and the tag's unit side
+        # -h dt in total; a rectangle in 2D and a triangular prism in 3D
+        dt = 0.15
+        for spatial in (box2d(3, 2), box3d(2, 2, 2)):
+            n_sd = spatial.dim
+            h = np.array([0.7, -0.3, 0.2])[:n_sd]
 
-        def hfn(x, t):
-            return np.broadcast_to(h, (len(np.atleast_2d(x)), 2)).copy()
+            def hfn(x, t, h=h):
+                return np.tile(h, (len(x), 1))
 
-        slab = PrismSlab(spatial, spatial.nodes, spatial.nodes, 0.2, dt)
-        problem = PrismSlabProblem(slab, MaterialParams(rho=1.0, mu=0.1),
-                                   BCSpec(neumann={"x1": hfn},
-                                          initial=zero_ic))
-        R = traction_term(problem).reshape(-1, 3)
+            slab = PrismSlab(spatial, spatial.nodes, spatial.nodes, 0.2, dt)
+            problem = PrismSlabProblem(slab, MaterialParams(rho=1.0, mu=0.1),
+                                       BCSpec(neumann={"x1": hfn},
+                                              initial=zero_ic))
+            R = traction_term(problem).reshape(-1, n_sd + 1)
 
-        n_sp = spatial.n_nodes
-        expected = np.zeros((2 * n_sp, 2))
-        for a, b in spatial.boundary_facets[spatial.facets_with_tag("x1")]:
-            length = np.linalg.norm(spatial.nodes[a] - spatial.nodes[b])
-            for node in (a, b, a + n_sp, b + n_sp):
-                expected[node] -= h * length * dt / 4.0
-        assert expected.any()
-        assert np.allclose(R[:, :2], expected, atol=1e-14)
+            n_sp = spatial.n_nodes
+            expected = np.zeros((2 * n_sp, n_sd))
+            for ids in spatial.boundary_facets[spatial.facets_with_tag("x1")]:
+                edges = spatial.nodes[ids[1:]] - spatial.nodes[ids[0]]
+                area = (math.sqrt(abs(np.linalg.det(edges @ edges.T)))
+                        / math.factorial(n_sd - 1))
+                for node in np.concatenate([ids, ids + n_sp]):
+                    expected[node] -= h * area * dt / (2 * n_sd)
+            assert expected.any()
+            assert np.allclose(R[:, :n_sd], expected, atol=1e-14)
+            assert np.allclose(R[:, :n_sd].sum(axis=0), -h * dt, atol=1e-14)
+
+    def test_traction_computed_once_per_problem(self, rng):
+        # the traction data do not depend on the iterate: one call of the
+        # tag's function per problem, over a matrix and a residual-only
+        # system
+        for problem in (twisted_prism_problem(rng), twisted_simplex_problem()):
+            fn, calls = problem.bcs.neumann["x1"], []
+            problem.bcs.neumann["x1"] = (
+                lambda x, t, fn=fn: calls.append(len(x)) or fn(x, t))
+            U = problem.initial_guess()
+            _, rhs, _ = problem.system(U)
+            _, rhs2, _ = problem.system(U, want_matrix=False)
+            assert len(calls) == 1
+            assert np.array_equal(rhs, rhs2)
 
     def test_dirichlet_neumann_overlap_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -369,6 +399,33 @@ class TestDirichletValues:
         # spot value: node at (r, 0) moves with (0, omega r)
         v = rigid_surface_velocity(omega, (0.0, 0.0))(np.array([[0.5, 0.0]]))
         assert np.allclose(v, [[0.0, omega * 0.5]], atol=1e-15)
+
+    def test_slab_rows(self, rng):
+        # the velocity dofs of x0's spatial nodes at both levels, and the
+        # gauge's pressure dof
+        problem = twisted_prism_problem(rng)
+        slab = problem.slab
+        spatial, n_sp = slab.spatial, slab.spatial.n_nodes
+        snodes = np.unique(spatial.boundary_facets[
+            spatial.facets_with_tag("x0")])
+        nodes = np.concatenate([snodes, snodes + n_sp])
+        assert np.array_equal(problem.dir_dofs, np.sort(np.concatenate(
+            [3 * nodes, 3 * nodes + 1, [2]])))
+        assert problem.dir_values[2] == 0.1
+
+        # the tag's data at each node's moved position and time level
+        def fn(x, t):
+            return np.column_stack([x[:, 1] + t, x[:, 0] * t])
+
+        other = PrismSlabProblem(slab, MaterialParams(),
+                                 BCSpec(dirichlet={"x0": fn}), gauge=(0, 0.1))
+        assert np.array_equal(other.dir_dofs, problem.dir_dofs)
+        x = np.vstack([slab.coords_bottom, slab.coords_top])[nodes]
+        t = np.repeat([slab.t_bottom, slab.t_bottom + slab.dt], len(snodes))
+        assert np.allclose(other.dir_values[3 * nodes], x[:, 1] + t,
+                           rtol=0, atol=1e-15)
+        assert np.allclose(other.dir_values[3 * nodes + 1], x[:, 0] * t,
+                           rtol=0, atol=1e-15)
 
 
 class TestJacobianFD:

@@ -238,20 +238,26 @@ class TestLinearSolverChoice:
             assert cfg.method == "gmres_restarted"
 
     def test_run_slab_uses_time_level_gmres(self, monkeypatch):
-        calls = []
-        newton = scenarios.newton_solve
+        # run_slab leaves the linear solver to newton_solve's default; the
+        # solves that run are GMRES over a slab's bottom and top levels
+        calls, methods = [], []
+        newton, solve = scenarios.newton_solve, solver.solve_linear_system
 
         def spy(problem, values, cfg, lin_cfg):
-            calls.append((lin_cfg.method, problem.dof_levels,
-                          problem.n_dofs // 2))
+            calls.append((problem.dof_levels, problem.n_dofs // 2))
             return newton(problem, values, cfg, lin_cfg)
 
+        def solve_spy(A, b, cfg, precond=None):
+            methods.append(cfg.method)
+            return solve(A, b, cfg, precond)
+
         monkeypatch.setattr(scenarios, "newton_solve", spy)
+        monkeypatch.setattr(solver, "solve_linear_system", solve_spy)
         res = run_slab(make_manufactured(n=3, levels=2))
         assert res.diagnostics["converged"]
         assert len(calls) == 2
-        for method, levels, per_level in calls:
-            assert method == "gmres_restarted"
+        assert methods and set(methods) == {"gmres_restarted"}
+        for levels, per_level in calls:
             assert np.array_equal(levels, np.repeat([0, 1], per_level))
 
     def test_dof_levels_follow_node_times(self):

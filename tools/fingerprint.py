@@ -11,7 +11,9 @@ the first Newton system and the final solved fields.  The digests cover
 - the first Newton system (CSR ``data``, ``indices``, ``indptr`` and the
   right-hand side) of the stirrer2d UST problem, of its first prism slab
   and of the stirrer3d UST problem;
-- the final stirrer2d fields of ``run_ust`` and ``run_slab``.
+- the final stirrer2d fields of ``run_ust`` and ``run_slab``;
+- the first Newton system of channel2d in both modes, the one shipped
+  case with a Neumann tag, so the only lines that cover the traction term.
 
 The final UST field's bytes depend on the BLAS thread count, so the
 thread counts are pinned to 1 before numpy is imported.  The script peaks
@@ -37,8 +39,8 @@ from ustflow.assembly import (PrismSlab, PrismSlabProblem,  # noqa: E402
                               SpaceTimeProblem)
 from ustflow.extrude import (ExtrusionSpec, extrude_simplex_st,  # noqa: E402
                              rigid_rotation_positions)
-from ustflow.scenarios import (make_stirrer2d, make_stirrer3d,  # noqa: E402
-                               run_slab, run_ust)
+from ustflow.scenarios import (make_channel2d, make_stirrer2d,  # noqa: E402
+                               make_stirrer3d, run_slab, run_ust)
 from ustflow.stabilization import mesh_metric  # noqa: E402
 
 
@@ -88,6 +90,9 @@ def main():
     print("field  stirrer2d ust  ", digest(run_ust(s2).field.values))
     slab = run_slab(s2)
     print("field  stirrer2d slab ", digest(slab.final_values, *slab.fields))
+    c2 = make_channel2d()
+    print("system channel2d ust  ", first_system(ust_problem(c2)))
+    print("system channel2d slab ", first_system(first_slab_problem(c2)))
 
 
 if __name__ == "__main__":
