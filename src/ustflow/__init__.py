@@ -10,7 +10,7 @@ fields at arbitrary times for visualization.
 
 from .assembly import (BCSpec, LinearSystem, MaterialParams, PrismSlab,
                        PrismSlabProblem, SolutionField, SpaceTimeProblem,
-                       assemble, dirichlet_values, element_jacobian_matrix,
+                       dirichlet_values, element_jacobian_matrix,
                        element_residual, jump_term, rigid_surface_velocity,
                        traction_term, zero_velocity)
 from .extrude import (ExtrusionSpec, NodeTrajectory, decompose_prism,

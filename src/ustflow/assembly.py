@@ -994,24 +994,3 @@ def dirichlet_values(bcs: BCSpec, mesh: SpaceTimeMesh):
     problem = SpaceTimeProblem(mesh, MaterialParams(), bcs)
     return problem.dir_dofs, problem.dir_values[problem.dir_dofs]
 
-
-def assemble(mesh, field: SolutionField, scenario, mode: str,
-             tau_override=None, jump_data=None):
-    """Assemble the Newton system for a scenario in the requested mode.
-
-    ``mode`` is "ust_simplex" (mesh: SpaceTimeMesh) or "slab_prism"
-    (mesh: PrismSlab).  Returns (LinearSystem, residual_norm).
-    """
-    kwargs = dict(material=scenario.material, bcs=scenario.bcs,
-                  body_force=scenario.body_force,
-                  convective=scenario.convective, jump_data=jump_data)
-    if mode == "ust_simplex":
-        problem = SpaceTimeProblem(mesh, gauge=scenario.gauge_for(mesh.nodes),
-                                   **kwargs)
-    elif mode == "slab_prism":
-        problem = PrismSlabProblem(
-            mesh, gauge=scenario.gauge_for(mesh.node_coords()), **kwargs)
-    else:
-        raise ConfigurationError(f"unknown assembly mode {mode!r}")
-    system, _, norm = problem.system(field.values, tau_override=tau_override)
-    return system, norm

@@ -44,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", help="builtin case name")
     p.add_argument("--config", help="scenario config file")
     p.add_argument("--mode", choices=["ust", "slab"])
-    p.add_argument("--levels", type=int)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--levels", type=int,
+                   help="time levels of the grid, in both modes")
     p.add_argument("--out", default=".")
     p.add_argument("--slice-time", type=float)
     p.add_argument("--max-iter", type=int, default=40)
@@ -109,18 +109,10 @@ def _cmd_run(args, parser) -> int:
                          f"(known: {sorted(registry)})")
         spec = registry[args.case]()
     mode = args.mode or spec.mode
-    if mode == "ust" and args.dt is not None:
-        parser.error("--dt applies to slab mode only")
-    if mode == "slab" and args.levels is not None:
-        parser.error("--levels applies to ust mode only")
-    if args.levels is not None and args.levels < 1:
-        parser.error(f"--levels must be at least 1, got {args.levels}")
-    if args.dt is not None and not args.dt > 0:
-        parser.error(f"--dt must be positive, got {args.dt:g}")
     if args.levels is not None:
+        if args.levels < 1:
+            parser.error(f"--levels must be at least 1, got {args.levels}")
         spec.levels = args.levels
-    if args.dt is not None:
-        spec.dt = args.dt
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

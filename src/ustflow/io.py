@@ -184,7 +184,7 @@ def read_result(path):
 
 # -- scenario configuration ---------------------------------------------------
 
-_CASE_KEYS = {"base", "name", "mode", "levels", "dt", "t_end", "mesh"}
+_CASE_KEYS = {"base", "name", "mode", "levels", "t_end", "mesh"}
 _MATERIAL_KEYS = {"rho", "mu", "convective"}
 _ROTATION_KEYS = {"omega", "center", "axis"}
 _SECTIONS = {"case": _CASE_KEYS, "material": _MATERIAL_KEYS,
@@ -195,11 +195,10 @@ def read_config(path):
     """Parse a ``key = value`` scenario file into a ScenarioSpec.
 
     The file must name a builtin base case; remaining keys override its
-    scalar parameters.  A file that sets ``t_end`` or ``levels`` but not
-    ``dt`` gets dt = t_end / levels.  Unknown sections or keys raise
-    UnknownKey with the offending line number, and values out of range
-    (levels, t_end or dt not positive, or a material ``MaterialParams``
-    rejects) raise ParseError naming the key and the line.
+    scalar parameters.  Unknown sections or keys raise UnknownKey with the
+    offending line number, and values out of range (levels or t_end not
+    positive, or a material ``MaterialParams`` rejects) raise ParseError
+    naming the key and the line.
     """
     from .scenarios import builtin_cases
 
@@ -258,7 +257,7 @@ def read_config(path):
 
     # no key is in two sections
     for (_, key), (no, value) in entries.items():
-        if key in ("levels", "dt", "t_end"):
+        if key in ("levels", "t_end"):
             x = as_number(no, value, int if key == "levels" else float)
             if not x > 0:
                 raise ParseError(f"{key} must be positive, got {value!r}",
@@ -283,9 +282,6 @@ def read_config(path):
             spec.mode = value
         else:  # name; base and mesh are taken above
             spec.name = value
-    case_keys = {key for section, key in entries if section == "case"}
-    if "dt" not in case_keys and case_keys & {"t_end", "levels"}:
-        spec.dt = spec.t_end / spec.levels
     return spec
 
 

@@ -1,11 +1,15 @@
-"""Case definitions and the two execution drivers.
+"""Case definitions and the two ways of marching through a case's time grid.
 
-``run_ust`` performs one nonlinear solve over the full (possibly twisted)
-space-time mesh; ``run_slab`` marches tensor-product slabs whose node
-positions follow the rigid rotation, which realizes the ALE mesh-movement
-description inside the space-time geometry.  Node correspondence between a
-slab's top and the next slab's bottom is exact, so the trace transfer is a
-node-to-node copy.
+A ``ScenarioSpec`` owns one time grid: ``levels`` uniform steps of
+``dt = t_end / levels`` from 0 to ``t_end``.  It hands out the pieces of
+that grid and the problem on each: the twisted space-time mesh over all
+levels (``ust_mesh``), the tensor-product slab between levels n and n + 1
+(``slab``), and the ``SpaceTimeProblem`` or ``PrismSlabProblem`` on a piece
+(``problem``).  ``run_ust`` solves once over the whole mesh; ``run_slab``
+solves the slabs in turn, with node positions that follow the rigid
+rotation, which realizes the ALE mesh-movement description inside the
+space-time geometry.  Node correspondence between a slab's top and the next
+slab's bottom is exact, so the trace transfer is a node-to-node copy.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .assembly import (BCSpec, MaterialParams, PrismSlab, PrismSlabProblem,
                        SolutionField, SpaceTimeProblem,
                        rigid_surface_velocity, zero_velocity)
-from .errors import ConfigurationError, NotConverged
+from .errors import NotConverged
 from .extrude import (ExtrusionSpec, NodeTrajectory, extrude_simplex_st,
                       rigid_rotation_positions)
 from .geometry import annulus2d, box2d
@@ -51,7 +55,6 @@ class ScenarioSpec:
     center: tuple = (0.0, 0.0)
     axis: tuple = (0.0, 0.0, 1.0)
     levels: int = STIRRER_LEVELS
-    dt: float = None
     mode: str = "ust"
     gauge_value_fn: object = None  # exact pressure fn(x, t) for pinning
     exact_solution: object = None  # fn(x, t) -> (n, k) reference components
@@ -59,8 +62,12 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if self.dt is None:
-            self.dt = self.t_end / self.levels
+        if self.levels < 1:
+            raise ValueError("levels must be at least 1")
+
+    @property
+    def dt(self) -> float:
+        return self.t_end / self.levels
 
     @property
     def trajectory(self) -> NodeTrajectory:
@@ -68,6 +75,31 @@ class ScenarioSpec:
             return NodeTrajectory("static")
         return NodeTrajectory("rigid_rotation", tuple(self.center),
                               tuple(self.axis), self.omega)
+
+    def ust_mesh(self) -> SpaceTimeMesh:
+        """The twisted space-time mesh over all levels of the grid."""
+        return extrude_simplex_st(self.mesh, ExtrusionSpec(
+            0.0, self.t_end, self.levels, self.trajectory))
+
+    def slab(self, n: int) -> PrismSlab:
+        """The prism slab from ``n * dt`` to one ``dt`` later, its nodes
+        rotated rigidly to both times."""
+        dt = self.dt
+        t_b = n * dt
+        nodes, traj = self.mesh.nodes, self.trajectory
+        return PrismSlab(self.mesh, rigid_rotation_positions(nodes, traj, t_b),
+                         rigid_rotation_positions(nodes, traj, t_b + dt),
+                         t_b, dt)
+
+    def problem(self, piece, jump_data=None):
+        """The problem of this case on ``piece``, the UST mesh or a slab."""
+        if isinstance(piece, PrismSlab):
+            cls, node_xt = PrismSlabProblem, piece.node_coords()
+        else:
+            cls, node_xt = SpaceTimeProblem, piece.nodes
+        return cls(piece, self.material, self.bcs, body_force=self.body_force,
+                   convective=self.convective, gauge=self.gauge_for(node_xt),
+                   jump_data=jump_data)
 
     def needs_gauge(self) -> bool:
         return len(self.bcs.neumann) == 0
@@ -140,12 +172,8 @@ def default_linear_config(n_dofs: int) -> LinearSolverConfig:
 def run_ust(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
             lin_cfg: LinearSolverConfig = None) -> UstRunResult:
     """Single nonlinear solve over the full twisted space-time domain."""
-    st_mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
-        0.0, spec.t_end, spec.levels, spec.trajectory))
-    problem = SpaceTimeProblem(st_mesh, spec.material, spec.bcs,
-                               body_force=spec.body_force,
-                               convective=spec.convective,
-                               gauge=spec.gauge_for(st_mesh.nodes))
+    st_mesh = spec.ust_mesh()
+    problem = spec.problem(st_mesh)
     newton_cfg = newton_cfg or NewtonConfig()
     logger.info("run_ust case=%s elements=%d dofs=%d", spec.name,
                 st_mesh.n_elements, problem.n_dofs)
@@ -161,45 +189,26 @@ def run_ust(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
 
 
 def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
-             lin_cfg: LinearSolverConfig = None, n_slabs: int = None,
-             dt: float = None) -> SlabRunResult:
-    """March time slabs with rigid mesh rotation (ALE-equivalent mode).
+             lin_cfg: LinearSolverConfig = None) -> SlabRunResult:
+    """March the slabs of the grid with rigid mesh rotation (ALE-equivalent
+    mode), each starting from the previous slab's top trace.
 
     Marching stops after the first slab whose Newton solve does not
     converge, as every later slab would start from its trace; its index is
     ``diagnostics["failed_slab"]`` (None when all converged).
     """
-    dt = dt or spec.dt
-    if n_slabs is None:
-        n_slabs = int(round(spec.t_end / dt))
-        if abs(n_slabs * dt - spec.t_end) > 1e-9 * max(spec.t_end, dt):
-            logger.warning("run_slab: %d slabs of dt=%g end at %g, not t_end=%g",
-                           n_slabs, dt, n_slabs * dt, spec.t_end)
-    if n_slabs < 1:
-        raise ConfigurationError(
-            f"run_slab: t_end={spec.t_end:g} and dt={dt:g} give {n_slabs} "
-            "slabs; need at least one")
-    spatial = spec.mesh
-    n_sp = spatial.n_nodes
-    traj = spec.trajectory
+    n_sp = spec.mesh.n_nodes
     newton_cfg = newton_cfg or NewtonConfig()
 
     prev_trace = None
     failed = None
     slabs, fields, newtons = [], [], []
-    for n in range(n_slabs):
-        t_b = n * dt
-        cb = rigid_rotation_positions(spatial.nodes, traj, t_b)
-        ct = rigid_rotation_positions(spatial.nodes, traj, t_b + dt)
-        slab = PrismSlab(spatial, cb, ct, t_b, dt)
-        problem = PrismSlabProblem(slab, spec.material, spec.bcs,
-                                   body_force=spec.body_force,
-                                   convective=spec.convective,
-                                   gauge=spec.gauge_for(slab.node_coords()),
-                                   jump_data=prev_trace)
+    for n in range(spec.levels):
+        slab = spec.slab(n)
+        problem = spec.problem(slab, jump_data=prev_trace)
         result = newton_solve(problem, problem.initial_guess(), newton_cfg,
                               lin_cfg)
-        logger.info("slab %d/%d iters=%d res=%.3e", n + 1, n_slabs,
+        logger.info("slab %d/%d iters=%d res=%.3e", n + 1, spec.levels,
                     result.iterations, result.trace[-1])
         slabs.append(slab)
         fields.append(result.values)
@@ -209,17 +218,17 @@ def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
             logger.warning("run_slab: slab %d did not converge (res=%.3e); "
                            "stopping", n, result.trace[-1])
             break
-        prev_trace = result.values[n_sp:, : spatial.dim]
+        prev_trace = result.values[n_sp:, : spec.mesh.dim]
 
     final_values = fields[-1][n_sp:]
     diagnostics = {
-        "n_slabs": n_slabs,
+        "n_slabs": spec.levels,
         "newton_iterations": [r.iterations for r in newtons],
         "converged": failed is None,
         "failed_slab": failed,
         "newton_traces": [r.trace for r in newtons],
     }
-    return SlabRunResult(spatial, slabs, fields, newtons,
+    return SlabRunResult(spec.mesh, slabs, fields, newtons,
                          slabs[-1].coords_top.copy(), final_values,
                          diagnostics)
 
@@ -322,7 +331,7 @@ def make_stirrer2d(mesh: SimplexMesh = None, levels: int = STIRRER_LEVELS,
     return ScenarioSpec("stirrer2d", 2, mesh,
                         MaterialParams(rho=1.0, mu=STIRRER_MU), bcs,
                         t_end=t_end, omega=omega, center=(0.0, 0.0),
-                        levels=levels, dt=STIRRER_DT)
+                        levels=levels)
 
 
 def make_stirrer3d(mesh: SimplexMesh = None, coarse: bool = False,
@@ -341,7 +350,7 @@ def make_stirrer3d(mesh: SimplexMesh = None, coarse: bool = False,
     return ScenarioSpec("stirrer3d", 3, mesh,
                         MaterialParams(rho=1.0, mu=STIRRER_MU), bcs,
                         t_end=t_end, omega=omega, center=(0.0, 0.0, 0.0),
-                        axis=axis, levels=levels, dt=STIRRER_DT)
+                        axis=axis, levels=levels)
 
 
 def make_couette2d(n_r: int = 12, n_theta: int = 36, levels: int = 6,

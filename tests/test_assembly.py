@@ -641,31 +641,21 @@ class TestPrismViscousOperator:
 
 
 class TestAssembleDriver:
+    """A spec's problem builder, on its UST mesh and on one of its slabs."""
+
     def test_both_modes_produce_systems(self):
-        from ustflow.assembly import assemble
-        from ustflow.scenarios import make_manufactured, STIRRER_DT
+        from ustflow.scenarios import make_manufactured
         spec = make_manufactured(n=4, levels=2, t_end=0.2)
-        st = extrude_simplex_st(spec.mesh, ExtrusionSpec(0.0, 0.2, 2))
-        field = SolutionField(np.zeros((st.n_nodes, 3)), 2)
-        system, norm = assemble(st, field, spec, "ust_simplex")
+        st = spec.ust_mesh()
+        system, _, norm = spec.problem(st).system(np.zeros((st.n_nodes, 3)))
         assert system.matrix.shape == (st.n_nodes * 3, st.n_nodes * 3)
         assert norm > 0.0
 
-        slab = PrismSlab(spec.mesh, spec.mesh.nodes, spec.mesh.nodes,
-                         0.0, 0.1)
-        field2 = SolutionField(np.zeros((2 * spec.mesh.n_nodes, 3)), 2)
-        system2, norm2 = assemble(slab, field2, spec, "slab_prism")
+        problem = spec.problem(spec.slab(1), jump_data=np.zeros(
+            (spec.mesh.n_nodes, 2)))
+        system2, _, norm2 = problem.system(np.zeros((problem.n_nodes, 3)))
         assert system2.matrix.shape[0] == 2 * spec.mesh.n_nodes * 3
         assert norm2 > 0.0
-
-    def test_unknown_mode_rejected(self):
-        from ustflow.assembly import assemble
-        from ustflow.scenarios import make_manufactured
-        spec = make_manufactured(n=3, levels=2)
-        st = extrude_simplex_st(spec.mesh, ExtrusionSpec(0.0, 0.1, 2))
-        field = SolutionField(np.zeros((st.n_nodes, 3)), 2)
-        with pytest.raises(ConfigurationError):
-            assemble(st, field, spec, "bogus")
 
 
 class TestDeterminism:
@@ -1322,12 +1312,7 @@ class TestNoThreads:
         problems = [make_problem(small_st_mesh_2d), pentatope_problem(rng),
                     twisted_simplex_problem(), twisted_prism_problem(rng)]
         for spec in (make_stirrer2d(), make_stirrer3d(coarse=True)):
-            # the first slab of run_slab
-            slab = PrismSlab(spec.mesh, spec.mesh.nodes, spec.mesh.nodes,
-                             0.0, spec.dt)
-            problems.append(PrismSlabProblem(
-                slab, spec.material, spec.bcs, gauge=spec.gauge_for(
-                    slab.node_coords())))
+            problems.append(spec.problem(spec.slab(0)))  # run_slab's first
         with caplog.at_level(logging.INFO, logger="ustflow"):
             for problem in problems:
                 U = problem.initial_guess()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import ustflow.mesh as mesh_module
-from ustflow.assembly import SpaceTimeProblem
 from ustflow.errors import InvertedElement
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory, decompose_prism,
                              extrude_simplex_st, max_admissible_twist,
@@ -165,10 +164,8 @@ class TestExtrusion:
             return det_of(nodes, elements)
 
         monkeypatch.setattr(mesh_module, "_det_of", counted)
-        st = extrude_simplex_st(spec.mesh, ExtrusionSpec(
-            0.0, spec.t_end, spec.levels, spec.trajectory))
-        problem = SpaceTimeProblem(st, spec.material, spec.bcs,
-                                   gauge=spec.gauge_for(st.nodes))
+        st = spec.ust_mesh()
+        problem = spec.problem(st)
         problem.system(problem.initial_guess())
         assert calls == [st.n_elements]
 

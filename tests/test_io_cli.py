@@ -122,7 +122,6 @@ class TestConfig:
             "mode = slab\n"
             "levels = 3\n"
             "t_end = 0.25\n"
-            "dt = 0.05\n"
             "[material]\n"
             "rho = 1.0\n"
             "mu = 0.07\n"
@@ -134,13 +133,20 @@ class TestConfig:
         assert spec.mode == "slab"
         assert spec.levels == 3
         assert spec.t_end == 0.25
-        assert spec.dt == 0.05
+        assert spec.dt == 0.25 / 3
         assert spec.material.mu == 0.07
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = tmp_path / "case.cfg"
         path.write_text("[case]\nbase = manufactured\nbogus = 1\n")
         with pytest.raises(UnknownKey) as err:
+            read_config(path)
+        assert err.value.line == 3
+
+    def test_dt_is_unknown_key(self, tmp_path):
+        path = tmp_path / "case.cfg"
+        path.write_text("[case]\nbase = manufactured\ndt = 0.05\n")
+        with pytest.raises(UnknownKey, match="unknown key 'dt'") as err:
             read_config(path)
         assert err.value.line == 3
 
@@ -186,8 +192,8 @@ class TestConfig:
     @pytest.mark.parametrize("lines, levels, dt", [
         ("base = couette2d\nt_end = 1.0\n", 6, 1.0 / 6),
         ("base = manufactured\nlevels = 12\n", 12, 0.5 / 12),
-        ("base = couette2d\nt_end = 1.0\ndt = 0.25\n", 6, 0.25),
-    ], ids=["t_end", "levels", "dt"])
+        ("base = couette2d\nt_end = 1.0\nlevels = 4\n", 4, 0.25),
+    ], ids=["t_end", "levels", "t_end_levels"])
     def test_dt_defaults_to_t_end_over_levels(self, tmp_path, lines, levels,
                                               dt):
         path = tmp_path / "case.cfg"
@@ -230,11 +236,12 @@ class TestCli:
             cli.main([])
         assert exc.value.code == 2
 
-    def test_conflicting_mode_flags_exit_2(self, capsys):
+    def test_dt_flag_is_unknown_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--case", "manufactured", "--mode", "ust",
+            cli.main(["run", "--case", "manufactured", "--mode", "slab",
                       "--dt", "0.1"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
     def test_unknown_case_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -317,7 +324,7 @@ class TestCli:
     def test_run_trace_records_forcing_term(self, tmp_path, mode):
         cfg = tmp_path / "case.cfg"
         cfg.write_text("[case]\nbase = manufactured\nlevels = 2\n"
-                       "t_end = 0.1\ndt = 0.05\n")
+                       "t_end = 0.1\n")
         outdir = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--mode", mode,
                          "--out", str(outdir)]) == 0
@@ -389,6 +396,14 @@ class TestCli:
         assert mesh.dim == 3
         assert values.shape == (mesh.n_nodes, 3)
 
+    def test_run_slab_mode_with_levels(self, tmp_path):
+        outdir = tmp_path / "o"
+        assert cli.main(["run", "--case", "manufactured", "--mode", "slab",
+                         "--levels", "3", "--out", str(outdir)]) == 0
+        lines = (outdir / "newton_trace.log").read_text().splitlines()
+        assert {line.split()[0] for line in lines} == {
+            "solve=0", "solve=1", "solve=2"}
+
     def test_run_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "case.cfg"
         cfg.write_text("[case]\nbase = manufactured\nlevels = 2\n"
@@ -405,7 +420,7 @@ class TestCli:
     def test_run_slab_mode(self, tmp_path):
         cfg = tmp_path / "case.cfg"
         cfg.write_text("[case]\nbase = manufactured\nt_end = 0.1\n"
-                       "dt = 0.05\n")
+                       "levels = 2\n")
         outdir = tmp_path / "slab_out"
         code = cli.main(["run", "--config", str(cfg), "--mode", "slab",
                          "--out", str(outdir)])
@@ -417,7 +432,7 @@ class TestCli:
     def test_run_slab_names_failed_slab(self, tmp_path, capsys):
         cfg = tmp_path / "case.cfg"
         cfg.write_text("[case]\nbase = manufactured\nt_end = 0.1\n"
-                       "dt = 0.05\n")
+                       "levels = 2\n")
         code = cli.main(["run", "--config", str(cfg), "--mode", "slab",
                          "--max-iter", "1", "--out", str(tmp_path / "o")])
         assert code == 1
@@ -437,8 +452,7 @@ class TestCli:
         ("case", "levels = 0", "levels must be positive, got '0'"),
         ("case", "levels = -2", "levels must be positive, got '-2'"),
         ("case", "t_end = -1", "t_end must be positive, got '-1'"),
-        ("case", "dt = 0", "dt must be positive, got '0'"),
-    ], ids=["mu", "rho", "levels_0", "levels_neg", "t_end", "dt"])
+    ], ids=["mu", "rho", "levels_0", "levels_neg", "t_end"])
     def test_run_config_out_of_range_names_key_and_line(
             self, tmp_path, capsys, section, line, message):
         cfg = tmp_path / "case.cfg"
@@ -451,8 +465,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["--mode", "ust", "--levels", "0"], "--levels must be at least 1"),
-        (["--mode", "slab", "--dt", "0"], "--dt must be positive"),
-    ], ids=["levels", "dt"])
+    ], ids=["levels"])
     def test_run_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys,
                                                      argv, message):
         with pytest.raises(SystemExit) as exc:

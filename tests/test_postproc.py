@@ -210,19 +210,14 @@ def reference_slice(st_mesh, values, t, tol=None):
     return SliceResult(mesh, np.vstack(out_values), t)
 
 
-def ust_mesh(spec):
-    return extrude_simplex_st(spec.mesh, ExtrusionSpec(
-        0.0, spec.t_end, spec.levels, spec.trajectory))
-
-
 @pytest.fixture(scope="module")
 def stirrer2d_st():
-    return ust_mesh(scenarios.make_stirrer2d())
+    return scenarios.make_stirrer2d().ust_mesh()
 
 
 @pytest.fixture(scope="module")
 def stirrer3d_coarse_st():
-    return ust_mesh(scenarios.make_stirrer3d(coarse=True))
+    return scenarios.make_stirrer3d(coarse=True).ust_mesh()
 
 
 def assert_same_slice(st, t, rng):

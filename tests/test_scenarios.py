@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import ustflow.scenarios as scenarios
-from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
-                              PrismSlabProblem, SpaceTimeProblem)
-from ustflow.errors import ConfigurationError, NotConverged
-from ustflow.extrude import ExtrusionSpec, extrude_simplex_st, rotation_matrix
+from ustflow.assembly import BCSpec, MaterialParams
+from ustflow.errors import NotConverged
+from ustflow.extrude import rotation_matrix
 from ustflow.geometry import box2d
 from ustflow.mesh import SimplexMesh
 from ustflow.postproc import probe, slice_at_time
@@ -19,7 +18,8 @@ from ustflow.scenarios import (ScenarioSpec, builtin_cases,
                                make_stirrer2d, manufactured_exact_factory,
                                run_slab, run_ust)
 import ustflow.solver as solver
-from ustflow.solver import LinearSolverConfig, NewtonConfig, direct_lu
+from ustflow.solver import (LinearSolverConfig, NewtonConfig, NewtonResult,
+                            direct_lu)
 
 
 def constant_scenario(c, n=3, t_end=0.3, levels=3):
@@ -83,10 +83,40 @@ class TestManufactured:
         assert np.abs(div).max() < 1e-8
 
 
+GRID_CASES = {"stirrer2d_6_levels": lambda: make_stirrer2d(levels=6),
+              **builtin_cases()}
+
+
+class TestTimeGrid:
+    def test_zero_levels_rejected(self):
+        with pytest.raises(ValueError, match="levels must be at least 1"):
+            constant_scenario([0.0, 0.0], levels=0)
+
+    @pytest.mark.parametrize("make", GRID_CASES.values(), ids=GRID_CASES)
+    def test_slab_n_spans_ust_levels_n_and_n_plus_1(self, make, monkeypatch):
+        # run_slab marches the slabs of the UST mesh's time levels; Newton
+        # is stubbed out, as only the slabs' node times are compared
+        def no_solve(problem, values, cfg, lin_cfg):
+            return NewtonResult(values, [0.0], 0, True, "converged")
+
+        monkeypatch.setattr(scenarios, "newton_solve", no_solve)
+        spec = make()
+        times = np.unique(spec.ust_mesh().times)
+        slabs = run_slab(spec).slabs
+        assert len(times) == len(slabs) + 1 == spec.levels + 1
+        n_sp = spec.mesh.n_nodes
+        for n, slab in enumerate(slabs):
+            t = slab.node_coords()[:, -1]
+            # n * dt + dt and linspace's (n + 1) * dt differ by rounding
+            np.testing.assert_allclose(t[:n_sp], times[n], rtol=0.0,
+                                       atol=1e-12 * spec.t_end)
+            np.testing.assert_allclose(t[n_sp:], times[n + 1], rtol=0.0,
+                                       atol=1e-12 * spec.t_end)
+
+
 class TestSlabMarching:
     def test_slab_count_bookkeeping(self):
-        spec = constant_scenario([0.2, 0.1], t_end=17 * 0.01)
-        spec.dt = 0.01
+        spec = constant_scenario([0.2, 0.1], t_end=17 * 0.01, levels=17)
         res = run_slab(spec)
         assert res.diagnostics["n_slabs"] == 17
         assert len(res.slabs) == 17
@@ -99,12 +129,6 @@ class TestSlabMarching:
         assert len(res.slabs) == len(res.fields) == len(res.newtons) == 1
         assert res.diagnostics["failed_slab"] == 0
         assert res.diagnostics["converged"] is False
-
-    def test_zero_slabs_rejected_before_marching(self):
-        spec = make_manufactured(n=3, t_end=0.01)
-        with pytest.raises(ConfigurationError,
-                           match=r"t_end=0\.01 and dt=0\.05"):
-            run_slab(spec, dt=0.05)
 
     def test_poiseuille_stationary_across_slabs(self):
         # starting from the exact-profile interpolant, the march relaxes
@@ -128,9 +152,9 @@ class TestSlabMarching:
         assert err < 0.04 * np.abs(exact).max()
 
     def test_final_mesh_is_spatial_mesh_at_final_positions(self):
-        spec = make_couette2d(n_r=4, n_theta=12, t_end=0.4, levels=2)
+        spec = make_couette2d(n_r=4, n_theta=12, t_end=0.2, levels=1)
         spec.omega = 1.0  # the mesh rotates rigidly with the inner wall
-        res = run_slab(spec, n_slabs=1)
+        res = run_slab(spec)
         final, spatial = res.final_mesh, spec.mesh
         assert np.array_equal(final.nodes, res.slabs[-1].coords_top)
         assert not np.array_equal(final.nodes, spatial.nodes)
@@ -140,7 +164,7 @@ class TestSlabMarching:
 
     def test_warm_start_transfer_is_node_to_node(self):
         spec = make_couette2d(n_r=4, n_theta=12, t_end=0.4, levels=2)
-        res = run_slab(spec, n_slabs=2)
+        res = run_slab(spec)
         n_sp = spec.mesh.n_nodes
         first_top = res.fields[0][n_sp:, :2]
         # the second slab's jump data was the first top trace; with matching
@@ -155,7 +179,7 @@ class TestModeConsistency:
     def test_single_level_ust_matches_single_slab(self):
         spec = make_manufactured(n=10, levels=1, t_end=0.1)
         ust = run_ust(spec)
-        slab = run_slab(spec, n_slabs=1, dt=0.1)
+        slab = run_slab(spec)
         n_sp = spec.mesh.n_nodes
         u_ust = ust.field.values.reshape(2, n_sp, 3)  # level-major nodes
         u_slab = slab.fields[0].reshape(2, n_sp, 3)
@@ -208,9 +232,7 @@ class TestRegistry:
 
     def test_gauge_pins_one_node_per_level(self):
         spec = make_manufactured(n=4, levels=3)
-        from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
-        st = extrude_simplex_st(spec.mesh,
-                                ExtrusionSpec(0.0, spec.t_end, 3))
+        st = spec.ust_mesh()
         pins = spec.gauge_for(st.nodes)
         assert len(pins) == 4  # one per node-time level
         times = sorted(st.nodes[n, 2] for n, _ in pins)
@@ -262,10 +284,8 @@ class TestLinearSolverChoice:
 
     def test_dof_levels_follow_node_times(self):
         spec = make_stirrer2d(levels=3)
-        st = extrude_simplex_st(spec.mesh, ExtrusionSpec(
-            0.0, spec.t_end, 3, spec.trajectory))
-        problem = SpaceTimeProblem(st, spec.material, spec.bcs,
-                                   gauge=spec.gauge_for(st.nodes))
+        st = spec.ust_mesh()
+        problem = spec.problem(st)
         times = np.repeat(st.times, problem.ncomp)
         levels = problem.dof_levels
         assert sorted(set(levels)) == [0, 1, 2, 3]
@@ -275,10 +295,8 @@ class TestLinearSolverChoice:
 
     def test_slab_dof_levels_are_bottom_and_top(self):
         spec = make_stirrer2d()
-        slab = PrismSlab(spec.mesh, spec.mesh.nodes, spec.mesh.nodes, 0.0,
-                         spec.dt)
-        problem = PrismSlabProblem(slab, spec.material, spec.bcs,
-                                   gauge=spec.gauge_for(slab.node_coords()))
+        slab = spec.slab(0)
+        problem = spec.problem(slab)
         times = np.repeat(slab.node_coords()[:, 2], problem.ncomp)
         levels = problem.dof_levels
         assert levels.shape == (problem.n_dofs,)
@@ -289,15 +307,14 @@ class TestLinearSolverChoice:
             problem.n_dofs // 2, spec.dt))
 
     def test_run_slab_matches_direct_lu_oracle(self):
-        # four slabs of the shipped 2D stirrer mesh.  Each GMRES step is only
-        # as accurate as its forcing term, and Newton stops each slab at
+        # the first four slabs of the shipped 2D stirrer.  Each GMRES step is
+        # only as accurate as its forcing term, and Newton stops each slab at
         # rel_tol = 1e-6 of its first residual, so the final traces agree to
         # that order, not to rounding (measured: 5e-8 of each component's
         # maximum, for the velocity and the pressure)
-        spec = make_stirrer2d()
-        gs = run_slab(spec, n_slabs=4)
-        lu = run_slab(spec, n_slabs=4,
-                      lin_cfg=LinearSolverConfig(method="direct_lu"))
+        spec = make_stirrer2d(levels=4, t_end=4 * scenarios.STIRRER_DT)
+        gs = run_slab(spec)
+        lu = run_slab(spec, lin_cfg=LinearSolverConfig(method="direct_lu"))
         assert gs.diagnostics["converged"] and lu.diagnostics["converged"]
         assert (gs.diagnostics["newton_iterations"]
                 == lu.diagnostics["newton_iterations"])
@@ -308,7 +325,8 @@ class TestLinearSolverChoice:
 
     @pytest.fixture(scope="class")
     def stirrer_oracle(self):
-        # the shipped 2D stirrer mesh, twisted over 6 of its 17 levels
+        # the shipped 2D stirrer mesh, twisted over 6 levels of
+        # 17/6 * 0.00012 across the 17-level horizon
         spec = make_stirrer2d(levels=6)
         return spec, run_ust(spec, lin_cfg=LinearSolverConfig(
             method="direct_lu"))
@@ -339,10 +357,7 @@ class TestLinearSolverChoice:
         # and the oracle's own residual is orders of magnitude below tol.
         # So each component (velocity and pressure differ by 1e4 in scale)
         # must lie that close to the oracle's, with 5% for the remainder.
-        problem = SpaceTimeProblem(gs.mesh, spec.material, spec.bcs,
-                                   body_force=spec.body_force,
-                                   convective=spec.convective,
-                                   gauge=spec.gauge_for(gs.mesh.nodes))
+        problem = spec.problem(gs.mesh)
         system, rhs, rnorm = problem.system(U)
         assert rnorm == gs.newton.trace[-1] <= tol
         assert lu.newton.trace[-1] <= 1e-3 * tol

@@ -11,7 +11,6 @@ import scipy.sparse.linalg as spla
 from ustflow import solver
 from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
 from ustflow.errors import LinearSolveFailure, Stagnation
-from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
 from ustflow.scenarios import make_couette2d, make_manufactured
 from ustflow.solver import (ETA_FIRST, ETA_MAX, LinearSolverConfig,
                             NewtonConfig, TimeLevelPreconditioner,
@@ -215,11 +214,7 @@ class TestEquilibrate:
 
     def test_newton_matrix(self):
         spec = make_manufactured(n=4)
-        mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
-            0.0, spec.t_end, spec.levels, spec.trajectory))
-        problem = SpaceTimeProblem(mesh, spec.material, spec.bcs,
-                                   body_force=spec.body_force,
-                                   gauge=spec.gauge_for(mesh.nodes))
+        problem = spec.problem(spec.ust_mesh())
         A = problem.system(problem.initial_guess())[0].matrix
         before = A.copy()
         assert (A.data == 0.0).any()  # zeroed Dirichlet rows
@@ -290,12 +285,7 @@ class TestTimeLevelPreconditioner:
                              ids=["manufactured", "twisted_couette"])
     def test_newton_matrix_matches_direct_lu(self, make):
         spec = make()
-        mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
-            0.0, spec.t_end, spec.levels, spec.trajectory))
-        problem = SpaceTimeProblem(mesh, spec.material, spec.bcs,
-                                   body_force=spec.body_force,
-                                   convective=spec.convective,
-                                   gauge=spec.gauge_for(mesh.nodes))
+        problem = spec.problem(spec.ust_mesh())
         system, rhs, _ = problem.system(problem.initial_guess())
         x_ref = direct_lu(system.matrix, rhs)
         x, stats = gmres_solve(system.matrix, rhs,
@@ -307,11 +297,7 @@ class TestTimeLevelPreconditioner:
 
 def _couette_problem():
     spec = _twisted_couette()
-    mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
-        0.0, spec.t_end, spec.levels, spec.trajectory))
-    return spec, SpaceTimeProblem(mesh, spec.material, spec.bcs,
-                                  convective=spec.convective,
-                                  gauge=spec.gauge_for(mesh.nodes))
+    return spec, spec.problem(spec.ust_mesh())
 
 
 class TestLaggedFactors:

@@ -62,16 +62,11 @@ def mirror_simplices(rng, dim, n):
     return np.array(out)
 
 
-def ust_mesh(spec):
-    return extrude_simplex_st(spec.mesh, ExtrusionSpec(
-        0.0, spec.t_end, spec.levels, spec.trajectory))
-
-
 @pytest.fixture(scope="module")
 def stirrer_meshes():
-    return {"stirrer2d": ust_mesh(scenarios.make_stirrer2d()),
-            "stirrer3d_coarse": ust_mesh(
-                scenarios.make_stirrer3d(coarse=True))}
+    return {"stirrer2d": scenarios.make_stirrer2d().ust_mesh(),
+            "stirrer3d_coarse":
+                scenarios.make_stirrer3d(coarse=True).ust_mesh()}
 
 
 class TestCanonicalOrder:

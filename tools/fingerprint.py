@@ -35,10 +35,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from ustflow.assembly import (PrismSlab, PrismSlabProblem,  # noqa: E402
-                              SpaceTimeProblem)
-from ustflow.extrude import (ExtrusionSpec, extrude_simplex_st,  # noqa: E402
-                             rigid_rotation_positions)
 from ustflow.scenarios import (make_channel2d, make_stirrer2d,  # noqa: E402
                                make_stirrer3d, run_slab, run_ust)
 from ustflow.stabilization import mesh_metric  # noqa: E402
@@ -51,25 +47,6 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def ust_problem(spec) -> SpaceTimeProblem:
-    mesh = extrude_simplex_st(spec.mesh, ExtrusionSpec(
-        0.0, spec.t_end, spec.levels, spec.trajectory))
-    return SpaceTimeProblem(mesh, spec.material, spec.bcs,
-                            body_force=spec.body_force,
-                            convective=spec.convective,
-                            gauge=spec.gauge_for(mesh.nodes))
-
-
-def first_slab_problem(spec) -> PrismSlabProblem:
-    nodes, traj, dt = spec.mesh.nodes, spec.trajectory, spec.dt
-    slab = PrismSlab(spec.mesh, rigid_rotation_positions(nodes, traj, 0.0),
-                     rigid_rotation_positions(nodes, traj, dt), 0.0, dt)
-    return PrismSlabProblem(slab, spec.material, spec.bcs,
-                            body_force=spec.body_force,
-                            convective=spec.convective,
-                            gauge=spec.gauge_for(slab.node_coords()))
-
-
 def first_system(problem) -> str:
     system, _, _ = problem.system(problem.initial_guess())
     A = system.matrix
@@ -78,12 +55,12 @@ def first_system(problem) -> str:
 
 def main():
     s2, s3 = make_stirrer2d(), make_stirrer3d()
-    ust2 = ust_problem(s2)
+    ust2 = s2.problem(s2.ust_mesh())
     print("metric stirrer2d ust  ", digest(*mesh_metric(ust2.mesh)))
     print("system stirrer2d ust  ", first_system(ust2))
-    print("system stirrer2d slab ", first_system(first_slab_problem(s2)))
+    print("system stirrer2d slab ", first_system(s2.problem(s2.slab(0))))
     del ust2
-    ust3 = ust_problem(s3)
+    ust3 = s3.problem(s3.ust_mesh())
     print("metric stirrer3d ust  ", digest(*mesh_metric(ust3.mesh)))
     print("system stirrer3d ust  ", first_system(ust3))
     del ust3
@@ -91,8 +68,8 @@ def main():
     slab = run_slab(s2)
     print("field  stirrer2d slab ", digest(slab.final_values, *slab.fields))
     c2 = make_channel2d()
-    print("system channel2d ust  ", first_system(ust_problem(c2)))
-    print("system channel2d slab ", first_system(first_slab_problem(c2)))
+    print("system channel2d ust  ", first_system(c2.problem(c2.ust_mesh())))
+    print("system channel2d slab ", first_system(c2.problem(c2.slab(0))))
 
 
 if __name__ == "__main__":
