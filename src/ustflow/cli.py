@@ -8,6 +8,7 @@ artifacts go to files only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -110,9 +111,10 @@ def _cmd_run(args, parser) -> int:
         spec = registry[args.case]()
     mode = args.mode or spec.mode
     if args.levels is not None:
-        if args.levels < 1:
-            parser.error(f"--levels must be at least 1, got {args.levels}")
-        spec.levels = args.levels
+        try:
+            spec = dataclasses.replace(spec, levels=args.levels)
+        except ValueError as exc:
+            parser.error(f"--levels {args.levels}: {exc}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

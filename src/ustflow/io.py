@@ -196,8 +196,8 @@ def read_config(path):
 
     The file must name a builtin base case; remaining keys override its
     scalar parameters.  Unknown sections or keys raise UnknownKey with the
-    offending line number, and values out of range (levels or t_end not
-    positive, or a material ``MaterialParams`` rejects) raise ParseError
+    offending line number, and values out of range (any the
+    ``ScenarioSpec`` or ``MaterialParams`` checks reject) raise ParseError
     naming the key and the line.
     """
     from .scenarios import builtin_cases
@@ -257,31 +257,24 @@ def read_config(path):
 
     # no key is in two sections
     for (_, key), (no, value) in entries.items():
-        if key in ("levels", "t_end"):
+        if key in ("levels", "t_end", "omega", "rho", "mu"):
             x = as_number(no, value, int if key == "levels" else float)
-            if not x > 0:
-                raise ParseError(f"{key} must be positive, got {value!r}",
-                                 line=no)
-            setattr(spec, key, x)
-        elif key in ("rho", "mu"):
-            try:
-                spec.material = dataclasses.replace(
-                    spec.material, **{key: as_number(no, value)})
-            except ConfigurationError as exc:
-                raise ParseError(f"{key} = {value}: {exc}", line=no) from None
         elif key in ("center", "axis"):
-            setattr(spec, key, tuple(as_number(no, v) for v in value.split()))
-        elif key == "omega":
-            spec.omega = as_number(no, value)
+            x = tuple(as_number(no, v) for v in value.split())
         elif key == "convective":
-            spec.convective = as_bool(no, key, value)
-        elif key == "mode":
-            if value not in ("ust", "slab"):
-                raise ParseError(f"mode must be ust or slab, got {value!r}",
-                                 line=no)
-            spec.mode = value
-        else:  # name; base and mesh are taken above
-            spec.name = value
+            x = as_bool(no, key, value)
+        elif key == "mode" and value not in ("ust", "slab"):
+            raise ParseError(f"mode must be ust or slab, got {value!r}",
+                             line=no)
+        else:  # mode, name; base and mesh are taken above
+            x = value
+        try:
+            change = ({"material": dataclasses.replace(spec.material,
+                                                       **{key: x})}
+                      if key in ("rho", "mu") else {key: x})
+            spec = dataclasses.replace(spec, **change)
+        except (ValueError, ConfigurationError) as exc:
+            raise ParseError(f"{key} = {value}: {exc}", line=no) from None
     return spec
 
 

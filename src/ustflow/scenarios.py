@@ -40,9 +40,10 @@ STIRRER_DT = 0.00012
 STIRRER_LEVELS = 17
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete description of a flow case."""
+    """Complete description of a flow case; build a variant with
+    ``dataclasses.replace``, which runs the checks again."""
     name: str
     space_dim: int
     mesh: SimplexMesh
@@ -60,9 +61,9 @@ class ScenarioSpec:
     exact_solution: object = None  # fn(x, t) -> (n, k) reference components
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
+        if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
-        if self.levels < 1:
+        if not self.levels >= 1:
             raise ValueError("levels must be at least 1")
 
     @property
@@ -362,10 +363,10 @@ def make_couette2d(n_r: int = 12, n_theta: int = 36, levels: int = 6,
         dirichlet={"inner": rigid_surface_velocity(omega, (0.0, 0.0)),
                    "outer": zero_velocity},
         initial=lambda x: np.zeros_like(np.atleast_2d(x)))
-    spec = ScenarioSpec("couette2d", 2, mesh, MaterialParams(rho=1.0, mu=mu),
-                        bcs, t_end=t_end, levels=levels)
-    spec.exact_solution = couette_exact_factory(omega, r_inner, r_outer)
-    return spec
+    return ScenarioSpec("couette2d", 2, mesh, MaterialParams(rho=1.0, mu=mu),
+                        bcs, t_end=t_end, levels=levels,
+                        exact_solution=couette_exact_factory(omega, r_inner,
+                                                             r_outer))
 
 
 def make_channel2d(nx: int = 20, ny: int = 8, length: float = 2.0,
@@ -378,11 +379,9 @@ def make_channel2d(nx: int = 20, ny: int = 8, length: float = 2.0,
         dirichlet={"x0": vel, "y0": zero_velocity, "y1": zero_velocity},
         neumann={"x1": trac},
         initial=lambda x: vel(x))
-    spec = ScenarioSpec("channel2d", 2, mesh, MaterialParams(rho=1.0, mu=mu),
-                        bcs, t_end=t_end, levels=levels)
-    spec.exact_solution = vel
-    spec.gauge_value_fn = pres
-    return spec
+    return ScenarioSpec("channel2d", 2, mesh, MaterialParams(rho=1.0, mu=mu),
+                        bcs, t_end=t_end, levels=levels, gauge_value_fn=pres,
+                        exact_solution=vel)
 
 
 def make_manufactured(n: int = 12, levels: int = 6, mu: float = 0.05,
@@ -393,12 +392,10 @@ def make_manufactured(n: int = 12, levels: int = 6, mu: float = 0.05,
     bcs = BCSpec(
         dirichlet={tag: vel for tag in ("x0", "x1", "y0", "y1")},
         initial=lambda x: vel(x, np.zeros(len(np.atleast_2d(x)))))
-    spec = ScenarioSpec("manufactured", 2, mesh,
+    return ScenarioSpec("manufactured", 2, mesh,
                         MaterialParams(rho=1.0, mu=mu), bcs, t_end=t_end,
-                        levels=levels, body_force=force)
-    spec.gauge_value_fn = pres
-    spec.exact_solution = full
-    return spec
+                        levels=levels, body_force=force, gauge_value_fn=pres,
+                        exact_solution=full)
 
 
 def builtin_cases() -> dict:

@@ -1,21 +1,29 @@
 """Newton-Raphson outer loop and sparse linear solvers.
 
-``newton_solve`` drives any problem object exposing ``dof_levels`` and
-``system(values, want_matrix=...) -> (LinearSystem|None, rhs, norm)``.
-The linear solve is restarted GMRES (scipy) always preconditioned by a
-forward block Gauss-Seidel sweep over those node-time levels, or a direct
-sparse LU, the oracle.  A GMRES failure raises ``LinearSolveFailure``;
-there is no fallback.
+``newton_solve`` drives any problem object exposing ``dof_levels``,
+``dir_dofs`` and ``system(values, want_matrix=...) -> (LinearSystem|None,
+rhs, norm)``.  The linear solve is restarted GMRES (scipy) always
+preconditioned by a forward block Gauss-Seidel sweep over those node-time
+levels, or a direct sparse LU, the oracle.  A GMRES failure raises
+``LinearSolveFailure``; there is no fallback.
+
+GMRES solves for the free dofs only.  The rows of the ``dir_dofs``
+(Dirichlet values and pressure pins) are identity rows, so x_D = b_D and
+the free block solves A_FF x_F = b_F - A_FD b_D.  The equilibration pass
+that copies the matrix drops the fixed rows and columns, and checks that
+each fixed row is an identity row; the true relative residual is still
+that of the whole system.  ``direct_lu`` solves the whole system.
 
 Each ``newton_solve`` owns one ``TimeLevelPreconditioner``, built from the
-problem's ``dof_levels``: the first step equilibrates its matrix and
-factors each time level's diagonal block, and every later step of the
-same solve reuses that scale and those level LUs, with the strictly lower
-blocks of its own matrix.  This is a lagged preconditioner (Knoll & Keyes,
-J. Comput. Phys. 193:357-397, 2004); the Newton matrix changes little
-between steps, and GMRES still has to meet the step's tolerance in the
-true residual, or raise ``Stagnation``.  A direct ``gmres_solve`` call
-factors afresh with a fresh preconditioner and lags with a reused one.
+problem's ``dof_levels`` and ``dir_dofs``: the first step equilibrates its
+matrix and factors each time level's diagonal block, and every later step
+of the same solve reuses that scale and those level LUs, with the
+strictly lower blocks of its own matrix.  This is a lagged preconditioner
+(Knoll & Keyes, J. Comput. Phys. 193:357-397, 2004); the Newton matrix
+changes little between steps, and GMRES still has to meet the step's
+tolerance in the true residual, or raise ``Stagnation``.  A direct
+``gmres_solve`` call factors afresh with a fresh preconditioner and lags
+with a reused one.
 
 Newton solves each step inexactly: the linear solve of step k must reach
 a true relative residual ||b - Ax|| / ||b|| <= eta_k, the forcing term of
@@ -25,12 +33,20 @@ Linear and Nonlinear Equations, SIAM 1995, section 6.3); see
 ``forcing_term``.  A number in ``LinearSolverConfig.lin_rel_tol`` pins
 every step to it instead.  ``direct_lu`` ignores the tolerance.
 
+A matrix is built only for an iterate that takes another step.  Where the
+step's linear model predicts convergence, eta_k ||R_k|| <= tol, the new
+iterate's residual is assembled first (``want_matrix=False``), and its
+matrix only if it has not converged; with backtracking the accepted
+trial's residual is that check.  The iterates are the same either way.
+
 Each linear solve logs one ``linear solve`` line with its method,
 iterations, true relative residual, timings, whether it reused lagged
-factors and its GMRES resumes, and Newton traces are emitted as
-``newton iter=<k> res=<value> assemble_s=<s> eta=<eta>`` log lines: the
-wall time of the assembly that gave the residual, and the forcing term of
-the linear solve whose step gave iterate k (``-`` at k = 0).
+factors, its GMRES resumes and ``free=<free dofs>/<dofs>``, and Newton
+traces are emitted as ``newton iter=<k> res=<value> assemble_s=<s>
+eta=<eta>`` log lines: the wall time of the assembly that gave the
+residual (the residual-only pass for a converged iterate that got no
+matrix), and the forcing term of the linear solve whose step gave
+iterate k (``-`` at k = 0).
 """
 
 from __future__ import annotations
@@ -106,36 +122,48 @@ class TimeLevelPreconditioner:
     block, after subtracting the coupling to all earlier levels (the whole
     strictly block-lower part), so any dof order works.  On a matrix that
     is block-lower-triangular in the levels the sweep is an exact inverse.
-    The partition is computed once; the first matrix sets the equilibration
-    scale and the level LUs, which every later one reuses with its own
-    strictly lower blocks (lagged; see the module docstring).
+    The ``fixed`` dofs (Dirichlet rows, which must be identity rows) are no
+    unknowns of it: the partition covers the free dofs only, and
+    ``equilibrate`` hands out the free block.  It is computed once; the
+    first matrix sets the equilibration scale and the level LUs, which
+    every later one reuses with its own strictly lower blocks (lagged; see
+    the module docstring).
     """
 
-    def __init__(self, dof_levels):
+    def __init__(self, dof_levels, fixed=()):
         dof_levels = np.asarray(dof_levels)
         self.n = len(dof_levels)
-        self.order = np.argsort(dof_levels, kind="stable")
-        self.sorted_levels = dof_levels[self.order]
+        self.fixed = np.zeros(self.n, dtype=bool)
+        self.fixed[np.asarray(fixed, dtype=np.int64)] = True
+        self.free = np.flatnonzero(~self.fixed)
+        levels = dof_levels[self.free]
+        self.order = np.argsort(levels, kind="stable")
+        self.sorted_levels = levels[self.order]
         bounds = np.flatnonzero(np.diff(self.sorted_levels)) + 1
         self.starts = np.concatenate([[0], bounds])
-        self.ends = np.concatenate([bounds, [self.n]])
+        self.ends = np.concatenate([bounds, [len(levels)]])
         # a level-major numbering, which every extruded mesh has, needs none
-        self.permute = bool((np.diff(dof_levels) < 0).any())
+        self.permute = bool((np.diff(levels) < 0).any())
         self.scale = None  # the first matrix's equilibration scale
         self.lus = None    # and its level LUs
 
     def equilibrate(self, A: sp.csr_matrix):
-        """``_equilibrate`` of A by the first matrix's scale: (D A D, diag D)."""
-        As, self.scale = _equilibrate(A, self.scale)
+        """``_equilibrate`` of A by the first matrix's scale: the free block
+        of D A D, and diag D (0 on the fixed dofs)."""
+        if A.shape != (self.n, self.n):
+            raise ValueError(f"{self.n} dof levels for {A.shape[0]} unknowns")
+        As, self.scale = _equilibrate(A, self.scale, self.fixed)
         return As, self.scale
 
     def operator(self, A: sp.spmatrix) -> spla.LinearOperator:
-        """The sweep for A, factoring its level blocks unless LUs are kept.
+        """The sweep for the free block A, factoring its level blocks unless
+        LUs are kept.
 
         Raises ``LinearSolveFailure`` naming a level whose block is singular.
         """
-        if A.shape != (self.n, self.n):
-            raise ValueError(f"{self.n} dof levels for {A.shape[0]} unknowns")
+        n = len(self.free)
+        if A.shape != (n, n):
+            raise ValueError(f"{n} free dofs for {A.shape[0]} unknowns")
         Ap = sp.csr_matrix(A)
         if self.permute:
             Ap = Ap[self.order][:, self.order]
@@ -154,10 +182,10 @@ class TimeLevelPreconditioner:
 
         def sweep(r):
             rp = np.ravel(r)[self.order]
-            y = np.empty(self.n)
+            y = np.empty(n)
             for s, e, lu, lower in blocks:
                 y[s:e] = lu.solve(rp[s:e] - lower @ y[:s])
-            x = np.empty(self.n)
+            x = np.empty(n)
             x[self.order] = y
             return x
 
@@ -186,28 +214,42 @@ def direct_lu(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
 _EQUILIBRATE_ROWS = 1 << 15
 
 
-def _equilibrate(A: sp.csr_matrix, scale=None):
+def _equilibrate(A: sp.csr_matrix, scale=None, fixed=None):
     """(D A D, diag(D)) with D = 1/sqrt(|diag A|) (1 where that vanishes),
-    or D = diag(``scale``) when given.
+    or D = diag(``scale``) when given, and D = 0 on the ``fixed`` dofs.
 
     Each entry a of the canonical CSR matrix A is scaled as
     (d_row * a) * d_col and the zeros are dropped: the bytes of
-    ``(D @ A @ D).tocsr()``, without its intermediate product.  It runs in
-    slices of rows, so the result is its only array of A's size.
+    ``(D @ A @ D).tocsr()``, without its intermediate product.  That drops
+    the rows and columns of the fixed dofs too, and the columns are
+    renumbered over the free dofs, so the result is the free block, whose
+    order is the number of free dofs.  Raises ``ValueError`` when a fixed
+    dof's row is not an identity row.  It runs in slices of rows, so the
+    result is its only array of A's size.
     """
+    n = A.shape[0]
+    if fixed is None:
+        fixed = np.zeros(n, dtype=bool)
     if scale is None:
         d = np.abs(A.diagonal())
         d[d < 1e-300] = 1.0
         scale = 1.0 / np.sqrt(d)
+        scale[fixed] = 0.0
     ptr = A.indptr
+    renumber = None  # each column's number among the free dofs
+    if fixed.any():
+        renumber = np.cumsum(~fixed, dtype=A.indices.dtype) - 1
     # the tail that zeros leave unwritten is never touched, so not resident
     data, indices = np.empty_like(A.data), np.empty_like(A.indices)
     indptr = np.zeros_like(ptr)
     m = 0
-    for lo in range(0, A.shape[0], _EQUILIBRATE_ROWS):
-        hi = min(lo + _EQUILIBRATE_ROWS, A.shape[0])
+    for lo in range(0, n, _EQUILIBRATE_ROWS):
+        hi = min(lo + _EQUILIBRATE_ROWS, n)
         p0, p1 = ptr[lo], ptr[hi]
-        sd = np.repeat(scale[lo:hi], np.diff(ptr[lo:hi + 1]))
+        counts = np.diff(ptr[lo:hi + 1])
+        if fixed[lo:hi].any():
+            _check_identity_rows(A, lo, fixed[lo:hi], counts)
+        sd = np.repeat(scale[lo:hi], counts)
         sd *= A.data[p0:p1]
         sd *= scale[A.indices[p0:p1]]
         keep = sd != 0.0
@@ -215,44 +257,73 @@ def _equilibrate(A: sp.csr_matrix, scale=None):
         np.cumsum(keep, out=kept[1:])
         k = int(kept[-1])
         data[m:m + k] = sd[keep]
-        indices[m:m + k] = A.indices[p0:p1][keep]
+        cols = A.indices[p0:p1][keep]
+        indices[m:m + k] = cols if renumber is None else renumber[cols]
         indptr[lo + 1:hi + 1] = m + kept[ptr[lo + 1:hi + 1] - p0]
         m += k
+    if renumber is not None:
+        # a fixed row keeps no entry, so each free row ends where the next
+        # free one starts
+        indptr = indptr[np.append(np.flatnonzero(~fixed), n)]
+    n_free = len(indptr) - 1
     return sp.csr_matrix((data[:m], indices[:m], indptr),
-                         shape=A.shape), scale
+                         shape=(n_free, n_free)), scale
+
+
+def _check_identity_rows(A: sp.csr_matrix, lo: int, fixed, counts) -> None:
+    """Raise ``ValueError`` unless each row lo + i with ``fixed[i]`` stores
+    1 on the diagonal and exact zeros elsewhere."""
+    rows = lo + np.flatnonzero(fixed)
+    of_row = np.repeat(rows, counts[fixed])
+    entries = np.repeat(fixed, counts)
+    p0 = A.indptr[lo]
+    vals = A.data[p0:p0 + len(entries)][entries]
+    diag = A.indices[p0:p0 + len(entries)][entries] == of_row
+    bad = np.union1d(of_row[vals != diag],
+                     np.setdiff1d(rows, of_row[diag]))
+    if len(bad):
+        raise ValueError(f"fixed dof {bad[0]}: its row is not an identity row")
 
 
 def gmres_solve(A: sp.spmatrix, b: np.ndarray,
                 precond: TimeLevelPreconditioner, tol: float):
     """Restarted GMRES preconditioned by the time-level sweep ``precond``.
 
-    The system is symmetrically equilibrated by 1/sqrt(|diag|) first, which
+    GMRES runs on the free dofs of ``precond`` only: a fixed dof's row is
+    an identity row, so x_D = b_D, and the free block solves
+    A_FF x_F = b_F - A_FD b_D (the product is formed only when b_D != 0).
+    That block is symmetrically equilibrated by 1/sqrt(|diag|) first, which
     evens out the wildly different row scales of the stabilized space-time
-    systems, and the sweep is built from the equilibrated matrix.  A fresh
+    systems, and the sweep is built from the equilibrated block.  A fresh
     ``precond`` takes this matrix's scale and factors its levels; one that
     has seen an earlier matrix reuses that scale and those LUs (lagged).
     The solve must reach ``tol`` in the true relative residual
-    ||b - Ax|| / ||b|| of the system as given.  When GMRES stops on the
-    equilibrated residual while the true one is still above it, GMRES
+    ||b - Ax|| / ||b|| of the whole system as given.  When GMRES stops on
+    the equilibrated residual while the true one is still above it, GMRES
     resumes from its iterate with the inner tolerance tightened by the
     miss, in whole cycles within the ``MAX_KRYLOV_ITER`` budget.  Returns
     (x, stats) with the Krylov iterations, the true relative residual, the
-    number of levels, whether the factors were lagged, the number of such
-    resumes and the seconds spent building the preconditioner and in GMRES.
-    Raises Stagnation/Breakdown, with the iterations and relres reached,
-    when the target is missed.
+    number of levels, the number of free dofs, whether the factors were
+    lagged, the number of such resumes and the seconds spent building the
+    preconditioner and in GMRES.  Raises Stagnation/Breakdown, with the
+    iterations and relres reached, when the target is missed.
     """
     if tol is None:
         raise ValueError("gmres_solve needs a tolerance (lin_rel_tol); "
                          "newton_solve sets it per step from the forcing term")
     A = sp.csr_matrix(A)
-    stats = {"iterations": 0, "relres": 0.0, "levels": None, "lagged": 0,
-             "resumes": 0, "factor_s": 0.0, "krylov_s": 0.0}
+    free = precond.free
+    stats = {"iterations": 0, "relres": 0.0, "levels": None,
+             "free": len(free), "lagged": 0, "resumes": 0, "factor_s": 0.0,
+             "krylov_s": 0.0}
     if not np.any(b):
         return np.zeros_like(b), stats
 
     As, scale = precond.equilibrate(A)
-    bs = scale * b
+    scale = scale[free]
+    x = np.where(precond.fixed, b, 0.0)  # x_D = b_D
+    r = b - A @ x if np.any(x) else b
+    bs = scale * r[free]
 
     t0 = time.perf_counter()
     stats["lagged"] = int(precond.lus is not None)
@@ -270,7 +341,7 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray,
         y, info = spla.gmres(As, bs, x0=y, rtol=inner, atol=0.0,
                              restart=RESTART, maxiter=left // RESTART,
                              M=M, callback=cb, callback_type="pr_norm")
-        x = scale * y
+        x[free] = scale * y
         stats["relres"] = relres = _relres(A, x, b)
         reached = f"relres={relres:.3e} after {stats['iterations']} iterations"
         if info < 0:
@@ -300,17 +371,17 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig,
         t0 = time.perf_counter()
         x = direct_lu(A, b)
         stats = {"factor_s": time.perf_counter() - t0, "krylov_s": 0.0,
-                 "iterations": 0, "levels": None, "lagged": 0, "resumes": 0,
-                 "relres": _relres(A, x, b)}
+                 "iterations": 0, "levels": None, "free": len(b),
+                 "lagged": 0, "resumes": 0, "relres": _relres(A, x, b)}
     else:
         x, stats = gmres_solve(A, b, precond, cfg.lin_rel_tol)
     logger.info("linear solve method=%s precond=%s levels=%s iters=%d "
                 "relres=%.3e factor_s=%.3f krylov_s=%.3f lagged=%d "
-                "resumes=%d", cfg.method,
+                "resumes=%d free=%d/%d", cfg.method,
                 "none" if cfg.method == "direct_lu" else "time_levels",
                 stats["levels"], stats["iterations"], stats["relres"],
                 stats["factor_s"], stats["krylov_s"], stats["lagged"],
-                stats["resumes"])
+                stats["resumes"], stats["free"], len(b))
     return x
 
 
@@ -341,34 +412,40 @@ def newton_solve(problem, initial_values: np.ndarray,
 
     Convergence when ||R|| <= max(abs_tol, rel_tol * ||R0||).  Step k's
     linear solve gets ``forcing_term`` as its tolerance unless
-    ``lin_cfg.lin_rel_tol`` pins it, and reuses the first step's
-    preconditioner (see the module docstring).  On reaching
+    ``lin_cfg.lin_rel_tol`` pins it, solves for the free dofs only, and
+    reuses the first step's preconditioner (see the module docstring).
+    Where the step's linear model predicts convergence,
+    eta_k ||R_k|| <= tol, the new iterate's residual is checked before its
+    matrix is built, and a converged iterate gets no matrix.  On reaching
     max_iter the best iterate seen and the full trace are returned with
     status "max_iterations".
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
-    precond = TimeLevelPreconditioner(problem.dof_levels)
+    precond = TimeLevelPreconditioner(problem.dof_levels, problem.dir_dofs)
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
 
     trace, assemble_s, etas = [], [], []
 
-    def assemble(k, values):
+    def assemble(values, want_matrix=True):
+        """(``problem.system`` at ``values``, its wall seconds)."""
         t0 = time.perf_counter()
-        out = problem.system(values)
-        assemble_s.append(time.perf_counter() - t0)
-        trace.append(out[2])
+        out = problem.system(values, want_matrix=want_matrix)
+        return out, time.perf_counter() - t0
+
+    def record(k, rnorm, seconds):
+        trace.append(rnorm)
+        assemble_s.append(seconds)
         logger.info("newton iter=%d res=%.6e assemble_s=%.3f eta=%s", k,
-                    out[2], assemble_s[-1],
-                    f"{etas[-1]:.3e}" if etas else "-")
-        return out
+                    rnorm, seconds, f"{etas[-1]:.3e}" if etas else "-")
 
     def result(values, iterations, status):
         return NewtonResult(values, trace, iterations, status == "converged",
                             status, assemble_s, etas)
 
-    system, rhs, rnorm = assemble(0, U)
+    (system, rhs, rnorm), seconds = assemble(U)
+    record(0, rnorm, seconds)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
     if rnorm <= tol:
         return result(U, 0, "converged")
@@ -386,20 +463,29 @@ def newton_solve(problem, initial_values: np.ndarray,
         # the matrix is not kept alive through the next one's assembly
         del system, rhs
         lam = 1.0
+        checked = None  # (||R||, seconds) of the new iterate, once known
         if cfg.linesearch == "backtracking":
             prev = trace[-1]
             for _ in range(8):
                 try:
-                    r_trial = problem.residual_norm(
-                        U + lam * delta.reshape(shape))
+                    (_, _, r_trial), seconds = assemble(
+                        U + lam * delta.reshape(shape), want_matrix=False)
                 except UstflowError:
                     r_trial = np.inf
                 if np.isfinite(r_trial) and r_trial <= (1.0 - 1e-4 * lam) * prev:
+                    checked = r_trial, seconds
                     break
                 lam *= 0.5
         U = U + lam * delta.reshape(shape)
 
-        system, rhs, rnorm = assemble(k, U)
+        if checked is None and eta * rnorm <= tol:
+            (_, _, r), seconds = assemble(U, want_matrix=False)
+            checked = r, seconds
+        if checked is not None and checked[0] <= tol:
+            record(k, *checked)
+            return result(U, k, "converged")
+        (system, rhs, rnorm), seconds = assemble(U)
+        record(k, rnorm, seconds)
         if rnorm < best_r:
             best_U, best_r = U.copy(), rnorm
         if rnorm <= tol:

@@ -449,9 +449,9 @@ class TestCli:
     @pytest.mark.parametrize("section, line, message", [
         ("material", "mu = -0.5", "mu = -0.5: need rho > 0 and mu >= 0"),
         ("material", "rho = 0", "rho = 0: need rho > 0 and mu >= 0"),
-        ("case", "levels = 0", "levels must be positive, got '0'"),
-        ("case", "levels = -2", "levels must be positive, got '-2'"),
-        ("case", "t_end = -1", "t_end must be positive, got '-1'"),
+        ("case", "levels = 0", "levels = 0: levels must be at least 1"),
+        ("case", "levels = -2", "levels = -2: levels must be at least 1"),
+        ("case", "t_end = -1", "t_end = -1: t_end must be positive"),
     ], ids=["mu", "rho", "levels_0", "levels_neg", "t_end"])
     def test_run_config_out_of_range_names_key_and_line(
             self, tmp_path, capsys, section, line, message):
@@ -464,7 +464,8 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--mode", "ust", "--levels", "0"], "--levels must be at least 1"),
+        (["--mode", "ust", "--levels", "0"],
+         "--levels 0: levels must be at least 1"),
     ], ids=["levels"])
     def test_run_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys,
                                                      argv, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -92,6 +93,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="levels must be at least 1"):
             constant_scenario([0.0, 0.0], levels=0)
 
+    def test_spec_is_frozen_and_replace_checks_again(self):
+        spec = constant_scenario([0.0, 0.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.levels = 0
+        with pytest.raises(ValueError, match="levels must be at least 1"):
+            dataclasses.replace(spec, levels=0)
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            dataclasses.replace(spec, t_end=0.0)
+        assert dataclasses.replace(spec, levels=4).dt == spec.t_end / 4
+
     @pytest.mark.parametrize("make", GRID_CASES.values(), ids=GRID_CASES)
     def test_slab_n_spans_ust_levels_n_and_n_plus_1(self, make, monkeypatch):
         # run_slab marches the slabs of the UST mesh's time levels; Newton
@@ -152,8 +163,9 @@ class TestSlabMarching:
         assert err < 0.04 * np.abs(exact).max()
 
     def test_final_mesh_is_spatial_mesh_at_final_positions(self):
-        spec = make_couette2d(n_r=4, n_theta=12, t_end=0.2, levels=1)
-        spec.omega = 1.0  # the mesh rotates rigidly with the inner wall
+        # the mesh rotates rigidly with the inner wall
+        spec = dataclasses.replace(
+            make_couette2d(n_r=4, n_theta=12, t_end=0.2, levels=1), omega=1.0)
         res = run_slab(spec)
         final, spatial = res.final_mesh, spec.mesh
         assert np.array_equal(final.nodes, res.slabs[-1].coords_top)

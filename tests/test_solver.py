@@ -30,9 +30,12 @@ class ToyProblem:
         self._res = residual
         self._jac = jacobian
         self.dof_levels = np.arange(n)
+        self.dir_dofs = np.array([], dtype=int)
+        self.calls = []  # (want_matrix, U) of each system call
 
     def system(self, U, tau_override=None, want_matrix=True):
         U = np.asarray(U, dtype=float).ravel()
+        self.calls.append((want_matrix, U.copy()))
         R = self._res(U)
         rhs = -R
         A = sp.csr_matrix(self._jac(U)) if want_matrix else None
@@ -147,21 +150,25 @@ class TestGmres:
 
     def test_logs_one_line_per_solve(self, rng, caplog):
         n = 30
-        A = sp.random(n, n, density=0.2, random_state=5).tocsr() \
-            + 4.0 * sp.eye(n, format="csr")
+        A = (sp.random(n, n, density=0.2, random_state=5)
+             + 4.0 * sp.eye(n)).tolil()
+        A[:3] = sp.eye(3, n)  # three Dirichlet rows
+        A = A.tocsr()
         b = rng.uniform(-1, 1, size=n)
         with caplog.at_level(logging.INFO, logger="ustflow"):
             solve_linear_system(A, b, LinearSolverConfig(lin_rel_tol=TIGHT),
-                                TimeLevelPreconditioner(np.arange(n) // 10))
+                                TimeLevelPreconditioner(np.arange(n) // 10,
+                                                        fixed=[0, 1, 2]))
             solve_linear_system(A, b, LinearSolverConfig(method="direct_lu"))
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 2
-        for line, method in zip(lines, ("gmres_restarted", "direct_lu")):
+        for line, method, free in zip(lines, ("gmres_restarted", "direct_lu"),
+                                      (27, 30)):
             assert line.startswith(f"linear solve method={method} ")
             for key in ("precond=", "levels=", "iters=", "relres=",
                         "factor_s=", "krylov_s="):
                 assert key in line
-            assert line.endswith(" resumes=0")
+            assert line.endswith(f" resumes=0 free={free}/30")
         assert "precond=time_levels levels=3 " in lines[0]
 
 
@@ -193,9 +200,9 @@ def _block_tridiagonal_system(rng, n_levels=5, per_level=8):
 
 
 def _twisted_couette():
-    spec = make_couette2d(n_r=3, n_theta=12, levels=4, t_end=0.5)
-    spec.omega = 1.0  # the mesh turns with the inner wall
-    return spec
+    # the mesh turns with the inner wall
+    return dataclasses.replace(
+        make_couette2d(n_r=3, n_theta=12, levels=4, t_end=0.5), omega=1.0)
 
 
 class TestEquilibrate:
@@ -239,6 +246,32 @@ class TestEquilibrate:
         A.data[::4] = 0.0
         assert np.diff(A.indptr)[14:21].max() == 0
         self.assert_same_bytes(A)
+
+    def test_fixed_rows_and_columns_dropped(self, rng, monkeypatch):
+        # the free block of D A D, renumbered, across slices of 7 rows
+        monkeypatch.setattr("ustflow.solver._EQUILIBRATE_ROWS", 7)
+        A, _, fixed = _system_with_fixed_dofs(rng)
+        As, scale = _equilibrate(A, fixed=fixed)
+        assert (scale[fixed] == 0.0).all()
+        free = np.flatnonzero(~fixed)
+        D = sp.diags(scale)
+        ref = (D @ A @ D).tocsr()[free][:, free]
+        ref.eliminate_zeros()
+        assert As.shape == (len(free), len(free))
+        for name in ("data", "indices", "indptr"):
+            assert getattr(As, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def _system_with_fixed_dofs(rng, n_levels=5, per_level=8):
+    """A block-lower-triangular system in 5 levels whose every fourth dof
+    is fixed: an identity row, which the free rows couple to."""
+    levels = np.repeat(np.arange(n_levels), per_level)
+    n = len(levels)
+    fixed = np.arange(n) % 4 == 1
+    A = rng.uniform(-1, 1, size=(n, n)) + 16.0 * np.eye(n)
+    A *= levels[:, None] >= levels[None, :]
+    A[fixed] = np.eye(n)[fixed]
+    return sp.csr_matrix(A), levels, fixed
 
 
 class TestTimeLevelPreconditioner:
@@ -293,6 +326,70 @@ class TestTimeLevelPreconditioner:
                                TIGHT)
         assert stats["levels"] == spec.levels + 1
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+
+
+class TestFreeDofs:
+    """GMRES solves for the free dofs and sets x_D = b_D."""
+
+    def test_nonzero_dirichlet_values_match_direct_lu(self, rng):
+        A, levels, fixed = _system_with_fixed_dofs(rng)
+        b = rng.uniform(-1, 1, size=len(levels))
+        assert np.abs(A[~fixed][:, fixed] @ b[fixed]).max() > 0.1
+        precond = TimeLevelPreconditioner(levels, np.flatnonzero(fixed))
+        x, stats = gmres_solve(A, b, precond, TIGHT)
+        assert stats["free"] == (~fixed).sum() and stats["iterations"] == 1
+        assert np.array_equal(x[fixed], b[fixed])
+        np.testing.assert_allclose(x, direct_lu(A, b), rtol=1e-10)
+        assert stats["relres"] == _relres(A, x, b) < 1e-12
+
+    @pytest.mark.parametrize("entry", [(5, 6), (5, 5)],
+                             ids=["off_diagonal", "diagonal"])
+    def test_fixed_row_must_be_identity_row(self, rng, entry):
+        A, levels, fixed = _system_with_fixed_dofs(rng)
+        A = A.tolil()
+        A[entry] = 0.5
+        with pytest.raises(ValueError, match="fixed dof 5: its row is not "
+                                             "an identity row"):
+            gmres_solve(A.tocsr(), np.ones(len(levels)),
+                        TimeLevelPreconditioner(levels, np.flatnonzero(fixed)),
+                        TIGHT)
+
+    def test_missing_diagonal_of_fixed_row_rejected(self, rng):
+        A, levels, fixed = _system_with_fixed_dofs(rng)
+        A = A.tolil()
+        A[5, 5] = 0.0
+        A = A.tocsr()
+        A.eliminate_zeros()
+        with pytest.raises(ValueError, match="fixed dof 5:"):
+            _equilibrate(A, fixed=fixed)
+
+    def test_twisted_problem_same_iterations_as_full_solve(self):
+        spec = _twisted_couette()
+        problem = spec.problem(spec.ust_mesh())
+        assert 0 < len(problem.dir_dofs) < problem.n_dofs
+        system, rhs, _ = problem.system(problem.initial_guess())
+        solves = [gmres_solve(system.matrix, rhs,
+                              TimeLevelPreconditioner(problem.dof_levels,
+                                                      fixed), ETA_FIRST)
+                  for fixed in (problem.dir_dofs, ())]
+        (x, stats), (x_all, stats_all) = solves
+        assert stats["free"] == problem.n_dofs - len(problem.dir_dofs)
+        assert stats_all["free"] == problem.n_dofs
+        assert stats["iterations"] == stats_all["iterations"] > 1
+        assert stats["relres"] == pytest.approx(stats_all["relres"],
+                                                rel=1e-9)
+        assert np.abs(x - x_all).max() <= 1e-10 * np.abs(x_all).max()
+
+    def test_newton_solves_for_the_problems_free_dofs(self, caplog):
+        spec, problem = _couette_problem()
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            out = newton_solve(problem, problem.initial_guess())
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("linear solve")]
+        assert out.converged and len(lines) == out.iterations >= 2
+        n = problem.n_dofs
+        assert all(line.endswith(f" free={n - len(problem.dir_dofs)}/{n}")
+                   for line in lines)
 
 
 def _couette_problem():
@@ -370,15 +467,64 @@ class TestLaggedFactors:
 
         def system(U, tau_override=None, want_matrix=True):
             assert all(m() is None for m in matrices)
+            R = U + U ** 3 - b
+            if not want_matrix:
+                return None, -R, np.linalg.norm(R)
             A = sp.csr_matrix(np.diag(1.0 + 3.0 * U ** 2))
             matrices.append(weakref.ref(A))
-            R = U + U ** 3 - b
             return types.SimpleNamespace(matrix=A), -R, np.linalg.norm(R)
 
         toy = types.SimpleNamespace(system=system,
-                                    dof_levels=np.array([0, 0, 1, 1]))
+                                    dof_levels=np.array([0, 0, 1, 1]),
+                                    dir_dofs=np.array([], dtype=int))
         out = newton_solve(toy, np.full(4, 2.0))
-        assert out.converged and len(matrices) == out.iterations + 1 >= 3
+        # one matrix per step; the converged iterate gets none
+        assert out.converged and len(matrices) == out.iterations >= 2
+
+
+class TestResidualFirst:
+    """A step whose linear model predicts convergence, eta_k ||R_k|| <= tol,
+    checks the new iterate's residual before building its matrix."""
+
+    def test_missed_prediction_falls_back_to_the_matrix(self, caplog):
+        # a pinned eta of 1e-3 predicts a residual of 1e-3 ||R_k||, below the
+        # tolerance of 1e-2 ||R_0||, but the cubic is far from linear here
+        b = np.array([0.7, -1.2, 2.0])
+        toy = ToyProblem(lambda x: x + x ** 3 - b,
+                         lambda x: np.diag(1.0 + 3.0 * x ** 2), 3)
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            out = newton_solve(toy, np.full(3, 5.0), NewtonConfig(rel_tol=1e-2),
+                               LinearSolverConfig(lin_rel_tol=1e-3))
+        assert out.converged
+        flags = [m for m, _ in toy.calls]
+        # each step but the last: a residual pass that misses, then the matrix
+        assert flags == [True] + [False, True] * (out.iterations - 1) + [False]
+        assert out.iterations >= 3
+        for (_, U), (_, V) in zip(toy.calls[1::2], toy.calls[2::2]):
+            assert np.array_equal(U, V)
+        # one trace entry and one log line per iterate
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("newton iter=")]
+        assert len(lines) == len(out.trace) == out.iterations + 1
+
+    def test_accepted_trial_not_assembled_again(self):
+        b = np.array([1.0])
+        toy = ToyProblem(lambda x: np.arctan(x) - np.arctan(b),
+                         lambda x: np.diag(1.0 / (1.0 + x ** 2)), 1)
+        out = newton_solve(toy, np.array([20.0]),
+                           NewtonConfig(max_iter=60, linesearch="backtracking"),
+                           LinearSolverConfig(method="direct_lu"))
+        assert out.converged
+        flags = [m for m, _ in toy.calls]
+        # one matrix per step; every residual pass is a line-search trial,
+        # the last one the converged iterate
+        assert flags.count(True) == out.iterations
+        assert flags.count(False) > out.iterations
+        last, U = toy.calls[-1]
+        assert not last and np.array_equal(U, out.values)
+        for (m, U), (m_next, V) in zip(toy.calls, toy.calls[1:]):
+            if np.array_equal(U, V):  # an accepted trial, then its matrix
+                assert not m and m_next
 
 
 class TestDirectLu:

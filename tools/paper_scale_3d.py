@@ -15,7 +15,8 @@ An address-space cap (``ulimit -v``) is no substitute: it counts mapped
 but untouched memory, so it fails allocations far below the RSS the run
 reaches.  Every log line of the run is printed to stderr with the seconds
 since the start and the RSS at that moment; the last line of stdout is a
-JSON summary with the time of each stage and the peak RSS (VmHWM).
+JSON summary with the time of each stage, the number of free dofs the
+linear solves were for, and the peak RSS (VmHWM).
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def start_watchdog(limit_mb: float, period_s: float = 0.1) -> None:
     threading.Thread(target=watch, name="rss-watchdog", daemon=True).start()
 
 
+class FreeDofs(logging.Handler):
+    """Keeps the free-dof count of the last ``linear solve ... free=`` line."""
+
+    value = None
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message.startswith("linear solve"):
+            self.value = int(message.split("free=")[1].split("/")[0])
+
+
 class StampedFormatter(logging.Formatter):
     """Prefix each record with the seconds since ``t0`` and the RSS."""
 
@@ -83,6 +95,8 @@ def main() -> int:
     handler.setFormatter(StampedFormatter(t0))
     log = logging.getLogger("ustflow")
     log.addHandler(handler)
+    free_dofs = FreeDofs()
+    log.addHandler(free_dofs)
     log.setLevel(logging.INFO)
     start_watchdog(1024.0 * RSS_LIMIT_GB)
 
@@ -97,6 +111,7 @@ def main() -> int:
     print(json.dumps({
         "elements": res.mesh.n_elements,
         "dofs": res.field.values.size,
+        "free_dofs": free_dofs.value,
         "mesh_s": round(t_mesh - t0, 2),
         "run_ust_s": round(t_run - t_mesh, 2),
         "total_s": round(t_run - t0, 2),
