@@ -18,7 +18,7 @@ print(f"Newton iterations: {result.newton.iterations}, "
 
 sl = slice_at_time(result.mesh, result.field.values, spec.t_end)
 exact = spec.exact_solution
-err = l2_error(sl.mesh, sl.values, lambda x: exact(x))
+err = l2_error(sl.mesh, sl.values, exact)
 rel = np.sqrt((err["components"][:2] ** 2).sum()) \
     / np.sqrt((err["exact_components"][:2] ** 2).sum())
 print(f"relative L2 velocity error at t_end: {rel:.3%}")

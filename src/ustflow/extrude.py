@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvertedElement, MeshTopologyError
-from .mesh import SimplexMesh, SpaceTimeMesh, degenerate
+from .mesh import (SimplexMesh, SpaceTimeMesh, degenerate,
+                   require_element_facets)
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,9 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     Simplices are oriented by the sign rule below, so the mesh is built
     without the constructor's orientation fix.  Raises InvertedElement when
     the twist per level makes any simplex non-positive or degenerate by the
-    mesh's own bound (``mesh.degenerate``).
+    mesh's own bound (``mesh.degenerate``), and MeshTopologyError when the
+    spatial mesh lists a boundary facet that is not a facet of its
+    elements.
     """
     n_sd = spatial.dim
     n_sp = spatial.n_nodes
@@ -175,57 +178,28 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     path = path.reshape(-1, n_sd + 2)
     elements = np.concatenate([path + lev * n_sp for lev in range(L)])
 
-    # boundary: bottom and top caps, then the mantle level by level
-    n_path = n_sd + 1  # simplices per prism
-    el_base = np.arange(spatial.n_elements, dtype=np.int64) * n_path
-    bottom_facets = sorted_spatial.copy()
-    bottom_owners = el_base + n_sd          # path simplex j = n holds the full bottom
-    top_facets = sorted_spatial + L * n_sp
-    top_owners = (L - 1) * spatial.n_elements * n_path + el_base  # j = 0 at last level
-
+    # boundary: bottom and top caps, then n_sd mantle facets per spatial
+    # boundary facet, level by level
     spatial_bf = np.sort(spatial.boundary_facets, axis=1)
-    owners_sp = spatial.boundary_owners
-    # position of the element node missing from the facet, in sorted element order
-    elem_sorted = sorted_spatial[owners_sp]                      # (B, n_sd+1)
-    is_in_facet = (elem_sorted[:, :, None] == spatial_bf[:, None, :]).any(axis=2)
-    pos_missing = np.argmin(is_in_facet, axis=1)                 # (B,)
-
-    mantle_rows = []
-    mantle_tags = []
-    mantle_owners = []
-    B = len(spatial_bf)
-    if B:
-        for lev in range(L):
-            fb = spatial_bf + lev * n_sp
-            ft = spatial_bf + (lev + 1) * n_sp
-            sub = _path_simplices(fb, ft)                        # (B, n_sd, n_sd+1)
-            mantle_rows.append(sub.reshape(-1, n_sd + 1))
-            mantle_tags.append(np.repeat(spatial.boundary_tags, n_sd))
-            # owner path index k = j + (0 if pos_missing > j else 1)
-            j = np.arange(n_sd)
-            k = j[None, :] + (pos_missing[:, None] <= j[None, :])
-            owner = (lev * spatial.n_elements * n_path
-                     + owners_sp[:, None] * n_path + k)
-            mantle_owners.append(owner.reshape(-1))
+    require_element_facets(spatial.elements, spatial_bf)
+    mantle = _path_simplices(spatial_bf, spatial_bf + n_sp).reshape(-1, n_sd + 1)
+    mantle_tags = np.repeat(spatial.boundary_tags, n_sd)
 
     cap_tag = len(spatial.tag_names)  # synthetic tag for bottom/top caps
     tag_names = list(spatial.tag_names) + ["_cap"]
 
-    boundary = np.concatenate([bottom_facets, top_facets] + mantle_rows)
-    tags = np.concatenate([
-        np.full(len(bottom_facets), cap_tag, dtype=np.int64),
-        np.full(len(top_facets), cap_tag, dtype=np.int64),
-    ] + mantle_tags)
-    owners = np.concatenate([bottom_owners, top_owners] + mantle_owners)
-
-    nb = len(bottom_facets)
+    nb = spatial.n_elements
+    boundary = np.concatenate([sorted_spatial, sorted_spatial + L * n_sp]
+                              + [mantle + lev * n_sp for lev in range(L)])
+    tags = np.concatenate([np.full(2 * nb, cap_tag, dtype=np.int64)]
+                          + [mantle_tags] * L)
     groups = (np.arange(nb, dtype=np.int64),
               np.arange(nb, 2 * nb, dtype=np.int64),
               np.arange(2 * nb, len(boundary), dtype=np.int64))
 
     mesh = SpaceTimeMesh(nodes, elements, boundary, tags, tag_names,
-                         spec.t0, spec.tN, boundary_owners=owners,
-                         facet_groups=groups, fix_orientation=False)
+                         spec.t0, spec.tN, facet_groups=groups,
+                         fix_orientation=False)
     bad = degenerate(mesh.jacobian_dets, mesh.max_edge_lengths, mesh.dim)
     bad |= np.tile(sign.ravel() == 0, L)
     if bad.any():
@@ -292,4 +266,4 @@ def extrude_spatial(spatial: SimplexMesh, z0: float, z1: float, n_layers: int,
     tags[st.bottom_facets] = lo_id
     tags[st.top_facets] = hi_id
     return SimplexMesh(st.nodes, st.elements, st.boundary_facets, tags,
-                       tag_names, boundary_owners=st.boundary_owners)
+                       tag_names)

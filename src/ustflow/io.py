@@ -235,10 +235,14 @@ def read_config(path):
         raise ParseError(f"unknown base case {base!r} "
                          f"(known: {sorted(registry)})", line=no)
 
-    overrides = {}
     if ("case", "mesh") in entries:
-        overrides["mesh"] = read_stmesh(entries.pop(("case", "mesh"))[1])
-    spec = registry[base](**overrides)
+        no, value = entries.pop(("case", "mesh"))
+        try:
+            spec = registry[base](mesh=read_stmesh(value))
+        except ValueError as exc:
+            raise ParseError(f"mesh = {value}: {exc}", line=no) from None
+    else:
+        spec = registry[base]()
 
     def as_number(no, v, kind=float):
         try:

@@ -67,21 +67,23 @@ def in_reference(xi, tol: float = 1e-12) -> np.ndarray:
     return (xi >= -tol).all(axis=-1) & (xi.sum(axis=-1) <= 1.0 + tol)
 
 
-def _sorted_facet_rows(elements: np.ndarray):
-    """All element facets as sorted node-id rows.
-
-    Returns (facets, owners, local) where ``facets`` has one row per
-    (element, omitted-node) pair with node ids sorted ascending.
-    """
+def _sorted_facet_rows(elements: np.ndarray) -> np.ndarray:
+    """All element facets, one row per (element, omitted node), each with its
+    node ids ascending, in lexicographic row order."""
     n_el, nen = elements.shape
     facets = np.empty((n_el * nen, nen - 1), dtype=elements.dtype)
-    owners = np.repeat(np.arange(n_el), nen)
-    local = np.tile(np.arange(nen), n_el)
     for k in range(nen):
         keep = [j for j in range(nen) if j != k]
         facets[k::nen, :] = elements[:, keep]
     facets.sort(axis=1)
-    return facets, owners, local
+    return facets[np.lexsort(facets.T[::-1])]
+
+
+def require_element_facets(elements: np.ndarray, facets: np.ndarray) -> None:
+    """Raise MeshTopologyError unless every row of ``facets``, node ids
+    ascending, is a facet of one of ``elements``."""
+    if (_find_rows(_sorted_facet_rows(elements), facets) < 0).any():
+        raise MeshTopologyError("boundary facet is not a facet of any element")
 
 
 class SimplexMesh:
@@ -94,12 +96,14 @@ class SimplexMesh:
     boundary_facets : (n_bf, dim) int array
     boundary_tags : (n_bf,) int array of indices into ``tag_names``
     tag_names : list of str
-    boundary_owners : optional (n_bf,) int array; derived when omitted
     fix_orientation : swap the last two nodes of each element with det J < 0
+
+    The boundary facets are stored as given; ``validate_mesh`` checks them
+    against the elements.
     """
 
     def __init__(self, nodes, elements, boundary_facets, boundary_tags,
-                 tag_names, boundary_owners=None, fix_orientation=True):
+                 tag_names, fix_orientation=True):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         self.boundary_facets = np.ascontiguousarray(boundary_facets, dtype=np.int64)
@@ -128,12 +132,6 @@ class SimplexMesh:
             det[neg] = _det_of(self.nodes, els[neg])
         self.jacobian_dets = det
 
-        if boundary_owners is None:
-            self._boundary_owners = None
-        else:
-            self._boundary_owners = np.ascontiguousarray(boundary_owners,
-                                                         dtype=np.int64)
-
         for arr in (self.nodes, self.elements, self.boundary_facets,
                     self.boundary_tags, self.jacobian_dets):
             arr.setflags(write=False)
@@ -158,24 +156,6 @@ class SimplexMesh:
     def facets_with_tag(self, name: str) -> np.ndarray:
         """Indices of boundary facets carrying the given tag."""
         return np.flatnonzero(self.boundary_tags == self.tag_id(name))
-
-    @property
-    def boundary_owners(self) -> np.ndarray:
-        if self._boundary_owners is None:
-            self._boundary_owners = self._derive_owners()
-            self._boundary_owners.setflags(write=False)
-        return self._boundary_owners
-
-    def _derive_owners(self) -> np.ndarray:
-        facets, owners, _ = _sorted_facet_rows(self.elements)
-        order = np.lexsort(facets.T[::-1])
-        facets = facets[order]
-        owners = owners[order]
-        listed = np.sort(self.boundary_facets, axis=1)
-        idx = _find_rows(facets, listed)
-        if (idx < 0).any():
-            raise MeshTopologyError("boundary facet is not a facet of any element")
-        return owners[idx]
 
     # -- element geometry --------------------------------------------------
 
@@ -250,15 +230,16 @@ class SpaceTimeMesh(SimplexMesh):
     """Simplicial space-time mesh; the last coordinate is time.
 
     ``bottom_facets`` / ``top_facets`` / ``mantle_facets`` are index arrays
-    into the boundary facet list and partition it.
+    into the boundary facet list and partition it.  They are
+    ``facet_groups`` when given, else ``classify_boundary`` derives them
+    from the node times.
     """
 
     def __init__(self, nodes, elements, boundary_facets, boundary_tags,
-                 tag_names, t0, tN, boundary_owners=None,
-                 facet_groups=None, fix_orientation=True, tol=None):
+                 tag_names, t0, tN, facet_groups=None, fix_orientation=True,
+                 tol=None):
         super().__init__(nodes, elements, boundary_facets, boundary_tags,
-                         tag_names, boundary_owners=boundary_owners,
-                         fix_orientation=fix_orientation)
+                         tag_names, fix_orientation=fix_orientation)
         self.t0 = float(t0)
         self.tN = float(tN)
         if facet_groups is None:
@@ -376,9 +357,7 @@ def validate_mesh(mesh: SimplexMesh) -> list:
     if not np.isfinite(mesh.nodes).all():
         problems.append("non-finite node coordinates")
 
-    nen = mesh.dim + 1
-    ids = mesh.elements
-    sorted_ids = np.sort(ids, axis=1)
+    sorted_ids = np.sort(mesh.elements, axis=1)
     if (np.diff(sorted_ids, axis=1) == 0).any():
         problems.append("element with repeated node ids")
 
@@ -388,11 +367,7 @@ def validate_mesh(mesh: SimplexMesh) -> list:
         problems.append(
             f"{int(small.sum())} element(s) with non-positive/degenerate measure")
 
-    facets, owners, _ = _sorted_facet_rows(mesh.elements)
-    order = np.lexsort(facets.T[::-1])
-    facets = facets[order]
-    owners = owners[order]
-    uniq, start, counts = _unique_rows(facets)
+    uniq, counts = _unique_rows(_sorted_facet_rows(mesh.elements))
 
     if (counts > 2).any():
         problems.append("facet shared by more than two elements")
@@ -418,14 +393,6 @@ def validate_mesh(mesh: SimplexMesh) -> list:
         problems.append(
             f"{-missing} listed boundary facet(s) in excess of the true boundary")
 
-    # owners stated vs derived
-    if mesh._boundary_owners is not None and not problems:
-        stated = mesh._boundary_owners
-        derived_idx = _find_rows(facets, listed)
-        ok = derived_idx >= 0
-        if not ok.all() or not (owners[derived_idx[ok]] == stated[ok]).all():
-            problems.append("boundary facet owner inconsistent with connectivity")
-
     if isinstance(mesh, SpaceTimeMesh):
         groups = np.concatenate([mesh.bottom_facets, mesh.top_facets,
                                  mesh.mantle_facets])
@@ -437,15 +404,15 @@ def validate_mesh(mesh: SimplexMesh) -> list:
 
 
 def _unique_rows(sorted_rows: np.ndarray):
-    """(unique rows, start index, counts) of a lexsorted row array."""
+    """(unique rows, counts) of a lexsorted row array."""
     if len(sorted_rows) == 0:
-        return sorted_rows, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return sorted_rows, np.zeros(0, dtype=np.int64)
     change = np.empty(len(sorted_rows), dtype=bool)
     change[0] = True
     change[1:] = (np.diff(sorted_rows, axis=0) != 0).any(axis=1)
     start = np.flatnonzero(change)
     counts = np.diff(np.append(start, len(sorted_rows)))
-    return sorted_rows[start], start, counts
+    return sorted_rows[start], counts
 
 
 def _row_bytes(rows: np.ndarray) -> np.ndarray:

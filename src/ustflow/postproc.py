@@ -322,13 +322,13 @@ def probe_exhaustive(mesh: SimplexMesh, values: np.ndarray, points,
     return _interpolate(mesh, values, pts, owner)
 
 
-def l2_error(mesh: SimplexMesh, values: np.ndarray, exact_fn,
-             time_is_last_coord: bool = True):
+def l2_error(mesh: SimplexMesh, values: np.ndarray, exact_fn):
     """Elementwise degree-2 quadrature of |field - exact|^2.
 
-    ``exact_fn(x, t)`` (or ``exact_fn(x)`` for spatial meshes) returns the
-    first k reference components; only those are compared.  Returns a dict
-    with per-component and total absolute errors and exact-solution norms.
+    ``exact_fn(x, t)`` on a ``SpaceTimeMesh`` (``exact_fn(x)`` on a spatial
+    mesh) returns the first k reference components; only those are
+    compared.  Returns a dict with per-component and total absolute errors
+    and exact-solution norms.
     """
     values = _field_values(values)
     rule = simplex_quadrature(mesh.dim, 2)
@@ -336,8 +336,7 @@ def l2_error(mesh: SimplexMesh, values: np.ndarray, exact_fn,
     x_q = np.einsum("qa,ead->eqd", N, mesh.element_coords)
     u_q = np.einsum("qa,eac->eqc", N, values[mesh.elements])
     wdet = rule.weights[None, :] * np.abs(mesh.jacobian_dets)[:, None]
-    return _l2_sums(x_q, u_q, wdet, exact_fn,
-                    time_is_last_coord and isinstance(mesh, SpaceTimeMesh))
+    return _l2_sums(x_q, u_q, wdet, exact_fn, isinstance(mesh, SpaceTimeMesh))
 
 
 def _l2_sums(x_q, u_q, wdet, exact_fn, space_time):

@@ -65,6 +65,9 @@ class ScenarioSpec:
             raise ValueError("t_end must be positive")
         if not self.levels >= 1:
             raise ValueError("levels must be at least 1")
+        if self.mesh.dim != self.space_dim:
+            raise ValueError(f"{self.name} takes a {self.space_dim}D mesh, "
+                             f"not a {self.mesh.dim}D one")
 
     @property
     def dt(self) -> float:
@@ -466,12 +469,11 @@ def _case_errors(spec: ScenarioSpec, size, mode: str, newton_cfg=None):
         if steady_slice:
             from .postproc import slice_at_time
             sl = slice_at_time(res.mesh, res.field.values, spec.t_end)
-            err = l2_error(sl.mesh, sl.values, lambda x: exact(x))
+            err = l2_error(sl.mesh, sl.values, exact)
         else:
             err = l2_error(res.mesh, res.field.values, exact)
     elif steady_slice:
-        err = l2_error(res.final_mesh, res.final_values, lambda x: exact(x),
-                       time_is_last_coord=False)
+        err = l2_error(res.final_mesh, res.final_values, exact)
     else:
         parts = [l2_error_slab(slab, vals, exact)
                  for slab, vals in zip(res.slabs, res.fields)]

@@ -416,9 +416,10 @@ def newton_solve(problem, initial_values: np.ndarray,
     reuses the first step's preconditioner (see the module docstring).
     Where the step's linear model predicts convergence,
     eta_k ||R_k|| <= tol, the new iterate's residual is checked before its
-    matrix is built, and a converged iterate gets no matrix.  On reaching
-    max_iter the best iterate seen and the full trace are returned with
-    status "max_iterations".
+    matrix is built, and a converged iterate gets no matrix.  The iterate
+    of step max_iter gets its residual alone; if it has not converged, the
+    best iterate seen and the full trace are returned with status
+    "max_iterations".
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
@@ -478,13 +479,17 @@ def newton_solve(problem, initial_values: np.ndarray,
                 lam *= 0.5
         U = U + lam * delta.reshape(shape)
 
-        if checked is None and eta * rnorm <= tol:
+        last = k == cfg.max_iter
+        if checked is None and (last or eta * rnorm <= tol):
             (_, _, r), seconds = assemble(U, want_matrix=False)
             checked = r, seconds
         if checked is not None and checked[0] <= tol:
             record(k, *checked)
             return result(U, k, "converged")
-        (system, rhs, rnorm), seconds = assemble(U)
+        if last:
+            rnorm, seconds = checked
+        else:
+            (system, rhs, rnorm), seconds = assemble(U)
         record(k, rnorm, seconds)
         if rnorm < best_r:
             best_U, best_r = U.copy(), rnorm

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ustflow.mesh as mesh_module
-from ustflow.errors import InvertedElement
+from ustflow.errors import InvertedElement, MeshTopologyError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory, decompose_prism,
                              extrude_simplex_st, max_admissible_twist,
                              rigid_rotation_positions, rotation_matrix)
@@ -182,6 +182,20 @@ class TestExtrusion:
         with pytest.raises(InvertedElement) as err:
             extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2, traj))
         assert err.value.level == 0
+
+    @pytest.mark.parametrize("n_sd", [2, 3])
+    def test_non_element_boundary_facet_raises(self, n_sd):
+        # the first and last nodes are opposite corners of the box, so no
+        # element has a facet through both
+        spatial = box2d(2, 2) if n_sd == 2 else box3d(2, 1, 1)
+        assert validate_mesh(spatial) == []
+        stray = [0, spatial.n_nodes - 1, 1][:n_sd]
+        bad = SimplexMesh(spatial.nodes, spatial.elements,
+                          np.vstack([spatial.boundary_facets, stray]),
+                          np.append(spatial.boundary_tags, 0),
+                          spatial.tag_names)
+        with pytest.raises(MeshTopologyError, match="not a facet of any"):
+            extrude_simplex_st(bad, ExtrusionSpec(0.0, 1.0, 2))
 
     def test_twist_continuity_linear_in_omega(self):
         spatial = disk2d(1.0, 2, 8)

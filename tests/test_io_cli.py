@@ -189,6 +189,16 @@ class TestConfig:
         spec = read_config(path)
         assert spec.mesh.n_elements == 32
 
+    def test_mesh_of_another_dimension_reports_line(self, tmp_path):
+        mpath = tmp_path / "box.stmesh"
+        write_stmesh(box3d(2, 2, 1), mpath)
+        path = tmp_path / "case.cfg"
+        path.write_text(f"[case]\nbase = couette2d\nmesh = {mpath}\n")
+        message = f"mesh = {mpath}: couette2d takes a 2D mesh, not a 3D one"
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            read_config(path)
+        assert err.value.line == 3
+
     @pytest.mark.parametrize("lines, levels, dt", [
         ("base = couette2d\nt_end = 1.0\n", 6, 1.0 / 6),
         ("base = manufactured\nlevels = 12\n", 12, 0.5 / 12),

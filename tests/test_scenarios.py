@@ -10,7 +10,7 @@ import ustflow.scenarios as scenarios
 from ustflow.assembly import BCSpec, MaterialParams
 from ustflow.errors import NotConverged
 from ustflow.extrude import rotation_matrix
-from ustflow.geometry import box2d
+from ustflow.geometry import box2d, box3d
 from ustflow.mesh import SimplexMesh
 from ustflow.postproc import probe, slice_at_time
 from ustflow.scenarios import (ScenarioSpec, builtin_cases,
@@ -263,6 +263,15 @@ class TestRegistry:
         assert spec.axis == (0.0, 0.0, 1.0)
         coarse = builtin_cases()["stirrer3d"](coarse=True)
         assert coarse.mesh.n_elements < spec.mesh.n_elements
+
+    @pytest.mark.parametrize("make", [make_channel2d, make_couette2d],
+                             ids=["channel2d", "couette2d"])
+    def test_mesh_of_another_dimension_rejected(self, make):
+        message = "takes a 2D mesh, not a 3D one"
+        with pytest.raises(ValueError, match=message):
+            make(mesh=box3d(2, 2, 1), levels=2)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(make(levels=2), mesh=box3d(2, 2, 1))
 
 
 class TestLinearSolverChoice:

@@ -593,6 +593,29 @@ class TestNewton:
         assert out.status == "max_iterations"
         assert len(out.trace) == 3
 
+    @pytest.mark.parametrize("linesearch, flags", [
+        ("none", [True, True, False]),
+        ("backtracking", [True, False, True, False])])
+    def test_last_iterate_gets_residual_alone(self, linesearch, flags):
+        # nothing is solved from the iterate of step max_iter, so it gets
+        # no matrix; trace, status and best iterate are plain Newton's
+        b = np.array([2.0])
+        toy = ToyProblem(lambda x: x + x ** 3 - b,
+                         lambda x: np.diag(1.0 + 3.0 * x ** 2), 1)
+        out = newton_solve(toy, np.array([100.0]),
+                           NewtonConfig(max_iter=2, abs_tol=1e-14,
+                                        rel_tol=1e-16, linesearch=linesearch),
+                           LinearSolverConfig(method="direct_lu"))
+        assert [m for m, _ in toy.calls] == flags
+        x = [100.0]
+        for _ in range(2):
+            x.append(x[-1] - (x[-1] + x[-1] ** 3 - 2.0)
+                     / (1.0 + 3.0 * x[-1] ** 2))
+        assert out.status == "max_iterations" and out.iterations == 2
+        assert np.allclose(out.trace, [abs(v + v ** 3 - 2.0) for v in x],
+                           rtol=1e-12)
+        assert np.allclose(out.values, [x[-1]], rtol=1e-12)
+
     def test_backtracking_helps_far_start(self):
         # undamped Newton diverges on atan from this start; the
         # backtracking line search keeps the iteration inside the basin

@@ -3,11 +3,13 @@
 
     python3 tools/fingerprint.py
 
-Two trees that print the same lines compute the same bytes: the metric,
-the first Newton system and the final solved fields.  The digests cover
+Two trees that print the same lines compute the same bytes: the UST
+meshes, the metric, the first Newton system and the final solved fields.
+The digests cover
 
-- ``mesh_metric`` (Ginv, g, Ginv:Ginv, g.g) on the stirrer2d and stirrer3d
-  UST meshes;
+- the stirrer2d and stirrer3d UST meshes (nodes, elements, boundary
+  facets, their tags and the bottom/top/mantle groups);
+- ``mesh_metric`` (Ginv, g, Ginv:Ginv, g.g) on those meshes;
 - the first Newton system (CSR ``data``, ``indices``, ``indptr`` and the
   right-hand side) of the stirrer2d UST problem, of its first prism slab
   and of the stirrer3d UST problem;
@@ -15,8 +17,11 @@ the first Newton system and the final solved fields.  The digests cover
 - the first Newton system of channel2d in both modes, the one shipped
   case with a Neumann tag, so the only lines that cover the traction term.
 
-The final UST field's bytes depend on the BLAS thread count, so the
-thread counts are pinned to 1 before numpy is imported.  The script peaks
+The final UST field's bytes depend on the BLAS thread count: OpenBLAS
+sums a dot product of more than about 10,000 entries in a different
+order on more threads, and the UST residual norms and GMRES's
+Gram-Schmidt dots are that long.  So the thread counts are pinned to 1
+before numpy is imported.  The script peaks
 at about 0.6 GB of RSS and takes under ten seconds on a 2-core machine.
 """
 
@@ -47,6 +52,12 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def mesh_digest(mesh) -> str:
+    return digest(mesh.nodes, mesh.elements, mesh.boundary_facets,
+                  mesh.boundary_tags, mesh.bottom_facets, mesh.top_facets,
+                  mesh.mantle_facets)
+
+
 def first_system(problem) -> str:
     system, _, _ = problem.system(problem.initial_guess())
     A = system.matrix
@@ -56,11 +67,13 @@ def first_system(problem) -> str:
 def main():
     s2, s3 = make_stirrer2d(), make_stirrer3d()
     ust2 = s2.problem(s2.ust_mesh())
+    print("mesh   stirrer2d ust  ", mesh_digest(ust2.mesh))
     print("metric stirrer2d ust  ", digest(*mesh_metric(ust2.mesh)))
     print("system stirrer2d ust  ", first_system(ust2))
     print("system stirrer2d slab ", first_system(s2.problem(s2.slab(0))))
     del ust2
     ust3 = s3.problem(s3.ust_mesh())
+    print("mesh   stirrer3d ust  ", mesh_digest(ust3.mesh))
     print("metric stirrer3d ust  ", digest(*mesh_metric(ust3.mesh)))
     print("system stirrer3d ust  ", first_system(ust3))
     del ust3
