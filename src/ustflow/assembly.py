@@ -14,25 +14,34 @@ iterate (Picard treatment), everything else is linearized exactly.
 One driver, ``_ProblemBase``, assembles both element families: the chunked
 volume loop, the jump term, the traction term, the stabilization
 parameters, the sparse matrix and the Dirichlet rows.  ``_CsrPlan`` builds
-the matrix pattern once per problem, on the first matrix request, from the
-element connectivity: every element node pair becomes a dense ncomp x ncomp
-block.  It numbers each chunk's pairs locally, by one ``np.unique`` per
-chunk, and keeps the chunk's sorted global pair ids beside them.  Each
-Newton step sums a chunk's local matrices over the local ids with one
-``np.bincount`` per component pair, with no sort, adds those sums at the
-global ids, and hands the solver the blocks' CSR form.
+the matrix's CSR pattern once per problem, on the first matrix request,
+from the element connectivity: every element node pair becomes a dense
+ncomp x ncomp block of entries.  Its ``indptr`` and ``indices`` are
+read-only and shared by every matrix of the problem, which owns only its
+``data``.  The plan numbers each chunk's pairs locally, by one
+``np.unique`` per chunk, and keeps the chunk's sorted global pair ids
+beside them.  Each Newton step sums a chunk's local matrices over the local
+ids with one ``np.bincount`` per component pair, with no sort, and adds
+those sums straight at their CSR slots: no block array and no format
+conversion.
 
-The volume loop runs in ``_LANES`` fixed, contiguous element lanes once a
-system has that many chunks; ``_partition`` cuts the elements into lanes
-and chunks, once per problem, for the plan and the lanes alike.  Each lane
-sums its chunks into its own residual and blocks, on a small module-level
-thread pool, and the lanes' sums are added in lane order, so the result has
-the same bytes on any core count.  A one-chunk system runs its one lane
-inline and starts no thread.  On the first matrix of a two-lane problem the
-plan is built on a lane thread while the calling thread fills the geometry
-and then computes the metric and tau; the problem's one ``assembly plan``
-log line gives the seconds of each and the calling thread's wait for the
-plan.  A family supplies the geometry of its elements:
+A chunk holds at most ``_CHUNK_ENTRIES`` local-matrix entries, 8 MB of
+local matrices, and the kernel's temporaries are a small multiple of that
+on each lane.  No per-element copy of the element coordinates or dofs is
+cached: each chunk gathers its own from ``elements``.  The volume loop runs in
+``_LANES`` fixed, contiguous element lanes once a system has that many
+chunks; ``_partition`` cuts the elements into lanes and chunks, once per
+problem, for the plan and the lanes alike.  Each lane sums its chunks into
+its own residual and its own ``data``, on a small module-level thread
+pool: the first lane into the whole array, each later lane into the
+contiguous range of its node rows.  The lanes' sums are added in lane
+order, so the result has the same bytes on any core count.  A one-chunk
+system runs its one lane inline and starts no thread.  On the first matrix
+of a two-lane problem the plan is built on a lane thread while the calling
+thread fills the geometry and then computes the metric and tau; the
+problem's one ``assembly plan`` log line gives the seconds of each and the
+calling thread's wait for the plan.  A family supplies the geometry of its
+elements:
 
 - ``_volume_geometry(sl)``: the arguments of the element kernel
   ``_element_terms`` for a chunk of elements;
@@ -83,10 +92,11 @@ from .stabilization import (StabilizationContext, mesh_metric, metric_terms,
 
 logger = logging.getLogger("ustflow")
 
-# local-matrix entries per assembly chunk (7,500 pentatopes, 9,259 2D or
-# 2,929 3D prisms).  It bounds the chunk's arrays of that size, on each
-# lane: the local matrices and the kernel's outer products.
-_CHUNK_ENTRIES = 3.0e6
+# local-matrix entries per assembly chunk, 8 MB of local matrices (2,500
+# pentatopes, 6,944 space-time tetrahedra, 3,086 2D or 976 3D prisms).  It
+# bounds the chunk's arrays of that size, on each lane: the local matrices
+# and the kernel's outer products.
+_CHUNK_ENTRIES = 1.0e6
 
 # element lanes of a system with two or more chunks.  The lanes are a fixed
 # partition of the elements whatever the core count, so the sums, and the
@@ -307,9 +317,24 @@ def _element_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
     return np.moveaxis(Re, -1, 0), np.moveaxis(Ke, -1, 0)
 
 
+def _node_dofs(ids, comps, nc):
+    """(n, m * len(comps)) dofs of components ``comps`` of the nodes ``ids``
+    (n, m), node-major."""
+    return (ids[:, :, None] * nc + comps).reshape(len(ids), -1)
+
+
 def _add_local(R, dofs, Re):
-    """Add local residuals ``Re`` at ``dofs`` (n, L) into ``R``."""
-    R += np.bincount(dofs.ravel(), Re.ravel(), minlength=len(R))
+    """Add local residuals ``Re`` at ``dofs`` (n, L) into ``R``.
+
+    The sums span the range of ``dofs`` only: a chunk's elements are
+    contiguous, and a sum over every dof per chunk would cost O(n_dofs)
+    for each of a large system's many chunks.
+    """
+    if dofs.size == 0:
+        return
+    lo, hi = dofs.min(), dofs.max() + 1
+    R[lo:hi] += np.bincount((dofs - lo).ravel(), Re.ravel(),
+                            minlength=hi - lo)
 
 
 def _unique(a):
@@ -345,19 +370,25 @@ def _partition(n_el, nloc):
 
 
 class _CsrPlan:
-    """Block pattern of a problem's matrix, built once from the elements.
+    """CSR pattern of a problem's matrix, built once from the elements.
 
     The pattern holds every node pair that shares an element, plus each
-    node's diagonal pair, as a dense ncomp x ncomp block.  ``keys`` are the
-    pairs' row * n_nodes + col, sorted, so the blocks in pair order form a
-    block-row (BSR) matrix with sorted block columns, whose CSR form is the
-    canonical CSR form of the summed element matrices.  ``chunks`` holds,
-    for each element chunk of the partition, its pairs as ``pair_ids``
-    gives them: the chunk's sorted global pair ids and int32 chunk-local
-    ids, so a chunk's fill spans only the pairs it touches.  ``dir_slots``
-    are the CSR entries of the Dirichlet rows, ``diag_slots`` their diagonal
-    entries; ``dir_slots``, ``col``, ``bptr`` and the chunks' global ids take
-    the CSR index dtype (int32 while nnz < 2**31).
+    node's diagonal pair, as a dense ncomp x ncomp block of entries.
+    ``keys`` are the pairs' row * n_nodes + col, sorted; pair p of node row
+    r holds nc entries in each of the CSR rows r*nc + i, in key order, so
+    its component pair (i, j) sits at
+
+        slot(p, i, j) = indptr[r*nc + i] + nc*(p - bptr[r]) + j
+                      = start[p] + i*stride[p] + j,
+
+    the canonical CSR form of the summed element matrices (sorted columns,
+    no duplicates).  ``indptr`` and ``indices`` are read-only and shared by
+    every matrix the plan wraps.  ``chunks`` holds, for each element chunk
+    of the partition, its pairs as ``pair_ids`` gives them: the chunk's
+    sorted global pair ids and int32 chunk-local ids, so a chunk's fill
+    spans only the pairs it touches.  ``dir_slots`` are the CSR entries of
+    the Dirichlet rows, ``diag_slots`` their diagonal entries.  All index
+    arrays take the CSR index dtype (int32 while nnz < 2**31).
     """
 
     def __init__(self, elements, n_nodes, nc, dir_mask, chunks):
@@ -371,16 +402,30 @@ class _CsrPlan:
         diag_pairs = np.searchsorted(self.keys, diag)
         row, col = np.divmod(self.keys, n_nodes)
         bptr = np.searchsorted(row, np.arange(n_nodes + 1))
+        deg = np.diff(bptr)
         self.nnz = nc * nc * len(row)
         index = np.int32 if self.nnz < 2 ** 31 else np.int64
-        self.col, self.bptr = col.astype(index), bptr.astype(index)
         self.chunks = [(np.searchsorted(self.keys, k).astype(index), ids)
                        for k, ids in local]
 
-        # CSR row node*nc + i holds nc entries of each block of its node
-        deg = np.diff(bptr)
+        # CSR row node*nc + i holds nc entries of each pair of its node
         indptr = np.append(nc * nc * bptr[:-1, None]
                            + nc * deg[:, None] * np.arange(nc), self.nnz)
+        # a pair's nc entries in one CSR row start at a multiple of nc, so
+        # the indices fill whole rows of an (nnz/nc, nc) view, row i of pair
+        # p at run[p] + i*deg[r]
+        run = np.arange(len(row)) + (nc - 1) * bptr[row]
+        step = deg[row]
+        self.indices = np.empty(self.nnz, index)
+        cols = (col[:, None] * nc + np.arange(nc)).astype(index)
+        for i in range(nc):
+            self.indices.reshape(-1, nc)[run + i * step] = cols
+        self.start = (nc * run).astype(index)
+        self.stride = (nc * step).astype(index)
+        self.indptr = indptr.astype(index)
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
+
         self.dir_slots = np.flatnonzero(
             np.repeat(dir_mask, np.diff(indptr))).astype(index)
         dir_dofs = np.flatnonzero(dir_mask)
@@ -406,20 +451,30 @@ class _CsrPlan:
         keys, local = self._local_ids(ids)
         return np.searchsorted(self.keys, keys), local
 
-    def blocks(self, lo=0, hi=None):
-        """Zero blocks of pairs ``lo`` to ``hi`` (default: the last)."""
-        hi = len(self.keys) if hi is None else hi
-        return np.zeros((hi - lo, self.nc, self.nc))
+    def slots(self, glob):
+        """(nc, nc, len(glob)) CSR slots of the component pairs (i, j) of
+        the pairs ``glob``."""
+        j = np.arange(self.nc)
+        rows = (self.start[glob].astype(np.intp)
+                + j[:, None] * self.stride[glob])
+        return rows[:, None, :] + j[None, :, None]
 
-    def add(self, blocks, lo, pairs, K):
+    def row_range(self, first, last):
+        """(lo, hi) of the CSR data of the whole node rows of pairs
+        ``first`` to ``last``."""
+        r0, r1 = self.keys[[first, last]] // self.n_nodes
+        ptr, nc = self.indptr, self.nc
+        return int(ptr[r0 * nc]), int(ptr[(r1 + 1) * nc])
+
+    def add(self, data, lo, pairs, K):
         """Add local matrices ``K`` (n, m, nc, m, nc) at ``pairs``, a
-        (glob, local) pair of ``pair_ids`` of their elements, into
-        ``blocks``, whose first block is pair ``lo``.
+        (glob, local) pair of ``pair_ids`` of their elements, into the CSR
+        ``data`` whose first entry is slot ``lo``.
 
         One ``np.bincount`` per component pair sums over (a, b, element) in
         that order, whatever the memory order of ``K``, into the len(glob)
         pairs the elements touch, a contiguous row of ``part`` per component
-        pair; those sums are then added at ``glob``.
+        pair; those sums are then added at their slots.
         """
         glob, local = pairs
         local = local.astype(np.intp)
@@ -429,13 +484,13 @@ class _CsrPlan:
                 part[i, j] = np.bincount(
                     local, K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
                     minlength=len(glob))
-        blocks[glob - lo] += part.transpose(2, 0, 1)
+        data[self.slots(glob) - lo] += part
 
-    def matrix(self, blocks):
-        """The CSR matrix of ``blocks`` (all pairs); its arrays are new."""
+    def matrix(self, data):
+        """The CSR matrix of ``data`` (all slots), which it wraps, with the
+        plan's shared, read-only ``indices`` and ``indptr``."""
         n = self.n_nodes * self.nc
-        return sp.bsr_matrix((blocks, self.col, self.bptr),
-                             shape=(n, n)).tocsr()
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
 class _ProblemBase:
@@ -466,8 +521,6 @@ class _ProblemBase:
         self.elements = elements
         self.n_nodes, nc = node_coords.shape
         self.n_sd = n_sd = nc - 1
-        self.edof = (elements[:, :, None] * nc
-                     + np.arange(nc)[None, None, :]).reshape(len(elements), -1)
         self.dof_levels = np.repeat(levels, nc)
 
         self.dir_mask = np.zeros(self.n_dofs, dtype=bool)
@@ -492,6 +545,12 @@ class _ProblemBase:
     @property
     def n_dofs(self) -> int:
         return self.n_nodes * self.ncomp
+
+    @property
+    def edof(self) -> np.ndarray:
+        """(n_el, nloc) dofs of every element, built on each access: the
+        assembly gathers each chunk's dofs from ``elements`` instead."""
+        return _node_dofs(self.elements, np.arange(self.ncomp), self.ncomp)
 
     def impose_dirichlet(self, values: np.ndarray) -> np.ndarray:
         out = values.reshape(-1).copy()
@@ -563,8 +622,8 @@ class _ProblemBase:
                         plan.build_s, t1 - t0, t2 - t1,
                         time.perf_counter() - t2)
 
-        R, blocks = self._volume(values, stab, plan, chunks, lanes)
-        self._add_jump(values, R, blocks)
+        R, data = self._volume(values, stab, plan, chunks, lanes)
+        self._add_jump(values, R, data)
         for dofs, Rloc in self._traction:
             _add_local(R, dofs, Rloc)
 
@@ -576,52 +635,56 @@ class _ProblemBase:
         norm = float(np.linalg.norm(rhs))
         if not want_matrix:
             return None, rhs, norm
-        A = plan.matrix(blocks)
-        A.data[plan.dir_slots] = 0.0
-        A.data[plan.diag_slots] = 1.0
-        return LinearSystem(A, rhs, self.n_sd), rhs, norm
+        data[plan.dir_slots] = 0.0
+        data[plan.diag_slots] = 1.0
+        return LinearSystem(plan.matrix(data), rhs, self.n_sd), rhs, norm
 
     def _volume(self, values, stab, plan, chunks, lanes):
-        """(R, blocks) of the volume terms: the lanes' sums, added in lane
-        order; ``blocks`` is None without a ``plan``."""
+        """(R, data) of the volume terms: the lanes' sums, added in lane
+        order; ``data`` is None without a ``plan``."""
         def lane(k):
             return self._lane(values, stab, plan, chunks, lanes[k], k == 0)
 
         sums = (map(lane, range(len(lanes))) if len(lanes) == 1
                 else _lane_pool().map(lane, range(len(lanes))))
-        R, _, blocks = next(sums)
-        for R_k, lo, blocks_k in sums:
+        R, _, data = next(sums)
+        for R_k, lo, data_k in sums:
             R += R_k
             if plan is not None:
-                blocks[lo:lo + len(blocks_k)] += blocks_k
-        return R, blocks
+                data[lo:lo + len(data_k)] += data_k
+        return R, data
 
     def _lane(self, values, stab, plan, chunks, ids, full):
-        """(R, lo, blocks) of the chunks ``ids``.
+        """(R, lo, data) of the chunks ``ids``.
 
-        ``blocks`` covers all pairs if ``full``, else only this lane's, from
-        pair ``lo``; it is None without a ``plan``.
+        ``data`` holds every CSR slot if ``full``, else only the slots of
+        this lane's node rows, from slot ``lo``; it is None without a
+        ``plan``.
         """
-        rho, mu = self.material.rho, self.material.mu
+        rho, mu, nc = self.material.rho, self.material.mu, self.ncomp
         R = np.zeros(self.n_dofs)
-        lo, blocks = 0, None
+        lo, data = 0, None
         if plan is not None:
             glob = [plan.chunks[c][0] for c in ids]
-            lo, hi = ((0, None) if full
-                      else (int(min(g[0] for g in glob)),
-                            int(max(g[-1] for g in glob)) + 1))
-            blocks = plan.blocks(lo, hi)
+            lo, hi = ((0, plan.nnz) if full
+                      else plan.row_range(min(g[0] for g in glob),
+                                          max(g[-1] for g in glob)))
+            data = np.zeros(hi - lo)
+        comps = np.arange(nc)
         for c in ids:
             sl = chunks[c]
+            elements = self.elements[sl]
             Re, Ke = _element_terms(*self._volume_geometry(sl),
-                                    values[self.elements[sl]], rho, mu,
+                                    values[elements], rho, mu,
                                     stab.tau_mom[sl], stab.tau_cont[sl],
                                     self.body_force, self.convective,
                                     plan is not None)
-            _add_local(R, self.edof[sl], Re)
+            _add_local(R, _node_dofs(elements, comps, nc), Re)
             if plan is not None:
-                plan.add(blocks, lo, plan.chunks[c], Ke)
-        return R, lo, blocks
+                plan.add(data, lo, plan.chunks[c], Ke)
+            # the next chunk's kernel runs without this chunk's arrays
+            del Re, Ke
+        return R, lo, data
 
     def residual_norm(self, values, tau_override=None) -> float:
         return self.system(values, tau_override=tau_override,
@@ -631,7 +694,8 @@ class _ProblemBase:
     def _chunks(self):
         """The (size, chunks, lanes) of ``_partition``, fixed at the first
         system so that the plan and the lanes keep sharing it."""
-        return _partition(*self.edof.shape)
+        return _partition(len(self.elements),
+                          self.elements.shape[1] * self.ncomp)
 
     @cached_property
     def _csr_plan(self) -> _CsrPlan:
@@ -667,28 +731,31 @@ class _ProblemBase:
         return ids, Mq, rho * np.einsum("fq,qa,fqi->fai", wdet, Nf, u0)
 
     @cached_property
-    def _cap_pairs(self):
-        """The plan's (glob, local) of the bottom-cap node pairs, which are
-        element node pairs in both families."""
-        return self._csr_plan.pair_ids(self._cap[0])
+    def _cap_slots(self):
+        """(slots, local) of the jump term's matrix: the CSR slots (n_sd,
+        n_pairs) of the velocity component pairs (i, i) of the bottom-cap
+        node pairs, which are element node pairs in both families, and each
+        facet pair's index into them, in (a, b, facet) order."""
+        plan = self._csr_plan
+        glob, local = plan.pair_ids(self._cap[0])
+        i = np.arange(self.n_sd)
+        return plan.slots(glob)[i, i], local
 
-    def _add_jump(self, values, R, blocks):
+    def _add_jump(self, values, R, data):
         """rho (u+ - u-) . w on the bottom cap.  Its matrix, rho times the
         facet mass matrix in each velocity component, goes into the plan's
-        ``blocks`` unless that is None."""
+        CSR ``data`` unless that is None."""
         n_sd, nc = self.n_sd, self.ncomp
         ids, Mq, R_minus = self._cap
         rho = self.material.rho
         Rloc = rho * np.einsum("fab,fbi->fai", Mq, values[ids, :n_sd])
         Rloc -= R_minus
-        vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-        _add_local(R, vdofs.reshape(len(ids), -1), Rloc)
-        if blocks is not None:
-            glob, local = self._cap_pairs
-            M = np.bincount(local, (rho * Mq).transpose(1, 2, 0).ravel(),
-                            minlength=len(glob))
-            for i in range(n_sd):
-                blocks[glob, i, i] += M
+        _add_local(R, _node_dofs(ids, np.arange(n_sd), nc), Rloc)
+        if data is not None:
+            slots, local = self._cap_slots
+            data[slots] += np.bincount(
+                local, (rho * Mq).transpose(1, 2, 0).ravel(),
+                minlength=slots.shape[1])
 
     @cached_property
     def _traction(self):
@@ -712,8 +779,7 @@ class _ProblemBase:
                               x[..., n_sd].reshape(-1)))
             Rloc = -np.einsum("fq,qa,fqi->fai", wdet, N,
                               h.reshape(len(ids), -1, n_sd))
-            vdofs = ids[:, :, None] * nc + np.arange(n_sd)[None, None, :]
-            out.append((vdofs.reshape(len(ids), -1), Rloc))
+            out.append((_node_dofs(ids, np.arange(n_sd), nc), Rloc))
         return out
 
 
@@ -723,7 +789,7 @@ def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl, with_points):
     constant.  The points are computed only ``with_points``, else None."""
     nq, nen = Nq.shape
     grads = np.ascontiguousarray(np.moveaxis(mesh.gradients[sl], 0, -1))
-    x = (np.moveaxis(Nq @ mesh.element_coords[sl], 0, -1)[:, None]
+    x = (np.moveaxis(Nq @ mesh.nodes[mesh.elements[sl]], 0, -1)[:, None]
          if with_points else None)
     return (Nq[:, None, :], weights[:, None],
             np.abs(mesh.jacobian_dets[sl])[None], grads[None, :, :mesh.n_sd],
@@ -976,9 +1042,9 @@ def jump_term(problem, field: SolutionField):
     Jacobian is stored in the problem's full matrix pattern."""
     plan = problem._csr_plan
     R = np.zeros(problem.n_dofs)
-    blocks = plan.blocks()
-    problem._add_jump(field.values, R, blocks)
-    return R, plan.matrix(blocks)
+    data = np.zeros(plan.nnz)
+    problem._add_jump(field.values, R, data)
+    return R, plan.matrix(data)
 
 
 def traction_term(problem) -> np.ndarray:

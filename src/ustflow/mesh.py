@@ -16,7 +16,9 @@ arithmetic step runs over a slice of elements) in slices of ``_SLICE``
 elements.  Determinants and inverses of the d x d Jacobians, d <= 4, come
 from the cofactor expansion in ``cofactor_det``, not from a batched LAPACK
 call per element.  The only cached copy of the inverse Jacobians is the P1
-``gradients`` array.
+``gradients`` array.  No copy of the element coordinates is cached: each
+slice loop and each per-element helper gathers ``nodes[elements[sl]]`` for
+its own elements.
 """
 
 from __future__ import annotations
@@ -159,9 +161,10 @@ class SimplexMesh:
 
     # -- element geometry --------------------------------------------------
 
-    @cached_property
+    @property
     def element_coords(self) -> np.ndarray:
-        """(n_el, dim+1, dim) coordinates of element nodes."""
+        """(n_el, dim+1, dim) coordinates of element nodes, gathered on each
+        access."""
         return self.nodes[self.elements]
 
     @cached_property
@@ -188,11 +191,12 @@ class SimplexMesh:
         if bad.any():
             raise DegenerateElement(
                 f"degenerate elements: {np.flatnonzero(bad)[:10].tolist()}")
-        X, dim = self.element_coords, self.dim
-        grads = np.empty((len(X), dim + 1, dim))
-        for sl in element_slices(len(X)):
+        dim = self.dim
+        grads = np.empty((len(det), dim + 1, dim))
+        for sl in element_slices(len(det)):
             inv = np.empty((dim + 1, dim, len(det[sl])))
-            cofactor_det(jacobians_last(X[sl]), inv[1:])
+            cofactor_det(jacobians_last(self.nodes[self.elements[sl]]),
+                         inv[1:])
             np.divide(inv[1:], det[sl], out=inv[1:])
             np.negative(inv[1], out=inv[0])
             for k in range(2, dim + 1):
@@ -209,10 +213,11 @@ class SimplexMesh:
         # per slice, (nen, dim, E): each node's coordinates are contiguous
         # rows; the squared lengths add the coordinates in order, as a norm
         # does, and one sqrt of their maximum follows
-        X, nen = self.element_coords, self.dim + 1
-        h2 = np.zeros(len(X))
-        for sl in element_slices(len(X)):
-            Xl = np.ascontiguousarray(X[sl].transpose(1, 2, 0))
+        nen = self.dim + 1
+        h2 = np.zeros(self.n_elements)
+        for sl in element_slices(len(h2)):
+            Xl = np.ascontiguousarray(
+                self.nodes[self.elements[sl]].transpose(1, 2, 0))
             h = h2[sl]
             for i in range(nen):
                 for j in range(i + 1, nen):
@@ -270,7 +275,7 @@ def element_jacobian(mesh: SimplexMesh, e: int):
     Raises DegenerateElement when |det| falls below the scale-invariant
     degeneracy threshold.
     """
-    J = jacobians_last(mesh.element_coords[e][None])[..., 0]
+    J = jacobians_last(mesh.nodes[mesh.elements[e]][None])[..., 0]
     det = mesh.jacobian_dets[e]
     if degenerate(abs(det), mesh.max_edge_lengths[e], mesh.dim):
         raise DegenerateElement(f"element {e} is degenerate (det={det:g})")
@@ -291,7 +296,7 @@ def basis_gradients(mesh: SimplexMesh, e: int) -> np.ndarray:
 def map_local_to_global(mesh: SimplexMesh, e: int, xi) -> np.ndarray:
     """Affine map from reference coordinates to global coordinates."""
     N = basis_eval(xi, mesh.dim)
-    return N @ mesh.element_coords[e]
+    return N @ mesh.nodes[mesh.elements[e]]
 
 
 def time_levels(times):

@@ -255,11 +255,13 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     for v in range(1, mesh.dim + 1):
         lo, hi = np.minimum(lo, X[:, v]), np.maximum(hi, X[:, v])
     scale = 1.0 / (hi - lo).max(axis=0)
-    offsets = X - mesh.barycenters[:, None, :]
+    # the barycenters of ``mesh.barycenters``, from the coordinates at hand
+    bary = X.mean(axis=1)
+    offsets = X - bary[:, None, :]
     offsets *= scale
     radius = (np.sqrt(np.einsum("evk,evk->ev", offsets, offsets).max())
               * (1.0 + 2 * (mesh.dim + 1) * tol))
-    tree = cKDTree(mesh.barycenters * scale, balanced_tree=False)
+    tree = cKDTree(bary * scale, balanced_tree=False)
     finite = np.flatnonzero(np.isfinite(points).all(axis=1))
     query = points[finite] * scale
     counts = tree.query_ball_point(query, radius, return_length=True)
@@ -287,8 +289,8 @@ def _interpolate(mesh: SimplexMesh, values, points, owner):
     e = owner[found]
     # stacked matmuls make the BLAS calls of a one-point evaluation, so a
     # value does not depend on the other points probed with it
-    xi = mesh.jacobian_invs[e] @ (points[found]
-                                  - mesh.element_coords[e, 0])[:, :, None]
+    x0 = mesh.nodes[mesh.elements[e, 0]]
+    xi = mesh.jacobian_invs[e] @ (points[found] - x0)[:, :, None]
     N = basis_eval(xi[:, :, 0], mesh.dim)
     out[found] = (N[:, None, :] @ values[mesh.elements[e]])[:, 0]
     return out, found
@@ -313,7 +315,7 @@ def probe_exhaustive(mesh: SimplexMesh, values: np.ndarray, points,
     """Brute-force point location over all elements (test oracle)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     Jinv = mesh.jacobian_invs
-    X0 = mesh.element_coords[:, 0, :]
+    X0 = mesh.nodes[mesh.elements[:, 0]]
     owner = np.full(len(pts), -1, dtype=np.int64)
     for p, x in enumerate(pts):
         inside = np.flatnonzero(_inside(Jinv, X0, x, tol))

@@ -110,7 +110,7 @@ def _reference_derivative(mesh: SimplexMesh, sl: slice) -> np.ndarray:
     canonical Jacobian is rows sigma(1..dim) of ``mesh.gradients``, which
     raise ``DegenerateElement`` on a degenerate mesh.
     """
-    X = mesh.element_coords[sl]
+    X = mesh.nodes[mesh.elements[sl]]
     order = _canonical_order(_last(X - X[:, :1]))
     inv_jc = np.take_along_axis(_last(mesh.gradients[sl]), order[1:, None, :],
                                 axis=0)

@@ -1208,8 +1208,8 @@ class TestLanes:
 class TestBlockFill:
     def test_same_blocks_for_either_memory_order(self, rng):
         """The element kernel's element-last local matrices and an
-        element-first copy fill the same blocks, also into a block range of
-        their own."""
+        element-first copy fill the same CSR data, also into the slot range
+        of their own node rows."""
         problem = pentatope_problem(rng)
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
         _, Ke = volume_terms(_element_terms,
@@ -1220,17 +1220,20 @@ class TestBlockFill:
         pairs = plan.pair_ids(problem.elements)
         filled = []
         for K in (Ke, np.ascontiguousarray(Ke)):
-            blocks = plan.blocks()
-            plan.add(blocks, 0, pairs, K)
-            filled.append(blocks)
+            data = np.zeros(plan.nnz)
+            plan.add(data, 0, pairs, K)
+            filled.append(data)
         assert np.array_equal(filled[0], filled[1])
 
-        sl = slice(10, 30)
-        pairs = plan.pair_ids(problem.elements[sl])
-        lo, hi = pairs[0][0], pairs[0][-1] + 1
-        part, full = plan.blocks(lo, hi), plan.blocks()
-        plan.add(part, lo, pairs, Ke[sl])
-        plan.add(full, 0, pairs, np.ascontiguousarray(Ke[sl]))
+        # the elements whose lowest node is the highest: later rows only
+        low = problem.elements.min(axis=1)
+        sel = np.flatnonzero(low == low.max())
+        pairs = plan.pair_ids(problem.elements[sel])
+        lo, hi = plan.row_range(pairs[0][0], pairs[0][-1])
+        assert 0 < lo < hi
+        part, full = np.zeros(hi - lo), np.zeros(plan.nnz)
+        plan.add(part, lo, pairs, Ke[sel])
+        plan.add(full, 0, pairs, np.ascontiguousarray(Ke[sel]))
         assert np.array_equal(full[lo:hi], part)
         assert not full[:lo].any() and not full[hi:].any()
 
@@ -1243,10 +1246,71 @@ def global_pair_ids(plan, ids):
     return np.searchsorted(plan.keys, keys.ravel())
 
 
+def bsr_to_csr(plan, blocks):
+    """The CSR matrix of ``blocks`` (n_pairs, nc, nc) in the plan's pair
+    order, by scipy's block-row conversion."""
+    row, col = np.divmod(plan.keys, plan.n_nodes)
+    bptr = np.searchsorted(row, np.arange(plan.n_nodes + 1))
+    n = plan.n_nodes * plan.nc
+    return sp.bsr_matrix((blocks, col, bptr), shape=(n, n)).tocsr()
+
+
+class TestMemory:
+    """What a Newton system leaves behind and what it holds at its peak."""
+
+    @pytest.mark.parametrize("family", ["simplex", "pentatope"])
+    def test_no_per_element_copies_or_blocks(self, family, rng, monkeypatch):
+        problem = split_into_chunks(monkeypatch,
+                                    TestLanes.problem(family, rng))
+        U = problem.initial_guess()
+        A = problem.system(U)[0].matrix
+        B = problem.system(U + 0.1)[0].matrix
+        assert len(problem._chunks[2]) == 2
+        assert "element_coords" not in vars(problem.mesh)
+        assert "edof" not in vars(problem)
+        # the plan holds index arrays only: no block or data array
+        plan = problem._csr_plan
+        arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+        assert all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays)
+        # every matrix wraps the plan's read-only index arrays and new data
+        for M in (A, B):
+            assert np.shares_memory(M.indices, plan.indices)
+            assert np.shares_memory(M.indptr, plan.indptr)
+            assert not M.indices.flags.writeable
+            assert not M.indptr.flags.writeable
+        assert not np.shares_memory(A.data, B.data)
+
+    def test_later_system_peak(self):
+        """A later ``system()`` of the stirrer2d fixture, traced: its peak
+        is the matrix's data (the whole array and a later lane's rows) and
+        at most 3.5 times one chunk's local matrices, 8 MB, per lane: the
+        kernel's peak, with no earlier chunk's arrays still held."""
+        import tracemalloc
+
+        from ustflow.scenarios import make_stirrer2d
+        spec = make_stirrer2d()
+        problem = spec.problem(spec.ust_mesh())
+        U = problem.initial_guess()
+        problem.system(U)
+        size, _, lanes = problem._chunks
+        nloc = problem.elements.shape[1] * problem.ncomp
+        chunk_bytes = 8 * size * nloc * nloc
+        assert len(lanes) == 2 and chunk_bytes <= 8e6
+        tracemalloc.start()
+        try:
+            A = problem.system(U + 0.01)[0].matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * A.data.nbytes + 3.5 * len(lanes) * chunk_bytes
+
+
 class TestChunkLocalPairs:
     """Each chunk's (glob, local) pair ids against a global ``searchsorted``
-    of its element pairs, and its block fill against one ``bincount`` per
-    component pair over the global ids, on problems split into two lanes."""
+    of its element pairs, and its CSR-order fill against one ``bincount``
+    per component pair over the global ids into node-pair blocks, which
+    scipy converts from block-row (BSR) to CSR form, on problems split into
+    two lanes."""
 
     @pytest.fixture(params=["simplex", "pentatope", "prism"])
     def problem(self, request, rng, monkeypatch):
@@ -1279,7 +1343,7 @@ class TestChunkLocalPairs:
                              problem._volume_geometry(slice(None)), problem,
                              U, True)
         nc = problem.ncomp
-        got, want = plan.blocks(), plan.blocks()
+        got, want = np.zeros(plan.nnz), np.zeros((len(plan.keys), nc, nc))
         for sl, pairs in zip(problem._chunks[1], plan.chunks):
             K = Ke[sl]
             plan.add(got, 0, pairs, K)
@@ -1292,7 +1356,11 @@ class TestChunkLocalPairs:
                         idx - first,
                         K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
                         minlength=n)
-        assert got.tobytes() == want.tobytes()
+        want = bsr_to_csr(plan, want)
+        A = plan.matrix(got)
+        assert np.array_equal(A.indptr, want.indptr)
+        assert np.array_equal(A.indices, want.indices)
+        assert got.tobytes() == want.data.tobytes()
 
 
 class TestNoThreads:
@@ -1306,13 +1374,20 @@ class TestNoThreads:
 
     def test_one_chunk_problems_start_no_pool(self, small_st_mesh_2d, rng,
                                               monkeypatch, caplog):
-        from ustflow.scenarios import make_stirrer2d, make_stirrer3d
+        from ustflow.scenarios import make_stirrer2d
         monkeypatch.setattr(assembly, "_pool", None)
         before = threading.active_count()
+        spec = make_stirrer2d()
+        slab3d = twisted_slab(3)
         problems = [make_problem(small_st_mesh_2d), pentatope_problem(rng),
-                    twisted_simplex_problem(), twisted_prism_problem(rng)]
-        for spec in (make_stirrer2d(), make_stirrer3d(coarse=True)):
-            problems.append(spec.problem(spec.slab(0)))  # run_slab's first
+                    twisted_simplex_problem(), twisted_prism_problem(rng),
+                    spec.problem(spec.slab(0)),  # run_slab's first
+                    PrismSlabProblem(
+                        slab3d, MaterialParams(1.0, 0.1),
+                        BCSpec(dirichlet={"x0": zero_velocity}),
+                        gauge=(0, 0.0),
+                        jump_data=rng.uniform(
+                            -1, 1, size=(slab3d.spatial.n_nodes, 3)))]
         with caplog.at_level(logging.INFO, logger="ustflow"):
             for problem in problems:
                 U = problem.initial_guess()

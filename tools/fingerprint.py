@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the stirrer pipeline's numeric outputs.
 
-    python3 tools/fingerprint.py
+    python3 tools/fingerprint.py [--save DIR] [--against DIR]
 
 Two trees that print the same lines compute the same bytes: the UST
 meshes, the metric, the first Newton system and the final solved fields.
@@ -17,16 +17,25 @@ The digests cover
 - the first Newton system of channel2d in both modes, the one shipped
   case with a Neumann tag, so the only lines that cover the traction term.
 
+``--save DIR`` also writes the arrays behind each line to DIR, one
+``.npz`` file per line.  ``--against DIR`` reads such a directory, written
+by another tree, and prints after each digest the deviation of each of
+the line's arrays from the saved one, max|a - ref| / max|ref| (max|a - ref|
+where ref is all zeros; ``shape`` where the shapes differ), so that a
+change that moves results by rounding can quote by how much.
+
 The final UST field's bytes depend on the BLAS thread count: OpenBLAS
 sums a dot product of more than about 10,000 entries in a different
 order on more threads, and the UST residual norms and GMRES's
 Gram-Schmidt dots are that long.  So the thread counts are pinned to 1
-before numpy is imported.  The script peaks
-at about 0.6 GB of RSS and takes under ten seconds on a 2-core machine.
+before numpy is imported.  The script peaks at about 0.6 GB of RSS and
+takes under ten seconds on a 2-core machine; ``--save`` writes about
+0.3 GB.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -52,37 +61,76 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def mesh_digest(mesh) -> str:
-    return digest(mesh.nodes, mesh.elements, mesh.boundary_facets,
-                  mesh.boundary_tags, mesh.bottom_facets, mesh.top_facets,
-                  mesh.mantle_facets)
+def mesh_arrays(mesh) -> dict:
+    return {name: getattr(mesh, name)
+            for name in ("nodes", "elements", "boundary_facets",
+                         "boundary_tags", "bottom_facets", "top_facets",
+                         "mantle_facets")}
 
 
-def first_system(problem) -> str:
+def first_system(problem) -> dict:
     system, _, _ = problem.system(problem.initial_guess())
     A = system.matrix
-    return digest(A.data, A.indices, A.indptr, system.rhs)
+    return {"data": A.data, "indices": A.indices, "indptr": A.indptr,
+            "rhs": system.rhs}
 
 
-def main():
+def lines():
+    """(label, {name: array}) of each line, computed one at a time."""
     s2, s3 = make_stirrer2d(), make_stirrer3d()
     ust2 = s2.problem(s2.ust_mesh())
-    print("mesh   stirrer2d ust  ", mesh_digest(ust2.mesh))
-    print("metric stirrer2d ust  ", digest(*mesh_metric(ust2.mesh)))
-    print("system stirrer2d ust  ", first_system(ust2))
-    print("system stirrer2d slab ", first_system(s2.problem(s2.slab(0))))
+    metric = ("Ginv", "g", "GG", "gg")
+    yield "mesh   stirrer2d ust  ", mesh_arrays(ust2.mesh)
+    yield "metric stirrer2d ust  ", dict(zip(metric, mesh_metric(ust2.mesh)))
+    yield "system stirrer2d ust  ", first_system(ust2)
+    yield "system stirrer2d slab ", first_system(s2.problem(s2.slab(0)))
     del ust2
     ust3 = s3.problem(s3.ust_mesh())
-    print("mesh   stirrer3d ust  ", mesh_digest(ust3.mesh))
-    print("metric stirrer3d ust  ", digest(*mesh_metric(ust3.mesh)))
-    print("system stirrer3d ust  ", first_system(ust3))
+    yield "mesh   stirrer3d ust  ", mesh_arrays(ust3.mesh)
+    yield "metric stirrer3d ust  ", dict(zip(metric, mesh_metric(ust3.mesh)))
+    yield "system stirrer3d ust  ", first_system(ust3)
     del ust3
-    print("field  stirrer2d ust  ", digest(run_ust(s2).field.values))
+    yield "field  stirrer2d ust  ", {"values": run_ust(s2).field.values}
     slab = run_slab(s2)
-    print("field  stirrer2d slab ", digest(slab.final_values, *slab.fields))
+    yield "field  stirrer2d slab ", {"final": slab.final_values,
+                                     **{f"slab{k}": f
+                                        for k, f in enumerate(slab.fields)}}
     c2 = make_channel2d()
-    print("system channel2d ust  ", first_system(c2.problem(c2.ust_mesh())))
-    print("system channel2d slab ", first_system(c2.problem(c2.slab(0))))
+    yield "system channel2d ust  ", first_system(c2.problem(c2.ust_mesh()))
+    yield "system channel2d slab ", first_system(c2.problem(c2.slab(0)))
+
+
+def deviation(a, ref) -> str:
+    """max|a - ref| / max|ref| as text, or ``shape``."""
+    a, ref = np.asarray(a, dtype=float), np.asarray(ref, dtype=float)
+    if a.shape != ref.shape:
+        return "shape"
+    if a.size == 0:
+        return "0"
+    err = np.abs(a - ref).max()
+    scale = np.abs(ref).max()
+    return f"{err / scale if scale else err:.1e}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, metavar="DIR",
+                        help="write each line's arrays to DIR")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="print each array's deviation from DIR's")
+    args = parser.parse_args(argv)
+    if args.save:
+        args.save.mkdir(parents=True, exist_ok=True)
+    for label, arrays in lines():
+        out = [label, digest(*arrays.values())]
+        name = "_".join(label.split()) + ".npz"
+        if args.save:
+            np.savez(args.save / name, **arrays)
+        if args.against:
+            with np.load(args.against / name) as ref:
+                out += [f"{key} {deviation(a, ref[key])}"
+                        for key, a in arrays.items()]
+        print(*out)
 
 
 if __name__ == "__main__":
