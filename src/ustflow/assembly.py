@@ -32,10 +32,12 @@ cached: each chunk gathers its own from ``elements``.  The volume loop runs in
 ``_LANES`` fixed, contiguous element lanes once a system has that many
 chunks; ``_partition`` cuts the elements into lanes and chunks, once per
 problem, for the plan and the lanes alike.  Each lane sums its chunks into
-its own residual and its own ``data``, on a small module-level thread
-pool: the first lane into the whole array, each later lane into the
-contiguous range of its node rows.  The lanes' sums are added in lane
-order, so the result has the same bytes on any core count.  A one-chunk
+its own residual, on a small module-level thread pool, and adds its
+matrix sums straight into the one ``data`` array, allocated before the
+lanes start, except at the node rows that an earlier lane also spans:
+those go into a buffer of the lane's own, a small range where two lanes
+meet.  The lanes' residuals and buffers are added in lane order, so the
+result has the same bytes on any core count.  A one-chunk
 system runs its one lane inline and starts no thread.  On the first matrix
 of a two-lane problem the plan is built on a lane thread while the calling
 thread fills the geometry and then computes the metric and tau; the
@@ -47,7 +49,10 @@ elements:
   ``_element_terms`` for a chunk of elements;
 - ``_bottom_cap()``: node ids and spatial coordinates of the bottom-cap
   simplices that carry the jump term;
-- ``_metric``: the per-element metric (Ginv, g, Ginv:Ginv, g.g) of tau;
+- ``_tau_terms(u)``: the terms of tau per element, the advective form
+  uhat . Ginv uhat at the barycentric velocities ``u``, Ginv:Ginv and
+  g.g (a simplex mesh forms the first from its P1 gradients and caches
+  only the other two; a slab keeps its whole small metric);
 - ``_mantle_faces(tag)``: node ids of a tag's faces on the space-time
   mantle, which carry its Dirichlet rows or its traction;
 - ``_face_quadrature(ids)``: shape values, points, tangents and weights of
@@ -86,9 +91,10 @@ from .errors import (ConfigurationError, MissingPreviousState,
 from .mesh import (SimplexMesh, SpaceTimeMesh, basis_eval, cofactor_det,
                    jacobians_last, reference_gradients, time_levels)
 from .quadrature import interval_gauss, prism_quadrature, simplex_quadrature
-from .stabilization import (StabilizationContext, mesh_metric, metric_terms,
-                            prism_geometry, prism_shape_functions,
-                            regular_simplex_map, tau_parameters)
+from .stabilization import (StabilizationContext, advective_form,
+                            metric_norms, metric_terms, prism_geometry,
+                            prism_shape_functions, regular_simplex_map,
+                            simplex_advective_form, tau_parameters)
 
 logger = logging.getLogger("ustflow")
 
@@ -385,10 +391,13 @@ class _CsrPlan:
     no duplicates).  ``indptr`` and ``indices`` are read-only and shared by
     every matrix the plan wraps.  ``chunks`` holds, for each element chunk
     of the partition, its pairs as ``pair_ids`` gives them: the chunk's
-    sorted global pair ids and int32 chunk-local ids, so a chunk's fill
-    spans only the pairs it touches.  ``dir_slots`` are the CSR entries of
-    the Dirichlet rows, ``diag_slots`` their diagonal entries.  All index
-    arrays take the CSR index dtype (int32 while nnz < 2**31).
+    sorted global pair ids and its chunk-local ids, so a chunk's fill
+    spans only the pairs it touches.  ``diag_slots`` are the diagonal
+    entries of the Dirichlet rows; the rows themselves are whole CSR rows,
+    which ``indptr`` delimits.  The global index arrays take the CSR index
+    dtype (int32 while nnz < 2**31), the local ids the smallest unsigned
+    dtype that holds a chunk's pair count (uint16 on every pentatope
+    chunk, at most 62,500 pairs).
     """
 
     def __init__(self, elements, n_nodes, nc, dir_mask, chunks):
@@ -426,28 +435,28 @@ class _CsrPlan:
         self.indices.setflags(write=False)
         self.indptr.setflags(write=False)
 
-        self.dir_slots = np.flatnonzero(
-            np.repeat(dir_mask, np.diff(indptr))).astype(index)
         dir_dofs = np.flatnonzero(dir_mask)
         node, i = np.divmod(dir_dofs, nc)
-        self.diag_slots = (indptr[dir_dofs]
-                           + nc * (diag_pairs[node] - bptr[node]) + i)
+        self.diag_slots = (indptr[dir_dofs] + nc * (diag_pairs[node]
+                                                    - bptr[node]) + i
+                           ).astype(index)
         self.build_s = time.perf_counter() - start
 
     def _local_ids(self, ids):
         """(keys, local) of the node pairs of ``ids`` (n, m): their distinct
-        keys row * n_nodes + col, sorted, and each pair's int32 index into
-        them, in (a, b, element) order."""
+        keys row * n_nodes + col, sorted, and each pair's index into them,
+        in (a, b, element) order, in the smallest unsigned dtype that holds
+        len(keys)."""
         ids = ids.T.astype(np.int64)
         keys, local = np.unique(
             (ids[:, None, :] * self.n_nodes + ids[None, :, :]).ravel(),
             return_inverse=True)
-        return keys, local.astype(np.int32)
+        return keys, local.astype(np.min_scalar_type(len(keys)))
 
     def pair_ids(self, ids):
         """(glob, local) of the node pairs of ``ids`` (n, m), which must
         share an element or be diagonal: the pairs' sorted global ids and
-        each pair's int32 index into ``glob``, in (a, b, element) order."""
+        each pair's index into ``glob``, in (a, b, element) order."""
         keys, local = self._local_ids(ids)
         return np.searchsorted(self.keys, keys), local
 
@@ -466,15 +475,33 @@ class _CsrPlan:
         ptr, nc = self.indptr, self.nc
         return int(ptr[r0 * nc]), int(ptr[(r1 + 1) * nc])
 
-    def add(self, data, lo, pairs, K):
+    def lane_buffers(self, lanes):
+        """(buf, lo) of each lane, a list of chunk indices: zeros over the
+        CSR data of the lane's node rows that an earlier lane's node rows
+        also span, from slot ``lo``; empty where there are none, as on the
+        first lane."""
+        out, top = [], 0
+        for lane in lanes:
+            glob = [self.chunks[c][0] for c in lane]
+            lo, hi = self.row_range(min(g[0] for g in glob),
+                                    max(g[-1] for g in glob))
+            out.append((np.zeros(max(0, min(hi, top) - lo)), lo))
+            top = max(top, hi)
+        return out
+
+    def add(self, data, lo, pairs, K, shared=None):
         """Add local matrices ``K`` (n, m, nc, m, nc) at ``pairs``, a
         (glob, local) pair of ``pair_ids`` of their elements, into the CSR
-        ``data`` whose first entry is slot ``lo``.
+        ``data`` whose first entry is slot ``lo``.  With ``shared``, a
+        (buf, lo) pair of ``lane_buffers``, the sums of the pairs whose
+        slots lie in ``buf``'s range go into ``buf`` instead.
 
         One ``np.bincount`` per component pair sums over (a, b, element) in
         that order, whatever the memory order of ``K``, into the len(glob)
         pairs the elements touch, a contiguous row of ``part`` per component
-        pair; those sums are then added at their slots.
+        pair; those sums are then added at their slots.  A buffer ends at a
+        node row, and the slots of node rows follow the pair order, so the
+        pairs before the first pair of that row go into the buffer.
         """
         glob, local = pairs
         local = local.astype(np.intp)
@@ -484,7 +511,12 @@ class _CsrPlan:
                 part[i, j] = np.bincount(
                     local, K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
                     minlength=len(glob))
-        data[self.slots(glob) - lo] += part
+        q = 0
+        if shared is not None:
+            buf, buf_lo = shared
+            q = np.searchsorted(glob, (buf_lo + len(buf)) // self.nc ** 2)
+            buf[self.slots(glob[:q]) - buf_lo] += part[:, :, :q]
+        data[self.slots(glob[q:]) - lo] += part[:, :, q:]
 
     def matrix(self, data):
         """The CSR matrix of ``data`` (all slots), which it wraps, with the
@@ -581,9 +613,9 @@ class _ProblemBase:
             # Stokes limit: tau must not depend on the iterate so the
             # system stays exactly linear
             u_bary = np.zeros((len(self.elements), n_sd))
-        Ginv, _, GG, gg = self._metric
+        uGu, GG, gg = self._tau_terms(u_bary)
         return StabilizationContext(*tau_parameters(
-            u_bary, self.material.nu, Ginv, GG, gg=gg))
+            uGu, self.material.nu, GG, gg=gg))
 
     # interface used by the Newton solver
     def system(self, values, tau_override=None, want_matrix=True):
@@ -635,41 +667,48 @@ class _ProblemBase:
         norm = float(np.linalg.norm(rhs))
         if not want_matrix:
             return None, rhs, norm
-        data[plan.dir_slots] = 0.0
+        # the Dirichlet rows are whole CSR rows: a one-byte mask per stored
+        # entry, freed at once, picks their entries
+        data[np.repeat(self.dir_mask, np.diff(plan.indptr))] = 0.0
         data[plan.diag_slots] = 1.0
         return LinearSystem(plan.matrix(data), rhs, self.n_sd), rhs, norm
 
     def _volume(self, values, stab, plan, chunks, lanes):
-        """(R, data) of the volume terms: the lanes' sums, added in lane
-        order; ``data`` is None without a ``plan``."""
+        """(R, data) of the volume terms; ``data`` is None without a
+        ``plan``.
+
+        ``data`` holds every CSR slot and is allocated before any lane
+        starts.  Each lane adds its sums straight into it, except at the
+        node rows that an earlier lane also spans: those go into the lane's
+        buffer of ``_CsrPlan.lane_buffers``.  The lanes' residuals and then
+        their buffers are added in lane order, so every slot gets the same
+        sums in the same order on any number of threads.
+        """
+        data, shared = None, [None] * len(lanes)
+        if plan is not None:
+            data = np.zeros(plan.nnz)
+            shared = plan.lane_buffers(lanes)
+
         def lane(k):
-            return self._lane(values, stab, plan, chunks, lanes[k], k == 0)
+            return self._lane(values, stab, plan, data, shared[k], chunks,
+                              lanes[k])
 
         sums = (map(lane, range(len(lanes))) if len(lanes) == 1
                 else _lane_pool().map(lane, range(len(lanes))))
-        R, _, data = next(sums)
-        for R_k, lo, data_k in sums:
+        R = next(sums)
+        for R_k in sums:
             R += R_k
-            if plan is not None:
-                data[lo:lo + len(data_k)] += data_k
+        if plan is not None:
+            for buf, lo in shared:
+                data[lo:lo + len(buf)] += buf
         return R, data
 
-    def _lane(self, values, stab, plan, chunks, ids, full):
-        """(R, lo, data) of the chunks ``ids``.
-
-        ``data`` holds every CSR slot if ``full``, else only the slots of
-        this lane's node rows, from slot ``lo``; it is None without a
-        ``plan``.
-        """
+    def _lane(self, values, stab, plan, data, shared, chunks, ids):
+        """The residual of the chunks ``ids``.  Their local matrices go into
+        ``data`` and the lane's buffer ``shared`` (see ``_CsrPlan.add``),
+        unless ``plan`` is None."""
         rho, mu, nc = self.material.rho, self.material.mu, self.ncomp
         R = np.zeros(self.n_dofs)
-        lo, data = 0, None
-        if plan is not None:
-            glob = [plan.chunks[c][0] for c in ids]
-            lo, hi = ((0, plan.nnz) if full
-                      else plan.row_range(min(g[0] for g in glob),
-                                          max(g[-1] for g in glob)))
-            data = np.zeros(hi - lo)
         comps = np.arange(nc)
         for c in ids:
             sl = chunks[c]
@@ -681,10 +720,10 @@ class _ProblemBase:
                                     plan is not None)
             _add_local(R, _node_dofs(elements, comps, nc), Re)
             if plan is not None:
-                plan.add(data, lo, plan.chunks[c], Ke)
+                plan.add(data, 0, plan.chunks[c], Ke, shared)
             # the next chunk's kernel runs without this chunk's arrays
             del Re, Ke
-        return R, lo, data
+        return R
 
     def residual_norm(self, values, tau_override=None) -> float:
         return self.system(values, tau_override=tau_override,
@@ -824,9 +863,13 @@ class SpaceTimeProblem(_ProblemBase):
         ids = mesh.boundary_facets[mesh.bottom_facets]
         return ids, mesh.nodes[ids][:, :, : self.n_sd]
 
+    def _tau_terms(self, u):
+        return (simplex_advective_form(self.mesh.gradients, u),) + self._metric
+
     @cached_property
     def _metric(self):
-        return mesh_metric(self.mesh)
+        """(Ginv:Ginv, g.g) per element: all that tau keeps of the metric."""
+        return metric_norms(self.mesh)
 
     def _mantle_faces(self, tag):
         mesh = self.mesh
@@ -963,6 +1006,10 @@ class PrismSlabProblem(_ProblemBase):
     @property
     def _metric(self):
         return self._geometry[1]
+
+    def _tau_terms(self, u):
+        Ginv, _, GG, gg = self._metric
+        return advective_form(u, Ginv), GG, gg
 
     def _mantle_faces(self, tag):
         """The prism faces over the tag's spatial facets, bottom nodes then

@@ -205,10 +205,6 @@ class SimplexMesh:
         return grads
 
     @cached_property
-    def barycenters(self) -> np.ndarray:
-        return self.element_coords.mean(axis=1)
-
-    @cached_property
     def max_edge_lengths(self) -> np.ndarray:
         # per slice, (nen, dim, E): each node's coordinates are contiguous
         # rows; the squared lengths add the coordinates in order, as a norm

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptySlice, IoFailure
-from .mesh import SimplexMesh, SpaceTimeMesh, basis_eval
+from .mesh import SimplexMesh, SpaceTimeMesh, basis_eval, element_slices
 from .quadrature import prism_quadrature, simplex_quadrature
 from .stabilization import prism_geometry, prism_shape_functions
 
@@ -248,36 +248,45 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     over the barycenters therefore returns every containing element.  Each
     axis is scaled by the largest element extent along it, which keeps the
     ball small on meshes whose elements are far thinner in time than in
-    space.  The candidate pairs are tested in batches of about _PAIR_BATCH.
+    space.  The extents, the barycenters and the radius are computed over
+    ``element_slices``, so no (n_el, dim+1, dim) array is formed, and the
+    candidate pairs are tested in batches of about _PAIR_BATCH, each
+    gathering the first vertex of its candidates.
     """
-    X = mesh.element_coords
-    lo = hi = X[:, 0]
-    for v in range(1, mesh.dim + 1):
-        lo, hi = np.minimum(lo, X[:, v]), np.maximum(hi, X[:, v])
-    scale = 1.0 / (hi - lo).max(axis=0)
-    # the barycenters of ``mesh.barycenters``, from the coordinates at hand
-    bary = X.mean(axis=1)
-    offsets = X - bary[:, None, :]
-    offsets *= scale
-    radius = (np.sqrt(np.einsum("evk,evk->ev", offsets, offsets).max())
-              * (1.0 + 2 * (mesh.dim + 1) * tol))
-    tree = cKDTree(bary * scale, balanced_tree=False)
+    dim, n_el = mesh.dim, mesh.n_elements
+    bary = np.empty((n_el, dim))
+    extent = np.zeros(dim)
+    for sl in element_slices(n_el):
+        X = mesh.nodes[mesh.elements[sl]]
+        lo, hi = X.min(axis=1), X.max(axis=1)
+        np.maximum(extent, (hi - lo).max(axis=0, initial=0.0), out=extent)
+        bary[sl] = X.mean(axis=1)
+    scale = 1.0 / extent
+    r2 = 0.0
+    for sl in element_slices(n_el):
+        offsets = mesh.nodes[mesh.elements[sl]] - bary[sl, None, :]
+        offsets *= scale
+        r2 = max(r2, np.einsum("evk,evk->ev", offsets, offsets).max(
+            initial=0.0))
+    radius = np.sqrt(r2) * (1.0 + 2 * (dim + 1) * tol)
+    bary *= scale
+    tree = cKDTree(bary, balanced_tree=False)
     finite = np.flatnonzero(np.isfinite(points).all(axis=1))
     query = points[finite] * scale
     counts = tree.query_ball_point(query, radius, return_length=True)
     batch = np.cumsum(counts) // _PAIR_BATCH
     Jinv = mesh.jacobian_invs
-    X0 = X[:, 0, :]
-    owner = np.full(len(points), mesh.n_elements, dtype=np.int64)
+    owner = np.full(len(points), n_el, dtype=np.int64)
     for sel in np.split(np.arange(finite.size),
                         np.flatnonzero(np.diff(batch)) + 1):
         lists = tree.query_ball_point(query[sel], radius)
         cand = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
                            count=counts[sel].sum())
         pid = np.repeat(finite[sel], counts[sel])
-        inside = _inside(Jinv[cand], X0[cand], points[pid], tol)
+        inside = _inside(Jinv[cand], mesh.nodes[mesh.elements[cand, 0]],
+                         points[pid], tol)
         np.minimum.at(owner, pid[inside], cand[inside])
-    owner[owner == mesh.n_elements] = -1
+    owner[owner == n_el] = -1
     return owner
 
 

@@ -34,6 +34,19 @@ Stabilization parameters, with the constant C_I = 1:
     tau_MOM  = (uhat . Ginv uhat + C_I nu^2 Ginv:Ginv)^(-1/2),
                uhat = (u, 1) the space-time advective vector,
     tau_CONT = (tau_MOM * g.g)^(-1).
+
+On P1 simplices the advective form needs no stored metric.  The regular
+simplex's edges from vertex 0 have the Gram matrix M^T M = (d^2/2)(I +
+1 1^T), d its edge length, and the dim+1 P1 gradients sum to zero, so
+
+    uhat . Ginv uhat = (d^2/2) sum_a (grad N_a . uhat)^2
+
+over all vertices a, in any order (``simplex_advective_form``).  A
+simplex problem therefore caches only Ginv:Ginv and g.g, (n_el,) each
+(``metric_norms``), and forms the advective form from ``mesh.gradients``
+at each evaluation of tau; ``mesh_metric`` still returns the whole
+metric.  A prism slab keeps its small per-slab metric and takes the
+advective form from its Ginv (``advective_form``).
 """
 
 from __future__ import annotations
@@ -58,12 +71,18 @@ def regular_simplex_map(dim: int) -> np.ndarray:
     Maps the unit right simplex onto that regular simplex:
     xi_regular = M @ xi_right (vertex 0 pinned at the origin).
     """
-    d2 = 2.0 * (math.factorial(dim) / math.sqrt(dim + 1.0)) ** (2.0 / dim)
-    gram = np.full((dim, dim), 0.5 * d2)
-    np.fill_diagonal(gram, d2)
+    half = _half_edge2(dim)
+    gram = np.full((dim, dim), half)
+    np.fill_diagonal(gram, 2.0 * half)
     M = np.linalg.cholesky(gram).T  # upper triangular, M^T M = gram
     M.setflags(write=False)
     return M
+
+
+def _half_edge2(dim: int) -> float:
+    """d^2 / 2 for the edge length d of the regular simplex of measure 1:
+    the Gram matrix of its edges from vertex 0 is (d^2 / 2)(I + 1 1^T)."""
+    return (math.factorial(dim) / math.sqrt(dim + 1.0)) ** (2.0 / dim)
 
 
 @dataclass
@@ -155,23 +174,46 @@ def _per_jacobian(J, k):
     return out[0] if A.ndim == 2 else out
 
 
-def tau_parameters(u, nu: float, Ginv: np.ndarray, GG: np.ndarray,
-                   gg: np.ndarray = None):
+def tau_parameters(uGu, nu: float, GG: np.ndarray, gg: np.ndarray = None):
     """tau_MOM and, when ``gg`` is given, tau_CONT per element.
 
     The one evaluation of the formulas in the module docstring, with their
-    checks.  ``u`` (n, dim-1) is the velocity at the element barycenter,
-    ``Ginv`` (n, dim, dim) the metric, ``GG`` = Ginv:Ginv and ``gg`` = g.g.
-    Returns (tau_mom, tau_cont), tau_cont None without ``gg``.
+    checks.  ``uGu`` (n,) is the advective form uhat . Ginv uhat at the
+    velocity of each element's barycenter (:func:`advective_form`, or
+    :func:`simplex_advective_form` on P1 simplices), ``GG`` = Ginv:Ginv
+    and ``gg`` = g.g.  Returns (tau_mom, tau_cont), tau_cont None without
+    ``gg``.
     """
-    n, dim = len(Ginv), Ginv.shape[-1]
-    uhat = np.ones((n, dim))
-    uhat[:, : dim - 1] = u
-    val = np.einsum("ni,nij,nj->n", uhat, Ginv, uhat) + C_I * nu * nu * GG
+    val = uGu + C_I * nu * nu * GG
     if (val <= 0.0).any() or not np.isfinite(val).all():
         raise NonFiniteTau("tau_MOM argument vanished or is non-finite")
     tau_mom = val ** -0.5
     return tau_mom, None if gg is None else _tau_cont(tau_mom, gg)
+
+
+def advective_form(u, Ginv: np.ndarray) -> np.ndarray:
+    """uhat . Ginv uhat per element, uhat = (u, 1), for velocities ``u``
+    (n, dim-1) and metrics ``Ginv`` (n, dim, dim)."""
+    n, dim = len(Ginv), Ginv.shape[-1]
+    uhat = np.ones((n, dim))
+    uhat[:, : dim - 1] = u
+    return np.einsum("ni,nij,nj->n", uhat, Ginv, uhat)
+
+
+def simplex_advective_form(gradients: np.ndarray, u) -> np.ndarray:
+    """uhat . Ginv uhat per element of a P1 simplex mesh, uhat = (u, 1),
+    from its P1 gradients (n, dim+1, dim) by the identity in the module
+    docstring: Ginv = R^T M^T M R for the gradient rows R of vertices
+    1..dim in canonical order, and 1^T R is minus the gradient of vertex
+    0.  It agrees with :func:`mesh_metric`'s Ginv to rounding."""
+    n, _, dim = gradients.shape
+    half = _half_edge2(dim)
+    out = np.empty(n)
+    for sl in element_slices(n):
+        G = gradients[sl]
+        s = np.einsum("eak,ek->ea", G[:, :, :-1], u[sl]) + G[:, :, -1]
+        out[sl] = half * np.einsum("ea,ea->e", s, s)
+    return out
 
 
 def _tau_cont(tau_mom, gg):
@@ -194,7 +236,7 @@ def tau_momentum(u_elem, nu: float, Ginv: np.ndarray):
     if single:
         G = G[None]
     GG = np.einsum("nij,nij->n", G, G)
-    tau, _ = tau_parameters(u, nu, G, GG)
+    tau, _ = tau_parameters(advective_form(u, G), nu, GG)
     return float(tau[0]) if single else tau
 
 
@@ -224,6 +266,15 @@ def _with_norms(Ginv: np.ndarray, g: np.ndarray):
     return Ginv, g, np.einsum("nij,nij->n", Ginv, Ginv), (g * g).sum(axis=1)
 
 
+def _metric_slices(mesh: SimplexMesh):
+    """(sl, Ginv, g) of each element slice ``sl`` of ``mesh``, element-first
+    and contiguous."""
+    for sl in element_slices(mesh.n_elements):
+        Ginv, g = _metric_and_g(_reference_derivative(mesh, sl))
+        yield (sl, np.ascontiguousarray(np.moveaxis(Ginv, -1, 0)),
+               np.ascontiguousarray(g.T))
+
+
 def mesh_metric(mesh: SimplexMesh):
     """(Ginv, g, Ginv:Ginv, g.g) for all elements, canonical node order.
 
@@ -232,10 +283,20 @@ def mesh_metric(mesh: SimplexMesh):
     """
     n, dim = mesh.n_elements, mesh.dim
     Ginv, g = np.empty((n, dim, dim)), np.empty((n, dim - 1))
-    for sl in element_slices(n):
-        Ginv_s, g_s = _metric_and_g(_reference_derivative(mesh, sl))
-        Ginv[sl], g[sl] = np.moveaxis(Ginv_s, -1, 0), g_s.T
+    for sl, Ginv_s, g_s in _metric_slices(mesh):
+        Ginv[sl], g[sl] = Ginv_s, g_s
     return _with_norms(Ginv, g)
+
+
+def metric_norms(mesh: SimplexMesh):
+    """(Ginv:Ginv, g.g) for all elements, (n_el,) each, with the bytes of
+    :func:`mesh_metric`'s, which it forms one element slice at a time: the
+    terms of tau besides the advective form, without a stored metric."""
+    n = mesh.n_elements
+    GG, gg = np.empty(n), np.empty(n)
+    for sl, Ginv_s, g_s in _metric_slices(mesh):
+        GG[sl], gg[sl] = _with_norms(Ginv_s, g_s)[2:]
+    return GG, gg
 
 
 # -- tensor-product (prism) elements ----------------------------------------

@@ -920,7 +920,17 @@ class TestCsrPlan:
         keys = np.concatenate([(ids[:, :, None] * n + ids[:, None, :]).ravel(),
                                np.arange(n) * (n + 1)])
         assert np.array_equal(plan.keys, np.unique(keys))
-        assert plan.dir_slots.dtype == A.indices.dtype == np.int32
+        assert plan.diag_slots.dtype == A.indices.dtype == np.int32
+        # the Dirichlet rows are identity rows of that stored pattern: each
+        # keeps all its entries, zeros but for a 1 on the diagonal
+        counts = np.diff(A.indptr)
+        dir_entry = np.repeat(problem.dir_mask, counts)
+        diagonal = np.repeat(np.arange(problem.n_dofs), counts) == A.indices
+        assert np.array_equal(np.flatnonzero(dir_entry & diagonal),
+                              np.sort(plan.diag_slots))
+        assert (A.data[dir_entry & diagonal] == 1.0).all()
+        assert (A.data[dir_entry & ~diagonal] == 0.0).all()
+        assert (counts[problem.dir_dofs] > 1).all()
         return problem, U
 
     def test_twisted_simplex_problem(self, rng):
@@ -1188,6 +1198,41 @@ class TestLanes:
             sys.setswitchinterval(interval)
         assert out[0] == out[1] == out[2]
 
+    def test_lanes_sum_as_if_alone(self, rng, monkeypatch):
+        """The volume matrix of two pentatope lanes has the bytes of each
+        lane's chunks summed alone into zeros and the two sums added, and
+        the later lane buffers only the node rows from its first to the
+        earlier lane's last."""
+        problem = split_into_chunks(monkeypatch, pentatope_problem(rng))
+        U = problem.impose_dirichlet(
+            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
+        problem.system(U)
+        plan, stab = problem._csr_plan, problem.stabilization(U)
+        _, chunks, lanes = problem._chunks
+        assert len(lanes) == 2
+        alone = [np.zeros(plan.nnz) for _ in lanes]
+        for data, lane in zip(alone, lanes):
+            for c in lane:
+                sl = chunks[c]
+                _, Ke = _element_terms(
+                    *problem._volume_geometry(sl), U[problem.elements[sl]],
+                    problem.material.rho, problem.material.mu,
+                    stab.tau_mom[sl], stab.tau_cont[sl], None, True, True)
+                plan.add(data, 0, plan.chunks[c], Ke)
+        _, data = problem._volume(U, stab, plan, chunks, lanes)
+        assert data.tobytes() == (alone[0] + alone[1]).tobytes()
+
+        (first, _), (buf, lo) = plan.lane_buffers(lanes)
+        rows = [np.unique(problem.elements[chunks[lane[0]].start:
+                                           chunks[lane[-1]].stop])
+                for lane in lanes]
+        ptr, nc = plan.indptr, problem.ncomp
+        assert len(first) == 0
+        assert rows[1].min() < rows[0].max() < rows[1].max()
+        assert lo == ptr[rows[1].min() * nc]
+        assert lo + len(buf) == ptr[(rows[0].max() + 1) * nc]
+        assert len(buf) < ptr[(rows[1].max() + 1) * nc] - lo
+
     def test_forked_child_starts_its_own_pool(self, rng, monkeypatch):
         problem = split_into_chunks(monkeypatch, pentatope_problem(rng))
         U = problem.initial_guess()
@@ -1268,10 +1313,12 @@ class TestMemory:
         assert len(problem._chunks[2]) == 2
         assert "element_coords" not in vars(problem.mesh)
         assert "edof" not in vars(problem)
-        # the plan holds index arrays only: no block or data array
+        # the plan holds 1-D index arrays only, its chunks' pair ids too:
+        # no block, data or slot-list array
         plan = problem._csr_plan
         arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
-        assert all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays)
+        arrays += [a for pairs in plan.chunks for a in pairs]
+        assert all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays)
         # every matrix wraps the plan's read-only index arrays and new data
         for M in (A, B):
             assert np.shares_memory(M.indices, plan.indices)
@@ -1305,6 +1352,36 @@ class TestMemory:
         assert peak <= 2 * A.data.nbytes + 3.5 * len(lanes) * chunk_bytes
 
 
+    def test_later_pentatope_system_peak(self, monkeypatch):
+        """A later two-lane ``system()`` of the coarse stirrer3d fixture in
+        0.8 MB chunks, traced: its peak is the matrix's data, with 20% for
+        the later lane's buffer of shared rows and tau, plus at most 3.5
+        chunks of local matrices per lane.  A later lane's buffer over all
+        of its rows, half of the data, would not fit.  The problem keeps
+        only Ginv:Ginv and g.g of the metric, one value per element."""
+        import tracemalloc
+
+        from ustflow.scenarios import make_stirrer3d
+        monkeypatch.setattr(assembly, "_CHUNK_ENTRIES", 1.0e5)
+        spec = make_stirrer3d(coarse=True)
+        problem = spec.problem(spec.ust_mesh())
+        U = problem.initial_guess()
+        problem.system(U)
+        size, _, lanes = problem._chunks
+        nloc = problem.elements.shape[1] * problem.ncomp
+        chunk_bytes = 8 * size * nloc * nloc
+        assert len(lanes) == 2 and chunk_bytes <= 8e5
+        n_el = len(problem.elements)
+        assert [a.shape for a in problem._metric] == [(n_el,), (n_el,)]
+        tracemalloc.start()
+        try:
+            A = problem.system(U + 0.01)[0].matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * A.data.nbytes + 3.5 * len(lanes) * chunk_bytes
+
+
 class TestChunkLocalPairs:
     """Each chunk's (glob, local) pair ids against a global ``searchsorted``
     of its element pairs, and its CSR-order fill against one ``bincount``
@@ -1329,7 +1406,11 @@ class TestChunkLocalPairs:
         plan = problem._csr_plan
         assert len(plan.chunks) == len(chunks)
         for sl, (glob, local) in zip(chunks, plan.chunks):
-            assert local.dtype == np.int32
+            # the smallest unsigned dtype that holds len(glob)
+            size = local.dtype.itemsize
+            assert local.dtype.kind == "u"
+            assert np.iinfo(local.dtype).max >= len(glob)
+            assert size == 1 or np.iinfo(f"u{size // 2}").max < len(glob)
             assert (np.diff(glob) > 0).all()
             assert np.array_equal(glob[local],
                                   global_pair_ids(plan, problem.elements[sl]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ustflow.mesh as mesh_module
 from ustflow import postproc, scenarios
 from ustflow.errors import EmptySlice
 from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
@@ -478,6 +479,36 @@ class TestLocatorOnPentatopes:
         assert np.isnan(out[~found]).all()
 
 
+    def test_no_whole_mesh_vertex_array(self, stirrer3d_coarse_st, rng,
+                                        monkeypatch):
+        """64 probes, as the 3D benchmark places them, in element slices
+        of 4,096 and batches of about 4,096 pairs: the locator's traced peak
+        stays below one (n_el, 5, 4) array of the element vertices, and the
+        owners are the oracle's."""
+        import tracemalloc
+        st = stirrer3d_coarse_st
+        st.gradients                     # the mesh's own cache, not probe's
+        monkeypatch.setattr(mesh_module, "_SLICE", 4096)
+        monkeypatch.setattr(postproc, "_PAIR_BATCH", 4096)
+        ang = 2.0 * np.pi * np.arange(16) / 16
+        pts = np.array([(r * np.cos(a + 0.1 * k), r * np.sin(a + 0.1 * k),
+                         z, st.tN * (j + 0.5) / 16)
+                        for k, (r, z) in enumerate(((2.7, 0.03), (2.7, 0.07),
+                                                    (2.85, 0.03),
+                                                    (2.85, 0.07)))
+                        for j, a in enumerate(ang)])
+        vals = rng.uniform(-1.0, 1.0, size=(st.n_nodes, 4))
+        tracemalloc.start()
+        try:
+            out, found = probe(st, vals, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < st.elements.size * st.dim * 8
+        ref, ref_found = probe_exhaustive(st, vals, pts)
+        assert found.all() and np.array_equal(found, ref_found)
+        assert np.array_equal(out, ref)
+
     def test_small_batches(self, small_st_mesh_3d, rng, monkeypatch):
         # candidate pairs split into many batches, some points alone in one
         st = small_st_mesh_3d
@@ -515,7 +546,7 @@ class TestProbe:
         st = small_st_mesh_2d
         vals = rng.uniform(-1, 1, size=(st.n_nodes, 3))
         e = 11
-        out, found = probe(st, vals, st.barycenters[[e]])
+        out, found = probe(st, vals, st.element_coords[[e]].mean(axis=1))
         assert found.all()
         assert np.allclose(out[0], vals[st.elements[e]].mean(axis=0))
 

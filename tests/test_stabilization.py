@@ -7,16 +7,21 @@ import pytest
 import ustflow.mesh as mesh_module
 from ustflow import scenarios
 from ustflow.errors import DegenerateElement, ZeroDenominator
+from ustflow.assembly import (BCSpec, MaterialParams, PrismSlabProblem,
+                              SpaceTimeProblem)
 from ustflow.extrude import ExtrusionSpec, extrude_simplex_st
-from ustflow.mesh import SimplexMesh, jacobians_last
-from ustflow.stabilization import (canonical_vertex_order, g_vector,
+from ustflow.geometry import box2d
+from ustflow.mesh import SimplexMesh, SpaceTimeMesh, jacobians_last
+from ustflow.stabilization import (C_I, advective_form,
+                                   canonical_vertex_order, g_vector,
                                    mesh_metric, metric_contravariant,
-                                   metric_terms, prism_shape_functions,
-                                   prism_geometry, reference_derivative,
-                                   regular_simplex_map, tau_continuity,
-                                   tau_momentum)
+                                   metric_norms, metric_terms,
+                                   prism_shape_functions, prism_geometry,
+                                   reference_derivative, regular_simplex_map,
+                                   simplex_advective_form, tau_continuity,
+                                   tau_momentum, tau_parameters)
 
-from conftest import random_simplex
+from conftest import random_simplex, twisted_slab
 
 
 def mesh_of(X):
@@ -127,6 +132,12 @@ class TestMeshMetricFromGradients:
         Ginv, g, _, _ = mesh_metric(mesh)
         assert metric_contravariant(J).tobytes() == Ginv.tobytes()
         assert g_vector(J).tobytes() == g.tobytes()
+
+    def test_norms_have_the_bytes_of_the_whole_metric(self,
+                                                        stirrer_meshes):
+        for mesh in stirrer_meshes.values():
+            for got, want in zip(metric_norms(mesh), mesh_metric(mesh)[2:]):
+                assert got.tobytes() == want.tobytes()
 
     def test_degeneracy_bound_is_the_mesh_bound(self):
         # |det| = 1e5 against DEGENERACY_FACTOR * h^4 = 1e6, h ~ 1e5
@@ -294,14 +305,95 @@ class TestTauContinuity:
 
 class TestMeshStabilization:
     def test_tau_positive_on_mesh(self, rng):
-        from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
-        from ustflow.geometry import box2d
         st = extrude_simplex_st(box2d(3, 3), ExtrusionSpec(0.0, 0.1, 2))
         problem = SpaceTimeProblem(st, MaterialParams(rho=1.0, mu=0.01),
                                    BCSpec(initial=np.zeros_like))
         ctx = problem.stabilization(rng.uniform(-1, 1, size=(st.n_nodes, 3)))
         assert (ctx.tau_mom > 0).all()
         assert (ctx.tau_cont > 0).all()
+
+
+def st_mesh(nodes, elements):
+    """Space-time mesh from 0 to 1 of ``elements`` with no boundary."""
+    dim = nodes.shape[1]
+    return SpaceTimeMesh(nodes, elements, np.zeros((0, dim), int),
+                         np.zeros(0, int), [], 0.0, 1.0,
+                         facet_groups=([], [], []))
+
+
+def random_st_mesh(rng, dim, n_points=40):
+    """Delaunay simplices of random points in the unit cube of ``dim``
+    dimensions, time the last."""
+    from scipy.spatial import Delaunay
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+    points = np.vstack([corners, rng.uniform(0, 1, size=(n_points, dim))])
+    return st_mesh(points, Delaunay(points).simplices)
+
+
+def renumbered(mesh, rng):
+    """``mesh`` with its nodes, its elements and each element's vertices in
+    a new random order."""
+    perm = rng.permutation(mesh.n_nodes)
+    elements = np.argsort(perm)[mesh.elements]
+    elements = rng.permuted(elements[rng.permutation(len(elements))], axis=1)
+    return st_mesh(mesh.nodes[perm], elements)
+
+
+class TestProblemTau:
+    """A simplex problem's tau, from its P1 gradients and the cached
+    Ginv:Ginv and g.g, against ``tau_parameters`` fed with the per-Jacobian
+    metric, and a prism slab's tau bytes against the formulas on its own
+    metric."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_simplex_against_per_jacobian_metric(self, dim, rng):
+        nu = 0.3
+        mesh = random_st_mesh(rng, dim)
+        for m in (mesh, renumbered(mesh, rng)):
+            problem = SpaceTimeProblem(m, MaterialParams(rho=1.0, mu=nu),
+                                       BCSpec(initial=np.zeros_like))
+            U = rng.uniform(-2, 2, size=(m.n_nodes, dim))
+            got = problem.stabilization(U)
+            J = np.moveaxis(jacobians_last(m.element_coords), -1, 0)
+            Ginv, g = metric_contravariant(J), g_vector(J)
+            u = U[m.elements, : dim - 1].mean(axis=1)
+            want = tau_parameters(advective_form(u, Ginv), nu,
+                                  np.einsum("nij,nij->n", Ginv, Ginv),
+                                  (g * g).sum(axis=1))
+            for a, b in zip((got.tau_mom, got.tau_cont), want):
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    def test_advective_form_is_the_metric_quadratic_form(self, rng):
+        for dim in (2, 3, 4):
+            mesh = random_st_mesh(rng, dim)
+            u = rng.uniform(-3, 3, size=(mesh.n_elements, dim - 1))
+            Ginv = mesh_metric(mesh)[0]
+            want = advective_form(u, Ginv)
+            got = simplex_advective_form(mesh.gradients, u)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_sd", [2, 3])
+    def test_prism_tau_bytes(self, n_sd, rng):
+        slab = twisted_slab(n_sd)
+        problem = PrismSlabProblem(slab, MaterialParams(rho=1.2, mu=0.3),
+                                   BCSpec(initial=np.zeros_like))
+        U = rng.uniform(-1, 1, size=(problem.n_nodes, n_sd + 1))
+        got = problem.stabilization(U)
+        # the formulas as the metric's own arrays give them
+        Ginv, _, GG, gg = problem._metric
+        els = problem.elements
+        u = U[els[:, 0], :n_sd]
+        for k in range(1, els.shape[1]):
+            u += U[els[:, k], :n_sd]
+        u /= els.shape[1]
+        uhat = np.column_stack([u, np.ones(len(u))])
+        nu = problem.material.nu
+        tau_mom = (np.einsum("ni,nij,nj->n", uhat, Ginv, uhat)
+                   + C_I * nu * nu * GG) ** -0.5
+        assert got.tau_mom.tobytes() == tau_mom.tobytes()
+        assert got.tau_cont.tobytes() == (1.0 / (tau_mom * gg)).tobytes()
+
+
 
 
 class TestPrismShapeFunctions:

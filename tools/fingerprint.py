@@ -10,6 +10,9 @@ The digests cover
 - the stirrer2d and stirrer3d UST meshes (nodes, elements, boundary
   facets, their tags and the bottom/top/mantle groups);
 - ``mesh_metric`` (Ginv, g, Ginv:Ginv, g.g) on those meshes;
+- tau_MOM and tau_CONT of the stirrer2d and stirrer3d UST problems at
+  their initial guess, so that a change in how tau is evaluated shows on
+  a line of its own;
 - the first Newton system (CSR ``data``, ``indices``, ``indptr`` and the
   right-hand side) of the stirrer2d UST problem, of its first prism slab
   and of the stirrer3d UST problem;
@@ -68,6 +71,11 @@ def mesh_arrays(mesh) -> dict:
                          "mantle_facets")}
 
 
+def tau(problem) -> dict:
+    stab = problem.stabilization(problem.initial_guess())
+    return {"tau_mom": stab.tau_mom, "tau_cont": stab.tau_cont}
+
+
 def first_system(problem) -> dict:
     system, _, _ = problem.system(problem.initial_guess())
     A = system.matrix
@@ -82,12 +90,14 @@ def lines():
     metric = ("Ginv", "g", "GG", "gg")
     yield "mesh   stirrer2d ust  ", mesh_arrays(ust2.mesh)
     yield "metric stirrer2d ust  ", dict(zip(metric, mesh_metric(ust2.mesh)))
+    yield "tau    stirrer2d ust  ", tau(ust2)
     yield "system stirrer2d ust  ", first_system(ust2)
     yield "system stirrer2d slab ", first_system(s2.problem(s2.slab(0)))
     del ust2
     ust3 = s3.problem(s3.ust_mesh())
     yield "mesh   stirrer3d ust  ", mesh_arrays(ust3.mesh)
     yield "metric stirrer3d ust  ", dict(zip(metric, mesh_metric(ust3.mesh)))
+    yield "tau    stirrer3d ust  ", tau(ust3)
     yield "system stirrer3d ust  ", first_system(ust3)
     del ust3
     yield "field  stirrer2d ust  ", {"values": run_ust(s2).field.values}

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Solve the 3D stirrer at paper size and record its stages and peak RSS.
 
-    python3 tools/paper_scale_3d.py
+    python3 tools/paper_scale_3d.py [--step]
 
 The spatial mesh is ``build_stirrer_mesh(H_FINE, H_COARSE, seed=SEED)``
 extruded through the tank's thickness 0.1 in ``LAYERS`` layers, which gives
 1,785,000 pentatopes and 514,728 dofs, the nearest generated mesh to the
 paper's 1,673,344.  ``run_ust`` then solves the stirrer3d scenario on it
-with its default Newton and linear-solver settings.
+with its default Newton and linear-solver settings.  With ``--step`` the
+run stops after what the ``ust3d_stirrer_step`` benchmark times: the
+space-time mesh and the problem, one Newton system (matrix and residual)
+and one residual norm at the initial guess, with no linear solve.
 
 Memory is watched from inside the process: a thread polls VmRSS every 0.1 s
 and ends the process with exit code 3 once it passes ``RSS_LIMIT_GB``.
@@ -16,11 +19,14 @@ but untouched memory, so it fails allocations far below the RSS the run
 reaches.  Every log line of the run is printed to stderr with the seconds
 since the start and the RSS at that moment; the last line of stdout is a
 JSON summary with the time of each stage, the number of free dofs the
-linear solves were for, and the peak RSS (VmHWM).
+linear solves were for (or the step's nnz and norms), and the peak RSS
+(VmHWM).  Each log line also carries VmHWM, so the line where it last
+rises names the stage of the peak.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import logging
 import os
@@ -31,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
+
+import numpy as np  # noqa: E402
 
 from make_stirrer_meshes import build_stirrer_mesh  # noqa: E402
 from ustflow.extrude import extrude_spatial  # noqa: E402
@@ -86,10 +94,52 @@ class StampedFormatter(logging.Formatter):
 
     def format(self, record):
         return (f"[{time.perf_counter() - self.t0:8.2f} s "
-                f"{status_mb('VmRSS'):6.0f} MB] {super().format(record)}")
+                f"{status_mb('VmRSS'):6.0f} MB hwm {status_mb('VmHWM'):6.0f} "
+                f"MB] {super().format(record)}")
 
 
-def main() -> int:
+def step(spec, t0: float) -> int:
+    """Set-up, one Newton system and one residual norm at the initial
+    guess, as the ``ust3d_stirrer_step`` benchmark runs them."""
+    log = logging.getLogger("ustflow")
+    stamps = [time.perf_counter()]
+
+    def stage(name):
+        stamps.append(time.perf_counter())
+        log.info("stage %s done in %.2f s", name, stamps[-1] - stamps[-2])
+
+    problem = spec.problem(spec.ust_mesh())
+    stage("setup")
+    U0 = problem.initial_guess()
+    system, rhs, rnorm = problem.system(U0)
+    stage("system")
+    rnorm2 = problem.residual_norm(U0)
+    stage("residual")
+    A = system.matrix
+    print(json.dumps({
+        "elements": problem.mesh.n_elements,
+        "dofs": problem.n_dofs,
+        "nnz": int(A.nnz),
+        "residual_norm": rnorm,
+        "residual_norms_equal": rnorm2 == rnorm,
+        "matrix_fro": float(np.sqrt(np.dot(A.data, A.data))),
+        "mesh_s": round(stamps[0] - t0, 2),
+        "setup_s": round(stamps[1] - stamps[0], 2),
+        "system_s": round(stamps[2] - stamps[1], 2),
+        "residual_s": round(stamps[3] - stamps[2], 2),
+        "total_s": round(stamps[3] - t0, 2),
+        "peak_rss_mb": round(status_mb("VmHWM")),
+    }))
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--step", action="store_true",
+                        help="set-up, one Newton system and one residual "
+                             "norm only, as the ust3d_stirrer_step "
+                             "benchmark")
+    args = parser.parse_args(argv)
     t0 = time.perf_counter()
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(StampedFormatter(t0))
@@ -104,6 +154,8 @@ def main() -> int:
     mesh = extrude_spatial(base, 0.0, 0.1, LAYERS, lo_tag="bottom",
                            hi_tag="top")
     spec = make_stirrer3d(mesh=mesh)
+    if args.step:
+        return step(spec, t0)
     t_mesh = time.perf_counter()
     res = run_ust(spec)
     t_run = time.perf_counter()
