@@ -18,19 +18,32 @@ the matrix's CSR pattern once per problem, on the first matrix request,
 from the element connectivity: every element node pair becomes a dense
 ncomp x ncomp block of entries.  Its ``indptr`` and ``indices`` are
 read-only and shared by every matrix of the problem, which owns only its
-``data``.  The plan numbers each chunk's pairs locally, by one
-``np.unique`` per chunk, and keeps the chunk's sorted global pair ids
-beside them.  Each Newton step sums a chunk's local matrices over the local
-ids with one ``np.bincount`` per component pair, with no sort, and adds
-those sums straight at their CSR slots: no block array and no format
-conversion.
+``data``.  The plan numbers each chunk's pairs locally and keeps the
+chunk's sorted global pair ids beside them.  Each Newton step sums a
+chunk's local matrices over the local ids with one ``np.bincount`` per
+component pair, with no sort, and adds those sums straight at their CSR
+slots: no block array and no format conversion.
+
+Every problem is a stack of L >= 1 identical element levels: a space-time
+mesh's ``level_stack``, which the mesh finds by comparison, or one level
+(a prism slab, or a mesh that is not such a stack).  Level k is level 0
+with node ids shifted by k levels and its nodes moved by a rigid motion
+with rotation R_k, so the set-up is done for level 0 alone and reused:
+- the chunks of ``_partition`` repeat from level to level, so the plan
+  numbers the pairs of each distinct chunk of level 0 on, a template, by
+  one ``np.unique``, and every chunk of that template shares its local ids
+  and finds its global ids by offset arithmetic;
+- a simplex problem caches the P1 gradients of level 0 only, and the
+  kernel takes a level-k element's spatial gradients rotated by R_k;
+- the metric norms of tau are rotation-invariant, so those of level 0
+  repeat for every level.
 
 A chunk holds at most ``_CHUNK_ENTRIES`` local-matrix entries, 8 MB of
 local matrices, and the kernel's temporaries are a small multiple of that
 on each lane.  No per-element copy of the element coordinates or dofs is
 cached: each chunk gathers its own from ``elements``.  The volume loop runs in
 ``_LANES`` fixed, contiguous element lanes once a system has that many
-chunks; ``_partition`` cuts the elements into lanes and chunks, once per
+chunks; ``_partition`` cuts the elements into chunks and lanes, once per
 problem, for the plan and the lanes alike.  Each lane sums its chunks into
 its own residual, on a small module-level thread pool, and adds its
 matrix sums straight into the one ``data`` array, allocated before the
@@ -38,21 +51,22 @@ lanes start, except at the node rows that an earlier lane also spans:
 those go into a buffer of the lane's own, a small range where two lanes
 meet.  The lanes' residuals and buffers are added in lane order, so the
 result has the same bytes on any core count.  A one-chunk
-system runs its one lane inline and starts no thread.  On the first matrix
-of a two-lane problem the plan is built on a lane thread while the calling
-thread fills the geometry and then computes the metric and tau; the
-problem's one ``assembly plan`` log line gives the seconds of each and the
-calling thread's wait for the plan.  A family supplies the geometry of its
-elements:
+system runs its one lane inline and starts no thread.  The first matrix
+fills the geometry, then computes the metric and tau, then builds the
+plan, all on the calling thread; the problem's one ``assembly plan`` log
+line gives the seconds of each and the depth of the level stack.  A
+family supplies the geometry of its elements:
 
+- ``_levels``: (n_per, L, n_sp), the elements and nodes per level of its
+  level stack and the stack's depth;
 - ``_volume_geometry(sl)``: the arguments of the element kernel
   ``_element_terms`` for a chunk of elements;
 - ``_bottom_cap()``: node ids and spatial coordinates of the bottom-cap
   simplices that carry the jump term;
 - ``_tau_terms(u)``: the terms of tau per element, the advective form
   uhat . Ginv uhat at the barycentric velocities ``u``, Ginv:Ginv and
-  g.g (a simplex mesh forms the first from its P1 gradients and caches
-  only the other two; a slab keeps its whole small metric);
+  g.g (a simplex mesh forms the first from level 0's P1 gradients and
+  caches only the other two; a slab keeps its whole small metric);
 - ``_mantle_faces(tag)``: node ids of a tag's faces on the space-time
   mantle, which carry its Dirichlet rows or its traction;
 - ``_face_quadrature(ids)``: shape values, points, tangents and weights of
@@ -353,26 +367,35 @@ def _unique(a):
     return a[first]
 
 
-def _partition(n_el, nloc):
-    """(size, chunks, lanes) of a system of ``n_el`` elements with ``nloc``
-    dofs each: ``chunks`` are element slices of at most ``size`` elements
-    (``_CHUNK_ENTRIES`` local-matrix entries), ``lanes`` the ranges of the
-    chunk indices of each lane.
+def _partition(n_per, n_levels, nloc):
+    """(size, chunks, lanes) of a system of ``n_levels`` levels of ``n_per``
+    elements with ``nloc`` dofs each: ``chunks`` are element slices of at
+    most ``size`` elements (``_CHUNK_ENTRIES`` local-matrix entries),
+    ``lanes`` the ranges of the chunk indices of each lane.
 
-    The lanes split the elements evenly, and each lane cuts its share into
-    chunks from its first element.  The plan and the lanes both take this
-    partition, so a chunk's pair ids are the plan's ids for that chunk.
+    The chunks repeat by levels.  A level of at least ``size`` elements is
+    cut into the same s = ceil(n_per / size) even slices at every level; a
+    smaller one goes whole into chunks of m = size // n_per levels, and the
+    last chunk takes the levels that remain.  So every chunk is a chunk that
+    starts at level 0, its template, shifted by whole levels.  The lanes
+    split the chunk list into contiguous halves.  The plan and the lanes
+    both take this partition, so a chunk's pair ids are the plan's ids for
+    that chunk.
     """
-    chunk = max(1, int(_CHUNK_ENTRIES / (nloc * nloc)))
-    n_lanes = min(_LANES, -(-n_el // chunk))
-    chunks, lanes = [], []
-    for k in range(n_lanes):
-        start, stop = n_el * k // n_lanes, n_el * (k + 1) // n_lanes
-        first = len(chunks)
-        chunks += [slice(lo, min(lo + chunk, stop))
-                   for lo in range(start, stop, chunk)]
-        lanes.append(range(first, len(chunks)))
-    return chunk, chunks, lanes
+    size = max(1, int(_CHUNK_ENTRIES / (nloc * nloc)))
+    n_el = n_per * n_levels
+    if n_per >= size:
+        s = -(-n_per // size)
+        starts = [k * n_per + n_per * j // s
+                  for k in range(n_levels) for j in range(s)]
+    else:
+        starts = list(range(0, n_el, size // n_per * n_per))
+    bounds = starts + [n_el]
+    chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    n, n_lanes = len(chunks), min(_LANES, len(chunks))
+    lanes = [range(n * k // n_lanes, n * (k + 1) // n_lanes)
+             for k in range(n_lanes)]
+    return size, chunks, lanes
 
 
 class _CsrPlan:
@@ -392,7 +415,15 @@ class _CsrPlan:
     every matrix the plan wraps.  ``chunks`` holds, for each element chunk
     of the partition, its pairs as ``pair_ids`` gives them: the chunk's
     sorted global pair ids and its chunk-local ids, so a chunk's fill
-    spans only the pairs it touches.  ``diag_slots`` are the diagonal
+    spans only the pairs it touches.
+
+    The pairs are numbered once per template (see ``_partition``): a chunk
+    k levels on has its template's elements plus k*n_sp, so its keys are
+    the template's plus k*n_sp*(n_nodes + 1), in the same order.  One
+    ``np.unique`` per template gives the keys and local ids that all its
+    chunks share, and each chunk's global ids are a ``searchsorted`` of
+    its shifted keys in the union of all chunks' keys and the diagonal.
+    ``diag_slots`` are the diagonal
     entries of the Dirichlet rows; the rows themselves are whole CSR rows,
     which ``indptr`` delimits.  The global index arrays take the CSR index
     dtype (int32 while nnz < 2**31), the local ids the smallest unsigned
@@ -400,22 +431,31 @@ class _CsrPlan:
     chunk, at most 62,500 pairs).
     """
 
-    def __init__(self, elements, n_nodes, nc, dir_mask, chunks):
+    def __init__(self, elements, n_nodes, nc, dir_mask, chunks, n_per, n_sp):
+        """The plan of ``elements`` in the ``chunks`` of ``_partition``, on a
+        stack of levels of ``n_per`` elements and ``n_sp`` nodes."""
         start = time.perf_counter()
         self.n_nodes, self.nc = n_nodes, nc
+        templates, shifted = {}, []
+        for sl in chunks:
+            k = sl.start // n_per
+            t = (sl.start - k * n_per, sl.stop - k * n_per)
+            if t not in templates:
+                templates[t] = self._local_ids(elements[slice(*t)])
+            shifted.append((templates[t], k * n_sp * (n_nodes + 1)))
         # the global keys are the union of the chunks' distinct keys and the
         # diagonal, so no array of every element pair's key is formed
-        local = [self._local_ids(elements[sl]) for sl in chunks]
         diag = np.arange(n_nodes, dtype=np.int64) * (n_nodes + 1)
-        self.keys = _unique(np.concatenate([k for k, _ in local] + [diag]))
+        self.keys = _unique(np.concatenate(
+            [keys + off for (keys, _), off in shifted] + [diag]))
         diag_pairs = np.searchsorted(self.keys, diag)
         row, col = np.divmod(self.keys, n_nodes)
         bptr = np.searchsorted(row, np.arange(n_nodes + 1))
         deg = np.diff(bptr)
         self.nnz = nc * nc * len(row)
         index = np.int32 if self.nnz < 2 ** 31 else np.int64
-        self.chunks = [(np.searchsorted(self.keys, k).astype(index), ids)
-                       for k, ids in local]
+        self.chunks = [(np.searchsorted(self.keys, keys + off).astype(index),
+                        local) for (keys, local), off in shifted]
 
         # CSR row node*nc + i holds nc entries of each pair of its node
         indptr = np.append(nc * nc * bptr[:-1, None]
@@ -626,13 +666,8 @@ class _ProblemBase:
         """
         values = np.asarray(values, dtype=float).reshape(self.n_nodes,
                                                          self.ncomp)
-        size, chunks, lanes = self._chunks
-        n_lanes = len(lanes)
+        _, chunks, lanes = self._chunks
         new_plan = want_matrix and "_csr_plan" not in vars(self)
-        # a first plan of two lanes is built on a lane thread while this one
-        # computes the geometry and tau
-        future = (_lane_pool().submit(lambda: self._csr_plan)
-                  if new_plan and n_lanes > 1 else None)
         t0 = time.perf_counter()
         # cached geometry is filled here, before the metric and the lanes
         # read it
@@ -640,19 +675,14 @@ class _ProblemBase:
         t1 = time.perf_counter()
         stab = tau_override or self.stabilization(values)
         t2 = time.perf_counter()
-        plan = None
-        if future is not None:
-            plan = future.result()
-        elif want_matrix:
-            plan = self._csr_plan
+        plan = self._csr_plan if want_matrix else None
         if new_plan:
-            logger.info("assembly plan pairs=%d nnz=%d lanes=%d threads=%d "
-                        "chunks=%d plan_s=%.3f geometry_s=%.3f metric_s=%.3f "
-                        "wait_s=%.3f", len(plan.keys), plan.nnz, n_lanes,
-                        _pool._max_workers if n_lanes > 1 else 0,
-                        -(-len(self.elements) // size),
-                        plan.build_s, t1 - t0, t2 - t1,
-                        time.perf_counter() - t2)
+            logger.info("assembly plan pairs=%d nnz=%d levels=%d lanes=%d "
+                        "threads=%d chunks=%d plan_s=%.3f geometry_s=%.3f "
+                        "metric_s=%.3f", len(plan.keys), plan.nnz,
+                        self._levels[1], len(lanes),
+                        _lane_pool()._max_workers if len(lanes) > 1 else 0,
+                        len(chunks), plan.build_s, t1 - t0, t2 - t1)
 
         R, data = self._volume(values, stab, plan, chunks, lanes)
         self._add_jump(values, R, data)
@@ -733,15 +763,16 @@ class _ProblemBase:
     def _chunks(self):
         """The (size, chunks, lanes) of ``_partition``, fixed at the first
         system so that the plan and the lanes keep sharing it."""
-        return _partition(len(self.elements),
-                          self.elements.shape[1] * self.ncomp)
+        n_per, n_levels, _ = self._levels
+        return _partition(n_per, n_levels, self.elements.shape[1] * self.ncomp)
 
     @cached_property
     def _csr_plan(self) -> _CsrPlan:
         """Built on the first matrix request, never by the constructor or a
         residual-only call."""
+        n_per, _, n_sp = self._levels
         return _CsrPlan(self.elements, self.n_nodes, self.ncomp, self.dir_mask,
-                        self._chunks[1])
+                        self._chunks[1], n_per, n_sp)
 
     @cached_property
     def _cap(self):
@@ -822,12 +853,13 @@ class _ProblemBase:
         return out
 
 
-def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl, with_points):
+def _simplex_geometry(mesh: SpaceTimeMesh, Nq, weights, sl, grads,
+                      with_points):
     """The geometry ``_element_terms`` takes for the space-time simplices
-    ``sl``: their nq points form one group, on which the P1 gradients are
-    constant.  The points are computed only ``with_points``, else None."""
+    ``sl`` with P1 gradients ``grads`` (dim+1, dim, E), element-last: their
+    nq points form one group, on which the gradients are constant.  The
+    points are computed only ``with_points``, else None."""
     nq, nen = Nq.shape
-    grads = np.ascontiguousarray(np.moveaxis(mesh.gradients[sl], 0, -1))
     x = (np.moveaxis(Nq @ mesh.nodes[mesh.elements[sl]], 0, -1)[:, None]
          if with_points else None)
     return (Nq[:, None, :], weights[:, None],
@@ -854,8 +886,47 @@ class SpaceTimeProblem(_ProblemBase):
             return None
         return np.asarray(self.bcs.initial(self.mesh.spatial_coords))
 
+    @property
+    def _levels(self):
+        n_per, rotations = self.mesh.level_stack
+        return n_per, len(rotations), self.n_nodes // (len(rotations) + 1)
+
+    @cached_property
+    def _gradients0(self):
+        """(n_per, dim+1, dim) P1 gradients of level 0 of the mesh's level
+        stack, the problem's one copy of them."""
+        return self.mesh.gradients_of(self.mesh.level_stack[0])
+
+    @cached_property
+    def _rotations(self):
+        """R_k of each level of the mesh's level stack, None for the
+        identity, which is applied as no arithmetic at all: a one-level mesh
+        keeps the bytes of its own gradients."""
+        eye = np.eye(self.n_sd)
+        return [None if np.array_equal(R, eye) else R
+                for R in self.mesh.level_stack[1]]
+
+    def _gradients(self, sl):
+        """(dim+1, dim, E) P1 gradients of the elements ``sl``, element-last:
+        level 0's, with the spatial columns of a level-k element rotated by
+        R_k, G[:, :n_sd] R_k^T; d/dt is unchanged."""
+        grads0, n_sd = self._gradients0, self.n_sd
+        n_per = self.mesh.level_stack[0]
+        start, stop, _ = sl.indices(len(self.elements))
+        out = np.empty(grads0.shape[1:] + (stop - start,))
+        for k in range(start // n_per, -(-stop // n_per)):
+            lo, hi = max(start, k * n_per), min(stop, (k + 1) * n_per)
+            part = out[..., lo - start:hi - start]
+            part[...] = np.moveaxis(grads0[lo - k * n_per:hi - k * n_per],
+                                    0, -1)
+            R = self._rotations[k]
+            if R is not None:
+                part[:, :n_sd] = R @ part[:, :n_sd]
+        return out
+
     def _volume_geometry(self, sl):
         return _simplex_geometry(self.mesh, self.Nq, self.rule.weights, sl,
+                                 self._gradients(sl),
                                  self.body_force is not None)
 
     def _bottom_cap(self):
@@ -864,12 +935,23 @@ class SpaceTimeProblem(_ProblemBase):
         return ids, mesh.nodes[ids][:, :, : self.n_sd]
 
     def _tau_terms(self, u):
-        return (simplex_advective_form(self.mesh.gradients, u),) + self._metric
+        """The advective form from level 0's gradients and each element's
+        velocity in level 0's frame, R_k^T u, then the cached norms."""
+        n_per = self.mesh.level_stack[0]
+        u0 = u.copy()
+        for k, R in enumerate(self._rotations):
+            if R is not None:
+                level = slice(k * n_per, (k + 1) * n_per)
+                u0[level] = u[level] @ R
+        return (simplex_advective_form(self._gradients0, u0),) + self._metric
 
     @cached_property
     def _metric(self):
-        """(Ginv:Ginv, g.g) per element: all that tau keeps of the metric."""
-        return metric_norms(self.mesh)
+        """(Ginv:Ginv, g.g) per element: all that tau keeps of the metric.
+        Both are rotation-invariant, so level 0's repeat for every level."""
+        levels = len(self.mesh.level_stack[1])
+        return tuple(np.tile(a, levels)
+                     for a in metric_norms(self.mesh, self._gradients0))
 
     def _mantle_faces(self, tag):
         mesh = self.mesh
@@ -995,6 +1077,11 @@ class PrismSlabProblem(_ProblemBase):
         metric = metric_terms(np.einsum("ij,njk->nik", Bmat, Jinv[:, nt]))
         return (np.abs(detJ[:, :nt]).T.copy(), D, B, x), metric
 
+    @property
+    def _levels(self):
+        """One level: the slab's prisms between its two node levels."""
+        return len(self.elements), 1, self.slab.spatial.n_nodes
+
     def _volume_geometry(self, sl):
         return (self.Nq, self.weights) + tuple(
             None if a is None else a[..., sl] for a in self._geometry[0])
@@ -1055,7 +1142,8 @@ def _one_element(mesh: SpaceTimeMesh, e: int, field: SolutionField,
     rule = simplex_quadrature(mesh.dim, 2)
     Nq = basis_eval(rule.points, mesh.dim)
     sl = slice(e, e + 1)
-    return _element_terms(*_simplex_geometry(mesh, Nq, rule.weights, sl,
+    grads = np.moveaxis(mesh.gradients[sl], 0, -1)
+    return _element_terms(*_simplex_geometry(mesh, Nq, rule.weights, sl, grads,
                                              body_force is not None),
                           field.values[mesh.elements[sl]], material.rho,
                           material.mu, stab.tau_mom[sl], stab.tau_cont[sl],

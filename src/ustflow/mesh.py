@@ -15,10 +15,19 @@ Element geometry is computed element-last (the element axis last, so each
 arithmetic step runs over a slice of elements) in slices of ``_SLICE``
 elements.  Determinants and inverses of the d x d Jacobians, d <= 4, come
 from the cofactor expansion in ``cofactor_det``, not from a batched LAPACK
-call per element.  The only cached copy of the inverse Jacobians is the P1
-``gradients`` array.  No copy of the element coordinates is cached: each
-slice loop and each per-element helper gathers ``nodes[elements[sl]]`` for
-its own elements.
+call per element.  The mesh caches the inverse Jacobians only as the P1
+``gradients`` array of all elements, which post-processing and the
+per-element helpers read.  An assembly problem reads no whole-mesh copy:
+it takes the gradients of one level of the mesh's ``level_stack`` from
+``gradients_of``, the same slice loop.  No copy of the element coordinates
+is cached: each slice loop and each per-element helper gathers
+``nodes[elements[sl]]`` for its own elements.
+
+A space-time mesh extruded through L levels is a stack: element level k is
+level 0's elements with node ids shifted by k levels, on nodes that are
+level 0's under a rigid motion.  ``SpaceTimeMesh.level_stack`` finds that
+stack by comparison, never by assumption; a mesh that is not one is a
+stack of one level.
 """
 
 from __future__ import annotations
@@ -180,22 +189,28 @@ class SimplexMesh:
     @cached_property
     def gradients(self) -> np.ndarray:
         """(n_el, dim+1, dim) physical gradients of the P1 basis (constant per
-        element).
+        element), ``gradients_of`` all elements."""
+        return self.gradients_of(self.n_elements)
 
-        A degenerate mesh raises before any inverse is formed; then each
-        slice's inverse Jacobians, adj J / det J, are built element-last and
-        copied into rows 1..dim, with row 0 their negated column sums.
+    def gradients_of(self, n: int) -> np.ndarray:
+        """(n, dim+1, dim) P1 gradients of the first ``n`` elements, not
+        cached.
+
+        A degenerate element among them raises before any inverse is formed;
+        then each slice's inverse Jacobians, adj J / det J, are built
+        element-last and copied into rows 1..dim, with row 0 their negated
+        column sums.
         """
-        det = self.jacobian_dets
-        bad = degenerate(np.abs(det), self.max_edge_lengths, self.dim)
+        det = self.jacobian_dets[:n]
+        bad = degenerate(np.abs(det), self.max_edge_lengths[:n], self.dim)
         if bad.any():
             raise DegenerateElement(
                 f"degenerate elements: {np.flatnonzero(bad)[:10].tolist()}")
-        dim = self.dim
+        dim, elements = self.dim, self.elements[:n]
         grads = np.empty((len(det), dim + 1, dim))
         for sl in element_slices(len(det)):
             inv = np.empty((dim + 1, dim, len(det[sl])))
-            cofactor_det(jacobians_last(self.nodes[self.elements[sl]]),
+            cofactor_det(jacobians_last(self.nodes[elements[sl]]),
                          inv[1:])
             np.divide(inv[1:], det[sl], out=inv[1:])
             np.negative(inv[1], out=inv[0])
@@ -262,6 +277,23 @@ class SpaceTimeMesh(SimplexMesh):
     def spatial_coords(self) -> np.ndarray:
         return self.nodes[:, :-1]
 
+    @cached_property
+    def level_stack(self):
+        """(n_per, rotations): the mesh as a stack of L element levels of
+        n_per elements each, ``rotations`` (L, n_sd, n_sd).
+
+        Element level k, elements k*n_per to (k+1)*n_per, is level 0's with
+        every node id shifted by k*n_sp, and its nodes, node levels k and
+        k+1, are those of node levels 0 and 1 moved rigidly: rotated by
+        rotations[k] and shifted in space and time.  So element e's P1
+        gradients are element e % n_per's with the spatial columns rotated,
+        G[:, :n_sd] @ R^T for R = rotations[e // n_per], and, with its
+        vertices in the same order, its metric norms are that element's.
+        A mesh that fails any test of ``_level_stack`` is one level,
+        (n_el, [I]).  Found on first use and cached.
+        """
+        return _level_stack(self.nodes, self.elements)
+
 
 # -- spec-level per-element operations --------------------------------------
 
@@ -316,6 +348,60 @@ def time_levels(times):
     levels = np.empty(len(ts), dtype=np.int64)
     levels[order] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     return levels, order[starts[:-1]]
+
+
+def _level_stack(nodes, elements):
+    """The ``SpaceTimeMesh.level_stack`` of ``nodes`` and ``elements``.
+
+    A mesh is a stack of L >= 2 levels when
+    - its nodes are level-major: L+1 blocks of n_sp nodes, block j the
+      nodes of time level j (``time_levels``);
+    - element block k equals element block 0 plus k*n_sp exactly;
+    - node levels k and k+1 are node levels 0 and 1 under one rigid motion,
+      with a uniform time shift: the rotation is the least-squares fit of
+      Kabsch (an SVD of an n_sd x n_sd matrix) and every node must lie
+      within 1e-12 of the spatial extent of its image, and every node's
+      time shift within 1e-12 of the time span of the first node's.
+    A level whose spatial coordinates equal level 0's gets the identity.
+    """
+    n_el = len(elements)
+    n_sd = nodes.shape[1] - 1
+    eye = np.eye(n_sd)
+    one = (n_el, eye[None])
+    levels = time_levels(nodes[:, n_sd])[0]
+    n_levels = int(levels.max())
+    n_sp, rest = divmod(len(nodes), n_levels + 1)
+    if (n_levels < 2 or rest or n_el % n_levels
+            or (levels != np.repeat(np.arange(n_levels + 1), n_sp)).any()):
+        return one
+    n_per = n_el // n_levels
+    base = elements[:n_per]
+    if not all(np.array_equal(elements[k * n_per:(k + 1) * n_per],
+                              base + k * n_sp) for k in range(1, n_levels)):
+        return one
+    x, t = nodes[:, :n_sd], nodes[:, n_sd]
+    tol = 1e-12 * np.ptp(x, axis=0).max()
+    t_tol = 1e-12 * np.ptp(t)
+    p = x[:2 * n_sp]
+    p0 = p.mean(axis=0)
+    rotations = np.empty((n_levels, n_sd, n_sd))
+    for k in range(n_levels):
+        q = x[k * n_sp:(k + 2) * n_sp]
+        shift = t[k * n_sp:(k + 2) * n_sp] - t[:2 * n_sp]
+        if np.abs(shift - shift[0]).max() > t_tol:
+            return one
+        if np.array_equal(q, p):
+            rotations[k] = eye
+            continue
+        q0 = q.mean(axis=0)
+        u, _, vt = np.linalg.svd((p - p0).T @ (q - q0))
+        flip = np.ones(n_sd)
+        flip[-1] = np.sign(np.linalg.det(vt.T @ u.T))
+        R = (vt.T * flip) @ u.T
+        if np.abs((p - p0) @ R.T + q0 - q).max() > tol:
+            return one
+        rotations[k] = R
+    return n_per, rotations
 
 
 def classify_boundary(mesh: SimplexMesh, t0: float, tN: float, tol=None):

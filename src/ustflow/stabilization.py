@@ -22,7 +22,7 @@ every renumbering.
 
 With the vertices in canonical order sigma, the inverse of the canonical
 Jacobian has as its rows the P1 gradients of vertices sigma(1..d), so A is
-the regular-simplex map times those rows of ``SimplexMesh.gradients``.  A
+the regular-simplex map times those rows of the P1 gradients.  A
 is evaluated on one code path, in the element slices of
 ``mesh.element_slices`` in an element-last layout, where every reduction
 runs over whole slices.  The per-Jacobian helpers (``reference_derivative``,
@@ -43,10 +43,21 @@ simplex's edges from vertex 0 have the Gram matrix M^T M = (d^2/2)(I +
 
 over all vertices a, in any order (``simplex_advective_form``).  A
 simplex problem therefore caches only Ginv:Ginv and g.g, (n_el,) each
-(``metric_norms``), and forms the advective form from ``mesh.gradients``
-at each evaluation of tau; ``mesh_metric`` still returns the whole
-metric.  A prism slab keeps its small per-slab metric and takes the
-advective form from its Ginv (``advective_form``).
+(``metric_norms``), and forms the advective form from P1 gradients at
+each evaluation of tau; ``mesh_metric`` still returns the whole metric.
+A prism slab keeps its small per-slab metric and takes the advective form
+from its Ginv (``advective_form``).
+
+With the vertices in the same order, both norms are invariant under a
+rigid rotation of an element, and the advective form is that of the
+rotated-back velocity.  On a mesh that is a stack of rotated levels
+(``SpaceTimeMesh.level_stack``) a problem therefore computes the norms of
+level 0 alone, from level 0's gradients, and repeats them for every level,
+so every level takes level 0's vertex order; the advective form takes
+level 0's gradients and each element's velocity turned into level 0's
+frame.  The whole-mesh canonical order agrees with level 0's but where
+its first key ties exactly, which rounding then breaks level by level;
+g.g follows the order there, Ginv:Ginv does not.
 """
 
 from __future__ import annotations
@@ -121,17 +132,18 @@ def _canonical_order(V: np.ndarray) -> np.ndarray:
     return np.take_along_axis(pre, sub, axis=0)
 
 
-def _reference_derivative(mesh: SimplexMesh, sl: slice) -> np.ndarray:
-    """A of the elements ``sl`` of ``mesh``, element-last (dim, dim, n).
+def _reference_derivative(mesh: SimplexMesh, sl: slice,
+                          gradients: np.ndarray) -> np.ndarray:
+    """A of the elements ``sl`` of ``mesh``, element-last (dim, dim, n),
+    from their P1 ``gradients[sl]``.
 
     The canonical order is found from the element coordinates relative to
     vertex 0; with the vertices in canonical order sigma, the inverse
-    canonical Jacobian is rows sigma(1..dim) of ``mesh.gradients``, which
-    raise ``DegenerateElement`` on a degenerate mesh.
+    canonical Jacobian is rows sigma(1..dim) of the gradients.
     """
-    X = mesh.nodes[mesh.elements[sl]]
+    X = mesh.nodes[mesh.elements[:len(gradients)][sl]]
     order = _canonical_order(_last(X - X[:, :1]))
-    inv_jc = np.take_along_axis(_last(mesh.gradients[sl]), order[1:, None, :],
+    inv_jc = np.take_along_axis(_last(gradients[sl]), order[1:, None, :],
                                 axis=0)
     return np.tensordot(regular_simplex_map(mesh.dim), inv_jc, 1)
 
@@ -151,8 +163,9 @@ def reference_derivative(J: np.ndarray) -> np.ndarray:
     elements = np.arange(n * (dim + 1)).reshape(n, dim + 1)
     mesh = SimplexMesh(V.reshape(-1, dim), elements, np.zeros((0, dim), int),
                        np.zeros(0, int), [], fix_orientation=False)
-    A = np.concatenate([np.moveaxis(_reference_derivative(mesh, sl), -1, 0)
-                        for sl in element_slices(n)])
+    A = np.concatenate([np.moveaxis(
+        _reference_derivative(mesh, sl, mesh.gradients), -1, 0)
+        for sl in element_slices(n)])
     return A[0] if single else A
 
 
@@ -202,17 +215,23 @@ def advective_form(u, Ginv: np.ndarray) -> np.ndarray:
 
 def simplex_advective_form(gradients: np.ndarray, u) -> np.ndarray:
     """uhat . Ginv uhat per element of a P1 simplex mesh, uhat = (u, 1),
-    from its P1 gradients (n, dim+1, dim) by the identity in the module
+    from P1 gradients (n_per, dim+1, dim) by the identity in the module
     docstring: Ginv = R^T M^T M R for the gradient rows R of vertices
     1..dim in canonical order, and 1^T R is minus the gradient of vertex
-    0.  It agrees with :func:`mesh_metric`'s Ginv to rounding."""
-    n, _, dim = gradients.shape
+    0.  It agrees with :func:`mesh_metric`'s Ginv to rounding.
+
+    ``u`` (n, dim-1) may cover several levels, n a multiple of n_per:
+    element e takes the gradients of element e % n_per, and its velocity
+    must then be given in that element's frame."""
+    n_per, _, dim = gradients.shape
     half = _half_edge2(dim)
-    out = np.empty(n)
-    for sl in element_slices(n):
-        G = gradients[sl]
-        s = np.einsum("eak,ek->ea", G[:, :, :-1], u[sl]) + G[:, :, -1]
-        out[sl] = half * np.einsum("ea,ea->e", s, s)
+    out = np.empty(len(u))
+    for lo in range(0, len(u), max(n_per, 1)):
+        for sl in element_slices(n_per):
+            G = gradients[sl]
+            e = slice(lo + sl.start, lo + sl.start + len(G))
+            s = np.einsum("eak,ek->ea", G[:, :, :-1], u[e]) + G[:, :, -1]
+            out[e] = half * np.einsum("ea,ea->e", s, s)
     return out
 
 
@@ -266,11 +285,12 @@ def _with_norms(Ginv: np.ndarray, g: np.ndarray):
     return Ginv, g, np.einsum("nij,nij->n", Ginv, Ginv), (g * g).sum(axis=1)
 
 
-def _metric_slices(mesh: SimplexMesh):
-    """(sl, Ginv, g) of each element slice ``sl`` of ``mesh``, element-first
-    and contiguous."""
-    for sl in element_slices(mesh.n_elements):
-        Ginv, g = _metric_and_g(_reference_derivative(mesh, sl))
+def _metric_slices(mesh: SimplexMesh, gradients: np.ndarray):
+    """(sl, Ginv, g) of each element slice ``sl`` of the first
+    len(gradients) elements of ``mesh``, from their P1 ``gradients``,
+    element-first and contiguous."""
+    for sl in element_slices(len(gradients)):
+        Ginv, g = _metric_and_g(_reference_derivative(mesh, sl, gradients))
         yield (sl, np.ascontiguousarray(np.moveaxis(Ginv, -1, 0)),
                np.ascontiguousarray(g.T))
 
@@ -283,18 +303,22 @@ def mesh_metric(mesh: SimplexMesh):
     """
     n, dim = mesh.n_elements, mesh.dim
     Ginv, g = np.empty((n, dim, dim)), np.empty((n, dim - 1))
-    for sl, Ginv_s, g_s in _metric_slices(mesh):
+    for sl, Ginv_s, g_s in _metric_slices(mesh, mesh.gradients):
         Ginv[sl], g[sl] = Ginv_s, g_s
     return _with_norms(Ginv, g)
 
 
-def metric_norms(mesh: SimplexMesh):
-    """(Ginv:Ginv, g.g) for all elements, (n_el,) each, with the bytes of
-    :func:`mesh_metric`'s, which it forms one element slice at a time: the
-    terms of tau besides the advective form, without a stored metric."""
-    n = mesh.n_elements
-    GG, gg = np.empty(n), np.empty(n)
-    for sl, Ginv_s, g_s in _metric_slices(mesh):
+def metric_norms(mesh: SimplexMesh, gradients: np.ndarray = None):
+    """(Ginv:Ginv, g.g), (n,) each, of the first n elements of ``mesh`` from
+    their P1 ``gradients`` (n, dim+1, dim), by default all elements and
+    ``mesh.gradients``: the terms of tau besides the advective form,
+    formed one element slice at a time without a stored metric, with the
+    bytes of :func:`mesh_metric`'s.  A problem on a level stack passes
+    level 0's gradients (see the module docstring)."""
+    if gradients is None:
+        gradients = mesh.gradients
+    GG, gg = np.empty(len(gradients)), np.empty(len(gradients))
+    for sl, Ginv_s, g_s in _metric_slices(mesh, gradients):
         GG[sl], gg[sl] = _with_norms(Ginv_s, g_s)[2:]
     return GG, gg
 

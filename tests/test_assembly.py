@@ -21,13 +21,16 @@ from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
 import ustflow.assembly as assembly
 from ustflow.errors import ConfigurationError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
-                             extrude_simplex_st, rigid_rotation_positions)
-from ustflow.geometry import box2d, box3d
-from ustflow.mesh import reference_gradients
+                             extrude_simplex_st, rigid_rotation_positions,
+                             rotation_matrix)
+from ustflow.geometry import box2d, box3d, disk2d
+from ustflow.mesh import SpaceTimeMesh, reference_gradients
 from ustflow.quadrature import prism_quadrature
-from ustflow.stabilization import (StabilizationContext, metric_terms,
-                                   prism_geometry, prism_shape_functions,
-                                   regular_simplex_map)
+from ustflow.stabilization import (StabilizationContext, advective_form,
+                                   canonical_vertex_order, mesh_metric,
+                                   metric_norms, metric_terms, prism_geometry,
+                                   prism_shape_functions, regular_simplex_map,
+                                   tau_parameters)
 
 from conftest import twisted_slab
 
@@ -1098,8 +1101,9 @@ class TestPrismGeometry:
 
 
 def split_into_chunks(monkeypatch, problem, n_chunks=4):
-    """Shrink the assembly chunk so that ``problem`` has ``n_chunks`` or
-    ``n_chunks + 1`` chunks, hence two lanes."""
+    """Shrink the assembly chunk to 1/``n_chunks`` of ``problem``'s
+    elements, so that it has at least two chunks, hence two lanes: whole
+    levels or the same slices of every level (see ``_partition``)."""
     nloc = problem.edof.shape[1]
     chunk = len(problem.elements) // n_chunks
     monkeypatch.setattr(assembly, "_CHUNK_ENTRIES", float(chunk * nloc * nloc))
@@ -1112,9 +1116,11 @@ def plan_lines(caplog):
 
 
 class TestLanes:
-    """Two element lanes over four or five chunks: the same matrix as the
+    """Two element lanes over a quarter-size chunk: the same matrix as the
     triplet sum, an exact Jacobian, and the same bytes on any thread
     count."""
+
+    LEVELS = {"simplex": 3, "pentatope": 2, "prism": 1}
 
     @staticmethod
     def problem(family, rng):
@@ -1162,19 +1168,20 @@ class TestLanes:
                 problem.system(U)
         [line] = plan_lines(caplog)
         plan = problem._csr_plan
-        n_chunks = int(line.split("chunks=")[1].split()[0])
-        assert n_chunks in (4, 5)
+        _, chunks, lanes = problem._chunks
+        assert len(lanes) == 2 and len(chunks) >= 3
         assert line.startswith(f"assembly plan pairs={len(plan.keys)} "
-                               f"nnz={plan.nnz} lanes=2 threads=2 "
-                               f"chunks={n_chunks} plan_s=")
-        seconds = dict(field.split("=") for field in line.split()[7:])
-        assert list(seconds) == ["plan_s", "geometry_s", "metric_s", "wait_s"]
+                               f"nnz={plan.nnz} levels={self.LEVELS[family]} "
+                               f"lanes=2 threads=2 chunks={len(chunks)} "
+                               "plan_s=")
+        seconds = dict(field.split("=") for field in line.split()[8:])
+        assert list(seconds) == ["plan_s", "geometry_s", "metric_s"]
         assert all(float(v) >= 0.0 for v in seconds.values())
 
     def test_same_bytes_on_any_thread_count(self, family, rng, monkeypatch):
         """One, two and four workers (more than this machine's cores), with
-        threads switched every microsecond: a lost update in the lanes or
-        the concurrent plan build would change the bytes."""
+        threads switched every microsecond: a lost update in the lanes
+        would change the bytes."""
         U = None
         out = []
         interval = sys.getswitchinterval()
@@ -1326,6 +1333,26 @@ class TestMemory:
             assert not M.indices.flags.writeable
             assert not M.indptr.flags.writeable
         assert not np.shares_memory(A.data, B.data)
+
+    def test_one_level_of_gradients_and_shared_local_ids(self, rng,
+                                                          monkeypatch):
+        """A stacked pentatope problem caches the P1 gradients of level 0
+        alone, reads no whole-mesh copy of them, and its chunks of one
+        template, here the same slice of either level, share one array of
+        local pair ids."""
+        problem = split_into_chunks(monkeypatch, pentatope_problem(rng))
+        problem.system(problem.initial_guess())
+        mesh = problem.mesh
+        n_per, rotations = mesh.level_stack
+        assert len(rotations) == 2 and 2 * n_per == mesh.n_elements
+        assert "gradients" not in vars(mesh)
+        assert problem._gradients0.shape == (n_per, 5, 4)
+        chunks, plan = problem._chunks[1], problem._csr_plan
+        assert [c.start % n_per for c in chunks] == [0, 12, 0, 12]
+        local = [ids for _, ids in plan.chunks]
+        assert np.shares_memory(local[0], local[2])
+        assert np.shares_memory(local[1], local[3])
+        assert not np.shares_memory(local[0], local[1])
 
     def test_later_system_peak(self):
         """A later ``system()`` of the stirrer2d fixture, traced: its peak
@@ -1479,8 +1506,223 @@ class TestNoThreads:
         assert threading.active_count() == before
         lines = plan_lines(caplog)
         assert len(lines) == len(problems)
-        for line, problem in zip(lines, problems):
+        # the extrusions are stacks of their levels, the slabs one level
+        for line, problem, levels in zip(lines, problems, [2, 2, 3, 1, 1, 1]):
             plan = problem._csr_plan
             assert line.startswith(f"assembly plan pairs={len(plan.keys)} "
-                                   f"nnz={plan.nnz} lanes=1 threads=0 "
-                                   "chunks=1 plan_s=")
+                                   f"nnz={plan.nnz} levels={levels} lanes=1 "
+                                   "threads=0 chunks=1 plan_s=")
+
+
+def stacked_problem(name, rng):
+    """A problem on a twisted 2D or 3D extrusion or a static one, each a
+    stack of its 3-4 levels, with Dirichlet data, a gauge and jump data."""
+    if name == "disk2d":
+        traj = NodeTrajectory("rigid_rotation", (0.1, -0.2), omega=0.7)
+        st = extrude_simplex_st(disk2d(1.0, 2, 10),
+                                ExtrusionSpec(0.0, 0.3, 4, traj))
+        tag = "outer"
+    elif name == "box3d":
+        traj = NodeTrajectory("rigid_rotation", (0.5, 0.4, 0.5),
+                              axis=(1.0, 2.0, 3.0), omega=0.8)
+        st = extrude_simplex_st(box3d(2, 2, 2),
+                                ExtrusionSpec(0.1, 0.4, 3, traj))
+        tag = "x0"
+    else:
+        st = extrude_simplex_st(box2d(3, 2), ExtrusionSpec(0.0, 0.4, 4))
+        tag = "x0"
+    n_sd = st.n_sd
+    return SpaceTimeProblem(
+        st, MaterialParams(rho=1.1, mu=0.2),
+        BCSpec(dirichlet={tag: lambda x, t: 0.3 * np.cos(x + t[:, None])}),
+        gauge=(0, 0.0), jump_data=rng.uniform(-1, 1, size=(st.n_nodes, n_sd)))
+
+
+def copy_mesh(mesh, nodes=None, elements=None):
+    """``mesh`` with other nodes or elements (the same boundary)."""
+    return SpaceTimeMesh(
+        mesh.nodes if nodes is None else nodes,
+        mesh.elements if elements is None else elements,
+        mesh.boundary_facets, mesh.boundary_tags, mesh.tag_names, mesh.t0,
+        mesh.tN, facet_groups=(mesh.bottom_facets, mesh.top_facets,
+                               mesh.mantle_facets))
+
+
+def level0_order_norms(mesh, n_per):
+    """(GG, gg) of every element from its own ``mesh.gradients``, with its
+    vertices in the canonical order of its level-0 twin: the norms that
+    level 0's repeat exactly when both are invariant under the levels'
+    rigid rotations."""
+    X = mesh.element_coords[:n_per]
+    order = canonical_vertex_order(X - X[:, :1])
+    order = np.tile(order, (len(mesh.elements) // n_per, 1))
+    rows = np.take_along_axis(mesh.gradients, order[:, 1:, None], axis=1)
+    return metric_terms(regular_simplex_map(mesh.dim) @ rows)[2:]
+
+
+def same_order(mesh):
+    """Where each element's canonical vertex order, in the whole mesh, is
+    that of its level-0 twin."""
+    n_per = mesh.level_stack[0]
+    X = mesh.element_coords
+    order = canonical_vertex_order(X - X[:, :1])
+    return (order == np.tile(order[:n_per], (len(X) // n_per, 1))).all(axis=1)
+
+
+class TestLevelStack:
+    """Level 0's set-up, rotated and repeated, against the whole-mesh
+    oracles: ``mesh.gradients``, ``metric_norms``, ``mesh_metric`` and
+    ``element_jacobian_matrix``."""
+
+    @pytest.fixture(params=["disk2d", "box3d", "static"])
+    def name(self, request):
+        return request.param
+
+    def test_finds_the_extrusion_levels(self, name, rng):
+        problem = stacked_problem(name, rng)
+        mesh = problem.mesh
+        n_per, rotations = mesh.level_stack
+        levels = {"disk2d": 4, "box3d": 3, "static": 4}[name]
+        assert rotations.shape == (levels, mesh.n_sd, mesh.n_sd)
+        assert n_per * levels == mesh.n_elements
+        if name == "static":
+            assert np.array_equal(rotations, np.tile(np.eye(2), (4, 1, 1)))
+            return
+        # R_k turns level 0 by the trajectory's angle over k levels
+        traj = {"disk2d": (None, 0.7, 0.3 / 4), "box3d": ((1.0, 2.0, 3.0),
+                                                          0.8, 0.1)}[name]
+        axis, omega, dt = traj
+        for k, R in enumerate(rotations):
+            want = rotation_matrix(mesh.n_sd, axis, omega * k * dt)
+            assert np.abs(R - want).max() <= 1e-14
+
+    def test_gradients_metric_and_tau(self, name, rng):
+        problem = stacked_problem(name, rng)
+        mesh = problem.mesh
+        U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
+        stab = problem.stabilization(U)
+        n_per = mesh.level_stack[0]
+        G = np.moveaxis(problem._gradients(slice(None)), -1, 0)
+        assert np.abs(G - mesh.gradients).max() <= (
+            1e-13 * np.abs(mesh.gradients).max())
+        GG, gg = problem._metric
+        GG_mesh, gg_mesh = metric_norms(mesh)
+        assert np.abs(GG - GG_mesh).max() <= 1e-13 * GG_mesh.max()
+        # g.g follows the vertex order, which level 0 sets for every level
+        # (see test_tied_elements_take_level0_order)
+        gg_level0 = level0_order_norms(mesh, n_per)[1]
+        assert np.abs(gg - gg_level0).max() <= 1e-13 * gg_level0.max()
+        assert np.abs(gg - gg_mesh)[same_order(mesh)].max() <= (
+            1e-13 * gg_mesh.max())
+        # tau against tau_parameters fed the whole-mesh metric
+        Ginv, _, GG_full, _ = mesh_metric(mesh)
+        u = U[mesh.elements, :mesh.n_sd].mean(axis=1)
+        tau_mom, tau_cont = tau_parameters(advective_form(u, Ginv),
+                                           problem.material.nu, GG_full,
+                                           gg_level0)
+        assert np.abs(stab.tau_mom - tau_mom).max() <= 1e-13 * tau_mom.max()
+        assert np.abs(stab.tau_cont - tau_cont).max() <= (
+            1e-13 * tau_cont.max())
+
+    def test_tied_elements_take_level0_order(self):
+        """The whole mesh's canonical vertex order breaks exact ties of its
+        first key, a vertex's distance to the barycentre, by rounding.  On
+        the channel2d mesh, a static extrusion of a structured mesh through
+        20 levels, the time offsets of the later levels break some ties
+        another way than level 0, and ``metric_norms(mesh)`` gives those
+        elements another g.g than their level-0 twins.  The problem gives
+        every level level 0's order and g.g; Ginv:Ginv does not depend on
+        the order."""
+        from ustflow.scenarios import make_channel2d
+        spec = make_channel2d()
+        problem = spec.problem(spec.ust_mesh())
+        mesh = problem.mesh
+        n_per, rotations = mesh.level_stack
+        assert len(rotations) == 20
+        GG, gg = problem._metric
+        GG_mesh, gg_mesh = metric_norms(mesh)
+        assert np.abs(GG - GG_mesh).max() <= 1e-13 * GG_mesh.max()
+        same = same_order(mesh)
+        assert not same.all()
+        assert np.abs(gg - gg_mesh)[same].max() <= 1e-13 * gg_mesh.max()
+        assert np.abs(gg - gg_mesh)[~same].max() > 0.1 * gg_mesh.max()
+        gg_level0 = level0_order_norms(mesh, n_per)[1]
+        assert np.abs(gg - gg_level0).max() <= 1e-13 * gg_level0.max()
+
+    def test_matrix_is_the_sum_of_element_matrices(self, name, rng,
+                                                   monkeypatch):
+        """Chunks of whole levels or of the same slices of every level: the
+        templates' local ids and shifted keys fill the dense sum of
+        ``element_jacobian_matrix``, the jump term and the Dirichlet rows."""
+        for n_chunks in (1.3, 5):
+            problem = split_into_chunks(monkeypatch,
+                                        stacked_problem(name, rng), n_chunks)
+            mesh, nc = problem.mesh, problem.ncomp
+            # 1.3: all levels but the last in one chunk, the last its own
+            # template; 5: two or more slices of every level
+            n_per = mesh.level_stack[0]
+            sizes = [c.stop - c.start for c in problem._chunks[1]]
+            assert (sizes == [mesh.n_elements - n_per, n_per] if n_chunks < 2
+                    else max(sizes) < n_per)
+            U = problem.impose_dirichlet(
+                0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, nc)))
+            A = problem.system(U)[0].matrix.toarray()
+            field = SolutionField(U, problem.n_sd)
+            stab = problem.stabilization(U)
+            want = jump_term(problem, field)[1].toarray()
+            for e, dofs in enumerate(problem.edof):
+                want[np.ix_(dofs, dofs)] += element_jacobian_matrix(
+                    mesh, e, field, problem.material, None, stab)
+            dirs = problem.dir_dofs
+            want[dirs] = 0.0
+            want[dirs, dirs] = 1.0
+            assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("broken", ["moved_node", "swapped_nodes",
+                                        "renumbered"])
+    def test_broken_stack_is_one_level(self, broken, rng):
+        """A mesh that is almost a stack is one level, with the whole-mesh
+        bytes of the metric norms and the gradients."""
+        stacked = stacked_problem("box3d", rng).mesh
+        n_per = stacked.level_stack[0]
+        n_sp = stacked.n_nodes // 4
+        nodes, elements = stacked.nodes.copy(), stacked.elements.copy()
+        if broken == "moved_node":
+            nodes[2 * n_sp + 5, 1] += 1e-9 * np.ptp(nodes[:, :3], axis=0).max()
+            mesh = copy_mesh(stacked, nodes=nodes)
+        elif broken == "swapped_nodes":
+            elements[2 * n_per + 7, [0, 1]] = elements[2 * n_per + 7, [1, 0]]
+            mesh = copy_mesh(stacked, elements=elements)
+        else:
+            perm = rng.permutation(stacked.n_nodes)
+            new_id = np.argsort(perm)
+            mesh = SpaceTimeMesh(
+                nodes[perm], new_id[elements], new_id[stacked.boundary_facets],
+                stacked.boundary_tags, stacked.tag_names, stacked.t0,
+                stacked.tN, facet_groups=(stacked.bottom_facets,
+                                          stacked.top_facets,
+                                          stacked.mantle_facets))
+        problem = SpaceTimeProblem(mesh, MaterialParams(1.0, 0.1),
+                                   BCSpec(initial=zero_ic), gauge=(0, 0.0))
+        n_per, rotations = mesh.level_stack
+        assert n_per == mesh.n_elements
+        assert np.array_equal(rotations, np.eye(3)[None])
+        for got, want in zip(problem._metric, metric_norms(mesh)):
+            assert got.tobytes() == want.tobytes()
+        assert problem._gradients0.tobytes() == mesh.gradients.tobytes()
+        G = problem._gradients(slice(None))
+        assert G.tobytes() == np.moveaxis(mesh.gradients, 0, -1).tobytes()
+
+
+class TestPartition:
+    def test_fixture_chunks(self):
+        """The stirrer3d fixture's levels cut into 6 slices each, the
+        stirrer2d fixture's taken 3 at a time and then 2."""
+        size, chunks, lanes = assembly._partition(14112, 17, 20)
+        assert size == 2500 and len(chunks) == 102
+        assert [len(lane) for lane in lanes] == [51, 51]
+        assert all(c.stop - c.start == 2352 for c in chunks)
+        size, chunks, lanes = assembly._partition(2142, 17, 12)
+        assert [(c.stop - c.start) // 2142 for c in chunks] == [3] * 5 + [2]
+        assert [len(lane) for lane in lanes] == [3, 3]
+

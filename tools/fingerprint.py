@@ -9,6 +9,9 @@ The digests cover
 
 - the stirrer2d and stirrer3d UST meshes (nodes, elements, boundary
   facets, their tags and the bottom/top/mantle groups);
+- the level stack the assembly finds in each of those meshes
+  (``SpaceTimeMesh.level_stack``: elements per level and the levels'
+  rotations);
 - ``mesh_metric`` (Ginv, g, Ginv:Ginv, g.g) on those meshes;
 - tau_MOM and tau_CONT of the stirrer2d and stirrer3d UST problems at
   their initial guess, so that a change in how tau is evaluated shows on
@@ -24,8 +27,9 @@ The digests cover
 ``.npz`` file per line.  ``--against DIR`` reads such a directory, written
 by another tree, and prints after each digest the deviation of each of
 the line's arrays from the saved one, max|a - ref| / max|ref| (max|a - ref|
-where ref is all zeros; ``shape`` where the shapes differ), so that a
-change that moves results by rounding can quote by how much.
+where ref is all zeros; ``shape`` where the shapes differ; ``unsaved``
+where DIR has no arrays for the line), so that a change that moves results
+by rounding can quote by how much.
 
 The final UST field's bytes depend on the BLAS thread count: OpenBLAS
 sums a dot product of more than about 10,000 entries in a different
@@ -71,6 +75,11 @@ def mesh_arrays(mesh) -> dict:
                          "mantle_facets")}
 
 
+def stack(mesh) -> dict:
+    n_per, rotations = mesh.level_stack
+    return {"n_per": np.array(n_per), "rotations": rotations}
+
+
 def tau(problem) -> dict:
     stab = problem.stabilization(problem.initial_guess())
     return {"tau_mom": stab.tau_mom, "tau_cont": stab.tau_cont}
@@ -89,6 +98,7 @@ def lines():
     ust2 = s2.problem(s2.ust_mesh())
     metric = ("Ginv", "g", "GG", "gg")
     yield "mesh   stirrer2d ust  ", mesh_arrays(ust2.mesh)
+    yield "stack  stirrer2d ust  ", stack(ust2.mesh)
     yield "metric stirrer2d ust  ", dict(zip(metric, mesh_metric(ust2.mesh)))
     yield "tau    stirrer2d ust  ", tau(ust2)
     yield "system stirrer2d ust  ", first_system(ust2)
@@ -96,6 +106,7 @@ def lines():
     del ust2
     ust3 = s3.problem(s3.ust_mesh())
     yield "mesh   stirrer3d ust  ", mesh_arrays(ust3.mesh)
+    yield "stack  stirrer3d ust  ", stack(ust3.mesh)
     yield "metric stirrer3d ust  ", dict(zip(metric, mesh_metric(ust3.mesh)))
     yield "tau    stirrer3d ust  ", tau(ust3)
     yield "system stirrer3d ust  ", first_system(ust3)
@@ -136,7 +147,9 @@ def main(argv=None):
         name = "_".join(label.split()) + ".npz"
         if args.save:
             np.savez(args.save / name, **arrays)
-        if args.against:
+        if args.against and not (args.against / name).exists():
+            out.append("unsaved")
+        elif args.against:
             with np.load(args.against / name) as ref:
                 out += [f"{key} {deviation(a, ref[key])}"
                         for key, a in arrays.items()]
