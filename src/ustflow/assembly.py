@@ -19,10 +19,12 @@ from the element connectivity: every element node pair becomes a dense
 ncomp x ncomp block of entries.  Its ``indptr`` and ``indices`` are
 read-only and shared by every matrix of the problem, which owns only its
 ``data``.  The plan numbers each chunk's pairs locally and keeps the
-chunk's sorted global pair ids beside them.  Each Newton step sums a
-chunk's local matrices over the local ids with one ``np.bincount`` per
-component pair, with no sort, and adds those sums straight at their CSR
-slots: no block array and no format conversion.
+chunk's sorted global pair ids beside them.  Each Newton step fills the
+matrix one component pair at a time: the kernel writes a chunk's (nen,
+nen, E) block of component pair (i, j) into a buffer of its lane, one
+``np.bincount`` sums that block over the local ids, with no sort, and
+the chunk's sums are added straight at their CSR slots.  No chunk's local
+matrices exist as one array, and there is no format conversion.
 
 Every problem is a stack of L >= 1 identical element levels: a space-time
 mesh's ``level_stack``, which the mesh finds by comparison, or one level
@@ -38,20 +40,22 @@ with rotation R_k, so the set-up is done for level 0 alone and reused:
 - the metric norms of tau are rotation-invariant, so those of level 0
   repeat for every level.
 
-A chunk holds at most ``_CHUNK_ENTRIES`` local-matrix entries, 8 MB of
-local matrices, and the kernel's temporaries are a small multiple of that
-on each lane.  No per-element copy of the element coordinates or dofs is
-cached: each chunk gathers its own from ``elements``.  The volume loop runs in
-``_LANES`` fixed, contiguous element lanes once a system has that many
-chunks; ``_partition`` cuts the elements into chunks and lanes, once per
-problem, for the plan and the lanes alike.  Each lane sums its chunks into
-its own residual, on a small module-level thread pool, and adds its
-matrix sums straight into the one ``data`` array, allocated before the
-lanes start, except at the node rows that an earlier lane also spans:
+A chunk has at most ``_CHUNK_ENTRIES`` local-matrix entries, which
+would be 8 MB of local matrices; a lane holds one component-pair block of
+them at a time, in its two block buffers, and the kernel's per-element
+factors, a few arrays of that block's size.  No per-element copy of the
+element coordinates or dofs is cached: each chunk gathers its own from
+``elements``.  ``_partition`` cuts the elements into chunks and lanes,
+once per problem, for the plan and the lanes alike: ``_LANES`` fixed,
+contiguous element lanes once a system has ``_LANE_CHUNKS`` chunks per
+lane, else one.  Each lane sums its chunks into its own residual and adds
+its matrix sums straight into the one ``data`` array, allocated before
+the lanes start, except at the node rows that an earlier lane also spans:
 those go into a buffer of the lane's own, a small range where two lanes
-meet.  The lanes' residuals and buffers are added in lane order, so the
-result has the same bytes on any core count.  A one-chunk
-system runs its one lane inline and starts no thread.  The first matrix
+meet.  The first lane runs on the calling thread and the later one on a
+module-level pool of one thread; the lanes' residuals and buffers are
+added in lane order, so the result has the same bytes on any core count.
+A one-lane system starts no thread.  The first matrix
 fills the geometry, then computes the metric and tau, then builds the
 plan, all on the calling thread; the problem's one ``assembly plan`` log
 line gives the seconds of each and the depth of the level stack.  A
@@ -112,24 +116,33 @@ from .stabilization import (StabilizationContext, advective_form,
 
 logger = logging.getLogger("ustflow")
 
-# local-matrix entries per assembly chunk, 8 MB of local matrices (2,500
-# pentatopes, 6,944 space-time tetrahedra, 3,086 2D or 976 3D prisms).  It
-# bounds the chunk's arrays of that size, on each lane: the local matrices
-# and the kernel's outer products.
+# local-matrix entries per assembly chunk, 8 MB if they were held at once
+# (2,500 pentatopes, 6,944 space-time tetrahedra, 3,086 2D or 976 3D
+# prisms).  No array of that size is formed: a lane holds one (nen, nen, E)
+# component-pair block of a chunk at a time, 1/nc^2 of it, and the kernel's
+# per-element factors, a few arrays of that block's size.  The chunk sets the
+# sum order of a multi-chunk system, hence its bytes.
 _CHUNK_ENTRIES = 1.0e6
 
-# element lanes of a system with two or more chunks.  The lanes are a fixed
-# partition of the elements whatever the core count, so the sums, and the
-# bytes of the result, are the same on any machine.
+# element lanes of a system with at least _LANES * _LANE_CHUNKS chunks; a
+# smaller one runs one lane.  The lanes are a fixed partition of the
+# elements whatever the core count, so the sums, and the bytes of the
+# result, are the same on any machine.  On a 2-core machine two lanes cut
+# a later system of the paper-size 2D stirrer (34 chunks) from 0.59 to
+# 0.37 s and the 3D fixture's (102 chunks) from 1.06-1.28 to 0.67-0.70 s,
+# but leave the 2D fixture's (6 chunks) at 0.10 s, where the later lane's
+# thread heap only raised the peak RSS, 106 to 124 MB.
 _LANES = 2
+_LANE_CHUNKS = 8
 _pool = None
 
 
 def _lane_pool() -> ThreadPoolExecutor:
-    """The threads that run the lanes, started on the first two-lane system."""
+    """The thread that runs the later lane, started on the first two-lane
+    system; the first lane runs on the calling thread."""
     global _pool
     if _pool is None:
-        _pool = ThreadPoolExecutor(min(_LANES, os.cpu_count() or 1),
+        _pool = ThreadPoolExecutor(_LANES - 1,
                                    thread_name_prefix="ustflow-lane")
     return _pool
 
@@ -246,7 +259,10 @@ def _element_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
     derivatives and x (ns, nt, dim, E) the points, which only a body force
     reads (None without one).  det (nt, E) is |detJ| and D (nt, nen, n_sd,
     E) the spatial gradients of each group.  Ue: (E, nen, ncomp).  Returns
-    (Re, Ke) element-first, Ke None when not requested.
+    (Re, blocks): the local residuals element-first and, when requested,
+    else None, the local matrices as ``blocks(out, tmp)``, a generator that
+    writes one (nen, nen, E) component-pair block at a time into a buffer
+    of the caller's (see ``_block_sums`` and ``_dense``).
 
     grad u, grad p and div u are therefore constant on each group, and each
     term of the weak form with two gradients is a sum over the groups of
@@ -307,10 +323,8 @@ def _element_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
 
     omD = om[:, None, None] * D
     DD = np.einsum("tame,tbme->abe", D, omD)             # sum w D_a.D_b
-    Ke = np.empty((nen, nc, nen, nc, E))
-    Kvv = Ke[:, :n_sd, :, :n_sd]
-    # grad-div: D[a,i] D[b,j]
-    np.einsum("taie,tbje->aibje", D, rho * tau_c * omD, out=Kvv)
+    # delta_ij: transient/convection (Galerkin and GLS) and stress
+    diag = np.einsum("stae,stbe->abe", Z, wadv) + mu * DD
     # stress mu D[a,j] D[b,i]; the linearization of u inside the GLS weight
     # adds D[a,j] sum_xi w N_b r_i
     H = mu * omD
@@ -318,23 +332,88 @@ def _element_terms(N, w, det, D, B, x, Ue, rho, mu, tau_m, tau_c,
         H = H + tau_m * np.einsum("stb,stie->tbie", N, wr)
         # Galerkin and GLS linearization of u.grad u: C[a,b] gradu[i,j]
         C = np.einsum("stae,stb->tabe", wq[:, :, None] * Z, N)
-        Kvv += np.einsum("tabe,tije->aibje", C, gradu)
-    Kvv += np.einsum("taje,tbie->aibje", D, H)
-    # delta_ij: transient/convection (Galerkin and GLS) and stress
-    diag = np.einsum("stae,stbe->abe", Z, wadv) + mu * DD
-    for i in range(n_sd):
-        Kvv[:, i, :, i] += diag
-    # velocity rows, pressure columns: -p div w and the GLS pressure gradient
-    Ke[:, :n_sd, :, n_sd] = (np.einsum("tae,tbie->aibe", tau_m * A1, D)
-                             - np.einsum("taie,tbe->aibe", D, N1))
-    # pressure rows: continuity and the PSPG-like GLS test
-    GLS_p = np.einsum("taje,tbe->abje", D, A1)
+    # the blocks read only these factors; the quadrature-point arrays go
+    del u, acc, adv, r, wadv, wr, Z
+    tA1, mN1 = tau_m * A1, -N1
+    # component-major copies (nt, n_sd, nen, E), so that the nodes of one
+    # component are contiguous rows in the blocks' outer products: D, the
+    # grad-div factor rho tau_C om D, H and D.grad u
+    Dm = np.ascontiguousarray(D.swapaxes(1, 2))
+    gdm = rho * tau_c * (om[:, None, None] * Dm)
+    Hm = np.ascontiguousarray(H.swapaxes(1, 2))
     if convective:
-        GLS_p += np.einsum("taje,tbe->abje",
-                           np.einsum("tame,tmje->taje", D, gradu), N1)
-    Ke[:, n_sd, :, :n_sd] = np.einsum("tae,tbje->abje", N1, D) + tau_m * GLS_p
-    Ke[:, n_sd, :, n_sd] = tau_m / rho * DD
-    return np.moveaxis(Re, -1, 0), np.moveaxis(Ke, -1, 0)
+        DgUm = np.ascontiguousarray(
+            np.einsum("tame,tmje->taje", D, gradu).swapaxes(1, 2))
+    del omD, H
+    groups = range(nt)
+
+    def blocks(out, tmp):
+        """Write the (nen, nen, E) block of each component pair (i, j) into
+        ``out``, then yield (i, j); ``tmp`` is scratch of that shape.
+
+        A block is a sum of products of the factors above, the groups'
+        terms added in turn; on one group (a simplex) the operations are
+        those of the whole-array einsums, term by term."""
+        def put(terms, first=True):
+            for x, y in terms:
+                if first:
+                    np.multiply(x, y, out=out)
+                    first = False
+                else:
+                    np.multiply(x, y, out=tmp)
+                    np.add(out, tmp, out=out)
+
+        for i in range(n_sd):
+            for j in range(n_sd):
+                # grad-div D[a,i] D[b,j], then C[a,b] gradu[i,j] and
+                # D[a,j] H[b,i], then delta_ij
+                terms = [(Dm[t, i, :, None], gdm[t, j, None])
+                         for t in groups]
+                if convective:
+                    terms += [(C[t], gradu[t, i, j]) for t in groups]
+                put(terms + [(Dm[t, j, :, None], Hm[t, i, None])
+                             for t in groups])
+                if i == j:
+                    out += diag
+                yield i, j
+            # velocity rows, pressure columns: the GLS pressure gradient and
+            # -p div w
+            put([(tA1[t, :, None], Dm[t, i, None]) for t in groups]
+                + [(Dm[t, i, :, None], mN1[t, None]) for t in groups])
+            yield i, n_sd
+        # pressure rows: the PSPG-like GLS test, then continuity
+        for j in range(n_sd):
+            terms = [(Dm[t, j, :, None], A1[t, None]) for t in groups]
+            if convective:
+                terms += [(DgUm[t, j, :, None], N1[t, None]) for t in groups]
+            put(terms)
+            out *= tau_m
+            put([(N1[t, :, None], Dm[t, j, None]) for t in groups],
+                first=False)
+            yield n_sd, j
+        np.multiply(tau_m / rho, DD, out=out)
+        yield n_sd, n_sd
+
+    return np.moveaxis(Re, -1, 0), blocks
+
+
+def _dense(shape, blocks):
+    """(E, nen, nc, nen, nc) local matrices gathered from the kernel's
+    ``blocks``, for local residuals of ``shape`` (E, nen, nc)."""
+    E, nen, nc = shape
+    Ke = np.empty((E, nen, nc, nen, nc))
+    out, tmp = np.empty((2, nen, nen, E))
+    for i, j in blocks(out, tmp):
+        Ke[:, :, i, :, j] = np.moveaxis(out, -1, 0)
+    return Ke
+
+
+def _block_sums(blocks, local, part, out, tmp):
+    """Sum each of the kernel's ``blocks``, written into ``out`` (nen, nen,
+    E), over the chunk-local pair ids ``local`` (intp, in (a, b, element)
+    order) into its row part[i, j] of the pairs' sums."""
+    for i, j in blocks(out, tmp):
+        part[i, j] = np.bincount(local, out.ravel(), minlength=part.shape[2])
 
 
 def _node_dofs(ids, comps, nc):
@@ -371,7 +450,8 @@ def _partition(n_per, n_levels, nloc):
     """(size, chunks, lanes) of a system of ``n_levels`` levels of ``n_per``
     elements with ``nloc`` dofs each: ``chunks`` are element slices of at
     most ``size`` elements (``_CHUNK_ENTRIES`` local-matrix entries),
-    ``lanes`` the ranges of the chunk indices of each lane.
+    ``lanes`` the ranges of the chunk indices of each lane: one lane, or
+    ``_LANES`` once each gets ``_LANE_CHUNKS`` chunks.
 
     The chunks repeat by levels.  A level of at least ``size`` elements is
     cut into the same s = ceil(n_per / size) even slices at every level; a
@@ -392,7 +472,8 @@ def _partition(n_per, n_levels, nloc):
         starts = list(range(0, n_el, size // n_per * n_per))
     bounds = starts + [n_el]
     chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    n, n_lanes = len(chunks), min(_LANES, len(chunks))
+    n = len(chunks)
+    n_lanes = min(_LANES, max(1, n // _LANE_CHUNKS))
     lanes = [range(n * k // n_lanes, n * (k + 1) // n_lanes)
              for k in range(n_lanes)]
     return size, chunks, lanes
@@ -529,34 +610,23 @@ class _CsrPlan:
             top = max(top, hi)
         return out
 
-    def add(self, data, lo, pairs, K, shared=None):
-        """Add local matrices ``K`` (n, m, nc, m, nc) at ``pairs``, a
-        (glob, local) pair of ``pair_ids`` of their elements, into the CSR
-        ``data`` whose first entry is slot ``lo``.  With ``shared``, a
-        (buf, lo) pair of ``lane_buffers``, the sums of the pairs whose
-        slots lie in ``buf``'s range go into ``buf`` instead.
+    def add(self, data, glob, part, shared=None):
+        """Add the sums ``part`` (nc, nc, len(glob)) of the component pairs
+        of the pairs ``glob`` at their slots of the CSR ``data``.  With
+        ``shared``, a (buf, lo) pair of ``lane_buffers``, the sums of the
+        pairs whose slots lie in ``buf``'s range, from slot ``lo``, go into
+        ``buf`` instead.
 
-        One ``np.bincount`` per component pair sums over (a, b, element) in
-        that order, whatever the memory order of ``K``, into the len(glob)
-        pairs the elements touch, a contiguous row of ``part`` per component
-        pair; those sums are then added at their slots.  A buffer ends at a
-        node row, and the slots of node rows follow the pair order, so the
-        pairs before the first pair of that row go into the buffer.
+        A buffer ends at a node row, and the slots of node rows follow the
+        pair order, so the pairs before the first pair of that row go into
+        the buffer.
         """
-        glob, local = pairs
-        local = local.astype(np.intp)
-        part = np.empty((self.nc, self.nc, len(glob)))
-        for i in range(self.nc):
-            for j in range(self.nc):
-                part[i, j] = np.bincount(
-                    local, K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
-                    minlength=len(glob))
         q = 0
         if shared is not None:
             buf, buf_lo = shared
             q = np.searchsorted(glob, (buf_lo + len(buf)) // self.nc ** 2)
             buf[self.slots(glob[:q]) - buf_lo] += part[:, :, :q]
-        data[self.slots(glob[q:]) - lo] += part[:, :, q:]
+        data[self.slots(glob[q:])] += part[:, :, q:]
 
     def matrix(self, data):
         """The CSR matrix of ``data`` (all slots), which it wraps, with the
@@ -723,9 +793,12 @@ class _ProblemBase:
             return self._lane(values, stab, plan, data, shared[k], chunks,
                               lanes[k])
 
-        sums = (map(lane, range(len(lanes))) if len(lanes) == 1
-                else _lane_pool().map(lane, range(len(lanes))))
-        R = next(sums)
+        later = [_lane_pool().submit(lane, k) for k in range(1, len(lanes))]
+        try:
+            R = lane(0)
+        finally:
+            # no later lane may still write ``data`` once this returns
+            sums = [f.result() for f in later]
         for R_k in sums:
             R += R_k
         if plan is not None:
@@ -734,25 +807,36 @@ class _ProblemBase:
         return R, data
 
     def _lane(self, values, stab, plan, data, shared, chunks, ids):
-        """The residual of the chunks ``ids``.  Their local matrices go into
-        ``data`` and the lane's buffer ``shared`` (see ``_CsrPlan.add``),
-        unless ``plan`` is None."""
+        """The residual of the chunks ``ids``.  Unless ``plan`` is None,
+        their local matrices go into ``data`` and the lane's buffer
+        ``shared`` (see ``_CsrPlan.add``), one component-pair block at a
+        time: the lane's two block buffers hold the kernel's blocks, and
+        each block is summed over the chunk's pairs into ``part``."""
         rho, mu, nc = self.material.rho, self.material.mu, self.ncomp
+        nen = self.elements.shape[1]
         R = np.zeros(self.n_dofs)
         comps = np.arange(nc)
+        if plan is not None:
+            size = max(chunks[c].stop - chunks[c].start for c in ids)
+            buffers = np.empty((2, nen * nen * size))
         for c in ids:
             sl = chunks[c]
             elements = self.elements[sl]
-            Re, Ke = _element_terms(*self._volume_geometry(sl),
-                                    values[elements], rho, mu,
-                                    stab.tau_mom[sl], stab.tau_cont[sl],
-                                    self.body_force, self.convective,
-                                    plan is not None)
+            Re, blocks = _element_terms(*self._volume_geometry(sl),
+                                        values[elements], rho, mu,
+                                        stab.tau_mom[sl], stab.tau_cont[sl],
+                                        self.body_force, self.convective,
+                                        plan is not None)
             _add_local(R, _node_dofs(elements, comps, nc), Re)
             if plan is not None:
-                plan.add(data, 0, plan.chunks[c], Ke, shared)
+                glob, local = plan.chunks[c]
+                n = nen * nen * len(elements)
+                out, tmp = buffers[:, :n].reshape(2, nen, nen, -1)
+                part = np.empty((nc, nc, len(glob)))
+                _block_sums(blocks, local.astype(np.intp), part, out, tmp)
+                plan.add(data, glob, part, shared)
             # the next chunk's kernel runs without this chunk's arrays
-            del Re, Ke
+            del Re, blocks
         return R
 
     def residual_norm(self, values, tau_override=None) -> float:
@@ -895,7 +979,7 @@ class SpaceTimeProblem(_ProblemBase):
     def _gradients0(self):
         """(n_per, dim+1, dim) P1 gradients of level 0 of the mesh's level
         stack, the problem's one copy of them."""
-        return self.mesh.gradients_of(self.mesh.level_stack[0])
+        return self.mesh.gradients_of(slice(self.mesh.level_stack[0]))
 
     @cached_property
     def _rotations(self):
@@ -1142,12 +1226,14 @@ def _one_element(mesh: SpaceTimeMesh, e: int, field: SolutionField,
     rule = simplex_quadrature(mesh.dim, 2)
     Nq = basis_eval(rule.points, mesh.dim)
     sl = slice(e, e + 1)
-    grads = np.moveaxis(mesh.gradients[sl], 0, -1)
-    return _element_terms(*_simplex_geometry(mesh, Nq, rule.weights, sl, grads,
-                                             body_force is not None),
-                          field.values[mesh.elements[sl]], material.rho,
-                          material.mu, stab.tau_mom[sl], stab.tau_cont[sl],
-                          body_force, convective, want_matrix)
+    grads = np.moveaxis(mesh.gradients_of(sl), 0, -1)
+    Re, blocks = _element_terms(
+        *_simplex_geometry(mesh, Nq, rule.weights, sl, grads,
+                           body_force is not None),
+        field.values[mesh.elements[sl]], material.rho, material.mu,
+        stab.tau_mom[sl], stab.tau_cont[sl], body_force, convective,
+        want_matrix)
+    return Re, None if blocks is None else _dense(Re.shape, blocks)
 
 
 def element_residual(mesh: SpaceTimeMesh, e: int, field: SolutionField,

@@ -16,10 +16,13 @@ arithmetic step runs over a slice of elements) in slices of ``_SLICE``
 elements.  Determinants and inverses of the d x d Jacobians, d <= 4, come
 from the cofactor expansion in ``cofactor_det``, not from a batched LAPACK
 call per element.  The mesh caches the inverse Jacobians only as the P1
-``gradients`` array of all elements, which post-processing and the
-per-element helpers read.  An assembly problem reads no whole-mesh copy:
-it takes the gradients of one level of the mesh's ``level_stack`` from
-``gradients_of``, the same slice loop.  No copy of the element coordinates
+``gradients`` array of all elements, which the whole-mesh metric and the
+2D vorticity read.  Everything else reads no whole-mesh copy: it takes
+the gradients of just the elements it needs from ``gradients_of``, the
+same slice loop: an assembly problem those of one level of the mesh's
+``level_stack``, point location its candidates, interpolation the
+owners, the divergence norm one slice at a time and the per-element
+helpers one element.  No copy of the element coordinates
 is cached: each slice loop and each per-element helper gathers
 ``nodes[elements[sl]]`` for its own elements.
 
@@ -190,23 +193,25 @@ class SimplexMesh:
     def gradients(self) -> np.ndarray:
         """(n_el, dim+1, dim) physical gradients of the P1 basis (constant per
         element), ``gradients_of`` all elements."""
-        return self.gradients_of(self.n_elements)
+        return self.gradients_of(slice(None))
 
-    def gradients_of(self, n: int) -> np.ndarray:
-        """(n, dim+1, dim) P1 gradients of the first ``n`` elements, not
-        cached.
+    def gradients_of(self, which) -> np.ndarray:
+        """(n, dim+1, dim) P1 gradients of the elements ``which``, a slice
+        or an index array, not cached.
 
         A degenerate element among them raises before any inverse is formed;
         then each slice's inverse Jacobians, adj J / det J, are built
         element-last and copied into rows 1..dim, with row 0 their negated
-        column sums.
+        column sums.  Each element's arithmetic is its own, so an element
+        gets the same bytes in any selection.
         """
-        det = self.jacobian_dets[:n]
-        bad = degenerate(np.abs(det), self.max_edge_lengths[:n], self.dim)
+        det = self.jacobian_dets[which]
+        bad = degenerate(np.abs(det), self.max_edge_lengths[which], self.dim)
         if bad.any():
+            ids = np.arange(self.n_elements)[which][bad]
             raise DegenerateElement(
-                f"degenerate elements: {np.flatnonzero(bad)[:10].tolist()}")
-        dim, elements = self.dim, self.elements[:n]
+                f"degenerate elements: {ids[:10].tolist()}")
+        dim, elements = self.dim, self.elements[which]
         grads = np.empty((len(det), dim + 1, dim))
         for sl in element_slices(len(det)):
             inv = np.empty((dim + 1, dim, len(det[sl])))
@@ -318,7 +323,7 @@ def element_measure(mesh: SimplexMesh, e: int) -> float:
 def basis_gradients(mesh: SimplexMesh, e: int) -> np.ndarray:
     """(dim+1, dim) physical gradients of the P1 basis on element ``e``."""
     element_jacobian(mesh, e)  # degeneracy guard
-    return mesh.gradients[e]
+    return mesh.gradients_of([e])[0]
 
 
 def map_local_to_global(mesh: SimplexMesh, e: int, xi) -> np.ndarray:

@@ -251,7 +251,8 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     space.  The extents, the barycenters and the radius are computed over
     ``element_slices``, so no (n_el, dim+1, dim) array is formed, and the
     candidate pairs are tested in batches of about _PAIR_BATCH, each
-    gathering the first vertex of its candidates.
+    computing the inverse Jacobians of its candidates alone
+    (``gradients_of``) and gathering their first vertex.
     """
     dim, n_el = mesh.dim, mesh.n_elements
     bary = np.empty((n_el, dim))
@@ -275,7 +276,6 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     query = points[finite] * scale
     counts = tree.query_ball_point(query, radius, return_length=True)
     batch = np.cumsum(counts) // _PAIR_BATCH
-    Jinv = mesh.jacobian_invs
     owner = np.full(len(points), n_el, dtype=np.int64)
     for sel in np.split(np.arange(finite.size),
                         np.flatnonzero(np.diff(batch)) + 1):
@@ -283,8 +283,8 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
         cand = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
                            count=counts[sel].sum())
         pid = np.repeat(finite[sel], counts[sel])
-        inside = _inside(Jinv[cand], mesh.nodes[mesh.elements[cand, 0]],
-                         points[pid], tol)
+        inside = _inside(mesh.gradients_of(cand)[:, 1:],
+                         mesh.nodes[mesh.elements[cand, 0]], points[pid], tol)
         np.minimum.at(owner, pid[inside], cand[inside])
     owner[owner == n_el] = -1
     return owner
@@ -299,7 +299,7 @@ def _interpolate(mesh: SimplexMesh, values, points, owner):
     # stacked matmuls make the BLAS calls of a one-point evaluation, so a
     # value does not depend on the other points probed with it
     x0 = mesh.nodes[mesh.elements[e, 0]]
-    xi = mesh.jacobian_invs[e] @ (points[found] - x0)[:, :, None]
+    xi = mesh.gradients_of(e)[:, 1:] @ (points[found] - x0)[:, :, None]
     N = basis_eval(xi[:, :, 0], mesh.dim)
     out[found] = (N[:, None, :] @ values[mesh.elements[e]])[:, 0]
     return out, found
@@ -384,10 +384,15 @@ def l2_error_slab(slab, values: np.ndarray, exact_fn):
 
 
 def global_divergence(mesh: SpaceTimeMesh, values: np.ndarray) -> float:
-    """sqrt of the integral of (div u)^2 over the space-time domain."""
+    """sqrt of the integral of (div u)^2 over the space-time domain.
+
+    div u is taken per element in ``element_slices``, from each slice's own
+    P1 gradients, and the integral is one sum over all elements."""
     n_sd = mesh.n_sd
-    D = mesh.gradients[:, :, :n_sd]
-    div = np.einsum("eai,eai->e", D, values[mesh.elements][:, :, :n_sd])
+    div = np.empty(mesh.n_elements)
+    for sl in element_slices(len(div)):
+        div[sl] = np.einsum("eai,eai->e", mesh.gradients_of(sl)[:, :, :n_sd],
+                            values[mesh.elements[sl]][:, :, :n_sd])
     return float(np.sqrt((mesh.measures * div * div).sum()))
 
 

@@ -834,6 +834,16 @@ def volume_terms(kernel, geometry, problem, U, want_matrix):
                   problem.body_force, problem.convective, want_matrix)
 
 
+def kernel_terms(problem, U, want_matrix):
+    """(Re, Ke) of every element of ``problem`` at ``U`` from
+    ``_element_terms``, its blocks gathered densely by ``_dense``, the gather
+    of ``element_jacobian_matrix``; Ke None when not requested."""
+    Re, blocks = volume_terms(_element_terms,
+                              problem._volume_geometry(slice(None)), problem,
+                              U, want_matrix)
+    return Re, None if blocks is None else assembly._dense(Re.shape, blocks)
+
+
 def reference_terms(problem, U, want_matrix):
     """(Re, Ke) of every element from the quadrature-point oracle."""
     geometry = (p1_oracle_geometry(problem, slice(None))
@@ -977,37 +987,56 @@ class TestCsrPlan:
 class TestSimplexKernel:
     """The element kernel on P1 simplices, one group of quadrature points,
     against the quadrature-point kernel fed broadcast P1 geometry, at
-    random fields that ignore the Dirichlet data."""
+    random fields that ignore the Dirichlet data: its component-pair blocks
+    gathered densely, for the whole mesh and one element at a time through
+    ``element_jacobian_matrix``."""
 
     @pytest.mark.parametrize("case", ["twisted_body_force", "pentatope",
-                                      "stokes"])
+                                      "stokes", "pentatope_stokes_force"])
     def test_matches_quadrature_point_kernel(self, case, rng):
         if case == "twisted_body_force":
             problem = twisted_simplex_problem()
         elif case == "pentatope":
             problem = pentatope_problem(rng)
-        else:
+        elif case == "stokes":
             problem = make_problem(
                 perturbed_box_st(3, 2, 3, rng), mu=0.4, convective=False,
                 body_force=lambda x, t: np.column_stack([x[:, 1] + t,
                                                          np.cos(x[:, 0])]))
+        else:
+            problem = make_problem(
+                extrude_simplex_st(box3d(1, 1, 1),
+                                   ExtrusionSpec(0.0, 0.25, 2)),
+                mu=0.3, convective=False,
+                body_force=lambda x, t: np.column_stack([x[:, 1] + t,
+                                                         np.cos(x[:, 0]),
+                                                         x[:, 2] * t]))
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
         Re_ref, Ke_ref = reference_terms(problem, U, True)
-        geometry = problem._volume_geometry(slice(None))
-        Re_only, Ke_none = volume_terms(_element_terms, geometry, problem, U,
-                                        False)
-        Re, Ke = volume_terms(_element_terms, geometry, problem, U, True)
+        Re_only, Ke_none = kernel_terms(problem, U, False)
+        Re, Ke = kernel_terms(problem, U, True)
         assert Ke_none is None
         assert np.array_equal(Re_only, Re)
         assert np.abs(Re - Re_ref).max() <= 1e-13 * np.abs(Re_ref).max()
         assert Ke.shape == Ke_ref.shape
-        assert np.abs(Ke - Ke_ref).max() <= 1e-13 * np.abs(Ke_ref).max()
+        scale = np.abs(Ke_ref).max()
+        assert np.abs(Ke - Ke_ref).max() <= 1e-13 * scale
+        field = SolutionField(U, problem.n_sd)
+        stab = problem.stabilization(U)
+        nloc = problem.edof.shape[1]
+        for e in range(len(problem.elements)):
+            K = element_jacobian_matrix(problem.mesh, e, field,
+                                        problem.material, problem.body_force,
+                                        stab, problem.convective)
+            assert np.abs(K - Ke_ref[e].reshape(nloc, nloc)).max() <= (
+                1e-13 * scale)
 
 
 class TestPrismKernel:
-    """The element kernel on prisms, one group per theta point, against the
-    quadrature-point kernel fed ``prism_geometry`` at every point, on
-    twisted slabs, at random fields that ignore the Dirichlet data."""
+    """The element kernel on prisms, one group per theta point, its
+    component-pair blocks gathered densely, against the quadrature-point
+    kernel fed ``prism_geometry`` at every point, on twisted slabs, at
+    random fields that ignore the Dirichlet data."""
 
     @pytest.mark.parametrize("n_sd", [2, 3])
     @pytest.mark.parametrize("convective", [True, False])
@@ -1026,11 +1055,9 @@ class TestPrismKernel:
             gauge=(0, 0.1),
             jump_data=rng.uniform(-1, 1, size=(slab.spatial.n_nodes, n_sd)))
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
-        geometry = problem._volume_geometry(slice(None))
         for want_matrix in (False, True):
             Re_ref, Ke_ref = reference_terms(problem, U, want_matrix)
-            Re, Ke = volume_terms(_element_terms, geometry, problem, U,
-                                  want_matrix)
+            Re, Ke = kernel_terms(problem, U, want_matrix)
             assert Re.shape == Re_ref.shape
             assert np.abs(Re - Re_ref).max() <= 1e-13 * np.abs(Re_ref).max()
             if not want_matrix:
@@ -1102,11 +1129,13 @@ class TestPrismGeometry:
 
 def split_into_chunks(monkeypatch, problem, n_chunks=4):
     """Shrink the assembly chunk to 1/``n_chunks`` of ``problem``'s
-    elements, so that it has at least two chunks, hence two lanes: whole
-    levels or the same slices of every level (see ``_partition``)."""
+    elements, so that it has at least two chunks: whole levels or the same
+    slices of every level (see ``_partition``).  A lane then needs one
+    chunk, so a small problem runs the two lanes of a large one."""
     nloc = problem.edof.shape[1]
     chunk = len(problem.elements) // n_chunks
     monkeypatch.setattr(assembly, "_CHUNK_ENTRIES", float(chunk * nloc * nloc))
+    monkeypatch.setattr(assembly, "_LANE_CHUNKS", 1)
     return problem
 
 
@@ -1217,15 +1246,21 @@ class TestLanes:
         plan, stab = problem._csr_plan, problem.stabilization(U)
         _, chunks, lanes = problem._chunks
         assert len(lanes) == 2
+        nen, nc = problem.elements.shape[1], problem.ncomp
         alone = [np.zeros(plan.nnz) for _ in lanes]
         for data, lane in zip(alone, lanes):
             for c in lane:
                 sl = chunks[c]
-                _, Ke = _element_terms(
+                _, blocks = _element_terms(
                     *problem._volume_geometry(sl), U[problem.elements[sl]],
                     problem.material.rho, problem.material.mu,
                     stab.tau_mom[sl], stab.tau_cont[sl], None, True, True)
-                plan.add(data, 0, plan.chunks[c], Ke)
+                glob, local = plan.chunks[c]
+                part = np.empty((nc, nc, len(glob)))
+                assembly._block_sums(blocks, local.astype(np.intp), part,
+                                     *np.empty((2, nen, nen,
+                                                sl.stop - sl.start)))
+                plan.add(data, glob, part)
         _, data = problem._volume(U, stab, plan, chunks, lanes)
         assert data.tobytes() == (alone[0] + alone[1]).tobytes()
 
@@ -1259,34 +1294,46 @@ class TestLanes:
 
 class TestBlockFill:
     def test_same_blocks_for_either_memory_order(self, rng):
-        """The element kernel's element-last local matrices and an
-        element-first copy fill the same CSR data, also into the slot range
-        of their own node rows."""
+        """The kernel's component-pair blocks, each summed over the local
+        pair ids in the lane's (nen, nen, E) buffer, and the element-first
+        dense local matrices, one ``np.bincount`` per component pair of
+        their strided slices, give the same pair sums; a lane buffer over
+        the slot range of the elements' own node rows takes all of theirs,
+        as the whole data would."""
         problem = pentatope_problem(rng)
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
-        _, Ke = volume_terms(_element_terms,
-                             problem._volume_geometry(slice(None)), problem,
-                             U, True)
-        assert not Ke.flags.c_contiguous
+        Re, blocks = volume_terms(_element_terms,
+                                  problem._volume_geometry(slice(None)),
+                                  problem, U, True)
+        Ke = assembly._dense(Re.shape, blocks)
+        E, nen, nc = Re.shape
         plan = problem._csr_plan
-        pairs = plan.pair_ids(problem.elements)
-        filled = []
-        for K in (Ke, np.ascontiguousarray(Ke)):
-            data = np.zeros(plan.nnz)
-            plan.add(data, 0, pairs, K)
-            filled.append(data)
-        assert np.array_equal(filled[0], filled[1])
+
+        def dense_sums(K, local, n):
+            return np.array([[np.bincount(
+                local, K[:, :, i, :, j].transpose(1, 2, 0).ravel(),
+                minlength=n) for j in range(nc)] for i in range(nc)])
+
+        glob, local = plan.pair_ids(problem.elements)
+        local = local.astype(np.intp)
+        part = np.empty((nc, nc, len(glob)))
+        out, tmp = np.empty((2, nen, nen, E))
+        assembly._block_sums(blocks, local, part, out, tmp)
+        assert part.tobytes() == dense_sums(Ke, local, len(glob)).tobytes()
 
         # the elements whose lowest node is the highest: later rows only
         low = problem.elements.min(axis=1)
         sel = np.flatnonzero(low == low.max())
-        pairs = plan.pair_ids(problem.elements[sel])
-        lo, hi = plan.row_range(pairs[0][0], pairs[0][-1])
+        glob, local = plan.pair_ids(problem.elements[sel])
+        sums = dense_sums(Ke[sel], local.astype(np.intp), len(glob))
+        lo, hi = plan.row_range(glob[0], glob[-1])
         assert 0 < lo < hi
-        part, full = np.zeros(hi - lo), np.zeros(plan.nnz)
-        plan.add(part, lo, pairs, Ke[sel])
-        plan.add(full, 0, pairs, np.ascontiguousarray(Ke[sel]))
-        assert np.array_equal(full[lo:hi], part)
+        buf = np.zeros(hi - lo)
+        data, full = np.zeros(plan.nnz), np.zeros(plan.nnz)
+        plan.add(data, glob, sums, (buf, lo))
+        plan.add(full, glob, sums)
+        assert not data.any()
+        assert np.array_equal(full[lo:hi], buf)
         assert not full[:lo].any() and not full[hi:].any()
 
 
@@ -1354,11 +1401,18 @@ class TestMemory:
         assert np.shares_memory(local[1], local[3])
         assert not np.shares_memory(local[0], local[1])
 
+    # one lane's arrays at its peak, in (nen, nen, E) blocks of a full
+    # chunk: the kernel's (about 13, with the per-element factors its blocks
+    # are built from), the two block buffers and the fill's pair ids, sums
+    # and slots.  A chunk's local matrices at once are nc^2 blocks more, 9
+    # in 2D and 16 in 3D, and do not fit.
+    LANE_BLOCKS = 20
+
     def test_later_system_peak(self):
-        """A later ``system()`` of the stirrer2d fixture, traced: its peak
-        is the matrix's data (the whole array and a later lane's rows) and
-        at most 3.5 times one chunk's local matrices, 8 MB, per lane: the
-        kernel's peak, with no earlier chunk's arrays still held."""
+        """A later ``system()`` of the stirrer2d fixture, one lane of 6
+        chunks, traced: its peak is the matrix's data and at most
+        ``LANE_BLOCKS`` component-pair blocks of a chunk, 0.9 MB each, with
+        no earlier chunk's arrays still held."""
         import tracemalloc
 
         from ustflow.scenarios import make_stirrer2d
@@ -1366,38 +1420,40 @@ class TestMemory:
         problem = spec.problem(spec.ust_mesh())
         U = problem.initial_guess()
         problem.system(U)
-        size, _, lanes = problem._chunks
-        nloc = problem.elements.shape[1] * problem.ncomp
-        chunk_bytes = 8 * size * nloc * nloc
-        assert len(lanes) == 2 and chunk_bytes <= 8e6
+        size, chunks, lanes = problem._chunks
+        nen = problem.elements.shape[1]
+        block_bytes = 8 * size * nen * nen
+        assert len(chunks) == 6 and len(lanes) == 1
+        assert block_bytes * problem.ncomp ** 2 <= 8e6
         tracemalloc.start()
         try:
             A = problem.system(U + 0.01)[0].matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * A.data.nbytes + 3.5 * len(lanes) * chunk_bytes
+        assert peak <= A.data.nbytes + self.LANE_BLOCKS * block_bytes
 
 
-    def test_later_pentatope_system_peak(self, monkeypatch):
-        """A later two-lane ``system()`` of the coarse stirrer3d fixture in
-        0.8 MB chunks, traced: its peak is the matrix's data, with 20% for
-        the later lane's buffer of shared rows and tau, plus at most 3.5
-        chunks of local matrices per lane.  A later lane's buffer over all
-        of its rows, half of the data, would not fit.  The problem keeps
-        only Ginv:Ginv and g.g of the metric, one value per element."""
+    def test_later_pentatope_system_peak(self):
+        """A later ``system()`` of the coarse stirrer3d fixture, two lanes
+        of 17 chunks, traced: its peak is the matrix's data, with 20% for
+        the later lane's buffer of shared rows and tau, plus at most
+        ``LANE_BLOCKS`` component-pair blocks of a chunk, 0.5 MB each, per
+        lane.  A later lane's buffer over all of its rows, half of the data,
+        would not fit.  The problem keeps only Ginv:Ginv and g.g of the
+        metric, one value per element."""
         import tracemalloc
 
         from ustflow.scenarios import make_stirrer3d
-        monkeypatch.setattr(assembly, "_CHUNK_ENTRIES", 1.0e5)
         spec = make_stirrer3d(coarse=True)
         problem = spec.problem(spec.ust_mesh())
         U = problem.initial_guess()
         problem.system(U)
         size, _, lanes = problem._chunks
-        nloc = problem.elements.shape[1] * problem.ncomp
-        chunk_bytes = 8 * size * nloc * nloc
-        assert len(lanes) == 2 and chunk_bytes <= 8e5
+        nen = problem.elements.shape[1]
+        block_bytes = 8 * size * nen * nen
+        assert [len(lane) for lane in lanes] == [17, 17]
+        assert block_bytes * problem.ncomp ** 2 <= 8e6
         n_el = len(problem.elements)
         assert [a.shape for a in problem._metric] == [(n_el,), (n_el,)]
         tracemalloc.start()
@@ -1406,7 +1462,8 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * A.data.nbytes + 3.5 * len(lanes) * chunk_bytes
+        assert peak <= (1.2 * A.data.nbytes
+                        + self.LANE_BLOCKS * len(lanes) * block_bytes)
 
 
 class TestChunkLocalPairs:
@@ -1444,17 +1501,25 @@ class TestChunkLocalPairs:
             assert len(glob) == len(np.unique(local)) == local.max() + 1
 
     def test_fill_matches_global_bincount(self, problem, rng):
+        """Each chunk's kernel blocks, summed over its local pair ids and
+        filled at their slots, against a global ``np.bincount`` of the same
+        chunk's dense local matrices."""
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
         problem.system(U)
-        plan = problem._csr_plan
-        _, Ke = volume_terms(_element_terms,
-                             problem._volume_geometry(slice(None)), problem,
-                             U, True)
-        nc = problem.ncomp
+        plan, stab = problem._csr_plan, problem.stabilization(U)
+        nen, nc = problem.elements.shape[1], problem.ncomp
         got, want = np.zeros(plan.nnz), np.zeros((len(plan.keys), nc, nc))
-        for sl, pairs in zip(problem._chunks[1], plan.chunks):
-            K = Ke[sl]
-            plan.add(got, 0, pairs, K)
+        for sl, (glob, local) in zip(problem._chunks[1], plan.chunks):
+            Re, blocks = _element_terms(
+                *problem._volume_geometry(sl), U[problem.elements[sl]],
+                problem.material.rho, problem.material.mu, stab.tau_mom[sl],
+                stab.tau_cont[sl], problem.body_force, problem.convective,
+                True)
+            part = np.empty((nc, nc, len(glob)))
+            assembly._block_sums(blocks, local.astype(np.intp), part,
+                                 *np.empty((2, nen, nen, len(Re))))
+            plan.add(got, glob, part)
+            K = assembly._dense(Re.shape, blocks)
             idx = global_pair_ids(plan, problem.elements[sl])
             first = idx.min()
             n = idx.max() + 1 - first
@@ -1512,6 +1577,53 @@ class TestNoThreads:
             assert line.startswith(f"assembly plan pairs={len(plan.keys)} "
                                    f"nnz={plan.nnz} levels={levels} lanes=1 "
                                    "threads=0 chunks=1 plan_s=")
+
+
+class TestLaneThreads:
+    def test_threads_from_chunk_count(self, monkeypatch):
+        """A system of fewer than ``_LANES * _LANE_CHUNKS`` chunks runs one
+        lane on the calling thread and starts no thread.  One of more runs
+        its first lane on the calling thread and its later lane on the
+        pool, which starts exactly one thread."""
+        monkeypatch.setattr(assembly, "_pool", None)
+        assert assembly._LANES * assembly._LANE_CHUNKS == 16
+        ran = []
+
+        def record(lane):
+            def run(*args):
+                ran.append((list(args[-1]), threading.current_thread()))
+                return lane(*args)
+            return run
+
+        before = threading.active_count()
+        try:
+            # 5 or 6 slices of each of the 3 levels: 15 or 18 chunks
+            for per_level, n_lanes in ((5, 1), (6, 2)):
+                problem = twisted_simplex_problem()
+                nloc = problem.edof.shape[1]
+                size = -(-problem.mesh.level_stack[0] // per_level)
+                monkeypatch.setattr(assembly, "_CHUNK_ENTRIES",
+                                    float(size * nloc * nloc))
+                _, chunks, lanes = problem._chunks
+                assert len(chunks) == 3 * per_level
+                assert len(lanes) == n_lanes
+                monkeypatch.setattr(problem, "_lane", record(problem._lane))
+                ran.clear()
+                problem.system(problem.initial_guess())
+                assert sorted(ids for ids, _ in ran) == [list(lane)
+                                                         for lane in lanes]
+                threads = dict((ids[0], t) for ids, t in ran)
+                assert threads[0] is threading.current_thread()
+                if n_lanes == 1:
+                    assert assembly._pool is None
+                    assert threading.active_count() == before
+                else:
+                    assert threads[lanes[1][0]] is not threads[0]
+                    assert assembly._pool._max_workers == 1
+                    assert threading.active_count() == before + 1
+        finally:
+            if assembly._pool is not None:
+                assembly._pool.shutdown(wait=True)
 
 
 def stacked_problem(name, rng):
@@ -1724,5 +1836,16 @@ class TestPartition:
         assert all(c.stop - c.start == 2352 for c in chunks)
         size, chunks, lanes = assembly._partition(2142, 17, 12)
         assert [(c.stop - c.start) // 2142 for c in chunks] == [3] * 5 + [2]
-        assert [len(lane) for lane in lanes] == [3, 3]
+        assert [len(lane) for lane in lanes] == [6]
+
+    def test_lanes_from_chunk_count(self):
+        """One lane up to 15 chunks, the two halves of the chunk list from
+        16 on: the stirrer2d fixture's 6 chunks run one lane."""
+        for n_chunks in (1, 2, 6, 15, 16, 17, 34):
+            _, chunks, lanes = assembly._partition(2500, n_chunks, 20)
+            assert len(chunks) == n_chunks
+            half = n_chunks // 2
+            assert [list(lane) for lane in lanes] == (
+                [list(range(n_chunks))] if n_chunks < 16
+                else [list(range(half)), list(range(half, n_chunks))])
 

@@ -560,6 +560,31 @@ class TestProbe:
         assert np.array_equal(f1, f2)
         assert np.allclose(out1[f1], out2[f2], atol=1e-12)
 
+    def test_no_whole_mesh_gradients(self, rng):
+        """Probing and the divergence norm compute the P1 gradients of the
+        elements they read, with the bytes of the whole-mesh array, and
+        leave no gradients cached on the mesh; the probes still match the
+        exhaustive oracle and the norm the whole-mesh sum."""
+        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5, 0.5),
+                              axis=(0.0, 0.0, 1.0), omega=0.8)
+        st = extrude_simplex_st(box3d(2, 2, 2),
+                                ExtrusionSpec(0.0, 0.3, 3, traj))
+        vals = rng.uniform(-1, 1, size=(st.n_nodes, 4))
+        pts = rng.uniform(0.2, 0.8, size=(40, 4))
+        pts[:, 3] *= 0.3
+        out, found = probe(st, vals, pts)
+        div_l2 = global_divergence(st, vals)
+        assert "gradients" not in vars(st)
+        assert found.sum() > 20
+        ref, ref_found = probe_exhaustive(st, vals, pts)
+        assert np.array_equal(found, ref_found)
+        assert np.array_equal(out, ref, equal_nan=True)
+        div = np.einsum("eai,eai->e", st.gradients[:, :, :3],
+                        vals[st.elements][:, :, :3])
+        assert div_l2 == float(np.sqrt((st.measures * div * div).sum()))
+        some = rng.choice(st.n_elements, 7)
+        assert st.gradients_of(some).tobytes() == st.gradients[some].tobytes()
+
     def test_outside_points_flagged(self, small_st_mesh_2d):
         st = small_st_mesh_2d
         out, found = probe(st, np.zeros((st.n_nodes, 3)),

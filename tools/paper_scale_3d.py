@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Solve the 3D stirrer at paper size and record its stages and peak RSS.
 
-    python3 tools/paper_scale_3d.py [--step]
+    python3 tools/paper_scale_3d.py [--step | --stirrer2d]
 
 The spatial mesh is ``build_stirrer_mesh(H_FINE, H_COARSE, seed=SEED)``
 extruded through the tank's thickness 0.1 in ``LAYERS`` layers, which gives
@@ -10,7 +10,11 @@ paper's 1,673,344.  ``run_ust`` then solves the stirrer3d scenario on it
 with its default Newton and linear-solver settings.  With ``--step`` the
 run stops after what the ``ust3d_stirrer_step`` benchmark times: the
 space-time mesh and the problem, one Newton system (matrix and residual)
-and one residual norm at the initial guess, with no linear solve.
+and one residual norm at the initial guess, with no linear solve.  With
+``--stirrer2d`` it solves the 2D stirrer at paper size instead: the same
+spatial mesh, not extruded, under ``run_ust`` (223,125 space-time
+tetrahedra, 128,682 dofs, 34 assembly chunks, so its systems run two
+lanes where the 2D fixture's 6 chunks run one).
 
 Memory is watched from inside the process: a thread polls VmRSS every 0.1 s
 and ends the process with exit code 3 once it passes ``RSS_LIMIT_GB``.
@@ -42,7 +46,8 @@ import numpy as np  # noqa: E402
 
 from make_stirrer_meshes import build_stirrer_mesh  # noqa: E402
 from ustflow.extrude import extrude_spatial  # noqa: E402
-from ustflow.scenarios import make_stirrer3d, run_ust  # noqa: E402
+from ustflow.scenarios import (make_stirrer2d, make_stirrer3d,  # noqa: E402
+                               run_ust)
 
 H_FINE = 0.07
 H_COARSE = 0.16
@@ -135,10 +140,12 @@ def step(spec, t0: float) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--step", action="store_true",
-                        help="set-up, one Newton system and one residual "
-                             "norm only, as the ust3d_stirrer_step "
-                             "benchmark")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--step", action="store_true",
+                      help="set-up, one Newton system and one residual "
+                           "norm only, as the ust3d_stirrer_step benchmark")
+    mode.add_argument("--stirrer2d", action="store_true",
+                      help="solve the 2D stirrer on the same spatial mesh")
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     handler = logging.StreamHandler(sys.stderr)
@@ -151,9 +158,11 @@ def main(argv=None) -> int:
     start_watchdog(1024.0 * RSS_LIMIT_GB)
 
     base = build_stirrer_mesh(H_FINE, H_COARSE, seed=SEED)
-    mesh = extrude_spatial(base, 0.0, 0.1, LAYERS, lo_tag="bottom",
-                           hi_tag="top")
-    spec = make_stirrer3d(mesh=mesh)
+    if args.stirrer2d:
+        spec = make_stirrer2d(mesh=base)
+    else:
+        spec = make_stirrer3d(mesh=extrude_spatial(
+            base, 0.0, 0.1, LAYERS, lo_tag="bottom", hi_tag="top"))
     if args.step:
         return step(spec, t0)
     t_mesh = time.perf_counter()
