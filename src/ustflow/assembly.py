@@ -47,19 +47,19 @@ factors, a few arrays of that block's size.  No per-element copy of the
 element coordinates or dofs is cached: each chunk gathers its own from
 ``elements``.  ``_partition`` cuts the elements into chunks and lanes,
 once per problem, for the plan and the lanes alike: ``_LANES`` fixed,
-contiguous element lanes once a system has ``_LANE_CHUNKS`` chunks per
-lane, else one.  Each lane sums its chunks into its own residual and adds
-its matrix sums straight into the one ``data`` array, allocated before
-the lanes start, except at the node rows that an earlier lane also spans:
-those go into a buffer of the lane's own, a small range where two lanes
-meet.  The first lane runs on the calling thread and the later one on a
-module-level pool of one thread; the lanes' residuals and buffers are
-added in lane order, so the result has the same bytes on any core count.
-A one-lane system starts no thread.  The first matrix
-fills the geometry, then computes the metric and tau, then builds the
-plan, all on the calling thread; the problem's one ``assembly plan`` log
-line gives the seconds of each and the depth of the level stack.  A
-family supplies the geometry of its elements:
+contiguous element lanes once a system has two chunks, else one.  Each
+lane sums its chunks into its own residual and adds its matrix sums
+straight into the one ``data`` array, allocated before the lanes start,
+except at the node rows that an earlier lane also spans: those go into a
+buffer of the lane's own, a small range where two lanes meet.  The first
+lane runs on the calling thread and the later one on a module-level pool
+of one thread, so only one thread heap beside the caller's holds a lane's
+arrays; the lanes' residuals and buffers are added in lane order, so the
+result has the same bytes on any core count.  A one-chunk system starts
+no thread.  The first matrix fills the geometry, then computes the metric
+and tau, then builds the plan, all on the calling thread; the problem's
+one ``assembly plan`` log line gives the seconds of each and the depth of
+the level stack.  A family supplies the geometry of its elements:
 
 - ``_levels``: (n_per, L, n_sp), the elements and nodes per level of its
   level stack and the stack's depth;
@@ -124,16 +124,14 @@ logger = logging.getLogger("ustflow")
 # sum order of a multi-chunk system, hence its bytes.
 _CHUNK_ENTRIES = 1.0e6
 
-# element lanes of a system with at least _LANES * _LANE_CHUNKS chunks; a
-# smaller one runs one lane.  The lanes are a fixed partition of the
-# elements whatever the core count, so the sums, and the bytes of the
-# result, are the same on any machine.  On a 2-core machine two lanes cut
-# a later system of the paper-size 2D stirrer (34 chunks) from 0.59 to
-# 0.37 s and the 3D fixture's (102 chunks) from 1.06-1.28 to 0.67-0.70 s,
-# but leave the 2D fixture's (6 chunks) at 0.10 s, where the later lane's
-# thread heap only raised the peak RSS, 106 to 124 MB.
+# element lanes of a system with two or more chunks.  The lanes are a fixed
+# partition of the elements whatever the core count, so the sums, and the
+# bytes of the result, are the same on any machine.  On a 2-core machine
+# two lanes cut a later system of a 3D prism slab (4 chunks) from 0.06-0.08
+# to 0.045-0.06 s and the 3D fixture's (102 chunks) from 1.06-1.41 to
+# 0.67-0.90 s; the later lane's thread keeps its heap, about one chunk's
+# kernel arrays, resident.
 _LANES = 2
-_LANE_CHUNKS = 8
 _pool = None
 
 
@@ -450,8 +448,8 @@ def _partition(n_per, n_levels, nloc):
     """(size, chunks, lanes) of a system of ``n_levels`` levels of ``n_per``
     elements with ``nloc`` dofs each: ``chunks`` are element slices of at
     most ``size`` elements (``_CHUNK_ENTRIES`` local-matrix entries),
-    ``lanes`` the ranges of the chunk indices of each lane: one lane, or
-    ``_LANES`` once each gets ``_LANE_CHUNKS`` chunks.
+    ``lanes`` the ranges of the chunk indices of each lane: ``_LANES`` of
+    them, or one per chunk if there are fewer chunks.
 
     The chunks repeat by levels.  A level of at least ``size`` elements is
     cut into the same s = ceil(n_per / size) even slices at every level; a
@@ -472,8 +470,7 @@ def _partition(n_per, n_levels, nloc):
         starts = list(range(0, n_el, size // n_per * n_per))
     bounds = starts + [n_el]
     chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    n = len(chunks)
-    n_lanes = min(_LANES, max(1, n // _LANE_CHUNKS))
+    n, n_lanes = len(chunks), min(_LANES, len(chunks))
     lanes = [range(n * k // n_lanes, n * (k + 1) // n_lanes)
              for k in range(n_lanes)]
     return size, chunks, lanes
@@ -748,10 +745,8 @@ class _ProblemBase:
         plan = self._csr_plan if want_matrix else None
         if new_plan:
             logger.info("assembly plan pairs=%d nnz=%d levels=%d lanes=%d "
-                        "threads=%d chunks=%d plan_s=%.3f geometry_s=%.3f "
-                        "metric_s=%.3f", len(plan.keys), plan.nnz,
-                        self._levels[1], len(lanes),
-                        _lane_pool()._max_workers if len(lanes) > 1 else 0,
+                        "chunks=%d plan_s=%.3f geometry_s=%.3f metric_s=%.3f",
+                        len(plan.keys), plan.nnz, self._levels[1], len(lanes),
                         len(chunks), plan.build_s, t1 - t0, t2 - t1)
 
         R, data = self._volume(values, stab, plan, chunks, lanes)

@@ -17,10 +17,11 @@ elements.  Determinants and inverses of the d x d Jacobians, d <= 4, come
 from the cofactor expansion in ``cofactor_det``, not from a batched LAPACK
 call per element.  The mesh caches the inverse Jacobians only as the P1
 ``gradients`` array of all elements, which the whole-mesh metric and the
-2D vorticity read.  Everything else reads no whole-mesh copy: it takes
+2D vorticity read.  Everything else reads no cached copy: it takes
 the gradients of just the elements it needs from ``gradients_of``, the
 same slice loop: an assembly problem those of one level of the mesh's
-``level_stack``, point location its candidates, interpolation the
+``level_stack``, point location its candidates (or all elements once
+per call, when there are more candidate pairs), interpolation the
 owners, the divergence norm one slice at a time and the per-element
 helpers one element.  No copy of the element coordinates
 is cached: each slice loop and each per-element helper gathers

@@ -249,10 +249,13 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     axis is scaled by the largest element extent along it, which keeps the
     ball small on meshes whose elements are far thinner in time than in
     space.  The extents, the barycenters and the radius are computed over
-    ``element_slices``, so no (n_el, dim+1, dim) array is formed, and the
-    candidate pairs are tested in batches of about _PAIR_BATCH, each
-    computing the inverse Jacobians of its candidates alone
-    (``gradients_of``) and gathering their first vertex.
+    ``element_slices``, so no (n_el, dim+1, dim) array of vertices is
+    formed, and the candidate pairs are tested in batches of about
+    _PAIR_BATCH, each gathering the first vertex of its candidates.  The
+    inverse Jacobians are those of each batch's distinct candidates, or,
+    when the pairs outnumber the elements, those of all elements at once,
+    held for this call only: either way no more than min(pairs, n_el) are
+    computed.
     """
     dim, n_el = mesh.dim, mesh.n_elements
     bary = np.empty((n_el, dim))
@@ -276,6 +279,8 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     query = points[finite] * scale
     counts = tree.query_ball_point(query, radius, return_length=True)
     batch = np.cumsum(counts) // _PAIR_BATCH
+    Jinv = (mesh.gradients_of(slice(None))[:, 1:] if counts.sum() > n_el
+            else None)
     owner = np.full(len(points), n_el, dtype=np.int64)
     for sel in np.split(np.arange(finite.size),
                         np.flatnonzero(np.diff(batch)) + 1):
@@ -283,11 +288,19 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
         cand = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
                            count=counts[sel].sum())
         pid = np.repeat(finite[sel], counts[sel])
-        inside = _inside(mesh.gradients_of(cand)[:, 1:],
+        inside = _inside(_inverse_jacobians(mesh, cand) if Jinv is None
+                         else Jinv[cand],
                          mesh.nodes[mesh.elements[cand, 0]], points[pid], tol)
         np.minimum.at(owner, pid[inside], cand[inside])
     owner[owner == n_el] = -1
     return owner
+
+
+def _inverse_jacobians(mesh: SimplexMesh, e: np.ndarray) -> np.ndarray:
+    """(len(e), dim, dim) inverse Jacobians of the elements ``e``, which may
+    repeat: ``gradients_of`` computes each distinct element once."""
+    distinct, back = np.unique(e, return_inverse=True)
+    return mesh.gradients_of(distinct)[:, 1:][back]
 
 
 def _interpolate(mesh: SimplexMesh, values, points, owner):
@@ -299,7 +312,7 @@ def _interpolate(mesh: SimplexMesh, values, points, owner):
     # stacked matmuls make the BLAS calls of a one-point evaluation, so a
     # value does not depend on the other points probed with it
     x0 = mesh.nodes[mesh.elements[e, 0]]
-    xi = mesh.gradients_of(e)[:, 1:] @ (points[found] - x0)[:, :, None]
+    xi = _inverse_jacobians(mesh, e) @ (points[found] - x0)[:, :, None]
     N = basis_eval(xi[:, :, 0], mesh.dim)
     out[found] = (N[:, None, :] @ values[mesh.elements[e]])[:, 0]
     return out, found

@@ -560,11 +560,13 @@ class TestProbe:
         assert np.array_equal(f1, f2)
         assert np.allclose(out1[f1], out2[f2], atol=1e-12)
 
-    def test_no_whole_mesh_gradients(self, rng):
+    def test_no_whole_mesh_gradients(self, rng, monkeypatch):
         """Probing and the divergence norm compute the P1 gradients of the
         elements they read, with the bytes of the whole-mesh array, and
         leave no gradients cached on the mesh; the probes still match the
-        exhaustive oracle and the norm the whole-mesh sum."""
+        exhaustive oracle and the norm the whole-mesh sum.  Point location
+        inverts each batch's distinct candidates (2 points, fewer pairs
+        than elements) or every element once (40 points, more pairs)."""
         traj = NodeTrajectory("rigid_rotation", (0.5, 0.5, 0.5),
                               axis=(0.0, 0.0, 1.0), omega=0.8)
         st = extrude_simplex_st(box3d(2, 2, 2),
@@ -572,13 +574,28 @@ class TestProbe:
         vals = rng.uniform(-1, 1, size=(st.n_nodes, 4))
         pts = rng.uniform(0.2, 0.8, size=(40, 4))
         pts[:, 3] *= 0.3
-        out, found = probe(st, vals, pts)
+        gradients_of, inverted = st.gradients_of, []
+
+        def record(which):
+            grads = gradients_of(which)
+            inverted.append(len(grads))
+            return grads
+
+        monkeypatch.setattr(st, "gradients_of", record)
+        probes = []
+        for n, whole in ((2, False), (40, True)):
+            inverted.clear()
+            probes.append(probe(st, vals, pts[:n]))
+            # the pairs' inverses, then the owners'
+            assert (inverted[0] == st.n_elements) == whole
+            assert sum(inverted[:-1]) <= st.n_elements
         div_l2 = global_divergence(st, vals)
         assert "gradients" not in vars(st)
-        assert found.sum() > 20
-        ref, ref_found = probe_exhaustive(st, vals, pts)
-        assert np.array_equal(found, ref_found)
-        assert np.array_equal(out, ref, equal_nan=True)
+        assert probes[1][1].sum() > 20
+        for n, (out, found) in zip((2, 40), probes):
+            ref, ref_found = probe_exhaustive(st, vals, pts[:n])
+            assert np.array_equal(found, ref_found)
+            assert np.array_equal(out, ref, equal_nan=True)
         div = np.einsum("eai,eai->e", st.gradients[:, :, :3],
                         vals[st.elements][:, :, :3])
         assert div_l2 == float(np.sqrt((st.measures * div * div).sum()))

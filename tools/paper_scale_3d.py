@@ -13,8 +13,8 @@ space-time mesh and the problem, one Newton system (matrix and residual)
 and one residual norm at the initial guess, with no linear solve.  With
 ``--stirrer2d`` it solves the 2D stirrer at paper size instead: the same
 spatial mesh, not extruded, under ``run_ust`` (223,125 space-time
-tetrahedra, 128,682 dofs, 34 assembly chunks, so its systems run two
-lanes where the 2D fixture's 6 chunks run one).
+tetrahedra, 128,682 dofs, 34 assembly chunks against the 2D fixture's
+6).
 
 Memory is watched from inside the process: a thread polls VmRSS every 0.1 s
 and ends the process with exit code 3 once it passes ``RSS_LIMIT_GB``.
