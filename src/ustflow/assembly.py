@@ -639,6 +639,10 @@ class _ProblemBase:
     constructor; it supplies the geometry named in the module docstring.
     """
 
+    # (R, twin) of levels that are turned copies of one level, for the
+    # time-level sweep; a simplex mesh's level stack has them
+    level_rotations = None
+
     def __init__(self, node_coords, elements, tag_names, levels, material,
                  bcs, body_force, convective, gauge, jump_data):
         """``node_coords`` are the space-time nodes (time last), ``levels``
@@ -969,6 +973,21 @@ class SpaceTimeProblem(_ProblemBase):
     def _levels(self):
         n_per, rotations = self.mesh.level_stack
         return n_per, len(rotations), self.n_nodes // (len(rotations) + 1)
+
+    @cached_property
+    def level_rotations(self):
+        """(R, twin) of the mesh's level stack for the time-level sweep
+        (``TimeLevelPreconditioner``), or None for a mesh of one level:
+        ``twin`` maps each node to its copy in node level 1, and R[l] turns
+        that copy into node level l, l = 0..L.  Node level l >= 1 is the top
+        of element level l - 1, so R[l] is that level's rotation, and node
+        level 0 is node level 1 turned back by element level 1's."""
+        stack = self.mesh.level_stack[1]
+        if len(stack) < 2:
+            return None
+        n_sp = self._levels[2]
+        return (np.concatenate([stack[1].T[None], stack]),
+                np.arange(self.n_nodes) % n_sp + n_sp)
 
     @cached_property
     def _gradients0(self):

@@ -249,8 +249,10 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     axis is scaled by the largest element extent along it, which keeps the
     ball small on meshes whose elements are far thinner in time than in
     space.  The extents, the barycenters and the radius are computed over
-    ``element_slices``, so no (n_el, dim+1, dim) array of vertices is
-    formed, and the candidate pairs are tested in batches of about
+    ``element_slices``, each gathering its vertices vertex-first, (dim+1,
+    E, dim), so that every reduction runs over the leading axis and no
+    (n_el, dim+1, dim) array of vertices is formed, and the candidate
+    pairs are tested in batches of about
     _PAIR_BATCH, each gathering the first vertex of its candidates.  The
     inverse Jacobians are those of each batch's distinct candidates, or,
     when the pairs outnumber the elements, those of all elements at once,
@@ -261,16 +263,16 @@ def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     bary = np.empty((n_el, dim))
     extent = np.zeros(dim)
     for sl in element_slices(n_el):
-        X = mesh.nodes[mesh.elements[sl]]
-        lo, hi = X.min(axis=1), X.max(axis=1)
+        X = mesh.nodes[mesh.elements[sl].T]
+        lo, hi = X.min(axis=0), X.max(axis=0)
         np.maximum(extent, (hi - lo).max(axis=0, initial=0.0), out=extent)
-        bary[sl] = X.mean(axis=1)
+        bary[sl] = X.mean(axis=0)
     scale = 1.0 / extent
     r2 = 0.0
     for sl in element_slices(n_el):
-        offsets = mesh.nodes[mesh.elements[sl]] - bary[sl, None, :]
+        offsets = mesh.nodes[mesh.elements[sl].T] - bary[sl]
         offsets *= scale
-        r2 = max(r2, np.einsum("evk,evk->ev", offsets, offsets).max(
+        r2 = max(r2, np.einsum("vek,vek->ve", offsets, offsets).max(
             initial=0.0))
     radius = np.sqrt(r2) * (1.0 + 2 * (dim + 1) * tol)
     bary *= scale

@@ -166,8 +166,9 @@ def default_linear_config(n_dofs: int) -> LinearSolverConfig:
     The same choice at every size ``n_dofs`` and in both modes: each UST
     simplex spans two adjacent node-time levels and a slab has only two, so
     one forward sweep over the levels with an exact LU of each level's
-    block leaves GMRES little to do, for a fraction of the time and memory
-    of a full factorization, lagged across Newton steps
+    block (the interior levels of a twisted mesh share level 1's) leaves
+    GMRES little to do, for a fraction of the time and memory of a full
+    factorization, lagged across Newton steps
     (``TimeLevelPreconditioner``).
     """
     return LinearSolverConfig()

@@ -2,10 +2,11 @@
 
 ``newton_solve`` drives any problem object exposing ``dof_levels``,
 ``dir_dofs`` and ``system(values, want_matrix=...) -> (LinearSystem|None,
-rhs, norm)``.  The linear solve is restarted GMRES (scipy) always
-preconditioned by a forward block Gauss-Seidel sweep over those node-time
-levels, or a direct sparse LU, the oracle.  A GMRES failure raises
-``LinearSolveFailure``; there is no fallback.
+rhs, norm)``, and optionally ``level_rotations`` (see below).  The linear
+solve is restarted GMRES (scipy) always preconditioned by a forward block
+Gauss-Seidel sweep over those node-time levels, or a direct sparse LU, the
+oracle.  A GMRES failure raises ``LinearSolveFailure``; there is no
+fallback.
 
 GMRES solves for the free dofs only.  The rows of the ``dir_dofs``
 (Dirichlet values and pressure pins) are identity rows, so x_D = b_D and
@@ -15,10 +16,18 @@ each fixed row is an identity row; the true relative residual is still
 that of the whole system.  ``direct_lu`` solves the whole system.
 
 Each ``newton_solve`` owns one ``TimeLevelPreconditioner``, built from the
-problem's ``dof_levels`` and ``dir_dofs``: the first step equilibrates its
-matrix and factors each time level's diagonal block, and every later step
-of the same solve reuses that scale and those level LUs, with the
-strictly lower blocks of its own matrix.  This is a lagged preconditioner
+problem's ``dof_levels``, ``dir_dofs`` and ``level_rotations``: the first
+step equilibrates its matrix and factors the time levels' diagonal blocks,
+and every later step of the same solve reuses that scale and those level
+LUs, with the strictly lower blocks of its own matrix.  On a twisted
+space-time mesh every level is a rigid turn of level 1, and so, at the
+first matrix, is every interior level's block: B_k = R_k B_1 R_k^T, R_k
+turning each node's velocity.  ``level_rotations`` gives each node level's
+R_k and each node's copy in level 1; a level whose equilibrated block
+matches level 1's turned, to ``SHARE_TOL`` of its largest entry, solves
+through level 1's LU, and every other level (level 0 with the jump term,
+the last level, and all levels of a problem without the symmetry or
+without ``level_rotations``) is factored.  This is a lagged preconditioner
 (Knoll & Keyes, J. Comput. Phys. 193:357-397, 2004); the Newton matrix
 changes little between steps, and GMRES still has to meet the step's
 tolerance in the true residual, or raise ``Stagnation``.  A direct
@@ -41,12 +50,13 @@ trial's residual is that check.  The iterates are the same either way.
 
 Each linear solve logs one ``linear solve`` line with its method,
 iterations, true relative residual, timings, whether it reused lagged
-factors, its GMRES resumes and ``free=<free dofs>/<dofs>``, and Newton
-traces are emitted as ``newton iter=<k> res=<value> assemble_s=<s>
-eta=<eta>`` log lines: the wall time of the assembly that gave the
-residual (the residual-only pass for a converged iterate that got no
-matrix), and the forcing term of the linear solve whose step gave
-iterate k (``-`` at k = 0).
+factors, ``factored=<levels with an LU of their own>/<levels>``, its GMRES
+resumes and ``free=<free dofs>/<dofs>``, and ``NewtonResult.solves``
+keeps those stats of each solve.  Newton traces are emitted as
+``newton iter=<k> res=<value> assemble_s=<s> eta=<eta>`` log lines: the
+wall time of the assembly that gave the residual (the residual-only pass
+for a converged iterate that got no matrix), and the forcing term of the
+linear solve whose step gave iterate k (``-`` at k = 0).
 """
 
 from __future__ import annotations
@@ -113,6 +123,8 @@ class NewtonResult:
     assemble_s: list = dataclasses.field(default_factory=list)
     # eta[k]: forcing term of the linear solve from trace entry k to k + 1
     eta: list = dataclasses.field(default_factory=list)
+    # solves[k]: the stats of that linear solve (see solve_linear_system)
+    solves: list = dataclasses.field(default_factory=list)
 
 
 class TimeLevelPreconditioner:
@@ -128,9 +140,22 @@ class TimeLevelPreconditioner:
     first matrix sets the equilibration scale and the level LUs, which
     every later one reuses with its own strictly lower blocks (lagged; see
     the module docstring).
+
+    ``rotations``, when given, is (R, twin) of a problem whose levels are
+    turned copies of one reference level: node v's copy there is
+    ``twin[v]``, and R[l] turns the velocity of a level-l node's copy into
+    the node's own.  Dof d is component d % nc of node d // nc, nc =
+    n_sd + 1, velocity first.  A level whose free dofs are those of its
+    copies, whole velocities at a time, has the rotation T of its free dofs
+    (``_turns``).  At the first matrix its equilibrated block B_k is
+    compared, in pattern and values, with the reference block B_1 turned,
+    S_k T S_1^-1 B_1 S_1^-1 T^T S_k (S the scale of each level's dofs); a
+    level within ``SHARE_TOL`` of max|B_k| takes no LU of its own and
+    solves by B_k^-1 = W B_1^-1 W^T, W = S_k^-1 T S_1.  Every other level
+    is factored, so a problem without the symmetry factors every level.
     """
 
-    def __init__(self, dof_levels, fixed=()):
+    def __init__(self, dof_levels, fixed=(), rotations=None):
         dof_levels = np.asarray(dof_levels)
         self.n = len(dof_levels)
         self.fixed = np.zeros(self.n, dtype=bool)
@@ -144,8 +169,54 @@ class TimeLevelPreconditioner:
         self.ends = np.concatenate([bounds, [len(levels)]])
         # a level-major numbering, which every extruded mesh has, needs none
         self.permute = bool((np.diff(levels) < 0).any())
+        self.rotations = rotations
         self.scale = None  # the first matrix's equilibration scale
-        self.lus = None    # and its level LUs
+        self.lus = None    # and each level's (LU, W, W^T) (``_factor``)
+        self.factored = 0  # the LUs of their own among them
+        self.lu_nnz = 0    # and their nonzeros
+        self.stats = None  # of the last solve_linear_system given this
+
+    def _turns(self, rotations, twin):
+        """{k: (j, T)}: level k's free dofs are T (n_k, n_j) times those of
+        level j, the level of their copies, which has no T of its own.
+        A level gets none when a free dof's copy is fixed or in another
+        level, two dofs share a copy, or a node's velocity is part free."""
+        nc = np.shape(rotations)[1] + 1
+        twin = np.asarray(twin)
+        pos = np.full(self.n, -1)  # each free dof's place in the sweep
+        pos[self.free[self.order]] = np.arange(len(self.free))
+        level_of = np.repeat(np.arange(len(self.starts)),
+                             self.ends - self.starts)
+        comps = np.arange(nc)
+        out = {}
+        for k, (s, e) in enumerate(zip(self.starts, self.ends)):
+            node, comp = np.divmod(self.free[self.order[s:e]], nc)
+            own = pos[node[:, None] * nc + comps]
+            cols = pos[twin[node][:, None] * nc + comps]
+            copy = cols[np.arange(e - s), comp]
+            if ((own >= 0) != (cols >= 0)).any():
+                continue
+            j = level_of[copy[0]]
+            velocity = comp < nc - 1
+            if (j == k or (level_of[copy] != j).any()
+                    or self.ends[j] - self.starts[j] != e - s
+                    or len(np.unique(copy)) != e - s
+                    or (own[velocity, :nc - 1] < 0).any()):
+                continue
+            R = np.asarray(rotations[self.sorted_levels[s]])
+            # a velocity row takes its node's velocity copies turned by R,
+            # a pressure row its copy
+            rows = np.arange(e - s)
+            vel = np.flatnonzero(velocity)
+            p = np.flatnonzero(~velocity)
+            T = sp.csr_matrix(
+                (np.concatenate([R[comp[vel]].ravel(), np.ones(len(p))]),
+                 (np.concatenate([np.repeat(rows[vel], nc - 1), p]),
+                  np.concatenate([cols[vel, :nc - 1].ravel(), copy[p]])
+                  - self.starts[j])),
+                shape=(e - s, e - s))
+            out[k] = j, T
+        return {k: (j, T) for k, (j, T) in out.items() if j not in out}
 
     def equilibrate(self, A: sp.csr_matrix):
         """``_equilibrate`` of A by the first matrix's scale: the free block
@@ -154,6 +225,52 @@ class TimeLevelPreconditioner:
             raise ValueError(f"{self.n} dof levels for {A.shape[0]} unknowns")
         As, self.scale = _equilibrate(A, self.scale, self.fixed)
         return As, self.scale
+
+    def _factor(self, Ap):
+        """(LU, W, W^T), W None for an LU of its own, of each level of the
+        level-sorted free block Ap: a level that ``_shared`` finds to be its
+        copy's block turned takes that level's LU.  Every level is decided
+        before the first LU, so that a singular block names the levels
+        that share it; only the copies' blocks are held meanwhile."""
+        levels = list(zip(self.starts, self.ends))
+
+        def block(k):
+            s, e = levels[k]
+            return Ap[s:e, s:e]
+
+        scale = (np.ones(len(self.free)) if self.scale is None
+                 else self.scale[self.free][self.order])
+        turns = {} if self.rotations is None else self._turns(*self.rotations)
+        copies = {j: block(j) for j, _ in turns.values()}
+        W = [None] * len(levels)
+        for k, (j, T) in turns.items():
+            W[k] = _shared(block(k), copies[j], T,
+                           scale[slice(*levels[k])], scale[slice(*levels[j])])
+        del copies
+        lus = {}
+        for k in range(len(levels)):
+            if W[k] is not None:
+                continue
+            try:
+                lus[k] = spla.splu(block(k).tocsc())
+            except RuntimeError as exc:
+                shared = [str(self.sorted_levels[self.starts[i]])
+                          for i, (j, _) in turns.items()
+                          if W[i] is not None and j == k]
+                also = (f" (its LU serves levels {', '.join(shared)} too)"
+                        if shared else "")
+                raise LinearSolveFailure(
+                    f"diagonal block of time level "
+                    f"{self.sorted_levels[self.starts[k]]} is singular"
+                    f"{also}: {exc}") from exc
+        self.factored = len(lus)
+        # what SuperLU stores; reading ``lu.L`` or ``lu.U`` would copy it
+        self.lu_nnz = sum(lu.nnz for lu in lus.values())
+        # W^T is kept as a matrix of its own: ``W.T`` is a new object on
+        # every product
+        return [(lus[k], None, None) if W[k] is None
+                else (lus[turns[k][0]], W[k], W[k].T.tocsr())
+                for k in range(len(levels))]
 
     def operator(self, A: sp.spmatrix) -> spla.LinearOperator:
         """The sweep for the free block A, factoring its level blocks unless
@@ -168,28 +285,44 @@ class TimeLevelPreconditioner:
         if self.permute:
             Ap = Ap[self.order][:, self.order]
         if self.lus is None:
-            lus = []
-            for s, e in zip(self.starts, self.ends):
-                try:
-                    lus.append(spla.splu(Ap[s:e, s:e].tocsc()))
-                except RuntimeError as exc:
-                    raise LinearSolveFailure(
-                        f"diagonal block of time level "
-                        f"{self.sorted_levels[s]} is singular: {exc}") from exc
-            self.lus = lus
-        blocks = [(s, e, lu, Ap[s:e, :s])
-                  for s, e, lu in zip(self.starts, self.ends, self.lus)]
+            self.lus = self._factor(Ap)
+        blocks = [(s, e, lu, W, Wt, Ap[s:e, :s]) for s, e, (lu, W, Wt)
+                  in zip(self.starts, self.ends, self.lus)]
 
         def sweep(r):
             rp = np.ravel(r)[self.order]
             y = np.empty(n)
-            for s, e, lu, lower in blocks:
-                y[s:e] = lu.solve(rp[s:e] - lower @ y[:s])
+            for s, e, lu, W, Wt, lower in blocks:
+                rhs = rp[s:e] - lower @ y[:s]
+                y[s:e] = (lu.solve(rhs) if W is None
+                          else W @ lu.solve(Wt @ rhs))
             x = np.empty(n)
             x[self.order] = y
             return x
 
         return spla.LinearOperator(A.shape, matvec=sweep, dtype=float)
+
+
+# a level shares its copy's LU when its block is the copy's turned to within
+# this share of its largest entry, the bar of ``SpaceTimeMesh.level_stack``
+SHARE_TOL = 1e-12
+
+
+def _shared(block, copy, T, scale, copy_scale):
+    """W = S^-1 T S_c, with S = diag ``scale`` and S_c = diag
+    ``copy_scale``, when the equilibrated ``block`` is S T S_c^-1 ``copy``
+    S_c^-1 T^T S in pattern and values, to within ``SHARE_TOL`` of its
+    largest entry; else None."""
+    rows = np.repeat(np.arange(T.shape[0]), np.diff(T.indptr))
+    Q = T.copy()
+    Q.data *= scale[rows] / copy_scale[T.indices]
+    gap = Q @ copy @ Q.T - block
+    bar = SHARE_TOL * np.abs(block.data).max(initial=0.0)
+    if gap.nnz and np.abs(gap.data).max() > bar:
+        return None
+    W = T.copy()
+    W.data *= copy_scale[T.indices] / scale[rows]
+    return W
 
 
 def _relres(A, x, b) -> float:
@@ -303,7 +436,8 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray,
     resumes from its iterate with the inner tolerance tightened by the
     miss, in whole cycles within the ``MAX_KRYLOV_ITER`` budget.  Returns
     (x, stats) with the Krylov iterations, the true relative residual, the
-    number of levels, the number of free dofs, whether the factors were
+    number of levels, the number of them with an LU of their own and those
+    LUs' nonzeros, the number of free dofs, whether the factors were
     lagged, the number of such resumes and the seconds spent building the
     preconditioner and in GMRES.  Raises Stagnation/Breakdown, with the
     iterations and relres reached, when the target is missed.
@@ -314,8 +448,8 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray,
     A = sp.csr_matrix(A)
     free = precond.free
     stats = {"iterations": 0, "relres": 0.0, "levels": None,
-             "free": len(free), "lagged": 0, "resumes": 0, "factor_s": 0.0,
-             "krylov_s": 0.0}
+             "factored": 0, "lu_nnz": 0, "free": len(free), "lagged": 0,
+             "resumes": 0, "factor_s": 0.0, "krylov_s": 0.0}
     if not np.any(b):
         return np.zeros_like(b), stats
 
@@ -329,6 +463,7 @@ def gmres_solve(A: sp.spmatrix, b: np.ndarray,
     stats["lagged"] = int(precond.lus is not None)
     M = precond.operator(As)
     stats["levels"] = len(precond.lus)
+    stats["factored"], stats["lu_nnz"] = precond.factored, precond.lu_nnz
     t1 = time.perf_counter()
 
     def cb(_):
@@ -364,23 +499,31 @@ def solve_linear_system(A: sp.spmatrix, b: np.ndarray, cfg: LinearSolverConfig,
     """Solve A x = b with the configured method and log one line about it.
 
     GMRES needs ``cfg.lin_rel_tol`` set and the time-level ``precond``,
-    which ``newton_solve`` gives; ``direct_lu`` uses neither.  Failures
-    raise ``LinearSolveFailure``.
+    which ``newton_solve`` gives; ``direct_lu`` uses neither.  Returns x
+    alone; the solve's stats (those of ``gmres_solve`` and its ``method``)
+    go to ``precond.stats`` when a ``precond`` is given.  Failures raise
+    ``LinearSolveFailure``.
     """
     if cfg.method == "direct_lu":
         t0 = time.perf_counter()
         x = direct_lu(A, b)
         stats = {"factor_s": time.perf_counter() - t0, "krylov_s": 0.0,
-                 "iterations": 0, "levels": None, "free": len(b),
-                 "lagged": 0, "resumes": 0, "relres": _relres(A, x, b)}
+                 "iterations": 0, "levels": None, "factored": 0,
+                 "lu_nnz": 0, "free": len(b), "lagged": 0, "resumes": 0,
+                 "relres": _relres(A, x, b)}
     else:
         x, stats = gmres_solve(A, b, precond, cfg.lin_rel_tol)
+    stats["method"] = cfg.method
+    if precond is not None:
+        precond.stats = stats
     logger.info("linear solve method=%s precond=%s levels=%s iters=%d "
                 "relres=%.3e factor_s=%.3f krylov_s=%.3f lagged=%d "
-                "resumes=%d free=%d/%d", cfg.method,
+                "factored=%s resumes=%d free=%d/%d", cfg.method,
                 "none" if cfg.method == "direct_lu" else "time_levels",
                 stats["levels"], stats["iterations"], stats["relres"],
                 stats["factor_s"], stats["krylov_s"], stats["lagged"],
+                "-" if stats["levels"] is None
+                else f"{stats['factored']}/{stats['levels']}",
                 stats["resumes"], stats["free"], len(b))
     return x
 
@@ -423,11 +566,13 @@ def newton_solve(problem, initial_values: np.ndarray,
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
-    precond = TimeLevelPreconditioner(problem.dof_levels, problem.dir_dofs)
+    precond = TimeLevelPreconditioner(
+        problem.dof_levels, problem.dir_dofs,
+        getattr(problem, "level_rotations", None))
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
 
-    trace, assemble_s, etas = [], [], []
+    trace, assemble_s, etas, solves = [], [], [], []
 
     def assemble(values, want_matrix=True):
         """(``problem.system`` at ``values``, its wall seconds)."""
@@ -443,7 +588,7 @@ def newton_solve(problem, initial_values: np.ndarray,
 
     def result(values, iterations, status):
         return NewtonResult(values, trace, iterations, status == "converged",
-                            status, assemble_s, etas)
+                            status, assemble_s, etas, solves)
 
     (system, rhs, rnorm), seconds = assemble(U)
     record(0, rnorm, seconds)
@@ -461,6 +606,7 @@ def newton_solve(problem, initial_values: np.ndarray,
         delta = solve_linear_system(
             system.matrix, rhs, dataclasses.replace(lin_cfg, lin_rel_tol=eta),
             precond)
+        solves.append(precond.stats)
         # the matrix is not kept alive through the next one's assembly
         del system, rhs
         lam = 1.0

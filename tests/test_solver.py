@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 from ustflow import solver
 from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
 from ustflow.errors import LinearSolveFailure, Stagnation
-from ustflow.scenarios import make_couette2d, make_manufactured
+from ustflow.scenarios import (STIRRER_DT, make_couette2d,
+                               make_manufactured, make_stirrer3d)
 from ustflow.solver import (ETA_FIRST, ETA_MAX, LinearSolverConfig,
                             NewtonConfig, TimeLevelPreconditioner,
                             _equilibrate, _relres, direct_lu, forcing_term,
@@ -170,6 +171,7 @@ class TestGmres:
                 assert key in line
             assert line.endswith(f" resumes=0 free={free}/30")
         assert "precond=time_levels levels=3 " in lines[0]
+        assert " factored=3/3 " in lines[0] and " factored=- " in lines[1]
 
 
 class TestLinearSolverConfig:
@@ -415,7 +417,10 @@ class TestLaggedFactors:
         with caplog.at_level(logging.INFO, logger="ustflow"):
             out = newton_solve(problem, problem.initial_guess())
         assert out.converged and out.iterations >= 2
-        assert len(calls) == n_levels
+        # the twisted mesh's interior levels share level 1's LU
+        factored = [s["factored"] for s in out.solves]
+        assert len(calls) == factored[0] == 3
+        assert factored == [3] * out.iterations
         lines = [r.getMessage() for r in caplog.records
                  if r.getMessage().startswith("linear solve")]
         assert [line.split("lagged=")[1].split()[0] for line in lines] == (
@@ -427,7 +432,7 @@ class TestLaggedFactors:
         # a second solve factors afresh, and takes the same steps
         calls.clear()
         again = newton_solve(problem, problem.initial_guess())
-        assert len(calls) == n_levels
+        assert len(calls) == 3
         assert again.trace == out.trace
         # so does every direct call given a fresh preconditioner
         calls.clear()
@@ -480,6 +485,121 @@ class TestLaggedFactors:
         out = newton_solve(toy, np.full(4, 2.0))
         # one matrix per step; the converged iterate gets none
         assert out.converged and len(matrices) == out.iterations >= 2
+
+
+def _coarse_stirrer3d():
+    return make_stirrer3d(coarse=True, levels=4, t_end=4 * STIRRER_DT)
+
+
+class TestSharedLevelLus:
+    """On a twisted mesh the interior levels take level 1's LU through
+    their rotation; a level whose block is not level 1's turned, to
+    ``SHARE_TOL``, gets an LU of its own."""
+
+    @staticmethod
+    def first_matrix(problem):
+        return problem.system(problem.initial_guess())[0].matrix
+
+    @staticmethod
+    def sweep(problem, A, rotations):
+        """(the preconditioner, the equilibrated free block, its sweep)."""
+        precond = TimeLevelPreconditioner(problem.dof_levels,
+                                          problem.dir_dofs, rotations)
+        As, _ = precond.equilibrate(A)
+        return precond, As, precond.operator(As)
+
+    @staticmethod
+    def shared_levels(precond):
+        return [int(precond.sorted_levels[s])
+                for s, (_, W, _) in zip(precond.starts, precond.lus)
+                if W is not None]
+
+    def test_problem_rotations_turn_level_one_onto_each_level(self):
+        spec, problem = _couette_problem()
+        R, twin = problem.level_rotations
+        n_sp = spec.mesh.n_nodes
+        assert R.shape == (spec.levels + 1, 2, 2)
+        assert np.array_equal(R[1], np.eye(2))
+        x = problem.mesh.spatial_coords  # the turn is about the origin
+        for level in range(spec.levels + 1):
+            nodes = slice(level * n_sp, (level + 1) * n_sp)
+            assert np.array_equal(twin[nodes], np.arange(n_sp) + n_sp)
+            np.testing.assert_allclose(x[nodes], x[twin[nodes]] @ R[level].T,
+                                       atol=1e-12)
+        assert spec.problem(spec.slab(0)).level_rotations is None
+
+    @pytest.mark.parametrize("make", [_twisted_couette, _coarse_stirrer3d],
+                             ids=["couette2d", "stirrer3d_coarse"])
+    def test_shared_sweep_equals_per_level_sweep(self, make, rng):
+        spec = make()
+        problem = spec.problem(spec.ust_mesh())
+        A = self.first_matrix(problem)
+        shared, As, M = self.sweep(problem, A, problem.level_rotations)
+        own, As_own, M_own = self.sweep(problem, A, None)
+        assert (As != As_own).nnz == 0
+        n_levels = spec.levels + 1
+        assert (shared.factored, own.factored) == (3, n_levels)
+        assert self.shared_levels(shared) == list(range(2, n_levels - 1))
+        assert shared.lu_nnz < own.lu_nnz
+        for _ in range(3):
+            r = rng.standard_normal(As.shape[0])
+            a, b = M.matvec(r), M_own.matvec(r)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_time_dependent_wall_data_factors_every_level(self):
+        # the inner wall speeds up in time, so no level is another turned
+        spec = _twisted_couette()
+        inner = spec.bcs.dirichlet["inner"]
+        bcs = dataclasses.replace(spec.bcs, dirichlet={
+            **spec.bcs.dirichlet,
+            "inner": lambda x, t: (1.0 + np.asarray(t))[:, None] * inner(x)})
+        spec = dataclasses.replace(spec, bcs=bcs)
+        problem = spec.problem(spec.ust_mesh())
+        assert problem.level_rotations is not None
+        out = newton_solve(problem, problem.initial_guess())
+        assert out.converged
+        assert [s["factored"] for s in out.solves] == (
+            [spec.levels + 1] * out.iterations)
+
+    @pytest.mark.parametrize("change,shared", [(1e-9, [3]), (1e-15, [2, 3])],
+                             ids=["above_bar", "below_bar"])
+    def test_perturbed_level_factored_alone(self, change, shared):
+        spec, problem = _couette_problem()
+        A = self.first_matrix(problem).tolil()
+        n_sp, nc = spec.mesh.n_nodes, problem.ncomp
+        free = np.setdiff1d(np.arange(2 * n_sp * nc, 3 * n_sp * nc),
+                            problem.dir_dofs)
+        d = free[len(free) // 2]  # a free dof of level 2
+        A[d, d] *= 1.0 + change
+        precond, _, _ = self.sweep(problem, A.tocsr(),
+                                   problem.level_rotations)
+        assert self.shared_levels(precond) == shared
+        assert precond.factored == spec.levels + 1 - len(shared)
+
+    def test_singular_shared_block_names_its_levels(self, rng):
+        # the same pressure dof, row and column zeroed, at levels 1 to 3:
+        # the interior blocks still are level 1's turned, and singular
+        spec, problem = _couette_problem()
+        A = self.first_matrix(problem).tolil()
+        n_sp, nc = spec.mesh.n_nodes, problem.ncomp
+        for level in (1, 2, 3):
+            d = (level * n_sp + 5) * nc + nc - 1
+            A[d, :] = 0.0
+            A[:, d] = 0.0
+        precond = TimeLevelPreconditioner(problem.dof_levels,
+                                          problem.dir_dofs,
+                                          problem.level_rotations)
+        b = rng.uniform(-1, 1, size=problem.n_dofs)
+        with pytest.raises(LinearSolveFailure,
+                           match=r"time level 1 is singular \(its LU serves "
+                                 r"levels 2, 3 too\)"):
+            gmres_solve(A.tocsr(), b, precond, TIGHT)
+        # without the rotations level 1 is still the first to fail
+        with pytest.raises(LinearSolveFailure,
+                           match="time level 1 is singular: "):
+            gmres_solve(A.tocsr(), b,
+                        TimeLevelPreconditioner(problem.dof_levels,
+                                                problem.dir_dofs), TIGHT)
 
 
 class TestResidualFirst:
@@ -653,6 +773,27 @@ class TestNewton:
                            LinearSolverConfig(method="direct_lu"))
         assert res.converged
         assert res.iterations == 1
+
+    def test_records_each_linear_solve(self, caplog):
+        spec, problem = _couette_problem()
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            out = newton_solve(problem, problem.initial_guess())
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("linear solve")]
+        assert len(out.solves) == len(lines) == out.iterations >= 2
+        free = problem.n_dofs - len(problem.dir_dofs)
+        for k, (stats, line) in enumerate(zip(out.solves, lines)):
+            assert stats["method"] == "gmres_restarted"
+            assert stats["relres"] <= out.eta[k]
+            assert (stats["lagged"], stats["free"]) == (int(k > 0), free)
+            assert stats["lu_nnz"] == out.solves[0]["lu_nnz"] > 0
+            assert f" iters={stats['iterations']} " in line
+            assert f" lagged={stats['lagged']} factored=3/5 " in line
+        assert out.solves[0]["factor_s"] > 0.0
+        direct = newton_solve(problem, problem.initial_guess(),
+                              lin_cfg=LinearSolverConfig(method="direct_lu"))
+        assert [s["method"] for s in direct.solves] == (
+            ["direct_lu"] * direct.iterations)
 
     def test_logs_assembly_time_per_iteration(self, caplog):
         A = np.array([[2.0, 1.0], [0.0, 3.0]])

@@ -22,9 +22,13 @@ An address-space cap (``ulimit -v``) is no substitute: it counts mapped
 but untouched memory, so it fails allocations far below the RSS the run
 reaches.  Every log line of the run is printed to stderr with the seconds
 since the start and the RSS at that moment; the last line of stdout is a
-JSON summary with the time of each stage, the number of free dofs the
-linear solves were for (or the step's nnz and norms), and the peak RSS
-(VmHWM).  Each log line also carries VmHWM, so the line where it last
+JSON summary with the time of each stage, the peak RSS (VmHWM) and, from
+the run's ``NewtonResult.solves``, the number of free dofs the linear
+solves were for, the number of time levels factored out of all levels,
+the nonzeros of the level LUs kept, and each solve's GMRES iterations,
+``factor_s`` and ``krylov_s`` (with ``--step``, the system's nnz and norms,
+and null for the level counts and LU nonzeros, as it runs no linear
+solve).  Each log line also carries VmHWM, so the line where it last
 rises names the stage of the peak.
 """
 
@@ -79,17 +83,6 @@ def start_watchdog(limit_mb: float, period_s: float = 0.1) -> None:
     threading.Thread(target=watch, name="rss-watchdog", daemon=True).start()
 
 
-class FreeDofs(logging.Handler):
-    """Keeps the free-dof count of the last ``linear solve ... free=`` line."""
-
-    value = None
-
-    def emit(self, record):
-        message = record.getMessage()
-        if message.startswith("linear solve"):
-            self.value = int(message.split("free=")[1].split("/")[0])
-
-
 class StampedFormatter(logging.Formatter):
     """Prefix each record with the seconds since ``t0`` and the RSS."""
 
@@ -128,6 +121,9 @@ def step(spec, t0: float) -> int:
         "residual_norm": rnorm,
         "residual_norms_equal": rnorm2 == rnorm,
         "matrix_fro": float(np.sqrt(np.dot(A.data, A.data))),
+        "levels": None,
+        "factored_levels": None,
+        "lu_nnz": None,
         "mesh_s": round(stamps[0] - t0, 2),
         "setup_s": round(stamps[1] - stamps[0], 2),
         "system_s": round(stamps[2] - stamps[1], 2),
@@ -152,8 +148,6 @@ def main(argv=None) -> int:
     handler.setFormatter(StampedFormatter(t0))
     log = logging.getLogger("ustflow")
     log.addHandler(handler)
-    free_dofs = FreeDofs()
-    log.addHandler(free_dofs)
     log.setLevel(logging.INFO)
     start_watchdog(1024.0 * RSS_LIMIT_GB)
 
@@ -169,10 +163,17 @@ def main(argv=None) -> int:
     res = run_ust(spec)
     t_run = time.perf_counter()
     newton = res.newton
+    first = newton.solves[0]
     print(json.dumps({
         "elements": res.mesh.n_elements,
         "dofs": res.field.values.size,
-        "free_dofs": free_dofs.value,
+        "free_dofs": first["free"],
+        "levels": first["levels"],
+        "factored_levels": first["factored"],
+        "lu_nnz": first["lu_nnz"],
+        "gmres_iters": [s["iterations"] for s in newton.solves],
+        "factor_s": [round(s["factor_s"], 2) for s in newton.solves],
+        "krylov_s": [round(s["krylov_s"], 2) for s in newton.solves],
         "mesh_s": round(t_mesh - t0, 2),
         "run_ust_s": round(t_run - t_mesh, 2),
         "total_s": round(t_run - t0, 2),
