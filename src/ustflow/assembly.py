@@ -33,8 +33,13 @@ with node ids shifted by k levels and its nodes moved by a rigid motion
 with rotation R_k, so the set-up is done for level 0 alone and reused:
 - the chunks of ``_partition`` repeat from level to level, so the plan
   numbers the pairs of each distinct chunk of level 0 on, a template, by
-  one ``np.unique``, and every chunk of that template shares its local ids
-  and finds its global ids by offset arithmetic;
+  one ``np.unique``, and every chunk of that template shares its local ids;
+- the CSR pattern is that of element levels 0 and 1 moved by whole levels:
+  node level 0's rows, node level 1's rows for every interior node level
+  and node level 2's for the top, and a chunk of interior node levels only
+  takes its level-1 twin's global ids plus whole levels of pairs;
+- the mesh's determinants and longest edges are level 0's (see
+  ``mesh``);
 - a simplex problem caches the P1 gradients of level 0 only, and the
   kernel takes a level-k element's spatial gradients rotated by R_k;
 - the metric norms of tau are rotation-invariant, so those of level 0
@@ -444,6 +449,24 @@ def _unique(a):
     return a[first]
 
 
+def _by_levels(a, lo, hi, n_levels, shift):
+    """The whole stack's array of ``a``, an array over the rows of node
+    levels 0 to 2 of a stack's first two element levels, ``a[lo:hi]`` those
+    of node level 1: node level 0's part, node level 1's part repeated for
+    each interior node level l = 1..L-1 plus (l - 1) * ``shift``, and node
+    level 2's part, the top's, plus (L - 2) * ``shift``.  ``a`` itself on
+    a stack of L <= 2 levels, which has nothing to repeat."""
+    if n_levels < 3:
+        return a
+    n = hi - lo
+    out = np.empty(len(a) + (n_levels - 2) * n, a.dtype)
+    out[:hi] = a[:hi]
+    for m in range(1, n_levels - 1):
+        np.add(a[lo:hi], m * shift, out=out[lo + m * n:hi + m * n])
+    np.add(a[hi:], (n_levels - 2) * shift, out=out[hi + (n_levels - 2) * n:])
+    return out
+
+
 def _partition(n_per, n_levels, nloc):
     """(size, chunks, lanes) of a system of ``n_levels`` levels of ``n_per``
     elements with ``nloc`` dofs each: ``chunks`` are element slices of at
@@ -499,9 +522,21 @@ class _CsrPlan:
     k levels on has its template's elements plus k*n_sp, so its keys are
     the template's plus k*n_sp*(n_nodes + 1), in the same order.  One
     ``np.unique`` per template gives the keys and local ids that all its
-    chunks share, and each chunk's global ids are a ``searchsorted`` of
-    its shifted keys in the union of all chunks' keys and the diagonal.
-    ``diag_slots`` are the diagonal
+    chunks share.
+
+    The pattern is built by level offsets.  Element levels 0 and 1 and the
+    diagonal give the rows of node level 0, of node level 1, whose pairs
+    every interior node level 1..L-1 repeats, and of node level 2 from
+    element level 1 alone, which the top node level L repeats.  Node level
+    l's rows are then those rows moved l - 1 (the top's L - 2) levels on in
+    row and column, so ``keys``, ``indices``, ``start``, ``stride`` and the
+    row degrees are whole-level offsets of the first rows' (``_by_levels``),
+    and no array of the whole stack's keys is sorted.  A chunk whose node
+    levels are all interior takes its level-1 twin's global ids plus whole
+    levels of pairs; only the chunks that touch node level 0 or L, and each
+    template's twin, ``searchsorted`` their keys.  A stack of L <= 2
+    levels, a prism slab and a mesh that is no stack have nothing to
+    repeat: their first rows are all rows.  ``diag_slots`` are the diagonal
     entries of the Dirichlet rows; the rows themselves are whole CSR rows,
     which ``indptr`` delimits.  The global index arrays take the CSR index
     dtype (int32 while nnz < 2**31), the local ids the smallest unsigned
@@ -514,50 +549,82 @@ class _CsrPlan:
         stack of levels of ``n_per`` elements and ``n_sp`` nodes."""
         start = time.perf_counter()
         self.n_nodes, self.nc = n_nodes, nc
+        n_levels = len(elements) // n_per
+        level = n_sp * (n_nodes + 1)  # a key one level on
         templates, shifted = {}, []
         for sl in chunks:
             k = sl.start // n_per
             t = (sl.start - k * n_per, sl.stop - k * n_per)
             if t not in templates:
                 templates[t] = self._local_ids(elements[slice(*t)])
-            shifted.append((templates[t], k * n_sp * (n_nodes + 1)))
-        # the global keys are the union of the chunks' distinct keys and the
-        # diagonal, so no array of every element pair's key is formed
-        diag = np.arange(n_nodes, dtype=np.int64) * (n_nodes + 1)
-        self.keys = _unique(np.concatenate(
-            [keys + off for (keys, _), off in shifted] + [diag]))
-        diag_pairs = np.searchsorted(self.keys, diag)
-        row, col = np.divmod(self.keys, n_nodes)
-        bptr = np.searchsorted(row, np.arange(n_nodes + 1))
-        deg = np.diff(bptr)
-        self.nnz = nc * nc * len(row)
+            # a chunk of interior node levels only is its level-1 twin
+            # shifted by whole levels
+            inner = k >= 1 and (sl.stop - 1) // n_per + 1 < n_levels
+            shifted.append((t, k, inner))
+        # the pairs of element levels 0 and 1, and the diagonal, give the
+        # rows of node levels 0, 1 (an interior level) and 2 (the top's)
+        own = [keys for t, (keys, _) in templates.items() if t[1] <= n_per]
+        if sum(b - a for a, b in templates if b <= n_per) < n_per:
+            own = [self._local_ids(elements[:n_per])[0]]
+        own = np.concatenate(own)
+        first = n_nodes if n_levels < 3 else 3 * n_sp
+        base = _unique(np.concatenate(
+            [own] + [own + level] * (n_levels > 1)
+            + [np.arange(first, dtype=np.int64) * (n_nodes + 1)]))
+        row, col = np.divmod(base, n_nodes)
+        lo, hi = np.searchsorted(row, [n_sp, 2 * n_sp])
+        per = hi - lo  # the pairs of an interior node level
+        self.nnz = nc * nc * (len(base) + max(n_levels - 2, 0) * per)
         index = np.int32 if self.nnz < 2 ** 31 else np.int64
-        self.chunks = [(np.searchsorted(self.keys, keys + off).astype(index),
-                        local) for (keys, local), off in shifted]
-
-        # CSR row node*nc + i holds nc entries of each pair of its node
-        indptr = np.append(nc * nc * bptr[:-1, None]
-                           + nc * deg[:, None] * np.arange(nc), self.nnz)
+        bptr = np.searchsorted(row, np.arange(first + 1))
+        deg = np.diff(bptr)
         # a pair's nc entries in one CSR row start at a multiple of nc, so
         # the indices fill whole rows of an (nnz/nc, nc) view, row i of pair
         # p at run[p] + i*deg[r]
         run = np.arange(len(row)) + (nc - 1) * bptr[row]
         step = deg[row]
-        self.indices = np.empty(self.nnz, index)
+        indices = np.empty(nc * nc * len(row), index)
         cols = (col[:, None] * nc + np.arange(nc)).astype(index)
         for i in range(nc):
-            self.indices.reshape(-1, nc)[run + i * step] = cols
-        self.start = (nc * run).astype(index)
-        self.stride = (nc * step).astype(index)
+            indices.reshape(-1, nc)[run + i * step] = cols
+        # the diagonal pair's place in its node row
+        diag = np.searchsorted(base, np.arange(first) * (n_nodes + 1))
+        diag -= bptr[:-1]
+
+        # the whole stack's arrays: per pair, per CSR entry and per node row
+        self.keys = _by_levels(base, lo, hi, n_levels, level)
+        self.start = _by_levels((nc * run).astype(index), lo, hi, n_levels,
+                                nc * nc * per)
+        self.stride = _by_levels((nc * step).astype(index), lo, hi, n_levels,
+                                 0)
+        self.indices = _by_levels(indices, nc * nc * lo, nc * nc * hi,
+                                  n_levels, n_sp * nc)
+        deg, diag = (_by_levels(a, n_sp, 2 * n_sp, n_levels, 0)
+                     for a in (deg, diag))
+        bptr = np.append(0, np.cumsum(deg))
+        # CSR row node*nc + i holds nc entries of each pair of its node
+        indptr = np.append(nc * nc * bptr[:-1, None]
+                           + nc * deg[:, None] * np.arange(nc), self.nnz)
         self.indptr = indptr.astype(index)
         self.indices.setflags(write=False)
         self.indptr.setflags(write=False)
 
+        twins, self.chunks = {}, []
+        for t, k, inner in shifted:
+            keys, local = templates[t]
+            if not inner:
+                glob = np.searchsorted(self.keys, keys + k * level)
+            else:
+                if t not in twins:
+                    twins[t] = np.searchsorted(self.keys,
+                                               keys + level).astype(index)
+                glob = twins[t] + (k - 1) * per
+            self.chunks.append((glob.astype(index, copy=False), local))
+
         dir_dofs = np.flatnonzero(dir_mask)
         node, i = np.divmod(dir_dofs, nc)
-        self.diag_slots = (indptr[dir_dofs] + nc * (diag_pairs[node]
-                                                    - bptr[node]) + i
-                           ).astype(index)
+        self.diag_slots = (indptr[dir_dofs] + nc * diag[node]
+                           + i).astype(index)
         self.build_s = time.perf_counter() - start
 
     def _local_ids(self, ids):
@@ -978,16 +1045,21 @@ class SpaceTimeProblem(_ProblemBase):
     def level_rotations(self):
         """(R, twin) of the mesh's level stack for the time-level sweep
         (``TimeLevelPreconditioner``), or None for a mesh of one level:
-        ``twin`` maps each node to its copy in node level 1, and R[l] turns
-        that copy into node level l, l = 0..L.  Node level l >= 1 is the top
-        of element level l - 1, so R[l] is that level's rotation, and node
-        level 0 is node level 1 turned back by element level 1's."""
+        ``twin`` maps each node of node levels 1 to L-1 to its copy in node
+        level 1, and R[l] turns that copy into node level l.  Node level
+        l >= 1 is the top of element level l - 1, so R[l] is that level's
+        rotation.  The nodes of node levels 0 and L are their own twins,
+        with R = I: level 0 carries the jump term and level L has one
+        element level, so neither block is level 1's turned, and the sweep
+        factors both without comparing them."""
         stack = self.mesh.level_stack[1]
         if len(stack) < 2:
             return None
         n_sp = self._levels[2]
-        return (np.concatenate([stack[1].T[None], stack]),
-                np.arange(self.n_nodes) % n_sp + n_sp)
+        eye = np.eye(self.n_sd)[None]
+        twin = np.arange(self.n_nodes)
+        twin[n_sp:-n_sp] = twin[n_sp:-n_sp] % n_sp + n_sp
+        return np.concatenate([eye, stack[:-1], eye]), twin
 
     @cached_property
     def _gradients0(self):

@@ -14,7 +14,9 @@ axis and keeps node correspondence across levels exact.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,8 @@ import numpy as np
 from .errors import InvertedElement, MeshTopologyError
 from .mesh import (SimplexMesh, SpaceTimeMesh, degenerate,
                    require_element_facets)
+
+logger = logging.getLogger("ustflow")
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,11 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     Produces (L+1) * n_nodes space-time nodes and L * (n_sd+1) * n_el
     simplices, with the boundary built directly: one bottom facet per
     spatial element, one top facet, and n_sd mantle facets per spatial
-    boundary facet per level (inheriting the spatial tag).
+    boundary facet per level (inheriting the spatial tag).  The mesh is a
+    level stack (``SpaceTimeMesh.level_stack``) whose geometry comes from
+    level 0; one ``extrude`` log line gives the levels, the elements per
+    level, the element count, whether the stack was found or the mesh set
+    up as one level, and the seconds.
 
     Simplices are oriented by the sign rule below, so the mesh is built
     without the constructor's orientation fix.  Raises InvertedElement when
@@ -149,6 +157,7 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     spatial mesh lists a boundary facet that is not a facet of its
     elements.
     """
+    start = time.perf_counter()
     n_sd = spatial.dim
     n_sp = spatial.n_nodes
     L = spec.n_levels
@@ -207,6 +216,11 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
         raise InvertedElement(
             f"twist per level too large: element {first} inverted",
             element=first, level=first // len(path))
+    n_per, rotations = mesh.level_stack
+    logger.info("extrude levels=%d n_per=%d elements=%d stack=%s s=%.3f", L,
+                n_per, mesh.n_elements,
+                "found" if len(rotations) > 1 else "one-level",
+                time.perf_counter() - start)
     return mesh
 
 

@@ -9,7 +9,8 @@ inherits the spatial tags).
 The constructor computes ``jacobian_dets``, the mesh's one determinant
 pass.  With ``fix_orientation`` it swaps the last two nodes of each element
 with det J < 0, so that every element is positively oriented, and
-recomputes only those determinants.
+recomputes only those determinants.  On a space-time stack (below) that
+pass covers level 0 alone, and so do the fix and ``max_edge_lengths``.
 
 Element geometry is computed element-last (the element axis last, so each
 arithmetic step runs over a slice of elements) in slices of ``_SLICE``
@@ -31,7 +32,12 @@ A space-time mesh extruded through L levels is a stack: element level k is
 level 0's elements with node ids shifted by k levels, on nodes that are
 level 0's under a rigid motion.  ``SpaceTimeMesh.level_stack`` finds that
 stack by comparison, never by assumption; a mesh that is not one is a
-stack of one level.
+stack of one level.  The constructor finds it, on the elements as given,
+and then takes the per-element geometry of level 0 for every level: the
+motions are proper rotations with a uniform time shift, so an element's
+determinant, its sign and its longest edge are its level-0 twin's, up to
+rounding.  Level 0's orientation fix is applied to every level's copies,
+so the fixed elements are those of a whole-mesh fix.
 """
 
 from __future__ import annotations
@@ -138,18 +144,32 @@ class SimplexMesh:
                                    or self.elements.max() >= len(self.nodes)):
             raise MeshTopologyError("element node id out of range")
 
-        det = _det_of(self.nodes, self.elements)
+        # the geometry of the first n_per elements repeats, level by level
+        n_per = self._n_per = self._level_size()
+        det = _det_of(self.nodes, self.elements[:n_per])
         neg = np.flatnonzero(det < 0.0) if fix_orientation else []
         if len(neg):
+            every = (neg + np.arange(0, self.n_elements, n_per)[:, None])
             els = self.elements.copy()
-            els[neg, -2:] = els[neg, -1:-3:-1]
+            els[every.ravel(), -2:] = els[every.ravel(), -1:-3:-1]
             self.elements = els
             det[neg] = _det_of(self.nodes, els[neg])
-        self.jacobian_dets = det
+        self.jacobian_dets = self._per_level(det)
 
         for arr in (self.nodes, self.elements, self.boundary_facets,
                     self.boundary_tags, self.jacobian_dets):
             arr.setflags(write=False)
+
+    def _level_size(self) -> int:
+        """Elements per level of a stack whose levels share their geometry:
+        all of them, one level, for a spatial mesh."""
+        return len(self.elements)
+
+    def _per_level(self, a: np.ndarray) -> np.ndarray:
+        """``a``, given for the elements of the first level, for all."""
+        if self._n_per in (0, self.n_elements):
+            return a
+        return np.tile(a, self.n_elements // self._n_per)
 
     # -- basic queries ----------------------------------------------------
 
@@ -227,21 +247,24 @@ class SimplexMesh:
 
     @cached_property
     def max_edge_lengths(self) -> np.ndarray:
+        """The longest edge of each element: those of the first level,
+        repeated for every level (see ``jacobian_dets``)."""
         # per slice, (nen, dim, E): each node's coordinates are contiguous
         # rows; the squared lengths add the coordinates in order, as a norm
         # does, and one sqrt of their maximum follows
-        nen = self.dim + 1
-        h2 = np.zeros(self.n_elements)
-        for sl in element_slices(len(h2)):
+        nen, n_per = self.dim + 1, self._n_per
+        elements = self.elements[:n_per]
+        h2 = np.zeros(n_per)
+        for sl in element_slices(n_per):
             Xl = np.ascontiguousarray(
-                self.nodes[self.elements[sl]].transpose(1, 2, 0))
+                self.nodes[elements[sl]].transpose(1, 2, 0))
             h = h2[sl]
             for i in range(nen):
                 for j in range(i + 1, nen):
                     d = Xl[i] - Xl[j]
                     d *= d
                     np.maximum(h, d.sum(axis=0), out=h)
-        return np.sqrt(h2)
+        return self._per_level(np.sqrt(h2))
 
     @cached_property
     def total_measure(self) -> float:
@@ -283,7 +306,11 @@ class SpaceTimeMesh(SimplexMesh):
     def spatial_coords(self) -> np.ndarray:
         return self.nodes[:, :-1]
 
-    @cached_property
+    def _level_size(self) -> int:
+        self._stack = _level_stack(self.nodes, self.elements)
+        return self._stack[0]
+
+    @property
     def level_stack(self):
         """(n_per, rotations): the mesh as a stack of L element levels of
         n_per elements each, ``rotations`` (L, n_sd, n_sd).
@@ -296,9 +323,11 @@ class SpaceTimeMesh(SimplexMesh):
         G[:, :n_sd] @ R^T for R = rotations[e // n_per], and, with its
         vertices in the same order, its metric norms are that element's.
         A mesh that fails any test of ``_level_stack`` is one level,
-        (n_el, [I]).  Found on first use and cached.
+        (n_el, [I]).  Found by the constructor, on the elements as given,
+        before the orientation fix and the determinants, which then take
+        level 0's for every level.
         """
-        return _level_stack(self.nodes, self.elements)
+        return self._stack
 
 
 # -- spec-level per-element operations --------------------------------------

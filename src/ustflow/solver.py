@@ -25,9 +25,10 @@ first matrix, is every interior level's block: B_k = R_k B_1 R_k^T, R_k
 turning each node's velocity.  ``level_rotations`` gives each node level's
 R_k and each node's copy in level 1; a level whose equilibrated block
 matches level 1's turned, to ``SHARE_TOL`` of its largest entry, solves
-through level 1's LU, and every other level (level 0 with the jump term,
-the last level, and all levels of a problem without the symmetry or
-without ``level_rotations``) is factored.  This is a lagged preconditioner
+through level 1's LU, and every other level is factored: level 0 with the
+jump term and the last level, whose nodes are their own copies so that
+they are not compared, and all levels of a problem without the symmetry or
+without ``level_rotations``.  This is a lagged preconditioner
 (Knoll & Keyes, J. Comput. Phys. 193:357-397, 2004); the Newton matrix
 changes little between steps, and GMRES still has to meet the step's
 tolerance in the true residual, or raise ``Stagnation``.  A direct
@@ -179,8 +180,9 @@ class TimeLevelPreconditioner:
     def _turns(self, rotations, twin):
         """{k: (j, T)}: level k's free dofs are T (n_k, n_j) times those of
         level j, the level of their copies, which has no T of its own.
-        A level gets none when a free dof's copy is fixed or in another
-        level, two dofs share a copy, or a node's velocity is part free."""
+        A level gets none when its dofs are their own copies, a free dof's
+        copy is fixed or in another level, two dofs share a copy, or a
+        node's velocity is part free."""
         nc = np.shape(rotations)[1] + 1
         twin = np.asarray(twin)
         pos = np.full(self.n, -1)  # each free dof's place in the sweep

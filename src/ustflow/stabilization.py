@@ -152,7 +152,9 @@ def reference_derivative(J: np.ndarray) -> np.ndarray:
     """A = d(xi_regular)/dx for Jacobian(s) J; accepts (d, d) or (n, d, d).
 
     The simplices {0, columns of J} go through the mesh path of
-    :func:`mesh_metric`, so a mesh's own Jacobians give its A bit for bit.
+    :func:`mesh_metric`, so a mesh's own Jacobians give its A bit for bit
+    (on a level stack, level 0's: the later levels take level 0's
+    determinants, see ``mesh``).
     """
     J = np.asarray(J, dtype=float)
     single = J.ndim == 2

@@ -5,7 +5,7 @@ from ustflow.assembly import PrismSlab
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory, extrude_simplex_st,
                              rigid_rotation_positions)
 from ustflow.geometry import box2d, box3d
-from ustflow.mesh import SimplexMesh
+from ustflow.mesh import SimplexMesh, SpaceTimeMesh
 
 
 @pytest.fixture
@@ -19,6 +19,17 @@ def single_triangle_mesh():
     facets = np.array([[0, 1], [1, 2], [2, 0]])
     tags = np.array([0, 0, 0])
     return SimplexMesh(nodes, elements, facets, tags, ["wall"])
+
+
+def copy_mesh(mesh, nodes=None, elements=None):
+    """``mesh`` with other nodes or elements (the same boundary), through
+    the constructor."""
+    return SpaceTimeMesh(
+        mesh.nodes if nodes is None else nodes,
+        mesh.elements if elements is None else elements,
+        mesh.boundary_facets, mesh.boundary_tags, mesh.tag_names, mesh.t0,
+        mesh.tN, facet_groups=(mesh.bottom_facets, mesh.top_facets,
+                               mesh.mantle_facets))
 
 
 def random_simplex(rng, dim, min_det=1e-3):

@@ -32,7 +32,7 @@ from ustflow.stabilization import (StabilizationContext, advective_form,
                                    prism_shape_functions, regular_simplex_map,
                                    tau_parameters)
 
-from conftest import twisted_slab
+from conftest import copy_mesh, twisted_slab
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -984,6 +984,94 @@ class TestCsrPlan:
         assert np.allclose(A @ dU.ravel(), R1 - R0, rtol=0, atol=1e-13)
 
 
+def scratch_plan(problem):
+    """The integer arrays of ``problem``'s CSR plan built from scratch: the
+    keys by one ``np.unique`` of every element node pair and the diagonal,
+    the CSR pattern as scipy's Kronecker product of the node pattern with
+    an nc x nc block, and each chunk's ids by an ``np.unique`` of its own
+    pairs."""
+    ids = problem.elements.astype(np.int64)
+    n, nc = problem.n_nodes, problem.ncomp
+    keys = np.unique(np.concatenate([
+        (ids[:, :, None] * n + ids[:, None, :]).ravel(),
+        np.arange(n) * (n + 1)]))
+    row, col = np.divmod(keys, n)
+    nodes = sp.csr_matrix((np.ones(len(keys), np.int8), (row, col)),
+                          shape=(n, n))
+    A = sp.kron(nodes, np.ones((nc, nc), np.int8), format="bsr").tocsr()
+    A.sort_indices()
+    pair = np.arange(len(keys))
+    diagonal = np.flatnonzero(
+        np.repeat(np.arange(n * nc), np.diff(A.indptr)) == A.indices)
+    chunks = []
+    for sl in problem._chunks[1]:
+        e = ids[sl].T
+        chunk_keys, local = np.unique(
+            (e[:, None, :] * n + e[None, :, :]).ravel(), return_inverse=True)
+        chunks.append((np.searchsorted(keys, chunk_keys), local))
+    return {"keys": keys, "indptr": A.indptr, "indices": A.indices,
+            "start": A.indptr[row * nc] + nc * (pair - nodes.indptr[row]),
+            "stride": nc * np.diff(nodes.indptr)[row],
+            "diag_slots": diagonal[problem.dir_dofs]}, chunks
+
+
+class TestPlanByLevels:
+    """The plan of a stack, built from its first element levels and
+    repeated by whole levels, against a from-scratch build of the whole
+    mesh, array by array."""
+
+    @staticmethod
+    def check(problem):
+        plan = problem._csr_plan
+        want, chunks = scratch_plan(problem)
+        index = np.int32
+        for name, a in want.items():
+            got = getattr(plan, name)
+            assert got.dtype == (np.int64 if name == "keys" else index), name
+            assert np.array_equal(got, a), name
+        assert len(plan.chunks) == len(chunks)
+        for (glob, local), (want_glob, want_local) in zip(plan.chunks,
+                                                          chunks):
+            assert glob.dtype == index
+            assert np.array_equal(glob, want_glob)
+            assert np.array_equal(local, want_local)
+        return plan
+
+    @pytest.mark.parametrize("name", ["stirrer2d", "stirrer3d", "channel2d"])
+    def test_shipped_cases(self, name):
+        from ustflow.scenarios import (make_channel2d, make_stirrer2d,
+                                       make_stirrer3d)
+        spec = {"stirrer2d": make_stirrer2d, "stirrer3d": make_stirrer3d,
+                "channel2d": make_channel2d}[name]()
+        problem = spec.problem(spec.ust_mesh())
+        levels = {"stirrer2d": 17, "stirrer3d": 17, "channel2d": 20}[name]
+        assert problem._levels[1] == levels
+        self.check(problem)
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    @pytest.mark.parametrize("n_chunks", [1, 4, 10])
+    def test_small_stacks(self, levels, n_chunks, monkeypatch):
+        """One chunk, chunks of whole levels or slices of every level: on
+        three or more levels the chunks of interior node levels take their
+        twins' ids plus whole levels."""
+        traj = NodeTrajectory("rigid_rotation", (0.1, -0.2), omega=0.7)
+        st = extrude_simplex_st(disk2d(1.0, 2, 10),
+                                ExtrusionSpec(0.0, 0.3, levels, traj))
+        problem = SpaceTimeProblem(
+            st, MaterialParams(1.0, 0.1),
+            BCSpec(dirichlet={"outer": zero_velocity}), gauge=(0, 0.0))
+        if n_chunks > 1:
+            split_into_chunks(monkeypatch, problem, n_chunks)
+        assert problem._levels[1] == levels
+        assert len(problem._chunks[1]) >= n_chunks
+        self.check(problem)
+
+    def test_prism_slab(self, rng):
+        problem = twisted_prism_problem(rng)
+        assert problem._levels[1] == 1
+        self.check(problem)
+
+
 class TestSimplexKernel:
     """The element kernel on P1 simplices, one group of quadrature points,
     against the quadrature-point kernel fed broadcast P1 geometry, at
@@ -1648,16 +1736,6 @@ def stacked_problem(name, rng):
         st, MaterialParams(rho=1.1, mu=0.2),
         BCSpec(dirichlet={tag: lambda x, t: 0.3 * np.cos(x + t[:, None])}),
         gauge=(0, 0.0), jump_data=rng.uniform(-1, 1, size=(st.n_nodes, n_sd)))
-
-
-def copy_mesh(mesh, nodes=None, elements=None):
-    """``mesh`` with other nodes or elements (the same boundary)."""
-    return SpaceTimeMesh(
-        mesh.nodes if nodes is None else nodes,
-        mesh.elements if elements is None else elements,
-        mesh.boundary_facets, mesh.boundary_tags, mesh.tag_names, mesh.t0,
-        mesh.tN, facet_groups=(mesh.bottom_facets, mesh.top_facets,
-                               mesh.mantle_facets))
 
 
 def level0_order_norms(mesh, n_per):

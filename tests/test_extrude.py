@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -153,7 +154,14 @@ class TestExtrusion:
                             st.boundary_tags, st.tag_names)
         assert not np.array_equal(np.asarray(path), fixed.elements)
         assert np.array_equal(st.elements, fixed.elements)
-        assert np.array_equal(st.jacobian_dets, fixed.jacobian_dets)
+        # level 0's determinants are the fixed mesh's; every later level
+        # takes them, which moves its own by rounding only, with no sign
+        n_per = st.level_stack[0]
+        assert n_per * 3 == st.n_elements
+        got, want = st.jacobian_dets, fixed.jacobian_dets
+        assert got[:n_per].tobytes() == want[:n_per].tobytes()
+        assert np.array_equal(np.sign(got), np.sign(want))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_one_determinant_pass_through_first_system(self, monkeypatch):
         spec = make_stirrer2d(levels=2)
@@ -167,7 +175,25 @@ class TestExtrusion:
         st = spec.ust_mesh()
         problem = spec.problem(st)
         problem.system(problem.initial_guess())
-        assert calls == [st.n_elements]
+        n_per = st.level_stack[0]
+        assert 2 * n_per == st.n_elements
+        assert calls == [n_per]
+
+    @pytest.mark.parametrize("levels,stack", [(1, "one-level"),
+                                              (3, "found")])
+    def test_logs_one_line(self, levels, stack, caplog):
+        spatial = disk2d(1.0, 2, 8)
+        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.5)
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            st = extrude_simplex_st(spatial,
+                                    ExtrusionSpec(0.0, 0.3, levels, traj))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("extrude ")]
+        assert len(lines) == 1
+        n_per = st.n_elements // levels if levels > 1 else st.n_elements
+        assert lines[0].startswith(
+            f"extrude levels={levels} n_per={n_per} "
+            f"elements={st.n_elements} stack={stack} s=")
 
     def test_inverted_element_raises(self):
         spatial = disk2d(1.0, 2, 8)

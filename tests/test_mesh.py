@@ -3,15 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ustflow.mesh as mesh_module
 from ustflow.errors import DegenerateElement
 from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
-from ustflow.geometry import box2d
+from ustflow.geometry import box2d, box3d, disk2d
 from ustflow.mesh import (SimplexMesh, _det_of, basis_eval, basis_gradients,
                           classify_boundary, cofactor_det, element_jacobian,
                           element_measure, in_reference, jacobians_last,
                           map_local_to_global, time_levels, validate_mesh)
 
-from conftest import random_simplex
+from conftest import copy_mesh, random_simplex
 
 
 def exact_inverse(J):
@@ -283,9 +284,101 @@ class TestMaxEdgeLengths:
                               max_edge_lengths_by_node_pair(X))
 
     def test_equals_node_pair_loop_on_space_time_mesh(self, small_st_mesh_3d):
-        assert np.array_equal(
-            small_st_mesh_3d.max_edge_lengths,
-            max_edge_lengths_by_node_pair(small_st_mesh_3d.element_coords))
+        # level 0's bytes; the other level takes them, within rounding
+        mesh = small_st_mesh_3d
+        n_per = mesh.level_stack[0]
+        assert 2 * n_per == mesh.n_elements
+        got = mesh.max_edge_lengths
+        want = max_edge_lengths_by_node_pair(mesh.element_coords)
+        assert got[:n_per].tobytes() == want[:n_per].tobytes()
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+
+def stack_mesh(name, levels):
+    """A twisted 2D or 3D extrusion or a static 2D one through ``levels``
+    levels."""
+    if name == "disk2d":
+        traj = NodeTrajectory("rigid_rotation", (0.1, -0.2), omega=0.7)
+        return extrude_simplex_st(disk2d(1.0, 2, 10),
+                                  ExtrusionSpec(0.0, 0.3, levels, traj))
+    if name == "box3d":
+        traj = NodeTrajectory("rigid_rotation", (0.5, 0.4, 0.5),
+                              axis=(1.0, 2.0, 3.0), omega=0.8)
+        return extrude_simplex_st(box3d(1, 1, 1),
+                                  ExtrusionSpec(0.1, 0.4, levels, traj))
+    return extrude_simplex_st(box2d(3, 2), ExtrusionSpec(0.0, 0.4, levels))
+
+
+def counted_det_of(monkeypatch):
+    """The element counts of every ``_det_of`` call from now on."""
+    det_of, calls = mesh_module._det_of, []
+
+    def counted(nodes, elements):
+        calls.append(len(elements))
+        return det_of(nodes, elements)
+
+    monkeypatch.setattr(mesh_module, "_det_of", counted)
+    return calls
+
+
+class TestLevelGeometry:
+    """A stacked mesh takes the determinants, the orientation fix and the
+    longest edges of level 0 for every level."""
+
+    @pytest.mark.parametrize("name,levels", [
+        ("disk2d", 1), ("disk2d", 2), ("disk2d", 3), ("disk2d", 17),
+        ("box3d", 3), ("static", 3)])
+    def test_level0_geometry_repeats(self, name, levels, monkeypatch):
+        made = stack_mesh(name, levels)
+        calls = counted_det_of(monkeypatch)
+        mesh = copy_mesh(made)
+        n_per, rotations = mesh.level_stack
+        assert len(rotations) == (levels if levels > 1 else 1)
+        assert n_per * len(rotations) == mesh.n_elements
+        assert calls == [n_per]
+        own_det = _det_of(mesh.nodes, mesh.elements)
+        own_h = max_edge_lengths_by_node_pair(mesh.element_coords)
+        for got, want in ((mesh.jacobian_dets, own_det),
+                          (mesh.max_edge_lengths, own_h)):
+            assert got[:n_per].tobytes() == want[:n_per].tobytes()
+            assert np.array_equal(np.sign(got), np.sign(want))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            # every level has level 0's bytes
+            assert np.array_equal(got.reshape(-1, n_per),
+                                  np.tile(got[:n_per], (len(rotations), 1)))
+        assert mesh.jacobian_dets.tobytes() == made.jacobian_dets.tobytes()
+
+    @pytest.mark.parametrize("name", ["disk2d", "box3d"])
+    def test_reversed_elements_fixed_as_a_whole_mesh(self, name):
+        made = stack_mesh(name, 3)
+        n_per = made.level_stack[0]
+        els = made.elements.reshape(3, n_per, -1).copy()
+        els[:, ::3, :2] = els[:, ::3, 1::-1]  # the same elements every level
+        els = els.reshape(made.elements.shape)
+        mesh = copy_mesh(made, elements=els)
+        whole = SimplexMesh(made.nodes, els, made.boundary_facets,
+                            made.boundary_tags, made.tag_names)
+        assert mesh.level_stack[0] == n_per
+        assert not np.array_equal(els, whole.elements)
+        assert np.array_equal(mesh.elements, whole.elements)
+        got, want = mesh.jacobian_dets, whole.jacobian_dets
+        assert got[:n_per].tobytes() == want[:n_per].tobytes()
+        assert (got > 0).all()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_perturbed_level_is_one_level(self, monkeypatch):
+        made = stack_mesh("disk2d", 3)
+        n_sp = made.n_nodes // 4
+        nodes = made.nodes.copy()
+        nodes[2 * n_sp:3 * n_sp, 0] += 1e-9
+        calls = counted_det_of(monkeypatch)
+        mesh = copy_mesh(made, nodes=nodes)
+        assert mesh.level_stack[0] == mesh.n_elements
+        assert calls == [mesh.n_elements]
+        assert mesh.jacobian_dets.tobytes() == _det_of(
+            nodes, mesh.elements).tobytes()
+        assert mesh.max_edge_lengths.tobytes() == (
+            max_edge_lengths_by_node_pair(mesh.element_coords).tobytes())
 
 
 class TestLocalToGlobal:

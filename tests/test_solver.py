@@ -515,6 +515,8 @@ class TestSharedLevelLus:
                 if W is not None]
 
     def test_problem_rotations_turn_level_one_onto_each_level(self):
+        # the interior node levels' twins are in node level 1; node levels
+        # 0 and L are their own, unturned
         spec, problem = _couette_problem()
         R, twin = problem.level_rotations
         n_sp = spec.mesh.n_nodes
@@ -523,10 +525,46 @@ class TestSharedLevelLus:
         x = problem.mesh.spatial_coords  # the turn is about the origin
         for level in range(spec.levels + 1):
             nodes = slice(level * n_sp, (level + 1) * n_sp)
-            assert np.array_equal(twin[nodes], np.arange(n_sp) + n_sp)
+            copy = level if level in (0, spec.levels) else 1
+            assert np.array_equal(twin[nodes], np.arange(n_sp) + copy * n_sp)
+            if copy == level:
+                assert np.array_equal(R[level], np.eye(2))
             np.testing.assert_allclose(x[nodes], x[twin[nodes]] @ R[level].T,
                                        atol=1e-12)
         assert spec.problem(spec.slab(0)).level_rotations is None
+
+    def test_first_and_last_levels_skip_the_share_check(self, rng,
+                                                        monkeypatch):
+        """On the stirrer2d fixture, 17 element levels, ``_shared`` compares
+        the 15 interior node levels 2..16 with level 1; node levels 0 and
+        17, their own twins, are factored with no block product.  The LUs
+        and the sweep's bytes are those of rotations that twin every node
+        level with level 1, whose share checks on those two levels fail."""
+        from ustflow.scenarios import make_stirrer2d
+        spec = make_stirrer2d()
+        problem = spec.problem(spec.ust_mesh())
+        A = self.first_matrix(problem)
+        calls, shared = [], solver._shared
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return shared(*args)
+
+        monkeypatch.setattr(solver, "_shared", counted)
+        precond, As, M = self.sweep(problem, A, problem.level_rotations)
+        assert len(calls) == 15
+        n_sp, stack = problem._levels[2], problem.mesh.level_stack[1]
+        every = (np.concatenate([stack[1].T[None], stack]),
+                 np.arange(problem.n_nodes) % n_sp + n_sp)
+        calls.clear()
+        old, _, M_old = self.sweep(problem, A, every)
+        assert len(calls) == 17
+        for p in (precond, old):
+            assert (p.factored, len(p.starts)) == (3, 18)
+            assert self.shared_levels(p) == list(range(2, 17))
+        for _ in range(2):
+            r = rng.standard_normal(As.shape[0])
+            assert M.matvec(r).tobytes() == M_old.matvec(r).tobytes()
 
     @pytest.mark.parametrize("make", [_twisted_couette, _coarse_stirrer3d],
                              ids=["couette2d", "stirrer3d_coarse"])

@@ -127,11 +127,16 @@ class TestMeshMetricFromGradients:
             assert np.array_equal(reference_derivative(J[3]), got[3])
 
     def test_per_jacobian_helpers_run_the_mesh_path(self, stirrer_meshes):
+        # the bytes of level 0, whose determinants are its own; the later
+        # levels take level 0's, which moves them by rounding
         mesh = stirrer_meshes["stirrer2d"]
+        n_per = mesh.level_stack[0]
+        assert n_per < mesh.n_elements
         J = np.moveaxis(jacobians_last(mesh.element_coords), -1, 0)
         Ginv, g, _, _ = mesh_metric(mesh)
-        assert metric_contravariant(J).tobytes() == Ginv.tobytes()
-        assert g_vector(J).tobytes() == g.tobytes()
+        for got, want in ((metric_contravariant(J), Ginv), (g_vector(J), g)):
+            assert got[:n_per].tobytes() == want[:n_per].tobytes()
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_norms_have_the_bytes_of_the_whole_metric(self,
                                                         stirrer_meshes):

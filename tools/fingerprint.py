@@ -12,6 +12,8 @@ The digests cover
 - the level stack the assembly finds in each of those meshes
   (``SpaceTimeMesh.level_stack``: elements per level and the levels'
   rotations);
+- the per-element geometry of those meshes, ``jacobian_dets`` and
+  ``max_edge_lengths``, which a stacked mesh takes from level 0;
 - ``mesh_metric`` (Ginv, g, Ginv:Ginv, g.g) on those meshes;
 - tau_MOM and tau_CONT of the stirrer2d and stirrer3d UST problems at
   their initial guess, so that a change in how tau is evaluated shows on
@@ -80,6 +82,11 @@ def stack(mesh) -> dict:
     return {"n_per": np.array(n_per), "rotations": rotations}
 
 
+def geometry(mesh) -> dict:
+    return {name: getattr(mesh, name)
+            for name in ("jacobian_dets", "max_edge_lengths")}
+
+
 def tau(problem) -> dict:
     stab = problem.stabilization(problem.initial_guess())
     return {"tau_mom": stab.tau_mom, "tau_cont": stab.tau_cont}
@@ -99,6 +106,7 @@ def lines():
     metric = ("Ginv", "g", "GG", "gg")
     yield "mesh   stirrer2d ust  ", mesh_arrays(ust2.mesh)
     yield "stack  stirrer2d ust  ", stack(ust2.mesh)
+    yield "geometry stirrer2d ust", geometry(ust2.mesh)
     yield "metric stirrer2d ust  ", dict(zip(metric, mesh_metric(ust2.mesh)))
     yield "tau    stirrer2d ust  ", tau(ust2)
     yield "system stirrer2d ust  ", first_system(ust2)
@@ -107,6 +115,7 @@ def lines():
     ust3 = s3.problem(s3.ust_mesh())
     yield "mesh   stirrer3d ust  ", mesh_arrays(ust3.mesh)
     yield "stack  stirrer3d ust  ", stack(ust3.mesh)
+    yield "geometry stirrer3d ust", geometry(ust3.mesh)
     yield "metric stirrer3d ust  ", dict(zip(metric, mesh_metric(ust3.mesh)))
     yield "tau    stirrer3d ust  ", tau(ust3)
     yield "system stirrer3d ust  ", first_system(ust3)
