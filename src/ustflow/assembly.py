@@ -43,7 +43,20 @@ with rotation R_k, so the set-up is done for level 0 alone and reused:
 - a simplex problem caches the P1 gradients of level 0 only, and the
   kernel takes a level-k element's spatial gradients rotated by R_k;
 - the metric norms of tau are rotation-invariant, so those of level 0
-  repeat for every level.
+  repeat for every level;
+- the system at a level-periodic iterate, one whose every node level
+  holds node level 0's values with the velocity turned by that level's
+  rotation (``SpaceTimeProblem._periodic``), is element levels 0 and 1's
+  turned: tau and the kernel run on those two levels only, in a
+  partition of their own (``_base_chunks``), and node level m's CSR and
+  residual rows are node level 1's with each pair block B turned to
+  T B T^T, T = diag(R_{m-1}, 1); the top's are node level 2's, from
+  element level 1 alone, turned by R_{L-2}.  The jump, traction and
+  Dirichlet terms are added after the turn.  The first Newton system of
+  an extrusion whose initial and wall data are constant in time and turn
+  with the mesh, as in every shipped UST case but the manufactured one
+  (it has a body force), is such a system; a later Newton iterate is
+  not.
 
 A chunk has at most ``_CHUNK_ENTRIES`` local-matrix entries, which
 would be 8 MB of local matrices; a lane holds one component-pair block of
@@ -75,7 +88,9 @@ the level stack.  A family supplies the geometry of its elements:
 - ``_tau_terms(u)``: the terms of tau per element, the advective form
   uhat . Ginv uhat at the barycentric velocities ``u``, Ginv:Ginv and
   g.g (a simplex mesh forms the first from level 0's P1 gradients and
-  caches only the other two; a slab keeps its whole small metric);
+  caches only the other two, and takes ``u`` of its first len(u)
+  elements, all or a level-periodic system's two levels; a slab keeps
+  its whole small metric);
 - ``_mantle_faces(tag)``: node ids of a tag's faces on the space-time
   mantle, which carry its Dirichlet rows or its traction;
 - ``_face_quadrature(ids)``: shape values, points, tangents and weights of
@@ -99,6 +114,7 @@ over the elements in its inner loop, and returns element-first views.
 
 from __future__ import annotations
 
+import copy
 import logging
 import os
 import time
@@ -114,6 +130,7 @@ from .errors import (ConfigurationError, MissingPreviousState,
 from .mesh import (SimplexMesh, SpaceTimeMesh, basis_eval, cofactor_det,
                    jacobians_last, reference_gradients, time_levels)
 from .quadrature import interval_gauss, prism_quadrature, simplex_quadrature
+from .solver import SHARE_TOL
 from .stabilization import (StabilizationContext, advective_form,
                             metric_norms, metric_terms, prism_geometry,
                             prism_shape_functions, regular_simplex_map,
@@ -653,6 +670,31 @@ class _CsrPlan:
                 + j[:, None] * self.stride[glob])
         return rows[:, None, :] + j[None, :, None]
 
+    def block_offsets(self, pairs, first):
+        """(n, nc, nc) CSR slots of the component pairs (i, j) of the
+        ``pairs`` (a slice or an array of pair ids), less the slot
+        ``first``, in the index dtype: each pair's block, row-major."""
+        j = np.arange(self.nc, dtype=self.indptr.dtype)
+        return ((self.start[pairs] - first)[:, None]
+                + self.stride[pairs][:, None] * j)[:, :, None] + j
+
+    def with_chunks(self, elements, chunks, own):
+        """This plan, its arrays shared, for the element slices ``chunks``
+        of ``elements``: a chunk that is one of the plan's own chunks, the
+        slices ``own``, takes its pair ids, any other those of
+        ``pair_ids``."""
+        known = {(sl.start, sl.stop): c for c, sl in enumerate(own)}
+        plan = copy.copy(self)
+        plan.chunks = []
+        for sl in chunks:
+            c = known.get((sl.start, sl.stop))
+            if c is None:
+                glob, local = self.pair_ids(elements[sl])
+                plan.chunks.append((glob.astype(self.indptr.dtype), local))
+            else:
+                plan.chunks.append(self.chunks[c])
+        return plan
+
     def row_range(self, first, last):
         """(lo, hi) of the CSR data of the whole node rows of pairs
         ``first`` to ``last``."""
@@ -735,8 +777,12 @@ class _ProblemBase:
 
         self.dir_mask = np.zeros(self.n_dofs, dtype=bool)
         self.dir_values = np.zeros(self.n_dofs)
+        # a tag's nodes, sorted, by a node mask: no sort of its faces
+        on_tag = np.empty(self.n_nodes, dtype=bool)
         for tag in sorted(bcs.dirichlet):
-            nodes = np.unique(self._mantle_faces(tag))
+            on_tag[:] = False
+            on_tag[self._mantle_faces(tag)] = True
+            nodes = np.flatnonzero(on_tag)
             x = node_coords[nodes]
             velocity = np.asarray(bcs.dirichlet[tag](x[:, :n_sd], x[:, n_sd]))
             for c in range(n_sd):
@@ -777,20 +823,25 @@ class _ProblemBase:
 
     def stabilization(self, values: np.ndarray) -> StabilizationContext:
         """tau_MOM and tau_CONT per element at the barycentric velocity."""
+        return self._stabilization(values, len(self.elements))
+
+    def _stabilization(self, values, n):
+        """``stabilization`` of the first ``n`` elements alone."""
         n_sd = self.n_sd
         values = np.asarray(values, dtype=float).reshape(self.n_nodes,
                                                          self.ncomp)
+        elements = self.elements[:n]
         if self.convective:
             # the mean of the nodal velocities, one node column at a time
             vel = values[:, :n_sd]
-            u_bary = vel[self.elements[:, 0]]
-            for k in range(1, self.elements.shape[1]):
-                u_bary += vel[self.elements[:, k]]
-            u_bary /= self.elements.shape[1]
+            u_bary = vel[elements[:, 0]]
+            for k in range(1, elements.shape[1]):
+                u_bary += vel[elements[:, k]]
+            u_bary /= elements.shape[1]
         else:
             # Stokes limit: tau must not depend on the iterate so the
             # system stays exactly linear
-            u_bary = np.zeros((len(self.elements), n_sd))
+            u_bary = np.zeros((n, n_sd))
         uGu, GG, gg = self._tau_terms(u_bary)
         return StabilizationContext(*tau_parameters(
             uGu, self.material.nu, GG, gg=gg))
@@ -800,18 +851,29 @@ class _ProblemBase:
         """(LinearSystem or None, rhs, |rhs|) of the Newton step at ``values``.
 
         ``tau_override`` supplies frozen stabilization parameters; without it
-        they are evaluated at ``values``.
+        they are evaluated at ``values``.  Without it, and for a
+        level-periodic ``values`` (``_periodic``), the volume terms are
+        those of element levels 0 and 1, turned into the other levels
+        (``_turn_levels``), and one ``assembly periodic levels=2/<L>
+        dev=<deviation>`` line is logged; ``residual_norm`` takes the same
+        decision, so it gives the same bytes.
         """
         values = np.asarray(values, dtype=float).reshape(self.n_nodes,
                                                          self.ncomp)
         _, chunks, lanes = self._chunks
         new_plan = want_matrix and "_csr_plan" not in vars(self)
+        dev = None if tau_override is not None else self._periodic(values)
         t0 = time.perf_counter()
         # cached geometry is filled here, before the metric and the lanes
         # read it
         self._volume_geometry(slice(0, 0))
         t1 = time.perf_counter()
-        stab = tau_override or self.stabilization(values)
+        if tau_override is not None:
+            stab = tau_override
+        elif dev is None:
+            stab = self.stabilization(values)
+        else:
+            stab = self._stabilization(values, 2 * self._levels[0])
         t2 = time.perf_counter()
         plan = self._csr_plan if want_matrix else None
         if new_plan:
@@ -820,7 +882,16 @@ class _ProblemBase:
                         len(plan.keys), plan.nnz, self._levels[1], len(lanes),
                         len(chunks), plan.build_s, t1 - t0, t2 - t1)
 
-        R, data = self._volume(values, stab, plan, chunks, lanes)
+        if dev is None:
+            R, data = self._volume(values, stab, plan, chunks, lanes)
+        else:
+            logger.info("assembly periodic levels=2/%d dev=%.1e",
+                        self._levels[1], dev)
+            _, chunks, lanes = self._base_chunks
+            R, data = self._volume(values, stab,
+                                   None if plan is None else self._base_plan,
+                                   chunks, lanes)
+            self._turn_levels(R, data, plan)
         self._add_jump(values, R, data)
         for dofs, Rloc in self._traction:
             _add_local(R, dofs, Rloc)
@@ -923,6 +994,24 @@ class _ProblemBase:
         n_per, _, n_sp = self._levels
         return _CsrPlan(self.elements, self.n_nodes, self.ncomp, self.dir_mask,
                         self._chunks[1], n_per, n_sp)
+
+    @cached_property
+    def _base_chunks(self):
+        """The (size, chunks, lanes) of ``_partition`` of element levels 0
+        and 1 alone, which a level-periodic system assembles."""
+        n_per = self._levels[0]
+        return _partition(n_per, 2, self.elements.shape[1] * self.ncomp)
+
+    @cached_property
+    def _base_plan(self) -> _CsrPlan:
+        """The plan with the pair ids of the chunks of ``_base_chunks``."""
+        return self._csr_plan.with_chunks(self.elements, self._base_chunks[1],
+                                          self._chunks[1])
+
+    def _periodic(self, values):
+        """None: a family whose levels are not turned copies of one
+        another assembles every level (see ``SpaceTimeProblem``)."""
+        return None
 
     @cached_property
     def _cap(self):
@@ -1099,6 +1188,88 @@ class SpaceTimeProblem(_ProblemBase):
                                  self._gradients(sl),
                                  self.body_force is not None)
 
+    def _periodic(self, values):
+        """The largest deviation of ``values`` (n_nodes, nc) from a
+        level-periodic iterate, relative to max|values|, or None.
+
+        Node level m of a stack of L >= 3 levels is node level 0 under the
+        rotation Q_m of its level, Q_m = R_m for m < L and Q_L = R_{L-1}
+        R_1 (the top, node level 1 under R_{L-1}).  An iterate is
+        level-periodic when each node level's velocity is level 0's turned
+        by Q_m and its pressure level 0's, within ``SHARE_TOL`` of
+        max|values|.  Without a body force, whose value depends on where
+        and when a point lies, element level k then computes level 0's
+        terms turned by R_k.  None for any other iterate, for fewer levels,
+        with a body force, and where ``values`` are not finite."""
+        _, L, n_sp = self._levels
+        if L < 3 or self.body_force is not None:
+            return None
+        scale = np.abs(values).max()
+        if not np.isfinite(scale):
+            return None
+        n_sd, stack = self.n_sd, self.mesh.level_stack[1]
+        levels = values.reshape(L + 1, n_sp, self.ncomp)
+        u0, p0 = levels[0, :, :n_sd], levels[0, :, n_sd]
+        gap = 0.0
+        for m in range(1, L + 1):
+            Q = stack[m] if m < L else stack[L - 1] @ stack[1]
+            gap = max(gap, np.abs(levels[m, :, :n_sd] - u0 @ Q.T).max(),
+                      np.abs(levels[m, :, n_sd] - p0).max())
+            if not gap <= SHARE_TOL * scale:
+                return None
+        return gap / scale if scale else 0.0
+
+    def _turn_levels(self, R, data, plan):
+        """Fill the rows of node levels 2 to L of a level-periodic system,
+        in the residual ``R`` and, unless it is None, the CSR ``data`` of
+        ``plan``, from those that element levels 0 and 1 left.
+
+        Node level m's rows are node level 1's turned by R_{m-1}, and the
+        top's are node level 2's from element level 1 alone turned by
+        R_{L-2}, so the top is filled first.  A velocity row turns by R, a
+        pair's block B by T B T^T, T = diag(R, 1).  In the plan's layout
+        (``_by_levels``) node level m's CSR data is node level 1's range
+        moved by m - 1 levels, so node level 1's blocks are gathered once,
+        by offsets in the index dtype, and scattered into each level.  The
+        top's pairs are looked up among node level 2's."""
+        _, L, n_sp = self._levels
+        nc, n_sd = self.ncomp, self.n_sd
+        turns = self._rotations
+        rows = R.reshape(L + 1, n_sp, nc)
+
+        def turn_rows(src, k, dst):
+            dst[...] = src
+            if turns[k] is not None:
+                dst[:, :n_sd] = src[:, :n_sd] @ turns[k].T
+
+        def turn_blocks(blocks, k):
+            if turns[k] is None:
+                return blocks
+            T = np.eye(nc)
+            T[:n_sd, :n_sd] = turns[k]
+            n = len(blocks)
+            return (blocks.reshape(n, -1) @ np.kron(T, T).T).reshape(n, nc, nc)
+
+        turn_rows(rows[2], L - 2, rows[L])
+        for m in range(2, L):
+            turn_rows(rows[1], m - 1, rows[m])
+        if data is None:
+            return
+        lo, hi, top = np.searchsorted(
+            plan.keys, np.array([1, 2, L]) * n_sp * plan.n_nodes)
+        first, second, last = (int(plan.start[p]) for p in (lo, hi, top))
+        step = second - first  # the entries of an interior node level
+        # the top's pairs are those of node level 2 from element level 1
+        src = hi + np.searchsorted(
+            plan.keys[hi:hi + hi - lo],
+            plan.keys[top:] - (L - 2) * n_sp * (plan.n_nodes + 1))
+        data[last:][plan.block_offsets(slice(top, None), last)] = turn_blocks(
+            data[second:][plan.block_offsets(src, second)], L - 2)
+        inner = plan.block_offsets(slice(lo, hi), first)
+        blocks = data[first:second][inner]
+        for m in range(2, L):
+            data[first + (m - 1) * step:][inner] = turn_blocks(blocks, m - 1)
+
     def _bottom_cap(self):
         mesh = self.mesh
         ids = mesh.boundary_facets[mesh.bottom_facets]
@@ -1106,14 +1277,16 @@ class SpaceTimeProblem(_ProblemBase):
 
     def _tau_terms(self, u):
         """The advective form from level 0's gradients and each element's
-        velocity in level 0's frame, R_k^T u, then the cached norms."""
+        velocity in level 0's frame, R_k^T u, then the cached norms, for
+        the first len(u) elements."""
         n_per = self.mesh.level_stack[0]
         u0 = u.copy()
         for k, R in enumerate(self._rotations):
             if R is not None:
                 level = slice(k * n_per, (k + 1) * n_per)
                 u0[level] = u[level] @ R
-        return (simplex_advective_form(self._gradients0, u0),) + self._metric
+        return ((simplex_advective_form(self._gradients0, u0),)
+                + tuple(a[:len(u)] for a in self._metric))
 
     @cached_property
     def _metric(self):

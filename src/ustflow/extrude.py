@@ -209,14 +209,17 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     mesh = SpaceTimeMesh(nodes, elements, boundary, tags, tag_names,
                          spec.t0, spec.tN, facet_groups=groups,
                          fix_orientation=False)
-    bad = degenerate(mesh.jacobian_dets, mesh.max_edge_lengths, mesh.dim)
-    bad |= np.tile(sign.ravel() == 0, L)
+    # a found stack's levels hold level 0's determinants and edges, so
+    # level 0 holds the first inverted element; else every level is checked
+    n_per, rotations = mesh.level_stack
+    bad = degenerate(mesh.jacobian_dets[:n_per], mesh.max_edge_lengths[:n_per],
+                     mesh.dim)
+    bad |= np.tile(sign.ravel() == 0, n_per // len(path))
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         raise InvertedElement(
             f"twist per level too large: element {first} inverted",
             element=first, level=first // len(path))
-    n_per, rotations = mesh.level_stack
     logger.info("extrude levels=%d n_per=%d elements=%d stack=%s s=%.3f", L,
                 n_per, mesh.n_elements,
                 "found" if len(rotations) > 1 else "one-level",

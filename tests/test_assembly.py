@@ -23,7 +23,7 @@ from ustflow.errors import ConfigurationError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
                              extrude_simplex_st, rigid_rotation_positions,
                              rotation_matrix)
-from ustflow.geometry import box2d, box3d, disk2d
+from ustflow.geometry import annulus2d, box2d, box3d, disk2d
 from ustflow.mesh import SpaceTimeMesh, reference_gradients
 from ustflow.quadrature import prism_quadrature
 from ustflow.stabilization import (StabilizationContext, advective_form,
@@ -693,13 +693,11 @@ class TestDeterminism:
             assert np.array_equal(s1.matrix.data, s2.matrix.data)
             assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
 
-    @pytest.mark.parametrize("family", ["simplex", "pentatope", "prism"])
+    @pytest.mark.parametrize("family", ["simplex", "pentatope", "prism",
+                                        "periodic"])
     def test_residual_same_with_and_without_matrix(self, family, rng):
-        problem = {"simplex": twisted_simplex_problem,
-                   "pentatope": lambda: pentatope_problem(rng),
-                   "prism": lambda: twisted_prism_problem(rng)}[family]()
-        U = problem.impose_dirichlet(
-            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
+        problem = TestLanes.problem(family, rng)
+        U = TestLanes.field(family, problem, rng)
         _, r1, n1 = problem.system(U)
         _, r2, n2 = problem.system(U, want_matrix=False)
         assert r1.tobytes() == r2.tobytes()
@@ -912,6 +910,50 @@ def twisted_prism_problem(rng):
                                                             0 * t + 1.0])}),
         gauge=(0, 0.1),
         jump_data=rng.uniform(-1, 1, size=(spatial.n_nodes, 2)))
+
+
+def periodic_problem():
+    """A 4-level annulus extrusion twisted about the origin, with data that
+    turn with it: a rotating inner wall, the initial condition 0.3 x, and a
+    traction on the outer wall that changes with t, which every level
+    takes after the turn."""
+    traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.7)
+    st = extrude_simplex_st(annulus2d(0.5, 1.0, 2, 12),
+                            ExtrusionSpec(0.0, 0.4, 4, traj))
+    return make_problem(
+        st, mu=0.2,
+        dirichlet={"inner": rigid_surface_velocity(0.7, (0.0, 0.0))},
+        neumann={"outer": lambda x, t: np.column_stack([x[:, 1] * t,
+                                                        1.0 + t])},
+        ic=lambda x: 0.3 * x)
+
+
+def periodic_field(problem, rng):
+    """A level-periodic iterate of a 2D mesh twisted about the origin:
+    velocity f(r) x + g(r) Jx and pressure h(r), r = |x|, J the quarter
+    turn, for random cubics f, g and h.  Each node level's values are then
+    level 0's turned with its nodes."""
+    x = problem.mesh.spatial_coords
+    r = np.linalg.norm(x, axis=1)
+    f, g, h = (np.polyval(rng.uniform(-1, 1, 4), r) for _ in range(3))
+    U = np.empty((problem.n_nodes, 3))
+    U[:, :2] = f[:, None] * x + g[:, None] * np.column_stack([-x[:, 1],
+                                                              x[:, 0]])
+    U[:, 2] = h
+    assert problem._periodic(U) is not None
+    return U
+
+
+def every_level_path(monkeypatch):
+    """Make every system assemble every element level, the oracle of the
+    level-periodic path."""
+    monkeypatch.setattr(SpaceTimeProblem, "_periodic",
+                        lambda self, values: None)
+
+
+def periodic_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("assembly periodic ")]
 
 
 class TestCsrPlan:
@@ -1241,7 +1283,17 @@ class TestLanes:
     def problem(family, rng):
         return {"simplex": twisted_simplex_problem,
                 "pentatope": lambda: pentatope_problem(rng),
-                "prism": lambda: twisted_prism_problem(rng)}[family]()
+                "prism": lambda: twisted_prism_problem(rng),
+                "periodic": periodic_problem}[family]()
+
+    @staticmethod
+    def field(family, problem, rng):
+        """A random iterate with its Dirichlet values, or for the
+        ``periodic`` family a level-periodic one."""
+        if family == "periodic":
+            return periodic_field(problem, rng)
+        return problem.impose_dirichlet(
+            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
 
     @pytest.fixture(params=["simplex", "pentatope", "prism"])
     def family(self, request):
@@ -1261,11 +1313,12 @@ class TestLanes:
             0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
         assert TestJacobianFD().fd_check(problem, U, rng) < 1e-5
 
+    @pytest.mark.parametrize("family", ["simplex", "pentatope", "prism",
+                                        "periodic"])
     def test_residual_same_with_and_without_matrix(self, family, rng,
                                                    monkeypatch):
         problem = split_into_chunks(monkeypatch, self.problem(family, rng))
-        U = problem.impose_dirichlet(
-            0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp)))
+        U = self.field(family, problem, rng)
         _, r1, n1 = problem.system(U)
         _, r2, n2 = problem.system(U, want_matrix=False)
         assert r1.tobytes() == r2.tobytes()
@@ -1293,10 +1346,13 @@ class TestLanes:
         assert list(seconds) == ["plan_s", "geometry_s", "metric_s"]
         assert all(float(v) >= 0.0 for v in seconds.values())
 
+    @pytest.mark.parametrize("family", ["simplex", "pentatope", "prism",
+                                        "periodic"])
     def test_same_bytes_on_any_thread_count(self, family, rng, monkeypatch):
         """One, two and four workers (more than this machine's cores), with
         threads switched every microsecond: a lost update in the lanes
-        would change the bytes."""
+        would change the bytes.  The level-periodic system's two element
+        levels take a lane each."""
         U = None
         out = []
         interval = sys.getswitchinterval()
@@ -1308,8 +1364,7 @@ class TestLanes:
                     monkeypatch,
                     self.problem(family, np.random.default_rng(3)))
                 if U is None:
-                    U = problem.impose_dirichlet(0.5 * rng.uniform(
-                        -1, 1, size=(problem.n_nodes, problem.ncomp)))
+                    U = self.field(family, problem, rng)
                 with ThreadPoolExecutor(workers) as pool:
                     monkeypatch.setattr(assembly, "_pool", pool)
                     system, rhs, _ = problem.system(U)
@@ -1319,6 +1374,8 @@ class TestLanes:
         finally:
             sys.setswitchinterval(interval)
         assert out[0] == out[1] == out[2]
+        if family == "periodic":
+            assert len(problem._base_chunks[2]) == 2
 
     def test_lanes_sum_as_if_alone(self, rng, monkeypatch):
         """The volume matrix of two pentatope lanes has the bytes of each
@@ -1902,6 +1959,134 @@ class TestLevelStack:
         assert problem._gradients0.tobytes() == mesh.gradients.tobytes()
         G = problem._gradients(slice(None))
         assert G.tobytes() == np.moveaxis(mesh.gradients, 0, -1).tobytes()
+
+
+class TestLevelPeriodic:
+    """A level-periodic iterate's system from element levels 0 and 1,
+    turned into the other levels, against the path that assembles every
+    level."""
+
+    @staticmethod
+    def ust_problem(name):
+        from ustflow.scenarios import builtin_cases
+        spec = builtin_cases()[name]()
+        return spec.problem(spec.ust_mesh())
+
+    @staticmethod
+    def systems(problem, U):
+        """(A, rhs, norm) of ``problem`` at ``U`` and its residual norm."""
+        system, rhs, norm = problem.system(U)
+        return system.matrix, rhs, norm, problem.residual_norm(U)
+
+    @pytest.mark.parametrize("name", ["stirrer2d", "stirrer3d", "channel2d",
+                                      "couette2d"])
+    def test_matches_every_level_path(self, name, monkeypatch, caplog):
+        problem = self.ust_problem(name)
+        U = problem.initial_guess()
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            A, rhs, norm, rnorm = self.systems(problem, U)
+        L = problem._levels[1]
+        lines = periodic_lines(caplog)
+        assert len(lines) == 2
+        assert lines[0].startswith(f"assembly periodic levels=2/{L} dev=")
+        assert float(lines[0].split("dev=")[1]) <= 1e-12
+        # system and residual_norm take the same path and the same bytes
+        assert rnorm == norm
+        every_level_path(monkeypatch)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            A0, rhs0, norm0, _ = self.systems(problem, U)
+        assert periodic_lines(caplog) == []
+        assert np.array_equal(A.indptr, A0.indptr)
+        assert np.array_equal(A.indices, A0.indices)
+        assert np.abs(A.data - A0.data).max() <= 1e-14 * np.abs(A0.data).max()
+        assert np.abs(rhs - rhs0).max() <= 1e-14 * np.abs(rhs0).max()
+        assert abs(norm - norm0) <= 1e-14 * norm0
+
+    @pytest.mark.parametrize("level, comp", [(5, 0), (5, 2), (1, 1),
+                                             (17, 0)])
+    def test_perturbed_level_takes_every_level_path(self, level, comp,
+                                                    monkeypatch, caplog):
+        """One value of one node moved by 1e-9 max|U|, a velocity or the
+        pressure, at node level 5, 1 or the top (17): the full path, with
+        its bytes."""
+        problem = self.ust_problem("stirrer2d")
+        U = problem.initial_guess()
+        n_sp = problem._levels[2]
+        U[level * n_sp + 17, comp] += 1e-9 * np.abs(U).max()
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            A, rhs, norm, rnorm = self.systems(problem, U)
+        assert periodic_lines(caplog) == []
+        every_level_path(monkeypatch)
+        A0, rhs0, norm0, rnorm0 = self.systems(problem, U)
+        assert A.data.tobytes() == A0.data.tobytes()
+        assert rhs.tobytes() == rhs0.tobytes()
+        assert (norm, rnorm) == (norm0, rnorm0)
+
+    def test_body_force_prisms_and_frozen_tau_take_every_level_path(
+            self, rng, caplog):
+        """The manufactured case, whose body force depends on where and
+        when, a prism slab and a frozen tau assemble every level."""
+        from ustflow.scenarios import make_manufactured, make_stirrer2d
+        spec = make_manufactured()
+        manufactured = spec.problem(spec.ust_mesh())
+        assert manufactured._levels[1] >= 3
+        spec = make_stirrer2d()
+        slab = spec.problem(spec.slab(0))
+        periodic = periodic_problem()
+        U = periodic_field(periodic, rng)
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            for problem in (manufactured, slab):
+                problem.system(problem.initial_guess())
+                problem.residual_norm(problem.initial_guess())
+            periodic.system(U, tau_override=periodic.stabilization(U))
+            assert periodic_lines(caplog) == []
+            periodic.system(U)
+        assert len(periodic_lines(caplog)) == 1
+
+    def test_only_the_first_run_ust_system(self, caplog):
+        """In ``run_ust`` the initial guess is level-periodic, and no later
+        iterate is."""
+        from ustflow.scenarios import make_stirrer2d, run_ust
+        from ustflow.solver import NewtonConfig
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            run_ust(make_stirrer2d(), NewtonConfig(max_iter=2))
+        messages = [r.getMessage() for r in caplog.records]
+        first = [i for i, m in enumerate(messages)
+                 if m.startswith("assembly periodic ")]
+        iters = [i for i, m in enumerate(messages)
+                 if m.startswith("newton iter=")]
+        assert len(first) == 1 and len(iters) == 3
+        assert first[0] < iters[0]
+
+
+class TestDirichletNodes:
+    @pytest.mark.parametrize("name", ["stirrer2d", "stirrer3d", "channel2d",
+                                      "slab"])
+    def test_same_as_unique_of_faces(self, name):
+        """The node mask gives the Dirichlet dofs and values of each tag's
+        ``np.unique`` of its mantle faces."""
+        from ustflow.scenarios import builtin_cases
+        spec = builtin_cases()["stirrer2d" if name == "slab" else name]()
+        problem = spec.problem(spec.slab(1) if name == "slab"
+                               else spec.ust_mesh())
+        nc, n_sd = problem.ncomp, problem.n_sd
+        coords = (problem.slab.node_coords() if name == "slab"
+                  else problem.mesh.nodes)
+        mask = np.zeros(problem.n_dofs, dtype=bool)
+        values = np.zeros(problem.n_dofs)
+        for tag in sorted(spec.bcs.dirichlet):
+            nodes = np.unique(problem._mantle_faces(tag))
+            x = coords[nodes]
+            velocity = spec.bcs.dirichlet[tag](x[:, :n_sd], x[:, n_sd])
+            for c in range(n_sd):
+                mask[nodes * nc + c] = True
+                values[nodes * nc + c] = velocity[:, c]
+        gauge = problem.dir_dofs[problem.dir_dofs % nc == n_sd]
+        mask[gauge] = True
+        values[gauge] = problem.dir_values[gauge]
+        assert problem.dir_dofs.tobytes() == np.flatnonzero(mask).tobytes()
+        assert problem.dir_values.tobytes() == values.tobytes()
 
 
 class TestPartition:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ustflow.extrude as extrude_module
 import ustflow.mesh as mesh_module
 from ustflow.errors import InvertedElement, MeshTopologyError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory, decompose_prism,
@@ -208,6 +209,35 @@ class TestExtrusion:
         with pytest.raises(InvertedElement) as err:
             extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2, traj))
         assert err.value.level == 0
+
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_inverted_element_is_the_whole_mesh_check_s_first(
+            self, levels, monkeypatch):
+        """A found stack checks level 0 alone and a one-level mesh every
+        element; both raise for the first element that a check of the
+        whole mesh flags."""
+        spatial = disk2d(1.0, 2, 8)
+        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=40.0)
+        spec = ExtrusionSpec(0.0, 1.0 * levels, levels, traj)
+        checked = []
+        real = extrude_module.degenerate
+
+        def spy(det, h, dim):
+            checked.append(len(det))
+            return real(det, h, dim)
+
+        monkeypatch.setattr(extrude_module, "degenerate", spy)
+        with pytest.raises(InvertedElement) as err:
+            extrude_simplex_st(spatial, spec)
+        # the mesh as built, unchecked, and the check of all its elements
+        monkeypatch.setattr(extrude_module, "degenerate",
+                            lambda det, h, dim: np.zeros(len(det), bool))
+        mesh = extrude_simplex_st(spatial, spec)
+        first = np.flatnonzero(real(mesh.jacobian_dets, mesh.max_edge_lengths,
+                                    mesh.dim))[0]
+        n_path = mesh.n_elements // levels
+        assert checked == [n_path]
+        assert (err.value.element, err.value.level) == (first, first // n_path)
 
     @pytest.mark.parametrize("n_sd", [2, 3])
     def test_non_element_boundary_facet_raises(self, n_sd):

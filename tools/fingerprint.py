@@ -20,7 +20,11 @@ The digests cover
   a line of its own;
 - the first Newton system (CSR ``data``, ``indices``, ``indptr`` and the
   right-hand side) of the stirrer2d UST problem, of its first prism slab
-  and of the stirrer3d UST problem;
+  and of the stirrer3d UST problem.  Their UST initial guesses are
+  level-periodic, so those systems are built from two element levels
+  (see ``assembly``); the ``perturbed`` line, the stirrer2d UST system at
+  its initial guess with node level 5's pressure raised by 1.0, assembles
+  every level;
 - the final stirrer2d fields of ``run_ust`` and ``run_slab``;
 - the first Newton system of channel2d in both modes, the one shipped
   case with a Neumann tag, so the only lines that cover the traction term.
@@ -58,6 +62,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from ustflow.mesh import time_levels  # noqa: E402
 from ustflow.scenarios import (make_channel2d, make_stirrer2d,  # noqa: E402
                                make_stirrer3d, run_slab, run_ust)
 from ustflow.stabilization import mesh_metric  # noqa: E402
@@ -92,11 +97,22 @@ def tau(problem) -> dict:
     return {"tau_mom": stab.tau_mom, "tau_cont": stab.tau_cont}
 
 
-def first_system(problem) -> dict:
-    system, _, _ = problem.system(problem.initial_guess())
+def first_system(problem, values=None) -> dict:
+    """The Newton system at ``values``, by default the initial guess."""
+    if values is None:
+        values = problem.initial_guess()
+    system, _, _ = problem.system(values)
     A = system.matrix
     return {"data": A.data, "indices": A.indices, "indptr": A.indptr,
             "rhs": system.rhs}
+
+
+def perturbed(problem):
+    """The initial guess with the pressure of node level 5 raised by 1.0:
+    not level-periodic, so its system assembles every element level."""
+    values = problem.initial_guess()
+    values[time_levels(problem.mesh.times)[0] == 5, problem.n_sd] += 1.0
+    return values
 
 
 def lines():
@@ -110,6 +126,7 @@ def lines():
     yield "metric stirrer2d ust  ", dict(zip(metric, mesh_metric(ust2.mesh)))
     yield "tau    stirrer2d ust  ", tau(ust2)
     yield "system stirrer2d ust  ", first_system(ust2)
+    yield "system stirrer2d ust perturbed", first_system(ust2, perturbed(ust2))
     yield "system stirrer2d slab ", first_system(s2.problem(s2.slab(0)))
     del ust2
     ust3 = s3.problem(s3.ust_mesh())
