@@ -26,11 +26,12 @@ nen, E) block of component pair (i, j) into a buffer of its lane, one
 the chunk's sums are added straight at their CSR slots.  No chunk's local
 matrices exist as one array, and there is no format conversion.
 
-Every problem is a stack of L >= 1 identical element levels: a space-time
-mesh's ``level_stack``, which the mesh finds by comparison, or one level
-(a prism slab, or a mesh that is not such a stack).  Level k is level 0
-with node ids shifted by k levels and its nodes moved by a rigid motion
-with rotation R_k, so the set-up is done for level 0 alone and reused:
+Every problem is a stack of L >= 1 identical element levels, its
+``level_stack``: a space-time mesh's ``LevelStack``, which the mesh finds
+by comparison, or one level (a prism slab, or a mesh that is not such a
+stack).  Level k is level 0 with node ids shifted by k levels and its
+nodes moved by a rigid motion with rotation R_k, so the set-up is done
+for level 0 alone and reused, and every rotation is the stack's:
 - the chunks of ``_partition`` repeat from level to level, so the plan
   numbers the pairs of each distinct chunk of level 0 on, a template, by
   one ``np.unique``, and every chunk of that template shares its local ids;
@@ -50,13 +51,13 @@ with rotation R_k, so the set-up is done for level 0 alone and reused:
   turned: tau and the kernel run on those two levels only, in a
   partition of their own (``_base_chunks``), and node level m's CSR and
   residual rows are node level 1's with each pair block B turned to
-  T B T^T, T = diag(R_{m-1}, 1); the top's are node level 2's, from
-  element level 1 alone, turned by R_{L-2}.  The jump, traction and
-  Dirichlet terms are added after the turn.  The first Newton system of
-  an extrusion whose initial and wall data are constant in time and turn
-  with the mesh, as in every shipped UST case but the manufactured one
-  (it has a body force), is such a system; a later Newton iterate is
-  not.
+  T B T^T, T = diag(R_{m-1}, 1) (``LevelStack.turn``); the top's are node
+  level 2's, from element level 1 alone, turned by R_{L-2}.  The jump,
+  traction and Dirichlet terms are added after the turn.  The first
+  Newton system of an extrusion whose initial and wall data are constant
+  in time and turn with the mesh, as in every shipped UST case but the
+  manufactured one (it has a body force), is such a system; a later
+  Newton iterate is not.
 
 A chunk has at most ``_CHUNK_ENTRIES`` local-matrix entries, which
 would be 8 MB of local matrices; a lane holds one component-pair block of
@@ -79,8 +80,8 @@ and tau, then builds the plan, all on the calling thread; the problem's
 one ``assembly plan`` log line gives the seconds of each and the depth of
 the level stack.  A family supplies the geometry of its elements:
 
-- ``_levels``: (n_per, L, n_sp), the elements and nodes per level of its
-  level stack and the stack's depth;
+- ``level_stack``: its ``LevelStack``, the elements and nodes per level,
+  the depth L and the rotations;
 - ``_volume_geometry(sl)``: the arguments of the element kernel
   ``_element_terms`` for a chunk of elements;
 - ``_bottom_cap()``: node ids and spatial coordinates of the bottom-cap
@@ -127,8 +128,9 @@ import scipy.sparse as sp
 
 from .errors import (ConfigurationError, MissingPreviousState,
                      NonFiniteResidual)
-from .mesh import (SimplexMesh, SpaceTimeMesh, basis_eval, cofactor_det,
-                   jacobians_last, reference_gradients, time_levels)
+from .mesh import (LevelStack, SimplexMesh, SpaceTimeMesh, basis_eval,
+                   cofactor_det, jacobians_last, reference_gradients,
+                   time_levels)
 from .quadrature import interval_gauss, prism_quadrature, simplex_quadrature
 from .solver import SHARE_TOL
 from .stabilization import (StabilizationContext, advective_form,
@@ -748,10 +750,6 @@ class _ProblemBase:
     constructor; it supplies the geometry named in the module docstring.
     """
 
-    # (R, twin) of levels that are turned copies of one level, for the
-    # time-level sweep; a simplex mesh's level stack has them
-    level_rotations = None
-
     def __init__(self, node_coords, elements, tag_names, levels, material,
                  bcs, body_force, convective, gauge, jump_data):
         """``node_coords`` are the space-time nodes (time last), ``levels``
@@ -873,20 +871,21 @@ class _ProblemBase:
         elif dev is None:
             stab = self.stabilization(values)
         else:
-            stab = self._stabilization(values, 2 * self._levels[0])
+            stab = self._stabilization(values, 2 * self.level_stack.n_per)
         t2 = time.perf_counter()
         plan = self._csr_plan if want_matrix else None
         if new_plan:
             logger.info("assembly plan pairs=%d nnz=%d levels=%d lanes=%d "
                         "chunks=%d plan_s=%.3f geometry_s=%.3f metric_s=%.3f",
-                        len(plan.keys), plan.nnz, self._levels[1], len(lanes),
-                        len(chunks), plan.build_s, t1 - t0, t2 - t1)
+                        len(plan.keys), plan.nnz, self.level_stack.L,
+                        len(lanes), len(chunks), plan.build_s, t1 - t0,
+                        t2 - t1)
 
         if dev is None:
             R, data = self._volume(values, stab, plan, chunks, lanes)
         else:
             logger.info("assembly periodic levels=2/%d dev=%.1e",
-                        self._levels[1], dev)
+                        self.level_stack.L, dev)
             _, chunks, lanes = self._base_chunks
             R, data = self._volume(values, stab,
                                    None if plan is None else self._base_plan,
@@ -984,23 +983,24 @@ class _ProblemBase:
     def _chunks(self):
         """The (size, chunks, lanes) of ``_partition``, fixed at the first
         system so that the plan and the lanes keep sharing it."""
-        n_per, n_levels, _ = self._levels
-        return _partition(n_per, n_levels, self.elements.shape[1] * self.ncomp)
+        stack = self.level_stack
+        return _partition(stack.n_per, stack.L,
+                          self.elements.shape[1] * self.ncomp)
 
     @cached_property
     def _csr_plan(self) -> _CsrPlan:
         """Built on the first matrix request, never by the constructor or a
         residual-only call."""
-        n_per, _, n_sp = self._levels
+        stack = self.level_stack
         return _CsrPlan(self.elements, self.n_nodes, self.ncomp, self.dir_mask,
-                        self._chunks[1], n_per, n_sp)
+                        self._chunks[1], stack.n_per, stack.n_sp)
 
     @cached_property
     def _base_chunks(self):
         """The (size, chunks, lanes) of ``_partition`` of element levels 0
         and 1 alone, which a level-periodic system assembles."""
-        n_per = self._levels[0]
-        return _partition(n_per, 2, self.elements.shape[1] * self.ncomp)
+        return _partition(self.level_stack.n_per, 2,
+                          self.elements.shape[1] * self.ncomp)
 
     @cached_property
     def _base_plan(self) -> _CsrPlan:
@@ -1126,61 +1126,28 @@ class SpaceTimeProblem(_ProblemBase):
         return np.asarray(self.bcs.initial(self.mesh.spatial_coords))
 
     @property
-    def _levels(self):
-        n_per, rotations = self.mesh.level_stack
-        return n_per, len(rotations), self.n_nodes // (len(rotations) + 1)
-
-    @cached_property
-    def level_rotations(self):
-        """(R, twin) of the mesh's level stack for the time-level sweep
-        (``TimeLevelPreconditioner``), or None for a mesh of one level:
-        ``twin`` maps each node of node levels 1 to L-1 to its copy in node
-        level 1, and R[l] turns that copy into node level l.  Node level
-        l >= 1 is the top of element level l - 1, so R[l] is that level's
-        rotation.  The nodes of node levels 0 and L are their own twins,
-        with R = I: level 0 carries the jump term and level L has one
-        element level, so neither block is level 1's turned, and the sweep
-        factors both without comparing them."""
-        stack = self.mesh.level_stack[1]
-        if len(stack) < 2:
-            return None
-        n_sp = self._levels[2]
-        eye = np.eye(self.n_sd)[None]
-        twin = np.arange(self.n_nodes)
-        twin[n_sp:-n_sp] = twin[n_sp:-n_sp] % n_sp + n_sp
-        return np.concatenate([eye, stack[:-1], eye]), twin
+    def level_stack(self) -> LevelStack:
+        return self.mesh.level_stack
 
     @cached_property
     def _gradients0(self):
         """(n_per, dim+1, dim) P1 gradients of level 0 of the mesh's level
         stack, the problem's one copy of them."""
-        return self.mesh.gradients_of(slice(self.mesh.level_stack[0]))
-
-    @cached_property
-    def _rotations(self):
-        """R_k of each level of the mesh's level stack, None for the
-        identity, which is applied as no arithmetic at all: a one-level mesh
-        keeps the bytes of its own gradients."""
-        eye = np.eye(self.n_sd)
-        return [None if np.array_equal(R, eye) else R
-                for R in self.mesh.level_stack[1]]
+        return self.mesh.gradients_of(slice(self.level_stack.n_per))
 
     def _gradients(self, sl):
         """(dim+1, dim, E) P1 gradients of the elements ``sl``, element-last:
         level 0's, with the spatial columns of a level-k element rotated by
         R_k, G[:, :n_sd] R_k^T; d/dt is unchanged."""
-        grads0, n_sd = self._gradients0, self.n_sd
-        n_per = self.mesh.level_stack[0]
+        grads0, stack = self._gradients0, self.level_stack
+        n_per, shape = stack.n_per, grads0.shape[1:]
         start, stop, _ = sl.indices(len(self.elements))
-        out = np.empty(grads0.shape[1:] + (stop - start,))
+        out = np.empty(shape + (stop - start,))
         for k in range(start // n_per, -(-stop // n_per)):
             lo, hi = max(start, k * n_per), min(stop, (k + 1) * n_per)
-            part = out[..., lo - start:hi - start]
-            part[...] = np.moveaxis(grads0[lo - k * n_per:hi - k * n_per],
-                                    0, -1)
-            R = self._rotations[k]
-            if R is not None:
-                part[:, :n_sd] = R @ part[:, :n_sd]
+            G = grads0[lo - k * n_per:hi - k * n_per].reshape(-1, shape[1])
+            G = stack.turn(G, stack.rotations[k]).reshape((hi - lo,) + shape)
+            out[..., lo - start:hi - start] = np.moveaxis(G, 0, -1)
         return out
 
     def _volume_geometry(self, sl):
@@ -1192,29 +1159,25 @@ class SpaceTimeProblem(_ProblemBase):
         """The largest deviation of ``values`` (n_nodes, nc) from a
         level-periodic iterate, relative to max|values|, or None.
 
-        Node level m of a stack of L >= 3 levels is node level 0 under the
-        rotation Q_m of its level, Q_m = R_m for m < L and Q_L = R_{L-1}
-        R_1 (the top, node level 1 under R_{L-1}).  An iterate is
-        level-periodic when each node level's velocity is level 0's turned
-        by Q_m and its pressure level 0's, within ``SHARE_TOL`` of
+        An iterate is level-periodic when each node level m of a stack of
+        L >= 3 levels holds node level 0's values with the velocity turned
+        by ``LevelStack.node_rotation`` Q_m, within ``SHARE_TOL`` of
         max|values|.  Without a body force, whose value depends on where
         and when a point lies, element level k then computes level 0's
         terms turned by R_k.  None for any other iterate, for fewer levels,
         with a body force, and where ``values`` are not finite."""
-        _, L, n_sp = self._levels
+        stack = self.level_stack
+        L = stack.L
         if L < 3 or self.body_force is not None:
             return None
         scale = np.abs(values).max()
         if not np.isfinite(scale):
             return None
-        n_sd, stack = self.n_sd, self.mesh.level_stack[1]
-        levels = values.reshape(L + 1, n_sp, self.ncomp)
-        u0, p0 = levels[0, :, :n_sd], levels[0, :, n_sd]
+        levels = values.reshape(L + 1, stack.n_sp, self.ncomp)
         gap = 0.0
         for m in range(1, L + 1):
-            Q = stack[m] if m < L else stack[L - 1] @ stack[1]
-            gap = max(gap, np.abs(levels[m, :, :n_sd] - u0 @ Q.T).max(),
-                      np.abs(levels[m, :, n_sd] - p0).max())
+            turned = stack.turn(levels[0], stack.node_rotation(m))
+            gap = max(gap, np.abs(levels[m] - turned).max())
             if not gap <= SHARE_TOL * scale:
                 return None
         return gap / scale if scale else 0.0
@@ -1224,35 +1187,20 @@ class SpaceTimeProblem(_ProblemBase):
         in the residual ``R`` and, unless it is None, the CSR ``data`` of
         ``plan``, from those that element levels 0 and 1 left.
 
-        Node level m's rows are node level 1's turned by R_{m-1}, and the
-        top's are node level 2's from element level 1 alone turned by
-        R_{L-2}, so the top is filled first.  A velocity row turns by R, a
-        pair's block B by T B T^T, T = diag(R, 1).  In the plan's layout
-        (``_by_levels``) node level m's CSR data is node level 1's range
-        moved by m - 1 levels, so node level 1's blocks are gathered once,
-        by offsets in the index dtype, and scattered into each level.  The
-        top's pairs are looked up among node level 2's."""
-        _, L, n_sp = self._levels
-        nc, n_sd = self.ncomp, self.n_sd
-        turns = self._rotations
-        rows = R.reshape(L + 1, n_sp, nc)
-
-        def turn_rows(src, k, dst):
-            dst[...] = src
-            if turns[k] is not None:
-                dst[:, :n_sd] = src[:, :n_sd] @ turns[k].T
-
-        def turn_blocks(blocks, k):
-            if turns[k] is None:
-                return blocks
-            T = np.eye(nc)
-            T[:n_sd, :n_sd] = turns[k]
-            n = len(blocks)
-            return (blocks.reshape(n, -1) @ np.kron(T, T).T).reshape(n, nc, nc)
-
-        turn_rows(rows[2], L - 2, rows[L])
+        Node level m's rows and pair blocks are node level 1's turned by
+        R_{m-1} (``LevelStack.turn``), and the top's are node level 2's
+        from element level 1 alone turned by R_{L-2}, so the top is filled
+        first.  In the plan's layout (``_by_levels``) node level m's CSR
+        data is node level 1's range moved by m - 1 levels, so node level
+        1's blocks are gathered once, by offsets in the index dtype, and
+        scattered into each level.  The top's pairs are looked up among
+        node level 2's."""
+        stack = self.level_stack
+        L, n_sp, turns = stack.L, stack.n_sp, stack.rotations
+        rows = R.reshape(L + 1, n_sp, self.ncomp)
+        rows[L] = stack.turn(rows[2], turns[L - 2])
         for m in range(2, L):
-            turn_rows(rows[1], m - 1, rows[m])
+            rows[m] = stack.turn(rows[1], turns[m - 1])
         if data is None:
             return
         lo, hi, top = np.searchsorted(
@@ -1263,12 +1211,13 @@ class SpaceTimeProblem(_ProblemBase):
         src = hi + np.searchsorted(
             plan.keys[hi:hi + hi - lo],
             plan.keys[top:] - (L - 2) * n_sp * (plan.n_nodes + 1))
-        data[last:][plan.block_offsets(slice(top, None), last)] = turn_blocks(
-            data[second:][plan.block_offsets(src, second)], L - 2)
+        data[last:][plan.block_offsets(slice(top, None), last)] = stack.turn(
+            data[second:][plan.block_offsets(src, second)], turns[L - 2])
         inner = plan.block_offsets(slice(lo, hi), first)
         blocks = data[first:second][inner]
         for m in range(2, L):
-            data[first + (m - 1) * step:][inner] = turn_blocks(blocks, m - 1)
+            data[first + (m - 1) * step:][inner] = stack.turn(blocks,
+                                                              turns[m - 1])
 
     def _bottom_cap(self):
         mesh = self.mesh
@@ -1279,12 +1228,11 @@ class SpaceTimeProblem(_ProblemBase):
         """The advective form from level 0's gradients and each element's
         velocity in level 0's frame, R_k^T u, then the cached norms, for
         the first len(u) elements."""
-        n_per = self.mesh.level_stack[0]
-        u0 = u.copy()
-        for k, R in enumerate(self._rotations):
-            if R is not None:
-                level = slice(k * n_per, (k + 1) * n_per)
-                u0[level] = u[level] @ R
+        stack = self.level_stack
+        n_per = stack.n_per
+        u0 = np.concatenate([stack.turn(u[k * n_per:(k + 1) * n_per], R.T)
+                             for k, R in enumerate(
+                                 stack.rotations[:len(u) // n_per])])
         return ((simplex_advective_form(self._gradients0, u0),)
                 + tuple(a[:len(u)] for a in self._metric))
 
@@ -1292,8 +1240,7 @@ class SpaceTimeProblem(_ProblemBase):
     def _metric(self):
         """(Ginv:Ginv, g.g) per element: all that tau keeps of the metric.
         Both are rotation-invariant, so level 0's repeat for every level."""
-        levels = len(self.mesh.level_stack[1])
-        return tuple(np.tile(a, levels)
+        return tuple(np.tile(a, self.level_stack.L)
                      for a in metric_norms(self.mesh, self._gradients0))
 
     def _mantle_faces(self, tag):
@@ -1420,10 +1367,11 @@ class PrismSlabProblem(_ProblemBase):
         metric = metric_terms(np.einsum("ij,njk->nik", Bmat, Jinv[:, nt]))
         return (np.abs(detJ[:, :nt]).T.copy(), D, B, x), metric
 
-    @property
-    def _levels(self):
+    @cached_property
+    def level_stack(self) -> LevelStack:
         """One level: the slab's prisms between its two node levels."""
-        return len(self.elements), 1, self.slab.spatial.n_nodes
+        return LevelStack(len(self.elements), self.slab.spatial.n_nodes,
+                          np.eye(self.n_sd)[None])
 
     def _volume_geometry(self, sl):
         return (self.Nq, self.weights) + tuple(

@@ -145,7 +145,7 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     simplices, with the boundary built directly: one bottom facet per
     spatial element, one top facet, and n_sd mantle facets per spatial
     boundary facet per level (inheriting the spatial tag).  The mesh is a
-    level stack (``SpaceTimeMesh.level_stack``) whose geometry comes from
+    ``LevelStack`` (``SpaceTimeMesh.level_stack``) whose geometry comes from
     level 0; one ``extrude`` log line gives the levels, the elements per
     level, the element count, whether the stack was found or the mesh set
     up as one level, and the seconds.
@@ -211,7 +211,8 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
                          fix_orientation=False)
     # a found stack's levels hold level 0's determinants and edges, so
     # level 0 holds the first inverted element; else every level is checked
-    n_per, rotations = mesh.level_stack
+    stack = mesh.level_stack
+    n_per = stack.n_per
     bad = degenerate(mesh.jacobian_dets[:n_per], mesh.max_edge_lengths[:n_per],
                      mesh.dim)
     bad |= np.tile(sign.ravel() == 0, n_per // len(path))
@@ -222,7 +223,7 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
             element=first, level=first // len(path))
     logger.info("extrude levels=%d n_per=%d elements=%d stack=%s s=%.3f", L,
                 n_per, mesh.n_elements,
-                "found" if len(rotations) > 1 else "one-level",
+                "found" if stack.L > 1 else "one-level",
                 time.perf_counter() - start)
     return mesh
 

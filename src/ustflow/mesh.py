@@ -30,20 +30,22 @@ is cached: each slice loop and each per-element helper gathers
 
 A space-time mesh extruded through L levels is a stack: element level k is
 level 0's elements with node ids shifted by k levels, on nodes that are
-level 0's under a rigid motion.  ``SpaceTimeMesh.level_stack`` finds that
-stack by comparison, never by assumption; a mesh that is not one is a
-stack of one level.  The constructor finds it, on the elements as given,
-and then takes the per-element geometry of level 0 for every level: the
-motions are proper rotations with a uniform time shift, so an element's
-determinant, its sign and its longest edge are its level-0 twin's, up to
-rounding.  Level 0's orientation fix is applied to every level's copies,
-so the fixed elements are those of a whole-mesh fix.
+level 0's under a rigid motion.  The mesh's ``LevelStack``,
+``SpaceTimeMesh.level_stack``, is found by comparison, never by assumption;
+a mesh that is not such a stack is a stack of one level.  The
+constructor finds it, on the elements as given, and then takes the
+per-element geometry of level 0 for every level: the motions are proper
+rotations with a uniform time shift, so an element's determinant, its
+sign and its longest edge are its level-0 twin's, up to rounding.
+Level 0's orientation fix is applied to every level's copies, so the
+fixed elements are those of a whole-mesh fix.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -308,26 +310,69 @@ class SpaceTimeMesh(SimplexMesh):
 
     def _level_size(self) -> int:
         self._stack = _level_stack(self.nodes, self.elements)
-        return self._stack[0]
+        return self._stack.n_per
 
     @property
-    def level_stack(self):
-        """(n_per, rotations): the mesh as a stack of L element levels of
-        n_per elements each, ``rotations`` (L, n_sd, n_sd).
-
-        Element level k, elements k*n_per to (k+1)*n_per, is level 0's with
-        every node id shifted by k*n_sp, and its nodes, node levels k and
-        k+1, are those of node levels 0 and 1 moved rigidly: rotated by
-        rotations[k] and shifted in space and time.  So element e's P1
-        gradients are element e % n_per's with the spatial columns rotated,
-        G[:, :n_sd] @ R^T for R = rotations[e // n_per], and, with its
-        vertices in the same order, its metric norms are that element's.
-        A mesh that fails any test of ``_level_stack`` is one level,
-        (n_el, [I]).  Found by the constructor, on the elements as given,
-        before the orientation fix and the determinants, which then take
-        level 0's for every level.
-        """
+    def level_stack(self) -> LevelStack:
+        """The mesh as a ``LevelStack``, found by the constructor on the
+        elements as given, before the orientation fix and the determinants,
+        which then take level 0's for every level."""
         return self._stack
+
+
+@dataclass(frozen=True, eq=False)
+class LevelStack:
+    """A space-time mesh as a stack of L element levels of ``n_per``
+    elements each, on L + 1 node levels of ``n_sp`` nodes.
+
+    Element level k, elements k*n_per to (k+1)*n_per, is level 0's with
+    every node id shifted by k*n_sp, and its nodes, node levels k and k+1,
+    are those of node levels 0 and 1 moved rigidly: rotated by
+    ``rotations[k]`` = R_k, (L, n_sd, n_sd), and shifted in space and time.
+    So element e's P1 gradients are element e % n_per's with the spatial
+    columns rotated, G[:, :n_sd] @ R^T for R = R_{e // n_per}, and, with
+    its vertices in the same order, its metric norms are that element's.
+    A mesh that fails any test of ``_level_stack`` is one level, L = 1:
+    (n_el, n_nodes // 2, [I]); so is a prism slab.
+    """
+
+    n_per: int
+    n_sp: int
+    rotations: np.ndarray
+
+    def __post_init__(self):
+        self.rotations.setflags(write=False)
+
+    @property
+    def L(self) -> int:
+        return len(self.rotations)
+
+    def node_rotation(self, m: int) -> np.ndarray:
+        """Q_m: node level m is node level 0 turned by Q_m (and shifted).
+        Q_m = R_m for m < L, as the bottom of element level m, and the top
+        of a stack of L >= 2 levels, node level 1 turned by R_{L-1}, has
+        Q_L = R_{L-1} R_1."""
+        R = self.rotations
+        return R[m] if m < self.L else R[m - 1] @ R[1]
+
+    @staticmethod
+    def turn(a: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """``a`` turned by the rotation R (n_sd, n_sd): the rows of an
+        (n, nc) field, whose first n_sd entries are a vector and the rest
+        scalars, to a diag(R, 1)^T, or a stack (n, nc, nc) of pair blocks B
+        to T B T^T, T = diag(R, 1).  ``a`` itself, with no arithmetic, when
+        R is the identity."""
+        n_sd = len(R)
+        if np.array_equal(R, np.eye(n_sd)):
+            return a
+        if a.ndim == 3:
+            n, nc = len(a), a.shape[1]
+            T = np.eye(nc)
+            T[:n_sd, :n_sd] = R
+            return (a.reshape(n, -1) @ np.kron(T, T).T).reshape(n, nc, nc)
+        out = a.copy()
+        out[:, :n_sd] = a[:, :n_sd] @ R.T
+        return out
 
 
 # -- spec-level per-element operations --------------------------------------
@@ -386,7 +431,7 @@ def time_levels(times):
 
 
 def _level_stack(nodes, elements):
-    """The ``SpaceTimeMesh.level_stack`` of ``nodes`` and ``elements``.
+    """The ``LevelStack`` of ``nodes`` and ``elements``.
 
     A mesh is a stack of L >= 2 levels when
     - its nodes are level-major: L+1 blocks of n_sp nodes, block j the
@@ -402,7 +447,7 @@ def _level_stack(nodes, elements):
     n_el = len(elements)
     n_sd = nodes.shape[1] - 1
     eye = np.eye(n_sd)
-    one = (n_el, eye[None])
+    one = LevelStack(n_el, len(nodes) // 2, eye[None])
     levels = time_levels(nodes[:, n_sd])[0]
     n_levels = int(levels.max())
     n_sp, rest = divmod(len(nodes), n_levels + 1)
@@ -436,7 +481,7 @@ def _level_stack(nodes, elements):
         if np.abs((p - p0) @ R.T + q0 - q).max() > tol:
             return one
         rotations[k] = R
-    return n_per, rotations
+    return LevelStack(n_per, n_sp, rotations)
 
 
 def classify_boundary(mesh: SimplexMesh, t0: float, tN: float, tol=None):

@@ -2,7 +2,7 @@
 
 ``newton_solve`` drives any problem object exposing ``dof_levels``,
 ``dir_dofs`` and ``system(values, want_matrix=...) -> (LinearSystem|None,
-rhs, norm)``, and optionally ``level_rotations`` (see below).  The linear
+rhs, norm)``, and optionally ``level_stack`` (see below).  The linear
 solve is restarted GMRES (scipy) always preconditioned by a forward block
 Gauss-Seidel sweep over those node-time levels, or a direct sparse LU, the
 oracle.  A GMRES failure raises ``LinearSolveFailure``; there is no
@@ -16,22 +16,21 @@ each fixed row is an identity row; the true relative residual is still
 that of the whole system.  ``direct_lu`` solves the whole system.
 
 Each ``newton_solve`` owns one ``TimeLevelPreconditioner``, built from the
-problem's ``dof_levels``, ``dir_dofs`` and ``level_rotations``: the first
+problem's ``dof_levels``, ``dir_dofs`` and ``level_stack``: the first
 step equilibrates its matrix and factors the time levels' diagonal blocks,
 and every later step of the same solve reuses that scale and those level
 LUs, with the strictly lower blocks of its own matrix.  On a twisted
-space-time mesh every level is a rigid turn of level 1, and so, at the
-first matrix, is every interior level's block: B_k = R_k B_1 R_k^T, R_k
-turning each node's velocity.  ``level_rotations`` gives each node level's
-R_k and each node's copy in level 1; a level whose equilibrated block
-matches level 1's turned, to ``SHARE_TOL`` of its largest entry, solves
-through level 1's LU, and every other level is factored: level 0 with the
-jump term and the last level, whose nodes are their own copies so that
-they are not compared, and all levels of a problem without the symmetry or
-without ``level_rotations``.  This is a lagged preconditioner
-(Knoll & Keyes, J. Comput. Phys. 193:357-397, 2004); the Newton matrix
-changes little between steps, and GMRES still has to meet the step's
-tolerance in the true residual, or raise ``Stagnation``.  A direct
+space-time mesh node level m is node level 1 turned by R_{m-1}, the
+rotation of the ``LevelStack``, and so, at the first matrix, is every
+interior level's block: B_m = T B_1 T^T, T turning each node's velocity.
+An interior level whose equilibrated block matches level 1's turned, to
+``SHARE_TOL`` of its largest entry, solves through level 1's LU, and every
+other level is factored: level 0 with the jump term and the top level L
+with one element level, which are not compared, and all levels of a
+problem without the symmetry or without ``level_stack``.  This is a lagged
+preconditioner (Knoll & Keyes, J. Comput. Phys. 193:357-397, 2004); the
+Newton matrix changes little between steps, and GMRES still has to meet
+the step's tolerance in the true residual, or raise ``Stagnation``.  A direct
 ``gmres_solve`` call factors afresh with a fresh preconditioner and lags
 with a reused one.
 
@@ -46,8 +45,8 @@ every step to it instead.  ``direct_lu`` ignores the tolerance.
 A matrix is built only for an iterate that takes another step.  Where the
 step's linear model predicts convergence, eta_k ||R_k|| <= tol, the new
 iterate's residual is assembled first (``want_matrix=False``), and its
-matrix only if it has not converged; with backtracking the accepted
-trial's residual is that check.  The iterates are the same either way.
+matrix only if it has not converged.  The iterates are the same either
+way.  Every step is a full Newton step; there is no line search.
 
 Each linear solve logs one ``linear solve`` line with its method,
 iterations, true relative residual, timings, whether it reused lagged
@@ -71,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import Breakdown, LinearSolveFailure, Stagnation, UstflowError
+from .errors import Breakdown, LinearSolveFailure, Stagnation
 
 logger = logging.getLogger("ustflow")
 
@@ -90,13 +89,10 @@ class NewtonConfig:
     abs_tol: float = 1e-8
     rel_tol: float = 1e-6
     max_iter: int = 30
-    linesearch: str = "none"  # or "backtracking"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0 or self.max_iter < 1:
             raise ValueError("tolerances must be positive, max_iter >= 1")
-        if self.linesearch not in ("none", "backtracking"):
-            raise ValueError(f"unknown linesearch {self.linesearch!r}")
 
 
 @dataclass
@@ -133,8 +129,9 @@ class TimeLevelPreconditioner:
 
     Level k's unknowns are solved with an exact sparse LU of their diagonal
     block, after subtracting the coupling to all earlier levels (the whole
-    strictly block-lower part), so any dof order works.  On a matrix that
-    is block-lower-triangular in the levels the sweep is an exact inverse.
+    strictly block-lower part).  The free dofs must be numbered level by
+    level, as every extruded mesh's are.  On a matrix that is
+    block-lower-triangular in the levels the sweep is an exact inverse.
     The ``fixed`` dofs (Dirichlet rows, which must be identity rows) are no
     unknowns of it: the partition covers the free dofs only, and
     ``equilibrate`` hands out the free block.  It is computed once; the
@@ -142,83 +139,57 @@ class TimeLevelPreconditioner:
     every later one reuses with its own strictly lower blocks (lagged; see
     the module docstring).
 
-    ``rotations``, when given, is (R, twin) of a problem whose levels are
-    turned copies of one reference level: node v's copy there is
-    ``twin[v]``, and R[l] turns the velocity of a level-l node's copy into
-    the node's own.  Dof d is component d % nc of node d // nc, nc =
-    n_sd + 1, velocity first.  A level whose free dofs are those of its
-    copies, whole velocities at a time, has the rotation T of its free dofs
-    (``_turns``).  At the first matrix its equilibrated block B_k is
-    compared, in pattern and values, with the reference block B_1 turned,
-    S_k T S_1^-1 B_1 S_1^-1 T^T S_k (S the scale of each level's dofs); a
-    level within ``SHARE_TOL`` of max|B_k| takes no LU of its own and
-    solves by B_k^-1 = W B_1^-1 W^T, W = S_k^-1 T S_1.  Every other level
-    is factored, so a problem without the symmetry factors every level.
+    ``stack``, when given, is the ``LevelStack`` of a problem whose dof d
+    is component d % nc of node d // nc, nc = n_sd + 1, velocity first,
+    and whose node level m is node level 1 turned by R_{m-1}.  An interior
+    node level m = 2..L-1 whose free dofs are those of node level 1, with
+    no node's velocity part free, has the rotation T = diag(R_{m-1}, 1)
+    per node of its free dofs (``_turn_matrix``).  At the first matrix its
+    equilibrated block B_m is compared, in pattern and values, with B_1
+    turned, S_m T S_1^-1 B_1 S_1^-1 T^T S_m (S the scale of each level's
+    dofs); a level within ``SHARE_TOL`` of max|B_m| takes no LU of its own
+    and solves by B_m^-1 = W B_1^-1 W^T, W = S_m^-1 T S_1.  Every other
+    level is factored, so a problem without the symmetry factors every
+    level.
     """
 
-    def __init__(self, dof_levels, fixed=(), rotations=None):
+    def __init__(self, dof_levels, fixed=(), stack=None):
         dof_levels = np.asarray(dof_levels)
         self.n = len(dof_levels)
         self.fixed = np.zeros(self.n, dtype=bool)
         self.fixed[np.asarray(fixed, dtype=np.int64)] = True
         self.free = np.flatnonzero(~self.fixed)
-        levels = dof_levels[self.free]
-        self.order = np.argsort(levels, kind="stable")
-        self.sorted_levels = levels[self.order]
-        bounds = np.flatnonzero(np.diff(self.sorted_levels)) + 1
+        self.levels = dof_levels[self.free]
+        down = np.flatnonzero(np.diff(self.levels) < 0)
+        if len(down):
+            raise ValueError(f"free dof {self.free[down[0] + 1]} is in an "
+                             f"earlier time level than the free dof before "
+                             f"it: the dofs must be numbered level by level")
+        bounds = np.flatnonzero(np.diff(self.levels)) + 1
         self.starts = np.concatenate([[0], bounds])
-        self.ends = np.concatenate([bounds, [len(levels)]])
-        # a level-major numbering, which every extruded mesh has, needs none
-        self.permute = bool((np.diff(levels) < 0).any())
-        self.rotations = rotations
+        self.ends = np.concatenate([bounds, [len(self.levels)]])
+        self.stack = stack
         self.scale = None  # the first matrix's equilibration scale
         self.lus = None    # and each level's (LU, W, W^T) (``_factor``)
         self.factored = 0  # the LUs of their own among them
         self.lu_nnz = 0    # and their nonzeros
         self.stats = None  # of the last solve_linear_system given this
 
-    def _turns(self, rotations, twin):
-        """{k: (j, T)}: level k's free dofs are T (n_k, n_j) times those of
-        level j, the level of their copies, which has no T of its own.
-        A level gets none when its dofs are their own copies, a free dof's
-        copy is fixed or in another level, two dofs share a copy, or a
-        node's velocity is part free."""
-        nc = np.shape(rotations)[1] + 1
-        twin = np.asarray(twin)
-        pos = np.full(self.n, -1)  # each free dof's place in the sweep
-        pos[self.free[self.order]] = np.arange(len(self.free))
-        level_of = np.repeat(np.arange(len(self.starts)),
-                             self.ends - self.starts)
-        comps = np.arange(nc)
+    def _level_turns(self):
+        """{m: T}: node level m's free dofs are T times node level 1's (see
+        the class docstring), where every node level has free dofs."""
+        stack = self.stack
+        if stack is None or stack.L < 3 or len(self.starts) != stack.L + 1:
+            return {}
+        free = ~self.fixed.reshape(stack.L + 1, -1)
         out = {}
-        for k, (s, e) in enumerate(zip(self.starts, self.ends)):
-            node, comp = np.divmod(self.free[self.order[s:e]], nc)
-            own = pos[node[:, None] * nc + comps]
-            cols = pos[twin[node][:, None] * nc + comps]
-            copy = cols[np.arange(e - s), comp]
-            if ((own >= 0) != (cols >= 0)).any():
-                continue
-            j = level_of[copy[0]]
-            velocity = comp < nc - 1
-            if (j == k or (level_of[copy] != j).any()
-                    or self.ends[j] - self.starts[j] != e - s
-                    or len(np.unique(copy)) != e - s
-                    or (own[velocity, :nc - 1] < 0).any()):
-                continue
-            R = np.asarray(rotations[self.sorted_levels[s]])
-            # a velocity row takes its node's velocity copies turned by R,
-            # a pressure row its copy
-            rows = np.arange(e - s)
-            vel = np.flatnonzero(velocity)
-            p = np.flatnonzero(~velocity)
-            T = sp.csr_matrix(
-                (np.concatenate([R[comp[vel]].ravel(), np.ones(len(p))]),
-                 (np.concatenate([np.repeat(rows[vel], nc - 1), p]),
-                  np.concatenate([cols[vel, :nc - 1].ravel(), copy[p]])
-                  - self.starts[j])),
-                shape=(e - s, e - s))
-            out[k] = j, T
-        return {k: (j, T) for k, (j, T) in out.items() if j not in out}
+        for m in range(2, stack.L):
+            if np.array_equal(free[m], free[1]):
+                T = _turn_matrix(free[1], stack.rotations[m - 1])
+                if T is None:
+                    return {}
+                out[m] = T
+        return out
 
     def equilibrate(self, A: sp.csr_matrix):
         """``_equilibrate`` of A by the first matrix's scale: the free block
@@ -230,10 +201,10 @@ class TimeLevelPreconditioner:
 
     def _factor(self, Ap):
         """(LU, W, W^T), W None for an LU of its own, of each level of the
-        level-sorted free block Ap: a level that ``_shared`` finds to be its
-        copy's block turned takes that level's LU.  Every level is decided
-        before the first LU, so that a singular block names the levels
-        that share it; only the copies' blocks are held meanwhile."""
+        free block Ap: a level that ``_shared`` finds to be level 1's block
+        turned takes level 1's LU.  Every level is decided before the first
+        LU, so that a singular block names the levels that share it; only
+        level 1's block is held meanwhile."""
         levels = list(zip(self.starts, self.ends))
 
         def block(k):
@@ -241,14 +212,14 @@ class TimeLevelPreconditioner:
             return Ap[s:e, s:e]
 
         scale = (np.ones(len(self.free)) if self.scale is None
-                 else self.scale[self.free][self.order])
-        turns = {} if self.rotations is None else self._turns(*self.rotations)
-        copies = {j: block(j) for j, _ in turns.values()}
+                 else self.scale[self.free])
+        turns = self._level_turns()
+        copy = block(1) if turns else None
         W = [None] * len(levels)
-        for k, (j, T) in turns.items():
-            W[k] = _shared(block(k), copies[j], T,
-                           scale[slice(*levels[k])], scale[slice(*levels[j])])
-        del copies
+        for k, T in turns.items():
+            W[k] = _shared(block(k), copy, T,
+                           scale[slice(*levels[k])], scale[slice(*levels[1])])
+        del copy
         lus = {}
         for k in range(len(levels)):
             if W[k] is not None:
@@ -256,14 +227,13 @@ class TimeLevelPreconditioner:
             try:
                 lus[k] = spla.splu(block(k).tocsc())
             except RuntimeError as exc:
-                shared = [str(self.sorted_levels[self.starts[i]])
-                          for i, (j, _) in turns.items()
-                          if W[i] is not None and j == k]
+                shared = [str(self.levels[self.starts[i]]) for i in turns
+                          if W[i] is not None and k == 1]
                 also = (f" (its LU serves levels {', '.join(shared)} too)"
                         if shared else "")
                 raise LinearSolveFailure(
                     f"diagonal block of time level "
-                    f"{self.sorted_levels[self.starts[k]]} is singular"
+                    f"{self.levels[self.starts[k]]} is singular"
                     f"{also}: {exc}") from exc
         self.factored = len(lus)
         # what SuperLU stores; reading ``lu.L`` or ``lu.U`` would copy it
@@ -271,7 +241,7 @@ class TimeLevelPreconditioner:
         # W^T is kept as a matrix of its own: ``W.T`` is a new object on
         # every product
         return [(lus[k], None, None) if W[k] is None
-                else (lus[turns[k][0]], W[k], W[k].T.tocsr())
+                else (lus[1], W[k], W[k].T.tocsr())
                 for k in range(len(levels))]
 
     def operator(self, A: sp.spmatrix) -> spla.LinearOperator:
@@ -284,23 +254,19 @@ class TimeLevelPreconditioner:
         if A.shape != (n, n):
             raise ValueError(f"{n} free dofs for {A.shape[0]} unknowns")
         Ap = sp.csr_matrix(A)
-        if self.permute:
-            Ap = Ap[self.order][:, self.order]
         if self.lus is None:
             self.lus = self._factor(Ap)
         blocks = [(s, e, lu, W, Wt, Ap[s:e, :s]) for s, e, (lu, W, Wt)
                   in zip(self.starts, self.ends, self.lus)]
 
         def sweep(r):
-            rp = np.ravel(r)[self.order]
+            r = np.ravel(r)
             y = np.empty(n)
             for s, e, lu, W, Wt, lower in blocks:
-                rhs = rp[s:e] - lower @ y[:s]
+                rhs = r[s:e] - lower @ y[:s]
                 y[s:e] = (lu.solve(rhs) if W is None
                           else W @ lu.solve(Wt @ rhs))
-            x = np.empty(n)
-            x[self.order] = y
-            return x
+            return y
 
         return spla.LinearOperator(A.shape, matvec=sweep, dtype=float)
 
@@ -308,6 +274,29 @@ class TimeLevelPreconditioner:
 # a level shares its copy's LU when its block is the copy's turned to within
 # this share of its largest entry, the bar of ``SpaceTimeMesh.level_stack``
 SHARE_TOL = 1e-12
+
+
+def _turn_matrix(free, R):
+    """T = diag(R, 1) per node on the free dofs of one node level, ``free``
+    a mask of its node-major dofs, over their places among them; None where
+    a node's velocity is part free."""
+    nc = len(R) + 1
+    velocity = free.reshape(-1, nc)[:, :-1]
+    if (velocity.any(axis=1) != velocity.all(axis=1)).any():
+        return None
+    pos = np.cumsum(free) - 1  # each dof's place among the free dofs
+    node, comp = np.divmod(np.flatnonzero(free), nc)
+    rows = np.arange(len(node))
+    vel = np.flatnonzero(comp < nc - 1)
+    p = np.flatnonzero(comp == nc - 1)
+    # a velocity row takes its node's velocity turned by R, a pressure row
+    # its own dof
+    return sp.csr_matrix(
+        (np.concatenate([R[comp[vel]].ravel(), np.ones(len(p))]),
+         (np.concatenate([np.repeat(rows[vel], nc - 1), p]),
+          np.concatenate([pos[node[vel, None] * nc + np.arange(nc - 1)]
+                          .ravel(), p]))),
+        shape=(len(rows), len(rows)))
 
 
 def _shared(block, copy, T, scale, copy_scale):
@@ -570,7 +559,7 @@ def newton_solve(problem, initial_values: np.ndarray,
     lin_cfg = lin_cfg or LinearSolverConfig()
     precond = TimeLevelPreconditioner(
         problem.dof_levels, problem.dir_dofs,
-        getattr(problem, "level_rotations", None))
+        getattr(problem, "level_stack", None))
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
 
@@ -611,32 +600,15 @@ def newton_solve(problem, initial_values: np.ndarray,
         solves.append(precond.stats)
         # the matrix is not kept alive through the next one's assembly
         del system, rhs
-        lam = 1.0
-        checked = None  # (||R||, seconds) of the new iterate, once known
-        if cfg.linesearch == "backtracking":
-            prev = trace[-1]
-            for _ in range(8):
-                try:
-                    (_, _, r_trial), seconds = assemble(
-                        U + lam * delta.reshape(shape), want_matrix=False)
-                except UstflowError:
-                    r_trial = np.inf
-                if np.isfinite(r_trial) and r_trial <= (1.0 - 1e-4 * lam) * prev:
-                    checked = r_trial, seconds
-                    break
-                lam *= 0.5
-        U = U + lam * delta.reshape(shape)
+        U = U + delta.reshape(shape)
 
         last = k == cfg.max_iter
-        if checked is None and (last or eta * rnorm <= tol):
-            (_, _, r), seconds = assemble(U, want_matrix=False)
-            checked = r, seconds
-        if checked is not None and checked[0] <= tol:
-            record(k, *checked)
-            return result(U, k, "converged")
-        if last:
-            rnorm, seconds = checked
-        else:
+        if last or eta * rnorm <= tol:
+            (_, _, rnorm), seconds = assemble(U, want_matrix=False)
+            if rnorm <= tol:
+                record(k, rnorm, seconds)
+                return result(U, k, "converged")
+        if not last:
             (system, rhs, rnorm), seconds = assemble(U)
         record(k, rnorm, seconds)
         if rnorm < best_r:

@@ -1087,7 +1087,7 @@ class TestPlanByLevels:
                 "channel2d": make_channel2d}[name]()
         problem = spec.problem(spec.ust_mesh())
         levels = {"stirrer2d": 17, "stirrer3d": 17, "channel2d": 20}[name]
-        assert problem._levels[1] == levels
+        assert problem.level_stack.L == levels
         self.check(problem)
 
     @pytest.mark.parametrize("levels", [2, 3, 4])
@@ -1104,13 +1104,13 @@ class TestPlanByLevels:
             BCSpec(dirichlet={"outer": zero_velocity}), gauge=(0, 0.0))
         if n_chunks > 1:
             split_into_chunks(monkeypatch, problem, n_chunks)
-        assert problem._levels[1] == levels
+        assert problem.level_stack.L == levels
         assert len(problem._chunks[1]) >= n_chunks
         self.check(problem)
 
     def test_prism_slab(self, rng):
         problem = twisted_prism_problem(rng)
-        assert problem._levels[1] == 1
+        assert problem.level_stack.L == 1
         self.check(problem)
 
 
@@ -1533,7 +1533,8 @@ class TestMemory:
         problem = split_into_chunks(monkeypatch, pentatope_problem(rng))
         problem.system(problem.initial_guess())
         mesh = problem.mesh
-        n_per, rotations = mesh.level_stack
+        stack = mesh.level_stack
+        n_per, rotations = stack.n_per, stack.rotations
         assert len(rotations) == 2 and 2 * n_per == mesh.n_elements
         assert "gradients" not in vars(mesh)
         assert problem._gradients0.shape == (n_per, 5, 4)
@@ -1746,7 +1747,7 @@ class TestLaneThreads:
             for levels_per_chunk, n_lanes in ((3, 1), (1, 2)):
                 problem = twisted_simplex_problem()
                 nloc = problem.edof.shape[1]
-                size = problem.mesh.level_stack[0] * levels_per_chunk
+                size = problem.mesh.level_stack.n_per * levels_per_chunk
                 monkeypatch.setattr(assembly, "_CHUNK_ENTRIES",
                                     float(size * nloc * nloc))
                 _, chunks, lanes = problem._chunks
@@ -1810,7 +1811,7 @@ def level0_order_norms(mesh, n_per):
 def same_order(mesh):
     """Where each element's canonical vertex order, in the whole mesh, is
     that of its level-0 twin."""
-    n_per = mesh.level_stack[0]
+    n_per = mesh.level_stack.n_per
     X = mesh.element_coords
     order = canonical_vertex_order(X - X[:, :1])
     return (order == np.tile(order[:n_per], (len(X) // n_per, 1))).all(axis=1)
@@ -1828,7 +1829,8 @@ class TestLevelStack:
     def test_finds_the_extrusion_levels(self, name, rng):
         problem = stacked_problem(name, rng)
         mesh = problem.mesh
-        n_per, rotations = mesh.level_stack
+        stack = mesh.level_stack
+        n_per, rotations = stack.n_per, stack.rotations
         levels = {"disk2d": 4, "box3d": 3, "static": 4}[name]
         assert rotations.shape == (levels, mesh.n_sd, mesh.n_sd)
         assert n_per * levels == mesh.n_elements
@@ -1848,7 +1850,7 @@ class TestLevelStack:
         mesh = problem.mesh
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
         stab = problem.stabilization(U)
-        n_per = mesh.level_stack[0]
+        n_per = mesh.level_stack.n_per
         G = np.moveaxis(problem._gradients(slice(None)), -1, 0)
         assert np.abs(G - mesh.gradients).max() <= (
             1e-13 * np.abs(mesh.gradients).max())
@@ -1884,7 +1886,8 @@ class TestLevelStack:
         spec = make_channel2d()
         problem = spec.problem(spec.ust_mesh())
         mesh = problem.mesh
-        n_per, rotations = mesh.level_stack
+        stack = mesh.level_stack
+        n_per, rotations = stack.n_per, stack.rotations
         assert len(rotations) == 20
         GG, gg = problem._metric
         GG_mesh, gg_mesh = metric_norms(mesh)
@@ -1907,7 +1910,7 @@ class TestLevelStack:
             mesh, nc = problem.mesh, problem.ncomp
             # 1.3: all levels but the last in one chunk, the last its own
             # template; 5: two or more slices of every level
-            n_per = mesh.level_stack[0]
+            n_per = mesh.level_stack.n_per
             sizes = [c.stop - c.start for c in problem._chunks[1]]
             assert (sizes == [mesh.n_elements - n_per, n_per] if n_chunks < 2
                     else max(sizes) < n_per)
@@ -1931,7 +1934,7 @@ class TestLevelStack:
         """A mesh that is almost a stack is one level, with the whole-mesh
         bytes of the metric norms and the gradients."""
         stacked = stacked_problem("box3d", rng).mesh
-        n_per = stacked.level_stack[0]
+        n_per = stacked.level_stack.n_per
         n_sp = stacked.n_nodes // 4
         nodes, elements = stacked.nodes.copy(), stacked.elements.copy()
         if broken == "moved_node":
@@ -1951,7 +1954,8 @@ class TestLevelStack:
                                           stacked.mantle_facets))
         problem = SpaceTimeProblem(mesh, MaterialParams(1.0, 0.1),
                                    BCSpec(initial=zero_ic), gauge=(0, 0.0))
-        n_per, rotations = mesh.level_stack
+        stack = mesh.level_stack
+        n_per, rotations = stack.n_per, stack.rotations
         assert n_per == mesh.n_elements
         assert np.array_equal(rotations, np.eye(3)[None])
         for got, want in zip(problem._metric, metric_norms(mesh)):
@@ -1985,7 +1989,7 @@ class TestLevelPeriodic:
         U = problem.initial_guess()
         with caplog.at_level(logging.INFO, logger="ustflow"):
             A, rhs, norm, rnorm = self.systems(problem, U)
-        L = problem._levels[1]
+        L = problem.level_stack.L
         lines = periodic_lines(caplog)
         assert len(lines) == 2
         assert lines[0].startswith(f"assembly periodic levels=2/{L} dev=")
@@ -2012,7 +2016,7 @@ class TestLevelPeriodic:
         its bytes."""
         problem = self.ust_problem("stirrer2d")
         U = problem.initial_guess()
-        n_sp = problem._levels[2]
+        n_sp = problem.level_stack.n_sp
         U[level * n_sp + 17, comp] += 1e-9 * np.abs(U).max()
         with caplog.at_level(logging.INFO, logger="ustflow"):
             A, rhs, norm, rnorm = self.systems(problem, U)
@@ -2030,7 +2034,7 @@ class TestLevelPeriodic:
         from ustflow.scenarios import make_manufactured, make_stirrer2d
         spec = make_manufactured()
         manufactured = spec.problem(spec.ust_mesh())
-        assert manufactured._levels[1] >= 3
+        assert manufactured.level_stack.L >= 3
         spec = make_stirrer2d()
         slab = spec.problem(spec.slab(0))
         periodic = periodic_problem()

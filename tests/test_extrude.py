@@ -157,7 +157,7 @@ class TestExtrusion:
         assert np.array_equal(st.elements, fixed.elements)
         # level 0's determinants are the fixed mesh's; every later level
         # takes them, which moves its own by rounding only, with no sign
-        n_per = st.level_stack[0]
+        n_per = st.level_stack.n_per
         assert n_per * 3 == st.n_elements
         got, want = st.jacobian_dets, fixed.jacobian_dets
         assert got[:n_per].tobytes() == want[:n_per].tobytes()
@@ -176,7 +176,7 @@ class TestExtrusion:
         st = spec.ust_mesh()
         problem = spec.problem(st)
         problem.system(problem.initial_guess())
-        n_per = st.level_stack[0]
+        n_per = st.level_stack.n_per
         assert 2 * n_per == st.n_elements
         assert calls == [n_per]
 

@@ -286,7 +286,7 @@ class TestMaxEdgeLengths:
     def test_equals_node_pair_loop_on_space_time_mesh(self, small_st_mesh_3d):
         # level 0's bytes; the other level takes them, within rounding
         mesh = small_st_mesh_3d
-        n_per = mesh.level_stack[0]
+        n_per = mesh.level_stack.n_per
         assert 2 * n_per == mesh.n_elements
         got = mesh.max_edge_lengths
         want = max_edge_lengths_by_node_pair(mesh.element_coords)
@@ -332,7 +332,8 @@ class TestLevelGeometry:
         made = stack_mesh(name, levels)
         calls = counted_det_of(monkeypatch)
         mesh = copy_mesh(made)
-        n_per, rotations = mesh.level_stack
+        stack = mesh.level_stack
+        n_per, rotations = stack.n_per, stack.rotations
         assert len(rotations) == (levels if levels > 1 else 1)
         assert n_per * len(rotations) == mesh.n_elements
         assert calls == [n_per]
@@ -351,14 +352,14 @@ class TestLevelGeometry:
     @pytest.mark.parametrize("name", ["disk2d", "box3d"])
     def test_reversed_elements_fixed_as_a_whole_mesh(self, name):
         made = stack_mesh(name, 3)
-        n_per = made.level_stack[0]
+        n_per = made.level_stack.n_per
         els = made.elements.reshape(3, n_per, -1).copy()
         els[:, ::3, :2] = els[:, ::3, 1::-1]  # the same elements every level
         els = els.reshape(made.elements.shape)
         mesh = copy_mesh(made, elements=els)
         whole = SimplexMesh(made.nodes, els, made.boundary_facets,
                             made.boundary_tags, made.tag_names)
-        assert mesh.level_stack[0] == n_per
+        assert mesh.level_stack.n_per == n_per
         assert not np.array_equal(els, whole.elements)
         assert np.array_equal(mesh.elements, whole.elements)
         got, want = mesh.jacobian_dets, whole.jacobian_dets
@@ -373,7 +374,7 @@ class TestLevelGeometry:
         nodes[2 * n_sp:3 * n_sp, 0] += 1e-9
         calls = counted_det_of(monkeypatch)
         mesh = copy_mesh(made, nodes=nodes)
-        assert mesh.level_stack[0] == mesh.n_elements
+        assert mesh.level_stack.n_per == mesh.n_elements
         assert calls == [mesh.n_elements]
         assert mesh.jacobian_dets.tobytes() == _det_of(
             nodes, mesh.elements).tobytes()

@@ -130,7 +130,7 @@ class TestMeshMetricFromGradients:
         # the bytes of level 0, whose determinants are its own; the later
         # levels take level 0's, which moves them by rounding
         mesh = stirrer_meshes["stirrer2d"]
-        n_per = mesh.level_stack[0]
+        n_per = mesh.level_stack.n_per
         assert n_per < mesh.n_elements
         J = np.moveaxis(jacobians_last(mesh.element_coords), -1, 0)
         Ginv, g, _, _ = mesh_metric(mesh)

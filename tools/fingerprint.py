@@ -9,9 +9,9 @@ The digests cover
 
 - the stirrer2d and stirrer3d UST meshes (nodes, elements, boundary
   facets, their tags and the bottom/top/mantle groups);
-- the level stack the assembly finds in each of those meshes
-  (``SpaceTimeMesh.level_stack``: elements per level and the levels'
-  rotations);
+- the ``LevelStack`` the assembly finds in each of those meshes
+  (``SpaceTimeMesh.level_stack``): its ``n_per``, the elements per level,
+  and its ``rotations``, R_k of each element level;
 - the per-element geometry of those meshes, ``jacobian_dets`` and
   ``max_edge_lengths``, which a stacked mesh takes from level 0;
 - ``mesh_metric`` (Ginv, g, Ginv:Ginv, g.g) on those meshes;
@@ -83,8 +83,8 @@ def mesh_arrays(mesh) -> dict:
 
 
 def stack(mesh) -> dict:
-    n_per, rotations = mesh.level_stack
-    return {"n_per": np.array(n_per), "rotations": rotations}
+    levels = mesh.level_stack
+    return {"n_per": np.array(levels.n_per), "rotations": levels.rotations}
 
 
 def geometry(mesh) -> dict:
