@@ -21,7 +21,8 @@ from .errors import (ConfigurationError, IoFailure, ParseError,
 from .extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from .mesh import validate_mesh
 from .postproc import export_vtk, probe, slice_at_time
-from .scenarios import builtin_cases, convergence_study, run_slab, run_ust
+from .scenarios import (STUDY_CASES, builtin_cases, convergence_study,
+                        run_slab, run_ust)
 from .solver import NewtonConfig
 
 
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
 
     p = sub.add_parser("convergence", help="run a refinement study")
-    p.add_argument("--case", required=True)
+    p.add_argument("--case", required=True, choices=sorted(STUDY_CASES))
     p.add_argument("--mode", choices=["ust", "slab"], default="ust")
     p.add_argument("--sizes", default="6,12,24")
     p.add_argument("--out", required=True)
@@ -81,7 +82,11 @@ def _floats(name: str, text: str) -> tuple:
             f"{name} must be space-separated floats, got {text!r}") from None
 
 
-def _cmd_mesh_gen(args) -> int:
+def _cmd_mesh_gen(args, parser) -> int:
+    try:
+        grid = ExtrusionSpec(0.0, args.t_end, args.levels)
+    except ValueError as exc:
+        parser.error(f"--levels {args.levels} --t-end {args.t_end:g}: {exc}")
     center = _floats("--center", args.center)
     axis = _floats("--axis", args.axis)
     mesh = stio.read_stmesh(args.input)
@@ -90,8 +95,7 @@ def _cmd_mesh_gen(args) -> int:
         traj = NodeTrajectory(kind, center, axis, args.omega)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
-    st = extrude_simplex_st(mesh, ExtrusionSpec(0.0, args.t_end, args.levels,
-                                                traj))
+    st = extrude_simplex_st(mesh, dataclasses.replace(grid, trajectory=traj))
     stio.write_stmesh(st, args.out)
     logging.getLogger("ustflow").info(
         "mesh-gen: %d nodes, %d elements", st.n_nodes, st.n_elements)
@@ -118,34 +122,27 @@ def _cmd_run(args, parser) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = NewtonConfig(max_iter=args.max_iter)
-    if mode == "ust":
-        res = run_ust(spec, newton_cfg=cfg)
-        stio.write_result(res.mesh, res.field.values, out / "result.dat")
-        newtons = [res.newton]
-        if args.slice_time is not None:
-            sl = slice_at_time(res.mesh, res.field.values, args.slice_time)
-            export_vtk(sl.mesh, sl.values[:, : res.mesh.n_sd],
-                       sl.values[:, res.mesh.n_sd],
-                       out / f"slice_t{args.slice_time:g}.vtk",
-                       title=f"{spec.name} t={args.slice_time:g}")
-    else:
-        res = run_slab(spec, newton_cfg=cfg)
-        stio.write_result(res.final_mesh, res.final_values,
-                          out / "result.dat")
-        newtons = res.newtons
+    res = (run_ust if mode == "ust" else run_slab)(
+        spec, newton_cfg=NewtonConfig(max_iter=args.max_iter))
+    # a UST run writes its space-time field, which slice and probe read
+    mesh, values = ((res.slabs[0], res.fields[0]) if mode == "ust"
+                    else (res.final_mesh, res.final_values))
+    stio.write_result(mesh, values, out / "result.dat")
+    if args.slice_time is not None and mode == "ust":
+        sl = slice_at_time(mesh, values, args.slice_time)
+        export_vtk(sl.mesh, sl.values[:, : mesh.n_sd], sl.values[:, mesh.n_sd],
+                   out / f"slice_t{args.slice_time:g}.vtk",
+                   title=f"{spec.name} t={args.slice_time:g}")
     with open(out / "newton_trace.log", "w") as f:
-        for k, newton in enumerate(newtons):
+        for k, newton in enumerate(res.newtons):
             etas = ["-"] + [f"{eta:.3e}" for eta in newton.eta]
             for it, (r, t, eta) in enumerate(zip(newton.trace,
                                                  newton.assemble_s, etas)):
                 f.write(f"solve={k} newton iter={it} res={r:.6e} "
                         f"assemble_s={t:.3f} eta={eta}\n")
     if not res.diagnostics["converged"]:
-        failed = res.diagnostics.get("failed_slab")
-        where = "" if failed is None else f" in slab {failed}"
-        print(f"warning: Newton did not reach tolerance{where}",
-              file=sys.stderr)
+        print(f"warning: Newton did not reach tolerance in slab "
+              f"{res.diagnostics['failed_slab']}", file=sys.stderr)
         return 1
     return 0
 
@@ -190,8 +187,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+def _cmd_convergence(args, parser) -> int:
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        if not sizes or min(sizes) < 1:
+            raise ValueError
+    except ValueError:
+        parser.error(f"--sizes {args.sizes}: need comma-separated positive "
+                     f"integers")
     rows = convergence_study(args.case, sizes, args.mode)
     stio.write_convergence_csv(args.out, rows)
     for row in rows:
@@ -206,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "mesh-gen":
-            return _cmd_mesh_gen(args)
+            return _cmd_mesh_gen(args, parser)
         if args.command == "run":
             return _cmd_run(args, parser)
         if args.command == "slice":
@@ -216,7 +219,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         if args.command == "convergence":
-            return _cmd_convergence(args)
+            return _cmd_convergence(args, parser)
         parser.error("unknown command")
     except UstflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -267,9 +267,6 @@ def read_config(path):
             x = tuple(as_number(no, v) for v in value.split())
         elif key == "convective":
             x = as_bool(no, key, value)
-        elif key == "mode" and value not in ("ust", "slab"):
-            raise ParseError(f"mode must be ust or slab, got {value!r}",
-                             line=no)
         else:  # mode, name; base and mesh are taken above
             x = value
         try:

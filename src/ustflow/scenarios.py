@@ -1,15 +1,17 @@
-"""Case definitions and the two ways of marching through a case's time grid.
+"""Case definitions and the one loop that marches through a case's time grid.
 
 A ``ScenarioSpec`` owns one time grid: ``levels`` uniform steps of
 ``dt = t_end / levels`` from 0 to ``t_end``.  It hands out the pieces of
 that grid and the problem on each: the twisted space-time mesh over all
 levels (``ust_mesh``), the tensor-product slab between levels n and n + 1
 (``slab``), and the ``SpaceTimeProblem`` or ``PrismSlabProblem`` on a piece
-(``problem``).  ``run_ust`` solves once over the whole mesh; ``run_slab``
-solves the slabs in turn, with node positions that follow the rigid
-rotation, which realizes the ALE mesh-movement description inside the
-space-time geometry.  Node correspondence between a slab's top and the next
-slab's bottom is exact, so the trace transfer is a node-to-node copy.
+(``problem``).  A run marches a list of pieces, each solved from the
+previous one's top trace: ``run_ust`` marches one piece, the UST mesh of
+all levels; ``run_slab`` marches one slab per level, with node positions
+that follow the rigid rotation, which realizes the ALE mesh-movement
+description inside the space-time geometry.  Node correspondence between a
+piece's top and the next piece's bottom is exact, so the trace transfer is
+a node-to-node copy.  Both return a ``RunResult``.
 """
 
 from __future__ import annotations
@@ -17,20 +19,19 @@ from __future__ import annotations
 import importlib.resources
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assembly import (BCSpec, MaterialParams, PrismSlab, PrismSlabProblem,
-                       SolutionField, SpaceTimeProblem,
-                       rigid_surface_velocity, zero_velocity)
+                       SpaceTimeProblem, rigid_surface_velocity, zero_velocity)
 from .errors import NotConverged
 from .extrude import (ExtrusionSpec, NodeTrajectory, extrude_simplex_st,
                       rigid_rotation_positions)
 from .geometry import annulus2d, box2d
 from .mesh import SimplexMesh, SpaceTimeMesh, time_levels
-from .postproc import global_divergence, l2_error, l2_error_slab
-from .solver import LinearSolverConfig, NewtonConfig, NewtonResult, newton_solve
+from .postproc import l2_error, l2_error_slab
+from .solver import LinearSolverConfig, NewtonConfig, newton_solve
 
 logger = logging.getLogger("ustflow")
 
@@ -65,6 +66,8 @@ class ScenarioSpec:
             raise ValueError("t_end must be positive")
         if not self.levels >= 1:
             raise ValueError("levels must be at least 1")
+        if self.mode not in ("ust", "slab"):
+            raise ValueError(f"mode must be ust or slab, got {self.mode!r}")
         if self.mesh.dim != self.space_dim:
             raise ValueError(f"{self.name} takes a {self.space_dim}D mesh, "
                              f"not a {self.mesh.dim}D one")
@@ -97,13 +100,11 @@ class ScenarioSpec:
 
     def problem(self, piece, jump_data=None):
         """The problem of this case on ``piece``, the UST mesh or a slab."""
-        if isinstance(piece, PrismSlab):
-            cls, node_xt = PrismSlabProblem, piece.node_coords()
-        else:
-            cls, node_xt = SpaceTimeProblem, piece.nodes
+        cls = (PrismSlabProblem if isinstance(piece, PrismSlab)
+               else SpaceTimeProblem)
         return cls(piece, self.material, self.bcs, body_force=self.body_force,
-                   convective=self.convective, gauge=self.gauge_for(node_xt),
-                   jump_data=jump_data)
+                   convective=self.convective,
+                   gauge=self.gauge_for(_node_xt(piece)), jump_data=jump_data)
 
     def needs_gauge(self) -> bool:
         return len(self.bcs.neumann) == 0
@@ -133,31 +134,32 @@ class ScenarioSpec:
         return pins
 
 
-@dataclass
-class UstRunResult:
-    mesh: SpaceTimeMesh
-    field: SolutionField
-    newton: NewtonResult
-    diagnostics: dict
+def _node_xt(piece) -> np.ndarray:
+    """Space-time node coordinates of a UST mesh or a slab, level by level,
+    so the last ``n_sp`` rows are its top level."""
+    return piece.node_coords() if isinstance(piece, PrismSlab) else piece.nodes
 
 
 @dataclass
-class SlabRunResult:
-    spatial: SimplexMesh
-    slabs: list          # PrismSlab per step
-    fields: list         # (2*n_sp, ncomp) values per step
-    newtons: list        # NewtonResult per step
-    final_positions: np.ndarray  # (n_sp, n_sd) node positions at t_end
-    final_values: np.ndarray     # (n_sp, ncomp) top-trace values at t_end
+class RunResult:
+    """The solves of a run, one per piece of the time grid it marched (the
+    UST mesh of ``run_ust``, or the slabs of ``run_slab``), up to and with
+    the first one that did not converge."""
+    slabs: list          # SpaceTimeMesh or PrismSlab per solve
+    fields: list         # (n_nodes, ncomp) values per solve, level by level
+    newtons: list        # NewtonResult per solve
+    final_mesh: SimplexMesh  # the spatial mesh at the last top level
     diagnostics: dict
 
     @property
-    def final_mesh(self) -> SimplexMesh:
-        """The spatial mesh at ``final_positions``, the mesh of
-        ``final_values``."""
-        s = self.spatial
-        return SimplexMesh(self.final_positions, s.elements, s.boundary_facets,
-                           s.boundary_tags, s.tag_names, fix_orientation=False)
+    def final_positions(self) -> np.ndarray:
+        """(n_sp, n_sd) node positions of the last solve's top level."""
+        return self.final_mesh.nodes
+
+    @property
+    def final_values(self) -> np.ndarray:
+        """(n_sp, ncomp) values of the last solve's top level."""
+        return self.fields[-1][-self.final_mesh.n_nodes:]
 
 
 def default_linear_config(n_dofs: int) -> LinearSolverConfig:
@@ -175,67 +177,58 @@ def default_linear_config(n_dofs: int) -> LinearSolverConfig:
 
 
 def run_ust(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
-            lin_cfg: LinearSolverConfig = None) -> UstRunResult:
-    """Single nonlinear solve over the full twisted space-time domain."""
-    st_mesh = spec.ust_mesh()
-    problem = spec.problem(st_mesh)
-    newton_cfg = newton_cfg or NewtonConfig()
-    logger.info("run_ust case=%s elements=%d dofs=%d", spec.name,
-                st_mesh.n_elements, problem.n_dofs)
-    result = newton_solve(problem, problem.initial_guess(), newton_cfg, lin_cfg)
-    field = SolutionField(result.values, st_mesh.n_sd)
-    diagnostics = {
-        "newton_trace": result.trace,
-        "newton_iterations": result.iterations,
-        "converged": result.converged,
-        "divergence_l2": global_divergence(st_mesh, result.values),
-    }
-    return UstRunResult(st_mesh, field, result, diagnostics)
+            lin_cfg: LinearSolverConfig = None) -> RunResult:
+    """One nonlinear solve over the full twisted space-time domain."""
+    return _march(spec, [spec.ust_mesh()], newton_cfg, lin_cfg)
 
 
 def run_slab(spec: ScenarioSpec, newton_cfg: NewtonConfig = None,
-             lin_cfg: LinearSolverConfig = None) -> SlabRunResult:
+             lin_cfg: LinearSolverConfig = None) -> RunResult:
     """March the slabs of the grid with rigid mesh rotation (ALE-equivalent
-    mode), each starting from the previous slab's top trace.
+    mode)."""
+    return _march(spec, [spec.slab(n) for n in range(spec.levels)],
+                  newton_cfg, lin_cfg)
 
-    Marching stops after the first slab whose Newton solve does not
-    converge, as every later slab would start from its trace; its index is
+
+def _march(spec: ScenarioSpec, pieces: list, newton_cfg, lin_cfg) -> RunResult:
+    """Solve ``pieces`` in turn, each starting from the previous one's top
+    trace.
+
+    Marching stops after the first piece whose Newton solve does not
+    converge, as every later piece would start from its trace; its index is
     ``diagnostics["failed_slab"]`` (None when all converged).
     """
-    n_sp = spec.mesh.n_nodes
-    newton_cfg = newton_cfg or NewtonConfig()
-
-    prev_trace = None
-    failed = None
-    slabs, fields, newtons = [], [], []
-    for n in range(spec.levels):
-        slab = spec.slab(n)
-        problem = spec.problem(slab, jump_data=prev_trace)
+    n_sp, n_sd = spec.mesh.n_nodes, spec.space_dim
+    trace, newtons = None, []
+    for n, piece in enumerate(pieces):
+        problem = spec.problem(piece, jump_data=trace)
         result = newton_solve(problem, problem.initial_guess(), newton_cfg,
                               lin_cfg)
-        logger.info("slab %d/%d iters=%d res=%.3e", n + 1, spec.levels,
-                    result.iterations, result.trace[-1])
-        slabs.append(slab)
-        fields.append(result.values)
         newtons.append(result)
+        logger.log(logging.INFO if result.converged else logging.WARNING,
+                   "run case=%s slab %d/%d elements=%d dofs=%d iters=%d "
+                   "res=%.3e%s", spec.name, n + 1, len(pieces),
+                   len(problem.elements), problem.n_dofs, result.iterations,
+                   result.trace[-1],
+                   "" if result.converged else " not converged; stopping")
         if not result.converged:
-            failed = n
-            logger.warning("run_slab: slab %d did not converge (res=%.3e); "
-                           "stopping", n, result.trace[-1])
             break
-        prev_trace = result.values[n_sp:, : spec.mesh.dim]
+        trace = result.values[-n_sp:, :n_sd]
 
-    final_values = fields[-1][n_sp:]
+    m = spec.mesh  # piece is the last one solved
+    final_mesh = SimplexMesh(_node_xt(piece)[-n_sp:, :n_sd], m.elements,
+                             m.boundary_facets, m.boundary_tags, m.tag_names,
+                             fix_orientation=False)
+    converged = newtons[-1].converged
     diagnostics = {
-        "n_slabs": spec.levels,
+        "n_slabs": len(pieces),
         "newton_iterations": [r.iterations for r in newtons],
-        "converged": failed is None,
-        "failed_slab": failed,
         "newton_traces": [r.trace for r in newtons],
+        "converged": converged,
+        "failed_slab": None if converged else len(newtons) - 1,
     }
-    return SlabRunResult(spec.mesh, slabs, fields, newtons,
-                         slabs[-1].coords_top.copy(), final_values,
-                         diagnostics)
+    return RunResult(pieces[:len(newtons)], [r.values for r in newtons],
+                     newtons, final_mesh, diagnostics)
 
 
 # -- analytic reference solutions --------------------------------------------
@@ -415,6 +408,14 @@ def builtin_cases() -> dict:
 
 # -- convergence studies ------------------------------------------------------
 
+# the cases a convergence study refines: size -> (spec, h)
+STUDY_CASES = {
+    "manufactured": lambda n: (make_manufactured(n=n, levels=max(2, n // 2)),
+                               1.0 / n),
+    "couette2d": lambda n: (make_couette2d(n_r=n, n_theta=3 * n), 1.0 / n),
+}
+
+
 def convergence_study(case: str, sizes, mode: str = "ust",
                       newton_cfg: NewtonConfig = None) -> list:
     """L2 errors and observed orders over a refinement sequence.
@@ -422,17 +423,13 @@ def convergence_study(case: str, sizes, mode: str = "ust",
     Rows carry h, velocity and pressure errors, and observed orders
     log2(e_h / e_{h/2}) between consecutive rows.
     """
+    if case not in STUDY_CASES:
+        raise ValueError(f"no convergence setup for case {case!r}")
     rows = []
     for nsize in sizes:
-        if case == "manufactured":
-            spec = make_manufactured(n=nsize, levels=max(2, nsize // 2))
-            h = 1.0 / nsize
-        elif case == "couette2d":
-            spec = make_couette2d(n_r=nsize, n_theta=3 * nsize)
-            h = 1.0 / nsize
-        else:
-            raise ValueError(f"no convergence setup for case {case!r}")
-        err_u, err_p = _case_errors(spec, nsize, mode, newton_cfg)
+        spec, h = STUDY_CASES[case](nsize)
+        err_u, err_p = _case_errors(replace(spec, mode=mode), nsize,
+                                    newton_cfg)
         rows.append({"size": nsize, "h": h, "err_u": err_u, "err_p": err_p})
     for k in range(1, len(rows)):
         ratio_h = rows[k - 1]["h"] / rows[k]["h"]
@@ -443,41 +440,30 @@ def convergence_study(case: str, sizes, mode: str = "ust",
     return rows
 
 
-def _case_errors(spec: ScenarioSpec, size, mode: str, newton_cfg=None):
-    """Relative L2 errors (velocity total, pressure) for a study case.
+def _case_errors(spec: ScenarioSpec, size, newton_cfg=None):
+    """Relative L2 errors (velocity total, pressure) for a study case, run
+    in ``spec.mode``.
 
-    The manufactured case compares over the whole space-time domain; the
-    Couette case compares the steady end state on the final-time slice
-    (the closed form is the steady profile, so the startup transient must
-    not enter the norm).  A run that did not converge raises
-    ``NotConverged``: its errors would measure the solver, not the
-    discretization.
+    The manufactured case compares over the whole space-time domain, the
+    sum over the run's slabs; the Couette case compares the steady end
+    state on the final spatial mesh (the closed form is the steady
+    profile, so the startup transient must not enter the norm).  A run that
+    did not converge raises ``NotConverged``: its errors would measure the
+    solver, not the discretization.
     """
     exact = spec.exact_solution
-    steady_slice = spec.name == "couette2d"
-    if mode == "ust":
-        res = run_ust(spec, newton_cfg=newton_cfg)
-    elif mode == "slab":
-        res = run_slab(spec, newton_cfg=newton_cfg)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    run = run_ust if spec.mode == "ust" else run_slab
+    res = run(spec, newton_cfg=newton_cfg)
     if not res.diagnostics["converged"]:
-        failed = res.diagnostics.get("failed_slab")
-        where = "" if failed is None else f" in slab {failed}"
         raise NotConverged(f"convergence study case={spec.name} size={size} "
-                           f"mode={mode}: Newton did not converge{where}")
-    if mode == "ust":
-        if steady_slice:
-            from .postproc import slice_at_time
-            sl = slice_at_time(res.mesh, res.field.values, spec.t_end)
-            err = l2_error(sl.mesh, sl.values, exact)
-        else:
-            err = l2_error(res.mesh, res.field.values, exact)
-    elif steady_slice:
+                           f"mode={spec.mode}: Newton did not converge in "
+                           f"slab {res.diagnostics['failed_slab']}")
+    if spec.name == "couette2d":
         err = l2_error(res.final_mesh, res.final_values, exact)
     else:
-        parts = [l2_error_slab(slab, vals, exact)
-                 for slab, vals in zip(res.slabs, res.fields)]
+        parts = [(l2_error_slab if isinstance(piece, PrismSlab)
+                  else l2_error)(piece, vals, exact)
+                 for piece, vals in zip(res.slabs, res.fields)]
         err = {key: np.sqrt(sum(part[key] ** 2 for part in parts))
                for key in ("components", "exact_components")}
     comps = err["components"]

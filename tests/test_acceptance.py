@@ -14,7 +14,7 @@ import pytest
 from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
 from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from ustflow.geometry import box2d, box3d, disk2d
-from ustflow.mesh import SimplexMesh, validate_mesh
+from ustflow.mesh import validate_mesh
 from ustflow.postproc import probe, probe_vorticity, slice_at_time
 from ustflow.scenarios import (STIRRER_DT, STIRRER_LEVELS, STIRRER_OMEGA,
                                ScenarioSpec, convergence_study,
@@ -233,12 +233,9 @@ class TestCriterion6CrossValidation:
         ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
         pts = np.column_stack([2.8 * np.cos(ang), 2.8 * np.sin(ang)])
 
-        sl = slice_at_time(ust.mesh, ust.field.values, t_end)
+        sl = slice_at_time(ust.slabs[0], ust.fields[0], t_end)
         v_ust, f1 = probe(sl.mesh, sl.values, pts)
-        final_mesh = SimplexMesh(slab.final_positions, spec.mesh.elements,
-                                 spec.mesh.boundary_facets,
-                                 spec.mesh.boundary_tags, spec.mesh.tag_names,
-                                 fix_orientation=False)
+        final_mesh = slab.final_mesh
         v_slab, f2 = probe(final_mesh, slab.final_values, pts)
         m_ust = np.hypot(v_ust[:, 0], v_ust[:, 1])
         m_slab = np.hypot(v_slab[:, 0], v_slab[:, 1])
@@ -271,10 +268,11 @@ class TestCriterion7NewtonRobustness:
         spec2d, ust2d, slab2d = stirrer2d_runs
         spec3d = make_stirrer3d(coarse=True)
         ust3d = run_ust(spec3d, newton_cfg=NewtonConfig(max_iter=40))
+        (ust2d_newton,), (ust3d_newton,) = ust2d.newtons, ust3d.newtons
 
         with open(ARTIFACTS / "newton_traces.log", "w") as f:
             f.write("# 2D stirrer UST\n")
-            for k, r in enumerate(ust2d.newton.trace):
+            for k, r in enumerate(ust2d_newton.trace):
                 f.write(f"case=stirrer2d_ust newton iter={k} res={r:.6e}\n")
             f.write("# 2D stirrer slabs\n")
             for s, trace in enumerate(slab2d.diagnostics["newton_traces"]):
@@ -282,18 +280,18 @@ class TestCriterion7NewtonRobustness:
                     f.write(f"case=stirrer2d_slab{s} newton iter={k} "
                             f"res={r:.6e}\n")
             f.write("# 3D stirrer UST (coarse)\n")
-            for k, r in enumerate(ust3d.newton.trace):
+            for k, r in enumerate(ust3d_newton.trace):
                 f.write(f"case=stirrer3d_ust newton iter={k} res={r:.6e}\n")
 
         slab_iters = slab2d.diagnostics["newton_iterations"]
-        ok = (ust2d.newton.converged and ust2d.newton.iterations <= 30
+        ok = (ust2d_newton.converged and ust2d_newton.iterations <= 30
               and slab2d.diagnostics["converged"]
               and max(slab_iters) <= 15
-              and ust3d.newton.converged and ust3d.newton.iterations <= 40)
+              and ust3d_newton.converged and ust3d_newton.iterations <= 40)
         report(7, ok,
-               f"2D UST {ust2d.newton.iterations} <= 30 "
+               f"2D UST {ust2d_newton.iterations} <= 30 "
                f"(paper-scale reference 13), slabs max {max(slab_iters)} "
-               f"<= 15 (reference 8), 3D UST {ust3d.newton.iterations} "
+               f"<= 15 (reference 8), 3D UST {ust3d_newton.iterations} "
                f"<= 40 (reference 19); traces archived")
 
 
@@ -400,10 +398,11 @@ class TestCriterion9GalileanFixedPoint:
         spec = ScenarioSpec("galilean", 2, mesh, MaterialParams(1.0, 0.05),
                             bcs, t_end=0.3, levels=3)
         res = run_ust(spec)
-        resid = res.newton.trace[-1]
-        ok = (res.newton.converged and res.newton.iterations <= 2
+        (newton,), (values,) = res.newtons, res.fields
+        resid = newton.trace[-1]
+        ok = (newton.converged and newton.iterations <= 2
               and resid < 1e-10
-              and np.abs(res.field.velocity - c).max() < 1e-9)
+              and np.abs(values[:, :2] - c).max() < 1e-9)
         report(9, ok, f"residual {resid:.1e} < 1e-10 after gauge fixing, "
-                      f"{res.newton.iterations} <= 2 Newton iterations, "
+                      f"{newton.iterations} <= 2 Newton iterations, "
                       f"constant field recovered")

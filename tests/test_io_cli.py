@@ -181,6 +181,14 @@ class TestConfig:
             read_config(path)
         assert err.value.line == 3
 
+    def test_bad_mode_reports_line(self, tmp_path):
+        path = tmp_path / "case.cfg"
+        path.write_text("[case]\nbase = manufactured\nmode = ale\n")
+        message = "mode = ale: mode must be ust or slab, got 'ale'"
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            read_config(path)
+        assert err.value.line == 3
+
     def test_mesh_override(self, tmp_path):
         mpath = tmp_path / "ann.stmesh"
         write_stmesh(annulus2d(1.0, 2.0, 2, 8), mpath)
@@ -485,6 +493,40 @@ class TestCli:
         assert exc.value.code == 2
         assert message in self.only_error_line(capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--levels", "0", "--t-end", "0.6"],
+         "--levels 0 --t-end 0.6: need at least one level"),
+        (["--levels", "3", "--t-end", "-1"],
+         "--levels 3 --t-end -1: tN must exceed t0"),
+    ], ids=["levels", "t_end"])
+    def test_mesh_gen_out_of_range_is_a_usage_error(self, tmp_path, capsys,
+                                                    argv, message):
+        src = tmp_path / "box.stmesh"
+        write_stmesh(box2d(1, 1), src)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mesh-gen", "--input", str(src), *argv,
+                      "--out", str(tmp_path / "st.stmesh")])
+        assert exc.value.code == 2
+        assert message in self.only_error_line(capsys)
+        assert not (tmp_path / "st.stmesh").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--case", "channel2d"], "argument --case: invalid choice: "
+                                  "'channel2d'"),
+        (["--case", "manufactured", "--sizes", "4,x"],
+         "--sizes 4,x: need comma-separated positive integers"),
+        (["--case", "manufactured", "--sizes", "4,0"],
+         "--sizes 4,0: need comma-separated positive integers"),
+    ], ids=["case", "sizes", "size_0"])
+    def test_convergence_bad_input_is_a_usage_error(self, tmp_path, capsys,
+                                                    argv, message):
+        out = tmp_path / "conv.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["convergence", *argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in self.only_error_line(capsys)
+        assert not out.exists()
 
     def test_convergence_csv(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -40,10 +40,10 @@ class TestGalileanFixedPoint:
     def test_constant_state_is_solution(self):
         spec = constant_scenario([0.9, -0.35])
         res = run_ust(spec)
-        assert res.newton.converged
-        assert res.newton.iterations <= 2
-        assert res.newton.trace[-1] < 1e-10
-        u = res.field.values
+        (newton,), (u,) = res.newtons, res.fields
+        assert newton.converged
+        assert newton.iterations <= 2
+        assert newton.trace[-1] < 1e-10
         assert np.abs(u[:, 0] - 0.9).max() < 1e-10
         assert np.abs(u[:, 1] + 0.35).max() < 1e-10
         assert np.abs(u[:, 2]).max() < 1e-8
@@ -103,6 +103,13 @@ class TestTimeGrid:
             dataclasses.replace(spec, t_end=0.0)
         assert dataclasses.replace(spec, levels=4).dt == spec.t_end / 4
 
+    def test_mode_is_checked(self):
+        spec = constant_scenario([0.0, 0.0])
+        with pytest.raises(ValueError, match="mode must be ust or slab, got "
+                                             "'ale'"):
+            dataclasses.replace(spec, mode="ale")
+        assert dataclasses.replace(spec, mode="slab").mode == "slab"
+
     @pytest.mark.parametrize("make", GRID_CASES.values(), ids=GRID_CASES)
     def test_slab_n_spans_ust_levels_n_and_n_plus_1(self, make, monkeypatch):
         # run_slab marches the slabs of the UST mesh's time levels; Newton
@@ -133,10 +140,11 @@ class TestSlabMarching:
         assert len(res.slabs) == 17
         assert res.diagnostics["failed_slab"] is None
 
-    def test_stops_at_first_unconverged_slab(self):
+    @pytest.mark.parametrize("run", [run_ust, run_slab], ids=["ust", "slab"])
+    def test_stops_at_first_unconverged_slab(self, run):
         spec = make_manufactured(n=3)
-        res = run_slab(spec, newton_cfg=NewtonConfig(max_iter=1, rel_tol=1e-14,
-                                                     abs_tol=1e-14))
+        res = run(spec, newton_cfg=NewtonConfig(max_iter=1, rel_tol=1e-14,
+                                                abs_tol=1e-14))
         assert len(res.slabs) == len(res.fields) == len(res.newtons) == 1
         assert res.diagnostics["failed_slab"] == 0
         assert res.diagnostics["converged"] is False
@@ -162,17 +170,33 @@ class TestSlabMarching:
         err = np.abs(res.final_values[:, :2] - exact).max()
         assert err < 0.04 * np.abs(exact).max()
 
-    def test_final_mesh_is_spatial_mesh_at_final_positions(self):
-        # the mesh rotates rigidly with the inner wall
+    @pytest.mark.parametrize("run", [run_ust, run_slab], ids=["ust", "slab"])
+    def test_final_mesh_is_spatial_mesh_at_final_positions(self, run):
+        # the mesh rotates rigidly with the inner wall; the final positions
+        # are the top node level of the last piece marched
         spec = dataclasses.replace(
             make_couette2d(n_r=4, n_theta=12, t_end=0.2, levels=1), omega=1.0)
-        res = run_slab(spec)
+        res = run(spec)
         final, spatial = res.final_mesh, spec.mesh
-        assert np.array_equal(final.nodes, res.slabs[-1].coords_top)
+        n_sp = spatial.n_nodes
+        top = (res.slabs[-1].coords_top if run is run_slab
+               else res.slabs[-1].nodes[-n_sp:, :2])
+        assert np.array_equal(res.final_positions, top)
+        assert np.array_equal(final.nodes, top)
         assert not np.array_equal(final.nodes, spatial.nodes)
         for name in ("elements", "boundary_facets", "boundary_tags"):
             assert np.array_equal(getattr(final, name), getattr(spatial, name))
         assert final.tag_names == spatial.tag_names
+
+    def test_ust_final_values_are_its_top_node_level(self):
+        spec = make_couette2d(n_r=4, n_theta=12, t_end=0.4, levels=2)
+        res = run_ust(spec)
+        (st_mesh,), (values,) = res.slabs, res.fields
+        n_sp = spec.mesh.n_nodes
+        assert np.all(st_mesh.nodes[-n_sp:, -1] == spec.t_end)
+        assert np.array_equal(res.final_values, values[-n_sp:])
+        assert res.diagnostics["n_slabs"] == 1
+        assert res.diagnostics["failed_slab"] is None
 
     def test_warm_start_transfer_is_node_to_node(self):
         spec = make_couette2d(n_r=4, n_theta=12, t_end=0.4, levels=2)
@@ -193,7 +217,7 @@ class TestModeConsistency:
         ust = run_ust(spec)
         slab = run_slab(spec)
         n_sp = spec.mesh.n_nodes
-        u_ust = ust.field.values.reshape(2, n_sp, 3)  # level-major nodes
+        u_ust = ust.fields[0].reshape(2, n_sp, 3)  # level-major nodes
         u_slab = slab.fields[0].reshape(2, n_sp, 3)
         diff = u_ust[:, :, :2] - u_slab[:, :, :2]
         rel = np.linalg.norm(diff) / np.linalg.norm(u_slab[:, :, :2])
@@ -216,8 +240,8 @@ class TestModeConsistency:
 
         ang = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         pts = np.column_stack([2.8 * np.cos(ang), 2.8 * np.sin(ang)])
-        sl_base = slice_at_time(base.mesh, base.field.values, spec.t_end)
-        sl_rot = slice_at_time(rot.mesh, rot.field.values, spec.t_end)
+        sl_base = slice_at_time(base.slabs[0], base.fields[0], spec.t_end)
+        sl_rot = slice_at_time(rot.slabs[0], rot.fields[0], spec.t_end)
         v_base, f1 = probe(sl_base.mesh, sl_base.values, pts)
         v_rot, f2 = probe(sl_rot.mesh, sl_rot.values, pts @ R.T)
         assert f1.all() and f2.all()
@@ -356,9 +380,10 @@ class TestLinearSolverChoice:
         # GMRES pinned to 1e-8 at every step follows the oracle's iterates
         spec, lu = stirrer_oracle
         gs = run_ust(spec, lin_cfg=LinearSolverConfig(lin_rel_tol=1e-8))
-        assert gs.newton.converged and lu.newton.converged
-        assert gs.newton.iterations == lu.newton.iterations
-        U, U_ref = gs.field.values, lu.field.values
+        assert gs.diagnostics["converged"] and lu.diagnostics["converged"]
+        assert (gs.diagnostics["newton_iterations"]
+                == lu.diagnostics["newton_iterations"])
+        (U,), (U_ref,) = gs.fields, lu.fields
         assert np.abs(U - U_ref).max() <= 1e-8 * np.abs(U_ref).max()
 
     def test_twisted_stirrer_forcing_term_within_newton_tolerance(
@@ -367,9 +392,10 @@ class TestLinearSolverChoice:
         # forcing term asks, so the iterates leave the oracle's
         spec, lu = stirrer_oracle
         gs = run_ust(spec)
-        assert gs.newton.converged
-        tol = NewtonConfig().rel_tol * gs.newton.trace[0]
-        U, U_ref = gs.field.values, lu.field.values
+        (newton,), (newton_ref,) = gs.newtons, lu.newtons
+        assert newton.converged
+        tol = NewtonConfig().rel_tol * newton.trace[0]
+        (U,), (U_ref,) = gs.fields, lu.fields
         # What the Newton tolerance promises for the field.  Newton stops at
         # U with ||R(U)|| <= tol.  To first order U* - U is the Newton
         # correction delta = -J(U)^-1 R(U), one direct solve at U; the rest
@@ -378,10 +404,10 @@ class TestLinearSolverChoice:
         # and the oracle's own residual is orders of magnitude below tol.
         # So each component (velocity and pressure differ by 1e4 in scale)
         # must lie that close to the oracle's, with 5% for the remainder.
-        problem = spec.problem(gs.mesh)
+        problem = spec.problem(gs.slabs[0])
         system, rhs, rnorm = problem.system(U)
-        assert rnorm == gs.newton.trace[-1] <= tol
-        assert lu.newton.trace[-1] <= 1e-3 * tol
+        assert rnorm == newton.trace[-1] <= tol
+        assert newton_ref.trace[-1] <= 1e-3 * tol
         delta = direct_lu(system.matrix, rhs).reshape(U.shape)
         for c in range(U.shape[1]):
             bound = 1.05 * tol / rnorm * np.abs(delta[:, c]).max()
@@ -389,15 +415,18 @@ class TestLinearSolverChoice:
 
 
 class TestConvergenceStudy:
-    @pytest.mark.parametrize("mode,where",
-                             [("ust", ""), ("slab", " in slab 0")])
-    def test_unconverged_run_raises(self, mode, where):
+    @pytest.mark.parametrize("mode", ["ust", "slab"])
+    def test_unconverged_run_raises(self, mode):
         with pytest.raises(NotConverged) as err:
             convergence_study("manufactured", [4], mode,
                               NewtonConfig(max_iter=1))
         assert str(err.value).endswith(
             f"case=manufactured size=4 mode={mode}: Newton did not "
-            f"converge{where}")
+            f"converge in slab 0")
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="mode must be ust or slab"):
+            convergence_study("manufactured", [4], "ale")
 
 
 class TestBenchmarkHook:
@@ -424,10 +453,11 @@ class TestBenchmarkHook:
             tr.restore()
         assert solver.solve_linear_system is solve
         assert scenarios.newton_solve is newton
-        assert res.newton.converged and res.newton.iterations >= 2
+        (newton,), (st_mesh,) = res.newtons, res.slabs
+        assert newton.converged and newton.iterations >= 2
         solves = [s for s in tr.spans if s["name"] == "solver.solve"]
-        assert len(solves) == res.newton.iterations
-        n_dofs = res.mesh.n_nodes * 3
+        assert len(solves) == newton.iterations
+        n_dofs = st_mesh.n_nodes * 3
         for s in solves:
             assert s["n_dofs"] == n_dofs and s["nnz"] > n_dofs
             assert s["end"] >= s["start"]

@@ -137,7 +137,7 @@ def lines():
     yield "tau    stirrer3d ust  ", tau(ust3)
     yield "system stirrer3d ust  ", first_system(ust3)
     del ust3
-    yield "field  stirrer2d ust  ", {"values": run_ust(s2).field.values}
+    yield "field  stirrer2d ust  ", {"values": run_ust(s2).fields[0]}
     slab = run_slab(s2)
     yield "field  stirrer2d slab ", {"final": slab.final_values,
                                      **{f"slab{k}": f

@@ -162,11 +162,11 @@ def main(argv=None) -> int:
     t_mesh = time.perf_counter()
     res = run_ust(spec)
     t_run = time.perf_counter()
-    newton = res.newton
+    (newton,), (st_mesh,), (values,) = res.newtons, res.slabs, res.fields
     first = newton.solves[0]
     print(json.dumps({
-        "elements": res.mesh.n_elements,
-        "dofs": res.field.values.size,
+        "elements": st_mesh.n_elements,
+        "dofs": values.size,
         "free_dofs": first["free"],
         "levels": first["levels"],
         "factored_levels": first["factored"],
