@@ -14,7 +14,7 @@ spatial = disk2d(radius=1.0, n_r=4, n_theta=20)
 print(f"spatial disk: {spatial.n_elements} triangles, "
       f"{spatial.n_nodes} nodes, area {spatial.total_measure:.6f}")
 
-trajectory = NodeTrajectory("rigid_rotation", center=(0.0, 0.0), omega=1.5)
+trajectory = NodeTrajectory(center=(0.0, 0.0), omega=1.5)
 dt_max = max_admissible_twist(spatial, trajectory)
 print(f"largest admissible level spacing for omega=1.5: {dt_max:.4f}")
 

@@ -12,7 +12,7 @@ from ustflow import (ExtrusionSpec, NodeTrajectory, export_vtk,
 from ustflow.geometry import box3d
 
 spatial = box3d(2, 2, 1)
-trajectory = NodeTrajectory("rigid_rotation", center=(0.5, 0.5, 0.0),
+trajectory = NodeTrajectory(center=(0.5, 0.5, 0.0),
                             axis=(0.0, 0.0, 1.0), omega=0.6)
 st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 0.5, 3, trajectory))
 print(f"4D mesh: {st.n_elements} pentatopes over {spatial.n_elements} tets")

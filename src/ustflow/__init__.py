@@ -9,10 +9,9 @@ fields at arbitrary times for visualization.
 """
 
 from .assembly import (BCSpec, LinearSystem, MaterialParams, PrismSlab,
-                       PrismSlabProblem, SolutionField, SpaceTimeProblem,
-                       dirichlet_values, element_jacobian_matrix,
-                       element_residual, jump_term, rigid_surface_velocity,
-                       traction_term, zero_velocity)
+                       PrismSlabProblem, SpaceTimeProblem, dirichlet_values,
+                       element_jacobian_matrix, element_residual, jump_term,
+                       rigid_surface_velocity, traction_term, zero_velocity)
 from .extrude import (ExtrusionSpec, NodeTrajectory, decompose_prism,
                       extrude_simplex_st, extrude_spatial,
                       max_admissible_twist, rigid_rotation_positions)

@@ -47,7 +47,8 @@ for level 0 alone and reused, and every rotation is the stack's:
   repeat for every level;
 - the system at a level-periodic iterate, one whose every node level
   holds node level 0's values with the velocity turned by that level's
-  rotation (``SpaceTimeProblem._periodic``), is element levels 0 and 1's
+  rotation (``SpaceTimeProblem._periodic``), with tau evaluated there or
+  frozen at values that repeat level 0's, is element levels 0 and 1's
   turned: tau and the kernel run on those two levels only, in a
   partition of their own (``_base_chunks``), and node level m's CSR and
   residual rows are node level 1's with each pair block B turned to
@@ -57,7 +58,8 @@ for level 0 alone and reused, and every rotation is the stack's:
   Newton system of an extrusion whose initial and wall data are constant
   in time and turn with the mesh, as in every shipped UST case but the
   manufactured one (it has a body force), is such a system; a later
-  Newton iterate is not.
+  Newton iterate is not.  This is the one place that decides level
+  periodicity: the system's ``LinearSystem.stack`` tells the solver.
 
 A chunk has at most ``_CHUNK_ENTRIES`` local-matrix entries, which
 would be 8 MB of local matrices; a lane holds one component-pair block of
@@ -132,13 +134,17 @@ from .mesh import (LevelStack, SimplexMesh, SpaceTimeMesh, basis_eval,
                    cofactor_det, jacobians_last, reference_gradients,
                    time_levels)
 from .quadrature import interval_gauss, prism_quadrature, simplex_quadrature
-from .solver import SHARE_TOL
 from .stabilization import (StabilizationContext, advective_form,
                             metric_norms, metric_terms, prism_geometry,
                             prism_shape_functions, regular_simplex_map,
                             simplex_advective_form, tau_parameters)
 
 logger = logging.getLogger("ustflow")
+
+# an iterate, or a frozen tau, repeats level 0 on every level when it does
+# so to within this share of its largest entry, the bar of
+# ``SpaceTimeMesh.level_stack``
+SHARE_TOL = 1e-12
 
 # local-matrix entries per assembly chunk, 8 MB if they were held at once
 # (2,500 pentatopes, 6,944 space-time tetrahedra, 3,086 2D or 976 3D
@@ -212,38 +218,16 @@ class BCSpec:
                 f"tags with both Dirichlet and Neumann data: {sorted(overlap)}")
 
 
-class SolutionField:
-    """Nodal velocity + pressure unknowns on a mesh."""
-
-    def __init__(self, values: np.ndarray, n_sd: int):
-        self.values = np.asarray(values, dtype=float)
-        self.n_sd = n_sd
-        if self.values.ndim != 2 or self.values.shape[1] != n_sd + 1:
-            raise ValueError("values must be (n_nodes, n_sd+1)")
-
-    @classmethod
-    def zeros(cls, n_nodes: int, n_sd: int) -> "SolutionField":
-        return cls(np.zeros((n_nodes, n_sd + 1)), n_sd)
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.values[:, : self.n_sd]
-
-    @property
-    def pressure(self) -> np.ndarray:
-        return self.values[:, self.n_sd]
-
-    def copy(self) -> "SolutionField":
-        return SolutionField(self.values.copy(), self.n_sd)
-
-
 @dataclass
 class LinearSystem:
-    """Newton system: matrix @ delta = rhs, rhs = -(residual) with Dirichlet
-    rows replaced by identity rows carrying (prescribed - current)."""
+    """Newton system matrix @ delta = rhs, rhs = -(residual) with Dirichlet
+    rows replaced by identity rows carrying (prescribed - current).
+    ``stack`` is the ``LevelStack`` that a level-periodic system was turned
+    on, so that every interior node level's block is node level 1's turned
+    (see ``TimeLevelPreconditioner``), and None for a system assembled
+    level by level."""
     matrix: sp.csr_matrix
-    rhs: np.ndarray
-    n_sd: int
+    stack: LevelStack | None
 
 
 def zero_velocity(x, t=None):
@@ -456,6 +440,13 @@ def _add_local(R, dofs, Re):
     lo, hi = dofs.min(), dofs.max() + 1
     R[lo:hi] += np.bincount((dofs - lo).ravel(), Re.ravel(),
                             minlength=hi - lo)
+
+
+def _repeats(a, n):
+    """Whether every run of ``n`` entries of ``a`` is its first, to within
+    ``SHARE_TOL`` of max|a| (False where ``a`` is not finite)."""
+    a = np.asarray(a).reshape(-1, n)
+    return bool(np.abs(a - a[0]).max() <= SHARE_TOL * np.abs(a).max())
 
 
 def _unique(a):
@@ -849,24 +840,33 @@ class _ProblemBase:
         """(LinearSystem or None, rhs, |rhs|) of the Newton step at ``values``.
 
         ``tau_override`` supplies frozen stabilization parameters; without it
-        they are evaluated at ``values``.  Without it, and for a
-        level-periodic ``values`` (``_periodic``), the volume terms are
-        those of element levels 0 and 1, turned into the other levels
-        (``_turn_levels``), and one ``assembly periodic levels=2/<L>
-        dev=<deviation>`` line is logged; ``residual_norm`` takes the same
-        decision, so it gives the same bytes.
+        they are evaluated at ``values``.  For a level-periodic ``values``
+        (``_periodic``) the volume terms are those of element levels 0 and
+        1, turned into the other levels (``_turn_levels``), the system's
+        ``stack`` is the problem's ``level_stack``, and one ``assembly
+        periodic levels=2/<L> dev=<deviation>`` line is logged.  A frozen
+        tau takes that path too when its ``tau_mom`` and ``tau_cont`` repeat
+        level 0's on every element level, to within ``SHARE_TOL`` of their
+        largest entry, and then only its first two levels are read; any
+        other frozen tau assembles every level.  ``residual_norm`` takes the
+        same decision, so it gives the same bytes.
         """
         values = np.asarray(values, dtype=float).reshape(self.n_nodes,
                                                          self.ncomp)
         _, chunks, lanes = self._chunks
         new_plan = want_matrix and "_csr_plan" not in vars(self)
-        dev = None if tau_override is not None else self._periodic(values)
+        dev = self._periodic(values)
+        if dev is not None and tau_override is not None and not all(
+                _repeats(tau, self.level_stack.n_per)
+                for tau in (tau_override.tau_mom, tau_override.tau_cont)):
+            dev = None
         t0 = time.perf_counter()
         # cached geometry is filled here, before the metric and the lanes
         # read it
         self._volume_geometry(slice(0, 0))
         t1 = time.perf_counter()
         if tau_override is not None:
+            # a level-periodic system's chunks read its first two levels
             stab = tau_override
         elif dev is None:
             stab = self.stabilization(values)
@@ -907,7 +907,9 @@ class _ProblemBase:
         # entry, freed at once, picks their entries
         data[np.repeat(self.dir_mask, np.diff(plan.indptr))] = 0.0
         data[plan.diag_slots] = 1.0
-        return LinearSystem(plan.matrix(data), rhs, self.n_sd), rhs, norm
+        return (LinearSystem(plan.matrix(data),
+                             None if dev is None else self.level_stack),
+                rhs, norm)
 
     def _volume(self, values, stab, plan, chunks, lanes):
         """(R, data) of the volume terms; ``data`` is None without a
@@ -1427,7 +1429,7 @@ class PrismSlabProblem(_ProblemBase):
 
 # -- standalone operation wrappers -------------------------------------------
 
-def _one_element(mesh: SpaceTimeMesh, e: int, field: SolutionField,
+def _one_element(mesh: SpaceTimeMesh, e: int, values: np.ndarray,
                  material: MaterialParams, body_force,
                  stab: StabilizationContext, convective, want_matrix):
     rule = simplex_quadrature(mesh.dim, 2)
@@ -1437,41 +1439,43 @@ def _one_element(mesh: SpaceTimeMesh, e: int, field: SolutionField,
     Re, blocks = _element_terms(
         *_simplex_geometry(mesh, Nq, rule.weights, sl, grads,
                            body_force is not None),
-        field.values[mesh.elements[sl]], material.rho, material.mu,
-        stab.tau_mom[sl], stab.tau_cont[sl], body_force, convective,
-        want_matrix)
+        np.asarray(values, dtype=float)[mesh.elements[sl]], material.rho,
+        material.mu, stab.tau_mom[sl], stab.tau_cont[sl], body_force,
+        convective, want_matrix)
     return Re, None if blocks is None else _dense(Re.shape, blocks)
 
 
-def element_residual(mesh: SpaceTimeMesh, e: int, field: SolutionField,
+def element_residual(mesh: SpaceTimeMesh, e: int, values: np.ndarray,
                      material: MaterialParams, body_force,
                      stab: StabilizationContext, convective=True) -> np.ndarray:
-    """Interior residual vector of one simplex element, local dof order
-    (node-major, components within node)."""
-    Re, _ = _one_element(mesh, e, field, material, body_force, stab,
+    """Interior residual vector of one simplex element at the nodal
+    ``values`` (n_nodes, ncomp), local dof order (node-major, components
+    within node)."""
+    Re, _ = _one_element(mesh, e, values, material, body_force, stab,
                          convective, want_matrix=False)
     return Re.reshape(-1)
 
 
-def element_jacobian_matrix(mesh: SpaceTimeMesh, e: int, field: SolutionField,
+def element_jacobian_matrix(mesh: SpaceTimeMesh, e: int, values: np.ndarray,
                             material: MaterialParams, body_force,
                             stab: StabilizationContext,
                             convective=True) -> np.ndarray:
     """Exact linearization of the interior residual of one element, with tau
     frozen at the supplied values."""
-    _, Ke = _one_element(mesh, e, field, material, body_force, stab,
+    _, Ke = _one_element(mesh, e, values, material, body_force, stab,
                          convective, want_matrix=True)
     nloc = (mesh.dim + 1) * (mesh.n_sd + 1)
     return Ke.reshape(nloc, nloc)
 
 
-def jump_term(problem, field: SolutionField):
-    """Global jump residual vector and Jacobian of the bottom-cap term; the
-    Jacobian is stored in the problem's full matrix pattern."""
+def jump_term(problem, values: np.ndarray):
+    """Global jump residual vector and Jacobian of the bottom-cap term at
+    the nodal ``values`` (n_nodes, ncomp); the Jacobian is stored in the
+    problem's full matrix pattern."""
     plan = problem._csr_plan
     R = np.zeros(problem.n_dofs)
     data = np.zeros(plan.nnz)
-    problem._add_jump(field.values, R, data)
+    problem._add_jump(np.asarray(values, dtype=float), R, data)
     return R, plan.matrix(data)
 
 

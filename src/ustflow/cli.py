@@ -90,9 +90,8 @@ def _cmd_mesh_gen(args, parser) -> int:
     center = _floats("--center", args.center)
     axis = _floats("--axis", args.axis)
     mesh = stio.read_stmesh(args.input)
-    kind = "rigid_rotation" if args.omega != 0.0 else "static"
     try:
-        traj = NodeTrajectory(kind, center, axis, args.omega)
+        traj = NodeTrajectory(center, axis, args.omega)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
     st = extrude_simplex_st(mesh, dataclasses.replace(grid, trajectory=traj))
@@ -114,6 +113,9 @@ def _cmd_run(args, parser) -> int:
                          f"(known: {sorted(registry)})")
         spec = registry[args.case]()
     mode = args.mode or spec.mode
+    if args.slice_time is not None and mode != "ust":
+        parser.error("--slice-time needs --mode ust: a slice is cut from "
+                     "the space-time field of a UST run")
     if args.levels is not None:
         try:
             spec = dataclasses.replace(spec, levels=args.levels)
@@ -128,7 +130,7 @@ def _cmd_run(args, parser) -> int:
     mesh, values = ((res.slabs[0], res.fields[0]) if mode == "ust"
                     else (res.final_mesh, res.final_values))
     stio.write_result(mesh, values, out / "result.dat")
-    if args.slice_time is not None and mode == "ust":
+    if args.slice_time is not None:
         sl = slice_at_time(mesh, values, args.slice_time)
         export_vtk(sl.mesh, sl.values[:, : mesh.n_sd], sl.values[:, mesh.n_sd],
                    out / f"slice_t{args.slice_time:g}.vtk",

@@ -30,22 +30,17 @@ logger = logging.getLogger("ustflow")
 
 @dataclass(frozen=True)
 class NodeTrajectory:
-    """Prescribed motion of the spatial nodes.
-
-    kind: "static" or "rigid_rotation".  For rigid rotation, ``omega`` is
-    the angular velocity and ``center`` the rotation center; ``axis`` (unit
-    vector) is required for 3D meshes only.  Evaluation at t0 is the
+    """Prescribed motion of the spatial nodes: a rigid rotation with angular
+    velocity ``omega`` about ``center``, static for omega = 0.  ``axis``
+    (unit vector) is read for 3D meshes only.  Evaluation at t0 is the
     identity.
     """
-    kind: str = "static"
     center: tuple = (0.0, 0.0)
     axis: tuple = (0.0, 0.0, 1.0)
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("static", "rigid_rotation"):
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.kind == "rigid_rotation" and len(self.axis) == 3:
+        if self.omega != 0.0 and len(self.axis) == 3:
             n = math.sqrt(sum(a * a for a in self.axis))
             if not 0.0 < n < math.inf:
                 raise ValueError(f"rotation axis {self.axis!r} is zero or "
@@ -95,7 +90,7 @@ def rigid_rotation_positions(nodes: np.ndarray, trajectory: NodeTrajectory,
                              t: float, t0: float = 0.0) -> np.ndarray:
     """Spatial node positions at time ``t`` under the trajectory."""
     nodes = np.asarray(nodes, dtype=float)
-    if trajectory.kind == "static" or trajectory.omega == 0.0:
+    if trajectory.omega == 0.0:
         return nodes.copy()
     dim = nodes.shape[1]
     angle = trajectory.omega * (t - t0)
@@ -232,10 +227,10 @@ def max_admissible_twist(spatial: SimplexMesh, trajectory: NodeTrajectory,
                          dt_hi: float = 1.0, rel_resolution: float = 1e-3) -> float:
     """Largest uniform level spacing keeping a one-level extrusion positive.
 
-    Bisection to the given relative resolution.  Static trajectories (or
-    omega = 0) admit any spacing; returns inf in that case.
+    Bisection to the given relative resolution.  A static trajectory
+    (omega = 0) admits any spacing; returns inf in that case.
     """
-    if trajectory.kind == "static" or trajectory.omega == 0.0:
+    if trajectory.omega == 0.0:
         return math.inf
 
     def ok(dt: float) -> bool:

@@ -43,11 +43,6 @@ class SliceResult:
     time: float
 
 
-def _field_values(field) -> np.ndarray:
-    """Accept a SolutionField or a plain (n_nodes, ncomp) array."""
-    return np.asarray(getattr(field, "values", field), dtype=float)
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the last axes.  A batched matmul makes one BLAS dot
     per row, so each result equals ``np.dot`` of that row, bit for bit."""
@@ -163,7 +158,7 @@ def _cut_group(st_mesh: SpaceTimeMesh, values: np.ndarray, t: float,
 def slice_at_time(st_mesh: SpaceTimeMesh, values, t: float,
                   tol: float = None) -> SliceResult:
     """Intersect the mesh with the hyperplane time = t and interpolate fields."""
-    values = _field_values(values)
+    values = np.asarray(values, dtype=float)
     span = st_mesh.tN - st_mesh.t0
     if tol is None:
         tol = 1e-12 * span
@@ -307,7 +302,7 @@ def _inverse_jacobians(mesh: SimplexMesh, e: np.ndarray) -> np.ndarray:
 
 def _interpolate(mesh: SimplexMesh, values, points, owner):
     """(P1 values at ``points`` from their owners, NaN outside; found mask)."""
-    values = _field_values(values)
+    values = np.asarray(values, dtype=float)
     found = owner >= 0
     out = np.full((len(points), values.shape[1]), np.nan)
     e = owner[found]
@@ -356,7 +351,7 @@ def l2_error(mesh: SimplexMesh, values: np.ndarray, exact_fn):
     compared.  Returns a dict with per-component and total absolute errors
     and exact-solution norms.
     """
-    values = _field_values(values)
+    values = np.asarray(values, dtype=float)
     rule = simplex_quadrature(mesh.dim, 2)
     N = basis_eval(rule.points, mesh.dim)
     x_q = np.einsum("qa,ead->eqd", N, mesh.element_coords)

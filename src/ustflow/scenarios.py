@@ -78,10 +78,8 @@ class ScenarioSpec:
 
     @property
     def trajectory(self) -> NodeTrajectory:
-        if self.omega == 0.0:
-            return NodeTrajectory("static")
-        return NodeTrajectory("rigid_rotation", tuple(self.center),
-                              tuple(self.axis), self.omega)
+        return NodeTrajectory(tuple(self.center), tuple(self.axis),
+                              self.omega)
 
     def ust_mesh(self) -> SpaceTimeMesh:
         """The twisted space-time mesh over all levels of the grid."""

@@ -2,11 +2,11 @@
 
 ``newton_solve`` drives any problem object exposing ``dof_levels``,
 ``dir_dofs`` and ``system(values, want_matrix=...) -> (LinearSystem|None,
-rhs, norm)``, and optionally ``level_stack`` (see below).  The linear
-solve is restarted GMRES (scipy) always preconditioned by a forward block
-Gauss-Seidel sweep over those node-time levels, or a direct sparse LU, the
-oracle.  A GMRES failure raises ``LinearSolveFailure``; there is no
-fallback.
+rhs, norm)``, a system being its ``matrix`` and its ``stack`` (see below).
+The linear solve is restarted GMRES (scipy) always preconditioned by a
+forward block Gauss-Seidel sweep over those node-time levels, or a direct
+sparse LU, the oracle.  A GMRES failure raises ``LinearSolveFailure``;
+there is no fallback.
 
 GMRES solves for the free dofs only.  The rows of the ``dir_dofs``
 (Dirichlet values and pressure pins) are identity rows, so x_D = b_D and
@@ -15,19 +15,19 @@ that copies the matrix drops the fixed rows and columns, and checks that
 each fixed row is an identity row; the true relative residual is still
 that of the whole system.  ``direct_lu`` solves the whole system.
 
-Each ``newton_solve`` owns one ``TimeLevelPreconditioner``, built from the
-problem's ``dof_levels``, ``dir_dofs`` and ``level_stack``: the first
-step equilibrates its matrix and factors the time levels' diagonal blocks,
-and every later step of the same solve reuses that scale and those level
-LUs, with the strictly lower blocks of its own matrix.  On a twisted
-space-time mesh node level m is node level 1 turned by R_{m-1}, the
-rotation of the ``LevelStack``, and so, at the first matrix, is every
-interior level's block: B_m = T B_1 T^T, T turning each node's velocity.
-An interior level whose equilibrated block matches level 1's turned, to
-``SHARE_TOL`` of its largest entry, solves through level 1's LU, and every
-other level is factored: level 0 with the jump term and the top level L
-with one element level, which are not compared, and all levels of a
-problem without the symmetry or without ``level_stack``.  This is a lagged
+Each ``newton_solve`` owns one ``TimeLevelPreconditioner``, built after
+the first system from the problem's ``dof_levels`` and ``dir_dofs`` and
+that system's ``stack``: the first step equilibrates its matrix and
+factors the time levels' diagonal blocks, and every later step of the same
+solve reuses that scale and those level LUs, with the strictly lower
+blocks of its own matrix.  The assembly decides level periodicity once: a
+system with a ``stack`` was turned from two element levels, so node level
+m is node level 1 turned by R_{m-1}, the rotation of that ``LevelStack``,
+and so is every interior level's block, B_m = T B_1 T^T, T turning each
+node's velocity.  Each interior level whose free dofs are node level 1's
+then solves through level 1's LU, with no comparison of blocks; level 0
+(with the jump term), the top level L (with one element level) and every
+level of a system without a ``stack`` are factored.  This is a lagged
 preconditioner (Knoll & Keyes, J. Comput. Phys. 193:357-397, 2004); the
 Newton matrix changes little between steps, and GMRES still has to meet
 the step's tolerance in the true residual, or raise ``Stagnation``.  A direct
@@ -115,7 +115,6 @@ class NewtonResult:
     trace: list
     iterations: int
     converged: bool
-    status: str  # "converged" or "max_iterations"
     # wall seconds of the problem.system call behind each trace entry
     assemble_s: list = dataclasses.field(default_factory=list)
     # eta[k]: forcing term of the linear solve from trace entry k to k + 1
@@ -139,18 +138,19 @@ class TimeLevelPreconditioner:
     every later one reuses with its own strictly lower blocks (lagged; see
     the module docstring).
 
-    ``stack``, when given, is the ``LevelStack`` of a problem whose dof d
-    is component d % nc of node d // nc, nc = n_sd + 1, velocity first,
-    and whose node level m is node level 1 turned by R_{m-1}.  An interior
-    node level m = 2..L-1 whose free dofs are those of node level 1, with
-    no node's velocity part free, has the rotation T = diag(R_{m-1}, 1)
-    per node of its free dofs (``_turn_matrix``).  At the first matrix its
-    equilibrated block B_m is compared, in pattern and values, with B_1
-    turned, S_m T S_1^-1 B_1 S_1^-1 T^T S_m (S the scale of each level's
-    dofs); a level within ``SHARE_TOL`` of max|B_m| takes no LU of its own
-    and solves by B_m^-1 = W B_1^-1 W^T, W = S_m^-1 T S_1.  Every other
-    level is factored, so a problem without the symmetry factors every
-    level.
+    ``stack``, when given, is a ``LevelStack`` that states that the first
+    matrix was turned on it: its dof d is component d % nc of node d // nc,
+    nc = n_sd + 1, velocity first, and each interior node level m's
+    diagonal block is node level 1's turned by R_{m-1}.  An interior node
+    level m = 2..L-1 whose free dofs are those of node level 1, with no
+    node's velocity part free, has the rotation T = diag(R_{m-1}, 1) per
+    node of its free dofs (``_turn_matrix``).  Its equilibrated block is
+    then S_m T S_1^-1 B_1 S_1^-1 T^T S_m (S the scale of each level's
+    dofs), so it takes no LU of its own and solves by
+    B_m^-1 = W B_1^-1 W^T, W = S_m^-1 T S_1.  The blocks are not compared:
+    a ``stack`` given with a matrix that is not turned gives a weaker
+    sweep, and GMRES still has to meet the true residual.  Every other
+    level is factored, and so is every level without a ``stack``.
     """
 
     def __init__(self, dof_levels, fixed=(), stack=None):
@@ -201,36 +201,29 @@ class TimeLevelPreconditioner:
 
     def _factor(self, Ap):
         """(LU, W, W^T), W None for an LU of its own, of each level of the
-        free block Ap: a level that ``_shared`` finds to be level 1's block
-        turned takes level 1's LU.  Every level is decided before the first
-        LU, so that a singular block names the levels that share it; only
-        level 1's block is held meanwhile."""
+        free block Ap: a level of ``_level_turns`` takes level 1's LU and
+        W = S_m^-1 T S_1.  Every level is decided before the first LU, so
+        that a singular block names the levels that share it."""
         levels = list(zip(self.starts, self.ends))
-
-        def block(k):
-            s, e = levels[k]
-            return Ap[s:e, s:e]
-
         scale = (np.ones(len(self.free)) if self.scale is None
                  else self.scale[self.free])
-        turns = self._level_turns()
-        copy = block(1) if turns else None
         W = [None] * len(levels)
-        for k, T in turns.items():
-            W[k] = _shared(block(k), copy, T,
-                           scale[slice(*levels[k])], scale[slice(*levels[1])])
-        del copy
+        for k, T in self._level_turns().items():
+            rows = np.repeat(np.arange(T.shape[0]), np.diff(T.indptr))
+            T.data *= (scale[slice(*levels[1])][T.indices]
+                       / scale[slice(*levels[k])][rows])
+            W[k] = T
         lus = {}
-        for k in range(len(levels)):
+        for k, (s, e) in enumerate(levels):
             if W[k] is not None:
                 continue
             try:
-                lus[k] = spla.splu(block(k).tocsc())
+                lus[k] = spla.splu(Ap[s:e, s:e].tocsc())
             except RuntimeError as exc:
-                shared = [str(self.levels[self.starts[i]]) for i in turns
-                          if W[i] is not None and k == 1]
+                shared = [str(self.levels[self.starts[i]])
+                          for i, w in enumerate(W) if w is not None]
                 also = (f" (its LU serves levels {', '.join(shared)} too)"
-                        if shared else "")
+                        if shared and k == 1 else "")
                 raise LinearSolveFailure(
                     f"diagonal block of time level "
                     f"{self.levels[self.starts[k]]} is singular"
@@ -271,11 +264,6 @@ class TimeLevelPreconditioner:
         return spla.LinearOperator(A.shape, matvec=sweep, dtype=float)
 
 
-# a level shares its copy's LU when its block is the copy's turned to within
-# this share of its largest entry, the bar of ``SpaceTimeMesh.level_stack``
-SHARE_TOL = 1e-12
-
-
 def _turn_matrix(free, R):
     """T = diag(R, 1) per node on the free dofs of one node level, ``free``
     a mask of its node-major dofs, over their places among them; None where
@@ -297,23 +285,6 @@ def _turn_matrix(free, R):
           np.concatenate([pos[node[vel, None] * nc + np.arange(nc - 1)]
                           .ravel(), p]))),
         shape=(len(rows), len(rows)))
-
-
-def _shared(block, copy, T, scale, copy_scale):
-    """W = S^-1 T S_c, with S = diag ``scale`` and S_c = diag
-    ``copy_scale``, when the equilibrated ``block`` is S T S_c^-1 ``copy``
-    S_c^-1 T^T S in pattern and values, to within ``SHARE_TOL`` of its
-    largest entry; else None."""
-    rows = np.repeat(np.arange(T.shape[0]), np.diff(T.indptr))
-    Q = T.copy()
-    Q.data *= scale[rows] / copy_scale[T.indices]
-    gap = Q @ copy @ Q.T - block
-    bar = SHARE_TOL * np.abs(block.data).max(initial=0.0)
-    if gap.nnz and np.abs(gap.data).max() > bar:
-        return None
-    W = T.copy()
-    W.data *= copy_scale[T.indices] / scale[rows]
-    return W
 
 
 def _relres(A, x, b) -> float:
@@ -552,14 +523,10 @@ def newton_solve(problem, initial_values: np.ndarray,
     eta_k ||R_k|| <= tol, the new iterate's residual is checked before its
     matrix is built, and a converged iterate gets no matrix.  The iterate
     of step max_iter gets its residual alone; if it has not converged, the
-    best iterate seen and the full trace are returned with status
-    "max_iterations".
+    best iterate seen and the full trace are returned, not ``converged``.
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
-    precond = TimeLevelPreconditioner(
-        problem.dof_levels, problem.dir_dofs,
-        getattr(problem, "level_stack", None))
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
 
@@ -577,16 +544,18 @@ def newton_solve(problem, initial_values: np.ndarray,
         logger.info("newton iter=%d res=%.6e assemble_s=%.3f eta=%s", k,
                     rnorm, seconds, f"{etas[-1]:.3e}" if etas else "-")
 
-    def result(values, iterations, status):
-        return NewtonResult(values, trace, iterations, status == "converged",
-                            status, assemble_s, etas, solves)
+    def result(values, iterations, converged):
+        return NewtonResult(values, trace, iterations, converged, assemble_s,
+                            etas, solves)
 
     (system, rhs, rnorm), seconds = assemble(U)
     record(0, rnorm, seconds)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
     if rnorm <= tol:
-        return result(U, 0, "converged")
+        return result(U, 0, True)
 
+    precond = TimeLevelPreconditioner(problem.dof_levels, problem.dir_dofs,
+                                      system.stack)
     best_U, best_r = U.copy(), rnorm
     for k in range(1, cfg.max_iter + 1):
         eta = lin_cfg.lin_rel_tol
@@ -607,13 +576,13 @@ def newton_solve(problem, initial_values: np.ndarray,
             (_, _, rnorm), seconds = assemble(U, want_matrix=False)
             if rnorm <= tol:
                 record(k, rnorm, seconds)
-                return result(U, k, "converged")
+                return result(U, k, True)
         if not last:
             (system, rhs, rnorm), seconds = assemble(U)
         record(k, rnorm, seconds)
         if rnorm < best_r:
             best_U, best_r = U.copy(), rnorm
         if rnorm <= tol:
-            return result(U, k, "converged")
+            return result(U, k, True)
 
-    return result(best_U, cfg.max_iter, "max_iterations")
+    return result(best_U, cfg.max_iter, False)

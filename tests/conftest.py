@@ -48,10 +48,10 @@ def twisted_slab(n_sd, omega=0.6, t0=0.1, dt=0.15):
     axis."""
     if n_sd == 2:
         spatial = box2d(2, 2)
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=omega)
+        traj = NodeTrajectory((0.5, 0.5), omega=omega)
     else:
         spatial = box3d(1, 1, 1)
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.4, 0.5),
+        traj = NodeTrajectory((0.5, 0.4, 0.5),
                               axis=(1.0, 2.0, 3.0), omega=omega)
     return PrismSlab(spatial,
                      rigid_rotation_positions(spatial.nodes, traj, t0),

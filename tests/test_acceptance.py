@@ -47,15 +47,14 @@ class TestCriterion1CountIdentity:
     def test_count_identity(self):
         t0 = time.perf_counter()
         mesh2d = load_fixture_mesh("stirrer2d")
-        traj2d = NodeTrajectory("rigid_rotation", (0.0, 0.0),
-                                omega=STIRRER_OMEGA)
+        traj2d = NodeTrajectory((0.0, 0.0), omega=STIRRER_OMEGA)
         st2d = extrude_simplex_st(
             mesh2d, ExtrusionSpec(0.0, STIRRER_LEVELS * STIRRER_DT,
                                   STIRRER_LEVELS, traj2d))
         ok2d = st2d.n_elements == mesh2d.n_elements * 17 * 3
 
         mesh3d = load_fixture_mesh("stirrer3d")
-        traj3d = NodeTrajectory("rigid_rotation", (0.0, 0.0, 0.0),
+        traj3d = NodeTrajectory((0.0, 0.0, 0.0),
                                 (0.0, 0.0, 1.0), STIRRER_OMEGA)
         st3d = extrude_simplex_st(
             mesh3d, ExtrusionSpec(0.0, STIRRER_LEVELS * STIRRER_DT,
@@ -340,7 +339,7 @@ class TestCriterion8Slicing:
         spatial = disk2d(1.0, 3, 14)
         L = 4
         flat = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, L))
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.5)
+        traj = NodeTrajectory((0.0, 0.0), omega=0.5)
         twisted = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, L, traj))
         zeros = np.zeros((flat.n_nodes, 3))
 

@@ -13,11 +13,11 @@ import pytest
 import scipy.sparse as sp
 
 from ustflow.assembly import (BCSpec, MaterialParams, PrismSlab,
-                              PrismSlabProblem, SolutionField,
-                              SpaceTimeProblem, dirichlet_values,
-                              element_jacobian_matrix, element_residual,
-                              jump_term, rigid_surface_velocity,
-                              _element_terms, traction_term, zero_velocity)
+                              PrismSlabProblem, SpaceTimeProblem,
+                              dirichlet_values, element_jacobian_matrix,
+                              element_residual, jump_term,
+                              rigid_surface_velocity, _element_terms,
+                              traction_term, zero_velocity)
 import ustflow.assembly as assembly
 from ustflow.errors import ConfigurationError
 from ustflow.extrude import (ExtrusionSpec, NodeTrajectory,
@@ -134,13 +134,12 @@ class TestHandIntegratedElement:
         vals = np.zeros((mesh.n_nodes, 3))
         vals[:, :2] = mesh.nodes @ A.T + b
         vals[:, 2] = mesh.nodes @ ap
-        field = SolutionField(vals, n_sd)
 
         rho, mu = 1.0, 0.2
         tau_m = np.full(mesh.n_elements, 0.37)
         tau_c = np.full(mesh.n_elements, 1.21)
         stab = StabilizationContext(tau_m, tau_c)
-        got = element_residual(mesh, e, field, MaterialParams(rho, mu),
+        got = element_residual(mesh, e, vals, MaterialParams(rho, mu),
                                None, stab).reshape(nen, 3)
 
         # moments over the tetrahedron: int lam_a = V/4,
@@ -200,10 +199,9 @@ class TestHandIntegratedElement:
         vals = np.zeros((mesh.n_nodes, 3))
         vals[:, 0] = 1.3
         vals[:, 1] = -0.2
-        field = SolutionField(vals, 2)
         tau = np.ones(mesh.n_elements)
         stab = StabilizationContext(tau, tau)
-        r = element_residual(mesh, 3, field, MaterialParams(1.0, 0.05), None,
+        r = element_residual(mesh, 3, vals, MaterialParams(1.0, 0.05), None,
                              stab)
         assert np.abs(r).max() < 1e-14
 
@@ -215,8 +213,7 @@ class TestJumpTerm:
         problem = make_problem(mesh, ic=const_ic(c))
         vals = np.zeros((mesh.n_nodes, 3))
         vals[:, :2] = c
-        field = SolutionField(vals, 2)
-        R, _ = jump_term(problem, field)
+        R, _ = jump_term(problem, vals)
         assert np.abs(R).max() < 1e-14
 
     def test_constant_mismatch_hand_value(self, small_st_mesh_2d):
@@ -233,8 +230,7 @@ class TestJumpTerm:
         for problem, facets, xy in caps:
             vals = np.zeros((problem.n_nodes, 3))
             vals[:, :2] = c
-            field = SolutionField(vals, 2)
-            R, _ = jump_term(problem, field)
+            R, _ = jump_term(problem, vals)
             R = R.reshape(-1, 3)
 
             expected = np.zeros((problem.n_nodes, 2))
@@ -262,8 +258,7 @@ class TestJumpTerm:
                                    BCSpec(initial=None), jump_data=prev)
         vals = np.zeros((mesh.n_nodes, 3))
         vals[:, :2] = prev
-        field = SolutionField(vals, 2)
-        R, _ = jump_term(problem, field)
+        R, _ = jump_term(problem, vals)
         assert np.abs(R).max() < 1e-14
 
     @pytest.mark.parametrize("family", ["simplex", "prism"])
@@ -284,7 +279,7 @@ class TestJumpTerm:
         problem.system(U + 0.1)
         assert calls == ["cap"]
 
-        A = jump_term(problem, SolutionField(U, problem.n_sd))[1].tocoo()
+        A = jump_term(problem, U)[1].tocoo()
         off = A.row % problem.ncomp != A.col % problem.ncomp
         assert off.any() and not A.data[off].any()
         assert A.data[~off].any()
@@ -545,8 +540,7 @@ class TestElementJacobianMatrix:
         tauc = np.full(mesh.n_elements, 0.9)
         stab = StabilizationContext(tau, tauc)
         base = rng.uniform(-1, 1, size=(mesh.n_nodes, 3))
-        K = element_jacobian_matrix(mesh, e, SolutionField(base, 2), material,
-                                    None, stab)
+        K = element_jacobian_matrix(mesh, e, base, material, None, stab)
         ids = mesh.elements[e]
         eps = 1e-6
         fd = np.zeros_like(K)
@@ -556,10 +550,8 @@ class TestElementJacobianMatrix:
                 dn = base.copy()
                 up[ids[a], c] += eps
                 dn[ids[a], c] -= eps
-                rp = element_residual(mesh, e, SolutionField(up, 2), material,
-                                      None, stab)
-                rm = element_residual(mesh, e, SolutionField(dn, 2), material,
-                                      None, stab)
+                rp = element_residual(mesh, e, up, material, None, stab)
+                rm = element_residual(mesh, e, dn, material, None, stab)
                 fd[:, a * 3 + c] = (rp - rm) / (2 * eps)
         assert np.abs(K - fd).max() < 1e-8 * max(1.0, np.abs(K).max())
 
@@ -857,7 +849,7 @@ def coo_reference(problem, U):
     values = U.reshape(problem.n_nodes, problem.ncomp)
     _, Ke = reference_terms(problem, values, True)
     nloc = problem.edof.shape[1]
-    jump = jump_term(problem, SolutionField(values, problem.n_sd))[1].tocoo()
+    jump = jump_term(problem, values)[1].tocoo()
     rows = np.concatenate([np.repeat(problem.edof, nloc, axis=1).ravel(),
                            jump.row])
     cols = np.concatenate([np.tile(problem.edof, (1, nloc)).ravel(), jump.col])
@@ -874,7 +866,7 @@ def coo_reference(problem, U):
 def twisted_simplex_problem():
     """Twisted 2D simplex problem with Dirichlet, Neumann, a two-node gauge
     and a body force."""
-    traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=0.5)
+    traj = NodeTrajectory((0.5, 0.5), omega=0.5)
     st = extrude_simplex_st(box2d(3, 3), ExtrusionSpec(0.0, 0.3, 3, traj))
     return make_problem(
         st, mu=0.2,
@@ -899,7 +891,7 @@ def pentatope_problem(rng):
 
 def twisted_prism_problem(rng):
     spatial = box2d(3, 2)
-    traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=0.6)
+    traj = NodeTrajectory((0.5, 0.5), omega=0.6)
     cb = rigid_rotation_positions(spatial.nodes, traj, 0.1)
     ct = rigid_rotation_positions(spatial.nodes, traj, 0.25)
     slab = PrismSlab(spatial, cb, ct, 0.1, 0.15)
@@ -917,7 +909,7 @@ def periodic_problem():
     turn with it: a rotating inner wall, the initial condition 0.3 x, and a
     traction on the outer wall that changes with t, which every level
     takes after the turn."""
-    traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.7)
+    traj = NodeTrajectory((0.0, 0.0), omega=0.7)
     st = extrude_simplex_st(annulus2d(0.5, 1.0, 2, 12),
                             ExtrusionSpec(0.0, 0.4, 4, traj))
     return make_problem(
@@ -1020,8 +1012,8 @@ class TestCsrPlan:
         problem = twisted_prism_problem(rng)
         U = rng.uniform(-1, 1, size=(problem.n_nodes, problem.ncomp))
         dU = rng.uniform(-1, 1, size=U.shape)
-        R0, A = jump_term(problem, SolutionField(U, problem.n_sd))
-        R1, _ = jump_term(problem, SolutionField(U + dU, problem.n_sd))
+        R0, A = jump_term(problem, U)
+        R1, _ = jump_term(problem, U + dU)
         assert A.shape == (problem.n_dofs, problem.n_dofs)
         assert np.allclose(A @ dU.ravel(), R1 - R0, rtol=0, atol=1e-13)
 
@@ -1096,7 +1088,7 @@ class TestPlanByLevels:
         """One chunk, chunks of whole levels or slices of every level: on
         three or more levels the chunks of interior node levels take their
         twins' ids plus whole levels."""
-        traj = NodeTrajectory("rigid_rotation", (0.1, -0.2), omega=0.7)
+        traj = NodeTrajectory((0.1, -0.2), omega=0.7)
         st = extrude_simplex_st(disk2d(1.0, 2, 10),
                                 ExtrusionSpec(0.0, 0.3, levels, traj))
         problem = SpaceTimeProblem(
@@ -1151,11 +1143,10 @@ class TestSimplexKernel:
         assert Ke.shape == Ke_ref.shape
         scale = np.abs(Ke_ref).max()
         assert np.abs(Ke - Ke_ref).max() <= 1e-13 * scale
-        field = SolutionField(U, problem.n_sd)
         stab = problem.stabilization(U)
         nloc = problem.edof.shape[1]
         for e in range(len(problem.elements)):
-            K = element_jacobian_matrix(problem.mesh, e, field,
+            K = element_jacobian_matrix(problem.mesh, e, U,
                                         problem.material, problem.body_force,
                                         stab, problem.convective)
             assert np.abs(K - Ke_ref[e].reshape(nloc, nloc)).max() <= (
@@ -1776,13 +1767,12 @@ def stacked_problem(name, rng):
     """A problem on a twisted 2D or 3D extrusion or a static one, each a
     stack of its 3-4 levels, with Dirichlet data, a gauge and jump data."""
     if name == "disk2d":
-        traj = NodeTrajectory("rigid_rotation", (0.1, -0.2), omega=0.7)
+        traj = NodeTrajectory((0.1, -0.2), omega=0.7)
         st = extrude_simplex_st(disk2d(1.0, 2, 10),
                                 ExtrusionSpec(0.0, 0.3, 4, traj))
         tag = "outer"
     elif name == "box3d":
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.4, 0.5),
-                              axis=(1.0, 2.0, 3.0), omega=0.8)
+        traj = NodeTrajectory((0.5, 0.4, 0.5), axis=(1.0, 2.0, 3.0), omega=0.8)
         st = extrude_simplex_st(box3d(2, 2, 2),
                                 ExtrusionSpec(0.1, 0.4, 3, traj))
         tag = "x0"
@@ -1917,12 +1907,11 @@ class TestLevelStack:
             U = problem.impose_dirichlet(
                 0.5 * rng.uniform(-1, 1, size=(problem.n_nodes, nc)))
             A = problem.system(U)[0].matrix.toarray()
-            field = SolutionField(U, problem.n_sd)
             stab = problem.stabilization(U)
-            want = jump_term(problem, field)[1].toarray()
+            want = jump_term(problem, U)[1].toarray()
             for e, dofs in enumerate(problem.edof):
                 want[np.ix_(dofs, dofs)] += element_jacobian_matrix(
-                    mesh, e, field, problem.material, None, stab)
+                    mesh, e, U, problem.material, None, stab)
             dirs = problem.dir_dofs
             want[dirs] = 0.0
             want[dirs, dirs] = 1.0
@@ -2027,26 +2016,61 @@ class TestLevelPeriodic:
         assert rhs.tobytes() == rhs0.tobytes()
         assert (norm, rnorm) == (norm0, rnorm0)
 
-    def test_body_force_prisms_and_frozen_tau_take_every_level_path(
-            self, rng, caplog):
+    def test_body_force_and_prisms_take_every_level_path(self, caplog):
         """The manufactured case, whose body force depends on where and
-        when, a prism slab and a frozen tau assemble every level."""
+        when, and a prism slab assemble every level, and their systems have
+        no stack."""
         from ustflow.scenarios import make_manufactured, make_stirrer2d
         spec = make_manufactured()
         manufactured = spec.problem(spec.ust_mesh())
         assert manufactured.level_stack.L >= 3
         spec = make_stirrer2d()
         slab = spec.problem(spec.slab(0))
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            for problem in (manufactured, slab):
+                assert problem.system(problem.initial_guess())[0].stack is None
+                problem.residual_norm(problem.initial_guess())
+        assert periodic_lines(caplog) == []
+
+    def test_repeating_frozen_tau_takes_periodic_path(self, rng, caplog):
+        """A frozen tau that repeats level 0's on every element level, as
+        tau computed at a level-periodic iterate does, gives that iterate's
+        system, byte for byte, and its stack."""
         periodic = periodic_problem()
         U = periodic_field(periodic, rng)
         with caplog.at_level(logging.INFO, logger="ustflow"):
-            for problem in (manufactured, slab):
-                problem.system(problem.initial_guess())
-                problem.residual_norm(problem.initial_guess())
-            periodic.system(U, tau_override=periodic.stabilization(U))
-            assert periodic_lines(caplog) == []
-            periodic.system(U)
-        assert len(periodic_lines(caplog)) == 1
+            A, rhs, norm, rnorm = self.systems(periodic, U)
+            system, rhs0, norm0 = periodic.system(
+                U, tau_override=periodic.stabilization(U))
+            rnorm0 = periodic.residual_norm(
+                U, tau_override=periodic.stabilization(U))
+        assert len(periodic_lines(caplog)) == 4
+        assert system.stack is periodic.level_stack
+        assert A.data.tobytes() == system.matrix.data.tobytes()
+        assert rhs.tobytes() == rhs0.tobytes()
+        assert (norm, rnorm) == (norm0, rnorm0)
+
+    @pytest.mark.parametrize("level", [0, 1, 3])
+    def test_frozen_tau_off_on_one_level_takes_every_level_path(
+            self, level, rng, monkeypatch, caplog):
+        """One element's tau_MOM or tau_CONT moved by 1e-9 of its largest
+        value, on element level 0, 1 or 3: the full path, with its bytes."""
+        periodic = periodic_problem()
+        U = periodic_field(periodic, rng)
+        n_per = periodic.level_stack.n_per
+        for name in ("tau_mom", "tau_cont"):
+            stab = periodic.stabilization(U)
+            tau = getattr(stab, name)
+            tau[level * n_per + 7] += 1e-9 * tau.max()
+            with caplog.at_level(logging.INFO, logger="ustflow"):
+                system, rhs, norm = periodic.system(U, tau_override=stab)
+            assert periodic_lines(caplog) == [] and system.stack is None
+            with monkeypatch.context() as m:
+                every_level_path(m)
+                system0, rhs0, norm0 = periodic.system(U, tau_override=stab)
+            assert (system.matrix.data.tobytes()
+                    == system0.matrix.data.tobytes())
+            assert rhs.tobytes() == rhs0.tobytes() and norm == norm0
 
     def test_only_the_first_run_ust_system(self, caplog):
         """In ``run_ust`` the initial guess is level-periodic, and no later

@@ -115,7 +115,7 @@ class TestExtrusion:
         assert validate_mesh(flat) == []
         assert flat.total_measure == pytest.approx(spatial.total_measure,
                                                    rel=1e-12)
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.4)
+        traj = NodeTrajectory((0.0, 0.0), omega=0.4)
         twisted = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2, traj))
         assert validate_mesh(twisted) == []
         # the twisted discrete domain loses a first-order-in-twist sliver
@@ -125,8 +125,7 @@ class TestExtrusion:
 
     def test_conforming_twisted_3d(self):
         spatial = box3d(1, 1, 1, lx=0.5, ly=0.5)
-        traj = NodeTrajectory("rigid_rotation", (0.25, 0.25, 0.0),
-                              (0.0, 0.0, 1.0), omega=0.3)
+        traj = NodeTrajectory((0.25, 0.25, 0.0), (0.0, 0.0, 1.0), omega=0.3)
         st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 0.4, 2, traj))
         assert validate_mesh(st) == []
 
@@ -136,10 +135,10 @@ class TestExtrusion:
         # would, also over spatial elements of either orientation
         if n_sd == 2:
             spatial = disk2d(1.0, 3, 12)
-            traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.4)
+            traj = NodeTrajectory((0.0, 0.0), omega=0.4)
         else:
             spatial = box3d(2, 2, 1, lx=0.5, ly=0.5)
-            traj = NodeTrajectory("rigid_rotation", (0.25, 0.25, 0.0),
+            traj = NodeTrajectory((0.25, 0.25, 0.0),
                                   (0.0, 0.0, 1.0), omega=0.3)
         els = spatial.elements.copy()
         els[::2, :2] = els[::2, 1::-1]
@@ -184,7 +183,7 @@ class TestExtrusion:
                                               (3, "found")])
     def test_logs_one_line(self, levels, stack, caplog):
         spatial = disk2d(1.0, 2, 8)
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.5)
+        traj = NodeTrajectory((0.0, 0.0), omega=0.5)
         with caplog.at_level(logging.INFO, logger="ustflow"):
             st = extrude_simplex_st(spatial,
                                     ExtrusionSpec(0.0, 0.3, levels, traj))
@@ -198,14 +197,13 @@ class TestExtrusion:
 
     def test_inverted_element_raises(self):
         spatial = disk2d(1.0, 2, 8)
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=40.0)
+        traj = NodeTrajectory((0.0, 0.0), omega=40.0)
         with pytest.raises(InvertedElement):
             extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 1, traj))
 
     def test_inverted_pentatope_raises(self):
         spatial = box3d(2, 2, 1, lx=2.0, ly=2.0)
-        traj = NodeTrajectory("rigid_rotation", (1.0, 1.0, 0.0),
-                              (0.0, 0.0, 1.0), omega=5.0)
+        traj = NodeTrajectory((1.0, 1.0, 0.0), (0.0, 0.0, 1.0), omega=5.0)
         with pytest.raises(InvertedElement) as err:
             extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2, traj))
         assert err.value.level == 0
@@ -217,7 +215,7 @@ class TestExtrusion:
         element; both raise for the first element that a check of the
         whole mesh flags."""
         spatial = disk2d(1.0, 2, 8)
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=40.0)
+        traj = NodeTrajectory((0.0, 0.0), omega=40.0)
         spec = ExtrusionSpec(0.0, 1.0 * levels, levels, traj)
         checked = []
         real = extrude_module.degenerate
@@ -258,7 +256,7 @@ class TestExtrusion:
         flat = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2))
         deltas = []
         for omega in (1e-3, 1e-6):
-            traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=omega)
+            traj = NodeTrajectory((0.0, 0.0), omega=omega)
             tw = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2, traj))
             deltas.append(np.abs(tw.nodes - flat.nodes).max())
         assert deltas[0] == pytest.approx(1e3 * deltas[1], rel=1e-2)
@@ -267,18 +265,17 @@ class TestExtrusion:
 class TestRigidRotation:
     def test_identity_at_t0(self, rng):
         pts = rng.uniform(-1, 1, size=(10, 2))
-        traj = NodeTrajectory("rigid_rotation", (0.3, -0.2), omega=2.0)
+        traj = NodeTrajectory((0.3, -0.2), omega=2.0)
         assert np.allclose(rigid_rotation_positions(pts, traj, 0.0), pts)
 
     def test_half_turn(self):
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=math.pi)
+        traj = NodeTrajectory((0.0, 0.0), omega=math.pi)
         out = rigid_rotation_positions(np.array([[1.0, 0.0]]), traj, 1.0)
         assert np.allclose(out, [[-1.0, 0.0]], atol=1e-15)
 
     def test_isometry(self, rng):
         pts = rng.uniform(-2, 2, size=(20, 3))
-        traj = NodeTrajectory("rigid_rotation", (0.1, 0.2, 0.0),
-                              (0.0, 0.0, 1.0), omega=0.7)
+        traj = NodeTrajectory((0.1, 0.2, 0.0), (0.0, 0.0, 1.0), omega=0.7)
         out = rigid_rotation_positions(pts, traj, 1.3)
         d0 = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         d1 = np.linalg.norm(out[:, None] - out[None, :], axis=2)
@@ -289,7 +286,7 @@ class TestRigidRotation:
                                       (float("inf"), 0.0, 0.0)])
     def test_zero_or_non_finite_axis_rejected(self, axis):
         with pytest.raises(ValueError, match="rotation axis"):
-            NodeTrajectory("rigid_rotation", (0.0, 0.0, 0.0), axis, omega=1.0)
+            NodeTrajectory((0.0, 0.0, 0.0), axis, omega=1.0)
 
     def test_rotation_matrix_3d_axis(self):
         R = rotation_matrix(3, (0.0, 0.0, 1.0), math.pi / 2)
@@ -299,11 +296,11 @@ class TestRigidRotation:
 class TestMaxAdmissibleTwist:
     def test_static_returns_inf(self):
         spatial = box2d(2, 2)
-        assert max_admissible_twist(spatial, NodeTrajectory("static")) == math.inf
+        assert max_admissible_twist(spatial, NodeTrajectory()) == math.inf
 
     def test_bound_is_admissible_and_sharp(self):
         spatial = disk2d(1.0, 2, 8)
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=1.0)
+        traj = NodeTrajectory((0.0, 0.0), omega=1.0)
         dt = max_admissible_twist(spatial, traj)
         extrude_simplex_st(spatial, ExtrusionSpec(0.0, dt, 1, traj))
         with pytest.raises(InvertedElement):

@@ -261,6 +261,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
+    def test_slab_slice_time_exit_2(self, tmp_path, capsys):
+        # a slice needs a UST run's space-time field; a slab run has none
+        outdir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--case", "manufactured", "--mode", "slab",
+                      "--levels", "2", "--slice-time", "0.1",
+                      "--out", str(outdir)])
+        assert exc.value.code == 2
+        assert "--slice-time needs --mode ust" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_unknown_case_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--case", "nope"])

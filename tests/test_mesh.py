@@ -298,12 +298,11 @@ def stack_mesh(name, levels):
     """A twisted 2D or 3D extrusion or a static 2D one through ``levels``
     levels."""
     if name == "disk2d":
-        traj = NodeTrajectory("rigid_rotation", (0.1, -0.2), omega=0.7)
+        traj = NodeTrajectory((0.1, -0.2), omega=0.7)
         return extrude_simplex_st(disk2d(1.0, 2, 10),
                                   ExtrusionSpec(0.0, 0.3, levels, traj))
     if name == "box3d":
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.4, 0.5),
-                              axis=(1.0, 2.0, 3.0), omega=0.8)
+        traj = NodeTrajectory((0.5, 0.4, 0.5), axis=(1.0, 2.0, 3.0), omega=0.8)
         return extrude_simplex_st(box3d(1, 1, 1),
                                   ExtrusionSpec(0.1, 0.4, levels, traj))
     return extrude_simplex_st(box2d(3, 2), ExtrusionSpec(0.0, 0.4, levels))
@@ -407,7 +406,7 @@ class TestClassifyBoundary:
 
     def test_twisted_extrusion_same_counts(self):
         spatial = box2d(3, 3)
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5), omega=0.3)
+        traj = NodeTrajectory((0.5, 0.5), omega=0.3)
         st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 2, traj))
         bottom, top, mantle = classify_boundary(st, 0.0, 1.0)
         assert len(bottom) == spatial.n_elements

@@ -243,8 +243,7 @@ class TestSliceMatchesReference:
 
     def test_twisted_3d(self, rng):
         spatial = box3d(2, 1, 1)
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5, 0.0),
-                              (0.0, 0.0, 1.0), omega=0.4)
+        traj = NodeTrajectory((0.5, 0.5, 0.0), (0.0, 0.0, 1.0), omega=0.4)
         st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 0.5, 2, traj))
         for t in (0.0, 0.25, 0.31, 0.5):
             assert_same_slice(st, t, rng)
@@ -373,7 +372,7 @@ class TestSliceMeasure:
 
     def test_twisted_measure_matches_cross_section(self, rng):
         spatial = disk2d(1.0, 3, 14)
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.5)
+        traj = NodeTrajectory((0.0, 0.0), omega=0.5)
         st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 4, traj))
         vals = np.zeros((st.n_nodes, 3))
         for t in rng.uniform(0.0, 1.0, size=4):
@@ -383,7 +382,7 @@ class TestSliceMeasure:
 
     def test_twisted_measure_exact_at_level_times(self):
         spatial = disk2d(1.0, 3, 14)
-        traj = NodeTrajectory("rigid_rotation", (0.0, 0.0), omega=0.5)
+        traj = NodeTrajectory((0.0, 0.0), omega=0.5)
         st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 1.0, 4, traj))
         vals = np.zeros((st.n_nodes, 3))
         for level in range(5):
@@ -404,8 +403,7 @@ class TestSliceMeasure:
 
     def test_4d_slice_measure(self, rng):
         spatial = box3d(1, 1, 1)
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5, 0.0),
-                              (0.0, 0.0, 1.0), omega=0.4)
+        traj = NodeTrajectory((0.5, 0.5, 0.0), (0.0, 0.0, 1.0), omega=0.4)
         st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 0.5, 2, traj))
         vals = np.zeros((st.n_nodes, 4))
         # level time: cross-section is the rotated unit cube
@@ -567,8 +565,7 @@ class TestProbe:
         exhaustive oracle and the norm the whole-mesh sum.  Point location
         inverts each batch's distinct candidates (2 points, fewer pairs
         than elements) or every element once (40 points, more pairs)."""
-        traj = NodeTrajectory("rigid_rotation", (0.5, 0.5, 0.5),
-                              axis=(0.0, 0.0, 1.0), omega=0.8)
+        traj = NodeTrajectory((0.5, 0.5, 0.5), axis=(0.0, 0.0, 1.0), omega=0.8)
         st = extrude_simplex_st(box3d(2, 2, 2),
                                 ExtrusionSpec(0.0, 0.3, 3, traj))
         vals = rng.uniform(-1, 1, size=(st.n_nodes, 4))

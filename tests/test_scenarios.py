@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import logging
 import math
 from pathlib import Path
 
@@ -115,7 +116,7 @@ class TestTimeGrid:
         # run_slab marches the slabs of the UST mesh's time levels; Newton
         # is stubbed out, as only the slabs' node times are compared
         def no_solve(problem, values, cfg, lin_cfg):
-            return NewtonResult(values, [0.0], 0, True, "converged")
+            return NewtonResult(values, [0.0], 0, True)
 
         monkeypatch.setattr(scenarios, "newton_solve", no_solve)
         spec = make()
@@ -461,3 +462,26 @@ class TestBenchmarkHook:
         for s in solves:
             assert s["n_dofs"] == n_dofs and s["nnz"] > n_dofs
             assert s["end"] >= s["start"]
+
+    def test_traced_first_system_is_level_periodic(self, caplog):
+        """The tracer freezes tau on every system; the first system still
+        takes the level-periodic path, and the first solve factors as many
+        levels as an untraced run's."""
+        spec = dataclasses.replace(
+            make_couette2d(n_r=3, n_theta=12, levels=4, t_end=0.5), omega=1.0)
+        untraced = run_ust(spec, NewtonConfig(max_iter=1))
+        tracing = self.tracing()
+        tr = tracing.Tracer("hook")
+        tracing.install_layer_wrappers(tr)
+        try:
+            with caplog.at_level(logging.INFO, logger="ustflow"):
+                traced = run_ust(spec, NewtonConfig(max_iter=1))
+        finally:
+            tr.restore()
+        messages = [r.getMessage() for r in caplog.records]
+        first = next(i for i, m in enumerate(messages)
+                     if m.startswith("newton iter=0 "))
+        assert any(m.startswith("assembly periodic levels=2/4 ")
+                   for m in messages[:first])
+        (before,), (after,) = untraced.newtons, traced.newtons
+        assert after.solves[0]["factored"] == before.solves[0]["factored"] == 3

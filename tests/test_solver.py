@@ -40,10 +40,9 @@ class ToyProblem:
         R = self._res(U)
         rhs = -R
         A = sp.csr_matrix(self._jac(U)) if want_matrix else None
-
-        class S:
-            matrix = A
-        return S() if want_matrix else None, rhs, float(np.linalg.norm(R))
+        system = types.SimpleNamespace(matrix=A, stack=None)
+        return (system if want_matrix else None, rhs,
+                float(np.linalg.norm(R)))
 
     def residual_norm(self, U, tau_override=None):
         return float(np.linalg.norm(self._res(np.asarray(U).ravel())))
@@ -480,7 +479,8 @@ class TestLaggedFactors:
                 return None, -R, np.linalg.norm(R)
             A = sp.csr_matrix(np.diag(1.0 + 3.0 * U ** 2))
             matrices.append(weakref.ref(A))
-            return types.SimpleNamespace(matrix=A), -R, np.linalg.norm(R)
+            return (types.SimpleNamespace(matrix=A, stack=None), -R,
+                    np.linalg.norm(R))
 
         toy = types.SimpleNamespace(system=system,
                                     dof_levels=np.array([0, 0, 1, 1]),
@@ -495,9 +495,10 @@ def _coarse_stirrer3d():
 
 
 class TestSharedLevelLus:
-    """On a twisted mesh the interior levels take level 1's LU through
-    their rotation; a level whose block is not level 1's turned, to
-    ``SHARE_TOL``, gets an LU of its own."""
+    """On a system turned on a twisted mesh's level stack the interior
+    levels take level 1's LU through their rotation; a level whose free
+    dofs are not level 1's, and every level without a stack, gets an LU of
+    its own."""
 
     @staticmethod
     def first_matrix(problem):
@@ -550,25 +551,35 @@ class TestSharedLevelLus:
         assert precond._level_turns() == {}
         assert precond.factored == len(precond.starts) == 2
 
-    def test_first_and_last_levels_skip_the_share_check(self, monkeypatch):
-        """On the stirrer2d fixture, 17 element levels, ``_shared`` compares
-        the 15 interior node levels 2..16 with level 1; node levels 0 and
-        17 are factored with no block product."""
+    def test_turned_system_factors_three_levels(self, monkeypatch):
+        """On the stirrer2d fixture, 17 element levels, the first system is
+        turned on the problem's stack.  Given that stack, the sweep factors
+        node levels 0, 1 and 17 alone, and each interior level m = 2..16
+        solves through level 1's LU with W = S_m^-1 T S_1."""
         from ustflow.scenarios import make_stirrer2d
         spec = make_stirrer2d()
         problem = spec.problem(spec.ust_mesh())
-        A = self.first_matrix(problem)
-        calls, shared = [], solver._shared
+        system = problem.system(problem.initial_guess())[0]
+        assert system.stack is problem.level_stack
+        calls, splu = [], spla.splu
 
-        def counted(*args):
-            calls.append(args[0].shape)
-            return shared(*args)
+        def counted(A):
+            calls.append(A.shape)
+            return splu(A)
 
-        monkeypatch.setattr(solver, "_shared", counted)
-        precond, _, _ = self.sweep(problem, A, problem.level_stack)
-        assert len(calls) == 15
+        monkeypatch.setattr(spla, "splu", counted)
+        precond, _, _ = self.sweep(problem, system.matrix, system.stack)
+        assert len(calls) == 3
         assert (precond.factored, len(precond.starts)) == (3, 18)
         assert self.shared_levels(precond) == list(range(2, 17))
+        scale = precond.scale[precond.free]
+        level = [scale[s:e] for s, e in zip(precond.starts, precond.ends)]
+        turns = precond._level_turns()
+        for m in range(2, 17):
+            _, W, Wt = precond.lus[m]
+            want = sp.diags(1.0 / level[m]) @ turns[m] @ sp.diags(level[1])
+            assert abs(W - want).max() <= 1e-15 * abs(want).max()
+            assert (Wt != W.T).nnz == 0
 
     def test_dirichlet_mask_that_does_not_repeat(self):
         """One more fixed dof at node level 3: its free dofs are no longer
@@ -626,19 +637,33 @@ class TestSharedLevelLus:
         assert [s["factored"] for s in out.solves] == (
             [spec.levels + 1] * out.iterations)
 
-    @pytest.mark.parametrize("change,shared", [(1e-9, [3]), (1e-15, [2, 3])],
-                             ids=["above_bar", "below_bar"])
-    def test_perturbed_level_factored_alone(self, change, shared):
+    def test_perturbed_level_still_shares_given_a_stack(self, rng):
+        """A stack states that the interior blocks are level 1's turned, and
+        the sweep does not check it: a level 2 block moved by 1e-3 still
+        takes level 1's LU, a weaker sweep, and GMRES still meets the true
+        residual.  Without the stack every level is factored."""
         spec, problem = _couette_problem()
         A = self.first_matrix(problem).tolil()
         n_sp, nc = spec.mesh.n_nodes, problem.ncomp
         free = np.setdiff1d(np.arange(2 * n_sp * nc, 3 * n_sp * nc),
                             problem.dir_dofs)
         d = free[len(free) // 2]  # a free dof of level 2
-        A[d, d] *= 1.0 + change
-        precond, _, _ = self.sweep(problem, A.tocsr(), problem.level_stack)
-        assert self.shared_levels(precond) == shared
-        assert precond.factored == spec.levels + 1 - len(shared)
+        A[d, d] *= 1.0 + 1e-3
+        A = A.tocsr()
+        shared, As, M = self.sweep(problem, A, problem.level_stack)
+        own, _, M_own = self.sweep(problem, A, None)
+        assert self.shared_levels(shared) == [2, 3]
+        assert (shared.factored, own.factored) == (3, spec.levels + 1)
+        r = rng.standard_normal(As.shape[0])
+        assert not np.allclose(M.matvec(r), M_own.matvec(r), rtol=1e-9,
+                               atol=0.0)
+        b = rng.uniform(-1, 1, size=problem.n_dofs)
+        x, stats = gmres_solve(
+            A, b, TimeLevelPreconditioner(problem.dof_levels,
+                                          problem.dir_dofs,
+                                          problem.level_stack), TIGHT)
+        assert stats["factored"] == 3
+        assert np.linalg.norm(b - A @ x) <= TIGHT * np.linalg.norm(b)
 
     def test_singular_shared_block_names_its_levels(self, rng):
         # the same pressure dof, row and column zeroed, at levels 1 to 3:
@@ -755,12 +780,11 @@ class TestNewton:
                                         rel_tol=1e-16),
                            LinearSolverConfig(method="direct_lu"))
         assert not out.converged
-        assert out.status == "max_iterations"
         assert len(out.trace) == 3
 
     def test_last_iterate_gets_residual_alone(self):
         # nothing is solved from the iterate of step max_iter, so it gets
-        # no matrix; trace, status and best iterate are plain Newton's
+        # no matrix; trace, outcome and best iterate are plain Newton's
         b = np.array([2.0])
         toy = ToyProblem(lambda x: x + x ** 3 - b,
                          lambda x: np.diag(1.0 + 3.0 * x ** 2), 1)
@@ -773,7 +797,7 @@ class TestNewton:
         for _ in range(2):
             x.append(x[-1] - (x[-1] + x[-1] ** 3 - 2.0)
                      / (1.0 + 3.0 * x[-1] ** 2))
-        assert out.status == "max_iterations" and out.iterations == 2
+        assert not out.converged and out.iterations == 2
         assert np.allclose(out.trace, [abs(v + v ** 3 - 2.0) for v in x],
                            rtol=1e-12)
         assert np.allclose(out.values, [x[-1]], rtol=1e-12)

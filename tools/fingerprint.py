@@ -24,7 +24,10 @@ The digests cover
   level-periodic, so those systems are built from two element levels
   (see ``assembly``); the ``perturbed`` line, the stirrer2d UST system at
   its initial guess with node level 5's pressure raised by 1.0, assembles
-  every level;
+  every level, and the ``frozen-tau`` line, the same system with tau
+  computed on every level and passed as ``tau_override``, takes the
+  level-periodic path too, so it prints the ``system stirrer2d ust``
+  digest;
 - the final stirrer2d fields of ``run_ust`` and ``run_slab``;
 - the first Newton system of channel2d in both modes, the one shipped
   case with a Neumann tag, so the only lines that cover the traction term.
@@ -97,14 +100,17 @@ def tau(problem) -> dict:
     return {"tau_mom": stab.tau_mom, "tau_cont": stab.tau_cont}
 
 
-def first_system(problem, values=None) -> dict:
-    """The Newton system at ``values``, by default the initial guess."""
+def first_system(problem, values=None, frozen_tau=False) -> dict:
+    """The Newton system at ``values``, by default the initial guess, with
+    tau frozen at ``values`` and passed as ``tau_override`` when
+    ``frozen_tau``."""
     if values is None:
         values = problem.initial_guess()
-    system, _, _ = problem.system(values)
+    tau = problem.stabilization(values) if frozen_tau else None
+    system, rhs, _ = problem.system(values, tau_override=tau)
     A = system.matrix
     return {"data": A.data, "indices": A.indices, "indptr": A.indptr,
-            "rhs": system.rhs}
+            "rhs": rhs}
 
 
 def perturbed(problem):
@@ -127,6 +133,7 @@ def lines():
     yield "tau    stirrer2d ust  ", tau(ust2)
     yield "system stirrer2d ust  ", first_system(ust2)
     yield "system stirrer2d ust perturbed", first_system(ust2, perturbed(ust2))
+    yield "system stirrer2d ust frozen-tau", first_system(ust2, frozen_tau=True)
     yield "system stirrer2d slab ", first_system(s2.problem(s2.slab(0)))
     del ust2
     ust3 = s3.problem(s3.ust_mesh())

@@ -195,8 +195,7 @@ def quality_report(mesh):
 
 
 def check_twist(mesh, axis_dim):
-    traj = NodeTrajectory("rigid_rotation",
-                          (0.0, 0.0, 0.0)[: axis_dim], (0.0, 0.0, 1.0),
+    traj = NodeTrajectory((0.0, 0.0, 0.0)[: axis_dim], (0.0, 0.0, 1.0),
                           STIRRER_OMEGA)
     bound = max_admissible_twist(mesh, traj, dt_hi=STIRRER_DT)
     if bound < STIRRER_DT:
