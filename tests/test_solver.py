@@ -637,6 +637,25 @@ class TestSharedLevelLus:
         assert [s["factored"] for s in out.solves] == (
             [spec.levels + 1] * out.iterations)
 
+    @pytest.mark.parametrize("change,shared", [(1e-9, []), (1e-15, [2, 3])],
+                             ids=["above_bar", "below_bar"])
+    def test_perturbed_level_factored_alone(self, change, shared):
+        """A frozen tau moved on element level 2 by more than SHARE_TOL of
+        its largest value gives a system with no stack, and the sweep
+        factors every level; moved by less, the system keeps its stack and
+        the interior levels share level 1's LU."""
+        spec, problem = _couette_problem()
+        U = problem.initial_guess()
+        stab = problem.stabilization(U)
+        n_per = problem.level_stack.n_per
+        for tau in (stab.tau_mom, stab.tau_cont):
+            tau[2 * n_per + 7] += change * tau.max()
+        system = problem.system(U, tau_override=stab)[0]
+        assert (system.stack is None) == (not shared)
+        precond, _, _ = self.sweep(problem, system.matrix, system.stack)
+        assert self.shared_levels(precond) == shared
+        assert precond.factored == spec.levels + 1 - len(shared)
+
     def test_perturbed_level_still_shares_given_a_stack(self, rng):
         """A stack states that the interior blocks are level 1's turned, and
         the sweep does not check it: a level 2 block moved by 1e-3 still
