@@ -138,9 +138,11 @@ def _cmd_run(args, parser) -> int:
     with open(out / "newton_trace.log", "w") as f:
         for k, newton in enumerate(res.newtons):
             etas = ["-"] + [f"{eta:.3e}" for eta in newton.eta]
-            for it, (r, t, eta) in enumerate(zip(newton.trace,
-                                                 newton.assemble_s, etas)):
+            for it, (r, m, c, d, t, eta) in enumerate(zip(
+                    newton.trace, newton.res_mom, newton.res_cont,
+                    newton.res_dir, newton.assemble_s, etas)):
                 f.write(f"solve={k} newton iter={it} res={r:.6e} "
+                        f"res_mom={m:.6e} res_cont={c:.6e} res_dir={d:.6e} "
                         f"assemble_s={t:.3f} eta={eta}\n")
     if not res.diagnostics["converged"]:
         print(f"warning: Newton did not reach tolerance in slab "

@@ -9,12 +9,21 @@ lower-time side (half-open rule), except at the very bottom of the domain
 where the upper elements own the trace.  Slice vertices are not welded
 across elements.  Elements whose nodes share one below/on/above pattern
 are cut together, one array operation per step, and the pieces are
-written out in element order.
+written out in element order.  On a space-time stack
+(``SpaceTimeMesh.level_stack``) only the element levels whose node times
+meet the plane are read.
 
-Probing finds, for each point, every element whose barycenter lies within
-a radius that provably covers all elements containing the point (one
-kd-tree ball query), tests those pairs in barycentric coordinates, and
-gives the point to the lowest-index containing element.
+Probing and slicing see a mesh as its ``LevelStack``: L element levels,
+each level 0 under a rigid motion; a mesh without a stack, and every
+spatial mesh, is one level under the identity.  Probing builds one kd-tree
+over level 0's element barycenters.  Each point goes to the element levels
+whose time span holds it (two near a node-level time), is moved into level
+0's frame by that level's inverse motion, and takes every level-0
+element whose barycenter lies within a radius that provably covers all
+containing elements (one ball query).  Those elements, shifted back to
+the point's level, are tested in barycentric coordinates on the mesh's
+own nodes, and the point goes to the lowest-index containing element, so
+the owners are those of a test of every element.
 """
 
 from __future__ import annotations
@@ -157,7 +166,14 @@ def _cut_group(st_mesh: SpaceTimeMesh, values: np.ndarray, t: float,
 
 def slice_at_time(st_mesh: SpaceTimeMesh, values, t: float,
                   tol: float = None) -> SliceResult:
-    """Intersect the mesh with the hyperplane time = t and interpolate fields."""
+    """Intersect the mesh with the hyperplane time = t and interpolate fields.
+
+    Only the element levels of the mesh's ``LevelStack`` whose node times
+    (``_level_spans``) meet [t - tol, t + tol] are read: their elements'
+    node times are gathered and filtered as the whole mesh's would be, so
+    the candidates, and the slice, are those of an all-element filter.
+    A mesh without a stack is one level.
+    """
     values = np.asarray(values, dtype=float)
     span = st_mesh.tN - st_mesh.t0
     if tol is None:
@@ -167,14 +183,17 @@ def slice_at_time(st_mesh: SpaceTimeMesh, values, t: float,
     at_bottom = t <= st_mesh.t0 + tol
 
     n_sd = st_mesh.n_sd
-    els = st_mesh.elements
-    nen = els.shape[1]
-    el_times = st_mesh.times[els]
-    candidates = np.flatnonzero((el_times.min(axis=1) <= t + tol)
-                                & (el_times.max(axis=1) >= t - tol))
+    nen = st_mesh.elements.shape[1]
+    n_per, lo, hi = _level_spans(st_mesh)
+    levels = np.flatnonzero((lo <= t + tol) & (hi >= t - tol))
+    near = (levels[:, None] * n_per + np.arange(n_per)).ravel()
+    el_times = st_mesh.times[st_mesh.elements[near]]
+    meets = ((el_times.min(axis=1) <= t + tol)
+             & (el_times.max(axis=1) >= t - tol))
+    candidates = near[meets]
     # node sides: 0 below, 1 on the plane, 2 above; one base-3 code each
-    side = ((el_times[candidates] >= t - tol).astype(np.int64)
-            + (el_times[candidates] > t + tol))
+    side = ((el_times[meets] >= t - tol).astype(np.int64)
+            + (el_times[meets] > t + tol))
     code = side @ 3 ** np.arange(nen)
     pieces = []
     for c in np.unique(code):
@@ -232,59 +251,141 @@ def _inside(Jinv: np.ndarray, X0: np.ndarray, points: np.ndarray,
     return (xi >= -tol).all(axis=1) & (1.0 - xi.sum(axis=1) >= -tol)
 
 
+def _level_spans(mesh: SimplexMesh):
+    """(n_per, lo, hi): element level k of ``mesh``'s ``LevelStack`` is
+    elements k*n_per to (k+1)*n_per, and [lo_k, hi_k] spans the times of
+    its nodes, node levels k and k+1.  A space-time mesh without a stack
+    is one level over all its node times; a spatial mesh is one level at
+    time 0."""
+    if not isinstance(mesh, SpaceTimeMesh):
+        return mesh.n_elements, np.zeros(1), np.zeros(1)
+    stack = mesh.level_stack
+    if stack.L == 1:
+        return (stack.n_per, mesh.times.min(keepdims=True),
+                mesh.times.max(keepdims=True))
+    times = mesh.times.reshape(stack.L + 1, stack.n_sp)
+    lo, hi = times.min(axis=1), times.max(axis=1)
+    return (stack.n_per, np.minimum(lo[:-1], lo[1:]),
+            np.maximum(hi[:-1], hi[1:]))
+
+
+def _level_motions(mesh: SimplexMesh, scale: np.ndarray):
+    """(M, d, dev): x @ M[k] + d[k] takes a point of element level k to
+    level 0's frame, and ``dev`` is the largest distance, each axis
+    scaled by ``scale``, of a node of level k's image from its level-0
+    twin.
+
+    M[k] is diag(R_k, 1), R_k the stack's rotation of level k (a node
+    q of level k is about (p - p_0) R_k^T + q_k, p its level-0 twin), and
+    d[k] = p_0 - q_k M[k] takes level k's centroid q_k, the mean of node
+    levels k and k+1 as ``_level_stack`` forms it, to level 0's, p_0,
+    time included.  So d[0] = 0 and level 0's image of a point is the
+    point itself, bit for bit.  A mesh that is one level has M = [I],
+    d = [0] and dev = 0.
+    """
+    dim = mesh.dim
+    if not isinstance(mesh, SpaceTimeMesh) or mesh.level_stack.L == 1:
+        return np.eye(dim)[None], np.zeros((1, dim)), 0.0
+    stack = mesh.level_stack
+    n_sp, L = stack.n_sp, stack.L
+    M = np.zeros((L, dim, dim))
+    M[:, :-1, :-1] = stack.rotations
+    M[:, -1, -1] = 1.0
+    base = mesh.nodes[:2 * n_sp]
+    p0 = base.mean(axis=0)
+    d = np.empty((L, dim))
+    dev = 0.0
+    for k in range(L):
+        q = mesh.nodes[k * n_sp:(k + 2) * n_sp]
+        d[k] = p0 - q.mean(axis=0) @ M[k]
+        err = (q @ M[k] + d[k] - base) * scale
+        dev = max(dev, np.einsum("ij,ij->i", err, err).max())
+    return M, d, float(np.sqrt(dev))
+
+
 def _locate(mesh: SimplexMesh, points: np.ndarray, tol: float) -> np.ndarray:
     """Owning element of each point: the lowest-index element that contains
     it, -1 for points outside the mesh or with a non-finite coordinate.
 
-    A point with barycentric coordinates lam >= -tol in an element is
-    x - b = sum(lam_i (x_i - b)) away from the barycenter b, so at most
-    r (1 + 2 (dim+1) tol) in any axis scaling, r the largest
-    barycenter-to-vertex distance.  One kd-tree ball query of that radius
-    over the barycenters therefore returns every containing element.  Each
-    axis is scaled by the largest element extent along it, which keeps the
-    ball small on meshes whose elements are far thinner in time than in
-    space.  The extents, the barycenters and the radius are computed over
-    ``element_slices``, each gathering its vertices vertex-first, (dim+1,
-    E, dim), so that every reduction runs over the leading axis and no
-    (n_el, dim+1, dim) array of vertices is formed, and the candidate
-    pairs are tested in batches of about
-    _PAIR_BATCH, each gathering the first vertex of its candidates.  The
-    inverse Jacobians are those of each batch's distinct candidates, or,
-    when the pairs outnumber the elements, those of all elements at once,
-    held for this call only: either way no more than min(pairs, n_el) are
-    computed.
+    The search runs on element level 0 of the mesh's ``LevelStack``
+    (``_level_spans``): one kd-tree over its barycenters answers every
+    level.  A point with barycentric coordinates lam >= -tol in an element
+    has a time within 2 (dim+1) tol (hi_k - lo_k) of its level's span
+    [lo_k, hi_k] (twice the exact bound, for rounding), so each point is
+    sent to the one or two levels whose widened span holds it, and there
+    to level 0's frame by that level's rigid motion (``_level_motions``).
+    In level 0 the point's image is x - b = sum(lam_i (x_i - b)) away from
+    the barycenter b of the level-0 twin of a containing element, so at
+    most (r + dev) (1 + 2 (dim+1) tol) in any axis scaling: r is level
+    0's largest barycenter-to-vertex distance, and ``dev`` bounds how far
+    the motion's image of a level's vertices lies from level 0's.  One
+    ball query of that radius therefore returns every containing
+    element's twin.  Each axis is scaled by level 0's largest element
+    extent along it, which keeps the ball small on meshes whose elements
+    are far thinner in time than in space.  The extents, the barycenters
+    and the radius are computed over ``element_slices`` of level 0, each
+    gathering its vertices vertex-first, (dim+1, E, dim), so that every
+    reduction runs over the leading axis.
+
+    The twins, shifted by k*n_per, are tested on the mesh's own elements
+    with the point's own coordinates, in batches of about _PAIR_BATCH
+    pairs, each gathering the first vertex of its candidates, and the
+    lowest-index container wins: the owners are those of a test of every
+    element.  The inverse Jacobians are those of each batch's distinct
+    candidates, or, when the pairs outnumber the elements, those of all
+    elements at once, held for this call only: either way no more than
+    min(pairs, n_el) are computed.  A mesh without a stack, and every
+    spatial mesh, is one level under the identity, and its points are
+    located in place.
     """
     dim, n_el = mesh.dim, mesh.n_elements
-    bary = np.empty((n_el, dim))
+    n_per, lo, hi = _level_spans(mesh)
+    base = mesh.elements[:n_per]
+    bary = np.empty((n_per, dim))
     extent = np.zeros(dim)
-    for sl in element_slices(n_el):
-        X = mesh.nodes[mesh.elements[sl].T]
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        np.maximum(extent, (hi - lo).max(axis=0, initial=0.0), out=extent)
+    for sl in element_slices(n_per):
+        X = mesh.nodes[base[sl].T]
+        lo_x, hi_x = X.min(axis=0), X.max(axis=0)
+        np.maximum(extent, (hi_x - lo_x).max(axis=0, initial=0.0), out=extent)
         bary[sl] = X.mean(axis=0)
     scale = 1.0 / extent
     r2 = 0.0
-    for sl in element_slices(n_el):
-        offsets = mesh.nodes[mesh.elements[sl].T] - bary[sl]
+    for sl in element_slices(n_per):
+        offsets = mesh.nodes[base[sl].T] - bary[sl]
         offsets *= scale
         r2 = max(r2, np.einsum("vek,vek->ve", offsets, offsets).max(
             initial=0.0))
-    radius = np.sqrt(r2) * (1.0 + 2 * (dim + 1) * tol)
+    M, d, dev = _level_motions(mesh, scale)
+    radius = (np.sqrt(r2) + dev) * (1.0 + 2 * (dim + 1) * tol)
     bary *= scale
     tree = cKDTree(bary, balanced_tree=False)
+
+    # the element levels of each finite point, first to stop - 1
     finite = np.flatnonzero(np.isfinite(points).all(axis=1))
-    query = points[finite] * scale
+    t = (points[finite, -1] if isinstance(mesh, SpaceTimeMesh)
+         else np.zeros(finite.size))
+    wide = 2 * (dim + 1) * tol * (hi - lo)
+    first = np.searchsorted(hi + wide, t, side="left")
+    n_levels = np.maximum(np.searchsorted(lo - wide, t, side="right") - first,
+                          0)
+    point = np.repeat(finite, n_levels)
+    level = np.arange(point.size) + np.repeat(
+        first - np.cumsum(n_levels) + n_levels, n_levels)
+    query = (np.einsum("pi,pij->pj", points[point], M[level])
+             + d[level]) * scale
+
     counts = tree.query_ball_point(query, radius, return_length=True)
     batch = np.cumsum(counts) // _PAIR_BATCH
     Jinv = (mesh.gradients_of(slice(None))[:, 1:] if counts.sum() > n_el
             else None)
     owner = np.full(len(points), n_el, dtype=np.int64)
-    for sel in np.split(np.arange(finite.size),
+    for sel in np.split(np.arange(point.size),
                         np.flatnonzero(np.diff(batch)) + 1):
         lists = tree.query_ball_point(query[sel], radius)
         cand = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
                            count=counts[sel].sum())
-        pid = np.repeat(finite[sel], counts[sel])
+        cand += np.repeat(level[sel] * n_per, counts[sel])
+        pid = np.repeat(point[sel], counts[sel])
         inside = _inside(_inverse_jacobians(mesh, cand) if Jinv is None
                          else Jinv[cand],
                          mesh.nodes[mesh.elements[cand, 0]], points[pid], tol)
@@ -319,8 +420,10 @@ def probe(mesh: SimplexMesh, values, points, tol: float = 1e-10):
     """P1 interpolation at arbitrary points.
 
     Each point goes to the lowest-index element containing it (barycentric
-    coordinates at least -tol), found with a kd-tree ball query over
-    element barycenters whose radius covers every containing element.
+    coordinates at least -tol), found by ``_locate``: a kd-tree ball query
+    over level 0's element barycenters, in level 0's frame, from the
+    element levels that the point's time touches, whose radius covers every
+    containing element.
     Points outside the mesh and points with a non-finite coordinate are
     flagged as not found and get a NaN row.
     Returns (values (m, ncomp), found (m,) bool).

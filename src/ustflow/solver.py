@@ -53,7 +53,9 @@ iterations, true relative residual, timings, whether it reused lagged
 factors, ``factored=<levels with an LU of their own>/<levels>``, its GMRES
 resumes and ``free=<free dofs>/<dofs>``, and ``NewtonResult.solves``
 keeps those stats of each solve.  Newton traces are emitted as
-``newton iter=<k> res=<value> assemble_s=<s> eta=<eta>`` log lines: the
+``newton iter=<k> res=<value> res_mom=<m> res_cont=<c> res_dir=<d>
+assemble_s=<s> eta=<eta>`` log lines: the residual norm and its
+momentum, continuity and Dirichlet-row parts (``residual_parts``), the
 wall time of the assembly that gave the residual (the residual-only pass
 for a converged iterate that got no matrix), and the forcing term of the
 linear solve whose step gave iterate k (``-`` at k = 0).
@@ -121,6 +123,10 @@ class NewtonResult:
     eta: list = dataclasses.field(default_factory=list)
     # solves[k]: the stats of that linear solve (see solve_linear_system)
     solves: list = dataclasses.field(default_factory=list)
+    # the parts of each trace entry (see residual_parts)
+    res_mom: list = dataclasses.field(default_factory=list)
+    res_cont: list = dataclasses.field(default_factory=list)
+    res_dir: list = dataclasses.field(default_factory=list)
 
 
 class TimeLevelPreconditioner:
@@ -510,6 +516,20 @@ def forcing_term(rnorm: float, prev_rnorm: float | None,
     return max(min(eta, ETA_MAX), 0.5 * tol / rnorm)
 
 
+def residual_parts(rhs: np.ndarray, dir_dofs, ncomp: int):
+    """(momentum, continuity, Dirichlet) norms of a Newton right-hand side
+    whose dofs are node-major, ``ncomp`` per node with the pressure last:
+    the free velocity rows, the free pressure rows and the rows
+    ``dir_dofs``.  Their Euclidean norm is ``|rhs|`` to rounding."""
+    dirichlet = np.zeros(len(rhs), dtype=bool)
+    dirichlet[dir_dofs] = True
+    pressure = np.arange(len(rhs)) % ncomp == ncomp - 1
+    sq = rhs * rhs
+    return tuple(float(np.sqrt(sq[rows].sum()))
+                 for rows in (~dirichlet & ~pressure, ~dirichlet & pressure,
+                              dirichlet))
+
+
 def newton_solve(problem, initial_values: np.ndarray,
                  cfg: NewtonConfig = None,
                  lin_cfg: LinearSolverConfig = None) -> NewtonResult:
@@ -524,13 +544,18 @@ def newton_solve(problem, initial_values: np.ndarray,
     matrix is built, and a converged iterate gets no matrix.  The iterate
     of step max_iter gets its residual alone; if it has not converged, the
     best iterate seen and the full trace are returned, not ``converged``.
+    The values are (n_nodes, ncomp), velocity then pressure, for the
+    momentum and continuity parts of each residual; a flat vector has one
+    component per node, whose free rows all count as continuity.
     """
     cfg = cfg or NewtonConfig()
     lin_cfg = lin_cfg or LinearSolverConfig()
     U = np.asarray(initial_values, dtype=float).copy()
     shape = U.shape
+    ncomp = shape[1] if U.ndim == 2 else 1
 
     trace, assemble_s, etas, solves = [], [], [], []
+    parts = ([], [], [])
 
     def assemble(values, want_matrix=True):
         """(``problem.system`` at ``values``, its wall seconds)."""
@@ -538,18 +563,22 @@ def newton_solve(problem, initial_values: np.ndarray,
         out = problem.system(values, want_matrix=want_matrix)
         return out, time.perf_counter() - t0
 
-    def record(k, rnorm, seconds):
+    def record(k, rhs, rnorm, seconds):
         trace.append(rnorm)
         assemble_s.append(seconds)
-        logger.info("newton iter=%d res=%.6e assemble_s=%.3f eta=%s", k,
-                    rnorm, seconds, f"{etas[-1]:.3e}" if etas else "-")
+        split = residual_parts(rhs, problem.dir_dofs, ncomp)
+        for part, value in zip(parts, split):
+            part.append(value)
+        logger.info("newton iter=%d res=%.6e res_mom=%.6e res_cont=%.6e "
+                    "res_dir=%.6e assemble_s=%.3f eta=%s", k, rnorm, *split,
+                    seconds, f"{etas[-1]:.3e}" if etas else "-")
 
     def result(values, iterations, converged):
         return NewtonResult(values, trace, iterations, converged, assemble_s,
-                            etas, solves)
+                            etas, solves, *parts)
 
     (system, rhs, rnorm), seconds = assemble(U)
-    record(0, rnorm, seconds)
+    record(0, rhs, rnorm, seconds)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
     if rnorm <= tol:
         return result(U, 0, True)
@@ -573,13 +602,13 @@ def newton_solve(problem, initial_values: np.ndarray,
 
         last = k == cfg.max_iter
         if last or eta * rnorm <= tol:
-            (_, _, rnorm), seconds = assemble(U, want_matrix=False)
+            (_, rhs, rnorm), seconds = assemble(U, want_matrix=False)
             if rnorm <= tol:
-                record(k, rnorm, seconds)
+                record(k, rhs, rnorm, seconds)
                 return result(U, k, True)
         if not last:
             (system, rhs, rnorm), seconds = assemble(U)
-        record(k, rnorm, seconds)
+        record(k, rhs, rnorm, seconds)
         if rnorm < best_r:
             best_U, best_r = U.copy(), rnorm
         if rnorm <= tol:

@@ -8,9 +8,11 @@ import pytest
 from ustflow import cli
 from ustflow.errors import ParseError, UnknownKey
 from ustflow.geometry import annulus2d, box2d, box3d
-from ustflow.io import (read_config, read_result, read_stmesh, write_result,
-                        write_stmesh)
+from ustflow.io import (read_config, read_result, read_stmesh,
+                        write_probe_csv, write_result, write_stmesh)
 from ustflow.mesh import SpaceTimeMesh, validate_mesh
+from ustflow.postproc import probe_exhaustive
+from ustflow.scenarios import make_stirrer2d
 
 
 class TestStmeshRoundTrip:
@@ -415,6 +417,29 @@ class TestCli:
         assert nan_row[0] == "nan" and nan_row[3:] == ["", "", ""]
         row = [float(v) for v in lines[2].split(",")]
         assert row[3:] == pytest.approx([0.25, 0.75, 0.1], abs=1e-12)
+
+    def test_probe_ust_result_same_csv_as_exhaustive(self, tmp_path, rng):
+        """``ustflow probe`` on a stirrer UST result.dat, whose mesh is read
+        back as a 17-level stack, writes the CSV of the all-element scan."""
+        st = make_stirrer2d().ust_mesh()
+        result = tmp_path / "result.dat"
+        write_result(st, rng.uniform(-1.0, 1.0, size=(st.n_nodes, 3)), result)
+        mesh, values = read_result(result)
+        assert mesh.level_stack.L == 17
+        lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+        pts = rng.uniform(lo, hi, size=(40, 3))
+        pts[:10, 2] = rng.choice(np.unique(mesh.times), 10)
+        pts = np.vstack([pts, mesh.nodes[:5], [[0.0, 0.0, hi[2] + 1.0]]])
+        points = tmp_path / "points.txt"
+        np.savetxt(points, pts, fmt="%.17g")
+        csv, ref = tmp_path / "probes.csv", tmp_path / "ref.csv"
+        assert cli.main(["probe", "--result", str(result), "--points",
+                         str(points), "--out", str(csv)]) == 1
+        pts = np.loadtxt(points)
+        vals, found = probe_exhaustive(mesh, values, pts)
+        assert 0 < found.sum() < len(pts)
+        write_probe_csv(ref, pts, vals, found)
+        assert csv.read_bytes() == ref.read_bytes()
 
     def test_run_named_case_with_levels(self, tmp_path):
         outdir = tmp_path / "case_out"

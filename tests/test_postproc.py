@@ -277,11 +277,14 @@ class TestSliceMatchesReference:
             ref = [_order_polygon(p, list(range(n))) for p in P]
             assert np.array_equal(_polygon_order(P), ref)
 
-    @pytest.mark.parametrize("level", [8.5, 17])
+    # the bottom, an interior node level, mid-level and the top: the
+    # slicer reads one or two element levels of the stack, the reference
+    # filters every element
+    @pytest.mark.parametrize("level", [0, 9, 8.5, 17])
     def test_stirrer2d(self, stirrer2d_st, rng, level):
         assert_same_slice(stirrer2d_st, level * scenarios.STIRRER_DT, rng)
 
-    @pytest.mark.parametrize("level", [8.5, 17])
+    @pytest.mark.parametrize("level", [0, 9, 8.5, 17])
     def test_stirrer3d_coarse(self, stirrer3d_coarse_st, rng, level):
         assert_same_slice(stirrer3d_coarse_st, level * scenarios.STIRRER_DT,
                           rng)
@@ -516,6 +519,105 @@ class TestLocatorOnPentatopes:
         owner = _locate(st, pts, 1e-10)
         assert np.array_equal(owner, exhaustive_owner(st, pts))
         assert (owner[:st.n_nodes] >= 0).all() and owner[-1] == -1
+
+
+def stack_points(st, rng, n=200):
+    """Random points over the mesh's bounding box and a little beyond, at
+    node-level times, at mesh nodes, outside in space or time, and rows
+    with a non-finite coordinate."""
+    lo, hi = st.nodes.min(axis=0), st.nodes.max(axis=0)
+    pad = 0.05 * (hi - lo)
+    box = rng.uniform(lo - pad, hi + pad, size=(n, st.dim))
+    on_level = rng.uniform(lo, hi, size=(n, st.dim))
+    on_level[:, -1] = rng.choice(np.unique(st.times), n)
+    nodes = st.nodes[rng.choice(st.n_nodes, n // 2, replace=False)]
+    outside = rng.uniform(lo, hi, size=(4, st.dim))
+    outside[:, -1] = [st.t0 - 1e-9, st.t0 - (hi - lo)[-1],
+                      st.tN * (1.0 + 1e-6), st.tN + (hi - lo)[-1]]
+    bad = box[:4].copy()
+    bad[[0, 1, 2, 3], [0, 1, -1, -1]] = [np.nan, np.nan, np.nan, np.inf]
+    return np.vstack([box, on_level, nodes, outside, bad])
+
+
+class TestLevelStackLocator:
+    """The locator searches element level 0 of the mesh's stack and tests
+    the candidates on the mesh's own elements: its owners and probes are
+    those of a scan of every element."""
+
+    @pytest.mark.parametrize("fixture", ["stirrer2d_st",
+                                         "stirrer3d_coarse_st"])
+    def test_owners_match_exhaustive(self, request, rng, fixture):
+        st = request.getfixturevalue(fixture)
+        assert st.level_stack.L == 17
+        pts = stack_points(st, rng)
+        owner = _locate(st, pts, 1e-10)
+        # the oracle's scan would sum an infinite coordinate to NaN
+        finite = pts[:-4]
+        assert np.array_equal(owner[:-4], exhaustive_owner(st, finite))
+        levels = owner[owner >= 0] // st.level_stack.n_per
+        assert len(np.unique(levels)) == 17
+        assert (owner[-8:] == -1).all()
+
+        vals = rng.uniform(-1.0, 1.0, size=(st.n_nodes, st.dim))
+        out, found = probe(st, vals, pts)
+        ref, ref_found = probe_exhaustive(st, vals, finite)
+        assert np.array_equal(found[:-4], ref_found) and not found[-4:].any()
+        assert np.array_equal(out[:-4], ref, equal_nan=True)
+        assert np.isnan(out[-4:]).all()
+
+    def test_node_level_point_goes_to_lower_level(self, stirrer2d_st):
+        # a point on node level 9, inside the mesh, lies in elements of
+        # element levels 8 and 9; the lowest index is in level 8
+        st = stirrer2d_st
+        n_per = st.level_stack.n_per
+        e = 9 * n_per + 5
+        X = st.nodes[st.elements[e]]
+        bottom = X[X[:, -1] == X[:, -1].min()]
+        pts = bottom.mean(axis=0, keepdims=True)
+        owner = _locate(st, pts, 1e-10)
+        assert owner[0] // n_per == 8
+        assert np.array_equal(owner, exhaustive_owner(st, pts))
+
+    def test_level_motions(self, stirrer3d_coarse_st, rng):
+        """Level 0's image of a point is the point itself; every level's
+        motion takes its nodes onto level 0's to about rounding."""
+        st = stirrer3d_coarse_st
+        n_sp, L = st.level_stack.n_sp, st.level_stack.L
+        M, d, dev = postproc._level_motions(st, np.ones(st.dim))
+        assert np.array_equal(M[0], np.eye(st.dim)) and not d[0].any()
+        pts = rng.uniform(-3.0, 3.0, size=(5, st.dim))
+        assert np.array_equal(pts @ M[0] + d[0], pts)
+        k = L - 1
+        image = st.nodes[k * n_sp:(k + 2) * n_sp] @ M[k] + d[k]
+        assert np.abs(image - st.nodes[:2 * n_sp]).max() <= dev < 1e-12
+
+    def test_one_level_mesh_same_path(self, small_st_mesh_3d, rng):
+        """A mesh without a stack, and a spatial mesh, are one level under
+        the identity motion, and take the same path."""
+        st = small_st_mesh_3d
+        nodes = st.nodes.copy()
+        mid = np.flatnonzero(np.isclose(st.times, 0.1))
+        nodes[mid, -1] += rng.uniform(-0.02, 0.02, size=mid.size)
+        jittered = st_mesh_from(nodes, st.elements, st.t0, st.tN)
+        assert jittered.level_stack.L == 1
+        n_per, lo, hi = postproc._level_spans(jittered)
+        assert (n_per, lo.tolist(), hi.tolist()) == (
+            jittered.n_elements, [nodes[:, -1].min()], [nodes[:, -1].max()])
+        M, d, dev = postproc._level_motions(jittered, np.ones(4))
+        assert np.array_equal(M, np.eye(4)[None]) and not d.any()
+        assert dev == 0.0
+        pts = np.vstack([rng.uniform(-0.1, 1.1, size=(60, 4)) * [1, 1, 1, 0.2],
+                         jittered.nodes, [[0.5, 0.5, 0.5, -0.1]],
+                         [[0.5, np.nan, 0.5, 0.1]]])
+        owner = _locate(jittered, pts, 1e-10)
+        assert np.array_equal(owner, exhaustive_owner(jittered, pts))
+        assert (owner[60:-2] >= 0).all() and (owner[-2:] == -1).all()
+
+        spatial = box2d(3, 3)
+        assert postproc._level_spans(spatial)[0] == spatial.n_elements
+        pts = np.vstack([rng.uniform(-0.1, 1.1, size=(40, 2)), spatial.nodes])
+        assert np.array_equal(_locate(spatial, pts, 1e-10),
+                              exhaustive_owner(spatial, pts))
 
 
 class TestProbe:

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from ustflow import solver
 from ustflow.assembly import BCSpec, MaterialParams, SpaceTimeProblem
 from ustflow.errors import LinearSolveFailure, Stagnation
-from ustflow.scenarios import (STIRRER_DT, make_couette2d,
+from ustflow.scenarios import (STIRRER_DT, make_channel2d, make_couette2d,
                                make_manufactured, make_stirrer3d)
 from ustflow.solver import (ETA_FIRST, ETA_MAX, LinearSolverConfig,
                             NewtonConfig, TimeLevelPreconditioner,
@@ -879,9 +879,41 @@ class TestNewton:
         for k, (line, r, t) in enumerate(zip(lines, res.trace,
                                              res.assemble_s)):
             eta = f"{res.eta[k - 1]:.3e}" if k else "-"
-            assert line == (f"newton iter={k} res={r:.6e} assemble_s={t:.3f} "
+            # a flat vector of unknowns, none fixed: all continuity rows
+            assert (res.res_mom[k], res.res_cont[k], res.res_dir[k]) == (
+                0.0, r, 0.0)
+            assert line == (f"newton iter={k} res={r:.6e} "
+                            f"res_mom=0.000000e+00 res_cont={r:.6e} "
+                            f"res_dir=0.000000e+00 assemble_s={t:.3f} "
                             f"eta={eta}")
             assert t >= 0.0
+
+    @pytest.mark.parametrize("make", [lambda: make_channel2d(nx=8, ny=4,
+                                                             levels=3),
+                                      lambda: make_manufactured(n=4)],
+                             ids=["channel2d", "manufactured"])
+    def test_residual_parts(self, make, caplog):
+        """The momentum, continuity and Dirichlet-row parts of each residual
+        make up its norm to rounding, and go on the log line.  The initial
+        values miss the Dirichlet data, so the first residual has all three
+        parts; the first step meets the data."""
+        spec = make()
+        problem = spec.problem(spec.ust_mesh())
+        U0 = problem.initial_guess()
+        U0.reshape(-1)[problem.dir_dofs] += 0.1
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            out = newton_solve(problem, U0)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("newton iter=")]
+        assert out.converged and len(lines) == len(out.trace) >= 2
+        parts = np.array([out.res_mom, out.res_cont, out.res_dir]).T
+        assert (parts[0] > 0.0).all()
+        assert parts[1:, 2].max() < 1e-12 * out.trace[0]
+        for line, r, (m, c, d) in zip(lines, out.trace, parts):
+            assert np.sqrt(m * m + c * c + d * d) == pytest.approx(r,
+                                                                   rel=1e-13)
+            assert (f" res={r:.6e} res_mom={m:.6e} res_cont={c:.6e} "
+                    f"res_dir={d:.6e} ") in line
 
     def test_deterministic_iterates(self, small_st_mesh_2d):
         mesh = small_st_mesh_2d

@@ -18,6 +18,12 @@ The digests cover
 - tau_MOM and tau_CONT of the stirrer2d and stirrer3d UST problems at
   their initial guess, so that a change in how tau is evaluated shows on
   a line of its own;
+- probes and slices of the stirrer3d UST mesh, with a seeded random field
+  (``post``): the owning element, the interpolated values and the found
+  flags of seeded random points over the mesh's bounding box and a little
+  beyond, a quarter of them moved onto node-level times, plus mesh nodes;
+  and the nodes, simplices and values of its slices at t0, at node level
+  9, halfway between node levels 8 and 9 and at tN;
 - the first Newton system (CSR ``data``, ``indices``, ``indptr`` and the
   right-hand side) of the stirrer2d UST problem, of its first prism slab
   and of the stirrer3d UST problem.  Their UST initial guesses are
@@ -37,16 +43,16 @@ The digests cover
 by another tree, and prints after each digest the deviation of each of
 the line's arrays from the saved one, max|a - ref| / max|ref| (max|a - ref|
 where ref is all zeros; ``shape`` where the shapes differ; ``unsaved``
-where DIR has no arrays for the line), so that a change that moves results
-by rounding can quote by how much.
+where DIR has no arrays for the line; entries NaN in both agree), so
+that a change that moves results by rounding can quote by how much.
 
 The final UST field's bytes depend on the BLAS thread count: OpenBLAS
 sums a dot product of more than about 10,000 entries in a different
 order on more threads, and the UST residual norms and GMRES's
 Gram-Schmidt dots are that long.  So the thread counts are pinned to 1
-before numpy is imported.  The script peaks at about 0.6 GB of RSS and
+before numpy is imported.  The script peaks at about 0.35 GB of RSS and
 takes under ten seconds on a 2-core machine; ``--save`` writes about
-0.3 GB.
+0.2 GB.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from ustflow.mesh import time_levels  # noqa: E402
+from ustflow.postproc import _locate, probe, slice_at_time  # noqa: E402
 from ustflow.scenarios import (make_channel2d, make_stirrer2d,  # noqa: E402
                                make_stirrer3d, run_slab, run_ust)
 from ustflow.stabilization import mesh_metric  # noqa: E402
@@ -121,6 +128,29 @@ def perturbed(problem):
     return values
 
 
+def post(mesh):
+    """(probe arrays, slice arrays) of ``mesh`` with a seeded random field."""
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-1.0, 1.0, size=(mesh.n_nodes, mesh.dim))
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    pad = 0.05 * (hi - lo)
+    points = rng.uniform(lo - pad, hi + pad, size=(2000, mesh.dim))
+    levels = np.unique(mesh.times)
+    points[:500, -1] = rng.choice(levels, 500)
+    points = np.vstack([points, mesh.nodes[rng.choice(mesh.n_nodes, 100)]])
+    at, found = probe(mesh, values, points)
+    probes = {"owner": _locate(mesh, points, 1e-10), "values": at,
+              "found": found}
+    slices = {}
+    for name, t in (("t0", mesh.t0), ("level9", levels[9]),
+                    ("mid", 0.5 * (levels[8] + levels[9])), ("tN", mesh.tN)):
+        sl = slice_at_time(mesh, values, t)
+        slices.update({f"{name}_nodes": sl.mesh.nodes,
+                       f"{name}_simplices": sl.mesh.elements,
+                       f"{name}_values": sl.values})
+    return probes, slices
+
+
 def lines():
     """(label, {name: array}) of each line, computed one at a time."""
     s2, s3 = make_stirrer2d(), make_stirrer3d()
@@ -143,7 +173,10 @@ def lines():
     yield "metric stirrer3d ust  ", dict(zip(metric, mesh_metric(ust3.mesh)))
     yield "tau    stirrer3d ust  ", tau(ust3)
     yield "system stirrer3d ust  ", first_system(ust3)
-    del ust3
+    probes, slices = post(ust3.mesh)
+    yield "probe  stirrer3d ust  ", probes
+    yield "slice  stirrer3d ust  ", slices
+    del ust3, probes, slices
     yield "field  stirrer2d ust  ", {"values": run_ust(s2).fields[0]}
     slab = run_slab(s2)
     yield "field  stirrer2d slab ", {"final": slab.final_values,
@@ -155,14 +188,17 @@ def lines():
 
 
 def deviation(a, ref) -> str:
-    """max|a - ref| / max|ref| as text, or ``shape``."""
+    """max|a - ref| / max|ref| as text, or ``shape``; entries that are NaN
+    in both arrays (probes outside the mesh) agree, a NaN in one alone
+    gives ``nan``."""
     a, ref = np.asarray(a, dtype=float), np.asarray(ref, dtype=float)
     if a.shape != ref.shape:
         return "shape"
     if a.size == 0:
         return "0"
-    err = np.abs(a - ref).max()
-    scale = np.abs(ref).max()
+    both = np.isnan(a) & np.isnan(ref)
+    err = np.abs(np.where(both, 0.0, a - ref)).max()
+    scale = np.abs(ref[~both]).max(initial=0.0)
     return f"{err / scale if scale else err:.1e}"
 
 
