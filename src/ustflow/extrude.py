@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvertedElement, MeshTopologyError
+from .errors import DegenerateElement, InvertedElement, MeshTopologyError
 from .mesh import (SimplexMesh, SpaceTimeMesh, degenerate,
                    require_element_facets)
 
@@ -109,13 +109,9 @@ def decompose_prism(bottom_ids, top_ids) -> list:
     face-adjacent prisms agree on shared-face diagonals.
     Returns n+1 tuples of n+2 node ids each (n+1 = len(bottom_ids)).
     """
-    bottom = list(bottom_ids)
-    top = list(top_ids)
-    order = sorted(range(len(bottom)), key=lambda i: bottom[i])
-    b = [bottom[i] for i in order]
-    t = [top[i] for i in order]
-    n = len(b) - 1
-    return [tuple(b[: j + 1] + t[j:]) for j in range(n + 1)]
+    order = np.argsort(bottom_ids, kind="stable")
+    b, t = np.asarray(bottom_ids)[order], np.asarray(top_ids)[order]
+    return [tuple(s) for s in _path_simplices(b[None], t[None])[0].tolist()]
 
 
 def _path_simplices(sorted_ids_bottom: np.ndarray,
@@ -133,45 +129,35 @@ def _path_simplices(sorted_ids_bottom: np.ndarray,
     return out
 
 
-def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMesh:
-    """Extrude a spatial mesh through the time levels of ``spec``.
+def _sweep(spatial: SimplexMesh, spec: ExtrusionSpec, cap_tags) -> tuple:
+    """(nodes, elements, boundary facets, their tags, path signs) of
+    ``spatial`` swept through the levels of ``spec``.
 
-    Produces (L+1) * n_nodes space-time nodes and L * (n_sd+1) * n_el
-    simplices, with the boundary built directly: one bottom facet per
-    spatial element, one top facet, and n_sd mantle facets per spatial
-    boundary facet per level (inheriting the spatial tag).  The mesh is a
-    ``LevelStack`` (``SpaceTimeMesh.level_stack``) whose geometry comes from
-    level 0; one ``extrude`` log line gives the levels, the elements per
-    level, the element count, whether the stack was found or the mesh set
-    up as one level, and the seconds.
-
-    Simplices are oriented by the sign rule below, so the mesh is built
-    without the constructor's orientation fix.  Raises InvertedElement when
-    the twist per level makes any simplex non-positive or degenerate by the
-    mesh's own bound (``mesh.degenerate``), and MeshTopologyError when the
-    spatial mesh lists a boundary facet that is not a facet of its
-    elements.
+    The nodes are level-major blocks of the spatial nodes, moved by the
+    trajectory, with the level time appended.  The elements are the
+    sorted-path simplices of every spatial element, the same at every
+    level.  The boundary is the bottom cap, one facet per spatial element
+    tagged ``cap_tags[0]``, the top cap tagged ``cap_tags[1]``, then n_sd
+    mantle facets per spatial boundary facet per level, which inherit its
+    tag.  The signs, (n_el, n_sd + 1), orient the path simplices; a zero
+    marks a spatial element of zero determinant.
     """
-    start = time.perf_counter()
     n_sd = spatial.dim
     n_sp = spatial.n_nodes
     L = spec.n_levels
-    times = spec.level_times
 
-    # nodes: level-major blocks of the (possibly rotated) spatial nodes
     nodes = np.empty(((L + 1) * n_sp, n_sd + 1))
-    for lev, t in enumerate(times):
+    for lev, t in enumerate(spec.level_times):
         pos = rigid_rotation_positions(spatial.nodes, spec.trajectory, t,
                                        t0=spec.t0)
         nodes[lev * n_sp: (lev + 1) * n_sp, :n_sd] = pos
         nodes[lev * n_sp: (lev + 1) * n_sp, n_sd] = t
 
-    # elements: sorted-path decomposition, the same at every level.  In the
-    # flat limit, path simplex j of a prism has det sign (-1)^(n_sd + j)
-    # relative to the sorted spatial element, whose sign is the spatial
-    # det's times the parity of the sort.  Each simplex is oriented by that
-    # sign rather than by its own det: the constructor's fix would turn an
-    # inverted simplex positive and hide it.
+    # In the flat limit, path simplex j of a prism has det sign
+    # (-1)^(n_sd + j) relative to the sorted spatial element, whose sign is
+    # the spatial det's times the parity of the sort.  Each simplex is
+    # oriented by that sign rather than by its own det: the constructor's
+    # fix would turn an inverted simplex positive and hide it.
     sorted_spatial = np.sort(spatial.elements, axis=1)
     path = _path_simplices(sorted_spatial, sorted_spatial + n_sp)
     swaps = sum(spatial.elements[:, i] > spatial.elements[:, k]
@@ -182,52 +168,70 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     path = path.reshape(-1, n_sd + 2)
     elements = np.concatenate([path + lev * n_sp for lev in range(L)])
 
-    # boundary: bottom and top caps, then n_sd mantle facets per spatial
-    # boundary facet, level by level
     spatial_bf = np.sort(spatial.boundary_facets, axis=1)
     require_element_facets(spatial.elements, spatial_bf)
     mantle = _path_simplices(spatial_bf, spatial_bf + n_sp).reshape(-1, n_sd + 1)
-    mantle_tags = np.repeat(spatial.boundary_tags, n_sd)
-
-    cap_tag = len(spatial.tag_names)  # synthetic tag for bottom/top caps
-    tag_names = list(spatial.tag_names) + ["_cap"]
-
-    nb = spatial.n_elements
     boundary = np.concatenate([sorted_spatial, sorted_spatial + L * n_sp]
                               + [mantle + lev * n_sp for lev in range(L)])
-    tags = np.concatenate([np.full(2 * nb, cap_tag, dtype=np.int64)]
-                          + [mantle_tags] * L)
-    groups = (np.arange(nb, dtype=np.int64),
-              np.arange(nb, 2 * nb, dtype=np.int64),
-              np.arange(2 * nb, len(boundary), dtype=np.int64))
+    tags = np.concatenate([np.repeat(np.asarray(cap_tags, dtype=np.int64),
+                                     spatial.n_elements)]
+                          + [np.repeat(spatial.boundary_tags, n_sd)] * L)
+    return nodes, elements, boundary, tags, sign
 
-    mesh = SpaceTimeMesh(nodes, elements, boundary, tags, tag_names,
-                         spec.t0, spec.tN, facet_groups=groups,
-                         fix_orientation=False)
+
+def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMesh:
+    """Extrude a spatial mesh through the time levels of ``spec``.
+
+    Produces (L+1) * n_nodes space-time nodes and L * (n_sd+1) * n_el
+    simplices, with the boundary built directly (``_sweep``): one bottom
+    facet per spatial element, one top facet, both tagged ``_cap``, and
+    n_sd mantle facets per spatial boundary facet per level (inheriting
+    the spatial tag).  The mesh is a ``LevelStack``
+    (``SpaceTimeMesh.level_stack``) whose geometry comes from level 0; one
+    ``extrude`` log line gives the levels, the elements per level, the
+    element count, whether the stack was found or the mesh set up as one
+    level, and the seconds.
+
+    Simplices are oriented by the sign rule of ``_sweep``, so the mesh is
+    built without the constructor's orientation fix.  Raises
+    InvertedElement when the twist per level makes any simplex
+    non-positive or degenerate by the mesh's own bound
+    (``mesh.degenerate``), and MeshTopologyError when the spatial mesh
+    lists a boundary facet that is not a facet of its elements.
+    """
+    start = time.perf_counter()
+    cap_tag = len(spatial.tag_names)  # synthetic tag for bottom/top caps
+    nodes, elements, boundary, tags, sign = _sweep(spatial, spec,
+                                                   (cap_tag, cap_tag))
+    nb = spatial.n_elements
+    groups = np.split(np.arange(len(boundary)), [nb, 2 * nb])
+    mesh = SpaceTimeMesh(nodes, elements, boundary, tags,
+                         list(spatial.tag_names) + ["_cap"], spec.t0, spec.tN,
+                         facet_groups=groups, fix_orientation=False)
     # a found stack's levels hold level 0's determinants and edges, so
     # level 0 holds the first inverted element; else every level is checked
     stack = mesh.level_stack
     n_per = stack.n_per
     bad = degenerate(mesh.jacobian_dets[:n_per], mesh.max_edge_lengths[:n_per],
                      mesh.dim)
-    bad |= np.tile(sign.ravel() == 0, n_per // len(path))
+    bad |= np.tile(sign.ravel() == 0, n_per // sign.size)
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         raise InvertedElement(
             f"twist per level too large: element {first} inverted",
-            element=first, level=first // len(path))
-    logger.info("extrude levels=%d n_per=%d elements=%d stack=%s s=%.3f", L,
-                n_per, mesh.n_elements,
+            element=first, level=first // sign.size)
+    logger.info("extrude levels=%d n_per=%d elements=%d stack=%s s=%.3f",
+                spec.n_levels, n_per, mesh.n_elements,
                 "found" if stack.L > 1 else "one-level",
                 time.perf_counter() - start)
     return mesh
 
 
 def max_admissible_twist(spatial: SimplexMesh, trajectory: NodeTrajectory,
-                         dt_hi: float = 1.0, rel_resolution: float = 1e-3) -> float:
+                         dt_hi: float = 1.0) -> float:
     """Largest uniform level spacing keeping a one-level extrusion positive.
 
-    Bisection to the given relative resolution.  A static trajectory
+    Bisection to a relative resolution of 1e-3.  A static trajectory
     (omega = 0) admits any spacing; returns inf in that case.
     """
     if trajectory.omega == 0.0:
@@ -250,7 +254,7 @@ def max_admissible_twist(spatial: SimplexMesh, trajectory: NodeTrajectory,
         lo *= 0.5
         if lo < 1e-300:
             return 0.0
-    while (hi - lo) > rel_resolution * hi:
+    while (hi - lo) > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
@@ -264,19 +268,22 @@ def extrude_spatial(spatial: SimplexMesh, z0: float, z1: float, n_layers: int,
     """Extrude a 2D spatial mesh in z into a 3D spatial mesh of tetrahedra.
 
     Side facets inherit the 2D tags; the z = z0 / z = z1 caps get
-    ``lo_tag`` / ``hi_tag``.  Uses the same sorted-path rule, so the result
-    is conforming.
+    ``lo_tag`` / ``hi_tag``.  The same sweep as ``extrude_simplex_st``,
+    through n_layers uniform layers with z in place of time, so the result
+    is conforming.  Raises DegenerateElement, naming the spatial element,
+    for a 2D element that is degenerate by the mesh's own bound.
     """
     if spatial.dim != 2:
         raise MeshTopologyError("extrude_spatial expects a 2D mesh")
     if lo_tag in spatial.tag_names or hi_tag in spatial.tag_names:
         raise MeshTopologyError("cap tag name collides with a spatial tag")
-    spec = ExtrusionSpec(z0, z1, n_layers)
-    st = extrude_simplex_st(spatial, spec)
-    tag_names = list(spatial.tag_names) + [lo_tag, hi_tag]
-    lo_id, hi_id = len(tag_names) - 2, len(tag_names) - 1
-    tags = st.boundary_tags.copy()
-    tags[st.bottom_facets] = lo_id
-    tags[st.top_facets] = hi_id
-    return SimplexMesh(st.nodes, st.elements, st.boundary_facets, tags,
-                       tag_names)
+    bad = degenerate(np.abs(spatial.jacobian_dets), spatial.max_edge_lengths, 2)
+    if bad.any():
+        e = int(np.flatnonzero(bad)[0])
+        raise DegenerateElement(f"spatial element {e} is degenerate "
+                                f"(det={spatial.jacobian_dets[e]:g})")
+    n = len(spatial.tag_names)
+    nodes, elements, boundary, tags, _ = _sweep(
+        spatial, ExtrusionSpec(z0, z1, n_layers), (n, n + 1))
+    return SimplexMesh(nodes, elements, boundary, tags,
+                       list(spatial.tag_names) + [lo_tag, hi_tag])

@@ -14,11 +14,13 @@ round-trips are bitwise stable.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 
 import numpy as np
 
-from .errors import ConfigurationError, IoFailure, ParseError, UnknownKey
+from .errors import IoFailure, ParseError, UnknownKey, UstflowError
 from .mesh import SimplexMesh, SpaceTimeMesh
 
 
@@ -74,6 +76,28 @@ class _LineReader:
                              line=self.lines[self.pos][0])
 
 
+def _read_rows(reader: _LineReader, n: int, what: str, kind, width: int,
+               expected: str, tagged: bool = False) -> tuple:
+    """The next n lines of ``reader``, each a ``what`` of ``width`` numbers
+    of ``kind`` (float or int) and, when ``tagged``, a tag: an (n, width)
+    array and the list of the tags.  A line of another length raises
+    ParseError 'expected <expected>', and a number that ``kind`` rejects
+    'bad float' or 'bad node id', at its line."""
+    rows, tags = np.empty((n, width), dtype=kind), []
+    for k in range(n):
+        no, body = reader.next(what)
+        vals = body.split()
+        if len(vals) != width + tagged:
+            raise ParseError(f"expected {expected}", line=no)
+        try:
+            rows[k] = [kind(v) for v in vals[:width]]
+        except ValueError:
+            bad = "float" if kind is float else "node id"
+            raise ParseError(f"bad {bad} in {what}", line=no) from None
+        tags += vals[width:]
+    return rows, tags
+
+
 def _read_mesh_block(reader: _LineReader) -> tuple:
     """(nodes, elements, facets, tags, tag_names) of a mesh block."""
     no, header = reader.next("stmesh header")
@@ -85,45 +109,14 @@ def _read_mesh_block(reader: _LineReader) -> tuple:
         dim, n_nodes, n_el, n_bf = (int(v) for v in parts[1:])
     except ValueError:
         raise ParseError("non-integer count in stmesh header", line=no)
-
-    nodes = np.empty((n_nodes, dim))
-    for k in range(n_nodes):
-        no, body = reader.next("node line")
-        vals = body.split()
-        if len(vals) != dim:
-            raise ParseError(f"expected {dim} coordinates", line=no)
-        try:
-            nodes[k] = [float(v) for v in vals]
-        except ValueError:
-            raise ParseError("bad float in node line", line=no)
-
-    elements = np.empty((n_el, dim + 1), dtype=np.int64)
-    for k in range(n_el):
-        no, body = reader.next("element line")
-        vals = body.split()
-        if len(vals) != dim + 1:
-            raise ParseError(f"expected {dim + 1} node ids", line=no)
-        try:
-            elements[k] = [int(v) for v in vals]
-        except ValueError:
-            raise ParseError("bad node id in element line", line=no)
-
-    facets = np.empty((n_bf, dim), dtype=np.int64)
-    tag_names: list = []
-    tags = np.empty(n_bf, dtype=np.int64)
-    for k in range(n_bf):
-        no, body = reader.next("facet line")
-        vals = body.split()
-        if len(vals) != dim + 1:
-            raise ParseError(f"expected {dim} node ids and a tag", line=no)
-        try:
-            facets[k] = [int(v) for v in vals[:dim]]
-        except ValueError:
-            raise ParseError("bad node id in facet line", line=no)
-        name = vals[dim]
-        if name not in tag_names:
-            tag_names.append(name)
-        tags[k] = tag_names.index(name)
+    nodes, _ = _read_rows(reader, n_nodes, "node line", float, dim,
+                          f"{dim} coordinates")
+    elements, _ = _read_rows(reader, n_el, "element line", int, dim + 1,
+                             f"{dim + 1} node ids")
+    facets, names = _read_rows(reader, n_bf, "facet line", int, dim,
+                               f"{dim} node ids and a tag", tagged=True)
+    tag_names = list(dict.fromkeys(names))
+    tags = np.array([tag_names.index(name) for name in names], dtype=np.int64)
     return nodes, elements, facets, tags, tag_names
 
 
@@ -164,16 +157,8 @@ def read_result(path):
     n_rows, n_comp = int(parts[1]), int(parts[2])
     if n_rows != len(nodes):
         raise ParseError("field node count does not match mesh", line=no)
-    values = np.empty((n_rows, n_comp))
-    for k in range(n_rows):
-        no, body = reader.next("field row")
-        vals = body.split()
-        if len(vals) != n_comp:
-            raise ParseError(f"expected {n_comp} components", line=no)
-        try:
-            values[k] = [float(v) for v in vals]
-        except ValueError:
-            raise ParseError("bad float in field row", line=no)
+    values, _ = _read_rows(reader, n_rows, "field row", float, n_comp,
+                           f"{n_comp} components")
     reader.end("field block")
 
     if n_comp == nodes.shape[1]:  # space-time mesh: n_sd velocities + pressure
@@ -184,38 +169,57 @@ def read_result(path):
 
 # -- scenario configuration ---------------------------------------------------
 
-_CASE_KEYS = {"base", "name", "mode", "levels", "t_end", "mesh"}
-_MATERIAL_KEYS = {"rho", "mu", "convective"}
-_ROTATION_KEYS = {"omega", "center", "axis"}
-_SECTIONS = {"case": _CASE_KEYS, "material": _MATERIAL_KEYS,
-             "rotation": _ROTATION_KEYS}
+def _flag(value: str) -> bool:
+    flags = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+    if value.lower() not in flags:
+        raise ValueError(f"must be 1/true/yes/on or 0/false/no/off, "
+                         f"got {value!r}")
+    return flags[value.lower()]
+
+
+def _floats(value: str) -> tuple:
+    return tuple(float(v) for v in value.split())
+
+
+# the keys of each section and their parsers; no key is in two sections
+_KEYS = {
+    "case": {"base": str, "mesh": read_stmesh, "name": str, "mode": str,
+             "levels": int, "t_end": float},
+    "material": {"rho": float, "mu": float, "convective": _flag},
+    "rotation": {"omega": float, "center": _floats, "axis": _floats},
+}
+
+
+@contextlib.contextmanager
+def _entry(key: str, value: str, no: int):
+    """Raise a value that its parser or the spec rejects as a ParseError
+    naming the key, the value and the line."""
+    try:
+        yield
+    except (ValueError, UstflowError) as exc:
+        raise ParseError(f"{key} = {value}: {exc}", line=no) from None
 
 
 def read_config(path):
     """Parse a ``key = value`` scenario file into a ScenarioSpec.
 
-    The file must name a builtin base case; remaining keys override its
-    scalar parameters.  Unknown sections or keys raise UnknownKey with the
-    offending line number, and values out of range (any the
-    ``ScenarioSpec`` or ``MaterialParams`` checks reject) raise ParseError
-    naming the key and the line.
+    The file must name a builtin base case; ``mesh``, a path relative to
+    the file's directory, replaces its mesh, and the remaining keys
+    override its scalar parameters.  Unknown sections or keys raise
+    UnknownKey with the offending line number, and a value that its parser
+    in ``_KEYS`` rejects, a mesh file that cannot be read or parsed, and a
+    value out of range (any the ``ScenarioSpec`` or ``MaterialParams``
+    checks reject) raise ParseError naming the key and the line.
     """
     from .scenarios import builtin_cases
 
     entries = {}
     section = None
-    try:
-        with open(path) as f:
-            raw = f.readlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    for no, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for no, body in _LineReader(path).lines:
         if body.startswith("[") and body.endswith("]"):
             section = body[1:-1].strip()
-            if section not in _SECTIONS:
+            if section not in _KEYS:
                 raise UnknownKey(f"unknown section [{section}]", line=no)
             continue
         if "=" not in body:
@@ -223,59 +227,31 @@ def read_config(path):
         if section is None:
             raise ParseError("key outside of any [section]", line=no)
         key, value = (s.strip() for s in body.split("=", 1))
-        if key not in _SECTIONS[section]:
+        if key not in _KEYS[section]:
             raise UnknownKey(f"unknown key {key!r} in [{section}]", line=no)
-        entries[(section, key)] = (no, value)
+        entries[key] = (no, value, _KEYS[section][key])
 
-    if ("case", "base") not in entries:
+    if "base" not in entries:
         raise ParseError("config must set base = <case name> in [case]")
-    no, base = entries.pop(("case", "base"))
+    no, base, _ = entries.pop("base")
     registry = builtin_cases()
     if base not in registry:
         raise ParseError(f"unknown base case {base!r} "
                          f"(known: {sorted(registry)})", line=no)
-
-    if ("case", "mesh") in entries:
-        no, value = entries.pop(("case", "mesh"))
-        try:
-            spec = registry[base](mesh=read_stmesh(value))
-        except ValueError as exc:
-            raise ParseError(f"mesh = {value}: {exc}", line=no) from None
+    if "mesh" in entries:
+        no, value, read = entries.pop("mesh")
+        with _entry("mesh", value, no):
+            spec = registry[base](
+                mesh=read(os.path.join(os.path.dirname(path), value)))
     else:
         spec = registry[base]()
-
-    def as_number(no, v, kind=float):
-        try:
-            return kind(v)
-        except ValueError:
-            raise ParseError(f"bad {'integer' if kind is int else 'float'} "
-                             f"{v!r}", line=no)
-
-    def as_bool(no, key, v):
-        if v.lower() in ("1", "true", "yes", "on"):
-            return True
-        if v.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ParseError(f"{key} must be 1/true/yes/on or 0/false/no/off, "
-                         f"got {v!r}", line=no)
-
-    # no key is in two sections
-    for (_, key), (no, value) in entries.items():
-        if key in ("levels", "t_end", "omega", "rho", "mu"):
-            x = as_number(no, value, int if key == "levels" else float)
-        elif key in ("center", "axis"):
-            x = tuple(as_number(no, v) for v in value.split())
-        elif key == "convective":
-            x = as_bool(no, key, value)
-        else:  # mode, name; base and mesh are taken above
-            x = value
-        try:
+    for key, (no, value, parse) in entries.items():
+        with _entry(key, value, no):
+            x = parse(value)
             change = ({"material": dataclasses.replace(spec.material,
                                                        **{key: x})}
                       if key in ("rho", "mu") else {key: x})
             spec = dataclasses.replace(spec, **change)
-        except (ValueError, ConfigurationError) as exc:
-            raise ParseError(f"{key} = {value}: {exc}", line=no) from None
     return spec
 
 

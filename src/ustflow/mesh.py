@@ -283,14 +283,13 @@ class SpaceTimeMesh(SimplexMesh):
     """
 
     def __init__(self, nodes, elements, boundary_facets, boundary_tags,
-                 tag_names, t0, tN, facet_groups=None, fix_orientation=True,
-                 tol=None):
+                 tag_names, t0, tN, facet_groups=None, fix_orientation=True):
         super().__init__(nodes, elements, boundary_facets, boundary_tags,
                          tag_names, fix_orientation=fix_orientation)
         self.t0 = float(t0)
         self.tN = float(tN)
         if facet_groups is None:
-            facet_groups = classify_boundary(self, self.t0, self.tN, tol=tol)
+            facet_groups = classify_boundary(self, self.t0, self.tN)
         self.bottom_facets, self.top_facets, self.mantle_facets = (
             np.ascontiguousarray(g, dtype=np.int64) for g in facet_groups)
         for arr in (self.bottom_facets, self.top_facets, self.mantle_facets):

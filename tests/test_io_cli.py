@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ustflow import cli
+from ustflow import io as stio
 from ustflow.errors import ParseError, UnknownKey
 from ustflow.geometry import annulus2d, box2d, box3d
 from ustflow.io import (read_config, read_result, read_stmesh,
@@ -113,6 +114,35 @@ class TestResultRoundTrip:
             assert capsys.readouterr().err.startswith(f"error: line {no}: ")
 
 
+# each config key: (good value, check that it was applied, bad value)
+CONFIG_KEYS = {
+    ("case", "base"): ("channel2d", lambda s: s.name == "channel2d", "nope"),
+    ("case", "mesh"): ("ann.stmesh", lambda s: s.mesh.n_elements == 32,
+                       "absent.stmesh"),
+    ("case", "name"): ("mine", lambda s: s.name == "mine", None),
+    ("case", "mode"): ("slab", lambda s: s.mode == "slab", "ale"),
+    ("case", "levels"): ("4", lambda s: s.levels == 4, "4.0"),
+    ("case", "t_end"): ("0.5", lambda s: s.t_end == 0.5, "-1"),
+    ("material", "rho"): ("2.5", lambda s: s.material.rho == 2.5, "0"),
+    ("material", "mu"): ("0.25", lambda s: s.material.mu == 0.25, "-0.1"),
+    ("material", "convective"): ("off", lambda s: s.convective is False,
+                                 "maybe"),
+    ("rotation", "omega"): ("2.5", lambda s: s.omega == 2.5, "fast"),
+    ("rotation", "center"): ("0.5 -0.5", lambda s: s.center == (0.5, -0.5),
+                             "0.5 x"),
+    ("rotation", "axis"): ("0 1 0", lambda s: s.axis == (0.0, 1.0, 0.0),
+                           "0 0 z"),
+}
+
+
+def config_text(section, key, value):
+    """A couette2d config whose line 4 sets ``key`` in ``section``, or
+    whose line 2 sets the base case."""
+    if key == "base":
+        return f"[case]\nbase = {value}\n"
+    return f"[case]\nbase = couette2d\n[{section}]\n{key} = {value}\n"
+
+
 class TestConfig:
     def test_full_config(self, tmp_path):
         path = tmp_path / "case.cfg"
@@ -208,6 +238,55 @@ class TestConfig:
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             read_config(path)
         assert err.value.line == 3
+
+    def test_relative_mesh_is_the_config_s_sibling(self, tmp_path,
+                                                   monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.mkdir()
+        write_stmesh(annulus2d(1.0, 2.0, 2, 8), cfg / "ann.stmesh")
+        (cfg / "case.cfg").write_text(
+            "[case]\nbase = couette2d\nmesh = ann.stmesh\n")
+        monkeypatch.chdir(tmp_path)
+        assert read_config("cfg/case.cfg").mesh.n_elements == 32
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read"), ("stmesh 2 1 0 0\n0 zz\n", "bad float")],
+        ids=["missing", "malformed"])
+    def test_unreadable_mesh_reports_key_and_line(self, tmp_path, text,
+                                                  message):
+        if text is not None:
+            (tmp_path / "m.stmesh").write_text(text)
+        path = tmp_path / "case.cfg"
+        path.write_text("[case]\nbase = couette2d\n\nmesh = m.stmesh\n")
+        with pytest.raises(ParseError, match=rf"^line 4: mesh = m\.stmesh: "
+                           rf".*{message}") as err:
+            read_config(path)
+        assert err.value.line == 4
+
+    def test_table_covers_every_key(self):
+        assert {(section, key) for section, keys in stio._KEYS.items()
+                for key in keys} == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("section, key", CONFIG_KEYS)
+    def test_key_value_applied(self, tmp_path, section, key):
+        good, applied, _ = CONFIG_KEYS[section, key]
+        write_stmesh(annulus2d(1.0, 2.0, 2, 8), tmp_path / "ann.stmesh")
+        path = tmp_path / "case.cfg"
+        path.write_text(config_text(section, key, good))
+        assert applied(read_config(path))
+
+    @pytest.mark.parametrize("section, key", CONFIG_KEYS)
+    def test_bad_key_value_names_key_and_line(self, tmp_path, section, key):
+        """A value its parser or the spec rejects; ``name`` takes any
+        value, so it is given in a section of other keys."""
+        _, _, bad = CONFIG_KEYS[section, key]
+        if bad is None:
+            section, bad = "rotation", "x"
+        path = tmp_path / "case.cfg"
+        path.write_text(config_text(section, key, bad))
+        with pytest.raises((ParseError, UnknownKey), match=key) as err:
+            read_config(path)
+        assert err.value.line == (2 if key == "base" else 4)
 
     @pytest.mark.parametrize("lines, levels, dt", [
         ("base = couette2d\nt_end = 1.0\n", 6, 1.0 / 6),

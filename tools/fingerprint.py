@@ -36,7 +36,13 @@ The digests cover
   digest;
 - the final stirrer2d fields of ``run_ust`` and ``run_slab``;
 - the first Newton system of channel2d in both modes, the one shipped
-  case with a Neumann tag, so the only lines that cover the traction term.
+  case with a Neumann tag, so the only lines that cover the traction term;
+- the structured generators ``box2d``, ``annulus2d``, ``disk2d`` and
+  ``box3d`` at two sizes each, and the z-extrusion of the stirrer3d tank
+  (``build_stirrer_mesh`` of tools/make_stirrer_meshes.py at the
+  stirrer3d fixture's sizes, two layers over thickness 0.1): nodes,
+  elements, boundary facets, their tags and the tag names (as UTF-8
+  bytes).
 
 ``--save DIR`` also writes the arrays behind each line to DIR, one
 ``.npz`` file per line.  ``--against DIR`` reads such a directory, written
@@ -71,6 +77,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from make_stirrer_meshes import build_stirrer_mesh  # noqa: E402
+from ustflow.extrude import extrude_spatial  # noqa: E402
+from ustflow.geometry import annulus2d, box2d, box3d, disk2d  # noqa: E402
 from ustflow.mesh import time_levels  # noqa: E402
 from ustflow.postproc import _locate, probe, slice_at_time  # noqa: E402
 from ustflow.scenarios import (make_channel2d, make_stirrer2d,  # noqa: E402
@@ -90,6 +99,19 @@ def mesh_arrays(mesh) -> dict:
             for name in ("nodes", "elements", "boundary_facets",
                          "boundary_tags", "bottom_facets", "top_facets",
                          "mantle_facets")}
+
+
+def spatial_arrays(*meshes) -> dict:
+    """Nodes, elements, boundary facets, their tags and the tag names, as
+    UTF-8 bytes, of each mesh, keyed by its position."""
+    arrays = {}
+    for k, mesh in enumerate(meshes):
+        arrays.update({f"{k}_{name}": getattr(mesh, name)
+                       for name in ("nodes", "elements", "boundary_facets",
+                                    "boundary_tags")})
+        arrays[f"{k}_tag_names"] = np.frombuffer(
+            " ".join(mesh.tag_names).encode(), dtype=np.uint8)
+    return arrays
 
 
 def stack(mesh) -> dict:
@@ -185,6 +207,17 @@ def lines():
     c2 = make_channel2d()
     yield "system channel2d ust  ", first_system(c2.problem(c2.ust_mesh()))
     yield "system channel2d slab ", first_system(c2.problem(c2.slab(0)))
+    yield "mesh   box2d          ", spatial_arrays(
+        box2d(3, 2), box2d(5, 4, lx=2.0, ly=0.5, x0=-1.0, y0=0.25))
+    yield "mesh   annulus2d      ", spatial_arrays(annulus2d(1.0, 2.0, 3, 9),
+                                                   annulus2d(0.5, 1.0, 2, 16))
+    yield "mesh   disk2d         ", spatial_arrays(disk2d(1.0, 1, 6),
+                                                   disk2d(1.5, 4, 7))
+    yield "mesh   box3d          ", spatial_arrays(
+        box3d(2, 2, 1), box3d(3, 2, 2, lx=2.0, ly=0.5, lz=3.0))
+    tank = build_stirrer_mesh(h_fine=0.16, h_coarse=0.5)
+    yield "mesh   stirrer3d tank z", spatial_arrays(
+        extrude_spatial(tank, 0.0, 0.1, 2, lo_tag="bottom", hi_tag="top"))
 
 
 def deviation(a, ref) -> str:
