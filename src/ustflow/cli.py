@@ -23,7 +23,7 @@ from .mesh import validate_mesh
 from .postproc import export_vtk, probe, slice_at_time
 from .scenarios import (STUDY_CASES, builtin_cases, convergence_study,
                         run_slab, run_ust)
-from .solver import NewtonConfig
+from .solver import NewtonConfig, newton_line
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,13 +137,10 @@ def _cmd_run(args, parser) -> int:
                    title=f"{spec.name} t={args.slice_time:g}")
     with open(out / "newton_trace.log", "w") as f:
         for k, newton in enumerate(res.newtons):
-            etas = ["-"] + [f"{eta:.3e}" for eta in newton.eta]
-            for it, (r, m, c, d, t, eta) in enumerate(zip(
+            for it, entry in enumerate(zip(
                     newton.trace, newton.res_mom, newton.res_cont,
-                    newton.res_dir, newton.assemble_s, etas)):
-                f.write(f"solve={k} newton iter={it} res={r:.6e} "
-                        f"res_mom={m:.6e} res_cont={c:.6e} res_dir={d:.6e} "
-                        f"assemble_s={t:.3f} eta={eta}\n")
+                    newton.res_dir, newton.assemble_s, [None] + newton.eta)):
+                f.write(f"solve={k} {newton_line(it, *entry)}\n")
     if not res.diagnostics["converged"]:
         print(f"warning: Newton did not reach tolerance in slab "
               f"{res.diagnostics['failed_slab']}", file=sys.stderr)

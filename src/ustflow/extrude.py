@@ -208,41 +208,54 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     mesh = SpaceTimeMesh(nodes, elements, boundary, tags,
                          list(spatial.tag_names) + ["_cap"], spec.t0, spec.tN,
                          facet_groups=groups, fix_orientation=False)
-    # a found stack's levels hold level 0's determinants and edges, so
-    # level 0 holds the first inverted element; else every level is checked
     stack = mesh.level_stack
-    n_per = stack.n_per
-    bad = degenerate(mesh.jacobian_dets[:n_per], mesh.max_edge_lengths[:n_per],
-                     mesh.dim)
-    bad |= np.tile(sign.ravel() == 0, n_per // sign.size)
-    if bad.any():
-        first = int(np.flatnonzero(bad)[0])
+    first = _first_inverted(mesh, sign, stack.n_per)
+    if first is not None:
         raise InvertedElement(
             f"twist per level too large: element {first} inverted",
             element=first, level=first // sign.size)
     logger.info("extrude levels=%d n_per=%d elements=%d stack=%s s=%.3f",
-                spec.n_levels, n_per, mesh.n_elements,
+                spec.n_levels, stack.n_per, mesh.n_elements,
                 "found" if stack.L > 1 else "one-level",
                 time.perf_counter() - start)
     return mesh
+
+
+def _first_inverted(mesh: SimplexMesh, sign: np.ndarray, n_per: int):
+    """The first of the swept ``mesh``'s first ``n_per`` elements that is
+    non-positive or degenerate (``mesh.degenerate``), or whose path sign
+    is zero, built on a flat spatial element; None when there is none.
+
+    A found stack's levels hold level 0's determinants and edges, so its
+    level 0, n_per = ``sign.size``, holds the first such element; a mesh
+    that is one level, n_per its element count, is checked whole.
+    """
+    bad = degenerate(mesh.jacobian_dets[:n_per], mesh.max_edge_lengths[:n_per],
+                     mesh.dim)
+    bad |= np.tile(sign.ravel() == 0, n_per // sign.size)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def max_admissible_twist(spatial: SimplexMesh, trajectory: NodeTrajectory,
                          dt_hi: float = 1.0) -> float:
     """Largest uniform level spacing keeping a one-level extrusion positive.
 
-    Bisection to a relative resolution of 1e-3.  A static trajectory
+    Bisection to a relative resolution of 1e-3.  Each probe sweeps one
+    level (``_sweep``) into a plain ``SimplexMesh`` and asks
+    ``_first_inverted``, as ``extrude_simplex_st`` does, with no
+    space-time mesh built and no log line.  A static trajectory
     (omega = 0) admits any spacing; returns inf in that case.
     """
     if trajectory.omega == 0.0:
         return math.inf
 
     def ok(dt: float) -> bool:
-        try:
-            extrude_simplex_st(spatial, ExtrusionSpec(0.0, dt, 1, trajectory))
-            return True
-        except InvertedElement:
-            return False
+        nodes, elements, boundary, tags, sign = _sweep(
+            spatial, ExtrusionSpec(0.0, dt, 1, trajectory), (0, 0))
+        # a mesh for its geometry alone: its tags name nothing
+        swept = SimplexMesh(nodes, elements, boundary, tags, [],
+                            fix_orientation=False)
+        return _first_inverted(swept, sign, swept.n_elements) is None
 
     hi = dt_hi
     while ok(hi):

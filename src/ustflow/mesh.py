@@ -90,22 +90,20 @@ def in_reference(xi, tol: float = 1e-12) -> np.ndarray:
     return (xi >= -tol).all(axis=-1) & (xi.sum(axis=-1) <= 1.0 + tol)
 
 
-def _sorted_facet_rows(elements: np.ndarray) -> np.ndarray:
-    """All element facets, one row per (element, omitted node), each with its
-    node ids ascending, in lexicographic row order."""
-    n_el, nen = elements.shape
-    facets = np.empty((n_el * nen, nen - 1), dtype=elements.dtype)
-    for k in range(nen):
-        keep = [j for j in range(nen) if j != k]
-        facets[k::nen, :] = elements[:, keep]
-    facets.sort(axis=1)
-    return facets[np.lexsort(facets.T[::-1])]
+def _facet_bytes(elements: np.ndarray) -> np.ndarray:
+    """All element facets, one per (element, omitted node), each as the
+    ``_row_bytes`` of its node ids ascending: the element's sorted ids
+    less one."""
+    ids = np.sort(elements, axis=1)
+    nen = ids.shape[1]
+    keep = [[j for j in range(nen) if j != k] for k in range(nen)]
+    return _row_bytes(ids[:, keep].reshape(-1, nen - 1))
 
 
 def require_element_facets(elements: np.ndarray, facets: np.ndarray) -> None:
     """Raise MeshTopologyError unless every row of ``facets``, node ids
     ascending, is a facet of one of ``elements``."""
-    if (_find_rows(_sorted_facet_rows(elements), facets) < 0).any():
+    if not np.isin(_row_bytes(facets), _facet_bytes(elements)).all():
         raise MeshTopologyError("boundary facet is not a facet of any element")
 
 
@@ -142,9 +140,10 @@ class SimplexMesh:
             raise MeshTopologyError("elements must have dim+1 nodes")
         if not np.isfinite(self.nodes).all():
             raise MeshTopologyError("non-finite node coordinates")
-        if self.elements.size and (self.elements.min() < 0
-                                   or self.elements.max() >= len(self.nodes)):
-            raise MeshTopologyError("element node id out of range")
+        if any(ids.size and (ids.min() < 0 or ids.max() >= len(self.nodes))
+               for ids in (self.elements, self.boundary_facets)):
+            raise MeshTopologyError("element or boundary facet node id out "
+                                    "of range")
 
         # the geometry of the first n_per elements repeats, level by level
         n_per = self._n_per = self._level_size()
@@ -533,25 +532,21 @@ def validate_mesh(mesh: SimplexMesh) -> list:
         problems.append(
             f"{int(small.sum())} element(s) with non-positive/degenerate measure")
 
-    uniq, counts = _unique_rows(_sorted_facet_rows(mesh.elements))
+    uniq, counts = np.unique(_facet_bytes(mesh.elements), return_counts=True)
 
     if (counts > 2).any():
         problems.append("facet shared by more than two elements")
 
-    once = counts == 1
-    boundary_rows = uniq[once]
-    listed = np.sort(mesh.boundary_facets, axis=1)
-    listed_order = np.lexsort(listed.T[::-1])
-    listed_sorted = listed[listed_order]
-    dup = (np.diff(listed_sorted, axis=0) == 0).all(axis=1)
-    if dup.any():
+    boundary_rows = uniq[counts == 1]
+    listed = _row_bytes(np.sort(mesh.boundary_facets, axis=1))
+    if len(np.unique(listed)) < len(listed):
         problems.append("duplicate boundary facet listed")
 
-    idx = _find_rows(boundary_rows, listed_sorted)
-    if (idx < 0).any():
+    unknown = np.count_nonzero(~np.isin(listed, boundary_rows))
+    if unknown:
         problems.append(
-            f"{int((idx < 0).sum())} boundary facet(s) listed but interior or unknown")
-    missing = len(boundary_rows) - len(listed_sorted)
+            f"{unknown} boundary facet(s) listed but interior or unknown")
+    missing = len(boundary_rows) - len(listed)
     if missing > 0:
         problems.append(
             f"{missing} element facet(s) on the boundary but not listed")
@@ -569,37 +564,11 @@ def validate_mesh(mesh: SimplexMesh) -> list:
     return problems
 
 
-def _unique_rows(sorted_rows: np.ndarray):
-    """(unique rows, counts) of a lexsorted row array."""
-    if len(sorted_rows) == 0:
-        return sorted_rows, np.zeros(0, dtype=np.int64)
-    change = np.empty(len(sorted_rows), dtype=bool)
-    change[0] = True
-    change[1:] = (np.diff(sorted_rows, axis=0) != 0).any(axis=1)
-    start = np.flatnonzero(change)
-    counts = np.diff(np.append(start, len(sorted_rows)))
-    return sorted_rows[start], counts
-
-
 def _row_bytes(rows: np.ndarray) -> np.ndarray:
-    """Rows of non-negative ints as void scalars whose byte order is row order."""
-    rows = np.ascontiguousarray(rows, dtype=">i8")  # big-endian: byte order == value order
-    dt = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-    return rows.view(dt).ravel()
-
-
-def _find_rows(haystack_sorted: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Index of each needle row in a lexsorted haystack, -1 when absent."""
-    if len(needles) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if len(haystack_sorted) == 0:
-        return np.full(len(needles), -1, dtype=np.int64)
-    hv = _row_bytes(haystack_sorted)
-    nv = _row_bytes(needles)
-    pos = np.searchsorted(hv, nv)
-    pos = np.clip(pos, 0, len(hv) - 1)
-    found = hv[pos] == nv
-    return np.where(found, pos.astype(np.int64), -1)
+    """Rows of ints as void scalars, equal where the rows are equal: the
+    items of numpy's set operations."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
 def _det_of(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

@@ -42,6 +42,10 @@ from .stabilization import prism_geometry, prism_shape_functions
 # Candidate (point, element) pairs tested in one batch by _locate; on
 # pentatopes a batch holds about 250 bytes per pair.
 _PAIR_BATCH = 1 << 16
+# a probe's owner has barycentric coordinates at least -PROBE_TOL
+PROBE_TOL = 1e-10
+# a slice meets the node times within SLICE_TOL times the time span
+SLICE_TOL = 1e-12
 
 
 @dataclass
@@ -164,20 +168,18 @@ def _cut_group(st_mesh: SpaceTimeMesh, values: np.ndarray, t: float,
     return V, vals, S, keep
 
 
-def slice_at_time(st_mesh: SpaceTimeMesh, values, t: float,
-                  tol: float = None) -> SliceResult:
+def slice_at_time(st_mesh: SpaceTimeMesh, values, t: float) -> SliceResult:
     """Intersect the mesh with the hyperplane time = t and interpolate fields.
 
     Only the element levels of the mesh's ``LevelStack`` whose node times
-    (``_level_spans``) meet [t - tol, t + tol] are read: their elements'
-    node times are gathered and filtered as the whole mesh's would be, so
-    the candidates, and the slice, are those of an all-element filter.
+    (``_level_spans``) meet [t - tol, t + tol], tol = ``SLICE_TOL`` times
+    the time span, are read: their elements' node times are gathered and
+    filtered as the whole mesh's would be, so the candidates, and the
+    slice, are those of an all-element filter.
     A mesh without a stack is one level.
     """
     values = np.asarray(values, dtype=float)
-    span = st_mesh.tN - st_mesh.t0
-    if tol is None:
-        tol = 1e-12 * span
+    tol = SLICE_TOL * (st_mesh.tN - st_mesh.t0)
     if t < st_mesh.t0 - tol or t > st_mesh.tN + tol:
         raise EmptySlice(f"slice time {t} outside [{st_mesh.t0}, {st_mesh.tN}]")
     at_bottom = t <= st_mesh.t0 + tol
@@ -416,31 +418,30 @@ def _interpolate(mesh: SimplexMesh, values, points, owner):
     return out, found
 
 
-def probe(mesh: SimplexMesh, values, points, tol: float = 1e-10):
+def probe(mesh: SimplexMesh, values, points):
     """P1 interpolation at arbitrary points.
 
     Each point goes to the lowest-index element containing it (barycentric
-    coordinates at least -tol), found by ``_locate``: a kd-tree ball query
-    over level 0's element barycenters, in level 0's frame, from the
-    element levels that the point's time touches, whose radius covers every
-    containing element.
+    coordinates at least -``PROBE_TOL``), found by ``_locate``: a kd-tree
+    ball query over level 0's element barycenters, in level 0's frame,
+    from the element levels that the point's time touches, whose radius
+    covers every containing element.
     Points outside the mesh and points with a non-finite coordinate are
     flagged as not found and get a NaN row.
     Returns (values (m, ncomp), found (m,) bool).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _interpolate(mesh, values, pts, _locate(mesh, pts, tol))
+    return _interpolate(mesh, values, pts, _locate(mesh, pts, PROBE_TOL))
 
 
-def probe_exhaustive(mesh: SimplexMesh, values: np.ndarray, points,
-                     tol: float = 1e-10):
+def probe_exhaustive(mesh: SimplexMesh, values: np.ndarray, points):
     """Brute-force point location over all elements (test oracle)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     Jinv = mesh.jacobian_invs
     X0 = mesh.nodes[mesh.elements[:, 0]]
     owner = np.full(len(pts), -1, dtype=np.int64)
     for p, x in enumerate(pts):
-        inside = np.flatnonzero(_inside(Jinv, X0, x, tol))
+        inside = np.flatnonzero(_inside(Jinv, X0, x, PROBE_TOL))
         if inside.size:
             owner[p] = inside[0]
     return _interpolate(mesh, values, pts, owner)
@@ -519,12 +520,11 @@ def element_vorticity(mesh: SimplexMesh, values: np.ndarray) -> np.ndarray:
             - np.einsum("ea,ea->e", D[:, :, 1], Uv[:, :, 0]))
 
 
-def probe_vorticity(mesh: SimplexMesh, values: np.ndarray, points,
-                    tol: float = 1e-10):
+def probe_vorticity(mesh: SimplexMesh, values: np.ndarray, points):
     """Vorticity of the owning element at each probe point (2D)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vort = element_vorticity(mesh, values)
-    owner = _locate(mesh, pts, tol)
+    owner = _locate(mesh, pts, PROBE_TOL)
     found = owner >= 0
     return np.where(found, vort[owner], np.nan), found
 

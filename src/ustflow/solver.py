@@ -530,6 +530,16 @@ def residual_parts(rhs: np.ndarray, dir_dofs, ncomp: int):
                               dirichlet))
 
 
+def newton_line(k: int, res: float, res_mom: float, res_cont: float,
+                res_dir: float, assemble_s: float, eta: float | None) -> str:
+    """The ``newton iter=`` line of trace entry k (module docstring);
+    ``eta`` is None at k = 0."""
+    eta = "-" if eta is None else f"{eta:.3e}"
+    return (f"newton iter={k} res={res:.6e} res_mom={res_mom:.6e} "
+            f"res_cont={res_cont:.6e} res_dir={res_dir:.6e} "
+            f"assemble_s={assemble_s:.3f} eta={eta}")
+
+
 def newton_solve(problem, initial_values: np.ndarray,
                  cfg: NewtonConfig = None,
                  lin_cfg: LinearSolverConfig = None) -> NewtonResult:
@@ -569,9 +579,8 @@ def newton_solve(problem, initial_values: np.ndarray,
         split = residual_parts(rhs, problem.dir_dofs, ncomp)
         for part, value in zip(parts, split):
             part.append(value)
-        logger.info("newton iter=%d res=%.6e res_mom=%.6e res_cont=%.6e "
-                    "res_dir=%.6e assemble_s=%.3f eta=%s", k, rnorm, *split,
-                    seconds, f"{etas[-1]:.3e}" if etas else "-")
+        logger.info("%s", newton_line(k, rnorm, *split, seconds,
+                                      etas[-1] if etas else None))
 
     def result(values, iterations, converged):
         return NewtonResult(values, trace, iterations, converged, assemble_s,

@@ -12,7 +12,7 @@ from ustflow.extrude import (ExtrusionSpec, NodeTrajectory, decompose_prism,
                              rigid_rotation_positions, rotation_matrix)
 from ustflow.geometry import box2d, box3d, disk2d
 from ustflow.mesh import SimplexMesh, validate_mesh
-from ustflow.scenarios import make_stirrer2d
+from ustflow.scenarios import STIRRER_DT, make_stirrer2d, make_stirrer3d
 
 from conftest import single_triangle_mesh
 
@@ -305,6 +305,31 @@ class TestMaxAdmissibleTwist:
         extrude_simplex_st(spatial, ExtrusionSpec(0.0, dt, 1, traj))
         with pytest.raises(InvertedElement):
             extrude_simplex_st(spatial, ExtrusionSpec(0.0, dt * 1.05, 1, traj))
+
+    @pytest.mark.parametrize("make, bound, element", [
+        (None, 0.67724609375, 70),
+        (make_stirrer2d, 0.0017240625, 124),
+        (make_stirrer3d, 0.00203625, 470),
+    ], ids=["disk2d", "stirrer2d", "stirrer3d"])
+    def test_bounds_without_space_time_mesh(self, make, bound, element,
+                                            caplog):
+        """The bounds of the fixtures at their slab dt, found with no
+        ``extrude`` record; a sweep a little past the bound, over two
+        levels, names the first inverted element of level 0."""
+        if make is None:
+            spatial, traj = disk2d(1.0, 2, 8), NodeTrajectory(omega=1.0)
+            dt_hi = 1.0
+        else:
+            spec = make()
+            spatial, traj, dt_hi = spec.mesh, spec.trajectory, STIRRER_DT
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            assert max_admissible_twist(spatial, traj, dt_hi=dt_hi) == bound
+        assert not [r for r in caplog.records
+                    if r.getMessage().startswith("extrude")]
+        dt = 1.05 * bound
+        with pytest.raises(InvertedElement) as err:
+            extrude_simplex_st(spatial, ExtrusionSpec(0.0, 2 * dt, 2, traj))
+        assert (err.value.element, err.value.level) == (element, 0)
 
 
 class TestExtrudeSpatial:

@@ -7,7 +7,7 @@ import pytest
 
 from ustflow import cli
 from ustflow import io as stio
-from ustflow.errors import ParseError, UnknownKey
+from ustflow.errors import MeshTopologyError, ParseError, UnknownKey
 from ustflow.geometry import annulus2d, box2d, box3d
 from ustflow.io import (read_config, read_result, read_stmesh,
                         write_probe_csv, write_result, write_stmesh)
@@ -112,6 +112,28 @@ class TestResultRoundTrip:
             assert cli.main(argv + ["--result", str(path), "--out",
                                     str(tmp_path / "out")]) == 1
             assert capsys.readouterr().err.startswith(f"error: line {no}: ")
+
+    @pytest.mark.parametrize("node", ["n_nodes", "-1"])
+    def test_facet_node_id_out_of_range(self, tmp_path, capsys,
+                                        small_st_mesh_2d, node):
+        """A first facet line naming node n_nodes or -1 is an error of the
+        reader, and of ``slice``, not an index error or a wrap-around."""
+        st = small_st_mesh_2d
+        node = str(st.n_nodes) if node == "n_nodes" else node
+        write_stmesh(st, tmp_path / "m.stmesh")
+        write_result(st, np.zeros((st.n_nodes, 3)), tmp_path / "r.dat")
+        for path in (tmp_path / "m.stmesh", tmp_path / "r.dat"):
+            lines = path.read_text().splitlines()
+            first = 1 + st.n_nodes + st.n_elements
+            lines[first] = " ".join([node] + lines[first].split()[1:])
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshTopologyError, match="node id out of range"):
+            read_stmesh(tmp_path / "m.stmesh")
+        assert cli.main(["slice", "--result", str(tmp_path / "r.dat"),
+                         "--time", "0.1", "--out",
+                         str(tmp_path / "s.vtk")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: element or boundary facet node id out of range")
 
 
 # each config key: (good value, check that it was applied, bad value)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 import ustflow.mesh as mesh_module
-from ustflow.errors import DegenerateElement
+from ustflow.errors import DegenerateElement, MeshTopologyError
 from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from ustflow.geometry import box2d, box3d, disk2d
 from ustflow.mesh import (SimplexMesh, _det_of, basis_eval, basis_gradients,
                           classify_boundary, cofactor_det, element_jacobian,
                           element_measure, in_reference, jacobians_last,
-                          map_local_to_global, time_levels, validate_mesh)
+                          map_local_to_global, require_element_facets,
+                          time_levels, validate_mesh)
+from ustflow.scenarios import make_stirrer2d, make_stirrer3d
 
 from conftest import copy_mesh, random_simplex
 
@@ -454,30 +456,83 @@ class TestTimeLevels:
         assert levels.tolist() == [0, 0, 1]
 
 
+def broken_box(how):
+    """box2d(2, 2), elements [[0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2],
+    [3, 6, 7], [3, 7, 4], [4, 7, 8], [4, 8, 5]], broken one way."""
+    mesh = box2d(2, 2)
+    nodes, elements = mesh.nodes, mesh.elements
+    facets, tags = mesh.boundary_facets, mesh.boundary_tags
+    if how == "missing":
+        facets, tags = facets[:-1], tags[:-1]
+    elif how in ("interior", "duplicate", "unknown"):
+        # (0, 4) is the diagonal of elements 0 and 1; (0, 8) joins corners
+        extra = {"interior": [0, 4], "duplicate": facets[0],
+                 "unknown": [0, 8]}[how]
+        facets, tags = np.vstack([facets, extra]), np.append(tags, tags[0])
+    elif how == "none":
+        facets, tags = facets[:0], tags[:0]
+    elif how == "three":
+        nodes = np.vstack([nodes, [0.7, 0.2]])
+        elements = np.vstack([elements, [0, 4, 9]])
+    elif how == "repeated":
+        elements = np.vstack([elements, [0, 0, 4]])
+    return SimplexMesh(nodes, elements, facets, tags, mesh.tag_names)
+
+
+# validate_mesh's list for each broken_box
+BROKEN_BOX_PROBLEMS = {
+    "missing": ["1 element facet(s) on the boundary but not listed"],
+    "interior": ["1 boundary facet(s) listed but interior or unknown",
+                 "1 listed boundary facet(s) in excess of the true boundary"],
+    "duplicate": ["duplicate boundary facet listed",
+                  "1 listed boundary facet(s) in excess of the true boundary"],
+    "unknown": ["1 boundary facet(s) listed but interior or unknown",
+                "1 listed boundary facet(s) in excess of the true boundary"],
+    "none": ["8 element facet(s) on the boundary but not listed"],
+    "three": ["facet shared by more than two elements",
+              "2 element facet(s) on the boundary but not listed"],
+    "repeated": ["element with repeated node ids",
+                 "1 element(s) with non-positive/degenerate measure",
+                 "facet shared by more than two elements",
+                 "1 element facet(s) on the boundary but not listed"],
+}
+
+
 class TestValidateMesh:
     def test_valid_box(self):
         assert validate_mesh(box2d(4, 3)) == []
+        assert validate_mesh(box3d(2, 2, 1)) == []
+
+    @pytest.mark.parametrize("how", BROKEN_BOX_PROBLEMS)
+    def test_broken_mesh_problems(self, how):
+        assert validate_mesh(broken_box(how)) == BROKEN_BOX_PROBLEMS[how]
+
+    @pytest.mark.parametrize("make", [make_stirrer2d, make_stirrer3d],
+                             ids=["stirrer2d", "stirrer3d"])
+    def test_fixtures_and_extrusions_valid(self, make):
+        spec = make()
+        assert validate_mesh(spec.mesh) == []
+        assert validate_mesh(spec.ust_mesh()) == []
+
+    def test_require_element_facets(self):
+        mesh = box2d(2, 2)
+        require_element_facets(mesh.elements, np.array([[0, 4], [3, 4]]))
+        require_element_facets(mesh.elements, np.zeros((0, 2), dtype=int))
+        with pytest.raises(MeshTopologyError, match="not a facet of any"):
+            require_element_facets(mesh.elements, np.array([[0, 4], [0, 8]]))
+
+    @pytest.mark.parametrize("node", [9, -1])
+    def test_facet_node_id_out_of_range(self, node):
+        mesh = box2d(2, 2)
+        facets = mesh.boundary_facets.copy()
+        facets[0, 0] = node
+        with pytest.raises(MeshTopologyError, match="node id out of range"):
+            SimplexMesh(mesh.nodes, mesh.elements, facets,
+                        mesh.boundary_tags, mesh.tag_names)
 
     def test_extruded_meshes_valid(self, small_st_mesh_2d, small_st_mesh_3d):
         assert validate_mesh(small_st_mesh_2d) == []
         assert validate_mesh(small_st_mesh_3d) == []
-
-    def test_missing_boundary_facet_detected(self):
-        mesh = box2d(2, 2)
-        bad = SimplexMesh(mesh.nodes, mesh.elements,
-                          mesh.boundary_facets[:-1], mesh.boundary_tags[:-1],
-                          mesh.tag_names)
-        assert any("not listed" in p for p in validate_mesh(bad))
-
-    def test_interior_facet_listed_detected(self):
-        mesh = box2d(2, 2)
-        # triangle (a, b, c) / (a, c, d) pairs share the diagonal (a, c)
-        interior = np.array([[mesh.elements[0][0], mesh.elements[0][2]]])
-        bad = SimplexMesh(mesh.nodes, mesh.elements,
-                          np.vstack([mesh.boundary_facets, interior]),
-                          np.append(mesh.boundary_tags, 0), mesh.tag_names)
-        problems = validate_mesh(bad)
-        assert problems
 
     def test_orientation_fix_applied(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -42,7 +42,11 @@ The digests cover
   (``build_stirrer_mesh`` of tools/make_stirrer_meshes.py at the
   stirrer3d fixture's sizes, two layers over thickness 0.1): nodes,
   elements, boundary facets, their tags and the tag names (as UTF-8
-  bytes).
+  bytes);
+- ``max_admissible_twist`` of ``disk2d(1.0, 2, 8)`` at omega = 1 and of
+  the stirrer2d and stirrer3d fixtures from their slab dt (``twist``);
+- the ``validate_mesh`` problem lists of ``box2d(2, 2)`` broken seven
+  ways (``validate``).
 
 ``--save DIR`` also writes the arrays behind each line to DIR, one
 ``.npz`` file per line.  ``--against DIR`` reads such a directory, written
@@ -78,12 +82,14 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from make_stirrer_meshes import build_stirrer_mesh  # noqa: E402
-from ustflow.extrude import extrude_spatial  # noqa: E402
+from ustflow.extrude import (NodeTrajectory, extrude_spatial,  # noqa: E402
+                             max_admissible_twist)
 from ustflow.geometry import annulus2d, box2d, box3d, disk2d  # noqa: E402
-from ustflow.mesh import time_levels  # noqa: E402
+from ustflow.mesh import SimplexMesh, time_levels, validate_mesh  # noqa: E402
 from ustflow.postproc import _locate, probe, slice_at_time  # noqa: E402
-from ustflow.scenarios import (make_channel2d, make_stirrer2d,  # noqa: E402
-                               make_stirrer3d, run_slab, run_ust)
+from ustflow.scenarios import (STIRRER_DT, make_channel2d,  # noqa: E402
+                               make_stirrer2d, make_stirrer3d, run_slab,
+                               run_ust)
 from ustflow.stabilization import mesh_metric  # noqa: E402
 
 
@@ -173,6 +179,35 @@ def post(mesh):
     return probes, slices
 
 
+def twist_bounds(*specs) -> dict:
+    """The twist bound of ``disk2d(1.0, 2, 8)`` at omega = 1, then of each
+    scenario's mesh and trajectory from its slab dt."""
+    bounds = [max_admissible_twist(disk2d(1.0, 2, 8),
+                                   NodeTrajectory(omega=1.0))]
+    bounds += [max_admissible_twist(s.mesh, s.trajectory, dt_hi=STIRRER_DT)
+               for s in specs]
+    return {"bounds": np.array(bounds)}
+
+
+def broken_problems() -> dict:
+    """``validate_mesh`` of box2d(2, 2) with a facet missing; an interior,
+    a duplicated and an unknown facet listed; no facet listed; a facet of
+    three elements; and an element with a repeated node id: one list per
+    line, as UTF-8 bytes."""
+    m = box2d(2, 2)
+    n, e, f, t = m.nodes, m.elements, m.boundary_facets, m.boundary_tags
+    broken = [(n, e, f[:-1], t[:-1]),
+              (n, e, np.vstack([f, [0, 4]]), np.append(t, 0)),
+              (n, e, np.vstack([f, f[:1]]), np.append(t, 0)),
+              (n, e, np.vstack([f, [0, 8]]), np.append(t, 0)),
+              (n, e, f[:0], t[:0]),
+              (np.vstack([n, [0.7, 0.2]]), np.vstack([e, [0, 4, 9]]), f, t),
+              (n, np.vstack([e, [0, 0, 4]]), f, t)]
+    text = "\n".join(repr(validate_mesh(SimplexMesh(*arrays, m.tag_names)))
+                     for arrays in broken)
+    return {"problems": np.frombuffer(text.encode(), dtype=np.uint8)}
+
+
 def lines():
     """(label, {name: array}) of each line, computed one at a time."""
     s2, s3 = make_stirrer2d(), make_stirrer3d()
@@ -218,6 +253,8 @@ def lines():
     tank = build_stirrer_mesh(h_fine=0.16, h_coarse=0.5)
     yield "mesh   stirrer3d tank z", spatial_arrays(
         extrude_spatial(tank, 0.0, 0.1, 2, lo_tag="bottom", hi_tag="top"))
+    yield "twist  disk2d stirrer2d stirrer3d", twist_bounds(s2, s3)
+    yield "validate box2d broken ", broken_problems()
 
 
 def deviation(a, ref) -> str:
