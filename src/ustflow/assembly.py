@@ -48,18 +48,21 @@ for level 0 alone and reused, and every rotation is the stack's:
 - the system at a level-periodic iterate, one whose every node level
   holds node level 0's values with the velocity turned by that level's
   rotation (``SpaceTimeProblem._periodic``), with tau evaluated there or
-  frozen at values that repeat level 0's, is element levels 0 and 1's
-  turned: tau and the kernel run on those two levels only, in a
-  partition of their own (``_base_chunks``), and node level m's CSR and
-  residual rows are node level 1's with each pair block B turned to
-  T B T^T, T = diag(R_{m-1}, 1) (``LevelStack.turn``); the top's are node
-  level 2's, from element level 1 alone, turned by R_{L-2}.  The jump,
-  traction and Dirichlet terms are added after the turn.  The first
-  Newton system of an extrusion whose initial and wall data are constant
-  in time and turn with the mesh, as in every shipped UST case but the
-  manufactured one (it has a body force), is such a system; a later
-  Newton iterate is not.  This is the one place that decides level
-  periodicity: the system's ``LinearSystem.stack`` tells the solver.
+  frozen at values that repeat level 0's, is element level 0's turned:
+  tau and the kernel run on that level only, in a partition of its own
+  (``_base_chunks``), and element level k's rows and pair blocks are
+  level 0's turned by R_k, each block B to T B T^T, T = diag(R_k, 1)
+  (``LevelStack.turn``).  So the top node level's rows are node level
+  1's, still element level 0's share alone, turned by R_{L-1}; node
+  level 1 then adds node level 0's turned by R_1, and node level m's are
+  node level 1's turned by R_{m-1} (``_turn_levels``), written on the
+  problem's lanes.  The jump, traction and Dirichlet terms are added
+  after the turn.  The first Newton system of an extrusion whose initial
+  and wall data are constant in time and turn with the mesh, as in every
+  shipped UST case but the manufactured one (it has a body force), is
+  such a system; a later Newton iterate is not.  This is the one place
+  that decides level periodicity: the system's ``LinearSystem.stack``
+  tells the solver.
 
 A chunk has at most ``_CHUNK_ENTRIES`` local-matrix entries, which
 would be 8 MB of local matrices; a lane holds one component-pair block of
@@ -92,7 +95,7 @@ the level stack.  A family supplies the geometry of its elements:
   uhat . Ginv uhat at the barycentric velocities ``u``, Ginv:Ginv and
   g.g (a simplex mesh forms the first from level 0's P1 gradients and
   caches only the other two, and takes ``u`` of its first len(u)
-  elements, all or a level-periodic system's two levels; a slab keeps
+  elements, all or a level-periodic system's level 0; a slab keeps
   its whole small metric);
 - ``_mantle_faces(tag)``: node ids of a tag's faces on the space-time
   mantle, which carry its Dirichlet rows or its traction;
@@ -666,9 +669,9 @@ class _CsrPlan:
     def block_offsets(self, pairs, first):
         """(n, nc, nc) CSR slots of the component pairs (i, j) of the
         ``pairs`` (a slice or an array of pair ids), less the slot
-        ``first``, in the index dtype: each pair's block, row-major."""
-        j = np.arange(self.nc, dtype=self.indptr.dtype)
-        return ((self.start[pairs] - first)[:, None]
+        ``first``, as ``intp``: each pair's block, row-major."""
+        j = np.arange(self.nc, dtype=np.intp)
+        return ((self.start[pairs].astype(np.intp) - first)[:, None]
                 + self.stride[pairs][:, None] * j)[:, :, None] + j
 
     def with_chunks(self, elements, chunks, own):
@@ -841,15 +844,16 @@ class _ProblemBase:
 
         ``tau_override`` supplies frozen stabilization parameters; without it
         they are evaluated at ``values``.  For a level-periodic ``values``
-        (``_periodic``) the volume terms are those of element levels 0 and
-        1, turned into the other levels (``_turn_levels``), the system's
-        ``stack`` is the problem's ``level_stack``, and one ``assembly
-        periodic levels=2/<L> dev=<deviation>`` line is logged.  A frozen
-        tau takes that path too when its ``tau_mom`` and ``tau_cont`` repeat
-        level 0's on every element level, to within ``SHARE_TOL`` of their
-        largest entry, and then only its first two levels are read; any
-        other frozen tau assembles every level.  ``residual_norm`` takes the
-        same decision, so it gives the same bytes.
+        (``_periodic``) tau and the volume terms are those of element level
+        0 alone, turned into the other levels (``_turn_levels``), the
+        system's ``stack`` is the problem's ``level_stack``, and one
+        ``assembly periodic levels=1/<L> dev=<deviation>`` line is logged.
+        A frozen tau takes that path too when its ``tau_mom`` and
+        ``tau_cont`` repeat level 0's on every element level, to within
+        ``SHARE_TOL`` of their largest entry, and then only its level 0 is
+        read; any other frozen tau assembles every level.
+        ``residual_norm`` takes the same decision, so it gives the same
+        bytes.
         """
         values = np.asarray(values, dtype=float).reshape(self.n_nodes,
                                                          self.ncomp)
@@ -866,12 +870,12 @@ class _ProblemBase:
         self._volume_geometry(slice(0, 0))
         t1 = time.perf_counter()
         if tau_override is not None:
-            # a level-periodic system's chunks read its first two levels
+            # a level-periodic system's chunks read its first level
             stab = tau_override
         elif dev is None:
             stab = self.stabilization(values)
         else:
-            stab = self._stabilization(values, 2 * self.level_stack.n_per)
+            stab = self._stabilization(values, self.level_stack.n_per)
         t2 = time.perf_counter()
         plan = self._csr_plan if want_matrix else None
         if new_plan:
@@ -884,7 +888,7 @@ class _ProblemBase:
         if dev is None:
             R, data = self._volume(values, stab, plan, chunks, lanes)
         else:
-            logger.info("assembly periodic levels=2/%d dev=%.1e",
+            logger.info("assembly periodic levels=1/%d dev=%.1e",
                         self.level_stack.L, dev)
             _, chunks, lanes = self._base_chunks
             R, data = self._volume(values, stab,
@@ -999,9 +1003,9 @@ class _ProblemBase:
 
     @cached_property
     def _base_chunks(self):
-        """The (size, chunks, lanes) of ``_partition`` of element levels 0
-        and 1 alone, which a level-periodic system assembles."""
-        return _partition(self.level_stack.n_per, 2,
+        """The (size, chunks, lanes) of ``_partition`` of element level 0
+        alone, which a level-periodic system assembles."""
+        return _partition(self.level_stack.n_per, 1,
                           self.elements.shape[1] * self.ncomp)
 
     @cached_property
@@ -1185,41 +1189,75 @@ class SpaceTimeProblem(_ProblemBase):
         return gap / scale if scale else 0.0
 
     def _turn_levels(self, R, data, plan):
-        """Fill the rows of node levels 2 to L of a level-periodic system,
+        """Fill the rows of node levels 1 to L of a level-periodic system,
         in the residual ``R`` and, unless it is None, the CSR ``data`` of
-        ``plan``, from those that element levels 0 and 1 left.
+        ``plan``, from those that element level 0 alone left.
 
-        Node level m's rows and pair blocks are node level 1's turned by
-        R_{m-1} (``LevelStack.turn``), and the top's are node level 2's
-        from element level 1 alone turned by R_{L-2}, so the top is filled
-        first.  In the plan's layout (``_by_levels``) node level m's CSR
-        data is node level 1's range moved by m - 1 levels, so node level
-        1's blocks are gathered once, by offsets in the index dtype, and
-        scattered into each level.  The top's pairs are looked up among
-        node level 2's."""
+        Element level k is element level 0 turned by R_k, its rows by
+        diag(R_k, 1) and its pair blocks B to T B T^T, T = diag(R_k, 1)
+        (``LevelStack.turn``), and R_{k+1} = R_k R_1, which the stack's fit
+        holds to 1e-12.  So, in this order:
+
+        1. the top node level L, which element level L-1 alone touches, is
+           node level 1 turned by R_{L-1}, while node level 1 still holds
+           element level 0's share alone;
+        2. node level 1 takes element level 1's share, node level 0's rows
+           and blocks turned by R_1, each moved one level on;
+        3. each interior node level m = 2..L-1 is node level 1 turned by
+           R_{m-1}.
+
+        In the plan's layout (``_by_levels``) node level m's CSR data is
+        node level 1's range moved by m - 1 levels, so node level 1's
+        blocks are gathered once, by ``intp`` offsets, which numpy indexes
+        without a conversion, and the pairs of the top and of node level 0
+        are found among node level 1's by their keys moved by whole levels.
+        Step 3 cuts levels 2..L-1 into contiguous parts, one per lane of
+        ``_chunks``: the first is turned on the calling thread and the later
+        on the lane pool.  Each level is written by one thread, so the
+        bytes are the same on any core count, and a one-lane problem starts
+        no thread."""
         stack = self.level_stack
         L, n_sp, turns = stack.L, stack.n_sp, stack.rotations
         rows = R.reshape(L + 1, n_sp, self.ncomp)
-        rows[L] = stack.turn(rows[2], turns[L - 2])
-        for m in range(2, L):
-            rows[m] = stack.turn(rows[1], turns[m - 1])
-        if data is None:
-            return
-        lo, hi, top = np.searchsorted(
-            plan.keys, np.array([1, 2, L]) * n_sp * plan.n_nodes)
-        first, second, last = (int(plan.start[p]) for p in (lo, hi, top))
-        step = second - first  # the entries of an interior node level
-        # the top's pairs are those of node level 2 from element level 1
-        src = hi + np.searchsorted(
-            plan.keys[hi:hi + hi - lo],
-            plan.keys[top:] - (L - 2) * n_sp * (plan.n_nodes + 1))
-        data[last:][plan.block_offsets(slice(top, None), last)] = stack.turn(
-            data[second:][plan.block_offsets(src, second)], turns[L - 2])
-        inner = plan.block_offsets(slice(lo, hi), first)
-        blocks = data[first:second][inner]
-        for m in range(2, L):
-            data[first + (m - 1) * step:][inner] = stack.turn(blocks,
-                                                              turns[m - 1])
+        rows[L] = stack.turn(rows[1], turns[L - 1])
+        rows[1] += stack.turn(rows[0], turns[1])
+        if data is not None:
+            keys, level = plan.keys, n_sp * (plan.n_nodes + 1)
+            lo, hi, top = np.searchsorted(
+                keys, np.array([1, 2, L]) * n_sp * plan.n_nodes)
+            first, second, last = (int(plan.start[p]) for p in (lo, hi, top))
+            step = second - first  # the entries of an interior node level
+            inner = plan.block_offsets(slice(lo, hi), first)
+            level1 = data[first:second]
+
+            def among(moved):
+                """node level 1's block offsets of the pairs ``moved``"""
+                return inner[np.searchsorted(keys[lo:hi], moved)]
+
+            data[last:][plan.block_offsets(slice(top, None), last)] = (
+                stack.turn(level1[among(keys[top:] - (L - 1) * level)],
+                           turns[L - 1]))
+            level1[among(keys[:lo] + level)] += stack.turn(
+                data[:first][plan.block_offsets(slice(0, lo), 0)], turns[1])
+            blocks = level1[inner]
+
+        def fill(levels):
+            for m in levels:
+                rows[m] = stack.turn(rows[1], turns[m - 1])
+                if data is not None:
+                    data[first + (m - 1) * step:][inner] = stack.turn(
+                        blocks, turns[m - 1])
+
+        n = len(self._chunks[2])
+        parts = [range(2 + (L - 2) * k // n, 2 + (L - 2) * (k + 1) // n)
+                 for k in range(n)]
+        later = [_lane_pool().submit(fill, part) for part in parts[1:]]
+        try:
+            fill(parts[0])
+        finally:
+            # no later part may still write ``data`` once this returns
+            for f in later:
+                f.result()
 
     def _bottom_cap(self):
         mesh = self.mesh

@@ -122,10 +122,14 @@ def _cmd_run(args, parser) -> int:
         except ValueError as exc:
             parser.error(f"--levels {args.levels}: {exc}")
 
+    try:
+        newton_cfg = NewtonConfig(max_iter=args.max_iter)
+    except ValueError as exc:
+        parser.error(f"--max-iter {args.max_iter}: {exc}")
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    res = (run_ust if mode == "ust" else run_slab)(
-        spec, newton_cfg=NewtonConfig(max_iter=args.max_iter))
+    res = (run_ust if mode == "ust" else run_slab)(spec, newton_cfg=newton_cfg)
     # a UST run writes its space-time field, which slice and probe read
     mesh, values = ((res.slabs[0], res.fields[0]) if mode == "ust"
                     else (res.final_mesh, res.final_values))

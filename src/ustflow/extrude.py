@@ -129,17 +129,14 @@ def _path_simplices(sorted_ids_bottom: np.ndarray,
     return out
 
 
-def _sweep(spatial: SimplexMesh, spec: ExtrusionSpec, cap_tags) -> tuple:
-    """(nodes, elements, boundary facets, their tags, path signs) of
-    ``spatial`` swept through the levels of ``spec``.
+def _sweep(spatial: SimplexMesh, spec: ExtrusionSpec) -> tuple:
+    """(nodes, elements, path signs) of ``spatial`` swept through the
+    levels of ``spec``.
 
     The nodes are level-major blocks of the spatial nodes, moved by the
     trajectory, with the level time appended.  The elements are the
     sorted-path simplices of every spatial element, the same at every
-    level.  The boundary is the bottom cap, one facet per spatial element
-    tagged ``cap_tags[0]``, the top cap tagged ``cap_tags[1]``, then n_sd
-    mantle facets per spatial boundary facet per level, which inherit its
-    tag.  The signs, (n_el, n_sd + 1), orient the path simplices; a zero
+    level.  The signs, (n_el, n_sd + 1), orient the path simplices; a zero
     marks a spatial element of zero determinant.
     """
     n_sd = spatial.dim
@@ -167,7 +164,18 @@ def _sweep(spatial: SimplexMesh, spec: ExtrusionSpec, cap_tags) -> tuple:
     path[sign < 0, -2:] = path[sign < 0, -1:-3:-1]
     path = path.reshape(-1, n_sd + 2)
     elements = np.concatenate([path + lev * n_sp for lev in range(L)])
+    return nodes, elements, sign
 
+
+def _sweep_boundary(spatial: SimplexMesh, n_levels: int, cap_tags) -> tuple:
+    """(boundary facets, their tags) of ``spatial`` swept through
+    ``n_levels`` levels by ``_sweep``: the bottom cap, one facet per
+    spatial element tagged ``cap_tags[0]``, the top cap tagged
+    ``cap_tags[1]``, then n_sd mantle facets per spatial boundary facet per
+    level, which inherit its tag.  Raises MeshTopologyError when a spatial
+    boundary facet is not a facet of the spatial elements."""
+    n_sd, n_sp, L = spatial.dim, spatial.n_nodes, n_levels
+    sorted_spatial = np.sort(spatial.elements, axis=1)
     spatial_bf = np.sort(spatial.boundary_facets, axis=1)
     require_element_facets(spatial.elements, spatial_bf)
     mantle = _path_simplices(spatial_bf, spatial_bf + n_sp).reshape(-1, n_sd + 1)
@@ -176,21 +184,21 @@ def _sweep(spatial: SimplexMesh, spec: ExtrusionSpec, cap_tags) -> tuple:
     tags = np.concatenate([np.repeat(np.asarray(cap_tags, dtype=np.int64),
                                      spatial.n_elements)]
                           + [np.repeat(spatial.boundary_tags, n_sd)] * L)
-    return nodes, elements, boundary, tags, sign
+    return boundary, tags
 
 
 def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMesh:
     """Extrude a spatial mesh through the time levels of ``spec``.
 
     Produces (L+1) * n_nodes space-time nodes and L * (n_sd+1) * n_el
-    simplices, with the boundary built directly (``_sweep``): one bottom
-    facet per spatial element, one top facet, both tagged ``_cap``, and
-    n_sd mantle facets per spatial boundary facet per level (inheriting
-    the spatial tag).  The mesh is a ``LevelStack``
-    (``SpaceTimeMesh.level_stack``) whose geometry comes from level 0; one
-    ``extrude`` log line gives the levels, the elements per level, the
-    element count, whether the stack was found or the mesh set up as one
-    level, and the seconds.
+    simplices (``_sweep``), with the boundary built directly
+    (``_sweep_boundary``): one bottom facet per spatial element, one top
+    facet, both tagged ``_cap``, and n_sd mantle facets per spatial
+    boundary facet per level (inheriting the spatial tag).  The mesh is a
+    ``LevelStack`` (``SpaceTimeMesh.level_stack``) whose geometry comes
+    from level 0; one ``extrude`` log line gives the levels, the elements
+    per level, the element count, whether the stack was found or the mesh
+    set up as one level, and the seconds.
 
     Simplices are oriented by the sign rule of ``_sweep``, so the mesh is
     built without the constructor's orientation fix.  Raises
@@ -201,8 +209,9 @@ def extrude_simplex_st(spatial: SimplexMesh, spec: ExtrusionSpec) -> SpaceTimeMe
     """
     start = time.perf_counter()
     cap_tag = len(spatial.tag_names)  # synthetic tag for bottom/top caps
-    nodes, elements, boundary, tags, sign = _sweep(spatial, spec,
-                                                   (cap_tag, cap_tag))
+    nodes, elements, sign = _sweep(spatial, spec)
+    boundary, tags = _sweep_boundary(spatial, spec.n_levels,
+                                     (cap_tag, cap_tag))
     nb = spatial.n_elements
     groups = np.split(np.arange(len(boundary)), [nb, 2 * nb])
     mesh = SpaceTimeMesh(nodes, elements, boundary, tags,
@@ -240,20 +249,25 @@ def max_admissible_twist(spatial: SimplexMesh, trajectory: NodeTrajectory,
                          dt_hi: float = 1.0) -> float:
     """Largest uniform level spacing keeping a one-level extrusion positive.
 
-    Bisection to a relative resolution of 1e-3.  Each probe sweeps one
-    level (``_sweep``) into a plain ``SimplexMesh`` and asks
-    ``_first_inverted``, as ``extrude_simplex_st`` does, with no
+    Bisection to a relative resolution of 1e-3.  The spatial boundary
+    facets are checked once, before it, as ``extrude_simplex_st`` checks
+    them (MeshTopologyError).  Each probe sweeps the nodes and elements of
+    one level (``_sweep``) into a plain ``SimplexMesh`` with no boundary
+    and asks ``_first_inverted``, as ``extrude_simplex_st`` does, with no
     space-time mesh built and no log line.  A static trajectory
     (omega = 0) admits any spacing; returns inf in that case.
     """
     if trajectory.omega == 0.0:
         return math.inf
+    require_element_facets(spatial.elements,
+                           np.sort(spatial.boundary_facets, axis=1))
+    no_facets = np.empty((0, spatial.dim + 1), dtype=np.int64)
 
     def ok(dt: float) -> bool:
-        nodes, elements, boundary, tags, sign = _sweep(
-            spatial, ExtrusionSpec(0.0, dt, 1, trajectory), (0, 0))
-        # a mesh for its geometry alone: its tags name nothing
-        swept = SimplexMesh(nodes, elements, boundary, tags, [],
+        nodes, elements, sign = _sweep(
+            spatial, ExtrusionSpec(0.0, dt, 1, trajectory))
+        # a mesh for its geometry alone
+        swept = SimplexMesh(nodes, elements, no_facets, [], [],
                             fix_orientation=False)
         return _first_inverted(swept, sign, swept.n_elements) is None
 
@@ -296,7 +310,7 @@ def extrude_spatial(spatial: SimplexMesh, z0: float, z1: float, n_layers: int,
         raise DegenerateElement(f"spatial element {e} is degenerate "
                                 f"(det={spatial.jacobian_dets[e]:g})")
     n = len(spatial.tag_names)
-    nodes, elements, boundary, tags, _ = _sweep(
-        spatial, ExtrusionSpec(z0, z1, n_layers), (n, n + 1))
+    nodes, elements, _ = _sweep(spatial, ExtrusionSpec(z0, z1, n_layers))
+    boundary, tags = _sweep_boundary(spatial, n_layers, (n, n + 1))
     return SimplexMesh(nodes, elements, boundary, tags,
                        list(spatial.tag_names) + [lo_tag, hi_tag])

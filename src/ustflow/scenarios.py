@@ -419,7 +419,9 @@ def convergence_study(case: str, sizes, mode: str = "ust",
     """L2 errors and observed orders over a refinement sequence.
 
     Rows carry h, velocity and pressure errors, and observed orders
-    log2(e_h / e_{h/2}) between consecutive rows.
+    log2(e_h / e_{h/2}) between consecutive rows: inf where the finer
+    error alone is zero, nan where either error is nan or the coarser one
+    is zero.
     """
     if case not in STUDY_CASES:
         raise ValueError(f"no convergence setup for case {case!r}")
@@ -433,8 +435,9 @@ def convergence_study(case: str, sizes, mode: str = "ust",
         ratio_h = rows[k - 1]["h"] / rows[k]["h"]
         for comp in ("u", "p"):
             e0, e1 = rows[k - 1][f"err_{comp}"], rows[k][f"err_{comp}"]
-            rows[k][f"order_{comp}"] = (math.log(e0 / e1) / math.log(ratio_h)
-                                        if e1 > 0 else float("inf"))
+            rows[k][f"order_{comp}"] = (
+                math.log(e0 / e1) / math.log(ratio_h) if e0 > 0 and e1 > 0
+                else float("inf") if e1 == 0 < e0 else float("nan"))
     return rows
 
 

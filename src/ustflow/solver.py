@@ -21,8 +21,8 @@ that system's ``stack``: the first step equilibrates its matrix and
 factors the time levels' diagonal blocks, and every later step of the same
 solve reuses that scale and those level LUs, with the strictly lower
 blocks of its own matrix.  The assembly decides level periodicity once: a
-system with a ``stack`` was turned from two element levels, so node level
-m is node level 1 turned by R_{m-1}, the rotation of that ``LevelStack``,
+system with a ``stack`` was turned from element level 0, so node level m
+is node level 1 turned by R_{m-1}, the rotation of that ``LevelStack``,
 and so is every interior level's block, B_m = T B_1 T^T, T turning each
 node's velocity.  Each interior level whose free dofs are node level 1's
 then solves through level 1's LU, with no comparison of blocks; level 0

@@ -904,14 +904,14 @@ def twisted_prism_problem(rng):
         jump_data=rng.uniform(-1, 1, size=(spatial.n_nodes, 2)))
 
 
-def periodic_problem():
-    """A 4-level annulus extrusion twisted about the origin, with data that
-    turn with it: a rotating inner wall, the initial condition 0.3 x, and a
-    traction on the outer wall that changes with t, which every level
-    takes after the turn."""
+def periodic_problem(levels=4):
+    """A 4-level (or ``levels``) annulus extrusion twisted about the origin,
+    with data that turn with it: a rotating inner wall, the initial
+    condition 0.3 x, and a traction on the outer wall that changes with t,
+    which every level takes after the turn."""
     traj = NodeTrajectory((0.0, 0.0), omega=0.7)
     st = extrude_simplex_st(annulus2d(0.5, 1.0, 2, 12),
-                            ExtrusionSpec(0.0, 0.4, 4, traj))
+                            ExtrusionSpec(0.0, 0.1 * levels, levels, traj))
     return make_problem(
         st, mu=0.2,
         dirichlet={"inner": rigid_surface_velocity(0.7, (0.0, 0.0))},
@@ -1342,18 +1342,21 @@ class TestLanes:
     def test_same_bytes_on_any_thread_count(self, family, rng, monkeypatch):
         """One, two and four workers (more than this machine's cores), with
         threads switched every microsecond: a lost update in the lanes
-        would change the bytes.  The level-periodic system's two element
-        levels take a lane each."""
+        would change the bytes.  The level-periodic system's element level
+        0 is cut into two chunks, so its base system and its turn of the
+        levels both run on two lanes."""
         U = None
         out = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        # half a level of the 4-level periodic problem per chunk
+        n_chunks = 8 if family == "periodic" else 4
         try:
             for workers in (1, 2, 4):
                 # a new problem each time, so the plan is built on each pool
                 problem = split_into_chunks(
                     monkeypatch,
-                    self.problem(family, np.random.default_rng(3)))
+                    self.problem(family, np.random.default_rng(3)), n_chunks)
                 if U is None:
                     U = self.field(family, problem, rng)
                 with ThreadPoolExecutor(workers) as pool:
@@ -1366,7 +1369,9 @@ class TestLanes:
             sys.setswitchinterval(interval)
         assert out[0] == out[1] == out[2]
         if family == "periodic":
-            assert len(problem._base_chunks[2]) == 2
+            assert system.stack is problem.level_stack
+            assert len(problem._base_chunks[1]) == 2
+            assert len(problem._base_chunks[2]) == len(problem._chunks[2]) == 2
 
     def test_lanes_sum_as_if_alone(self, rng, monkeypatch):
         """The volume matrix of two pentatope lanes has the bytes of each
@@ -1692,6 +1697,7 @@ class TestNoThreads:
         slab3d = twisted_slab(3)
         problems = [make_problem(small_st_mesh_2d), pentatope_problem(rng),
                     twisted_simplex_problem(), twisted_prism_problem(rng),
+                    periodic_problem(),  # a level-periodic first system
                     spec.problem(spec.slab(0)),  # run_slab's first
                     PrismSlabProblem(
                         slab3d, MaterialParams(1.0, 0.1),
@@ -1710,7 +1716,9 @@ class TestNoThreads:
         lines = plan_lines(caplog)
         assert len(lines) == len(problems)
         # the extrusions are stacks of their levels, the slabs one level
-        for line, problem, levels in zip(lines, problems, [2, 2, 3, 1, 1, 1]):
+        assert len(periodic_lines(caplog)) == 3
+        for line, problem, levels in zip(lines, problems,
+                                         [2, 2, 3, 1, 4, 1, 1]):
             plan = problem._csr_plan
             assert line.startswith(f"assembly plan pairs={len(plan.keys)} "
                                    f"nnz={plan.nnz} levels={levels} lanes=1 "
@@ -1955,9 +1963,8 @@ class TestLevelStack:
 
 
 class TestLevelPeriodic:
-    """A level-periodic iterate's system from element levels 0 and 1,
-    turned into the other levels, against the path that assembles every
-    level."""
+    """A level-periodic iterate's system from element level 0, turned into
+    the other levels, against the path that assembles every level."""
 
     @staticmethod
     def ust_problem(name):
@@ -1981,7 +1988,7 @@ class TestLevelPeriodic:
         L = problem.level_stack.L
         lines = periodic_lines(caplog)
         assert len(lines) == 2
-        assert lines[0].startswith(f"assembly periodic levels=2/{L} dev=")
+        assert lines[0].startswith(f"assembly periodic levels=1/{L} dev=")
         assert float(lines[0].split("dev=")[1]) <= 1e-12
         # system and residual_norm take the same path and the same bytes
         assert rnorm == norm
@@ -1995,6 +2002,34 @@ class TestLevelPeriodic:
         assert np.abs(A.data - A0.data).max() <= 1e-14 * np.abs(A0.data).max()
         assert np.abs(rhs - rhs0).max() <= 1e-14 * np.abs(rhs0).max()
         assert abs(norm - norm0) <= 1e-14 * norm0
+
+    def test_three_levels_match_every_level_path(self, rng, monkeypatch,
+                                                 caplog):
+        """The shallowest stack that takes the turn: the top is node level
+        1 turned by R_2, and node level 2 the one interior level."""
+        problem = periodic_problem(levels=3)
+        U = periodic_field(problem, rng)
+        with caplog.at_level(logging.INFO, logger="ustflow"):
+            system, rhs, norm = problem.system(U)
+        assert periodic_lines(caplog)[0].startswith(
+            "assembly periodic levels=1/3 dev=")
+        assert system.stack is problem.level_stack
+        every_level_path(monkeypatch)
+        system0, rhs0, norm0 = problem.system(U)
+        A, A0 = system.matrix, system0.matrix
+        assert np.array_equal(A.indices, A0.indices)
+        assert np.abs(A.data - A0.data).max() <= 1e-14 * np.abs(A0.data).max()
+        assert np.abs(rhs - rhs0).max() <= 1e-14 * np.abs(rhs0).max()
+        assert abs(norm - norm0) <= 1e-14 * norm0
+
+    @pytest.mark.parametrize("name", ["stirrer2d", "stirrer3d", "couette2d"])
+    def test_rotations_compose(self, name):
+        """R_{k+1} = R_k R_1, which element level 1's share, moved and
+        turned from element level 0's, relies on."""
+        from ustflow.scenarios import builtin_cases
+        R = builtin_cases()[name]().ust_mesh().level_stack.rotations
+        assert len(R) >= 3
+        assert np.abs(R[1:] - R[:-1] @ R[1]).max() <= 1e-12
 
     @pytest.mark.parametrize("level, comp", [(5, 0), (5, 2), (1, 1),
                                              (17, 0)])

@@ -250,6 +250,8 @@ class TestExtrusion:
                           spatial.tag_names)
         with pytest.raises(MeshTopologyError, match="not a facet of any"):
             extrude_simplex_st(bad, ExtrusionSpec(0.0, 1.0, 2))
+        with pytest.raises(MeshTopologyError, match="not a facet of any"):
+            max_admissible_twist(bad, NodeTrajectory(omega=1.0))
 
     def test_twist_continuity_linear_in_omega(self):
         spatial = disk2d(1.0, 2, 8)
@@ -312,18 +314,29 @@ class TestMaxAdmissibleTwist:
         (make_stirrer3d, 0.00203625, 470),
     ], ids=["disk2d", "stirrer2d", "stirrer3d"])
     def test_bounds_without_space_time_mesh(self, make, bound, element,
-                                            caplog):
+                                            caplog, monkeypatch):
         """The bounds of the fixtures at their slab dt, found with no
-        ``extrude`` record; a sweep a little past the bound, over two
-        levels, names the first inverted element of level 0."""
+        ``extrude`` record and one facet check; a sweep a little past the
+        bound, over two levels, names the first inverted element of level
+        0."""
         if make is None:
             spatial, traj = disk2d(1.0, 2, 8), NodeTrajectory(omega=1.0)
             dt_hi = 1.0
         else:
             spec = make()
             spatial, traj, dt_hi = spec.mesh, spec.trajectory, STIRRER_DT
-        with caplog.at_level(logging.INFO, logger="ustflow"):
-            assert max_admissible_twist(spatial, traj, dt_hi=dt_hi) == bound
+        checks = []
+
+        def check(*args):
+            checks.append(args)
+            return mesh_module.require_element_facets(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(extrude_module, "require_element_facets", check)
+            with caplog.at_level(logging.INFO, logger="ustflow"):
+                assert max_admissible_twist(spatial, traj,
+                                            dt_hi=dt_hi) == bound
+        assert len(checks) == 1
         assert not [r for r in caplog.records
                     if r.getMessage().startswith("extrude")]
         dt = 1.05 * bound

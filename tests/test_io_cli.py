@@ -621,7 +621,11 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["--mode", "ust", "--levels", "0"],
          "--levels 0: levels must be at least 1"),
-    ], ids=["levels"])
+        (["--max-iter", "0"],
+         "--max-iter 0: tolerances must be positive, max_iter >= 1"),
+        (["--max-iter", "-2"],
+         "--max-iter -2: tolerances must be positive, max_iter >= 1"),
+    ], ids=["levels", "max_iter_0", "max_iter_neg"])
     def test_run_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys,
                                                      argv, message):
         with pytest.raises(SystemExit) as exc:

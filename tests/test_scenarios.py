@@ -429,6 +429,20 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="mode must be ust or slab"):
             convergence_study("manufactured", [4], "ale")
 
+    def test_orders_of_zero_and_nan_errors(self, monkeypatch):
+        """inf only where the finer error alone is zero; nan where either
+        error is nan, as couette2d's pressure error is, or the coarser one
+        is zero."""
+        errors = {4: (0.4, 0.3), 8: (0.1, 0.0), 16: (math.nan, 0.0),
+                  32: (0.0, 0.2)}
+        monkeypatch.setattr(scenarios, "_case_errors",
+                            lambda spec, size, cfg: errors[size])
+        rows = convergence_study("couette2d", [4, 8, 16, 32])
+        assert rows[1]["order_u"] == 2.0
+        assert rows[1]["order_p"] == math.inf
+        for row in rows[2:]:
+            assert math.isnan(row["order_u"]) and math.isnan(row["order_p"])
+
 
 class TestBenchmarkHook:
     """perfbench/tracing.py wraps the solver from outside the package; a
@@ -481,7 +495,7 @@ class TestBenchmarkHook:
         messages = [r.getMessage() for r in caplog.records]
         first = next(i for i, m in enumerate(messages)
                      if m.startswith("newton iter=0 "))
-        assert any(m.startswith("assembly periodic levels=2/4 ")
+        assert any(m.startswith("assembly periodic levels=1/4 ")
                    for m in messages[:first])
         (before,), (after,) = untraced.newtons, traced.newtons
         assert after.solves[0]["factored"] == before.solves[0]["factored"] == 3

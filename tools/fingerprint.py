@@ -27,7 +27,7 @@ The digests cover
 - the first Newton system (CSR ``data``, ``indices``, ``indptr`` and the
   right-hand side) of the stirrer2d UST problem, of its first prism slab
   and of the stirrer3d UST problem.  Their UST initial guesses are
-  level-periodic, so those systems are built from two element levels
+  level-periodic, so those systems are built from element level 0 alone
   (see ``assembly``); the ``perturbed`` line, the stirrer2d UST system at
   its initial guess with node level 5's pressure raised by 1.0, assembles
   every level, and the ``frozen-tau`` line, the same system with tau
