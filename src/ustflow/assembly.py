@@ -49,20 +49,20 @@ for level 0 alone and reused, and every rotation is the stack's:
   holds node level 0's values with the velocity turned by that level's
   rotation (``SpaceTimeProblem._periodic``), with tau evaluated there or
   frozen at values that repeat level 0's, is element level 0's turned:
-  tau and the kernel run on that level only, in a partition of its own
-  (``_base_chunks``), and element level k's rows and pair blocks are
-  level 0's turned by R_k, each block B to T B T^T, T = diag(R_k, 1)
-  (``LevelStack.turn``).  So the top node level's rows are node level
-  1's, still element level 0's share alone, turned by R_{L-1}; node
-  level 1 then adds node level 0's turned by R_1, and node level m's are
-  node level 1's turned by R_{m-1} (``_turn_levels``), written on the
-  problem's lanes.  The jump, traction and Dirichlet terms are added
-  after the turn.  The first Newton system of an extrusion whose initial
-  and wall data are constant in time and turn with the mesh, as in every
-  shipped UST case but the manufactured one (it has a body force), is
-  such a system; a later Newton iterate is not.  This is the one place
-  that decides level periodicity: the system's ``LinearSystem.stack``
-  tells the solver.
+  tau and the kernel run on that level only, on the chunks that start in
+  it, cut at its end (``_base_chunks``, ``_base_ids``), and element level
+  k's rows and pair blocks are level 0's turned by R_k, each block B to
+  T B T^T, T = diag(R_k, 1) (``LevelStack.turn``).  So the top node
+  level's rows are node level 1's, still element level 0's share alone,
+  turned by R_{L-1}; node level 1 then adds node level 0's turned by
+  R_1, and node level m's are node level 1's turned by R_{m-1}
+  (``_turn_levels``), written on the problem's lanes.  The jump, traction
+  and Dirichlet terms are added after the turn.  The first Newton system
+  of an extrusion whose initial and wall data are constant in time and
+  turn with the mesh, as in every shipped UST case but the manufactured
+  one (it has a body force), is such a system; a later Newton iterate is
+  not.  This is the one place that decides level periodicity: the
+  system's ``LinearSystem.stack`` tells the solver.
 
 A chunk has at most ``_CHUNK_ENTRIES`` local-matrix entries, which
 would be 8 MB of local matrices; a lane holds one component-pair block of
@@ -71,13 +71,14 @@ factors, a few arrays of that block's size.  No per-element copy of the
 element coordinates or dofs is cached: each chunk gathers its own from
 ``elements``.  ``_partition`` cuts the elements into chunks and lanes,
 once per problem, for the plan and the lanes alike: ``_LANES`` fixed,
-contiguous element lanes once a system has two chunks, else one.  Each
-lane sums its chunks into its own residual and adds its matrix sums
-straight into the one ``data`` array, allocated before the lanes start,
-except at the node rows that an earlier lane also spans: those go into a
-buffer of the lane's own, a small range where two lanes meet.  The first
-lane runs on the calling thread and the later one on a module-level pool
-of one thread, so only one thread heap beside the caller's holds a lane's
+contiguous element lanes once a system has two chunks, else one (cut by
+``_lanes``, the one contiguous split).  Each lane sums its chunks into
+its own residual and adds its matrix sums straight into the one ``data``
+array, allocated before the lanes start, except at the node rows that an
+earlier lane also spans: those go into a buffer of the lane's own, a
+small range where two lanes meet.  ``_on_lanes``, the one lane runner,
+runs the first lane on the calling thread and the later one on a pool of
+one thread, so only one thread heap beside the caller's holds a lane's
 arrays; the lanes' residuals and buffers are added in lane order, so the
 result has the same bytes on any core count.  A one-chunk system starts
 no thread.  The first matrix fills the geometry, then computes the metric
@@ -120,7 +121,6 @@ over the elements in its inner loop, and returns element-first views.
 
 from __future__ import annotations
 
-import copy
 import logging
 import os
 import time
@@ -485,7 +485,7 @@ def _partition(n_per, n_levels, nloc):
     elements with ``nloc`` dofs each: ``chunks`` are element slices of at
     most ``size`` elements (``_CHUNK_ENTRIES`` local-matrix entries),
     ``lanes`` the ranges of the chunk indices of each lane: ``_LANES`` of
-    them, or one per chunk if there are fewer chunks.
+    them, or one per chunk if there are fewer chunks (``_lanes``).
 
     The chunks repeat by levels.  A level of at least ``size`` elements is
     cut into the same s = ceil(n_per / size) even slices at every level; a
@@ -506,10 +506,27 @@ def _partition(n_per, n_levels, nloc):
         starts = list(range(0, n_el, size // n_per * n_per))
     bounds = starts + [n_el]
     chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    n, n_lanes = len(chunks), min(_LANES, len(chunks))
-    lanes = [range(n * k // n_lanes, n * (k + 1) // n_lanes)
-             for k in range(n_lanes)]
-    return size, chunks, lanes
+    return size, chunks, _lanes(len(chunks), _LANES)
+
+
+def _lanes(n, k, first=0):
+    """``range(first, first + n)`` cut into min(k, n) contiguous parts of
+    sizes that differ by at most one, later parts the larger."""
+    k = min(k, n)
+    return [range(first + n * j // k, first + n * (j + 1) // k)
+            for j in range(k)]
+
+
+def _on_lanes(fn, parts):
+    """[fn(part) for part in ``parts``], the first on the calling thread
+    and the later on the lane pool.  Every part has ended when this returns
+    or raises, so no later lane still writes an array the caller reads."""
+    later = [_lane_pool().submit(fn, part) for part in parts[1:]]
+    try:
+        first = fn(parts[0])
+    finally:
+        rest = [f.result() for f in later]
+    return [first] + rest
 
 
 class _CsrPlan:
@@ -529,7 +546,7 @@ class _CsrPlan:
     every matrix the plan wraps.  ``chunks`` holds, for each element chunk
     of the partition, its pairs as ``pair_ids`` gives them: the chunk's
     sorted global pair ids and its chunk-local ids, so a chunk's fill
-    spans only the pairs it touches.
+    spans only the pairs it touches (``_base_ids`` reuses them).
 
     The pairs are numbered once per template (see ``_partition``): a chunk
     k levels on has its template's elements plus k*n_sp, so its keys are
@@ -674,23 +691,6 @@ class _CsrPlan:
         return ((self.start[pairs].astype(np.intp) - first)[:, None]
                 + self.stride[pairs][:, None] * j)[:, :, None] + j
 
-    def with_chunks(self, elements, chunks, own):
-        """This plan, its arrays shared, for the element slices ``chunks``
-        of ``elements``: a chunk that is one of the plan's own chunks, the
-        slices ``own``, takes its pair ids, any other those of
-        ``pair_ids``."""
-        known = {(sl.start, sl.stop): c for c, sl in enumerate(own)}
-        plan = copy.copy(self)
-        plan.chunks = []
-        for sl in chunks:
-            c = known.get((sl.start, sl.stop))
-            if c is None:
-                glob, local = self.pair_ids(elements[sl])
-                plan.chunks.append((glob.astype(self.indptr.dtype), local))
-            else:
-                plan.chunks.append(self.chunks[c])
-        return plan
-
     def row_range(self, first, last):
         """(lo, hi) of the CSR data of the whole node rows of pairs
         ``first`` to ``last``."""
@@ -699,13 +699,12 @@ class _CsrPlan:
         return int(ptr[r0 * nc]), int(ptr[(r1 + 1) * nc])
 
     def lane_buffers(self, lanes):
-        """(buf, lo) of each lane, a list of chunk indices: zeros over the
-        CSR data of the lane's node rows that an earlier lane's node rows
-        also span, from slot ``lo``; empty where there are none, as on the
-        first lane."""
+        """(buf, lo) of each lane, given as the ``glob`` arrays of its
+        chunks: zeros over the CSR data of the lane's node rows that an
+        earlier lane's node rows also span, from slot ``lo``; empty where
+        there are none, as on the first lane."""
         out, top = [], 0
-        for lane in lanes:
-            glob = [self.chunks[c][0] for c in lane]
+        for glob in lanes:
             lo, hi = self.row_range(min(g[0] for g in glob),
                                     max(g[-1] for g in glob))
             out.append((np.zeros(max(0, min(hi, top) - lo)), lo))
@@ -845,15 +844,15 @@ class _ProblemBase:
         ``tau_override`` supplies frozen stabilization parameters; without it
         they are evaluated at ``values``.  For a level-periodic ``values``
         (``_periodic``) tau and the volume terms are those of element level
-        0 alone, turned into the other levels (``_turn_levels``), the
-        system's ``stack`` is the problem's ``level_stack``, and one
-        ``assembly periodic levels=1/<L> dev=<deviation>`` line is logged.
-        A frozen tau takes that path too when its ``tau_mom`` and
-        ``tau_cont`` repeat level 0's on every element level, to within
-        ``SHARE_TOL`` of their largest entry, and then only its level 0 is
-        read; any other frozen tau assembles every level.
-        ``residual_norm`` takes the same decision, so it gives the same
-        bytes.
+        0 alone (``_base_chunks``), turned into the other levels
+        (``_turn_levels``), the system's ``stack`` is the problem's
+        ``level_stack``, and one ``assembly periodic levels=1/<L>
+        dev=<deviation>`` line is logged.  A frozen tau takes that path too
+        when its ``tau_mom`` and ``tau_cont`` repeat level 0's on every
+        element level, to within ``SHARE_TOL`` of their largest entry, and
+        then only its level 0 is read; any other frozen tau assembles every
+        level.  ``residual_norm`` takes the same decision, so it gives the
+        same bytes.
         """
         values = np.asarray(values, dtype=float).reshape(self.n_nodes,
                                                          self.ncomp)
@@ -885,15 +884,14 @@ class _ProblemBase:
                         len(lanes), len(chunks), plan.build_s, t1 - t0,
                         t2 - t1)
 
-        if dev is None:
-            R, data = self._volume(values, stab, plan, chunks, lanes)
-        else:
+        ids = None if plan is None else plan.chunks
+        if dev is not None:
             logger.info("assembly periodic levels=1/%d dev=%.1e",
                         self.level_stack.L, dev)
             _, chunks, lanes = self._base_chunks
-            R, data = self._volume(values, stab,
-                                   None if plan is None else self._base_plan,
-                                   chunks, lanes)
+            ids = None if plan is None else self._base_ids
+        R, data = self._volume(values, stab, chunks, lanes, ids)
+        if dev is not None:
             self._turn_levels(R, data, plan)
         self._add_jump(values, R, data)
         for dofs, Rloc in self._traction:
@@ -915,9 +913,10 @@ class _ProblemBase:
                              None if dev is None else self.level_stack),
                 rhs, norm)
 
-    def _volume(self, values, stab, plan, chunks, lanes):
-        """(R, data) of the volume terms; ``data`` is None without a
-        ``plan``.
+    def _volume(self, values, stab, chunks, lanes, ids):
+        """(R, data) of the volume terms of ``chunks`` on ``lanes``, with
+        each chunk's (glob, local) pair ids ``ids`` (``plan.chunks`` or
+        ``_base_ids``); ``data`` is None when ``ids`` is.
 
         ``data`` holds every CSR slot and is allocated before any lane
         starts.  Each lane adds its sums straight into it, except at the
@@ -927,29 +926,24 @@ class _ProblemBase:
         sums in the same order on any number of threads.
         """
         data, shared = None, [None] * len(lanes)
-        if plan is not None:
+        if ids is not None:
+            plan = self._csr_plan
             data = np.zeros(plan.nnz)
-            shared = plan.lane_buffers(lanes)
-
-        def lane(k):
-            return self._lane(values, stab, plan, data, shared[k], chunks,
-                              lanes[k])
-
-        later = [_lane_pool().submit(lane, k) for k in range(1, len(lanes))]
-        try:
-            R = lane(0)
-        finally:
-            # no later lane may still write ``data`` once this returns
-            sums = [f.result() for f in later]
+            shared = plan.lane_buffers([[ids[c][0] for c in lane]
+                                        for lane in lanes])
+        R, *sums = _on_lanes(
+            lambda k: self._lane(values, stab, data, shared[k], chunks, ids,
+                                 lanes[k]),
+            range(len(lanes)))
         for R_k in sums:
             R += R_k
-        if plan is not None:
+        if data is not None:
             for buf, lo in shared:
                 data[lo:lo + len(buf)] += buf
         return R, data
 
-    def _lane(self, values, stab, plan, data, shared, chunks, ids):
-        """The residual of the chunks ``ids``.  Unless ``plan`` is None,
+    def _lane(self, values, stab, data, shared, chunks, ids, lane):
+        """The residual of the chunks ``lane``.  Unless ``ids`` is None,
         their local matrices go into ``data`` and the lane's buffer
         ``shared`` (see ``_CsrPlan.add``), one component-pair block at a
         time: the lane's two block buffers hold the kernel's blocks, and
@@ -958,20 +952,21 @@ class _ProblemBase:
         nen = self.elements.shape[1]
         R = np.zeros(self.n_dofs)
         comps = np.arange(nc)
-        if plan is not None:
-            size = max(chunks[c].stop - chunks[c].start for c in ids)
+        if ids is not None:
+            plan = self._csr_plan
+            size = max(chunks[c].stop - chunks[c].start for c in lane)
             buffers = np.empty((2, nen * nen * size))
-        for c in ids:
+        for c in lane:
             sl = chunks[c]
             elements = self.elements[sl]
             Re, blocks = _element_terms(*self._volume_geometry(sl),
                                         values[elements], rho, mu,
                                         stab.tau_mom[sl], stab.tau_cont[sl],
                                         self.body_force, self.convective,
-                                        plan is not None)
+                                        ids is not None)
             _add_local(R, _node_dofs(elements, comps, nc), Re)
-            if plan is not None:
-                glob, local = plan.chunks[c]
+            if ids is not None:
+                glob, local = ids[c]
                 n = nen * nen * len(elements)
                 out, tmp = buffers[:, :n].reshape(2, nen, nen, -1)
                 part = np.empty((nc, nc, len(glob)))
@@ -1003,16 +998,30 @@ class _ProblemBase:
 
     @cached_property
     def _base_chunks(self):
-        """The (size, chunks, lanes) of ``_partition`` of element level 0
-        alone, which a level-periodic system assembles."""
-        return _partition(self.level_stack.n_per, 1,
-                          self.elements.shape[1] * self.ncomp)
+        """The (size, chunks, lanes) of a level-periodic system: each chunk
+        of ``_chunks`` that starts in element level 0, cut at that level's
+        end (in 2D chunk 0 spans several levels).  It reads no plan."""
+        size, chunks, _ = self._chunks
+        n_per = self.level_stack.n_per
+        base = [slice(sl.start, min(sl.stop, n_per)) for sl in chunks
+                if sl.start < n_per]
+        return size, base, _lanes(len(base), _LANES)
 
     @cached_property
-    def _base_plan(self) -> _CsrPlan:
-        """The plan with the pair ids of the chunks of ``_base_chunks``."""
-        return self._csr_plan.with_chunks(self.elements, self._base_chunks[1],
-                                          self._chunks[1])
+    def _base_ids(self):
+        """The pair ids of each chunk of ``_base_chunks``: the plan's of a
+        whole chunk, those that ``pair_ids`` gives a cut one, from the
+        plan's by one ``np.unique`` of its level-0 local ids."""
+        nen, out = self.elements.shape[1], []
+        for sl, whole, (glob, local) in zip(self._base_chunks[1],
+                                            self._chunks[1],
+                                            self._csr_plan.chunks):
+            if sl != whole:
+                used, local = np.unique(local.reshape(nen, nen, -1)[
+                    ..., :sl.stop - sl.start].ravel(), return_inverse=True)
+                glob = glob[used]
+            out.append((glob, local))
+        return out
 
     def _periodic(self, values):
         """None: a family whose levels are not turned copies of one
@@ -1211,11 +1220,11 @@ class SpaceTimeProblem(_ProblemBase):
         blocks are gathered once, by ``intp`` offsets, which numpy indexes
         without a conversion, and the pairs of the top and of node level 0
         are found among node level 1's by their keys moved by whole levels.
-        Step 3 cuts levels 2..L-1 into contiguous parts, one per lane of
-        ``_chunks``: the first is turned on the calling thread and the later
-        on the lane pool.  Each level is written by one thread, so the
-        bytes are the same on any core count, and a one-lane problem starts
-        no thread."""
+        Step 3 cuts levels 2..L-1 into contiguous parts (``_lanes``), at
+        most one per lane of ``_chunks``, and turns them through
+        ``_on_lanes``.  Each level is written by one thread, so the bytes
+        are the same on any core count, and a one-lane problem, or one
+        interior level, starts no thread."""
         stack = self.level_stack
         L, n_sp, turns = stack.L, stack.n_sp, stack.rotations
         rows = R.reshape(L + 1, n_sp, self.ncomp)
@@ -1248,16 +1257,7 @@ class SpaceTimeProblem(_ProblemBase):
                     data[first + (m - 1) * step:][inner] = stack.turn(
                         blocks, turns[m - 1])
 
-        n = len(self._chunks[2])
-        parts = [range(2 + (L - 2) * k // n, 2 + (L - 2) * (k + 1) // n)
-                 for k in range(n)]
-        later = [_lane_pool().submit(fill, part) for part in parts[1:]]
-        try:
-            fill(parts[0])
-        finally:
-            # no later part may still write ``data`` once this returns
-            for f in later:
-                f.result()
+        _on_lanes(fill, _lanes(L - 2, len(self._chunks[2]), 2))
 
     def _bottom_cap(self):
         mesh = self.mesh
@@ -1310,10 +1310,6 @@ class PrismSlab:
     @property
     def n_sd(self) -> int:
         return self.spatial.dim
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 * self.spatial.n_nodes
 
     def corners(self):
         """(n_el, n_sd+1, n_sd) bottom and top node positions of the prisms."""

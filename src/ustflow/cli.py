@@ -128,7 +128,11 @@ def _cmd_run(args, parser) -> int:
         parser.error(f"--max-iter {args.max_iter}: {exc}")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory {out}: "
+                        f"{exc}") from exc
     res = (run_ust if mode == "ust" else run_slab)(spec, newton_cfg=newton_cfg)
     # a UST run writes its space-time field, which slice and probe read
     mesh, values = ((res.slabs[0], res.fields[0]) if mode == "ust"
@@ -139,7 +143,7 @@ def _cmd_run(args, parser) -> int:
         export_vtk(sl.mesh, sl.values[:, : mesh.n_sd], sl.values[:, mesh.n_sd],
                    out / f"slice_t{args.slice_time:g}.vtk",
                    title=f"{spec.name} t={args.slice_time:g}")
-    with open(out / "newton_trace.log", "w") as f:
+    with stio.writing(out / "newton_trace.log") as f:
         for k, newton in enumerate(res.newtons):
             for it, entry in enumerate(zip(
                     newton.trace, newton.res_mom, newton.res_cont,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +27,14 @@ from .mesh import (SimplexMesh, SpaceTimeMesh, degenerate,
                    require_element_facets)
 
 logger = logging.getLogger("ustflow")
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError naming ``value`` unless ``operator.index`` takes it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -61,12 +70,9 @@ class ExtrusionSpec:
     def __post_init__(self):
         if not self.tN > self.t0:
             raise ValueError("tN must exceed t0")
+        check_count("n_levels", self.n_levels)
         if self.n_levels < 1:
             raise ValueError("need at least one level")
-
-    @property
-    def dt(self) -> float:
-        return (self.tN - self.t0) / self.n_levels
 
     @property
     def level_times(self) -> np.ndarray:

@@ -10,6 +10,8 @@ The ``stmesh`` format is ASCII and line-oriented with ``#`` comments:
 Result files append a ``field <n_nodes> <n_components>`` block of nodal
 rows to the mesh block.  Floats are written with 17 significant digits so
 round-trips are bitwise stable.
+Every file is written through ``writing`` and every block of rows
+through ``rows``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -24,28 +27,38 @@ from .errors import IoFailure, ParseError, UnknownKey, UstflowError
 from .mesh import SimplexMesh, SpaceTimeMesh
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+@contextlib.contextmanager
+def writing(path):
+    """The text file ``path``, open for writing: an OSError from opening or
+    writing it raises IoFailure('cannot write <path>: ...')."""
+    try:
+        with open(path, "w") as f:
+            yield f
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def rows(fields: str, table) -> str:
+    """One ``fields`` line, a %-format of one row, per row of ``table``, a
+    2D array or a list of rows, as a single string."""
+    flat = (table.ravel().tolist() if isinstance(table, np.ndarray)
+            else chain.from_iterable(table))
+    return (fields * len(table)) % tuple(flat)
 
 
 def write_stmesh(mesh: SimplexMesh, path) -> None:
-    try:
-        with open(path, "w") as f:
-            _write_mesh_block(mesh, f)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with writing(path) as f:
+        _write_mesh_block(mesh, f)
 
 
 def _write_mesh_block(mesh: SimplexMesh, f) -> None:
     f.write(f"stmesh {mesh.dim} {mesh.n_nodes} {mesh.n_elements} "
             f"{len(mesh.boundary_facets)}\n")
-    for p in mesh.nodes:
-        f.write(" ".join(_fmt(v) for v in p) + "\n")
-    for el in mesh.elements:
-        f.write(" ".join(str(int(v)) for v in el) + "\n")
-    for row, tag in zip(mesh.boundary_facets, mesh.boundary_tags):
-        f.write(" ".join(str(int(v)) for v in row)
-                + f" {mesh.tag_names[tag]}\n")
+    f.write(rows(" ".join(["%.17g"] * mesh.dim) + "\n", mesh.nodes))
+    f.write(rows("%d " * mesh.dim + "%d\n", mesh.elements))
+    f.write(rows("%d " * mesh.dim + "%s\n",
+                 [row + [mesh.tag_names[tag]] for row, tag in zip(
+                     mesh.boundary_facets.tolist(), mesh.boundary_tags)]))
 
 
 class _LineReader:
@@ -132,14 +145,10 @@ def write_result(mesh: SimplexMesh, values: np.ndarray, path) -> None:
     values = np.asarray(values, dtype=float)
     if values.shape[0] != mesh.n_nodes:
         raise IoFailure("field rows do not match node count")
-    try:
-        with open(path, "w") as f:
-            _write_mesh_block(mesh, f)
-            f.write(f"field {values.shape[0]} {values.shape[1]}\n")
-            for row in values:
-                f.write(" ".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with writing(path) as f:
+        _write_mesh_block(mesh, f)
+        f.write(f"field {values.shape[0]} {values.shape[1]}\n")
+        f.write(rows(" ".join(["%.17g"] * values.shape[1]) + "\n", values))
 
 
 def read_result(path):
@@ -264,25 +273,19 @@ def write_probe_csv(path, points: np.ndarray, values: np.ndarray,
     coord_names = ["x", "y", "z"][:n_sd]
     comp_names = [f"u{k + 1}" for k in range(n_sd)]
     header = ",".join(coord_names + ["t"] + comp_names + ["p"])
-    try:
-        with open(path, "w") as f:
-            f.write(header + "\n")
-            for p, row, ok in zip(points, values, found):
-                cells = [_fmt(v) for v in p]
-                cells += [_fmt(v) for v in row] if ok else [""] * (n_sd + 1)
-                f.write(",".join(cells) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with writing(path) as f:
+        f.write(header + "\n")
+        for p, row, ok in zip(points, values, found):
+            cells = ["%.17g" % v for v in p]
+            cells += ["%.17g" % v for v in row] if ok else [""] * (n_sd + 1)
+            f.write(",".join(cells) + "\n")
 
 
-def write_convergence_csv(path, rows) -> None:
+def write_convergence_csv(path, table) -> None:
     cols = ["size", "h", "err_u", "err_p", "order_u", "order_p"]
-    try:
-        with open(path, "w") as f:
-            f.write(",".join(cols) + "\n")
-            for row in rows:
-                f.write(",".join(
-                    _fmt(row[c]) if isinstance(row.get(c), float)
-                    else str(row.get(c, "")) for c in cols) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with writing(path) as f:
+        f.write(",".join(cols) + "\n")
+        for row in table:
+            f.write(",".join(
+                "%.17g" % row[c] if isinstance(row.get(c), float)
+                else str(row.get(c, "")) for c in cols) + "\n")

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptySlice, IoFailure
+from .io import rows, writing
 from .mesh import SimplexMesh, SpaceTimeMesh, basis_eval, element_slices
 from .quadrature import prism_quadrature, simplex_quadrature
 from .stabilization import prism_geometry, prism_shape_functions
@@ -529,12 +530,6 @@ def probe_vorticity(mesh: SimplexMesh, values: np.ndarray, points):
     return np.where(found, vort[owner], np.nan), found
 
 
-def _rows(row_format: str, array) -> str:
-    """One ``row_format`` line per row of a 2D array, as a single string."""
-    array = np.asarray(array)
-    return (row_format * len(array)) % tuple(array.ravel().tolist())
-
-
 def export_vtk(mesh: SimplexMesh, velocity: np.ndarray, pressure: np.ndarray,
                path, title: str = "ustflow output"):
     """Legacy ASCII VTK unstructured grid (triangles or tetrahedra).
@@ -553,23 +548,20 @@ def export_vtk(mesh: SimplexMesh, velocity: np.ndarray, pressure: np.ndarray,
         a = np.asarray(a, dtype=float)
         return np.hstack([a, np.zeros((len(a), 3 - a.shape[1]))])
 
-    try:
-        with open(path, "w") as f:
-            f.write("# vtk DataFile Version 3.0\n")
-            f.write(title + "\n")
-            f.write("ASCII\n")
-            f.write("DATASET UNSTRUCTURED_GRID\n")
-            f.write(f"POINTS {mesh.n_nodes} double\n")
-            f.write(_rows("%.9g %.9g %.9g\n", padded(mesh.nodes)))
-            f.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nen + 1)}\n")
-            f.write(_rows(f"{nen}" + " %d" * nen + "\n", mesh.elements))
-            f.write(f"CELL_TYPES {mesh.n_elements}\n")
-            f.write(f"{cell_type}\n" * mesh.n_elements)
-            f.write(f"POINT_DATA {mesh.n_nodes}\n")
-            f.write("VECTORS velocity double\n")
-            f.write(_rows("%.9g %.9g %.9g\n", padded(velocity)))
-            f.write("SCALARS pressure double\n")
-            f.write("LOOKUP_TABLE default\n")
-            f.write(_rows("%.9g\n", np.reshape(pressure, (-1, 1))))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with writing(path) as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write(title + "\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_nodes} double\n")
+        f.write(rows("%.9g %.9g %.9g\n", padded(mesh.nodes)))
+        f.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nen + 1)}\n")
+        f.write(rows(f"{nen}" + " %d" * nen + "\n", mesh.elements))
+        f.write(f"CELL_TYPES {mesh.n_elements}\n")
+        f.write(f"{cell_type}\n" * mesh.n_elements)
+        f.write(f"POINT_DATA {mesh.n_nodes}\n")
+        f.write("VECTORS velocity double\n")
+        f.write(rows("%.9g %.9g %.9g\n", padded(velocity)))
+        f.write("SCALARS pressure double\n")
+        f.write("LOOKUP_TABLE default\n")
+        f.write(rows("%.9g\n", np.reshape(pressure, (-1, 1))))

@@ -26,8 +26,8 @@ import numpy as np
 from .assembly import (BCSpec, MaterialParams, PrismSlab, PrismSlabProblem,
                        SpaceTimeProblem, rigid_surface_velocity, zero_velocity)
 from .errors import NotConverged
-from .extrude import (ExtrusionSpec, NodeTrajectory, extrude_simplex_st,
-                      rigid_rotation_positions)
+from .extrude import (ExtrusionSpec, NodeTrajectory, check_count,
+                      extrude_simplex_st, rigid_rotation_positions)
 from .geometry import annulus2d, box2d
 from .mesh import SimplexMesh, SpaceTimeMesh, time_levels
 from .postproc import l2_error, l2_error_slab
@@ -64,6 +64,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
+        check_count("levels", self.levels)
         if not self.levels >= 1:
             raise ValueError("levels must be at least 1")
         if self.mode not in ("ust", "slab"):
@@ -246,18 +247,14 @@ def couette_exact_factory(omega, r_inner, r_outer):
     return velocity
 
 
-def poiseuille_exact_factory(u_max, height, mu, length):
-    """Plane Poiseuille profile with zero outflow pressure."""
+def poiseuille_exact_factory(u_max, height, mu):
+    """Plane Poiseuille profile and its traction at zero outflow pressure."""
 
     def velocity(x, t=None):
         x = np.atleast_2d(x)
         y = x[:, 1]
         return np.column_stack([4.0 * u_max * y * (height - y) / height ** 2,
                                 np.zeros(len(x))])
-
-    def pressure(x, t=None):
-        x = np.atleast_2d(x)
-        return 8.0 * mu * u_max / height ** 2 * (length - x[:, 0])
 
     def traction_outflow(x, t=None):
         x = np.atleast_2d(x)
@@ -266,7 +263,7 @@ def poiseuille_exact_factory(u_max, height, mu, length):
                                 mu * 4.0 * u_max * (height - 2.0 * y)
                                 / height ** 2])
 
-    return velocity, pressure, traction_outflow
+    return velocity, traction_outflow
 
 
 def manufactured_exact_factory(nu, a=math.pi):
@@ -369,14 +366,13 @@ def make_channel2d(nx: int = 20, ny: int = 8, length: float = 2.0,
                    t_end: float = 2.0, levels: int = 20,
                    mesh: SimplexMesh = None) -> ScenarioSpec:
     mesh = mesh or box2d(nx, ny, lx=length, ly=height)
-    vel, pres, trac = poiseuille_exact_factory(u_max, height, mu, length)
+    vel, trac = poiseuille_exact_factory(u_max, height, mu)
     bcs = BCSpec(
         dirichlet={"x0": vel, "y0": zero_velocity, "y1": zero_velocity},
         neumann={"x1": trac},
         initial=lambda x: vel(x))
     return ScenarioSpec("channel2d", 2, mesh, MaterialParams(rho=1.0, mu=mu),
-                        bcs, t_end=t_end, levels=levels, gauge_value_fn=pres,
-                        exact_solution=vel)
+                        bcs, t_end=t_end, levels=levels, exact_solution=vel)
 
 
 def make_manufactured(n: int = 12, levels: int = 6, mu: float = 0.05,

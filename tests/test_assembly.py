@@ -1400,10 +1400,11 @@ class TestLanes:
                                      *np.empty((2, nen, nen,
                                                 sl.stop - sl.start)))
                 plan.add(data, glob, part)
-        _, data = problem._volume(U, stab, plan, chunks, lanes)
+        _, data = problem._volume(U, stab, chunks, lanes, plan.chunks)
         assert data.tobytes() == (alone[0] + alone[1]).tobytes()
 
-        (first, _), (buf, lo) = plan.lane_buffers(lanes)
+        (first, _), (buf, lo) = plan.lane_buffers(
+            [[plan.chunks[c][0] for c in lane] for lane in lanes])
         rows = [np.unique(problem.elements[chunks[lane[0]].start:
                                            chunks[lane[-1]].stop])
                 for lane in lanes]

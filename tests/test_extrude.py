@@ -78,6 +78,13 @@ class TestDecomposePrism:
 
 
 class TestExtrusion:
+    def test_non_integer_level_count_rejected(self):
+        with pytest.raises(ValueError,
+                           match="n_levels must be an integer, got 2.5"):
+            ExtrusionSpec(0.0, 1.0, 2.5)
+        assert ExtrusionSpec(0.0, 1.0, np.int64(2)).level_times.tolist() == [
+            0.0, 0.5, 1.0]
+
     def test_one_triangle_flat(self):
         spatial = single_triangle_mesh()
         st = extrude_simplex_st(spatial, ExtrusionSpec(0.0, 0.5, 1))

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -7,13 +8,15 @@ import pytest
 
 from ustflow import cli
 from ustflow import io as stio
-from ustflow.errors import MeshTopologyError, ParseError, UnknownKey
+from ustflow.errors import IoFailure, MeshTopologyError, ParseError, UnknownKey
+from ustflow.extrude import ExtrusionSpec, NodeTrajectory, extrude_simplex_st
 from ustflow.geometry import annulus2d, box2d, box3d
 from ustflow.io import (read_config, read_result, read_stmesh,
-                        write_probe_csv, write_result, write_stmesh)
+                        write_convergence_csv, write_probe_csv, write_result,
+                        write_stmesh)
 from ustflow.mesh import SpaceTimeMesh, validate_mesh
-from ustflow.postproc import probe_exhaustive
-from ustflow.scenarios import make_stirrer2d
+from ustflow.postproc import export_vtk, probe_exhaustive, slice_at_time
+from ustflow.scenarios import make_stirrer2d, make_stirrer3d
 
 
 class TestStmeshRoundTrip:
@@ -58,6 +61,13 @@ class TestStmeshRoundTrip:
             read_stmesh(path)
         assert err.value.line == n_lines + 2
 
+    def test_non_integer_count_in_header(self, tmp_path):
+        path = tmp_path / "m.stmesh"
+        path.write_text("# counts\nstmesh 2 3.5 1 3\n")
+        with pytest.raises(ParseError, match="non-integer count") as err:
+            read_stmesh(path)
+        assert err.value.line == 2
+
     def test_17_digit_floats_survive(self, tmp_path, rng):
         mesh = box2d(2, 2)
         nodes = mesh.nodes + rng.uniform(0, 1e-7, mesh.nodes.shape)
@@ -88,6 +98,13 @@ class TestResultRoundTrip:
         mesh2, values2 = read_result(path)
         assert not isinstance(mesh2, SpaceTimeMesh)
         assert np.array_equal(values, values2)
+
+    def test_row_count_must_match_nodes(self, tmp_path):
+        mesh = box2d(2, 2)
+        path = tmp_path / "run.dat"
+        with pytest.raises(IoFailure, match="field rows do not match"):
+            write_result(mesh, np.zeros((mesh.n_nodes - 1, 3)), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("offset, text, message", [
         (0, "field nine 3", "expected 'field <n_nodes>"),
@@ -203,6 +220,22 @@ class TestConfig:
         with pytest.raises(UnknownKey, match="unknown key 'dt'") as err:
             read_config(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, error, message, line", [
+        ("[case]\nbase = couette2d\n[solver]\n", UnknownKey,
+         r"unknown section \[solver\]", 3),
+        ("levels = 3\n[case]\nbase = couette2d\n", ParseError,
+         r"key outside of any \[section\]", 1),
+        ("[case]\nbase = couette2d\nlevels 3\n", ParseError,
+         "expected 'key = value'", 3),
+    ], ids=["section", "outside", "no_equals"])
+    def test_malformed_line_reports_line(self, tmp_path, text, error,
+                                         message, line):
+        path = tmp_path / "case.cfg"
+        path.write_text(text)
+        with pytest.raises(error, match=message) as err:
+            read_config(path)
+        assert err.value.line == line
 
     def test_missing_base(self, tmp_path):
         path = tmp_path / "case.cfg"
@@ -374,6 +407,50 @@ class TestCli:
         assert exc.value.code == 2
         assert "--slice-time needs --mode ust" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_run_needs_case_or_config_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run"])
+        assert exc.value.code == 2
+        assert "run needs --case or --config" in capsys.readouterr().err
+
+    def test_run_out_is_a_file_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert cli.main(["run", "--case", "couette2d", "--levels", "2",
+                         "--out", str(out)]) == 1
+        assert self.only_error_line(capsys).startswith(
+            f"error: cannot create output directory {out}: ")
+
+    def test_run_unwritable_trace_exit_1(self, tmp_path, capsys):
+        (tmp_path / "newton_trace.log").mkdir()
+        assert cli.main(["run", "--case", "couette2d", "--levels", "2",
+                         "--out", str(tmp_path)]) == 1
+        assert self.only_error_line(capsys).startswith(
+            f"error: cannot write {tmp_path / 'newton_trace.log'}: ")
+
+    def test_slice_of_a_spatial_result_exit_1(self, tmp_path, capsys):
+        mesh = box2d(2, 2)
+        result = tmp_path / "result.dat"
+        write_result(mesh, np.zeros((mesh.n_nodes, 3)), result)
+        out = tmp_path / "s.vtk"
+        assert cli.main(["slice", "--result", str(result), "--time", "0.0",
+                         "--out", str(out)]) == 1
+        assert "slice requires a space-time result" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_wrong_column_count_exit_1(self, tmp_path, capsys,
+                                             small_st_mesh_2d):
+        st = small_st_mesh_2d
+        result = tmp_path / "result.dat"
+        write_result(st, np.zeros((st.n_nodes, 3)), result)
+        pts = tmp_path / "points.txt"
+        pts.write_text("0.5 0.5\n")
+        out = tmp_path / "probes.csv"
+        assert cli.main(["probe", "--result", str(result), "--points",
+                         str(pts), "--out", str(out)]) == 1
+        assert "probe points need 3 columns" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_case_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -678,3 +755,86 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "size,h,err_u,err_p,order_u,order_p"
         assert len(lines) == 3
+
+
+def twisted_annulus():
+    """A 3-level annulus extrusion twisted about the origin."""
+    return extrude_simplex_st(annulus2d(1.0, 2.0, 3, 9),
+                              ExtrusionSpec(0.0, 0.3, 3,
+                                            NodeTrajectory(omega=0.7)))
+
+
+class TestWriterBytes:
+    """Each writer's file, pinned by sha256.  The digests were taken from
+    the writers that formatted value by value, before ``io.rows``; the
+    two CSV writers keep their own cell formats."""
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_stmesh(self, tmp_path):
+        write_stmesh(twisted_annulus(), tmp_path / "a.stmesh")
+        write_stmesh(make_stirrer3d().mesh, tmp_path / "b.stmesh")
+        assert self.digest(tmp_path / "a.stmesh") == (
+            "4c83b1fab10f876d49a64b5fc15dc36643839f337bfb709067c93f0936c1fb45")
+        assert self.digest(tmp_path / "b.stmesh") == (
+            "63f9c28fd36d879c1da9736cbd6fdc731154078dd2689d9ea6addf895a4388b5")
+
+    def test_result_with_signed_zero_extremes_and_nan(self, tmp_path):
+        mesh = box2d(3, 2)
+        values = np.random.default_rng(5).standard_normal((mesh.n_nodes, 3))
+        values[0] = [-0.0, 1e-300, 1e300]
+        values[1, 2] = np.nan
+        path = tmp_path / "r.dat"
+        write_result(mesh, values, path)
+        assert self.digest(path) == (
+            "a8b4f0c47b4e45524c303878d66e459c2dc0dee38a63686580122576ee2d1c0c")
+        field = path.read_text().splitlines()[-mesh.n_nodes:]
+        assert field[0] == "-0 1e-300 1.0000000000000001e+300"
+        assert field[1].endswith(" nan")
+
+    def test_vtk(self, tmp_path):
+        st = twisted_annulus()
+        field = np.random.default_rng(6).uniform(-1, 1, (st.n_nodes, 3))
+        sl = slice_at_time(st, field, 0.15)
+        path = tmp_path / "s.vtk"
+        export_vtk(sl.mesh, sl.values[:, :2], sl.values[:, 2], path)
+        assert self.digest(path) == (
+            "c4a7234369c1bda4dcb2fb497ad5641b77f565f87e6e37213d986d80ce220387")
+
+    def test_probe_csv_with_a_missing_row(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "p.csv"
+        write_probe_csv(path, rng.standard_normal((4, 3)),
+                        rng.standard_normal((4, 3)),
+                        np.array([True, False, True, True]))
+        assert path.read_text().splitlines()[2].endswith(",,,")
+        assert self.digest(path) == (
+            "745745733ed647ca914f98b29ece340e838562bec03a03fba66d4d46b6380587")
+
+    def test_convergence_csv_with_nan_and_inf(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_convergence_csv(path, [
+            {"size": 4, "h": 0.25, "err_u": float("nan"),
+             "err_p": float("inf"), "order_u": "", "order_p": ""},
+            {"size": 8, "h": 0.125, "err_u": 1e-3, "err_p": 2.5e-4,
+             "order_u": 2.0, "order_p": 1.5}])
+        assert path.read_text().splitlines()[1] == "4,0.25,nan,inf,,"
+        assert self.digest(path) == (
+            "6f55a8bdbae1c0781d0268dec98b4cfd72523998f85e7429c845ef5cac1dbc73")
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_stmesh(box2d(1, 1), path),
+        lambda path: write_result(box2d(1, 1), np.zeros((4, 3)), path),
+        lambda path: write_probe_csv(path, np.zeros((1, 3)),
+                                     np.zeros((1, 3)), np.array([True])),
+        lambda path: write_convergence_csv(path, []),
+        lambda path: export_vtk(box2d(1, 1), np.zeros((4, 2)), np.zeros(4),
+                                path),
+    ], ids=["stmesh", "result", "probe", "convergence", "vtk"])
+    def test_unwritable_path_is_an_io_failure(self, tmp_path, write):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(IoFailure,
+                           match=re.escape(f"cannot write {path}: ")):
+            write(path)

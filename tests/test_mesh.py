@@ -521,6 +521,21 @@ class TestValidateMesh:
         with pytest.raises(MeshTopologyError, match="not a facet of any"):
             require_element_facets(mesh.elements, np.array([[0, 4], [0, 8]]))
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda n, e: (n[:, 0], e), "nodes must be a 2-d array"),
+        (lambda n, e: (np.hstack([n, n, n[:, :1]]), e),
+         "unsupported mesh dimension 5"),
+        (lambda n, e: (n, e[:, :2]), "elements must have dim\\+1 nodes"),
+        (lambda n, e: (np.where(np.arange(len(n))[:, None] == 3, np.inf, n),
+                       e), "non-finite node coordinates"),
+    ], ids=["1d_nodes", "dim5", "width", "non_finite"])
+    def test_array_checks(self, change, message):
+        mesh = box2d(2, 2)
+        nodes, elements = change(mesh.nodes, mesh.elements)
+        with pytest.raises(MeshTopologyError, match=message):
+            SimplexMesh(nodes, elements, mesh.boundary_facets,
+                        mesh.boundary_tags, mesh.tag_names)
+
     @pytest.mark.parametrize("node", [9, -1])
     def test_facet_node_id_out_of_range(self, node):
         mesh = box2d(2, 2)

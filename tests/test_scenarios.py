@@ -104,6 +104,19 @@ class TestTimeGrid:
             dataclasses.replace(spec, t_end=0.0)
         assert dataclasses.replace(spec, levels=4).dt == spec.t_end / 4
 
+    def test_non_integer_levels_rejected(self):
+        """A float level count fails at construction, naming the value, and
+        not inside the extrusion; a numpy integer is a count."""
+        with pytest.raises(ValueError,
+                           match="levels must be an integer, got 2.5"):
+            constant_scenario([0.0, 0.0], levels=2.5)
+        spec = constant_scenario([0.0, 0.0])
+        with pytest.raises(ValueError,
+                           match="levels must be an integer, got 3.0"):
+            dataclasses.replace(spec, levels=3.0)
+        assert dataclasses.replace(spec, levels=np.int64(4)).dt == \
+            spec.t_end / 4
+
     def test_mode_is_checked(self):
         spec = constant_scenario([0.0, 0.0])
         with pytest.raises(ValueError, match="mode must be ust or slab, got "

@@ -57,6 +57,15 @@ class TestGmres:
         assert np.allclose(x, b, atol=1e-12)
         assert stats["iterations"] <= 1
 
+    def test_zero_rhs_returns_zeros(self):
+        """b = 0 gives x = 0 after no iteration, without a factorization."""
+        A = sp.diags(np.arange(1.0, 11.0)).tocsr()
+        precond = TimeLevelPreconditioner(np.arange(10) // 5)
+        x, stats = gmres_solve(A, np.zeros(10), precond, TIGHT)
+        assert x.tolist() == [0.0] * 10
+        assert stats["iterations"] == 0 and stats["relres"] == 0.0
+        assert precond.lus is None
+
     def test_diagonal_spd(self, rng):
         d = rng.uniform(0.5, 3.0, size=30)
         b = rng.uniform(-1, 1, size=30)

@@ -24,6 +24,10 @@ The digests cover
   beyond, a quarter of them moved onto node-level times, plus mesh nodes;
   and the nodes, simplices and values of its slices at t0, at node level
   9, halfway between node levels 8 and 9 and at tN;
+- the bytes of the files that the writers make of those (``output``):
+  ``write_stmesh`` of the mesh, ``write_result`` of the field,
+  ``export_vtk`` of the slice at tN and ``write_probe_csv`` of the
+  probes, so that the text formats are compared across trees too;
 - the first Newton system (CSR ``data``, ``indices``, ``indptr`` and the
   right-hand side) of the stirrer2d UST problem, of its first prism slab
   and of the stirrer3d UST problem.  Their UST initial guesses are
@@ -71,6 +75,7 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -85,8 +90,11 @@ from make_stirrer_meshes import build_stirrer_mesh  # noqa: E402
 from ustflow.extrude import (NodeTrajectory, extrude_spatial,  # noqa: E402
                              max_admissible_twist)
 from ustflow.geometry import annulus2d, box2d, box3d, disk2d  # noqa: E402
+from ustflow.io import (write_probe_csv, write_result,  # noqa: E402
+                        write_stmesh)
 from ustflow.mesh import SimplexMesh, time_levels, validate_mesh  # noqa: E402
-from ustflow.postproc import _locate, probe, slice_at_time  # noqa: E402
+from ustflow.postproc import (_locate, export_vtk, probe,  # noqa: E402
+                              slice_at_time)
 from ustflow.scenarios import (STIRRER_DT, make_channel2d,  # noqa: E402
                                make_stirrer2d, make_stirrer3d, run_slab,
                                run_ust)
@@ -156,8 +164,17 @@ def perturbed(problem):
     return values
 
 
+def output(write) -> dict:
+    """The bytes of the file that ``write(path)`` writes, as uint8."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        write(path)
+        return {"bytes": np.frombuffer(path.read_bytes(), dtype=np.uint8)}
+
+
 def post(mesh):
-    """(probe arrays, slice arrays) of ``mesh`` with a seeded random field."""
+    """The probe, slice and output lines of the stirrer3d UST ``mesh`` with
+    a seeded random field."""
     rng = np.random.default_rng(7)
     values = rng.uniform(-1.0, 1.0, size=(mesh.n_nodes, mesh.dim))
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
@@ -167,8 +184,8 @@ def post(mesh):
     points[:500, -1] = rng.choice(levels, 500)
     points = np.vstack([points, mesh.nodes[rng.choice(mesh.n_nodes, 100)]])
     at, found = probe(mesh, values, points)
-    probes = {"owner": _locate(mesh, points, 1e-10), "values": at,
-              "found": found}
+    yield "probe  stirrer3d ust  ", {"owner": _locate(mesh, points, 1e-10),
+                                     "values": at, "found": found}
     slices = {}
     for name, t in (("t0", mesh.t0), ("level9", levels[9]),
                     ("mid", 0.5 * (levels[8] + levels[9])), ("tN", mesh.tN)):
@@ -176,7 +193,16 @@ def post(mesh):
         slices.update({f"{name}_nodes": sl.mesh.nodes,
                        f"{name}_simplices": sl.mesh.elements,
                        f"{name}_values": sl.values})
-    return probes, slices
+    yield "slice  stirrer3d ust  ", slices
+    yield "output stmesh stirrer3d ust", output(
+        lambda path: write_stmesh(mesh, path))
+    yield "output result stirrer3d ust", output(
+        lambda path: write_result(mesh, values, path))
+    yield "output vtk    stirrer3d tN ", output(
+        lambda path: export_vtk(sl.mesh, sl.values[:, :3], sl.values[:, 3],
+                                path))
+    yield "output probe  stirrer3d ust", output(
+        lambda path: write_probe_csv(path, points, at, found))
 
 
 def twist_bounds(*specs) -> dict:
@@ -230,10 +256,8 @@ def lines():
     yield "metric stirrer3d ust  ", dict(zip(metric, mesh_metric(ust3.mesh)))
     yield "tau    stirrer3d ust  ", tau(ust3)
     yield "system stirrer3d ust  ", first_system(ust3)
-    probes, slices = post(ust3.mesh)
-    yield "probe  stirrer3d ust  ", probes
-    yield "slice  stirrer3d ust  ", slices
-    del ust3, probes, slices
+    yield from post(ust3.mesh)
+    del ust3
     yield "field  stirrer2d ust  ", {"values": run_ust(s2).fields[0]}
     slab = run_slab(s2)
     yield "field  stirrer2d slab ", {"final": slab.final_values,
